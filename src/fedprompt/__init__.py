@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    DomainTransform,
     Partition,
     SyntheticSpec,
     generate_synthetic,
@@ -68,7 +67,7 @@ from .tensor import Tape, Tensor, cross_entropy, finite_diff_grad
 
 __all__ = [
     "BackboneWeights", "ClientState", "ClientUpdate", "CommReport",
-    "ConfigError", "DataError", "Dataset", "DomainTransform", "EvalReport",
+    "ConfigError", "DataError", "Dataset", "EvalReport",
     "ForwardTrace", "ModelConfig", "Partition", "PromptParams",
     "PrototypeBank", "RoundLog", "ServerState", "SyntheticSpec", "Tape",
     "Tensor", "TrainingError", "TrainConfig", "__version__",

@@ -6,8 +6,12 @@ Subcommands:
   partition  write partition / label-histogram CSVs without training
   eval       re-evaluate a saved run directory
 
-Exit status 0 means every requested artifact was written; config
-problems exit 2 with a field-level message, runtime failures exit 1.
+Exit status:
+  0  every requested artifact was written
+  1  training failed at run time (non-finite loss), or gradcheck failed
+  2  the config is invalid (missing, unknown or mistyped field, bad value)
+     or yields unusable data, such as a client with an empty train shard;
+     the stderr line starts with "config error:" or "data error:"
 """
 
 import argparse
@@ -15,7 +19,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,31 +32,73 @@ from .data import (
     partition_dirichlet,
     partition_pathological,
 )
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .evaluation import comm_accounting, evaluate_clients, heldout_split
-from .federation import TrainConfig, build_clients, run_training
-from .model import ModelConfig, PromptParams, init_backbone
-from .prototypes import PrototypeBank
+from .federation import (
+    TrainConfig,
+    _evaluate,
+    build_clients,
+    init_server,
+    run_training,
+)
+from .model import ModelConfig, init_backbone
 from . import __version__
 
-WORKERS_ENV = "FEDPROMPT_WORKERS"
-_MISSING = object()
+# ModelConfig fields the config does not set: the image size follows the
+# data section and the MLP width is fixed
+_MODEL_FIXED = ("image_size", "mlp_mult")
+_PARTITION_KEYS = {"mode": str, "classes_per_client": int, "beta": float}
+_TOP_KEYS = {"seed": int, "out_dir": str, "heldout_fraction": float,
+             "data": dict, "partition": dict, "model": dict, "train": dict}
+_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "an object",
+               tuple: "a list of integers"}
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, _MISSING)
-    if value is _MISSING:
-        raise ConfigError(f"missing required field {name!r}")
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {name!r} must be an object")
-    return value
+def _typed(value, kind, where):
+    """`value` as a `kind`, or ConfigError if its JSON type does not fit."""
+    if isinstance(kind, types.UnionType):  # `float | None`: null means unset
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(v, int, where) for v in value)
+    elif kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
+        return kind(value)
+    raise ConfigError(f"field {where} must be {_TYPE_NAMES[kind]}, "
+                      f"got {value!r}")
 
 
-def _field(section: dict, section_name: str, key: str, default=_MISSING):
-    value = section.get(key, default)
-    if value is _MISSING:
-        raise ConfigError(f"missing required field {section_name}.{key!r}")
-    return value
+def _read(section: dict, name: str, keys: dict, required=()) -> dict:
+    """Typed values of one config section, `keys` mapping each accepted
+    key to its type.  Absent optional keys are left out, so the defaults
+    of the dataclass they feed apply."""
+    def where(key):
+        return f"{name}.{key!r}" if name else repr(key)
+
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown field {where(key)}")
+    values = {}
+    for key, kind in keys.items():
+        if key in section:
+            values[key] = _typed(section[key], kind, where(key))
+        elif key in required:
+            raise ConfigError(f"missing required field {where(key)}")
+    return values
+
+
+def _keys(cls, skip=()) -> dict:
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def _required(cls) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.default is MISSING)
 
 
 @dataclass
@@ -68,77 +116,48 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        data = _section(raw, "data")
-        partition = _section(raw, "partition")
-        model = raw.get("model", {})
-        train = _section(raw, "train")
+        top = _read(raw, "", _TOP_KEYS, required=("data", "partition", "train"))
+        spec = SyntheticSpec(**_read(
+            top["data"], "data", _keys(SyntheticSpec),
+            required=("classes", "train_per_class", "test_per_class")))
 
-        spec = SyntheticSpec(
-            classes=int(_field(data, "data", "classes")),
-            train_per_class=int(_field(data, "data", "train_per_class")),
-            test_per_class=int(_field(data, "data", "test_per_class")),
-            image_size=int(data.get("image_size", 16)),
-            separation=float(data.get("separation", 1.0)),
-            noise=float(data.get("noise", 1.0)),
-        )
-        mode = _field(partition, "partition", "mode")
+        partition = _read(top["partition"], "partition", _PARTITION_KEYS,
+                          required=("mode",))
+        mode = partition["mode"]
         if mode not in ("pathological", "dirichlet"):
             raise ConfigError(
                 f"partition.mode must be 'pathological' or 'dirichlet', got {mode!r}")
-        if mode == "pathological":
-            k = int(_field(partition, "partition", "classes_per_client"))
-            beta = float(partition.get("beta", 0.3))
-        else:
-            k = int(partition.get("classes_per_client", 0))
-            beta = float(_field(partition, "partition", "beta"))
+        needed = "classes_per_client" if mode == "pathological" else "beta"
+        if needed not in partition:
+            raise ConfigError(f"missing required field partition.{needed!r}")
 
         model_cfg = ModelConfig(
-            dim=int(model.get("dim", 32)),
-            layers=int(model.get("layers", 8)),
-            heads=int(model.get("heads", 2)),
             image_size=spec.image_size,
-            patch_size=int(model.get("patch_size", 8)),
-            mix_layers=tuple(model.get("mix_layers", (5, 6, 7))),
-            tau=float(model.get("tau", 0.05)),
-            refresh_mix=bool(model.get("refresh_mix", True)),
-            detach_scores=bool(model.get("detach_scores", False)),
-        )
-        dp = train.get("dp_epsilon")
-        train_cfg = TrainConfig(
-            clients_per_round=int(_field(train, "train", "clients_per_round")),
-            rounds=int(_field(train, "train", "rounds")),
-            local_epochs=int(train.get("local_epochs", 2)),
-            batch_size=int(train.get("batch_size", 16)),
-            lr=float(train.get("lr", 0.1)),
-            lr_decay=float(train.get("lr_decay", 0.99)),
-            momentum=float(train.get("momentum", 0.9)),
-            grad_clip=float(train.get("grad_clip", 10.0)),
-            rho=float(train.get("rho", 0.9)),
-            update_period=int(train.get("update_period", 1)),
-            dp_epsilon=None if dp is None else float(dp),
-            strategy=str(train.get("strategy", "mixed")),
-            shared_prompts=int(train.get("shared_prompts", 1)),
-            warmup_fraction=float(train.get("warmup_fraction", 1.0)),
-            weighted_fedavg=bool(train.get("weighted_fedavg", False)),
-            workers=int(train.get("workers", 1)),
-        )
-        heldout = float(raw.get("heldout_fraction", 0.0))
+            **_read(top.get("model", {}), "model",
+                    _keys(ModelConfig, skip=_MODEL_FIXED)))
+        train = _read(top["train"], "train",
+                      {"clients": int, **_keys(TrainConfig)},
+                      required=("clients", *_required(TrainConfig)))
+        num_clients = train.pop("clients")
+        heldout = top.get("heldout_fraction", 0.0)
         if not 0.0 <= heldout < 1.0:
             raise ConfigError("heldout_fraction must lie in [0, 1)")
         return cls(
-            seed=int(raw.get("seed", 0)),
-            out_dir=str(raw.get("out_dir", "run")),
+            seed=top.get("seed", 0),
+            out_dir=top.get("out_dir", "run"),
             data=spec,
             partition_mode=mode,
-            classes_per_client=k,
-            dirichlet_beta=beta,
+            classes_per_client=partition.get("classes_per_client", 0),
+            dirichlet_beta=partition.get("beta", 0.3),
             model=model_cfg,
-            train=train_cfg,
-            num_clients=int(_field(train, "train", "clients")),
+            train=TrainConfig(**train),
+            num_clients=num_clients,
             heldout_fraction=heldout,
         )
 
     def to_dict(self) -> dict:
+        model = {key: value for key, value in asdict(self.model).items()
+                 if key not in _MODEL_FIXED}
         return {
             "seed": self.seed,
             "out_dir": self.out_dir,
@@ -149,16 +168,7 @@ class ExperimentConfig:
                 "classes_per_client": self.classes_per_client,
                 "beta": self.dirichlet_beta,
             },
-            "model": {
-                "dim": self.model.dim,
-                "layers": self.model.layers,
-                "heads": self.model.heads,
-                "patch_size": self.model.patch_size,
-                "mix_layers": list(self.model.mix_layers),
-                "tau": self.model.tau,
-                "refresh_mix": self.model.refresh_mix,
-                "detach_scores": self.model.detach_scores,
-            },
+            "model": model,
             "train": {"clients": self.num_clients, **asdict(self.train)},
         }
 
@@ -171,13 +181,12 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if seed_override is not None:
         raw["seed"] = seed_override
     if out_override is not None:
         raw["out_dir"] = out_override
-    workers_env = os.environ.get(WORKERS_ENV)
-    if workers_env:
-        raw.setdefault("train", {})["workers"] = int(workers_env)
     return ExperimentConfig.from_dict(raw)
 
 
@@ -264,30 +273,31 @@ def _final_report(cfg, state, logs, report, heldout_report):
     return payload
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def _build_world(cfg: ExperimentConfig):
+    """Clients, frozen backbone and heldout client ids of a config."""
     dataset = generate_synthetic(cfg.data, cfg.seed)
-    partition = make_partition(dataset, cfg)
-    clients = build_clients(dataset, partition)
+    clients = build_clients(dataset, make_partition(dataset, cfg))
     backbone = init_backbone(cfg.seed, cfg.model)
     heldout = ()
     if cfg.heldout_fraction > 0:
         _, heldout = heldout_split(range(cfg.num_clients),
                                    1.0 - cfg.heldout_fraction, cfg.seed)
+    return clients, backbone, heldout
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config, args.seed, args.out)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    clients, backbone, heldout = _build_world(cfg)
     state, logs = run_training(clients, backbone, cfg.model, cfg.train,
                                cfg.seed, heldout=heldout)
 
-    report = evaluate_clients(
-        [state.client(c) for c in state.participating], backbone,
-        state.model_cfg, state.bank, state.eval_params_lookup(),
-        uniform_priors=cfg.train.strategy == "mixed_no_prior")
-    heldout_report = None
-    if heldout:
-        heldout_report = evaluate_clients(
-            [state.client(c) for c in heldout], backbone, state.model_cfg,
-            state.bank, state.eval_params_lookup(),
-            uniform_priors=cfg.train.strategy == "mixed_no_prior")
+    # per-client reports of the final state for the artifacts below
+    report, heldout_report = (
+        evaluate_clients([state.client(c) for c in group], backbone,
+                         state.model_cfg, state.bank, state.eval_inputs)
+        if group else None
+        for group in (state.participating, state.heldout))
 
     write_config_copy(cfg, os.path.join(cfg.out_dir, "config.json"))
     write_metrics_csv(logs, os.path.join(cfg.out_dir, "metrics.csv"))
@@ -339,40 +349,28 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _load_prompts_csv(path, dim, classes, shared_prompts):
-    blocks = {
-        "shared": np.zeros((dim, shared_prompts)),
-        "class": np.zeros((dim, classes)),
-        "head": np.zeros((classes, dim)),
-    }
-    personal = {}
+def _load_prompts_csv(path, state):
+    """Read prompt blocks written by `write_prompts_csv` into `state`."""
+    blocks = dict(state.params.blocks())
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             client = int(row["client"])
             name = row["block"]
             r, c, v = int(row["row"]), int(row["col"]), float(row["value"])
             if client == -1:
-                blocks[name][r, c] = v
+                blocks[name].data[r, c] = v
             else:
-                store = personal.setdefault(client, {
-                    "shared": np.zeros((dim, shared_prompts)),
-                    "class": np.zeros((dim, classes)),
-                })
-                store[name][r, c] = v
-    params = PromptParams.from_arrays(blocks["shared"], blocks["class"],
-                                      blocks["head"])
-    return params, personal
+                shared, class_prompts = state.personal.setdefault(client, (
+                    np.zeros_like(blocks["shared"].data),
+                    np.zeros_like(blocks["class"].data)))
+                (shared if name == "shared" else class_prompts)[r, c] = v
 
 
-def _load_prototypes_csv(path, layers, classes, dim):
-    if not layers:
-        return None
-    bank = PrototypeBank(layers=tuple(layers), num_classes=classes, dim=dim)
+def _load_prototypes_csv(path, bank):
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             bank.mu[int(row["layer"])][int(row["class"]), int(row["dim"])] = (
                 float(row["value"]))
-    return bank
 
 
 def cmd_eval(args) -> int:
@@ -381,41 +379,18 @@ def cmd_eval(args) -> int:
     if not os.path.exists(config_path):
         raise ConfigError(f"no config.json in {run_dir}")
     cfg = load_config(config_path)
-    dataset = generate_synthetic(cfg.data, cfg.seed)
-    partition = make_partition(dataset, cfg)
-    clients = build_clients(dataset, partition)
-    backbone = init_backbone(cfg.seed, cfg.model)
-    model_cfg = (cfg.model if cfg.train.strategy != "shared_only"
-                 else cfg.model.without_mixing())
-    params, personal = _load_prompts_csv(
-        os.path.join(run_dir, "prompts.csv"), cfg.model.dim,
-        cfg.data.classes, cfg.train.shared_prompts)
-    bank = _load_prototypes_csv(os.path.join(run_dir, "prototypes.csv"),
-                                model_cfg.mix_layers, cfg.data.classes,
-                                cfg.model.dim)
+    clients, backbone, heldout = _build_world(cfg)
+    state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
+                        heldout)
+    _load_prompts_csv(os.path.join(run_dir, "prompts.csv"), state)
+    if state.bank is not None:
+        _load_prototypes_csv(os.path.join(run_dir, "prototypes.csv"),
+                             state.bank)
 
-    def lookup(cid):
-        if cfg.train.strategy == "personalized" and cid in personal:
-            store = personal[cid]
-            return PromptParams.from_arrays(store["shared"], store["class"],
-                                            params.head.data)
-        return params
-
-    heldout = ()
-    if cfg.heldout_fraction > 0:
-        _, heldout = heldout_split(range(cfg.num_clients),
-                                   1.0 - cfg.heldout_fraction, cfg.seed)
-    heldout_set = set(heldout)
-    participating = [c for c in clients if c.client_id not in heldout_set]
-    uniform = cfg.train.strategy == "mixed_no_prior"
-    report = evaluate_clients(participating, backbone, model_cfg, bank,
-                              lookup, uniform_priors=uniform)
+    report, heldout_report = _evaluate(state)
     payload = {"participating": report.to_dict()}
-    if heldout:
-        held_report = evaluate_clients(
-            [c for c in clients if c.client_id in heldout_set], backbone,
-            model_cfg, bank, lookup, uniform_priors=uniform)
-        payload["heldout"] = held_report.to_dict()
+    if heldout_report is not None:
+        payload["heldout"] = heldout_report.to_dict()
     out_path = os.path.join(args.out or run_dir, "eval_report.json")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
@@ -469,6 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)

@@ -20,16 +20,6 @@ from .seeding import derive_rng
 
 
 @dataclass(frozen=True)
-class DomainTransform:
-    """Per-domain linear distortion of class centers: an orthogonal
-    rotation (seeded) plus a constant pixel offset."""
-
-    seed: int = 0
-    rotate: bool = True
-    offset: float = 0.0
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     classes: int = 8
     train_per_class: int = 40
@@ -37,7 +27,6 @@ class SyntheticSpec:
     image_size: int = 16
     separation: float = 1.0
     noise: float = 1.0
-    domain_transforms: tuple = ()
 
     def __post_init__(self):
         if self.classes < 1:
@@ -59,43 +48,19 @@ class Dataset:
         return self.train_y.size
 
 
-def _domain_maps(spec, pixels):
-    maps = []
-    for tf in spec.domain_transforms:
-        rng = derive_rng(tf.seed, "domain-transform")
-        if tf.rotate:
-            q, r = np.linalg.qr(rng.normal(size=(pixels, pixels)))
-            q *= np.sign(np.diag(r))  # canonical orthogonal factor
-        else:
-            q = np.eye(pixels)
-        shift = rng.normal(0.0, tf.offset, size=pixels) if tf.offset else np.zeros(pixels)
-        maps.append((q, shift))
-    return maps
-
-
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
-    """Gaussian class clusters in pixel space, deterministic per seed.
-
-    With domain transforms configured, sample i of a class belongs to
-    domain (i mod n_domains) and its class center is rotated/offset by
-    that domain's map; labels and sample order are unaffected.
-    """
+    """Gaussian class clusters in pixel space, deterministic per seed."""
     size = spec.image_size
     pixels = size * size
     rng = derive_rng(seed, "data")
     centers = rng.normal(0.0, spec.separation, size=(spec.classes, pixels))
-    maps = _domain_maps(spec, pixels)
 
     def draw(per_class):
         xs, ys = [], []
         for c in range(spec.classes):
             noise = rng.normal(0.0, spec.noise, size=(per_class, pixels))
             for i in range(per_class):
-                base = centers[c]
-                if maps:
-                    q, shift = maps[i % len(maps)]
-                    base = q @ base + shift
-                xs.append((base + noise[i]).reshape(size, size))
+                xs.append((centers[c] + noise[i]).reshape(size, size))
                 ys.append(c)
         return np.stack(xs), np.asarray(ys, dtype=np.int64)
 

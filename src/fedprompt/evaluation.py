@@ -2,7 +2,6 @@
 closed-form compute / communication accounting."""
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,6 @@ class EvalReport:
             "skipped_empty": self.skipped_empty,
         }
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -41,13 +35,13 @@ class EvalReport:
                 writer.writerow([cid, repr(float(self.per_client[cid]))])
 
 
-def evaluate_clients(clients, backbone, model_cfg, bank, params_lookup,
-                     uniform_priors: bool = False) -> EvalReport:
+def evaluate_clients(clients, backbone, model_cfg, bank,
+                     inputs_lookup) -> EvalReport:
     """Per-client accuracy on each client's own test shard.
 
-    Score computation uses the client's own priors (or uniform priors for
-    the no-prior ablation).  Clients with empty test shards are excluded
-    and counted in `skipped_empty`.
+    `inputs_lookup(client_id)` returns the (prompt parameters, score
+    priors) the client is evaluated with.  Clients with empty test shards
+    are excluded and counted in `skipped_empty`.
     """
     per_client = {}
     skipped = 0
@@ -55,11 +49,7 @@ def evaluate_clients(clients, backbone, model_cfg, bank, params_lookup,
         if client.test_y.size == 0:
             skipped += 1
             continue
-        params = params_lookup(client.client_id)
-        if uniform_priors:
-            priors = np.full(client.priors.size, 1.0 / client.priors.size)
-        else:
-            priors = client.priors
+        params, priors = inputs_lookup(client.client_id)
         correct = 0
         for x, y in zip(client.test_x, client.test_y):
             logits, _ = forward_with_prompts(x, params, backbone, model_cfg,

@@ -4,10 +4,9 @@ on the prompt blocks, federated averaging, and periodic prototype sync.
 Everything is a pure function of (config, seed): client sampling, batch
 shuffling, and noise draws all derive their generators from the master
 seed, and aggregation always proceeds in ascending client-id order, so a
-run is bit-reproducible regardless of worker parallelism.
+run is bit-reproducible.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ class TrainConfig:
     shared_prompts: int = 1
     warmup_fraction: float = 1.0
     weighted_fedavg: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -60,16 +58,10 @@ class TrainConfig:
             raise ConfigError("warm-up fraction must lie in (0, 1]")
         if self.dp_epsilon is not None and self.dp_epsilon <= 0:
             raise ConfigError("dp epsilon must be positive when set")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     @property
     def uses_mixing(self) -> bool:
         return self.strategy != "shared_only"
-
-    @property
-    def uniform_score_priors(self) -> bool:
-        return self.strategy == "mixed_no_prior"
 
 
 @dataclass
@@ -153,8 +145,9 @@ class ServerState:
             return PromptParams.from_arrays(shared, class_prompts, self.params.head.data)
         return self.params.copy()
 
-    def eval_params_lookup(self):
-        return self.broadcast_params
+    def eval_inputs(self, cid: int):
+        """(prompt parameters, score priors) client `cid` is evaluated with."""
+        return self.broadcast_params(cid), score_priors(self.client(cid), self.cfg)
 
 
 def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
@@ -166,7 +159,9 @@ def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
 
 
 def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
-    if cfg.uniform_score_priors:
+    """Priors that reweight the client's scores in training and evaluation:
+    its own class frequencies, or uniform for the no-prior ablation."""
+    if cfg.strategy == "mixed_no_prior":
         n = client.priors.size
         return np.full(n, 1.0 / n)
     return client.priors
@@ -290,58 +285,22 @@ def warm_startup(state: ServerState) -> None:
             state.cfg, state.bank)
         submissions.append(protos)
         sensitivities.append(sens)
-    state.bank.warm_start(submissions)
-    if state.cfg.dp_epsilon is not None:
-        _privatize_warm_start(state, submissions, sensitivities)
-
-
-def _privatize_warm_start(state, submissions, sensitivities):
-    from .prototypes import add_laplace_noise
-
-    rng = derive_rng(state.seed, "dp", 0)
-    for layer in state.bank.layers:
-        contributed = np.stack(
-            [np.any(sub[layer] != 0.0, axis=1) for sub in submissions])
-        sens = np.stack([s[layer] for s in sensitivities])
-        for c in np.flatnonzero(contributed.any(axis=0)):
-            state.bank.mu[layer][c] = add_laplace_noise(
-                state.bank.mu[layer][c], float(sens[:, c].max()),
-                state.cfg.dp_epsilon, rng)
-
-
-def _train_participants(state, chosen, round_index):
-    cfg = state.cfg
-    jobs = [
-        (cid, state.client(cid), state.broadcast_params(cid))
-        for cid in chosen
-    ]
-
-    def run(job):
-        cid, client, start = job
-        return local_train(client, start, state.backbone, state.model_cfg,
-                           cfg, state.bank, state.seed, round_index)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    return sorted(results, key=lambda u: u.client_id)
+    state.bank.warm_start(submissions, sensitivities,
+                          epsilon=state.cfg.dp_epsilon,
+                          rng=derive_rng(state.seed, "dp", 0))
 
 
 def _evaluate(state: ServerState):
+    """Reports of the participating clients and of the heldout ones (None
+    without heldout clients)."""
     report = evaluate_clients(
         [state.client(cid) for cid in state.participating],
-        state.backbone, state.model_cfg, state.bank,
-        state.eval_params_lookup(),
-        uniform_priors=state.cfg.uniform_score_priors)
+        state.backbone, state.model_cfg, state.bank, state.eval_inputs)
     heldout = None
     if state.heldout:
         heldout = evaluate_clients(
             [state.client(cid) for cid in state.heldout],
-            state.backbone, state.model_cfg, state.bank,
-            state.eval_params_lookup(),
-            uniform_priors=state.cfg.uniform_score_priors)
+            state.backbone, state.model_cfg, state.bank, state.eval_inputs)
     return report, heldout
 
 
@@ -350,7 +309,12 @@ def run_round(state: ServerState) -> RoundLog:
     t = state.round + 1
     rng = derive_rng(state.seed, "sample", t)
     chosen = sample_clients(rng, state.participating, state.cfg.clients_per_round)
-    updates = _train_participants(state, chosen, t)
+    updates = [
+        local_train(state.client(cid), state.broadcast_params(cid),
+                    state.backbone, state.model_cfg, state.cfg, state.bank,
+                    state.seed, t)
+        for cid in chosen
+    ]
 
     if state.cfg.strategy == "personalized":
         head = np.zeros_like(state.params.head.data)
@@ -387,6 +351,9 @@ def run_round(state: ServerState) -> RoundLog:
 
 def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, heldout=()) -> ServerState:
+    """Initial server state: the one place the strategy picks the effective
+    model config and the prototype bank.  The returned state then answers
+    which parameters and priors each client trains and is evaluated with."""
     heldout = tuple(sorted(int(h) for h in heldout))
     participating = tuple(c.client_id for c in clients
                           if c.client_id not in set(heldout))

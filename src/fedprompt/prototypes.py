@@ -235,14 +235,23 @@ class PrototypeBank:
         for l in self.layers:
             self.mu.setdefault(l, np.zeros((self.num_classes, self.dim)))
 
-    def warm_start(self, submissions_per_client) -> None:
+    def warm_start(self, submissions_per_client, sensitivities=(),
+                   epsilon=None, rng=None) -> None:
         """Initialize each prototype as the plain mean over the warm-up
-        clients, zero submissions included."""
+        clients, zero submissions included.
+
+        With `epsilon`, classes some client observed get Laplace noise
+        exactly as in a period update.
+        """
         if not submissions_per_client:
             raise ConfigError("warm-up requires at least one client")
         for l in self.layers:
             stack = np.stack([sub[l] for sub in submissions_per_client])
             self.mu[l] = stack.mean(axis=0)
+            if epsilon is not None:
+                counts = np.any(stack != 0.0, axis=2).sum(axis=0)
+                self._privatize_layer(l, counts, [s[l] for s in sensitivities],
+                                      epsilon, rng)
 
     def submit(self, protos: dict, sens: dict) -> None:
         self._buffer.append({l: np.asarray(protos[l]) for l in self.layers})
@@ -264,25 +273,20 @@ class PrototypeBank:
             agg, counts = aggregate_submissions([sub[l] for sub in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
             if epsilon is not None:
-                self._privatize_layer(l, counts, epsilon, rng)
+                self._privatize_layer(
+                    l, counts, [sub[l] for sub in self._sens_buffer],
+                    epsilon, rng)
         self._buffer.clear()
         self._sens_buffer.clear()
 
-    def _privatize_layer(self, layer, counts, epsilon, rng):
-        sens = np.stack([sub[layer] for sub in self._sens_buffer])
-        updated = np.flatnonzero(counts > 0)
-        for c in updated:
+    def _privatize_layer(self, layer, counts, sensitivities, epsilon, rng):
+        """Noise each class with contributors, scaled by the largest
+        sensitivity any contributor submitted for it."""
+        sens = np.stack(sensitivities)
+        for c in np.flatnonzero(counts > 0):
             self.mu[layer][c] = add_laplace_noise(
                 self.mu[layer][c], float(sens[:, c].max()), epsilon, rng
             )
-
-    def copy(self) -> "PrototypeBank":
-        bank = PrototypeBank(
-            layers=self.layers, num_classes=self.num_classes, dim=self.dim,
-            rho=self.rho, update_period=self.update_period,
-            mu={l: self.mu[l].copy() for l in self.layers},
-        )
-        return bank
 
     def export_rows(self):
         """Yield (layer, class, dim, value) rows for CSV export."""

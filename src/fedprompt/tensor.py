@@ -1,39 +1,29 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Just enough operator coverage for a small transformer: matrix products,
-row softmax, layer normalization, GELU, cross entropy, plus the slicing
-and concatenation needed to assemble token sequences.  A central
-finite-difference oracle (`finite_diff_grad`) provides the independent
-gradient check used throughout the test suite.
+The generic ops are the ones the prompted forward pass composes around
+its fused transformer layer: matrix products, transposition, row slicing
+and concatenation to assemble token sequences, layer normalization, and
+cross entropy.  A central finite-difference oracle (`finite_diff_grad`)
+provides the independent gradient check used throughout the test suite.
 
-Tapes are single-use, rebuilt on every forward pass, and confined to one
-thread: ops record their backward closure onto the innermost active tape
-of the current thread (if any), and `Tape.backward` replays the closures
-in reverse order of creation, which is a valid reverse topological order
-because operands always exist before their results.
+Tapes are single-use and rebuilt on every forward pass: ops record their
+backward closure onto the innermost active tape (if any), and
+`Tape.backward` replays the closures in reverse order of creation, which
+is a valid reverse topological order because operands always exist
+before their results.
 """
 
 import math
-import threading
 
 import numpy as np
 
 _MAX_RANK = 3
-_LOCAL = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+_TAPES = []
 
 
 def active_tape():
-    """Innermost tape of the current thread, or None outside `with Tape()`."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """Innermost active tape, or None outside `with Tape()`."""
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
@@ -44,11 +34,11 @@ class Tape:
         self._used = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -119,55 +109,6 @@ def _result(data, *parents) -> Tensor:
     return Tensor(data, requires_grad=requires)
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _result(a.data + b.data, a, b)
-
-    def backward():
-        if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
-
-    record(out, backward)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _result(a.data * b.data, a, b)
-
-    def backward():
-        if a.requires_grad:
-            a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
-
-    record(out, backward)
-    return out
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    out = _result(a.data * factor, a)
-
-    def backward():
-        if a.requires_grad:
-            a.grad += out.grad * factor
-
-    record(out, backward)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects rank-2 operands")
@@ -211,17 +152,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = _result(a.data[:, start:stop], a)
-
-    def backward():
-        if a.requires_grad:
-            a.grad[:, start:stop] += out.grad
-
-    record(out, backward)
-    return out
-
-
 def concat_rows(parts) -> Tensor:
     parts = list(parts)
     out = _result(np.concatenate([p.data for p in parts], axis=0), *parts)
@@ -231,36 +161,6 @@ def concat_rows(parts) -> Tensor:
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if part.requires_grad:
                 part.grad += out.grad[lo:hi]
-
-    record(out, backward)
-    return out
-
-
-def concat_cols(parts) -> Tensor:
-    parts = list(parts)
-    out = _result(np.concatenate([p.data for p in parts], axis=1), *parts)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def backward():
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if part.requires_grad:
-                part.grad += out.grad[:, lo:hi]
-
-    record(out, backward)
-    return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = _result(s, x)
-
-    def backward():
-        if x.requires_grad:
-            inner = (out.grad * s).sum(axis=-1, keepdims=True)
-            x.grad += s * (out.grad - inner)
 
     record(out, backward)
     return out
@@ -293,24 +193,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             gain.grad += (g * xhat).reshape(-1, d).sum(axis=0)
         if bias.requires_grad:
             bias.grad += g.reshape(-1, d).sum(axis=0)
-
-    record(out, backward)
-    return out
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh approximation."""
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(u)
-    out = _result(0.5 * x.data * (1.0 + t), x)
-
-    def backward():
-        if x.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-            x.grad += out.grad * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du)
 
     record(out, backward)
     return out

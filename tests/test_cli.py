@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -82,6 +83,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_heldout_columns_written(self, tmp_path):
         path, _ = small_config(tmp_path, heldout_fraction=0.34)
         assert main(["run", "--config", str(path)]) == 0
@@ -92,11 +99,37 @@ class TestRunCommand:
         assert report["heldout"] is not None
         assert len(report["heldout"]["clients"]) == 2
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        path, _ = small_config(tmp_path)
-        monkeypatch.setenv("FEDPROMPT_WORKERS", "2")
-        cfg = load_config(str(path))
-        assert cfg.train.workers == 2
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train": {"learning_rate": 0.5}}, "unknown field train.'learning_rate'"),
+        ({"model": {"mlp_mult": 2}}, "unknown field model.'mlp_mult'"),
+        ({"heldout": 0.2}, "unknown field 'heldout'"),
+        ({"model": {"refresh_mix": "false"}},
+         "model.'refresh_mix' must be true or false"),
+        ({"train": {"rounds": 2.5}}, "train.'rounds' must be an integer"),
+        ({"train": {"lr": True}}, "train.'lr' must be a number"),
+        ({"data": {"classes": "4"}}, "data.'classes' must be an integer"),
+        ({"model": {"mix_layers": [2.0]}}, "model.'mix_layers' must be an integer"),
+        ({"partition": {"beta": None}}, "partition.'beta' must be a number"),
+    ])
+    def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
+                                         message):
+        path, _ = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_train_shard_exits_with_data_error(self, tmp_path, capsys):
+        # Dirichlet beta=0.1 over 8 clients leaves client 1 without train
+        # samples; that follows from the config alone, so it is a usage error
+        path, _ = small_config(
+            tmp_path,
+            data={"classes": 4, "train_per_class": 6},
+            partition={"mode": "dirichlet", "beta": 0.1},
+            train={"clients": 8})
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: warm-up client 1 has no data\n"
 
 
 class TestGradcheckCommand:
@@ -188,33 +221,49 @@ class TestPartitionCommand:
 
 
 class TestEvalCommand:
-    def test_reevaluation_matches_final_report(self, tmp_path):
-        path, _ = small_config(tmp_path)
-        main(["run", "--config", str(path)])
+    @pytest.mark.parametrize(
+        "strategy", ["shared_only", "mixed", "mixed_no_prior", "personalized"])
+    def test_reevaluation_matches_final_report(self, tmp_path, strategy):
+        path, _ = small_config(tmp_path, heldout_fraction=0.34,
+                               train={"strategy": strategy})
+        assert main(["run", "--config", str(path)]) == 0
         out = tmp_path / "run"
         assert main(["eval", "--run-dir", str(out)]) == 0
         final = json.loads((out / "final_report.json").read_text())
         again = json.loads((out / "eval_report.json").read_text())
-        assert again["participating"]["mean_acc"] == pytest.approx(
-            final["participating"]["mean_acc"])
-        assert again["participating"]["per_client"] == \
-            final["participating"]["per_client"]
-
-    def test_eval_personalized_run(self, tmp_path):
-        path, _ = small_config(
-            tmp_path, train={"clients": 6, "clients_per_round": 2, "rounds": 2,
-                             "strategy": "personalized"})
-        main(["run", "--config", str(path)])
-        out = tmp_path / "run"
-        final = json.loads((out / "final_report.json").read_text())
-        assert main(["eval", "--run-dir", str(out)]) == 0
-        again = json.loads((out / "eval_report.json").read_text())
-        assert again["participating"]["mean_acc"] == pytest.approx(
-            final["participating"]["mean_acc"])
+        for group in ("participating", "heldout"):
+            expected = dict(final[group])
+            del expected["clients"]
+            assert again[group] == expected
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["eval", "--run-dir", str(tmp_path / "nope")]) == 2
         assert "config.json" in capsys.readouterr().err
+
+
+GOLDEN_METRICS = {
+    "shared_only": ({"strategy": "shared_only"},
+                    "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675"),
+    "mixed": ({"strategy": "mixed"},
+              "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd"),
+    "mixed_no_prior": ({"strategy": "mixed_no_prior"},
+                       "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9"),
+    "personalized": ({"strategy": "personalized"},
+                     "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083"),
+    "mixed_dp_period2": ({"strategy": "mixed", "dp_epsilon": 1.0, "update_period": 2},
+                         "cdc80caac342050a2b5d3d862e2562a48ec251e49abd03c47f2f993e48ca79af"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+def test_metrics_bytes_match_golden(tmp_path, name):
+    # pinned bytes: a refactor of any strategy must leave its metrics.csv
+    # unchanged to the last bit
+    train, digest = GOLDEN_METRICS[name]
+    path, _ = small_config(tmp_path, heldout_fraction=0.34, train=train)
+    assert main(["run", "--config", str(path)]) == 0
+    data = (tmp_path / "run" / "metrics.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_config_roundtrip(tmp_path):

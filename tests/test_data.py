@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedprompt.data import (
-    DomainTransform,
     SyntheticSpec,
     generate_synthetic,
     label_histograms,
@@ -54,23 +53,6 @@ class TestGenerateSynthetic:
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(classes=0)
-
-    def test_domain_transforms_change_pixels_not_labels(self):
-        plain = generate_synthetic(SPEC, 3)
-        transforms = (DomainTransform(seed=1, offset=0.5),
-                      DomainTransform(seed=2, offset=0.5))
-        spec = SyntheticSpec(classes=8, train_per_class=30, test_per_class=10,
-                             separation=1.0, noise=0.2,
-                             domain_transforms=transforms)
-        shifted = generate_synthetic(spec, 3)
-        np.testing.assert_array_equal(plain.train_y, shifted.train_y)
-        assert np.abs(plain.train_x - shifted.train_x).max() > 0.1
-
-    def test_domain_rotation_is_orthogonal(self):
-        from fedprompt.data import _domain_maps
-        spec = SyntheticSpec(domain_transforms=(DomainTransform(seed=9),))
-        (q, _), = _domain_maps(spec, 64)
-        np.testing.assert_allclose(q @ q.T, np.eye(64), atol=1e-10)
 
 
 class TestPathological:
@@ -177,13 +159,3 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "client,sample_index,label,split"
         assert len(lines) == 1 + ds.num_train + ds.test_y.size
-
-    def test_domain_transforms_leave_shards_alone(self):
-        transforms = (DomainTransform(seed=1, offset=1.0),)
-        base = SyntheticSpec(classes=8, train_per_class=30, test_per_class=10)
-        spec = SyntheticSpec(classes=8, train_per_class=30, test_per_class=10,
-                             domain_transforms=transforms)
-        a = partition_pathological(generate_synthetic(base, 14), 12, 2, seed=5)
-        b = partition_pathological(generate_synthetic(spec, 14), 12, 2, seed=5)
-        for x, y in zip(a.train_indices, b.train_indices):
-            np.testing.assert_array_equal(x, y)

@@ -42,7 +42,7 @@ class TestEvaluateClients:
         client = make_client(0, [0, 0, 0])
         # with a zero head, logits tie at 0 and predict() picks class 0
         report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: params)
+                                  lambda cid: (params, None))
         assert report.mean_acc == 1.0
         assert report.worst_acc == 1.0
         assert report.per_client == {0: 1.0}
@@ -52,7 +52,7 @@ class TestEvaluateClients:
         params.head.data[...] = 0.0
         clients = [make_client(0, [0, 0]), make_client(1, [0, 1])]
         report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: params)
+                                  lambda cid: (params, None))
         assert report.mean_acc == pytest.approx(0.75)
         assert report.worst_acc == pytest.approx(0.5)
 
@@ -60,7 +60,7 @@ class TestEvaluateClients:
         cfg, backbone, params = self._world()
         clients = [make_client(0, [0]), make_client(1, [])]
         report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: params)
+                                  lambda cid: (params, None))
         assert report.skipped_empty == 1
         assert set(report.per_client) == {0}
 
@@ -78,7 +78,7 @@ class TestEvaluateClients:
             test_x=rng.normal(size=(400, 4, 4)), test_y=labels,
             priors=np.full(8, 1 / 8))
         report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: params)
+                                  lambda cid: (params, None))
         # binomial(400, 1/8): three-sigma window around 0.125
         assert abs(report.mean_acc - 0.125) < 3 * np.sqrt(0.125 * 0.875 / 400)
 
@@ -87,7 +87,7 @@ class TestEvaluateClients:
         params.head.data[...] = 0.0
         clients = [make_client(i, [0, 1, 0]) for i in range(4)]
         report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: params)
+                                  lambda cid: (params, None))
         assert 0.0 <= report.worst_acc <= report.mean_acc <= 1.0
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -37,7 +38,7 @@ def tiny_world(seed=0, clients=6, classes=4, k=2, train_per_class=12,
 
 def tiny_cfg(**kw):
     defaults = dict(clients_per_round=3, rounds=2, local_epochs=1, batch_size=8,
-                    lr=0.1, workers=1)
+                    lr=0.1)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -249,7 +250,7 @@ class TestRounds:
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=8)
         warm_startup(state)
         broadcast = state.params.copy()
-        bank_copy = state.bank.copy()
+        bank_copy = copy.deepcopy(state.bank)
         expected = local_train(clients[0], broadcast, backbone, state.model_cfg,
                                cfg, bank_copy, seed=8, round_index=1)
         log = run_round(state)
@@ -304,16 +305,6 @@ class TestRounds:
             np.testing.assert_array_equal(c.train_x, snapshots[c.client_id][0])
             np.testing.assert_array_equal(c.priors, snapshots[c.client_id][1])
             assert c.client_id not in state.personal
-
-    def test_worker_parallelism_matches_sequential(self):
-        clients_a, backbone_a = tiny_world(14)
-        _, logs_seq = run_training(clients_a, backbone_a, TINY_MODEL,
-                                   tiny_cfg(rounds=2, workers=1), seed=14)
-        clients_b, backbone_b = tiny_world(14)
-        _, logs_par = run_training(clients_b, backbone_b, TINY_MODEL,
-                                   tiny_cfg(rounds=2, workers=3), seed=14)
-        assert [dataclasses.asdict(l) for l in logs_seq] == [
-            dataclasses.asdict(l) for l in logs_par]
 
 
 class TestPersonalizedStrategy:
