@@ -10,8 +10,9 @@ Exit status:
   0  every requested artifact was written
   1  training failed at run time (non-finite loss), or gradcheck failed
   2  the config is invalid (missing, unknown or mistyped field, bad value)
-     or yields unusable data, such as a client with an empty train shard;
-     the stderr line starts with "config error:" or "data error:"
+     or yields unusable data, such as a participating client with an empty
+     train shard; the stderr line starts with "config error:" or
+     "data error:"
 """
 
 import argparse

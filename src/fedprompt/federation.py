@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError("warm-up fraction must lie in (0, 1]")
         if self.dp_epsilon is not None and self.dp_epsilon <= 0:
             raise ConfigError("dp epsilon must be positive when set")
+        if self.update_period < 1:
+            raise ConfigError("update_period must be >= 1")
 
     @property
     def uses_mixing(self) -> bool:
@@ -277,11 +279,8 @@ def warm_startup(state: ServerState) -> None:
     chosen = sample_clients(rng, state.participating, count)
     submissions, sensitivities = [], []
     for cid in chosen:
-        client = state.client(cid)
-        if client.num_train == 0:
-            raise DataError(f"warm-up client {cid} has no data")
         protos, sens, _ = compute_client_prototypes(
-            client, state.params, state.backbone, state.model_cfg,
+            state.client(cid), state.params, state.backbone, state.model_cfg,
             state.cfg, state.bank)
         submissions.append(protos)
         sensitivities.append(sens)
@@ -359,6 +358,12 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                           if c.client_id not in set(heldout))
     if not participating:
         raise ConfigError("no participating clients")
+    # heldout clients never train, so only participating ones need samples
+    empty = [c.client_id for c in clients
+             if c.client_id in participating and c.num_train == 0]
+    if empty:
+        raise DataError("participating clients without training data: "
+                        + ", ".join(map(str, empty)))
     if cfg.clients_per_round > len(participating):
         raise ConfigError(
             f"clients_per_round={cfg.clients_per_round} exceeds "

@@ -82,11 +82,20 @@ class LayerWeights:
     b_down: te.Tensor
 
     def raw(self) -> dict:
-        """Plain-array view of the frozen weights, cached per block."""
+        """Plain-array view of the frozen weights, cached per block.
+
+        Adds `w_qkv` (d, 3d) and `b_qkv` (3d,): the query, key and value
+        projections side by side, so the layer projects all three with
+        one GEMM.
+        """
         cached = self.__dict__.get("_raw")
         if cached is None:
             cached = {name: getattr(self, name).data
                       for name in self.__dataclass_fields__}
+            cached["w_qkv"] = np.concatenate(
+                [cached["w_query"], cached["w_key"], cached["w_value"]], axis=1)
+            cached["b_qkv"] = np.concatenate(
+                [cached["b_query"], cached["b_key"], cached["b_value"]])
             self.__dict__["_raw"] = cached
         return cached
 
@@ -230,11 +239,7 @@ def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
         )
     p = cfg.patch_size
     n = cfg.image_size // p
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append(image[i * p:(i + 1) * p, j * p:(j + 1) * p].reshape(-1))
-    return np.stack(rows)
+    return image.reshape(n, p, n, p).transpose(0, 2, 1, 3).reshape(n * n, p * p)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -242,10 +247,10 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def _norm_rows(x, gain, bias):
     d = x.shape[-1]
-    mean = x.sum(axis=-1, keepdims=True) / d
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mean
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d
-                        + te.LAYER_NORM_EPS)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + te.LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * gain + bias, xhat, inv
 
@@ -255,8 +260,8 @@ def _norm_rows_backward(dy, xhat, inv, gain):
     gx = dy * gain
     return inv * (
         gx
-        - gx.sum(axis=-1, keepdims=True) / d
-        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
+        - np.add.reduce(gx, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
     )
 
 
@@ -281,21 +286,24 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     """
     w = blk.raw()
     xv = x.data
-    inv_sqrt = 1.0 / np.sqrt(xv.shape[1] // heads)
+    tokens, d = xv.shape
+    inv_sqrt = 1.0 / np.sqrt(d // heads)
 
     h1, xhat1, inv1 = _norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
-    q = _split_heads(h1 @ w["w_query"] + w["b_query"], heads)
-    k = _split_heads(h1 @ w["w_key"] + w["b_key"], heads)
-    v = _split_heads(h1 @ w["w_value"] + w["b_value"], heads)
+    # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
+    q, k, v = (h1 @ w["w_qkv"] + w["b_qkv"]).reshape(
+        tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
     scores = q @ k.transpose(0, 2, 1) * inv_sqrt
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     attn = np.exp(scores)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     x1 = xv + _merge_heads(attn @ v) @ w["w_out"] + w["b_out"]
 
     h2, xhat2, inv2 = _norm_rows(x1, w["ln2_gain"], w["ln2_bias"])
     u = h2 @ w["w_up"] + w["b_up"]
-    t = np.tanh(_GELU_C * (u + 0.044715 * u**3))
+    # u2 * u, not u**3: a float power goes through libm pow, ~40x slower
+    u2 = u * u
+    t = np.tanh(_GELU_C * (u + 0.044715 * (u2 * u)))
     x2 = x1 + (0.5 * u * (1.0 + t)) @ w["w_down"] + w["b_down"]
 
     out = te.Tensor(x2, requires_grad=te.active_tape() is not None
@@ -308,15 +316,16 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
         # MLP branch
         dgelu = dout @ w["w_down"].T
         du = dgelu * (0.5 * (1.0 + t)
-                      + 0.5 * u * (1.0 - t**2)
-                      * _GELU_C * (1.0 + 3 * 0.044715 * u**2))
+                      + 0.5 * u * (1.0 - t * t)
+                      * _GELU_C * (1.0 + 3 * 0.044715 * u2))
         dx1 = dout + _norm_rows_backward(du @ w["w_up"].T, xhat2, inv2,
                                          w["ln2_gain"])
         # attention branch
         do_heads = _split_heads(dx1 @ w["w_out"].T, heads)
         dattn = do_heads @ v.transpose(0, 2, 1)
         dv = attn.transpose(0, 2, 1) @ do_heads
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1,
+                                                keepdims=True))
         dscores *= inv_sqrt
         dq = dscores @ k
         dk = dscores.transpose(0, 2, 1) @ q

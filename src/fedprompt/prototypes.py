@@ -61,9 +61,15 @@ def soft_scores(cls_vec, prototypes, priors, tau: float) -> np.ndarray:
     return scores
 
 
+def _norms(protos, cls_vec):
+    """Row norms of `protos` and the norm of `cls_vec`: what np.linalg.norm
+    computes, bit for bit, without its Python-level dispatch."""
+    return (np.sqrt(np.add.reduce(protos * protos, axis=1)),
+            np.sqrt(cls_vec @ cls_vec))
+
+
 def _score_logits(cls_vec, protos, priors, tau):
-    norms = np.linalg.norm(protos, axis=1)
-    cls_norm = np.linalg.norm(cls_vec)
+    norms, cls_norm = _norms(protos, cls_vec)
     sims = np.zeros(protos.shape[0])
     nz = norms > 0.0
     if cls_norm > 0.0 and nz.any():
@@ -96,8 +102,7 @@ def soft_scores_op(cls_col: te.Tensor, prototypes, priors, tau: float,
         s = scores[active]
         dlogit = s * (g - float(g @ s))
         protos = prototypes[active]
-        norms = np.linalg.norm(protos, axis=1)
-        cls_norm = np.linalg.norm(cls_vec)
+        norms, cls_norm = _norms(protos, cls_vec)
         grad_cls = np.zeros_like(cls_vec)
         if cls_norm > 0.0:
             nz = norms > 0.0

@@ -155,12 +155,14 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 def concat_rows(parts) -> Tensor:
     parts = list(parts)
     out = _result(np.concatenate([p.data for p in parts], axis=0), *parts)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward():
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        lo = 0
+        for part in parts:
+            hi = lo + part.data.shape[0]
             if part.requires_grad:
                 part.grad += out.grad[lo:hi]
+            lo = hi
 
     record(out, backward)
     return out

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedprompt
 from fedprompt.cli import load_config, main
 
 
@@ -119,17 +124,38 @@ class TestRunCommand:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "run").exists()
 
-    def test_empty_train_shard_exits_with_data_error(self, tmp_path, capsys):
-        # Dirichlet beta=0.1 over 8 clients leaves client 1 without train
+    @pytest.mark.parametrize("train", [
+        pytest.param({"clients": 8}, id="warmup-samples-empty"),
+        # the warm-up samples none of the empty clients; round sampling would
+        pytest.param({"clients": 8, "warmup_fraction": 0.25, "rounds": 6},
+                     id="warmup-misses-empty"),
+    ])
+    def test_empty_train_shard_exits_with_data_error(self, tmp_path, capsys,
+                                                     train):
+        # Dirichlet beta=0.1 over 8 clients leaves clients without train
         # samples; that follows from the config alone, so it is a usage error
+        # raised before any training
         path, _ = small_config(
             tmp_path,
             data={"classes": 4, "train_per_class": 6},
             partition={"mode": "dirichlet", "beta": 0.1},
-            train={"clients": 8})
+            train=train)
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == "data error: warm-up client 1 has no data\n"
+        assert err == ("data error: participating clients without training "
+                       "data: 1, 4, 5\n")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_zero_update_period_rejected_before_training(self, tmp_path,
+                                                         capsys):
+        # shared_only has no prototype bank to reject the period, so the
+        # config itself must
+        path, _ = small_config(
+            tmp_path, train={"strategy": "shared_only", "update_period": 0})
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: update_period must be >= 1\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestGradcheckCommand:
@@ -264,6 +290,24 @@ def test_metrics_bytes_match_golden(tmp_path, name):
     assert main(["run", "--config", str(path)]) == 0
     data = (tmp_path / "run" / "metrics.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_metrics_bytes_independent_of_blas_threads(tmp_path):
+    # GEMM reduction order may depend on the BLAS thread count, which is
+    # read once when numpy loads, so each count gets a fresh interpreter
+    path, _ = small_config(tmp_path)
+    src = str(Path(fedprompt.__file__).resolve().parents[1])
+    metrics = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "fedprompt.cli", "run",
+                        "--config", str(path), "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[0] == metrics[1]
 
 
 def test_config_roundtrip(tmp_path):

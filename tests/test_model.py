@@ -4,8 +4,10 @@ import pytest
 from fedprompt import tensor as te
 from fedprompt.errors import ConfigError
 from fedprompt.model import (
+    _GELU_C,
     ModelConfig,
     PromptParams,
+    _transformer_layer,
     forward_with_prompts,
     gradient_check,
     init_backbone,
@@ -59,6 +61,110 @@ class TestInitBackbone:
             ModelConfig(image_size=15, patch_size=8)
         with pytest.raises(ConfigError):
             ModelConfig(layers=4, mix_layers=(5,))
+
+
+def reference_patchify(image, cfg):
+    # one patch at a time, row-major
+    p = cfg.patch_size
+    n = cfg.image_size // p
+    return np.stack([image[i * p:(i + 1) * p, j * p:(j + 1) * p].reshape(-1)
+                     for i in range(n) for j in range(n)])
+
+
+def _norm_rows(x, gain, bias):
+    d = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mean
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d
+                        + te.LAYER_NORM_EPS)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _norm_rows_backward(dy, xhat, inv, gain):
+    d = xhat.shape[-1]
+    gx = dy * gain
+    return inv * (
+        gx
+        - gx.sum(axis=-1, keepdims=True) / d
+        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
+    )
+
+
+def _split_heads(m, heads):
+    tokens, d = m.shape
+    return m.reshape(tokens, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(m):
+    heads, tokens, head_dim = m.shape
+    return m.transpose(1, 0, 2).reshape(tokens, heads * head_dim)
+
+
+def reference_layer(xv, dout, blk, heads):
+    """The fused layer written with three separate Q/K/V GEMMs; returns the
+    output and the gradient into the token matrix for upstream `dout`."""
+    w = {name: getattr(blk, name).data for name in blk.__dataclass_fields__}
+    inv_sqrt = 1.0 / np.sqrt(xv.shape[1] // heads)
+    h1, xhat1, inv1 = _norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
+    q = _split_heads(h1 @ w["w_query"] + w["b_query"], heads)
+    k = _split_heads(h1 @ w["w_key"] + w["b_key"], heads)
+    v = _split_heads(h1 @ w["w_value"] + w["b_value"], heads)
+    scores = q @ k.transpose(0, 2, 1) * inv_sqrt
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    x1 = xv + _merge_heads(attn @ v) @ w["w_out"] + w["b_out"]
+    h2, xhat2, inv2 = _norm_rows(x1, w["ln2_gain"], w["ln2_bias"])
+    u = h2 @ w["w_up"] + w["b_up"]
+    t = np.tanh(_GELU_C * (u + 0.044715 * (u * u * u)))
+    x2 = x1 + (0.5 * u * (1.0 + t)) @ w["w_down"] + w["b_down"]
+
+    du = (dout @ w["w_down"].T) * (0.5 * (1.0 + t)
+                                   + 0.5 * u * (1.0 - t**2)
+                                   * _GELU_C * (1.0 + 3 * 0.044715 * u**2))
+    dx1 = dout + _norm_rows_backward(du @ w["w_up"].T, xhat2, inv2,
+                                     w["ln2_gain"])
+    do_heads = _split_heads(dx1 @ w["w_out"].T, heads)
+    dattn = do_heads @ v.transpose(0, 2, 1)
+    dv = attn.transpose(0, 2, 1) @ do_heads
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores *= inv_sqrt
+    dq = dscores @ k
+    dk = dscores.transpose(0, 2, 1) @ q
+    dh1 = (_merge_heads(dq) @ w["w_query"].T
+           + _merge_heads(dk) @ w["w_key"].T
+           + _merge_heads(dv) @ w["w_value"].T)
+    return x2, dx1 + _norm_rows_backward(dh1, xhat1, inv1, w["ln1_gain"])
+
+
+class TestFusedLayerReference:
+    @pytest.mark.parametrize("tokens", [7, 8])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_separate_projections_bit_for_bit(self, tokens, heads):
+        cfg = ModelConfig(dim=32, layers=2, heads=heads, mix_layers=())
+        blk = init_backbone(21, cfg).blocks[1]
+        rng = np.random.default_rng(tokens * 10 + heads)
+        xv = rng.normal(size=(tokens, cfg.dim))
+        dout = rng.normal(size=(tokens, cfg.dim))
+        x = te.parameter(xv)
+        with te.Tape() as tape:
+            out = _transformer_layer(x, blk, heads)
+        (backward,) = tape._ops
+        out.grad[...] = dout
+        backward()
+        ref_out, ref_grad = reference_layer(xv, dout, blk, heads)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(x.grad, ref_grad)
+
+    @pytest.mark.parametrize("image_size, patch_size", [(16, 8), (8, 4), (4, 2)])
+    def test_patchify_matches_patch_loop(self, image_size, patch_size):
+        cfg = ModelConfig(dim=16, layers=1, heads=2, image_size=image_size,
+                          patch_size=patch_size, mix_layers=())
+        image = np.random.default_rng(image_size).normal(
+            size=(image_size, image_size))
+        assert np.array_equal(patchify(image, cfg),
+                              reference_patchify(image, cfg))
 
 
 class TestPatchify:
@@ -169,8 +275,9 @@ class TestForward:
 
 
 class TestGradients:
-    def test_gradcheck_small_model(self):
-        report = gradient_check(seed=0)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradcheck_small_model(self, heads):
+        report = gradient_check(seed=0, heads=heads)
         assert report["max"] < 1e-4
         assert set(report) == {"shared", "class", "head", "max"}
 
