@@ -51,6 +51,7 @@ from .model import (
     gradient_check,
     init_backbone,
     predict,
+    score_constants,
 )
 from .prototypes import (
     PrototypeBank,
@@ -79,5 +80,6 @@ __all__ = [
     "local_prototypes", "local_train", "mix_prompt", "momentum_update",
     "partition_dirichlet", "partition_pathological", "predict",
     "prompt_mix_overhead", "prototype_topk_probe", "run_round",
-    "run_training", "sample_clients", "soft_scores", "warm_startup",
+    "run_training", "sample_clients", "score_constants", "soft_scores",
+    "warm_startup",
 ]

@@ -288,7 +288,6 @@ def _build_world(cfg: ExperimentConfig):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     clients, backbone, heldout = _build_world(cfg)
     state, logs = run_training(clients, backbone, cfg.model, cfg.train,
                                cfg.seed, heldout=heldout)
@@ -300,6 +299,8 @@ def cmd_run(args) -> int:
         if group else None
         for group in (state.participating, state.heldout))
 
+    # created only now, so a run that fails leaves no directory behind
+    os.makedirs(cfg.out_dir, exist_ok=True)
     write_config_copy(cfg, os.path.join(cfg.out_dir, "config.json"))
     write_metrics_csv(logs, os.path.join(cfg.out_dir, "metrics.csv"))
     write_prompts_csv(state, os.path.join(cfg.out_dir, "prompts.csv"))

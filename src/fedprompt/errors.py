@@ -13,8 +13,10 @@ class TrainingError(RuntimeError):
     """Local training failed; carries round/client context."""
 
     def __init__(self, message, round_index=None, client_id=None):
-        if round_index is not None or client_id is not None:
-            message = f"{message} (round={round_index}, client={client_id})"
+        context = ", ".join(f"{key}={value}" for key, value in (
+            ("round", round_index), ("client", client_id)) if value is not None)
+        if context:
+            message = f"{message} ({context})"
         super().__init__(message)
         self.round_index = round_index
         self.client_id = client_id

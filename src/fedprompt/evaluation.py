@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import forward_with_prompts, predict
+from .model import forward_with_prompts, predict, score_constants
 from .prototypes import cosine_similarity
 from .seeding import derive_rng
 
@@ -50,10 +50,11 @@ def evaluate_clients(clients, backbone, model_cfg, bank,
             skipped += 1
             continue
         params, priors = inputs_lookup(client.client_id)
+        consts = score_constants(model_cfg, bank, priors)
         correct = 0
         for x, y in zip(client.test_x, client.test_y):
             logits, _ = forward_with_prompts(x, params, backbone, model_cfg,
-                                             bank=bank, priors=priors)
+                                             consts=consts)
             correct += int(predict(logits) == int(y))
         per_client[client.client_id] = correct / client.test_y.size
     if not per_client:
@@ -90,10 +91,11 @@ def prototype_topk_probe(images, labels, backbone, model_cfg, params,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ConfigError("probe pool is empty")
+    consts = score_constants(model_cfg, bank, priors)
     tokens = []
     for image in images:
         _, trace = forward_with_prompts(image, params, backbone, model_cfg,
-                                        bank=bank, priors=priors)
+                                        consts=consts)
         tokens.append(trace.cls_input(layer))
     tokens = np.stack(tokens)
     classes = int(labels.max()) + 1

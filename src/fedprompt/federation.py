@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as te
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import evaluate_clients
-from .model import ModelConfig, PromptParams, forward_with_prompts
+from .model import ModelConfig, PromptParams, forward_with_prompts, score_constants
 from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
@@ -171,11 +171,11 @@ def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
 
 def compute_client_prototypes(client, params, backbone, model_cfg, cfg, bank):
     """Frozen forward pass over the shard collecting per-layer class means."""
-    priors = score_priors(client, cfg)
+    consts = score_constants(model_cfg, bank, score_priors(client, cfg))
 
     def forward_fn(image):
         _, trace = forward_with_prompts(image, params, backbone, model_cfg,
-                                        bank=bank, priors=priors)
+                                        consts=consts)
         return trace
 
     return local_prototypes(client.train_x, client.train_y,
@@ -204,7 +204,7 @@ def local_train(client: ClientState, start: PromptParams, backbone,
     else:
         protos, sens = {}, {}
 
-    priors = score_priors(client, cfg)
+    consts = score_constants(model_cfg, bank, score_priors(client, cfg))
     rng = derive_rng(seed, "shuffle", round_index, client.client_id)
     lr_t = cfg.lr * cfg.lr_decay ** (round_index - 1)
     blocks = [block for _, block in params.blocks()]
@@ -220,7 +220,7 @@ def local_train(client: ClientState, start: PromptParams, backbone,
                 with te.Tape() as tape:
                     logits, _ = forward_with_prompts(
                         client.train_x[i], params, backbone, model_cfg,
-                        bank=bank, priors=priors)
+                        consts=consts)
                     loss = te.cross_entropy(logits, int(client.train_y[i]))
                 tape.backward(loss)
                 batch_loss += float(loss.data)
@@ -287,6 +287,16 @@ def warm_startup(state: ServerState) -> None:
     state.bank.warm_start(submissions, sensitivities,
                           epsilon=state.cfg.dp_epsilon,
                           rng=derive_rng(state.seed, "dp", 0))
+    _check_bank(state.bank, 0)
+
+
+def _check_bank(bank: PrototypeBank, round_index: int) -> None:
+    """Fail on prototypes that are no longer finite, as Laplace noise of a
+    tiny epsilon leaves them, before any score is computed from them."""
+    for l in bank.layers:
+        if not np.isfinite(bank.mu[l]).all():
+            raise TrainingError(f"non-finite prototypes at layer {l}",
+                                round_index=round_index)
 
 
 def _evaluate(state: ServerState):
@@ -334,6 +344,7 @@ def run_round(state: ServerState) -> RoundLog:
             state.bank.apply_period_update(
                 epsilon=state.cfg.dp_epsilon,
                 rng=derive_rng(state.seed, "dp", t))
+            _check_bank(state.bank, t)
     state.round = t
 
     report, heldout = _evaluate(state)
@@ -368,6 +379,15 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ConfigError(
             f"clients_per_round={cfg.clients_per_round} exceeds "
             f"{len(participating)} participating clients")
+    if cfg.uses_mixing:
+        # heldout clients are scored with their own priors when evaluated,
+        # and all-zero priors (no training data) leave nothing to normalize
+        unscorable = [c.client_id for c in clients
+                      if c.client_id in heldout and c.test_y.size > 0
+                      and not np.any(score_priors(c, cfg) > 0.0)]
+        if unscorable:
+            raise DataError("heldout clients with all-zero class priors: "
+                            + ", ".join(map(str, unscorable)))
     classes = clients[0].priors.size
     effective_cfg = model_cfg if cfg.uses_mixing else model_cfg.without_mixing()
     params = PromptParams.init(seed, model_cfg.dim, classes, cfg.shared_prompts)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as te
 from .errors import ConfigError
-from .prototypes import soft_scores_op
+from .prototypes import ScoreConstants, soft_scores_op
 from .seeding import derive_rng
 
 INIT_SCALE = 0.02
@@ -245,26 +245,6 @@ def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _norm_rows(x, gain, bias):
-    d = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
-    centered = x - mean
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + te.LAYER_NORM_EPS)
-    xhat = centered * inv
-    return xhat * gain + bias, xhat, inv
-
-
-def _norm_rows_backward(dy, xhat, inv, gain):
-    d = xhat.shape[-1]
-    gx = dy * gain
-    return inv * (
-        gx
-        - np.add.reduce(gx, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
-    )
-
-
 def _split_heads(m, heads):
     tokens, d = m.shape
     return m.reshape(tokens, heads, d // heads).transpose(1, 0, 2)
@@ -289,7 +269,7 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     tokens, d = xv.shape
     inv_sqrt = 1.0 / np.sqrt(d // heads)
 
-    h1, xhat1, inv1 = _norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
+    h1, xhat1, inv1 = te.norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
     # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
     q, k, v = (h1 @ w["w_qkv"] + w["b_qkv"]).reshape(
         tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
@@ -299,7 +279,7 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     x1 = xv + _merge_heads(attn @ v) @ w["w_out"] + w["b_out"]
 
-    h2, xhat2, inv2 = _norm_rows(x1, w["ln2_gain"], w["ln2_bias"])
+    h2, xhat2, inv2 = te.norm_rows(x1, w["ln2_gain"], w["ln2_bias"])
     u = h2 @ w["w_up"] + w["b_up"]
     # u2 * u, not u**3: a float power goes through libm pow, ~40x slower
     u2 = u * u
@@ -318,8 +298,8 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
         du = dgelu * (0.5 * (1.0 + t)
                       + 0.5 * u * (1.0 - t * t)
                       * _GELU_C * (1.0 + 3 * 0.044715 * u2))
-        dx1 = dout + _norm_rows_backward(du @ w["w_up"].T, xhat2, inv2,
-                                         w["ln2_gain"])
+        dx1 = dout + te.norm_rows_backward(du @ w["w_up"].T, xhat2, inv2,
+                                           w["ln2_gain"])
         # attention branch
         do_heads = _split_heads(dx1 @ w["w_out"].T, heads)
         dattn = do_heads @ v.transpose(0, 2, 1)
@@ -332,65 +312,149 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
         dh1 = (_merge_heads(dq) @ w["w_query"].T
                + _merge_heads(dk) @ w["w_key"].T
                + _merge_heads(dv) @ w["w_value"].T)
-        x.grad += dx1 + _norm_rows_backward(dh1, xhat1, inv1, w["ln1_gain"])
+        x.grad += dx1 + te.norm_rows_backward(dh1, xhat1, inv1, w["ln1_gain"])
 
     te.record(out, backward)
     return out
 
 
+def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
+           cfg: ModelConfig) -> te.Tensor:
+    """Token matrix [cls, shared prompts, patch tokens] as one primitive;
+    its gradient flows into the shared prompts only."""
+    tokens = patchify(image, cfg) @ backbone.patch_embed.data + backbone.patch_bias.data
+    n_shared = shared.data.shape[1]
+    out = te.Tensor(
+        np.concatenate([backbone.cls_embed.data[None, :], shared.data.T, tokens]),
+        requires_grad=(n_shared > 0 and shared.requires_grad
+                       and te.active_tape() is not None))
+    if out.requires_grad:
+        def backward():
+            shared.grad += out.grad[1:1 + n_shared].T
+
+        te.record(out, backward)
+    return out
+
+
+def _cls_column(seq: te.Tensor) -> te.Tensor:
+    """The cls token of `seq` as a (dim, 1) column, the input of the
+    scores."""
+    out = te.Tensor(seq.data[0:1].T, requires_grad=seq.requires_grad
+                    and te.active_tape() is not None)
+    if out.requires_grad:
+        def backward():
+            seq.grad[0:1] += out.grad.T
+
+        te.record(out, backward)
+    return out
+
+
+def _insert_mixed(seq: te.Tensor, class_prompts: te.Tensor, scores: te.Tensor,
+                  replace: bool) -> te.Tensor:
+    """`seq` with the mixed prompt P @ s as its second token: inserted
+    after cls, or with `replace` in place of the mixed token an earlier
+    layer inserted."""
+    x = seq.data
+    start = 2 if replace else 1
+    mixed = class_prompts.data @ scores.data
+    out = te.Tensor(
+        np.concatenate([x[0:1], mixed.T, x[start:]]),
+        requires_grad=te.active_tape() is not None and (
+            seq.requires_grad or class_prompts.requires_grad
+            or scores.requires_grad))
+    if out.requires_grad:
+        def backward():
+            g = out.grad
+            if seq.requires_grad:
+                seq.grad[start:] += g[2:]
+                seq.grad[0:1] += g[0:1]
+            dmixed = g[1:2].T
+            if class_prompts.requires_grad:
+                class_prompts.grad += dmixed @ scores.data.T
+            if scores.requires_grad:
+                scores.grad += class_prompts.data.T @ dmixed
+
+        te.record(out, backward)
+    return out
+
+
+def _head(seq: te.Tensor, head: te.Tensor, backbone: BackboneWeights):
+    """Logits head @ LN(cls) of the last layer's cls row, as one
+    primitive; also returns the normalized cls token as a (dim, 1)
+    array."""
+    gain = backbone.final_gain.data
+    row, xhat, inv = te.norm_rows(seq.data[0:1], gain, backbone.final_bias.data)
+    cls_final = row.T
+    out = te.Tensor(head.data @ cls_final,
+                    requires_grad=te.active_tape() is not None
+                    and (head.requires_grad or seq.requires_grad))
+    if out.requires_grad:
+        def backward():
+            g = out.grad
+            if head.requires_grad:
+                head.grad += g @ row
+            if seq.requires_grad:
+                seq.grad[0:1] += te.norm_rows_backward(
+                    (head.data.T @ g).T, xhat, inv, gain)
+
+        te.record(out, backward)
+    return out, cls_final
+
+
+def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
+    """Mixing layer -> `ScoreConstants` for one client's score priors and
+    the bank's current prototypes; empty without mixing layers.
+
+    Build them once per client and bank state and pass them to every
+    `forward_with_prompts` over that client's samples.
+    """
+    if not cfg.mix_layers:
+        return {}
+    if bank is None:
+        raise ConfigError("mixing layers configured but no prototype bank given")
+    if priors is None:
+        raise ConfigError("mixing layers configured but no class priors given")
+    missing = [l for l in cfg.mix_layers if l not in bank.mu]
+    if missing:
+        raise ConfigError(f"prototype bank missing layers {missing}")
+    return {l: ScoreConstants(bank.mu[l], priors, cfg.tau, cfg.dim)
+            for l in cfg.mix_layers}
+
+
 def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights,
-                         cfg: ModelConfig, bank=None, priors=None):
+                         cfg: ModelConfig, bank=None, priors=None, consts=None):
     """Run one sample through the prompted frozen backbone.
 
     Returns (logits Tensor, ForwardTrace).  With mixing layers configured
-    the prototype bank must cover each of them and `priors` must be that
-    client's class prior vector; gradients then flow through the score
-    computation into upstream activations and into the class prompts,
-    while prototypes stay constant.
+    the scores need the prototype bank and that client's class prior
+    vector, either as `bank` and `priors` or as the `consts` that
+    `score_constants` built from them; gradients then flow through the
+    score computation into upstream activations and into the class
+    prompts, while prototypes stay constant.
+
+    The pass is a chain of fused primitives, each recording one backward
+    closure: embedding, per layer the optional prompt mixing (cls column,
+    scores, insertion) and the transformer block, then the head.
     """
-    if cfg.mix_layers:
-        if bank is None:
-            raise ConfigError("mixing layers configured but no prototype bank given")
-        if priors is None:
-            raise ConfigError("mixing layers configured but no class priors given")
-        missing = [l for l in cfg.mix_layers if l not in bank.mu]
-        if missing:
-            raise ConfigError(f"prototype bank missing layers {missing}")
-
+    if consts is None:
+        consts = score_constants(cfg, bank, priors)
     trace = ForwardTrace()
-    rows = [te.constant(backbone.cls_embed.data[None, :])]
-    if prompts.shared.data.shape[1] > 0:
-        rows.append(te.transpose(prompts.shared))
-    tokens = patchify(image, cfg) @ backbone.patch_embed.data + backbone.patch_bias.data
-    rows.append(te.constant(tokens))
-    seq = te.concat_rows(rows)
-
+    seq = _embed(image, prompts.shared, backbone, cfg)
     mix_inserted = False
     for layer in range(1, cfg.layers + 1):
         trace.cls_inputs.append(seq.data[0].copy())
         if layer in cfg.mix_layers and (not mix_inserted or cfg.refresh_mix):
-            cls_col = te.transpose(te.slice_rows(seq, 0, 1))
-            scores = soft_scores_op(
-                cls_col, bank.mu[layer], priors, cfg.tau,
-                detach=cfg.detach_scores,
-            )
-            trace.scores[layer] = scores.data.reshape(-1).copy()
-            mixed = te.transpose(te.matmul(prompts.class_prompts, scores))
-            head_row = te.slice_rows(seq, 0, 1)
-            if not mix_inserted:
-                rest = te.slice_rows(seq, 1, seq.data.shape[0])
-                mix_inserted = True
-            else:
-                rest = te.slice_rows(seq, 2, seq.data.shape[0])
-            seq = te.concat_rows([head_row, mixed, rest])
+            scores = soft_scores_op(_cls_column(seq), consts[layer],
+                                    detach=cfg.detach_scores)
+            trace.scores[layer] = scores.data.reshape(-1)
+            seq = _insert_mixed(seq, prompts.class_prompts, scores,
+                                replace=mix_inserted)
+            mix_inserted = True
         seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
 
-    cls_row = te.layer_norm(te.slice_rows(seq, 0, 1),
-                            backbone.final_gain, backbone.final_bias)
-    cls_final = te.transpose(cls_row)
-    logits = te.matmul(prompts.head, cls_final)
-    trace.final_cls = cls_final.data.reshape(-1).copy()
-    trace.logits = logits.data.reshape(-1).copy()
+    logits, cls_final = _head(seq, prompts.head, backbone)
+    trace.final_cls = cls_final.reshape(-1)
+    trace.logits = logits.data.reshape(-1)
     return logits, trace
 
 
@@ -428,17 +492,19 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
     image = rng.normal(size=(image_size, image_size))
     label = int(rng.integers(classes))
 
+    consts = score_constants(cfg, bank, priors)
+
     prompts.zero_grad()
     with te.Tape() as tape:
         logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
-                                         bank=bank, priors=priors)
+                                         consts=consts)
         loss = te.cross_entropy(logits, label)
     tape.backward(loss)
 
     def loss_at(shared, class_prompts, head):
         probe = PromptParams.from_arrays(shared, class_prompts, head)
         logits, _ = forward_with_prompts(image, probe, backbone, cfg,
-                                         bank=bank, priors=priors)
+                                         consts=consts)
         return float(te.cross_entropy(logits, label).data)
 
     base = {name: block.data.copy() for name, block in prompts.blocks()}

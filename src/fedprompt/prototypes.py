@@ -36,6 +36,57 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
+class ScoreConstants:
+    """The part of one layer's scores that does not depend on the sample.
+
+    For one client's priors and one state of the bank: which classes have
+    a nonzero prior, their prototypes with nonzero norm and those norms,
+    and the log priors.  The loop that walks a shard builds these once,
+    so each sample only adds the cls token's norm and one matrix-vector
+    product.  They hold copies of the prototypes: after a write to the
+    bank, build them again.
+    """
+
+    __slots__ = ("tau", "active", "nonzero", "protos", "norms", "log_priors")
+
+    def __init__(self, prototypes, priors, tau: float, dim: int):
+        if tau <= 0:
+            raise ConfigError(f"temperature must be positive, got {tau}")
+        prototypes = np.asarray(prototypes, dtype=np.float64)
+        priors = np.asarray(priors, dtype=np.float64).reshape(-1)
+        if prototypes.shape != (priors.size, dim):
+            raise ConfigError("prototype matrix must be (classes, dim)")
+        active = priors > 0.0
+        if not active.any():
+            raise DataError("all class priors are zero; scores cannot be normalized")
+        protos = prototypes[active]
+        # what np.linalg.norm computes per row, without its Python overhead
+        norms = np.sqrt(np.add.reduce(protos * protos, axis=1))
+        self.tau = tau
+        self.active = active
+        self.nonzero = norms > 0.0
+        self.protos = protos[self.nonzero]
+        self.norms = norms[self.nonzero]
+        self.log_priors = np.log(priors[active])
+
+    def evaluate(self, cls_vec):
+        """(scores, sims, cls_norm) for one cls token: the scores over all
+        classes, the cosine similarities to the nonzero active prototypes
+        (None when the token or every such prototype is zero), and the
+        token's norm."""
+        cls_norm = np.sqrt(cls_vec @ cls_vec)
+        logits = np.zeros(self.log_priors.size)
+        sims = None
+        if cls_norm > 0.0 and self.norms.size:
+            sims = (self.protos @ cls_vec) / (self.norms * cls_norm)
+            logits[self.nonzero] = sims
+        logits = logits / self.tau + self.log_priors
+        e = np.exp(logits - np.maximum.reduce(logits))
+        scores = np.zeros(self.active.size)
+        scores[self.active] = e / np.add.reduce(e)
+        return scores, sims, cls_norm
+
+
 def soft_scores(cls_vec, prototypes, priors, tau: float) -> np.ndarray:
     """Per-class mixing weights for one sample at one layer.
 
@@ -44,42 +95,14 @@ def soft_scores(cls_vec, prototypes, priors, tau: float) -> np.ndarray:
     exact zero; a zero prototype (class never observed) contributes a
     neutral similarity of 0.
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     cls_vec = np.asarray(cls_vec, dtype=np.float64).reshape(-1)
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    priors = np.asarray(priors, dtype=np.float64).reshape(-1)
-    if prototypes.shape != (priors.size, cls_vec.size):
-        raise ConfigError("prototype matrix must be (classes, dim)")
-    active = priors > 0.0
-    if not active.any():
-        raise DataError("all class priors are zero; scores cannot be normalized")
-    scores = np.zeros_like(priors)
-    logits = _score_logits(cls_vec, prototypes[active], priors[active], tau)
-    e = np.exp(logits - logits.max())
-    scores[active] = e / e.sum()
-    return scores
+    return ScoreConstants(prototypes, priors, tau, cls_vec.size).evaluate(cls_vec)[0]
 
 
-def _norms(protos, cls_vec):
-    """Row norms of `protos` and the norm of `cls_vec`: what np.linalg.norm
-    computes, bit for bit, without its Python-level dispatch."""
-    return (np.sqrt(np.add.reduce(protos * protos, axis=1)),
-            np.sqrt(cls_vec @ cls_vec))
-
-
-def _score_logits(cls_vec, protos, priors, tau):
-    norms, cls_norm = _norms(protos, cls_vec)
-    sims = np.zeros(protos.shape[0])
-    nz = norms > 0.0
-    if cls_norm > 0.0 and nz.any():
-        sims[nz] = (protos[nz] @ cls_vec) / (norms[nz] * cls_norm)
-    return sims / tau + np.log(priors)
-
-
-def soft_scores_op(cls_col: te.Tensor, prototypes, priors, tau: float,
+def soft_scores_op(cls_col: te.Tensor, consts: ScoreConstants,
                    detach: bool = False) -> te.Tensor:
-    """Differentiable score computation for the forward pass.
+    """Differentiable score computation for the forward pass, from the
+    layer's `ScoreConstants`.
 
     Gradients flow into the cls token (and from there into anything that
     produced it); prototypes and priors are constants.  With `detach` the
@@ -87,31 +110,23 @@ def soft_scores_op(cls_col: te.Tensor, prototypes, priors, tau: float,
     scores (ablation knob).
     """
     cls_vec = cls_col.data.reshape(-1)
-    scores = soft_scores(cls_vec, prototypes, priors, tau)
+    scores, sims, cls_norm = consts.evaluate(cls_vec)
     requires = cls_col.requires_grad and not detach
     out = te.Tensor(scores.reshape(-1, 1), requires_grad=requires)
     if not requires:
         return out
 
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    priors = np.asarray(priors, dtype=np.float64).reshape(-1)
-    active = priors > 0.0
-
     def backward():
+        active = consts.active
         g = out.grad.reshape(-1)[active]
         s = scores[active]
         dlogit = s * (g - float(g @ s))
-        protos = prototypes[active]
-        norms, cls_norm = _norms(protos, cls_vec)
         grad_cls = np.zeros_like(cls_vec)
-        if cls_norm > 0.0:
-            nz = norms > 0.0
-            if nz.any():
-                sims = (protos[nz] @ cls_vec) / (norms[nz] * cls_norm)
-                # d sim_c / d cls = mu_c/(|cls||mu_c|) - sim_c * cls/|cls|^2
-                coeff = dlogit[nz] / tau
-                grad_cls += (coeff / norms[nz]) @ protos / cls_norm
-                grad_cls -= float(coeff @ sims) * cls_vec / cls_norm**2
+        if sims is not None:
+            # d sim_c / d cls = mu_c/(|cls||mu_c|) - sim_c * cls/|cls|^2
+            coeff = dlogit[consts.nonzero] / consts.tau
+            grad_cls += (coeff / consts.norms) @ consts.protos / cls_norm
+            grad_cls -= float(coeff @ sims) * cls_vec / cls_norm**2
         cls_col.grad += grad_cls.reshape(cls_col.data.shape)
 
     te.record(out, backward)

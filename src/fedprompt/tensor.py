@@ -1,10 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The generic ops are the ones the prompted forward pass composes around
-its fused transformer layer: matrix products, transposition, row slicing
-and concatenation to assemble token sequences, layer normalization, and
-cross entropy.  A central finite-difference oracle (`finite_diff_grad`)
-provides the independent gradient check used throughout the test suite.
+The prompted forward pass is a chain of fused primitives with
+hand-derived backward rules (see `model.py`), which record their
+closures through `record`.  This module holds what they share: the
+tensor and tape, the layer-normalization kernels, and cross entropy.  A
+central finite-difference oracle (`finite_diff_grad`) provides the
+independent gradient check used throughout the test suite.
 
 Tapes are single-use and rebuilt on every forward pass: ops record their
 backward closure onto the innermost active tape (if any), and
@@ -102,102 +103,33 @@ def record(out: Tensor, backward_fn) -> None:
         tape.record(backward_fn)
 
 
-def _result(data, *parents) -> Tensor:
-    # outside a tape nothing records, so results are constants; this keeps
-    # evaluation passes free of gradient-slot allocations
-    requires = active_tape() is not None and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects rank-2 operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
-        )
-    out = _result(a.data @ b.data, a, b)
-
-    def backward():
-        if a.requires_grad:
-            a.grad += out.grad @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ out.grad
-
-    record(out, backward)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a rank-2 operand")
-    out = _result(a.data.T, a)
-
-    def backward():
-        if a.requires_grad:
-            a.grad += out.grad.T
-
-    record(out, backward)
-    return out
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = _result(a.data[start:stop], a)
-
-    def backward():
-        if a.requires_grad:
-            a.grad[start:stop] += out.grad
-
-    record(out, backward)
-    return out
-
-
-def concat_rows(parts) -> Tensor:
-    parts = list(parts)
-    out = _result(np.concatenate([p.data for p in parts], axis=0), *parts)
-
-    def backward():
-        lo = 0
-        for part in parts:
-            hi = lo + part.data.shape[0]
-            if part.requires_grad:
-                part.grad += out.grad[lo:hi]
-            lo = hi
-
-    record(out, backward)
-    return out
-
-
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then apply affine."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError("gain/bias must match the last extent of x")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def norm_rows(x, gain, bias):
+    """Layer normalization of each row, then the affine map.
+
+    Returns (output, xhat, inv): the normalized rows and the inverse
+    standard deviations, which `norm_rows_backward` needs.
+    """
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mean) * inv
-    out = _result(xhat * gain.data + bias.data, x, gain, bias)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
 
-    def backward():
-        g = out.grad
-        if x.requires_grad:
-            gx = g * gain.data
-            x.grad += inv * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            )
-        if gain.requires_grad:
-            gain.grad += (g * xhat).reshape(-1, d).sum(axis=0)
-        if bias.requires_grad:
-            bias.grad += g.reshape(-1, d).sum(axis=0)
 
-    record(out, backward)
-    return out
+def norm_rows_backward(dy, xhat, inv, gain):
+    """Gradient into the rows `norm_rows` normalized, for upstream `dy`."""
+    d = xhat.shape[-1]
+    gx = dy * gain
+    return inv * (
+        gx
+        - np.add.reduce(gx, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
+    )
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -209,7 +141,9 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
         raise IndexError(f"label {label} out of range for {n} classes")
     m = flat.max()
     lse = m + np.log(np.exp(flat - m).sum())
-    out = _result(np.asarray(lse - flat[label]), logits)
+    # outside a tape nothing records, so the result is a constant
+    out = Tensor(np.asarray(lse - flat[label]),
+                 requires_grad=active_tape() is not None and logits.requires_grad)
 
     def backward():
         if logits.requires_grad:

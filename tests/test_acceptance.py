@@ -6,13 +6,16 @@ their training runs through module-scoped fixtures; everything is a pure
 function of the seeds fixed here.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedprompt
 from fedprompt import tensor as te
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_dirichlet, \
     partition_pathological
@@ -251,13 +254,17 @@ def test_criterion_11_run_determinism(tmp_path):
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
+    # the child interpreter imports the package this one imported
+    src = str(Path(fedprompt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     digests = []
     for name in ("a", "b"):
         out = tmp_path / name
         result = subprocess.run(
             [sys.executable, "-m", "fedprompt.cli", "run",
              "--config", str(config_path), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         digests.append((out / "metrics.csv").read_bytes())
     assert digests[0] == digests[1]

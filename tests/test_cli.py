@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -146,6 +148,34 @@ class TestRunCommand:
                        "data: 1, 4, 5\n")
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("strategy, code", [
+        ("mixed", 2), ("personalized", 2), ("mixed_no_prior", 0),
+        ("shared_only", 0)])
+    def test_zero_prior_heldout_client_rejected_before_training(
+            self, tmp_path, capsys, strategy, code):
+        # heldout client 0 has an empty train shard, so all-zero priors, and
+        # a nonempty test shard; only strategies that score it with its own
+        # priors cannot evaluate it
+        path, _ = small_config(
+            tmp_path, seed=7, heldout_fraction=0.34,
+            data={"classes": 4, "train_per_class": 3, "test_per_class": 8},
+            partition={"mode": "dirichlet", "beta": 0.5},
+            train={"rounds": 1, "strategy": strategy})
+        assert main(["run", "--config", str(path)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "data error: heldout clients with all-zero class priors: 0\n")
+            assert not (tmp_path / "run").exists()
+
+    def test_non_finite_prototypes_fail_with_round_and_layer(self, tmp_path,
+                                                            capsys):
+        # Laplace noise of scale S/1e-310 overflows in the warm start
+        path, _ = small_config(tmp_path, train={"dp_epsilon": 1e-310})
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "training error: non-finite prototypes at layer 2 (round=0)\n")
+        assert not (tmp_path / "run").exists()
+
     def test_zero_update_period_rejected_before_training(self, tmp_path,
                                                          capsys):
         # shared_only has no prototype bank to reject the period, so the
@@ -166,28 +196,25 @@ class TestGradcheckCommand:
         assert "shared" in out and "class" in out and "head" in out
 
     def test_fails_with_corrupted_backward(self, monkeypatch, capsys):
+        from fedprompt import model
         from fedprompt import tensor as te
 
-        true_matmul = te.matmul
+        true_insert = model._insert_mixed
 
-        def corrupted(a, b):
-            out = true_matmul(a, b)
-            if a.requires_grad or b.requires_grad:
-                tainted = te.Tensor(out.data, requires_grad=out.requires_grad)
+        def corrupted(seq, class_prompts, scores, replace):
+            # the mixing primitive with its class-prompt gradient 1.5x too large
+            out = true_insert(seq, class_prompts, scores, replace)
+            if out.requires_grad and class_prompts.requires_grad:
+                def extra_backward():
+                    class_prompts.grad += 0.5 * (out.grad[1:2].T @ scores.data.T)
 
-                def bad_backward():
-                    if a.requires_grad:
-                        a.grad += 1.5 * (tainted.grad @ b.data.T)
-                    if b.requires_grad:
-                        b.grad += a.data.T @ tainted.grad
-
-                te.record(tainted, bad_backward)
-                return tainted
+                te.record(out, extra_backward)
             return out
 
-        monkeypatch.setattr(te, "matmul", corrupted)
+        monkeypatch.setattr(model, "_insert_mixed", corrupted)
         assert main(["gradcheck", "--dim", "8", "--layers", "2",
                      "--classes", "3"]) == 1
+        assert "class: max relative error 5.0" in capsys.readouterr().out
 
     def test_reports_blocks_separately(self, capsys):
         main(["gradcheck", "--dim", "8", "--layers", "2", "--classes", "3"])
@@ -261,6 +288,39 @@ class TestEvalCommand:
             expected = dict(final[group])
             del expected["clients"]
             assert again[group] == expected
+
+    def test_in_place_prototype_load_reaches_evaluation(self, tmp_path):
+        # cmd_eval writes the loaded prototypes into the bank's arrays in
+        # place; score constants built before that must not be reused
+        from fedprompt.cli import (
+            _build_world, _load_prototypes_csv, write_prototypes_csv)
+        from fedprompt.federation import _evaluate, init_server, warm_startup
+
+        path, _ = small_config(tmp_path)
+        cfg = load_config(str(path))
+        clients, backbone, heldout = _build_world(cfg)
+        state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
+                            heldout)
+        warm_startup(state)
+        rng = np.random.default_rng(0)
+        state.params.head.data[...] = rng.normal(
+            scale=10.0, size=state.params.head.data.shape)
+        state.params.class_prompts.data[...] = rng.normal(
+            scale=10.0, size=state.params.class_prompts.data.shape)
+        before, _ = _evaluate(state)
+
+        other = copy.deepcopy(state.bank)
+        for layer in other.layers:
+            other.mu[layer] = rng.normal(size=other.mu[layer].shape)
+        expected, _ = _evaluate(dataclasses.replace(state, bank=other))
+        assert expected.per_client != before.per_client
+
+        write_prototypes_csv(other, tmp_path / "prototypes.csv")
+        arrays = dict(state.bank.mu)
+        _load_prototypes_csv(tmp_path / "prototypes.csv", state.bank)
+        assert all(state.bank.mu[l] is arrays[l] for l in arrays)
+        after, _ = _evaluate(state)
+        assert after.per_client == expected.per_client
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["eval", "--run-dir", str(tmp_path / "nope")]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from fedprompt import tensor as te
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
-from fedprompt.errors import ConfigError
+from fedprompt.errors import ConfigError, TrainingError
 from fedprompt.federation import (
     ClientState,
     TrainConfig,
@@ -305,6 +305,17 @@ class TestRounds:
             np.testing.assert_array_equal(c.train_x, snapshots[c.client_id][0])
             np.testing.assert_array_equal(c.priors, snapshots[c.client_id][1])
             assert c.client_id not in state.personal
+
+
+    def test_non_finite_period_update_names_round(self):
+        clients, backbone = tiny_world(5)
+        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=5)
+        warm_startup(state)
+        # from round 1 on the Laplace noise of each period update overflows
+        state.cfg = dataclasses.replace(state.cfg, dp_epsilon=1e-310)
+        with pytest.raises(TrainingError) as err:
+            run_round(state)
+        assert str(err.value) == "non-finite prototypes at layer 2 (round=1)"
 
 
 class TestPersonalizedStrategy:

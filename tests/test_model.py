@@ -7,12 +7,14 @@ from fedprompt.model import (
     _GELU_C,
     ModelConfig,
     PromptParams,
+    _head,
     _transformer_layer,
     forward_with_prompts,
     gradient_check,
     init_backbone,
     patchify,
     predict,
+    score_constants,
 )
 from fedprompt.prototypes import PrototypeBank, mix_prompt, soft_scores
 
@@ -165,6 +167,245 @@ class TestFusedLayerReference:
             size=(image_size, image_size))
         assert np.array_equal(patchify(image, cfg),
                               reference_patchify(image, cfg))
+
+
+# The prompted forward as a chain of generic tape ops, as it was written
+# before embedding, prompt mixing and head became fused primitives.  The
+# fused forward must match it bit for bit.
+
+def _ref_result(data, *parents):
+    requires = te.active_tape() is not None and any(p.requires_grad for p in parents)
+    return te.Tensor(data, requires_grad=requires)
+
+
+def ref_matmul(a, b):
+    out = _ref_result(a.data @ b.data, a, b)
+
+    def backward():
+        if a.requires_grad:
+            a.grad += out.grad @ b.data.T
+        if b.requires_grad:
+            b.grad += a.data.T @ out.grad
+
+    te.record(out, backward)
+    return out
+
+
+def ref_transpose(a):
+    out = _ref_result(a.data.T, a)
+
+    def backward():
+        if a.requires_grad:
+            a.grad += out.grad.T
+
+    te.record(out, backward)
+    return out
+
+
+def ref_slice_rows(a, start, stop):
+    out = _ref_result(a.data[start:stop], a)
+
+    def backward():
+        if a.requires_grad:
+            a.grad[start:stop] += out.grad
+
+    te.record(out, backward)
+    return out
+
+
+def ref_concat_rows(parts):
+    out = _ref_result(np.concatenate([p.data for p in parts], axis=0), *parts)
+
+    def backward():
+        lo = 0
+        for part in parts:
+            hi = lo + part.data.shape[0]
+            if part.requires_grad:
+                part.grad += out.grad[lo:hi]
+            lo = hi
+
+    te.record(out, backward)
+    return out
+
+
+def ref_layer_norm(x, gain, bias):
+    # gain and bias are frozen, so only x receives a gradient
+    mean = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + te.LAYER_NORM_EPS)
+    xhat = (x.data - mean) * inv
+    out = _ref_result(xhat * gain.data + bias.data, x)
+
+    def backward():
+        gx = out.grad * gain.data
+        x.grad += inv * (gx - gx.mean(axis=-1, keepdims=True)
+                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+
+    te.record(out, backward)
+    return out
+
+
+def ref_soft_scores_op(cls_col, prototypes, priors, tau, detach):
+    cls_vec = cls_col.data.reshape(-1)
+    active = priors > 0.0
+    protos = prototypes[active]
+    norms = np.sqrt(np.add.reduce(protos * protos, axis=1))
+    cls_norm = np.sqrt(cls_vec @ cls_vec)
+    nz = norms > 0.0
+    sims = np.zeros(protos.shape[0])
+    if cls_norm > 0.0 and nz.any():
+        sims[nz] = (protos[nz] @ cls_vec) / (norms[nz] * cls_norm)
+    logits = sims / tau + np.log(priors[active])
+    e = np.exp(logits - logits.max())
+    scores = np.zeros_like(priors)
+    scores[active] = e / e.sum()
+    requires = cls_col.requires_grad and not detach
+    out = te.Tensor(scores.reshape(-1, 1), requires_grad=requires)
+    if not requires:
+        return out
+
+    def backward():
+        g = out.grad.reshape(-1)[active]
+        s = scores[active]
+        dlogit = s * (g - float(g @ s))
+        grad_cls = np.zeros_like(cls_vec)
+        if cls_norm > 0.0 and nz.any():
+            sims_nz = (protos[nz] @ cls_vec) / (norms[nz] * cls_norm)
+            coeff = dlogit[nz] / tau
+            grad_cls += (coeff / norms[nz]) @ protos[nz] / cls_norm
+            grad_cls -= float(coeff @ sims_nz) * cls_vec / cls_norm**2
+        cls_col.grad += grad_cls.reshape(cls_col.data.shape)
+
+    te.record(out, backward)
+    return out
+
+
+def reference_forward(image, prompts, backbone, cfg, bank, priors):
+    trace = {"cls_inputs": [], "scores": {}}
+    rows = [te.constant(backbone.cls_embed.data[None, :])]
+    if prompts.shared.data.shape[1] > 0:
+        rows.append(ref_transpose(prompts.shared))
+    tokens = patchify(image, cfg) @ backbone.patch_embed.data + backbone.patch_bias.data
+    rows.append(te.constant(tokens))
+    seq = ref_concat_rows(rows)
+    mix_inserted = False
+    for layer in range(1, cfg.layers + 1):
+        trace["cls_inputs"].append(seq.data[0].copy())
+        if layer in cfg.mix_layers and (not mix_inserted or cfg.refresh_mix):
+            cls_col = ref_transpose(ref_slice_rows(seq, 0, 1))
+            scores = ref_soft_scores_op(cls_col, bank.mu[layer], priors,
+                                        cfg.tau, cfg.detach_scores)
+            trace["scores"][layer] = scores.data.reshape(-1).copy()
+            mixed = ref_transpose(ref_matmul(prompts.class_prompts, scores))
+            head_row = ref_slice_rows(seq, 0, 1)
+            rest = ref_slice_rows(seq, 2 if mix_inserted else 1, seq.data.shape[0])
+            mix_inserted = True
+            seq = ref_concat_rows([head_row, mixed, rest])
+        seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
+    cls_row = ref_layer_norm(ref_slice_rows(seq, 0, 1), backbone.final_gain,
+                             backbone.final_bias)
+    cls_final = ref_transpose(cls_row)
+    logits = ref_matmul(prompts.head, cls_final)
+    trace["final_cls"] = cls_final.data.reshape(-1).copy()
+    trace["logits"] = logits.data.reshape(-1).copy()
+    return logits, trace
+
+
+def taped_run(forward, prompts, label):
+    prompts.zero_grad()
+    with te.Tape() as tape:
+        logits, trace = forward(prompts)
+        loss = te.cross_entropy(logits, label)
+    tape.backward(loss)
+    return trace, [block.grad.copy() for _, block in prompts.blocks()]
+
+
+class TestFusedForwardReference:
+    @pytest.mark.parametrize("mix_layers", [(1, 3), (2,), (3,), (1, 2, 3)])
+    @pytest.mark.parametrize("n_shared", [0, 1, 2])
+    @pytest.mark.parametrize("refresh", [True, False])
+    @pytest.mark.parametrize("detach", [False, True])
+    @pytest.mark.parametrize("zero_priors", [True, False])
+    def test_matches_generic_op_forward_bit_for_bit(
+            self, mix_layers, n_shared, refresh, detach, zero_priors):
+        cfg = ModelConfig(dim=16, layers=3, heads=2, image_size=16, patch_size=8,
+                          mix_layers=mix_layers, refresh_mix=refresh,
+                          detach_scores=detach)
+        seed = 100 * len(mix_layers) + 10 * n_shared + refresh
+        backbone, prompts, bank, priors, image = make_setup(
+            seed, cfg, classes=5, n_shared=n_shared)
+        rng = np.random.default_rng(seed)
+        prompts.head.data[...] = rng.normal(size=prompts.head.data.shape)
+        if zero_priors:
+            # two classes unseen by the client, one prototype never observed
+            priors[[1, 3]] = 0.0
+            priors /= priors.sum()
+            for l in mix_layers:
+                bank.mu[l][2] = 0.0
+        label = int(rng.integers(5))
+        consts = score_constants(cfg, bank, priors)
+
+        trace, grads = taped_run(
+            lambda p: forward_with_prompts(image, p, backbone, cfg, consts=consts),
+            prompts, label)
+        ref, ref_grads = taped_run(
+            lambda p: reference_forward(image, p, backbone, cfg, bank, priors),
+            prompts, label)
+        untaped, _ = forward_with_prompts(image, prompts, backbone, cfg,
+                                          bank=bank, priors=priors)
+
+        assert np.array_equal(trace.logits, ref["logits"])
+        assert np.array_equal(untaped.data.reshape(-1), ref["logits"])
+        assert np.array_equal(trace.final_cls, ref["final_cls"])
+        assert len(trace.cls_inputs) == len(ref["cls_inputs"]) == cfg.layers
+        for got, want in zip(trace.cls_inputs, ref["cls_inputs"]):
+            assert np.array_equal(got, want)
+        assert trace.scores.keys() == ref["scores"].keys()
+        for layer, want in ref["scores"].items():
+            assert np.array_equal(trace.scores[layer], want)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+        assert np.abs(grads[1]).max() > 0  # the class prompts do train
+
+
+class TestPrimitiveGradients:
+    def test_transformer_layer_vs_finite_differences(self):
+        cfg = ModelConfig(dim=8, layers=1, heads=2, mix_layers=())
+        blk = init_backbone(31, cfg).blocks[0]
+        x = np.random.default_rng(31).normal(size=(5, cfg.dim))
+
+        def loss(xt):
+            return te.cross_entropy(_transformer_layer(xt, blk, cfg.heads), 3)
+
+        x_param = te.parameter(x)
+        with te.Tape() as tape:
+            out = loss(x_param)
+        tape.backward(out)
+        oracle = te.finite_diff_grad(lambda v: float(loss(te.constant(v)).data), x)
+        assert te.grad_rel_error(x_param.grad, oracle) < 1e-6
+
+    def test_head_vs_finite_differences(self):
+        cfg = ModelConfig(dim=8, layers=1, heads=2, mix_layers=())
+        backbone = init_backbone(32, cfg)
+        rng = np.random.default_rng(32)
+        seq, head = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
+
+        def loss(s, h):
+            logits, _ = _head(s, h, backbone)
+            return te.cross_entropy(logits, 1)
+
+        params = [te.parameter(seq), te.parameter(head)]
+        with te.Tape() as tape:
+            out = loss(*params)
+        tape.backward(out)
+        oracles = [
+            te.finite_diff_grad(
+                lambda v: float(loss(te.constant(v), te.constant(head)).data), seq),
+            te.finite_diff_grad(
+                lambda v: float(loss(te.constant(seq), te.constant(v)).data), head),
+        ]
+        for param, oracle in zip(params, oracles):
+            assert te.grad_rel_error(param.grad, oracle) < 1e-6
 
 
 class TestPatchify:

@@ -9,6 +9,7 @@ from fedprompt import tensor as te
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.prototypes import (
     PrototypeBank,
+    ScoreConstants,
     add_laplace_noise,
     aggregate_submissions,
     compute_class_priors,
@@ -257,21 +258,19 @@ class TestSoftScoresOp:
         priors = rng.random(c)
         priors[2] = 0.0
         priors /= priors.sum()
-        weights = rng.normal(size=(2, c))
-        return cls, protos, priors, weights
+        return cls, protos, priors, int(rng.integers(c))
 
     def test_backward_vs_finite_differences(self):
-        cls, protos, priors, weights = self._setup(7)
+        cls, protos, priors, label = self._setup(7)
+        consts = ScoreConstants(protos, priors, 0.7, cls.size)
 
         def loss_from(cls_arr):
             col = te.constant(np.asarray(cls_arr).reshape(-1, 1))
-            s = soft_scores_op(col, protos, priors, tau=0.7)
-            return te.cross_entropy(te.matmul(te.constant(weights), s), 0)
+            return te.cross_entropy(soft_scores_op(col, consts), label)
 
         param = te.parameter(cls.reshape(-1, 1))
         with te.Tape() as tape:
-            s = soft_scores_op(param, protos, priors, tau=0.7)
-            loss = te.cross_entropy(te.matmul(te.constant(weights), s), 0)
+            loss = te.cross_entropy(soft_scores_op(param, consts), label)
         tape.backward(loss)
         oracle = te.finite_diff_grad(lambda x: float(loss_from(x).data), cls)
         assert te.grad_rel_error(param.grad.reshape(-1), oracle) < 1e-6
@@ -280,8 +279,9 @@ class TestSoftScoresOp:
         cls, protos, priors, _ = self._setup(8)
         param = te.parameter(cls.reshape(-1, 1))
         with te.Tape() as tape:
-            s = soft_scores_op(param, protos, priors, tau=0.7, detach=True)
-            loss = te.cross_entropy(te.transpose(s), 1)
+            s = soft_scores_op(param, ScoreConstants(protos, priors, 0.7, cls.size),
+                               detach=True)
+            loss = te.cross_entropy(s, 1)
         tape.backward(loss)
         assert np.all(param.grad == 0.0)
         np.testing.assert_array_equal(

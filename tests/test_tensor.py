@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from fedprompt import tensor as te
+from fedprompt.model import (
+    ModelConfig,
+    PromptParams,
+    _cls_column,
+    _embed,
+    _insert_mixed,
+    forward_with_prompts,
+    init_backbone,
+    score_constants,
+)
+from fedprompt.prototypes import PrototypeBank
 
 
 def autodiff_grads(build_loss, arrays):
@@ -27,11 +38,6 @@ def fd_grads(build_loss, arrays, h=1e-5):
     return grads
 
 
-def first_col(t):
-    """Column 0 of a rank-2 tensor as a (rows, 1) tensor."""
-    return te.transpose(te.slice_rows(te.transpose(t), 0, 1))
-
-
 def assert_grads_match(build_loss, arrays, tol=1e-6):
     auto, _ = autodiff_grads(build_loss, arrays)
     oracle = fd_grads(build_loss, arrays)
@@ -39,64 +45,40 @@ def assert_grads_match(build_loss, arrays, tol=1e-6):
         assert te.grad_rel_error(a, o) < tol
 
 
-class TestMatmul:
-    def test_scalar_product(self):
-        out = te.matmul(te.constant([[2.0]]), te.constant([[3.0]]))
-        assert out.data == pytest.approx(6.0)
+def layer_norm_op(x, gain, bias):
+    """`norm_rows` as a tape op; gain and bias are frozen, as in the model."""
+    y, xhat, inv = te.norm_rows(x.data, gain, bias)
+    out = te.Tensor(y, requires_grad=te.active_tape() is not None
+                    and x.requires_grad)
 
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 3))
-        out = te.matmul(te.constant(np.eye(3)), te.constant(x))
-        np.testing.assert_array_equal(out.data, np.eye(3) @ x)
+    def backward():
+        x.grad += te.norm_rows_backward(out.grad, xhat, inv, gain)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            te.matmul(te.constant(np.ones((2, 3))), te.constant(np.ones((2, 3))))
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        w = rng.normal(size=(3, 2))  # fixed weights make the loss scalar
-
-        def loss(at, bt):
-            prod = te.matmul(at, bt)
-            return te.cross_entropy(
-                te.matmul(te.constant(w.T), first_col(prod)), 0
-            )
-
-        assert_grads_match(loss, [a, b])
+    te.record(out, backward)
+    return out
 
 
 class TestLayerNorm:
     def test_constant_token_zeroed_by_eps(self):
-        gain = te.constant(np.ones(4))
-        bias = te.constant(np.zeros(4))
-        out = te.layer_norm(te.constant(np.full((1, 4), 7.0)), gain, bias)
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+        out, _, _ = te.norm_rows(np.full((1, 4), 7.0), np.ones(4), np.zeros(4))
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_two_point_token(self):
-        gain = te.constant(np.ones(2))
-        bias = te.constant(np.zeros(2))
-        out = te.layer_norm(te.constant([[1.0, -1.0]]), gain, bias)
+        out, _, _ = te.norm_rows(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
         # variance 1 plus eps in the denominator
         expected = 1.0 / math.sqrt(1.0 + te.LAYER_NORM_EPS)
-        np.testing.assert_allclose(out.data, [[expected, -expected]], rtol=1e-12)
+        np.testing.assert_allclose(out, [[expected, -expected]], rtol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 6))
         g = rng.normal(size=6)
         b = rng.normal(size=6)
-        w = rng.normal(size=(4, 3))
 
-        def loss(xt, gt, bt):
-            y = te.layer_norm(xt, gt, bt)
-            v = te.matmul(te.constant(w), first_col(y))
-            return te.cross_entropy(v, 2)
+        def loss(xt):
+            return te.cross_entropy(layer_norm_op(xt, g, b), 2)
 
-        assert_grads_match(loss, [x, g, b], tol=1e-5)
+        assert_grads_match(loss, [x], tol=1e-5)
 
 
 class TestCrossEntropy:
@@ -127,18 +109,28 @@ class TestCrossEntropy:
 
 class TestStructuralOps:
     def test_concat_slice_roundtrip_gradients(self):
+        # the primitives that assemble and reslice the token matrix: the
+        # embedding concatenates [cls, shared, patches], the cls column
+        # slices row 0 out, and the insertion splices the mixed token in
+        cfg = ModelConfig(dim=4, layers=1, heads=2, image_size=4, patch_size=2,
+                          mix_layers=(1,))
+        backbone = init_backbone(7, cfg)
         rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(1, 3))
-        w = rng.normal(size=(4, 3))
+        image = rng.normal(size=(4, 4))
+        shared = rng.normal(size=(4, 2))
+        class_prompts = rng.normal(size=(4, 3))
+        scores = rng.normal(size=(3, 1))
+        w = te.constant(rng.normal(size=(4, 4)))
 
-        def loss(at, bt):
-            seq = te.concat_rows([at, bt])
-            mid = te.slice_rows(seq, 1, 3)
-            top = te.transpose(te.slice_rows(mid, 0, 1))
-            return te.cross_entropy(te.matmul(te.constant(w), top), 1)
+        def loss(st, pt, sc):
+            seq = _embed(image, st, backbone, cfg)
+            seq = _insert_mixed(seq, pt, sc, replace=False)
+            # the cls column stands in for the scores of a 4-prompt mix
+            seq = _insert_mixed(seq, w, _cls_column(seq), replace=True)
+            return te.cross_entropy(seq, 5)
 
-        assert_grads_match(loss, [a, b])
+        assert_grads_match(loss, [shared, class_prompts, scores])
+
 
 class TestFiniteDiffOracle:
     def test_quadratic(self):
@@ -160,36 +152,39 @@ class TestTapeContract:
     def test_tape_single_use(self):
         p = te.parameter(np.array([[1.0, 0.0]]))
         with te.Tape() as tape:
-            loss = te.cross_entropy(te.transpose(p), 0)
+            loss = te.cross_entropy(p, 0)
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
 
     def test_frozen_leaf_keeps_no_grad(self):
-        frozen = te.constant(np.ones((2, 2)))
+        frozen = te.constant(np.ones((3, 2)))
         live = te.parameter(np.ones((2, 2)))
+        scores = te.constant(np.array([[0.25], [0.75]]))
         with te.Tape() as tape:
-            out = te.matmul(frozen, live)
-            loss = te.cross_entropy(first_col(out), 0)
+            out = _insert_mixed(frozen, live, scores, replace=False)
+            loss = te.cross_entropy(out, 2)
         tape.backward(loss)
         assert frozen.grad is None
         assert np.abs(live.grad).sum() > 0
 
     def test_grad_accumulates_across_tapes(self):
-        p = te.parameter(np.array([[1.0]]))
+        p = te.parameter(np.array([[1.0, 0.0]]))
         for _ in range(2):
             with te.Tape() as tape:
-                loss = te.cross_entropy(te.concat_rows([p, te.constant([[0.0]])]), 1)
+                loss = te.cross_entropy(_cls_column(p), 1)
             tape.backward(loss)
-        single = te.parameter(np.array([[1.0]]))
+        single = te.parameter(np.array([[1.0, 0.0]]))
         with te.Tape() as tape:
-            loss = te.cross_entropy(te.concat_rows([single, te.constant([[0.0]])]), 1)
+            loss = te.cross_entropy(_cls_column(single), 1)
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0 * single.grad)
 
     def test_no_tape_means_no_recording(self):
-        p = te.parameter(np.ones((1, 2)))
-        out = te.layer_norm(p, te.parameter(np.ones(2)), te.parameter(np.zeros(2)))
+        cfg = ModelConfig(dim=2, layers=1, heads=1, image_size=2, patch_size=1,
+                          mix_layers=())
+        p = te.parameter(np.ones((2, 1)))
+        out = _embed(np.ones((2, 2)), p, init_backbone(0, cfg), cfg)
         assert np.isfinite(out.data).all()
         assert not out.requires_grad and out.grad is None
         assert p.grad is not None and np.all(p.grad == 0)
@@ -201,52 +196,67 @@ class TestTapeContract:
     def test_backward_requires_scalar(self):
         p = te.parameter(np.ones((2, 2)))
         with te.Tape() as tape:
-            out = te.transpose(p)
+            out = _cls_column(p)
         with pytest.raises(ValueError):
             tape.backward(out)
 
 
+def sweep_setup(seed, scale=1.0):
+    """A small prompted model whose primitives and options vary with the
+    seed: 0-2 shared prompts, mixing at one or both layers, refresh on or
+    off, zero priors and a zero prototype."""
+    rng = np.random.default_rng(seed)
+    mix_layers = ((1,), (2,), (1, 2))[seed % 3]
+    cfg = ModelConfig(dim=4, layers=2, heads=2, image_size=4, patch_size=2,
+                      mix_layers=mix_layers, tau=0.5,
+                      refresh_mix=bool(seed % 2))
+    backbone = init_backbone(seed, cfg)
+    prompts = PromptParams.from_arrays(
+        rng.normal(scale=scale, size=(4, seed % 3)),
+        rng.normal(scale=scale, size=(4, 3)),
+        rng.normal(scale=scale, size=(3, 4)))
+    bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=4)
+    for l in mix_layers:
+        bank.mu[l] = rng.normal(size=(3, 4))
+        bank.mu[l][seed % 3] = 0.0
+    priors = rng.random(3)
+    priors[(seed + 1) % 3] = 0.0
+    priors /= priors.sum()
+    image = rng.normal(scale=scale, size=(4, 4))
+    label = int(rng.integers(3))
+    return cfg, backbone, prompts, score_constants(cfg, bank, priors), image, label
+
+
 def test_hundred_seed_gradient_sweep():
-    """Every differentiable op against finite differences, 100 seeds."""
+    """Every differentiable primitive against finite differences, chained
+    into the prompted forward, 100 seeds."""
     worst = 0.0
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(3, 4))
-        w = rng.normal(size=(4, 4))
-        gain = rng.normal(size=4)
-        bias = rng.normal(size=4)
-        extra = rng.normal(size=(1, 4))
-        label = int(rng.integers(4))
+        cfg, backbone, prompts, consts, image, label = sweep_setup(seed)
 
-        def loss(xt, wt, gt, bt, et):
-            y = te.layer_norm(xt, gt, bt)
-            y = te.concat_rows([te.matmul(y, wt), et])
-            y = te.matmul(te.transpose(wt), te.transpose(y))
-            y = te.layer_norm(y, gt, bt)
-            picked = te.transpose(te.slice_rows(y, label, label + 1))
-            return te.cross_entropy(picked, label)
+        def loss(shared, class_prompts, head):
+            params = PromptParams(shared, class_prompts, head)
+            logits, _ = forward_with_prompts(image, params, backbone, cfg,
+                                             consts=consts)
+            return te.cross_entropy(logits, label)
 
-        arrays = [x, w, gain, bias, extra]
+        arrays = [block.data for _, block in prompts.blocks()]
         auto, _ = autodiff_grads(loss, arrays)
         oracle = fd_grads(loss, arrays, h=1e-5)
         for a, o in zip(auto, oracle):
-            worst = max(worst, te.grad_rel_error(a, o))
+            if a.size:
+                worst = max(worst, te.grad_rel_error(a, o))
     assert worst < 1e-4, worst
 
 
 def test_random_ops_stay_finite():
-    rng = np.random.default_rng(10)
-    for _ in range(25):
-        x = rng.normal(scale=3.0, size=(4, 8))
-        w = rng.normal(scale=30.0, size=(8, 8))
-        g = rng.normal(size=8)
-        b = rng.normal(size=8)
+    for seed in range(25):
+        cfg, backbone, prompts, consts, image, label = sweep_setup(seed, 30.0)
         with te.Tape() as tape:
-            xt = te.parameter(x)
-            y = te.layer_norm(xt, te.constant(g), te.constant(b))
-            y = te.matmul(y, te.constant(w))
-            y = te.concat_rows([te.slice_rows(y, 1, 4), te.slice_rows(y, 0, 1)])
-            loss = te.cross_entropy(te.transpose(te.slice_rows(y, 0, 1)), 0)
+            logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
+                                             consts=consts)
+            loss = te.cross_entropy(logits, label)
         tape.backward(loss)
         assert np.isfinite(loss.data).all()
-        assert np.isfinite(xt.grad).all()
+        for _, block in prompts.blocks():
+            assert np.isfinite(block.grad).all()
