@@ -18,6 +18,7 @@ Exit status:
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import types
@@ -70,6 +71,9 @@ def _typed(value, kind, where):
         if isinstance(value, bool):
             return value
     elif isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
+        # json.load accepts NaN and Infinity, which no field can use
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"field {where} must be finite, got {value!r}")
         return kind(value)
     raise ConfigError(f"field {where} must be {_TYPE_NAMES[kind]}, "
                       f"got {value!r}")
@@ -318,6 +322,8 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .model import gradient_check
 
+    if args.classes < 1:
+        raise ConfigError(f"--classes must be >= 1, got {args.classes}")
     n_params = (args.dim * 1 + args.dim * args.classes
                 + args.classes * args.dim)
     if n_params > 5000:
@@ -377,17 +383,20 @@ def _load_prototypes_csv(path, bank):
 
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
-    config_path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(config_path):
-        raise ConfigError(f"no config.json in {run_dir}")
-    cfg = load_config(config_path)
+
+    def artifact(name):
+        path = os.path.join(run_dir, name)
+        if not os.path.exists(path):
+            raise ConfigError(f"no {name} in {run_dir}")
+        return path
+
+    cfg = load_config(artifact("config.json"))
     clients, backbone, heldout = _build_world(cfg)
     state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
                         heldout)
-    _load_prompts_csv(os.path.join(run_dir, "prompts.csv"), state)
+    _load_prompts_csv(artifact("prompts.csv"), state)
     if state.bank is not None:
-        _load_prototypes_csv(os.path.join(run_dir, "prototypes.csv"),
-                             state.bank)
+        _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 
     report, heldout_report = _evaluate(state)
     payload = {"participating": report.to_dict()}

@@ -41,6 +41,11 @@ class ModelConfig:
     detach_scores: bool = False
 
     def __post_init__(self):
+        for name in ("dim", "layers", "heads", "image_size", "patch_size",
+                     "mlp_mult"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"model {name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:
@@ -64,40 +69,14 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
-    ln1_gain: te.Tensor
-    ln1_bias: te.Tensor
-    w_query: te.Tensor
-    b_query: te.Tensor
-    w_key: te.Tensor
-    b_key: te.Tensor
-    w_value: te.Tensor
-    b_value: te.Tensor
+    """One block's projections.  Its layer norms have no affine map and
+    its projections no bias: the frozen backbone's gains are all one and
+    its biases all zero, so they are left out."""
+
+    w_qkv: te.Tensor  # (d, 3d): query, key and value side by side
     w_out: te.Tensor
-    b_out: te.Tensor
-    ln2_gain: te.Tensor
-    ln2_bias: te.Tensor
     w_up: te.Tensor
-    b_up: te.Tensor
     w_down: te.Tensor
-    b_down: te.Tensor
-
-    def raw(self) -> dict:
-        """Plain-array view of the frozen weights, cached per block.
-
-        Adds `w_qkv` (d, 3d) and `b_qkv` (3d,): the query, key and value
-        projections side by side, so the layer projects all three with
-        one GEMM.
-        """
-        cached = self.__dict__.get("_raw")
-        if cached is None:
-            cached = {name: getattr(self, name).data
-                      for name in self.__dataclass_fields__}
-            cached["w_qkv"] = np.concatenate(
-                [cached["w_query"], cached["w_key"], cached["w_value"]], axis=1)
-            cached["b_qkv"] = np.concatenate(
-                [cached["b_query"], cached["b_key"], cached["b_value"]])
-            self.__dict__["_raw"] = cached
-        return cached
 
 
 @dataclass
@@ -105,21 +84,15 @@ class BackboneWeights:
     """Frozen weights; byte-identical across clients and rounds."""
 
     patch_embed: te.Tensor
-    patch_bias: te.Tensor
     cls_embed: te.Tensor
     blocks: list
-    final_gain: te.Tensor
-    final_bias: te.Tensor
 
     def arrays(self):
         yield self.patch_embed.data
-        yield self.patch_bias.data
         yield self.cls_embed.data
         for blk in self.blocks:
             for name in LayerWeights.__dataclass_fields__:
                 yield getattr(blk, name).data
-        yield self.final_gain.data
-        yield self.final_bias.data
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -142,34 +115,23 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
     def frozen(fan_in, *shape):
         return te.constant(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
 
-    def ones(n):
-        return te.constant(np.ones(n))
-
-    def zeros(n):
-        return te.constant(np.zeros(n))
-
     d, hidden = cfg.dim, cfg.dim * cfg.mlp_mult
     blocks = []
     for _ in range(cfg.layers):
         blocks.append(
             LayerWeights(
-                ln1_gain=ones(d), ln1_bias=zeros(d),
-                w_query=frozen(d, d, d), b_query=zeros(d),
-                w_key=frozen(d, d, d), b_key=zeros(d),
-                w_value=frozen(d, d, d), b_value=zeros(d),
-                w_out=frozen(d, d, d), b_out=zeros(d),
-                ln2_gain=ones(d), ln2_bias=zeros(d),
-                w_up=frozen(d, d, hidden), b_up=zeros(hidden),
-                w_down=frozen(hidden, hidden, d), b_down=zeros(d),
+                # query, key and value, drawn in that order
+                w_qkv=te.constant(np.concatenate(
+                    [frozen(d, d, d).data for _ in range(3)], axis=1)),
+                w_out=frozen(d, d, d),
+                w_up=frozen(d, d, hidden),
+                w_down=frozen(hidden, hidden, d),
             )
         )
     return BackboneWeights(
         patch_embed=frozen(cfg.patch_dim, cfg.patch_dim, d),
-        patch_bias=zeros(d),
         cls_embed=te.constant(rng.normal(0.0, 1.0, size=d)),
         blocks=blocks,
-        final_gain=ones(d),
-        final_bias=zeros(d),
     )
 
 
@@ -264,27 +226,30 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     the generic ops, and the finite-difference suite checks it end to
     end.
     """
-    w = blk.raw()
+    w_qkv, w_out = blk.w_qkv.data, blk.w_out.data
+    w_up, w_down = blk.w_up.data, blk.w_down.data
     xv = x.data
     tokens, d = xv.shape
     inv_sqrt = 1.0 / np.sqrt(d // heads)
 
-    h1, xhat1, inv1 = te.norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
+    xhat1, inv1 = te.norm_rows(xv)
     # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
-    q, k, v = (h1 @ w["w_qkv"] + w["b_qkv"]).reshape(
+    q, k, v = (xhat1 @ w_qkv).reshape(
         tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
     scores = q @ k.transpose(0, 2, 1) * inv_sqrt
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     attn = np.exp(scores)
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
-    x1 = xv + _merge_heads(attn @ v) @ w["w_out"] + w["b_out"]
+    x1 = _merge_heads(attn @ v) @ w_out
+    x1 += xv
 
-    h2, xhat2, inv2 = te.norm_rows(x1, w["ln2_gain"], w["ln2_bias"])
-    u = h2 @ w["w_up"] + w["b_up"]
+    xhat2, inv2 = te.norm_rows(x1)
+    u = xhat2 @ w_up
     # u2 * u, not u**3: a float power goes through libm pow, ~40x slower
     u2 = u * u
     t = np.tanh(_GELU_C * (u + 0.044715 * (u2 * u)))
-    x2 = x1 + (0.5 * u * (1.0 + t)) @ w["w_down"] + w["b_down"]
+    x2 = (0.5 * u * (1.0 + t)) @ w_down
+    x2 += x1
 
     out = te.Tensor(x2, requires_grad=te.active_tape() is not None
                     and x.requires_grad)
@@ -294,14 +259,14 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     def backward():
         dout = out.grad
         # MLP branch
-        dgelu = dout @ w["w_down"].T
+        dgelu = dout @ w_down.T
         du = dgelu * (0.5 * (1.0 + t)
                       + 0.5 * u * (1.0 - t * t)
                       * _GELU_C * (1.0 + 3 * 0.044715 * u2))
-        dx1 = dout + te.norm_rows_backward(du @ w["w_up"].T, xhat2, inv2,
-                                           w["ln2_gain"])
+        dx1 = te.norm_rows_backward(du @ w_up.T, xhat2, inv2)
+        dx1 += dout
         # attention branch
-        do_heads = _split_heads(dx1 @ w["w_out"].T, heads)
+        do_heads = _split_heads(dx1 @ w_out.T, heads)
         dattn = do_heads @ v.transpose(0, 2, 1)
         dv = attn.transpose(0, 2, 1) @ do_heads
         dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1,
@@ -309,10 +274,11 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
         dscores *= inv_sqrt
         dq = dscores @ k
         dk = dscores.transpose(0, 2, 1) @ q
-        dh1 = (_merge_heads(dq) @ w["w_query"].T
-               + _merge_heads(dk) @ w["w_key"].T
-               + _merge_heads(dv) @ w["w_value"].T)
-        x.grad += dx1 + te.norm_rows_backward(dh1, xhat1, inv1, w["ln1_gain"])
+        # three GEMMs, not one against w_qkv: that would sum in another order
+        dh1 = (_merge_heads(dq) @ w_qkv[:, :d].T
+               + _merge_heads(dk) @ w_qkv[:, d:2 * d].T
+               + _merge_heads(dv) @ w_qkv[:, 2 * d:].T)
+        x.grad += dx1 + te.norm_rows_backward(dh1, xhat1, inv1)
 
     te.record(out, backward)
     return out
@@ -322,7 +288,7 @@ def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
            cfg: ModelConfig) -> te.Tensor:
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
     its gradient flows into the shared prompts only."""
-    tokens = patchify(image, cfg) @ backbone.patch_embed.data + backbone.patch_bias.data
+    tokens = patchify(image, cfg) @ backbone.patch_embed.data
     n_shared = shared.data.shape[1]
     out = te.Tensor(
         np.concatenate([backbone.cls_embed.data[None, :], shared.data.T, tokens]),
@@ -378,12 +344,11 @@ def _insert_mixed(seq: te.Tensor, class_prompts: te.Tensor, scores: te.Tensor,
     return out
 
 
-def _head(seq: te.Tensor, head: te.Tensor, backbone: BackboneWeights):
+def _head(seq: te.Tensor, head: te.Tensor):
     """Logits head @ LN(cls) of the last layer's cls row, as one
     primitive; also returns the normalized cls token as a (dim, 1)
     array."""
-    gain = backbone.final_gain.data
-    row, xhat, inv = te.norm_rows(seq.data[0:1], gain, backbone.final_bias.data)
+    row, inv = te.norm_rows(seq.data[0:1])
     cls_final = row.T
     out = te.Tensor(head.data @ cls_final,
                     requires_grad=te.active_tape() is not None
@@ -395,7 +360,7 @@ def _head(seq: te.Tensor, head: te.Tensor, backbone: BackboneWeights):
                 head.grad += g @ row
             if seq.requires_grad:
                 seq.grad[0:1] += te.norm_rows_backward(
-                    (head.data.T @ g).T, xhat, inv, gain)
+                    (head.data.T @ g).T, row, inv)
 
         te.record(out, backward)
     return out, cls_final
@@ -452,7 +417,7 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
             mix_inserted = True
         seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
 
-    logits, cls_final = _head(seq, prompts.head, backbone)
+    logits, cls_final = _head(seq, prompts.head)
     trace.final_cls = cls_final.reshape(-1)
     trace.logits = logits.data.reshape(-1)
     return logits, trace

@@ -106,29 +106,28 @@ def record(out: Tensor, backward_fn) -> None:
 LAYER_NORM_EPS = 1e-5
 
 
-def norm_rows(x, gain, bias):
-    """Layer normalization of each row, then the affine map.
+def norm_rows(x):
+    """Layer normalization of each row, with no affine map.
 
-    Returns (output, xhat, inv): the normalized rows and the inverse
-    standard deviations, which `norm_rows_backward` needs.
+    Returns (xhat, inv): the normalized rows and the inverse standard
+    deviations, which `norm_rows_backward` needs.
     """
     d = x.shape[-1]
     mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mean
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    return xhat * gain + bias, xhat, inv
+    centered *= inv
+    return centered, inv
 
 
-def norm_rows_backward(dy, xhat, inv, gain):
+def norm_rows_backward(dy, xhat, inv):
     """Gradient into the rows `norm_rows` normalized, for upstream `dy`."""
     d = xhat.shape[-1]
-    gx = dy * gain
     return inv * (
-        gx
-        - np.add.reduce(gx, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
+        dy
+        - np.add.reduce(dy, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dy * xhat, axis=-1, keepdims=True) / d)
     )
 
 

@@ -117,6 +117,18 @@ class TestRunCommand:
         ({"data": {"classes": "4"}}, "data.'classes' must be an integer"),
         ({"model": {"mix_layers": [2.0]}}, "model.'mix_layers' must be an integer"),
         ({"partition": {"beta": None}}, "partition.'beta' must be a number"),
+        ({"partition": {"mode": "dirichlet", "beta": float("inf")}},
+         "partition.'beta' must be finite, got inf"),
+        ({"partition": {"mode": "dirichlet", "beta": float("nan")}},
+         "partition.'beta' must be finite, got nan"),
+        ({"model": {"tau": float("nan")}}, "model.'tau' must be finite"),
+        ({"train": {"lr": float("-inf")}}, "train.'lr' must be finite"),
+        ({"heldout_fraction": float("nan")}, "'heldout_fraction' must be finite"),
+        ({"model": {"dim": 0}}, "model dim must be >= 1, got 0"),
+        ({"model": {"layers": 0}}, "model layers must be >= 1, got 0"),
+        ({"model": {"heads": 0}}, "model heads must be >= 1, got 0"),
+        ({"model": {"patch_size": 0}}, "model patch_size must be >= 1, got 0"),
+        ({"data": {"image_size": -8}}, "model image_size must be >= 1, got -8"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -215,6 +227,39 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--dim", "8", "--layers", "2",
                      "--classes", "3"]) == 1
         assert "class: max relative error 5.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corruption", ["scaled", "misrouted"])
+    def test_default_size_sees_cls_column_backward(self, monkeypatch, capsys,
+                                                   corruption):
+        # at --dim 8 --layers 2 --classes 3 these corruptions of the
+        # gradient from the scores into the cls token read 2.6e-5 and
+        # 6.3e-5, under the threshold; the default size must catch them
+        from fedprompt import model
+        from fedprompt import tensor as te
+
+        true_cls_column = model._cls_column
+
+        def corrupted(seq):
+            out = true_cls_column(seq)
+            if out.requires_grad:
+                def extra_backward():
+                    if corruption == "scaled":  # 1.5x the true gradient
+                        seq.grad[0:1] += 0.5 * out.grad.T
+                    else:  # routed into row 1 instead of the cls row
+                        seq.grad[1:2] += out.grad.T
+                        seq.grad[0:1] -= out.grad.T
+
+                te.record(out, extra_backward)
+            return out
+
+        monkeypatch.setattr(model, "_cls_column", corrupted)
+        assert main(["gradcheck"]) == 1
+        assert "shared: max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--classes", "--dim", "--heads"])
+    def test_zero_size_rejected(self, capsys, flag):
+        assert main(["gradcheck", flag, "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_reports_blocks_separately(self, capsys):
         main(["gradcheck", "--dim", "8", "--layers", "2", "--classes", "3"])
@@ -325,6 +370,24 @@ class TestEvalCommand:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["eval", "--run-dir", str(tmp_path / "nope")]) == 2
         assert "config.json" in capsys.readouterr().err
+
+    def test_partition_output_is_not_a_run(self, tmp_path, capsys):
+        # `fedprompt partition` writes config.json but no prompt blocks
+        path, _ = small_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: no prompts.csv in {tmp_path / 'run'}\n")
+
+    def test_missing_prototypes_under_mixing(self, tmp_path, capsys):
+        path, _ = small_config(tmp_path, train={"rounds": 1})
+        assert main(["run", "--config", str(path)]) == 0
+        (tmp_path / "run" / "prototypes.csv").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: no prototypes.csv in {tmp_path / 'run'}\n")
 
 
 GOLDEN_METRICS = {

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ class TestInitBackbone:
         for x, y in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y)
 
+    def test_frozen_weights_match_golden(self):
+        # sha256 of the desk backbone at seed 0, in draw order: per block
+        # query|key|value, out, up, down; then the patch and cls embeddings
+        cfg = ModelConfig(dim=32, layers=8, heads=2, mix_layers=(5, 6, 7))
+        backbone = init_backbone(0, cfg)
+        d = cfg.dim
+        digest = hashlib.sha256()
+        for blk in backbone.blocks:
+            for i in range(3):
+                digest.update(blk.w_qkv.data[:, i * d:(i + 1) * d].tobytes())
+            for w in (blk.w_out, blk.w_up, blk.w_down):
+                digest.update(w.data.tobytes())
+        digest.update(backbone.patch_embed.data.tobytes())
+        digest.update(backbone.cls_embed.data.tobytes())
+        assert digest.hexdigest() == (
+            "53ff191ed8b1639186c01264897805835b90281858c93e39414c380e43b532e0")
+
     def test_different_seeds_differ(self):
         assert init_backbone(1, SMALL).checksum() != init_backbone(2, SMALL).checksum()
 
@@ -55,6 +74,13 @@ class TestInitBackbone:
         assert logits.data.shape == (8, 1)
         assert len(trace.cls_inputs) == 8
         assert set(trace.scores) == {5, 6, 7}
+
+    @pytest.mark.parametrize("field", ["dim", "layers", "heads", "image_size",
+                                       "patch_size", "mlp_mult"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_size_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"model {field} must be >= 1"):
+            ModelConfig(**{field: value, "mix_layers": ()})
 
     def test_invalid_geometry(self):
         with pytest.raises(ConfigError):
@@ -103,10 +129,30 @@ def _merge_heads(m):
     return m.transpose(1, 0, 2).reshape(tokens, heads * head_dim)
 
 
+def frozen_affine(blk):
+    """`blk` as the full pre-LN block's weights: separate contiguous
+    query, key and value matrices, unit layer-norm gains and zero biases,
+    the values the frozen backbone always had."""
+    d = blk.w_out.data.shape[0]
+    hidden = blk.w_up.data.shape[1]
+    qkv = blk.w_qkv.data
+    return {
+        "ln1_gain": np.ones(d), "ln1_bias": np.zeros(d),
+        "w_query": qkv[:, :d].copy(), "b_query": np.zeros(d),
+        "w_key": qkv[:, d:2 * d].copy(), "b_key": np.zeros(d),
+        "w_value": qkv[:, 2 * d:].copy(), "b_value": np.zeros(d),
+        "w_out": blk.w_out.data, "b_out": np.zeros(d),
+        "ln2_gain": np.ones(d), "ln2_bias": np.zeros(d),
+        "w_up": blk.w_up.data, "b_up": np.zeros(hidden),
+        "w_down": blk.w_down.data, "b_down": np.zeros(d),
+    }
+
+
 def reference_layer(xv, dout, blk, heads):
-    """The fused layer written with three separate Q/K/V GEMMs; returns the
-    output and the gradient into the token matrix for upstream `dout`."""
-    w = {name: getattr(blk, name).data for name in blk.__dataclass_fields__}
+    """The pre-LN block with its layer-norm affine maps, biases and three
+    separate Q/K/V GEMMs; returns the output and the gradient into the
+    token matrix for upstream `dout`."""
+    w = frozen_affine(blk)
     inv_sqrt = 1.0 / np.sqrt(xv.shape[1] // heads)
     h1, xhat1, inv1 = _norm_rows(xv, w["ln1_gain"], w["ln1_bias"])
     q = _split_heads(h1 @ w["w_query"] + w["b_query"], heads)
@@ -229,15 +275,15 @@ def ref_concat_rows(parts):
 
 
 def ref_layer_norm(x, gain, bias):
-    # gain and bias are frozen, so only x receives a gradient
+    # gain and bias are frozen arrays, so only x receives a gradient
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + te.LAYER_NORM_EPS)
     xhat = (x.data - mean) * inv
-    out = _ref_result(xhat * gain.data + bias.data, x)
+    out = _ref_result(xhat * gain + bias, x)
 
     def backward():
-        gx = out.grad * gain.data
+        gx = out.grad * gain
         x.grad += inv * (gx - gx.mean(axis=-1, keepdims=True)
                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
@@ -285,7 +331,8 @@ def reference_forward(image, prompts, backbone, cfg, bank, priors):
     rows = [te.constant(backbone.cls_embed.data[None, :])]
     if prompts.shared.data.shape[1] > 0:
         rows.append(ref_transpose(prompts.shared))
-    tokens = patchify(image, cfg) @ backbone.patch_embed.data + backbone.patch_bias.data
+    dim = cfg.dim
+    tokens = patchify(image, cfg) @ backbone.patch_embed.data + np.zeros(dim)
     rows.append(te.constant(tokens))
     seq = ref_concat_rows(rows)
     mix_inserted = False
@@ -302,8 +349,8 @@ def reference_forward(image, prompts, backbone, cfg, bank, priors):
             mix_inserted = True
             seq = ref_concat_rows([head_row, mixed, rest])
         seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
-    cls_row = ref_layer_norm(ref_slice_rows(seq, 0, 1), backbone.final_gain,
-                             backbone.final_bias)
+    cls_row = ref_layer_norm(ref_slice_rows(seq, 0, 1), np.ones(dim),
+                             np.zeros(dim))
     cls_final = ref_transpose(cls_row)
     logits = ref_matmul(prompts.head, cls_final)
     trace["final_cls"] = cls_final.data.reshape(-1).copy()
@@ -385,13 +432,11 @@ class TestPrimitiveGradients:
         assert te.grad_rel_error(x_param.grad, oracle) < 1e-6
 
     def test_head_vs_finite_differences(self):
-        cfg = ModelConfig(dim=8, layers=1, heads=2, mix_layers=())
-        backbone = init_backbone(32, cfg)
         rng = np.random.default_rng(32)
         seq, head = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
 
         def loss(s, h):
-            logits, _ = _head(s, h, backbone)
+            logits, _ = _head(s, h)
             return te.cross_entropy(logits, 1)
 
         params = [te.parameter(seq), te.parameter(head)]
@@ -549,7 +594,7 @@ class TestGradients:
             loss = te.cross_entropy(logits, 2)
         tape.backward(loss)
         for blk in backbone.blocks:
-            assert blk.w_query.grad is None
+            assert blk.w_qkv.grad is None
         assert backbone.patch_embed.grad is None
 
     def test_autodiff_matches_fd_on_two_layer_model(self):
