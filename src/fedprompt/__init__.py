@@ -44,13 +44,12 @@ from .federation import (
 )
 from .model import (
     BackboneWeights,
-    ForwardTrace,
     ModelConfig,
     PromptParams,
+    forward_shard,
     forward_with_prompts,
     gradient_check,
     init_backbone,
-    predict,
     score_constants,
 )
 from .prototypes import (
@@ -68,18 +67,17 @@ from .tensor import Tape, Tensor, cross_entropy, finite_diff_grad
 
 __all__ = [
     "BackboneWeights", "ClientState", "ClientUpdate", "CommReport",
-    "ConfigError", "DataError", "Dataset", "EvalReport",
-    "ForwardTrace", "ModelConfig", "Partition", "PromptParams",
-    "PrototypeBank", "RoundLog", "ServerState", "SyntheticSpec", "Tape",
-    "Tensor", "TrainingError", "TrainConfig", "__version__",
-    "add_laplace_noise", "aggregate_submissions", "build_clients",
-    "comm_accounting", "compute_class_priors", "cross_entropy",
-    "evaluate_clients", "fedavg_aggregate", "finite_diff_grad",
-    "flop_estimate", "forward_with_prompts", "generate_synthetic",
-    "gradient_check", "heldout_split", "init_backbone", "laplace_sensitivity",
+    "ConfigError", "DataError", "Dataset", "EvalReport", "ModelConfig",
+    "Partition", "PromptParams", "PrototypeBank", "RoundLog", "ServerState",
+    "SyntheticSpec", "Tape", "Tensor", "TrainingError", "TrainConfig",
+    "__version__", "add_laplace_noise", "aggregate_submissions",
+    "build_clients", "comm_accounting", "compute_class_priors",
+    "cross_entropy", "evaluate_clients", "fedavg_aggregate",
+    "finite_diff_grad", "flop_estimate", "forward_shard",
+    "forward_with_prompts", "generate_synthetic", "gradient_check",
+    "heldout_split", "init_backbone", "laplace_sensitivity",
     "local_prototypes", "local_train", "mix_prompt", "momentum_update",
-    "partition_dirichlet", "partition_pathological", "predict",
-    "prompt_mix_overhead", "prototype_topk_probe", "run_round",
-    "run_training", "sample_clients", "score_constants", "soft_scores",
-    "warm_startup",
+    "partition_dirichlet", "partition_pathological", "prompt_mix_overhead",
+    "prototype_topk_probe", "run_round", "run_training", "sample_clients",
+    "score_constants", "soft_scores", "warm_startup",
 ]

@@ -33,6 +33,10 @@ class SyntheticSpec:
             raise ConfigError("need at least one class")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ConfigError("per-class sample counts must be positive")
+        for name in ("separation", "noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"data {name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import forward_with_prompts, predict, score_constants
+from .model import forward_shard, score_constants
 from .prototypes import cosine_similarity
 from .seeding import derive_rng
 
@@ -41,7 +41,9 @@ def evaluate_clients(clients, backbone, model_cfg, bank,
 
     `inputs_lookup(client_id)` returns the (prompt parameters, score
     priors) the client is evaluated with.  Clients with empty test shards
-    are excluded and counted in `skipped_empty`.
+    are excluded and counted in `skipped_empty`.  A sample counts as
+    correct when its label is the argmax of its logits, ties going to the
+    lowest class.
     """
     per_client = {}
     skipped = 0
@@ -50,13 +52,10 @@ def evaluate_clients(clients, backbone, model_cfg, bank,
             skipped += 1
             continue
         params, priors = inputs_lookup(client.client_id)
-        consts = score_constants(model_cfg, bank, priors)
-        correct = 0
-        for x, y in zip(client.test_x, client.test_y):
-            logits, _ = forward_with_prompts(x, params, backbone, model_cfg,
-                                             consts=consts)
-            correct += int(predict(logits) == int(y))
-        per_client[client.client_id] = correct / client.test_y.size
+        logits, _ = forward_shard(client.test_x, params, backbone, model_cfg,
+                                  score_constants(model_cfg, bank, priors))
+        hits = int(np.count_nonzero(np.argmax(logits, axis=1) == client.test_y))
+        per_client[client.client_id] = hits / client.test_y.size
     if not per_client:
         raise ConfigError("no client had a nonempty test shard")
     accs = np.array(list(per_client.values()))
@@ -91,13 +90,14 @@ def prototype_topk_probe(images, labels, backbone, model_cfg, params,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ConfigError("probe pool is empty")
-    consts = score_constants(model_cfg, bank, priors)
-    tokens = []
-    for image in images:
-        _, trace = forward_with_prompts(image, params, backbone, model_cfg,
-                                        consts=consts)
-        tokens.append(trace.cls_input(layer))
-    tokens = np.stack(tokens)
+    if not 1 <= layer <= model_cfg.layers:
+        raise ConfigError(
+            f"probe layer must lie within [1, {model_cfg.layers}], got {layer}")
+    if k < 1:
+        raise ConfigError(f"probe k must be >= 1, got {k}")
+    _, cls = forward_shard(images, params, backbone, model_cfg,
+                           score_constants(model_cfg, bank, priors))
+    tokens = cls[layer - 1]
     classes = int(labels.max()) + 1
     protos = np.zeros((classes, tokens.shape[1]))
     for c in range(classes):

@@ -14,7 +14,8 @@ import numpy as np
 from . import tensor as te
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import evaluate_clients
-from .model import ModelConfig, PromptParams, forward_with_prompts, score_constants
+from .model import (ModelConfig, PromptParams, forward_shard,
+                    forward_with_prompts, score_constants)
 from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
@@ -60,6 +61,9 @@ class TrainConfig:
             raise ConfigError("dp epsilon must be positive when set")
         if self.update_period < 1:
             raise ConfigError("update_period must be >= 1")
+        if self.shared_prompts < 0:
+            raise ConfigError(
+                f"train shared_prompts must be >= 0, got {self.shared_prompts}")
 
     @property
     def uses_mixing(self) -> bool:
@@ -171,15 +175,11 @@ def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
 
 def compute_client_prototypes(client, params, backbone, model_cfg, cfg, bank):
     """Frozen forward pass over the shard collecting per-layer class means."""
-    consts = score_constants(model_cfg, bank, score_priors(client, cfg))
-
-    def forward_fn(image):
-        _, trace = forward_with_prompts(image, params, backbone, model_cfg,
-                                        consts=consts)
-        return trace
-
-    return local_prototypes(client.train_x, client.train_y,
-                            params.num_classes, model_cfg.mix_layers, forward_fn)
+    _, cls = forward_shard(client.train_x, params, backbone, model_cfg,
+                           score_constants(model_cfg, bank,
+                                           score_priors(client, cfg)))
+    return local_prototypes(cls, client.train_y, params.num_classes,
+                            model_cfg.mix_layers)
 
 
 def _clip_global_norm(grads, threshold):
@@ -219,8 +219,7 @@ def local_train(client: ClientState, start: PromptParams, backbone,
             for i in batch:
                 with te.Tape() as tape:
                     logits, _ = forward_with_prompts(
-                        client.train_x[i], params, backbone, model_cfg,
-                        consts=consts)
+                        client.train_x[i], params, backbone, model_cfg, consts)
                     loss = te.cross_entropy(logits, int(client.train_y[i]))
                 tape.backward(loss)
                 batch_loss += float(loss.data)
@@ -291,11 +290,14 @@ def warm_startup(state: ServerState) -> None:
 
 
 def _check_bank(bank: PrototypeBank, round_index: int) -> None:
-    """Fail on prototypes that are no longer finite, as Laplace noise of a
-    tiny epsilon leaves them, before any score is computed from them."""
+    """Fail on prototypes whose squared norms are not finite, as Laplace
+    noise of a tiny epsilon leaves them, before any score is computed from
+    them: a norm that overflows would zero every similarity."""
     for l in bank.layers:
-        if not np.isfinite(bank.mu[l]).all():
-            raise TrainingError(f"non-finite prototypes at layer {l}",
+        with np.errstate(over="ignore"):
+            sq_norms = np.add.reduce(bank.mu[l] * bank.mu[l], axis=1)
+        if not np.isfinite(sq_norms).all():
+            raise TrainingError(f"non-finite prototype norms at layer {l}",
                                 round_index=round_index)
 
 

@@ -14,8 +14,7 @@ computed from its own incoming cls state; a config flag switches to
 propagating the first mixture unchanged instead.
 """
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,12 +51,11 @@ class ModelConfig:
             raise ConfigError("image size must be a multiple of patch size")
         if any(not 1 <= l <= self.layers for l in self.mix_layers):
             raise ConfigError("mixing layers must lie within [1, layers]")
+        if len(set(self.mix_layers)) != len(self.mix_layers):
+            raise ConfigError(
+                f"model mix_layers must not repeat a layer, got {self.mix_layers}")
         if self.tau <= 0:
             raise ConfigError("temperature must be positive")
-
-    @property
-    def num_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
 
     @property
     def patch_dim(self) -> int:
@@ -73,32 +71,19 @@ class LayerWeights:
     its projections no bias: the frozen backbone's gains are all one and
     its biases all zero, so they are left out."""
 
-    w_qkv: te.Tensor  # (d, 3d): query, key and value side by side
-    w_out: te.Tensor
-    w_up: te.Tensor
-    w_down: te.Tensor
+    w_qkv: np.ndarray  # (d, 3d): query, key and value side by side
+    w_out: np.ndarray
+    w_up: np.ndarray
+    w_down: np.ndarray
 
 
 @dataclass
 class BackboneWeights:
-    """Frozen weights; byte-identical across clients and rounds."""
+    """Frozen weights: plain arrays, so no gradient can reach them."""
 
-    patch_embed: te.Tensor
-    cls_embed: te.Tensor
+    patch_embed: np.ndarray
+    cls_embed: np.ndarray
     blocks: list
-
-    def arrays(self):
-        yield self.patch_embed.data
-        yield self.cls_embed.data
-        for blk in self.blocks:
-            for name in LayerWeights.__dataclass_fields__:
-                yield getattr(blk, name).data
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for arr in self.arrays():
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
 
 
 def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
@@ -113,7 +98,7 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
     rng = derive_rng(seed, "backbone")
 
     def frozen(fan_in, *shape):
-        return te.constant(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
+        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
 
     d, hidden = cfg.dim, cfg.dim * cfg.mlp_mult
     blocks = []
@@ -121,8 +106,8 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
         blocks.append(
             LayerWeights(
                 # query, key and value, drawn in that order
-                w_qkv=te.constant(np.concatenate(
-                    [frozen(d, d, d).data for _ in range(3)], axis=1)),
+                w_qkv=np.concatenate([frozen(d, d, d) for _ in range(3)],
+                                     axis=1),
                 w_out=frozen(d, d, d),
                 w_up=frozen(d, d, hidden),
                 w_down=frozen(hidden, hidden, d),
@@ -130,7 +115,7 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
         )
     return BackboneWeights(
         patch_embed=frozen(cfg.patch_dim, cfg.patch_dim, d),
-        cls_embed=te.constant(rng.normal(0.0, 1.0, size=d)),
+        cls_embed=rng.normal(0.0, 1.0, size=d),
         blocks=blocks,
     )
 
@@ -178,20 +163,6 @@ class PromptParams:
         return self.head.data.shape[0]
 
 
-@dataclass
-class ForwardTrace:
-    """Input-side cls tokens per layer, score vectors, and final logits."""
-
-    cls_inputs: list = field(default_factory=list)
-    scores: dict = field(default_factory=dict)
-    final_cls: np.ndarray | None = None
-    logits: np.ndarray | None = None
-
-    def cls_input(self, layer: int) -> np.ndarray:
-        """cls token entering layer `layer` (1-indexed)."""
-        return self.cls_inputs[layer - 1]
-
-
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Split an image into row-major patches, each flattened to a row."""
     image = np.asarray(image, dtype=np.float64)
@@ -226,8 +197,7 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     the generic ops, and the finite-difference suite checks it end to
     end.
     """
-    w_qkv, w_out = blk.w_qkv.data, blk.w_out.data
-    w_up, w_down = blk.w_up.data, blk.w_down.data
+    w_qkv, w_out, w_up, w_down = blk.w_qkv, blk.w_out, blk.w_up, blk.w_down
     xv = x.data
     tokens, d = xv.shape
     inv_sqrt = 1.0 / np.sqrt(d // heads)
@@ -288,10 +258,10 @@ def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
            cfg: ModelConfig) -> te.Tensor:
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
     its gradient flows into the shared prompts only."""
-    tokens = patchify(image, cfg) @ backbone.patch_embed.data
+    tokens = patchify(image, cfg) @ backbone.patch_embed
     n_shared = shared.data.shape[1]
     out = te.Tensor(
-        np.concatenate([backbone.cls_embed.data[None, :], shared.data.T, tokens]),
+        np.concatenate([backbone.cls_embed[None, :], shared.data.T, tokens]),
         requires_grad=(n_shared > 0 and shared.requires_grad
                        and te.active_tape() is not None))
     if out.requires_grad:
@@ -344,13 +314,11 @@ def _insert_mixed(seq: te.Tensor, class_prompts: te.Tensor, scores: te.Tensor,
     return out
 
 
-def _head(seq: te.Tensor, head: te.Tensor):
+def _head(seq: te.Tensor, head: te.Tensor) -> te.Tensor:
     """Logits head @ LN(cls) of the last layer's cls row, as one
-    primitive; also returns the normalized cls token as a (dim, 1)
-    array."""
+    primitive."""
     row, inv = te.norm_rows(seq.data[0:1])
-    cls_final = row.T
-    out = te.Tensor(head.data @ cls_final,
+    out = te.Tensor(head.data @ row.T,
                     requires_grad=te.active_tape() is not None
                     and (head.requires_grad or seq.requires_grad))
     if out.requires_grad:
@@ -363,7 +331,7 @@ def _head(seq: te.Tensor, head: te.Tensor):
                     (head.data.T @ g).T, row, inv)
 
         te.record(out, backward)
-    return out, cls_final
+    return out
 
 
 def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
@@ -387,46 +355,49 @@ def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
 
 
 def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights,
-                         cfg: ModelConfig, bank=None, priors=None, consts=None):
+                         cfg: ModelConfig, consts: dict):
     """Run one sample through the prompted frozen backbone.
 
-    Returns (logits Tensor, ForwardTrace).  With mixing layers configured
-    the scores need the prototype bank and that client's class prior
-    vector, either as `bank` and `priors` or as the `consts` that
-    `score_constants` built from them; gradients then flow through the
-    score computation into upstream activations and into the class
-    prompts, while prototypes stay constant.
+    Returns (logits, cls): the logits Tensor of shape (classes, 1) and a
+    (layers, dim) array whose row `l - 1` is the cls token entering layer
+    `l`.  `consts` is what `score_constants` built for the client's priors
+    and the bank; with mixing layers, gradients flow through the score
+    computation into upstream activations and into the class prompts,
+    while prototypes stay constant.
 
     The pass is a chain of fused primitives, each recording one backward
     closure: embedding, per layer the optional prompt mixing (cls column,
     scores, insertion) and the transformer block, then the head.
     """
-    if consts is None:
-        consts = score_constants(cfg, bank, priors)
-    trace = ForwardTrace()
+    cls = np.empty((cfg.layers, cfg.dim))
     seq = _embed(image, prompts.shared, backbone, cfg)
     mix_inserted = False
     for layer in range(1, cfg.layers + 1):
-        trace.cls_inputs.append(seq.data[0].copy())
+        cls[layer - 1] = seq.data[0]
         if layer in cfg.mix_layers and (not mix_inserted or cfg.refresh_mix):
             scores = soft_scores_op(_cls_column(seq), consts[layer],
                                     detach=cfg.detach_scores)
-            trace.scores[layer] = scores.data.reshape(-1)
             seq = _insert_mixed(seq, prompts.class_prompts, scores,
                                 replace=mix_inserted)
             mix_inserted = True
         seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
-
-    logits, cls_final = _head(seq, prompts.head)
-    trace.final_cls = cls_final.reshape(-1)
-    trace.logits = logits.data.reshape(-1)
-    return logits, trace
+    return _head(seq, prompts.head), cls
 
 
-def predict(logits) -> int:
-    """Argmax class index; ties break toward the lowest index."""
-    values = logits.data if isinstance(logits, te.Tensor) else np.asarray(logits)
-    return int(np.argmax(values.reshape(-1)))
+def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
+                  cfg: ModelConfig, consts: dict):
+    """Untaped `forward_with_prompts` over a shard of N images.
+
+    Returns (logits, cls): an (N, classes) array, and a (layers, N, dim)
+    array of the cls tokens entering each layer.
+    """
+    logits = np.empty((len(images), prompts.num_classes))
+    cls = np.empty((cfg.layers, len(images), cfg.dim))
+    for i, image in enumerate(images):
+        out, cls[:, i] = forward_with_prompts(image, prompts, backbone, cfg,
+                                              consts)
+        logits[i] = out.data[:, 0]
+    return logits, cls
 
 
 def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int = 4,
@@ -461,15 +432,13 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
 
     prompts.zero_grad()
     with te.Tape() as tape:
-        logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
-                                         consts=consts)
+        logits, _ = forward_with_prompts(image, prompts, backbone, cfg, consts)
         loss = te.cross_entropy(logits, label)
     tape.backward(loss)
 
     def loss_at(shared, class_prompts, head):
         probe = PromptParams.from_arrays(shared, class_prompts, head)
-        logits, _ = forward_with_prompts(image, probe, backbone, cfg,
-                                         consts=consts)
+        logits, _ = forward_with_prompts(image, probe, backbone, cfg, consts)
         return float(te.cross_entropy(logits, label).data)
 
     base = {name: block.data.copy() for name, block in prompts.blocks()}

@@ -142,30 +142,25 @@ def mix_prompt(class_prompts: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return class_prompts @ scores
 
 
-def local_prototypes(images, labels, num_classes: int, layers, forward_fn):
+def local_prototypes(cls, labels, num_classes: int, layers):
     """Per-layer per-class means of incoming cls tokens on one shard.
 
-    `forward_fn(image)` must return a trace exposing `cls_input(layer)`.
-    Returns (prototypes, sensitivities, counts) where prototypes maps
-    layer -> (classes, dim), the zero vector marking absent classes, and
-    sensitivities maps layer -> (classes,) Laplace sensitivities
+    `cls` is the (model layers, N, dim) array of `forward_shard`, and
+    `layers` the 1-indexed layers to summarize.  Returns (prototypes,
+    sensitivities, counts) where prototypes maps layer -> (classes, dim),
+    the zero vector marking absent classes, and sensitivities maps
+    layer -> (classes,) Laplace sensitivities
     S_c = 2 * max_i ||cls_i - mu_c||_1 / n_c (zero for absent classes).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if len(images) == 0:
+    if labels.size == 0:
         raise DataError("client dataset is empty")
-    per_layer = {l: [] for l in layers}
-    for image in images:
-        trace = forward_fn(image)
-        for l in layers:
-            per_layer[l].append(trace.cls_input(l))
     counts = np.bincount(labels, minlength=num_classes)
     protos = {}
     sens = {}
     for l in layers:
-        tokens = np.stack(per_layer[l]) if per_layer[l] else None
-        dim = tokens.shape[1]
-        mu = np.zeros((num_classes, dim))
+        tokens = cls[l - 1]
+        mu = np.zeros((num_classes, tokens.shape[1]))
         s = np.zeros(num_classes)
         for c in range(num_classes):
             if counts[c] == 0:

@@ -129,6 +129,12 @@ class TestRunCommand:
         ({"model": {"heads": 0}}, "model heads must be >= 1, got 0"),
         ({"model": {"patch_size": 0}}, "model patch_size must be >= 1, got 0"),
         ({"data": {"image_size": -8}}, "model image_size must be >= 1, got -8"),
+        ({"train": {"shared_prompts": -1}},
+         "train shared_prompts must be >= 0, got -1"),
+        ({"data": {"noise": -1}}, "data noise must be >= 0, got -1"),
+        ({"data": {"separation": -1}}, "data separation must be >= 0, got -1"),
+        ({"model": {"mix_layers": [2, 2]}},
+         "model mix_layers must not repeat a layer, got (2, 2)"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -179,13 +185,15 @@ class TestRunCommand:
                 "data error: heldout clients with all-zero class priors: 0\n")
             assert not (tmp_path / "run").exists()
 
+    # Laplace noise of scale S/1e-310 overflows in the warm start; of scale
+    # S/1e-300 it leaves finite prototypes whose squared norms overflow
+    @pytest.mark.parametrize("epsilon", [1e-310, 1e-300])
     def test_non_finite_prototypes_fail_with_round_and_layer(self, tmp_path,
-                                                            capsys):
-        # Laplace noise of scale S/1e-310 overflows in the warm start
-        path, _ = small_config(tmp_path, train={"dp_epsilon": 1e-310})
+                                                            capsys, epsilon):
+        path, _ = small_config(tmp_path, train={"dp_epsilon": epsilon})
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "training error: non-finite prototypes at layer 2 (round=0)\n")
+            "training error: non-finite prototype norms at layer 2 (round=0)\n")
         assert not (tmp_path / "run").exists()
 
     def test_zero_update_period_rejected_before_training(self, tmp_path,
@@ -280,6 +288,13 @@ class TestPartitionCommand:
                 per_client.setdefault(row["client"], 0)
                 per_client[row["client"]] += 1
         assert all(v == 2 for v in per_client.values())
+
+    @pytest.mark.parametrize("field", ["noise", "separation"])
+    def test_negative_scale_names_field(self, tmp_path, capsys, field):
+        path, _ = small_config(tmp_path, data={field: -1})
+        assert main(["partition", "--config", str(path)]) == 2
+        assert f"data {field} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_partition_csv_disjoint(self, tmp_path):
         path, _ = small_config(tmp_path)

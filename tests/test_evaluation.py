@@ -13,7 +13,8 @@ from fedprompt.evaluation import (
     prototype_topk_probe,
 )
 from fedprompt.federation import ClientState, build_clients, run_training, TrainConfig
-from fedprompt.model import ModelConfig, PromptParams, init_backbone
+from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
+                             init_backbone)
 
 
 def make_client(cid, test_y, priors=None):
@@ -40,7 +41,7 @@ class TestEvaluateClients:
         params.head.data[...] = 0.0
         params.head.data[0, :] = 0.0
         client = make_client(0, [0, 0, 0])
-        # with a zero head, logits tie at 0 and predict() picks class 0
+        # with a zero head, logits tie at 0 and the lowest class wins
         report = evaluate_clients([client], backbone, cfg, None,
                                   lambda cid: (params, None))
         assert report.mean_acc == 1.0
@@ -81,6 +82,45 @@ class TestEvaluateClients:
                                   lambda cid: (params, None))
         # binomial(400, 1/8): three-sigma window around 0.125
         assert abs(report.mean_acc - 0.125) < 3 * np.sqrt(0.125 * 0.875 / 400)
+
+    @pytest.mark.parametrize("label, acc", [(1, 1.0), (2, 0.0)])
+    def test_tie_between_top_classes_goes_to_lowest(self, label, acc):
+        cfg, backbone, _ = self._world()
+        image = np.random.default_rng(3).normal(size=(4, 4))
+        # an identity head reads out the normalized final cls token x
+        probe = PromptParams.init(0, 8, 8, 1)
+        probe.head.data[...] = np.eye(8)
+        x, _ = forward_with_prompts(image, probe, backbone, cfg, {})
+        x = x.data.reshape(-1)
+        # logits (-|x|^2, |x|^2, |x|^2): classes 1 and 2 tie on top
+        params = PromptParams.init(0, 8, 3, 1)
+        params.head.data[...] = [-x, x, x]
+        client = make_client(0, [label])
+        client.test_x = image[None]
+        report = evaluate_clients([client], backbone, cfg, None,
+                                  lambda cid: (params, None))
+        assert report.per_client == {0: acc}
+
+    def test_matches_per_sample_argmax_scan(self):
+        cfg, backbone, _ = self._world()
+        rng = np.random.default_rng(4)
+        params = PromptParams.init(0, 8, 5, 1)
+        params.head.data[...] = rng.normal(size=(5, 8))
+        labels = rng.integers(0, 5, size=30)
+        client = make_client(0, labels)
+        client.test_x = rng.normal(size=(30, 4, 4))
+        hits = 0
+        for image, y in zip(client.test_x, labels):
+            logits, _ = forward_with_prompts(image, params, backbone, cfg, {})
+            best, arg = -np.inf, -1
+            for i, v in enumerate(logits.data.reshape(-1)):
+                if v > best:
+                    best, arg = v, i
+            hits += int(arg == y)
+        report = evaluate_clients([client], backbone, cfg, None,
+                                  lambda cid: (params, None))
+        assert 0 < hits < 30
+        assert report.per_client == {0: hits / 30}
 
     def test_worst_le_mean_bounds(self):
         cfg, backbone, params = self._world()
@@ -164,6 +204,20 @@ class TestPrototypeProbe:
                                    params, layer=3, k=1)
         # chance for top-1 over 8 classes is 0.125
         assert acc > 0.5
+
+    @pytest.mark.parametrize("layer, k, message", [
+        (0, 1, r"probe layer must lie within \[1, 4\], got 0"),
+        (-1, 1, r"probe layer must lie within \[1, 4\], got -1"),
+        (5, 1, r"probe layer must lie within \[1, 4\], got 5"),
+        (2, 0, "probe k must be >= 1, got 0"),
+        (2, -2, "probe k must be >= 1, got -2"),
+    ])
+    def test_out_of_range_arguments_rejected(self, layer, k, message):
+        cfg, backbone, params = self._world()
+        images = np.random.default_rng(8).normal(size=(4, 8, 8))
+        with pytest.raises(ConfigError, match=message):
+            prototype_topk_probe(images, [0, 1, 0, 1], backbone, cfg, params,
+                                 layer=layer, k=k)
 
 
 class TestFlopAccounting:

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from backbone_digest import backbone_checksum
 from fedprompt import tensor as te
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
 from fedprompt.errors import ConfigError, TrainingError
@@ -19,7 +20,8 @@ from fedprompt.federation import (
     sample_clients,
     warm_startup,
 )
-from fedprompt.model import ModelConfig, PromptParams, forward_with_prompts, init_backbone
+from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
+                             init_backbone, score_constants)
 from fedprompt.seeding import derive_rng
 
 TINY_MODEL = ModelConfig(dim=8, layers=3, heads=2, image_size=8, patch_size=4,
@@ -133,13 +135,20 @@ class TestLocalTrain:
         bank = PrototypeBank(layers=(1,), num_classes=2, dim=4)
         bank.mu[1] = rng.normal(size=(2, 4))
 
-        logits, trace = forward_with_prompts(client.train_x[0], start, backbone,
-                                             cfg_model, bank=bank,
-                                             priors=client.priors)
-        p = np.exp(trace.logits - trace.logits.max())
+        consts = score_constants(cfg_model, bank, client.priors)
+        logits, _ = forward_with_prompts(client.train_x[0], start, backbone,
+                                         cfg_model, consts)
+        # an identity head reads out the normalized final cls token exactly
+        probe = PromptParams.from_arrays(start.shared.data,
+                                         start.class_prompts.data, np.eye(4))
+        cls_final, _ = forward_with_prompts(client.train_x[0], probe, backbone,
+                                            cfg_model, consts)
+        logits = logits.data.reshape(-1)
+        p = np.exp(logits - logits.max())
         p /= p.sum()
         p[1] -= 1.0
-        expected_head = start.head.data - cfg.lr * np.outer(p, trace.final_cls)
+        expected_head = start.head.data - cfg.lr * np.outer(
+            p, cls_final.data.reshape(-1))
 
         update = local_train(client, start, backbone, cfg_model, cfg, bank,
                              seed=11, round_index=1)
@@ -153,12 +162,13 @@ class TestLocalTrain:
         warm_startup(state)
         client = clients[0]
 
+        consts = score_constants(state.model_cfg, state.bank, client.priors)
+
         def shard_loss(params):
             total = 0.0
             for x, y in zip(client.train_x, client.train_y):
-                logits, _ = forward_with_prompts(
-                    x, params, backbone, state.model_cfg,
-                    bank=state.bank, priors=client.priors)
+                logits, _ = forward_with_prompts(x, params, backbone,
+                                                 state.model_cfg, consts)
                 total += float(te.cross_entropy(logits, int(y)).data)
             return total / client.num_train
 
@@ -279,9 +289,9 @@ class TestRounds:
 
     def test_backbone_frozen_across_run(self):
         clients, backbone = tiny_world(11)
-        before = backbone.checksum()
+        before = backbone_checksum(backbone)
         run_training(clients, backbone, TINY_MODEL, tiny_cfg(rounds=2), seed=11)
-        assert backbone.checksum() == before
+        assert backbone_checksum(backbone) == before
 
     def test_shared_only_never_touches_bank(self):
         clients, backbone = tiny_world(12)
@@ -315,7 +325,20 @@ class TestRounds:
         state.cfg = dataclasses.replace(state.cfg, dp_epsilon=1e-310)
         with pytest.raises(TrainingError) as err:
             run_round(state)
-        assert str(err.value) == "non-finite prototypes at layer 2 (round=1)"
+        assert str(err.value) == "non-finite prototype norms at layer 2 (round=1)"
+
+    def test_overflowing_prototype_norms_name_round(self):
+        clients, backbone = tiny_world(5)
+        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=5)
+        warm_startup(state)
+        # noise of scale S/1e-300 leaves prototypes finite near 1e300, but
+        # their squared norms overflow, which would zero every similarity
+        state.cfg = dataclasses.replace(state.cfg, dp_epsilon=1e-300)
+        with pytest.raises(TrainingError) as err:
+            run_round(state)
+        assert str(err.value) == "non-finite prototype norms at layer 2 (round=1)"
+        assert np.isfinite(state.bank.mu[2]).all()
+        assert np.abs(state.bank.mu[2]).max() > 1e290
 
 
 class TestPersonalizedStrategy:

@@ -22,14 +22,6 @@ from fedprompt.prototypes import (
 )
 
 
-class FakeTrace:
-    def __init__(self, vec):
-        self.vec = np.asarray(vec, dtype=float)
-
-    def cls_input(self, layer):
-        return self.vec
-
-
 class TestClassPriors:
     def test_two_thirds(self):
         np.testing.assert_allclose(compute_class_priors([0, 0, 1], 2), [2 / 3, 1 / 3])
@@ -51,31 +43,33 @@ class TestClassPriors:
 
 class TestLocalPrototypes:
     def test_mean_of_two(self):
-        traces = {0: FakeTrace([1.0, 0.0]), 1: FakeTrace([3.0, 0.0])}
-        protos, _, counts = local_prototypes(
-            [0, 1], [0, 0], num_classes=2, layers=(5,),
-            forward_fn=lambda i: traces[i],
-        )
+        cls = np.zeros((5, 2, 2))
+        cls[4] = [[1.0, 0.0], [3.0, 0.0]]
+        protos, _, counts = local_prototypes(cls, [0, 0], num_classes=2,
+                                             layers=(5,))
         np.testing.assert_allclose(protos[5][0], [2.0, 0.0])
         assert counts[0] == 2
 
     def test_absent_class_is_zero_vector(self):
-        protos, sens, _ = local_prototypes(
-            [0], [1], num_classes=3, layers=(5,),
-            forward_fn=lambda i: FakeTrace([4.0, 4.0]),
-        )
+        cls = np.full((5, 1, 2), 4.0)
+        protos, sens, _ = local_prototypes(cls, [1], num_classes=3, layers=(5,))
         np.testing.assert_array_equal(protos[5][0], [0.0, 0.0])
         np.testing.assert_array_equal(protos[5][2], [0.0, 0.0])
         assert sens[5][0] == 0.0
+
+    def test_reads_each_layer_from_its_own_row(self):
+        cls = np.arange(3.0)[:, None, None] * np.ones((3, 2, 2))
+        protos, _, _ = local_prototypes(cls, [0, 0], num_classes=1,
+                                        layers=(1, 3))
+        np.testing.assert_array_equal(protos[1][0], [0.0, 0.0])
+        np.testing.assert_array_equal(protos[3][0], [2.0, 2.0])
 
     def test_matches_bruteforce_mean(self):
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(20, 4))
         labels = rng.integers(0, 3, size=20)
-        protos, _, _ = local_prototypes(
-            list(range(20)), labels, num_classes=3, layers=(2,),
-            forward_fn=lambda i: FakeTrace(vecs[i]),
-        )
+        protos, _, _ = local_prototypes(np.stack([vecs, vecs]), labels,
+                                        num_classes=3, layers=(2,))
         for c in range(3):
             acc = np.zeros(4)
             n = 0
@@ -88,7 +82,7 @@ class TestLocalPrototypes:
 
     def test_empty_shard_raises(self):
         with pytest.raises(DataError):
-            local_prototypes([], [], 2, (5,), forward_fn=None)
+            local_prototypes(np.zeros((5, 0, 2)), [], 2, (5,))
 
 
 class TestAggregateSubmissions:
