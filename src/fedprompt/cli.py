@@ -23,11 +23,12 @@ import os
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .data import (
+    PartitionSpec,
     SyntheticSpec,
     generate_synthetic,
     label_histograms,
@@ -49,9 +50,6 @@ from . import __version__
 # ModelConfig fields the config does not set: the image size follows the
 # data section and the MLP width is fixed
 _MODEL_FIXED = ("image_size", "mlp_mult")
-_PARTITION_KEYS = {"mode": str, "classes_per_client": int, "beta": float}
-_TOP_KEYS = {"seed": int, "out_dir": str, "heldout_fraction": float,
-             "data": dict, "partition": dict, "model": dict, "train": dict}
 _JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", dict: "an object",
@@ -64,6 +62,8 @@ def _typed(value, kind, where):
         if value is None:
             return None
         kind = typing.get_args(kind)[0]
+    if is_dataclass(kind):  # a nested section, read on its own
+        kind = dict
     if kind is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_typed(v, int, where) for v in value)
@@ -79,18 +79,24 @@ def _typed(value, kind, where):
                       f"got {value!r}")
 
 
-def _read(section: dict, name: str, keys: dict, required=()) -> dict:
-    """Typed values of one config section, `keys` mapping each accepted
-    key to its type.  Absent optional keys are left out, so the defaults
-    of the dataclass they feed apply."""
+def _read(section: dict, name: str, cls, skip=(), extra=None) -> dict:
+    """Typed values of one config section for the dataclass `cls`: the keys
+    are its fields other than `skip`, plus the required keys `extra` maps
+    to their types.  A field without a default is required; absent
+    optional keys are left out, so the defaults of `cls` apply."""
     def where(key):
         return f"{name}.{key!r}" if name else repr(key)
 
+    extra = extra or {}
+    kinds = {**extra, **{f.name: f.type for f in fields(cls)
+                         if f.name not in skip}}
+    required = extra.keys() | {f.name for f in fields(cls)
+                               if f.default is MISSING}
     for key in section:
-        if key not in keys:
+        if key not in kinds:
             raise ConfigError(f"unknown field {where(key)}")
     values = {}
-    for key, kind in keys.items():
+    for key, kind in kinds.items():
         if key in section:
             values[key] = _typed(section[key], kind, where(key))
         elif key in required:
@@ -98,84 +104,50 @@ def _read(section: dict, name: str, keys: dict, required=()) -> dict:
     return values
 
 
-def _keys(cls, skip=()) -> dict:
-    return {f.name: f.type for f in fields(cls) if f.name not in skip}
-
-
-def _required(cls) -> tuple:
-    return tuple(f.name for f in fields(cls) if f.default is MISSING)
-
-
 @dataclass
 class ExperimentConfig:
-    seed: int
-    out_dir: str
     data: SyntheticSpec
-    partition_mode: str
-    classes_per_client: int
-    dirichlet_beta: float
-    model: ModelConfig
+    partition: PartitionSpec
     train: TrainConfig
-    num_clients: int
-    heldout_fraction: float
+    num_clients: int  # the `clients` key of the train section
+    model: ModelConfig = ModelConfig()
+    seed: int = 0
+    out_dir: str = "run"
+    heldout_fraction: float = 0.0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.heldout_fraction < 1.0:
+            raise ConfigError("heldout_fraction must lie in [0, 1)")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        top = _read(raw, "", _TOP_KEYS, required=("data", "partition", "train"))
-        spec = SyntheticSpec(**_read(
-            top["data"], "data", _keys(SyntheticSpec),
-            required=("classes", "train_per_class", "test_per_class")))
-
-        partition = _read(top["partition"], "partition", _PARTITION_KEYS,
-                          required=("mode",))
-        mode = partition["mode"]
-        if mode not in ("pathological", "dirichlet"):
-            raise ConfigError(
-                f"partition.mode must be 'pathological' or 'dirichlet', got {mode!r}")
+        top = _read(raw, "", cls, skip=("num_clients",))
+        top["data"] = SyntheticSpec(**_read(top["data"], "data", SyntheticSpec))
+        partition = _read(top["partition"], "partition", PartitionSpec)
+        top["partition"] = PartitionSpec(**partition)
+        # each mode reads one of the two optional keys, which must be given
+        mode = top["partition"].mode
         needed = "classes_per_client" if mode == "pathological" else "beta"
         if needed not in partition:
             raise ConfigError(f"missing required field partition.{needed!r}")
-
-        model_cfg = ModelConfig(
-            image_size=spec.image_size,
-            **_read(top.get("model", {}), "model",
-                    _keys(ModelConfig, skip=_MODEL_FIXED)))
-        train = _read(top["train"], "train",
-                      {"clients": int, **_keys(TrainConfig)},
-                      required=("clients", *_required(TrainConfig)))
+        top["model"] = ModelConfig(
+            image_size=top["data"].image_size,
+            **_read(top.get("model", {}), "model", ModelConfig,
+                    skip=_MODEL_FIXED))
+        train = _read(top["train"], "train", TrainConfig,
+                      extra={"clients": int})
         num_clients = train.pop("clients")
-        heldout = top.get("heldout_fraction", 0.0)
-        if not 0.0 <= heldout < 1.0:
-            raise ConfigError("heldout_fraction must lie in [0, 1)")
-        return cls(
-            seed=top.get("seed", 0),
-            out_dir=top.get("out_dir", "run"),
-            data=spec,
-            partition_mode=mode,
-            classes_per_client=partition.get("classes_per_client", 0),
-            dirichlet_beta=partition.get("beta", 0.3),
-            model=model_cfg,
-            train=TrainConfig(**train),
-            num_clients=num_clients,
-            heldout_fraction=heldout,
-        )
+        top["train"] = TrainConfig(**train)
+        return cls(num_clients=num_clients, **top)
 
     def to_dict(self) -> dict:
-        model = {key: value for key, value in asdict(self.model).items()
-                 if key not in _MODEL_FIXED}
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "heldout_fraction": self.heldout_fraction,
-            "data": asdict(self.data),
-            "partition": {
-                "mode": self.partition_mode,
-                "classes_per_client": self.classes_per_client,
-                "beta": self.dirichlet_beta,
-            },
-            "model": model,
-            "train": {"clients": self.num_clients, **asdict(self.train)},
-        }
+        out = asdict(self)
+        out["train"]["clients"] = out.pop("num_clients")
+        for key in _MODEL_FIXED:
+            del out["model"][key]
+        return out
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -196,11 +168,11 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 
 
 def make_partition(dataset, cfg: ExperimentConfig):
-    if cfg.partition_mode == "pathological":
+    spec = cfg.partition
+    if spec.mode == "pathological":
         return partition_pathological(dataset, cfg.num_clients,
-                                      cfg.classes_per_client, cfg.seed)
-    return partition_dirichlet(dataset, cfg.num_clients, cfg.dirichlet_beta,
-                               cfg.seed)
+                                      spec.classes_per_client, cfg.seed)
+    return partition_dirichlet(dataset, cfg.num_clients, spec.beta, cfg.seed)
 
 
 def _fmt(value) -> str:
@@ -324,6 +296,8 @@ def cmd_gradcheck(args) -> int:
 
     if args.classes < 1:
         raise ConfigError(f"--classes must be >= 1, got {args.classes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     n_params = (args.dim * 1 + args.dim * args.classes
                 + args.classes * args.dim)
     if n_params > 5000:
@@ -340,9 +314,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dataset = generate_synthetic(cfg.data, cfg.seed)
     partition = make_partition(dataset, cfg)
+    # created only now, so a partition that fails leaves no directory behind
+    os.makedirs(cfg.out_dir, exist_ok=True)
     partition.write_csv(dataset, os.path.join(cfg.out_dir, "partition.csv"))
     hist = label_histograms(dataset, partition)
     with open(os.path.join(cfg.out_dir, "label_histogram.csv"), "w",

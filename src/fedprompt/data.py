@@ -21,9 +21,9 @@ from .seeding import derive_rng
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    classes: int = 8
-    train_per_class: int = 40
-    test_per_class: int = 15
+    classes: int
+    train_per_class: int
+    test_per_class: int
     image_size: int = 16
     separation: float = 1.0
     noise: float = 1.0
@@ -37,6 +37,20 @@ class SyntheticSpec:
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"data {name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    """The partitioner and its parameter: k, or the Dirichlet beta."""
+
+    mode: str
+    classes_per_client: int = 0
+    beta: float = 0.3
+
+    def __post_init__(self):
+        if self.mode not in ("pathological", "dirichlet"):
+            raise ConfigError(f"partition.mode must be 'pathological' or "
+                              f"'dirichlet', got {self.mode!r}")
 
 
 @dataclass

@@ -53,8 +53,15 @@ class TrainConfig:
             raise ConfigError("clients per round must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.lr < 0 or self.lr_decay <= 0 or self.grad_clip <= 0:
+        if self.lr < 0 or self.grad_clip <= 0:
             raise ConfigError("rates must be positive")
+        # a decay above 1 grows the rate until lr_decay ** round overflows
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(
+                f"train lr_decay must lie in (0, 1], got {self.lr_decay}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(
+                f"train momentum must lie in [0, 1), got {self.momentum}")
         if not 0 < self.warmup_fraction <= 1:
             raise ConfigError("warm-up fraction must lie in (0, 1]")
         if self.dp_epsilon is not None and self.dp_epsilon <= 0:
@@ -224,13 +231,16 @@ def local_train(client: ClientState, start: PromptParams, backbone,
                 tape.backward(loss)
                 batch_loss += float(loss.data)
             batch_loss /= batch.size
-            if not np.isfinite(batch_loss):
-                raise TrainingError("non-finite training loss",
-                                    round_index=round_index,
-                                    client_id=client.client_id)
+            grads, norm = _clip_global_norm(
+                [b.grad / batch.size for b in blocks], cfg.grad_clip)
+            # an infinite norm would scale the step to zero without a word
+            for what, value in (("training loss", batch_loss),
+                                ("gradient norm", norm)):
+                if not np.isfinite(value):
+                    raise TrainingError(f"non-finite {what}",
+                                        round_index=round_index,
+                                        client_id=client.client_id)
             losses.append(batch_loss)
-            grads = [b.grad / batch.size for b in blocks]
-            grads, _ = _clip_global_norm(grads, cfg.grad_clip)
             for b, v, g in zip(blocks, velocity, grads):
                 v *= cfg.momentum
                 v += g

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import fedprompt
-from fedprompt.cli import load_config, main
+from fedprompt.cli import load_config, main, write_config_copy
+
+
+# an override value that removes the key from the base config
+DROP = object()
 
 
 def small_config(tmp_path, **overrides):
@@ -30,7 +34,8 @@ def small_config(tmp_path, **overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and key in cfg:
-            cfg[key].update(value)
+            cfg[key] = {k: v for k, v in {**cfg[key], **value}.items()
+                        if v is not DROP}
         else:
             cfg[key] = value
     path = tmp_path / "config.json"
@@ -135,6 +140,16 @@ class TestRunCommand:
         ({"data": {"separation": -1}}, "data separation must be >= 0, got -1"),
         ({"model": {"mix_layers": [2, 2]}},
          "model mix_layers must not repeat a layer, got (2, 2)"),
+        ({"partition": {"k": 2}}, "unknown field partition.'k'"),
+        ({"partition": {"mode": DROP}},
+         "missing required field partition.'mode'"),
+        ({"partition": {"classes_per_client": DROP}},
+         "missing required field partition.'classes_per_client'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"train": {"lr_decay": 1e300}},
+         "train lr_decay must lie in (0, 1], got 1e+300"),
+        ({"train": {"momentum": -5}},
+         "train momentum must lie in [0, 1), got -5.0"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -264,9 +279,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 1
         assert "shared: max relative error" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--classes", "--dim", "--heads"])
+    @pytest.mark.parametrize("flag", ["--classes", "--dim", "--heads",
+                                      "--seed"])
     def test_zero_size_rejected(self, capsys, flag):
-        assert main(["gradcheck", flag, "0"]) == 2
+        # sizes must be positive, the seed non-negative
+        value = "-1" if flag == "--seed" else "0"
+        assert main(["gradcheck", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_reports_blocks_separately(self, capsys):
@@ -294,6 +312,18 @@ class TestPartitionCommand:
         path, _ = small_config(tmp_path, data={field: -1})
         assert main(["partition", "--config", str(path)]) == 2
         assert f"data {field} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides, argv, message", [
+        ({"partition": {"classes_per_client": 100}}, [],
+         "classes per client must lie in [1, 4], got 100"),
+        ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_failed_partition_leaves_no_directory(self, tmp_path, capsys,
+                                                  overrides, argv, message):
+        path, _ = small_config(tmp_path, **overrides)
+        assert main(["partition", "--config", str(path), *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_partition_csv_disjoint(self, tmp_path):
@@ -448,11 +478,30 @@ def test_metrics_bytes_independent_of_blas_threads(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-def test_config_roundtrip(tmp_path):
-    path, _ = small_config(tmp_path)
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = {
+    # sha256 of the config.json each writes with out_dir "run"
+    "pathological": "4c60e975f4d8a0c39a018766ff2f2d1808d2dc93998c574db5858d5bbcf4e0dd",
+    "dirichlet_heldout": "16c8bb44111707a1ef740ea1870004c36607b330bc6d97a312c14008574e2490",
+}
+
+
+@pytest.mark.parametrize("path", [
+    *(ROOT / "configs" / f"{name}.json" for name in sorted(SHIPPED_CONFIGS)),
+    *sorted((ROOT / "perfbench" / "workloads").glob("*.json")),
+], ids=lambda path: path.stem)
+def test_config_roundtrip(tmp_path, path):
     cfg = load_config(str(path))
     resolved = cfg.to_dict()
     # a resolved config parses back to the same resolved form
     path2 = tmp_path / "resolved.json"
     path2.write_text(json.dumps(resolved))
     assert load_config(str(path2)).to_dict() == resolved
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_config_copy_bytes_pinned(tmp_path, name):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.json"), out_override="run")
+    write_config_copy(cfg, tmp_path / "config.json")
+    data = (tmp_path / "config.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SHIPPED_CONFIGS[name]

@@ -52,7 +52,7 @@ class TestGenerateSynthetic:
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ConfigError):
-            SyntheticSpec(classes=0)
+            SyntheticSpec(classes=0, train_per_class=1, test_per_class=1)
 
 
 class TestPathological:

@@ -179,6 +179,22 @@ class TestLocalTrain:
             update.shared, update.class_prompts, update.head))
         assert after <= before
 
+    def test_overflowing_gradient_norm_names_round_and_client(self):
+        # a head near 1e200 sends gradients near 1e200 into the prompts; their
+        # squares overflow, and clipping by an infinite norm would zero the
+        # step instead of failing
+        clients, backbone = tiny_world(3)
+        cfg = tiny_cfg()
+        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
+        warm_startup(state)
+        start = state.params.copy()
+        start.head.data[...] = np.random.default_rng(3).normal(
+            scale=1e200, size=start.head.data.shape)
+        with pytest.raises(TrainingError) as err, np.errstate(over="ignore"):
+            local_train(clients[0], start, backbone, state.model_cfg, cfg,
+                        state.bank, seed=3, round_index=1)
+        assert str(err.value) == "non-finite gradient norm (round=1, client=0)"
+
     def test_gradient_clipping_caps_step(self):
         from fedprompt.federation import _clip_global_norm
         grads = [np.full((2, 2), 100.0), np.full(3, -50.0)]
