@@ -125,13 +125,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         top = _read(raw, "", cls, skip=("num_clients",))
         top["data"] = SyntheticSpec(**_read(top["data"], "data", SyntheticSpec))
-        partition = _read(top["partition"], "partition", PartitionSpec)
-        top["partition"] = PartitionSpec(**partition)
-        # each mode reads one of the two optional keys, which must be given
-        mode = top["partition"].mode
-        needed = "classes_per_client" if mode == "pathological" else "beta"
-        if needed not in partition:
-            raise ConfigError(f"missing required field partition.{needed!r}")
+        top["partition"] = PartitionSpec(
+            **_read(top["partition"], "partition", PartitionSpec))
         top["model"] = ModelConfig(
             image_size=top["data"].image_size,
             **_read(top.get("model", {}), "model", ModelConfig,
@@ -145,6 +140,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["train"]["clients"] = out.pop("num_clients")
+        # the partition key the mode does not read
+        out["partition"] = {k: v for k, v in out["partition"].items()
+                            if v is not None}
         for key in _MODEL_FIXED:
             del out["model"][key]
         return out

@@ -41,16 +41,27 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """The partitioner and its parameter: k, or the Dirichlet beta."""
+    """The partitioner and the one parameter it reads: k for
+    `pathological`, the Dirichlet beta for `dirichlet`.  The other one
+    stays None; a config that sets it is rejected."""
 
     mode: str
-    classes_per_client: int = 0
-    beta: float = 0.3
+    # typed for what a config value must be, so JSON null is rejected
+    classes_per_client: int = None
+    beta: float = None
 
     def __post_init__(self):
         if self.mode not in ("pathological", "dirichlet"):
             raise ConfigError(f"partition.mode must be 'pathological' or "
                               f"'dirichlet', got {self.mode!r}")
+        needed, unread = (("classes_per_client", "beta")
+                          if self.mode == "pathological"
+                          else ("beta", "classes_per_client"))
+        if getattr(self, needed) is None:
+            raise ConfigError(f"missing required field partition.{needed!r}")
+        if getattr(self, unread) is not None:
+            raise ConfigError(f"partition.{unread!r} is not read by mode "
+                              f"{self.mode!r}")
 
 
 @dataclass

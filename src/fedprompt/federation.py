@@ -190,7 +190,9 @@ def compute_client_prototypes(client, params, backbone, model_cfg, cfg, bank):
 
 
 def _clip_global_norm(grads, threshold):
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads))
+    # an overflowing norm is reported by the caller, not warned about here
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(float((g**2).sum()) for g in grads))
     if total > threshold:
         factor = threshold / total
         return [g * factor for g in grads], total
@@ -227,9 +229,9 @@ def local_train(client: ClientState, start: PromptParams, backbone,
                 with te.Tape() as tape:
                     logits, _ = forward_with_prompts(
                         client.train_x[i], params, backbone, model_cfg, consts)
-                    loss = te.cross_entropy(logits, int(client.train_y[i]))
-                tape.backward(loss)
-                batch_loss += float(loss.data)
+                    batch_loss += te.cross_entropy(logits,
+                                                   int(client.train_y[i]))
+                tape.backward()
             batch_loss /= batch.size
             grads, norm = _clip_global_norm(
                 [b.grad / batch.size for b in blocks], cfg.grad_clip)
@@ -387,6 +389,12 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
     if empty:
         raise DataError("participating clients without training data: "
                         + ", ".join(map(str, empty)))
+    # each group is evaluated after every round, which needs a test sample
+    for group, ids in (("participating", participating), ("heldout", heldout)):
+        if ids and not any(c.test_y.size for c in clients
+                           if c.client_id in ids):
+            raise DataError(f"every {group} client has an empty test shard: "
+                            + ", ".join(map(str, ids)))
     if cfg.clients_per_round > len(participating):
         raise ConfigError(
             f"clients_per_round={cfg.clients_per_round} exceeds "

@@ -132,18 +132,15 @@ class PromptParams:
     def init(cls, seed: int, dim: int, classes: int, n_shared: int) -> "PromptParams":
         rng = derive_rng(seed, "prompt-init")
         return cls(
-            shared=te.parameter(rng.normal(0.0, INIT_SCALE, size=(dim, n_shared))),
-            class_prompts=te.parameter(rng.normal(0.0, INIT_SCALE, size=(dim, classes))),
-            head=te.parameter(np.zeros((classes, dim))),
+            shared=te.Tensor(rng.normal(0.0, INIT_SCALE, size=(dim, n_shared))),
+            class_prompts=te.Tensor(rng.normal(0.0, INIT_SCALE, size=(dim, classes))),
+            head=te.Tensor(np.zeros((classes, dim))),
         )
 
     @classmethod
     def from_arrays(cls, shared, class_prompts, head) -> "PromptParams":
-        return cls(
-            shared=te.parameter(np.array(shared, dtype=np.float64)),
-            class_prompts=te.parameter(np.array(class_prompts, dtype=np.float64)),
-            head=te.parameter(np.array(head, dtype=np.float64)),
-        )
+        """Blocks holding copies of the three arrays."""
+        return cls(te.Tensor(shared), te.Tensor(class_prompts), te.Tensor(head))
 
     def copy(self) -> "PromptParams":
         return PromptParams.from_arrays(
@@ -188,21 +185,20 @@ def _merge_heads(m):
     return m.transpose(1, 0, 2).reshape(tokens, heads * head_dim)
 
 
-def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor:
-    """One pre-LN block as a single fused primitive.
+def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
+    """One pre-LN block as a single fused primitive over the token matrix.
 
-    The backbone is frozen, so backward only has to produce the gradient
-    with respect to the incoming token matrix; deriving it by hand keeps
-    the per-sample step two orders of magnitude cheaper than composing
-    the generic ops, and the finite-difference suite checks it end to
-    end.
+    The backbone is frozen, so the map it records on `tape` only has to
+    take the output gradient to the gradient of the incoming token
+    matrix; deriving it by hand keeps the per-sample step two orders of
+    magnitude cheaper than composing generic ops, and the
+    finite-difference suite checks it end to end.
     """
     w_qkv, w_out, w_up, w_down = blk.w_qkv, blk.w_out, blk.w_up, blk.w_down
-    xv = x.data
-    tokens, d = xv.shape
+    tokens, d = x.shape
     inv_sqrt = 1.0 / np.sqrt(d // heads)
 
-    xhat1, inv1 = te.norm_rows(xv)
+    xhat1, inv1 = te.norm_rows(x)
     # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
     q, k, v = (xhat1 @ w_qkv).reshape(
         tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
@@ -211,7 +207,7 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     attn = np.exp(scores)
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     x1 = _merge_heads(attn @ v) @ w_out
-    x1 += xv
+    x1 += x
 
     xhat2, inv2 = te.norm_rows(x1)
     u = xhat2 @ w_up
@@ -220,14 +216,10 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
     t = np.tanh(_GELU_C * (u + 0.044715 * (u2 * u)))
     x2 = (0.5 * u * (1.0 + t)) @ w_down
     x2 += x1
+    if tape is None:
+        return x2
 
-    out = te.Tensor(x2, requires_grad=te.active_tape() is not None
-                    and x.requires_grad)
-    if not out.requires_grad:
-        return out
-
-    def backward():
-        dout = out.grad
+    def backward(dout):
         # MLP branch
         dgelu = dout @ w_down.T
         du = dgelu * (0.5 * (1.0 + t)
@@ -248,90 +240,68 @@ def _transformer_layer(x: te.Tensor, blk: LayerWeights, heads: int) -> te.Tensor
         dh1 = (_merge_heads(dq) @ w_qkv[:, :d].T
                + _merge_heads(dk) @ w_qkv[:, d:2 * d].T
                + _merge_heads(dv) @ w_qkv[:, 2 * d:].T)
-        x.grad += dx1 + te.norm_rows_backward(dh1, xhat1, inv1)
+        return dx1 + te.norm_rows_backward(dh1, xhat1, inv1)
 
-    te.record(out, backward)
-    return out
+    tape.record(backward)
+    return x2
 
 
 def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
-           cfg: ModelConfig) -> te.Tensor:
+           cfg: ModelConfig, tape=None):
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
-    its gradient flows into the shared prompts only."""
+    its map adds into the shared prompts and has no input to pass on."""
     tokens = patchify(image, cfg) @ backbone.patch_embed
     n_shared = shared.data.shape[1]
-    out = te.Tensor(
-        np.concatenate([backbone.cls_embed[None, :], shared.data.T, tokens]),
-        requires_grad=(n_shared > 0 and shared.requires_grad
-                       and te.active_tape() is not None))
-    if out.requires_grad:
-        def backward():
-            shared.grad += out.grad[1:1 + n_shared].T
+    if tape is not None:
+        def backward(g):
+            shared.grad += g[1:1 + n_shared].T
 
-        te.record(out, backward)
-    return out
+        tape.record(backward)
+    return np.concatenate([backbone.cls_embed[None, :], shared.data.T, tokens])
 
 
-def _cls_column(seq: te.Tensor) -> te.Tensor:
-    """The cls token of `seq` as a (dim, 1) column, the input of the
-    scores."""
-    out = te.Tensor(seq.data[0:1].T, requires_grad=seq.requires_grad
-                    and te.active_tape() is not None)
-    if out.requires_grad:
-        def backward():
-            seq.grad[0:1] += out.grad.T
-
-        te.record(out, backward)
-    return out
-
-
-def _insert_mixed(seq: te.Tensor, class_prompts: te.Tensor, scores: te.Tensor,
-                  replace: bool) -> te.Tensor:
+def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
+         detach: bool, tape=None):
     """`seq` with the mixed prompt P @ s as its second token: inserted
     after cls, or with `replace` in place of the mixed token an earlier
-    layer inserted."""
-    x = seq.data
+    layer inserted.  The scores s are computed from the cls row; with
+    `detach` no gradient flows back through them."""
     start = 2 if replace else 1
-    mixed = class_prompts.data @ scores.data
-    out = te.Tensor(
-        np.concatenate([x[0:1], mixed.T, x[start:]]),
-        requires_grad=te.active_tape() is not None and (
-            seq.requires_grad or class_prompts.requires_grad
-            or scores.requires_grad))
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if seq.requires_grad:
-                seq.grad[start:] += g[2:]
-                seq.grad[0:1] += g[0:1]
+    scores, scores_map = soft_scores_op(seq[0], consts,
+                                        tape is not None and not detach)
+    scores = scores.reshape(-1, 1)
+    out = np.concatenate([seq[0:1], (class_prompts.data @ scores).T,
+                          seq[start:]])
+    if tape is not None:
+        def backward(g):
             dmixed = g[1:2].T
-            if class_prompts.requires_grad:
-                class_prompts.grad += dmixed @ scores.data.T
-            if scores.requires_grad:
-                scores.grad += class_prompts.data.T @ dmixed
+            class_prompts.grad += dmixed @ scores.T
+            dseq = np.zeros_like(seq)
+            dseq[start:] = g[2:]
+            dseq[0] = g[0]
+            if scores_map is not None:
+                dseq[0] += scores_map(
+                    (class_prompts.data.T @ dmixed).reshape(-1))
+            return dseq
 
-        te.record(out, backward)
+        tape.record(backward)
     return out
 
 
-def _head(seq: te.Tensor, head: te.Tensor) -> te.Tensor:
+def _head(seq, head: te.Tensor, tape=None):
     """Logits head @ LN(cls) of the last layer's cls row, as one
     primitive."""
-    row, inv = te.norm_rows(seq.data[0:1])
-    out = te.Tensor(head.data @ row.T,
-                    requires_grad=te.active_tape() is not None
-                    and (head.requires_grad or seq.requires_grad))
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if head.requires_grad:
-                head.grad += g @ row
-            if seq.requires_grad:
-                seq.grad[0:1] += te.norm_rows_backward(
-                    (head.data.T @ g).T, row, inv)
+    row, inv = te.norm_rows(seq[0:1])
+    if tape is not None:
+        def backward(g):
+            g = g.reshape(-1, 1)
+            head.grad += g @ row
+            dseq = np.zeros_like(seq)
+            dseq[0:1] = te.norm_rows_backward((head.data.T @ g).T, row, inv)
+            return dseq
 
-        te.record(out, backward)
-    return out
+        tape.record(backward)
+    return (head.data @ row.T).reshape(-1)
 
 
 def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
@@ -358,30 +328,33 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
                          cfg: ModelConfig, consts: dict):
     """Run one sample through the prompted frozen backbone.
 
-    Returns (logits, cls): the logits Tensor of shape (classes, 1) and a
-    (layers, dim) array whose row `l - 1` is the cls token entering layer
-    `l`.  `consts` is what `score_constants` built for the client's priors
-    and the bank; with mixing layers, gradients flow through the score
-    computation into upstream activations and into the class prompts,
-    while prototypes stay constant.
+    Returns (logits, cls): the (classes,) logits and a (layers, dim) array
+    whose row `l - 1` is the cls token entering layer `l`.  `consts` is
+    what `score_constants` built for the client's priors and the bank;
+    with mixing layers, gradients flow through the scores into upstream
+    activations and into the class prompts, while prototypes stay
+    constant.
 
-    The pass is a chain of fused primitives, each recording one backward
-    closure: embedding, per layer the optional prompt mixing (cls column,
-    scores, insertion) and the transformer block, then the head.
+    The pass is a chain of fused primitives over plain arrays: embedding,
+    per layer the optional prompt mixing and the transformer block, then
+    the head.  Under a tape each records one backward map; a block
+    records one only once a trainable block feeds the token matrix.
     """
+    tape = te.active_tape()
+    live = tape if prompts.shared.data.shape[1] else None
+    seq = _embed(image, prompts.shared, backbone, cfg, live)
     cls = np.empty((cfg.layers, cfg.dim))
-    seq = _embed(image, prompts.shared, backbone, cfg)
-    mix_inserted = False
+    mixed = False
     for layer in range(1, cfg.layers + 1):
-        cls[layer - 1] = seq.data[0]
-        if layer in cfg.mix_layers and (not mix_inserted or cfg.refresh_mix):
-            scores = soft_scores_op(_cls_column(seq), consts[layer],
-                                    detach=cfg.detach_scores)
-            seq = _insert_mixed(seq, prompts.class_prompts, scores,
-                                replace=mix_inserted)
-            mix_inserted = True
-        seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
-    return _head(seq, prompts.head), cls
+        cls[layer - 1] = seq[0]
+        if layer in cfg.mix_layers and (not mixed or cfg.refresh_mix):
+            seq = _mix(seq, prompts.class_prompts, consts[layer], mixed,
+                       cfg.detach_scores, tape)
+            mixed = True
+            live = tape
+        seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads,
+                                 live)
+    return _head(seq, prompts.head, tape), cls
 
 
 def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
@@ -394,9 +367,8 @@ def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
     logits = np.empty((len(images), prompts.num_classes))
     cls = np.empty((cfg.layers, len(images), cfg.dim))
     for i, image in enumerate(images):
-        out, cls[:, i] = forward_with_prompts(image, prompts, backbone, cfg,
-                                              consts)
-        logits[i] = out.data[:, 0]
+        logits[i], cls[:, i] = forward_with_prompts(image, prompts, backbone,
+                                                    cfg, consts)
     return logits, cls
 
 
@@ -433,13 +405,13 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
     prompts.zero_grad()
     with te.Tape() as tape:
         logits, _ = forward_with_prompts(image, prompts, backbone, cfg, consts)
-        loss = te.cross_entropy(logits, label)
-    tape.backward(loss)
+        te.cross_entropy(logits, label)
+    tape.backward()
 
     def loss_at(shared, class_prompts, head):
         probe = PromptParams.from_arrays(shared, class_prompts, head)
         logits, _ = forward_with_prompts(image, probe, backbone, cfg, consts)
-        return float(te.cross_entropy(logits, label).data)
+        return te.cross_entropy(logits, label)
 
     base = {name: block.data.copy() for name, block in prompts.blocks()}
     report = {}

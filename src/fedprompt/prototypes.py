@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as te
 from .errors import ConfigError, DataError
 
 
@@ -99,26 +98,21 @@ def soft_scores(cls_vec, prototypes, priors, tau: float) -> np.ndarray:
     return ScoreConstants(prototypes, priors, tau, cls_vec.size).evaluate(cls_vec)[0]
 
 
-def soft_scores_op(cls_col: te.Tensor, consts: ScoreConstants,
-                   detach: bool = False) -> te.Tensor:
-    """Differentiable score computation for the forward pass, from the
-    layer's `ScoreConstants`.
+def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool = False):
+    """Scores of one cls token from the layer's `ScoreConstants`, for the
+    forward pass.
 
-    Gradients flow into the cls token (and from there into anything that
-    produced it); prototypes and priors are constants.  With `detach` the
-    forward value is identical but no gradient propagates through the
-    scores (ablation knob).
+    Returns (scores, map): with `grad`, the map takes the gradient of the
+    scores to the gradient of the cls token; without, it is None.
+    Prototypes and priors are constants.
     """
-    cls_vec = cls_col.data.reshape(-1)
     scores, sims, cls_norm = consts.evaluate(cls_vec)
-    requires = cls_col.requires_grad and not detach
-    out = te.Tensor(scores.reshape(-1, 1), requires_grad=requires)
-    if not requires:
-        return out
+    if not grad:
+        return scores, None
 
-    def backward():
+    def backward(g):
         active = consts.active
-        g = out.grad.reshape(-1)[active]
+        g = g[active]
         s = scores[active]
         dlogit = s * (g - float(g @ s))
         grad_cls = np.zeros_like(cls_vec)
@@ -127,10 +121,9 @@ def soft_scores_op(cls_col: te.Tensor, consts: ScoreConstants,
             coeff = dlogit[consts.nonzero] / consts.tau
             grad_cls += (coeff / consts.norms) @ consts.protos / cls_norm
             grad_cls -= float(coeff @ sims) * cls_vec / cls_norm**2
-        cls_col.grad += grad_cls.reshape(cls_col.data.shape)
+        return grad_cls
 
-    te.record(out, backward)
-    return out
+    return scores, backward
 
 
 def mix_prompt(class_prompts: np.ndarray, scores: np.ndarray) -> np.ndarray:

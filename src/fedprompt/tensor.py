@@ -1,24 +1,21 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Trainable blocks and the tape that threads one gradient back to them.
 
-The prompted forward pass is a chain of fused primitives with
-hand-derived backward rules (see `model.py`), which record their
-closures through `record`.  This module holds what they share: the
-tensor and tape, the layer-normalization kernels, and cross entropy.  A
-central finite-difference oracle (`finite_diff_grad`) provides the
-independent gradient check used throughout the test suite.
-
-Tapes are single-use and rebuilt on every forward pass: ops record their
-backward closure onto the innermost active tape (if any), and
-`Tape.backward` replays the closures in reverse order of creation, which
-is a valid reverse topological order because operands always exist
-before their results.
+The prompted forward pass is a fixed chain of fused primitives over plain
+arrays (see `model.py`).  Under a tape each primitive records one
+backward map: it takes the gradient of the primitive's output, adds into
+any trainable block the primitive read, and returns the gradient of its
+input.  `Tape.backward` seeds 1.0 and passes the gradient through the
+maps in reverse order of recording.  A `Tensor` is only a trainable
+block: its array and the gradient the maps add into.  This module also
+holds the layer-normalization kernels, cross entropy, and a central
+finite-difference oracle (`finite_diff_grad`), the independent gradient
+check used throughout the test suite.
 """
 
 import math
 
 import numpy as np
 
-_MAX_RANK = 3
 _TAPES = []
 
 
@@ -28,7 +25,7 @@ def active_tape():
 
 
 class Tape:
-    """Ordered record of backward closures for one forward pass."""
+    """The backward maps of one forward pass, in the order recorded."""
 
     def __init__(self):
         self._ops = []
@@ -43,64 +40,33 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, backward_fn):
-        self._ops.append(backward_fn)
+    def record(self, backward_map):
+        self._ops.append(backward_map)
 
-    def backward(self, loss):
-        """Seed d(loss)/d(loss) = 1 and accumulate into every recorded grad."""
+    def backward(self):
+        """Seed d(loss)/d(loss) = 1 and pass it through every map in
+        reverse; returns what the first recorded map returned."""
         if self._used:
             raise RuntimeError("tape already consumed; tapes are single-use")
-        if loss.data.size != 1:
-            raise ValueError("backward requires a scalar loss")
         self._used = True
-        if loss.requires_grad:
-            loss.grad[...] = 1.0
-        for fn in reversed(self._ops):
-            fn()
+        grad = 1.0
+        for backward_map in reversed(self._ops):
+            grad = backward_map(grad)
+        return grad
 
 
 class Tensor:
-    """Immutable dense array (rank <= 3) with an optional gradient slot."""
+    """A trainable block: a copy of its array and the gradient the
+    backward maps add into."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > _MAX_RANK:
-            raise ValueError(f"rank {arr.ndim} exceeds maximum {_MAX_RANK}")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
+    def __init__(self, data):
+        self.data = np.array(data, dtype=np.float64)
+        self.grad = np.zeros_like(self.data)
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
-def record(out: Tensor, backward_fn) -> None:
-    """Attach a backward closure to the active tape, if recording applies.
-
-    Exposed so other modules can define custom differentiable primitives
-    with hand-derived backward rules.
-    """
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(backward_fn)
+        self.grad[...] = 0.0
 
 
 LAYER_NORM_EPS = 1e-5
@@ -131,27 +97,28 @@ def norm_rows_backward(dy, xhat, inv):
     )
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log softmax probability of `label`, computed in log space."""
-    flat = logits.data.reshape(-1)
-    n = flat.shape[0]
+def cross_entropy(logits, label: int) -> float:
+    """Negative log softmax probability of `label`, computed in log space.
+
+    Under a tape it records the map from the loss gradient to the logits
+    gradient.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    n = logits.shape[0]
     label = int(label)
     if not 0 <= label < n:
         raise IndexError(f"label {label} out of range for {n} classes")
-    m = flat.max()
-    lse = m + np.log(np.exp(flat - m).sum())
-    # outside a tape nothing records, so the result is a constant
-    out = Tensor(np.asarray(lse - flat[label]),
-                 requires_grad=active_tape() is not None and logits.requires_grad)
-
-    def backward():
-        if logits.requires_grad:
-            p = np.exp(flat - lse)
+    m = logits.max()
+    lse = m + np.log(np.exp(logits - m).sum())
+    tape = active_tape()
+    if tape is not None:
+        def backward(g):
+            p = np.exp(logits - lse)
             p[label] -= 1.0
-            logits.grad += (out.grad * p).reshape(logits.data.shape)
+            return g * p
 
-    record(out, backward)
-    return out
+        tape.record(backward)
+    return float(lse - logits[label])
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -145,6 +145,14 @@ class TestRunCommand:
          "missing required field partition.'mode'"),
         ({"partition": {"classes_per_client": DROP}},
          "missing required field partition.'classes_per_client'"),
+        ({"partition": {"mode": "dirichlet", "classes_per_client": DROP}},
+         "missing required field partition.'beta'"),
+        # a key the mode never reads is rejected, not written to config.json
+        ({"partition": {"beta": -5.0}, "train": {"rounds": 0}},
+         "partition.'beta' is not read by mode 'pathological'"),
+        ({"partition": {"mode": "dirichlet", "beta": 0.3,
+                        "classes_per_client": 99}},
+         "partition.'classes_per_client' is not read by mode 'dirichlet'"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"train": {"lr_decay": 1e300}},
          "train lr_decay must lie in (0, 1], got 1e+300"),
@@ -173,7 +181,8 @@ class TestRunCommand:
         path, _ = small_config(
             tmp_path,
             data={"classes": 4, "train_per_class": 6},
-            partition={"mode": "dirichlet", "beta": 0.1},
+            partition={"mode": "dirichlet", "beta": 0.1,
+                       "classes_per_client": DROP},
             train=train)
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -192,7 +201,8 @@ class TestRunCommand:
         path, _ = small_config(
             tmp_path, seed=7, heldout_fraction=0.34,
             data={"classes": 4, "train_per_class": 3, "test_per_class": 8},
-            partition={"mode": "dirichlet", "beta": 0.5},
+            partition={"mode": "dirichlet", "beta": 0.5,
+                       "classes_per_client": DROP},
             train={"rounds": 1, "strategy": strategy})
         assert main(["run", "--config", str(path)]) == code
         if code:
@@ -209,6 +219,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             "training error: non-finite prototype norms at layer 2 (round=0)\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_group_without_test_data_rejected_before_any_forward(
+            self, tmp_path, capsys, monkeypatch):
+        # every group is evaluated after the warm-up and each round; here
+        # heldout client 9 is the only heldout one and has no test sample
+        from fedprompt import evaluation, federation
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass before the data check")
+
+        for module in (evaluation, federation):
+            monkeypatch.setattr(module, "forward_shard", no_forward)
+        raw = json.loads((ROOT / "configs" / "dirichlet_heldout.json").read_text())
+        raw.update(seed=1, out_dir=str(tmp_path / "run"))
+        raw["data"]["test_per_class"] = 1
+        raw["partition"]["beta"] = 0.05
+        raw["train"]["rounds"] = 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: every heldout client has an empty test shard: 9\n")
         assert not (tmp_path / "run").exists()
 
     def test_zero_update_period_rejected_before_training(self, tmp_path,
@@ -232,50 +265,67 @@ class TestGradcheckCommand:
 
     def test_fails_with_corrupted_backward(self, monkeypatch, capsys):
         from fedprompt import model
-        from fedprompt import tensor as te
 
-        true_insert = model._insert_mixed
+        true_mix = model._mix
 
-        def corrupted(seq, class_prompts, scores, replace):
-            # the mixing primitive with its class-prompt gradient 1.5x too large
-            out = true_insert(seq, class_prompts, scores, replace)
-            if out.requires_grad and class_prompts.requires_grad:
-                def extra_backward():
-                    class_prompts.grad += 0.5 * (out.grad[1:2].T @ scores.data.T)
+        def corrupted(seq, class_prompts, consts, replace, detach, tape):
+            # the mixing primitive with its class-prompt gradient 1.5x too
+            # large: a map recorded after the mix's own adds half again
+            out = true_mix(seq, class_prompts, consts, replace, detach, tape)
+            if tape is not None:
+                scores = consts.evaluate(seq[0])[0].reshape(-1, 1)
 
-                te.record(out, extra_backward)
+                def extra(g):
+                    class_prompts.grad += 0.5 * (g[1:2].T @ scores.T)
+                    return g
+
+                tape.record(extra)
             return out
 
-        monkeypatch.setattr(model, "_insert_mixed", corrupted)
+        monkeypatch.setattr(model, "_mix", corrupted)
         assert main(["gradcheck", "--dim", "8", "--layers", "2",
                      "--classes", "3"]) == 1
         assert "class: max relative error 5.0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("corruption", ["scaled", "misrouted"])
-    def test_default_size_sees_cls_column_backward(self, monkeypatch, capsys,
-                                                   corruption):
-        # at --dim 8 --layers 2 --classes 3 these corruptions of the
-        # gradient from the scores into the cls token read 2.6e-5 and
-        # 6.3e-5, under the threshold; the default size must catch them
+    @pytest.mark.parametrize("corruption", ["scaled", "row1"])
+    def test_default_size_sees_score_to_cls_map(self, monkeypatch, capsys,
+                                                corruption):
+        # at --dim 8 --layers 2 --classes 3 these corruptions of the map
+        # from the scores to the cls token read 2.6e-5 and 2.4e-5, under
+        # the threshold; the default size must catch them
         from fedprompt import model
-        from fedprompt import tensor as te
 
-        true_cls_column = model._cls_column
+        true_op, true_mix = model.soft_scores_op, model._mix
+        sent = []
 
-        def corrupted(seq):
-            out = true_cls_column(seq)
-            if out.requires_grad:
-                def extra_backward():
-                    if corruption == "scaled":  # 1.5x the true gradient
-                        seq.grad[0:1] += 0.5 * out.grad.T
-                    else:  # routed into row 1 instead of the cls row
-                        seq.grad[1:2] += out.grad.T
-                        seq.grad[0:1] -= out.grad.T
+        def op(cls_vec, consts, grad=False):
+            scores, scores_map = true_op(cls_vec, consts, grad)
+            if scores_map is None:
+                return scores, None
 
-                te.record(out, extra_backward)
-            return out
+            def corrupted_map(g):
+                grad_cls = scores_map(g)
+                if corruption == "scaled":  # 1.5x the true gradient
+                    return 1.5 * grad_cls
+                sent.append(grad_cls)
+                return grad_cls
 
-        monkeypatch.setattr(model, "_cls_column", corrupted)
+            return scores, corrupted_map
+
+        def mix(seq, class_prompts, consts, replace, detach, tape):
+            if tape is not None:
+                # recorded before the mix's map, so it runs right after it
+                # and also adds the cls gradient into row 1
+                def into_row_1(dseq):
+                    if sent:
+                        dseq[1] += sent.pop()
+                    return dseq
+
+                tape.record(into_row_1)
+            return true_mix(seq, class_prompts, consts, replace, detach, tape)
+
+        monkeypatch.setattr(model, "soft_scores_op", op)
+        monkeypatch.setattr(model, "_mix", mix)
         assert main(["gradcheck"]) == 1
         assert "shared: max relative error" in capsys.readouterr().out
 
@@ -339,7 +389,8 @@ class TestPartitionCommand:
         def entropy_for(beta, out):
             path, _ = small_config(
                 tmp_path,
-                partition={"mode": "dirichlet", "beta": beta},
+                partition={"mode": "dirichlet", "beta": beta,
+                           "classes_per_client": DROP},
                 out_dir=str(tmp_path / out),
                 data={"classes": 4, "train_per_class": 40, "test_per_class": 4,
                       "image_size": 8},
@@ -449,12 +500,32 @@ GOLDEN_METRICS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+ROOT = Path(__file__).resolve().parents[1]
+# each benchmark workload at seed 0, cut to 2 rounds: the real model, and
+# in desk and eval-heavy the only pinned runs that replace the mixed token
+# at later layers
+WORKLOAD_METRICS = {
+    "desk": "c87723e717b7dc34b304e0bf8f86df5e27fa484c38deef9be9ad38663131960c",
+    "eval-heavy": "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
+    "train-heavy": "a4c4aeda1ff1380cb8675186f380760fbd683565b58e024b5c88e6dd1a2068cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS) + sorted(WORKLOAD_METRICS))
 def test_metrics_bytes_match_golden(tmp_path, name):
     # pinned bytes: a refactor of any strategy must leave its metrics.csv
     # unchanged to the last bit
-    train, digest = GOLDEN_METRICS[name]
-    path, _ = small_config(tmp_path, heldout_fraction=0.34, train=train)
+    if name in WORKLOAD_METRICS:
+        digest = WORKLOAD_METRICS[name]
+        raw = json.loads(
+            (ROOT / "perfbench" / "workloads" / f"{name}.json").read_text())
+        raw.update(seed=0, out_dir=str(tmp_path / "run"))
+        raw["train"]["rounds"] = 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+    else:
+        train, digest = GOLDEN_METRICS[name]
+        path, _ = small_config(tmp_path, heldout_fraction=0.34, train=train)
     assert main(["run", "--config", str(path)]) == 0
     data = (tmp_path / "run" / "metrics.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
@@ -478,11 +549,10 @@ def test_metrics_bytes_independent_of_blas_threads(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = {
     # sha256 of the config.json each writes with out_dir "run"
-    "pathological": "4c60e975f4d8a0c39a018766ff2f2d1808d2dc93998c574db5858d5bbcf4e0dd",
-    "dirichlet_heldout": "16c8bb44111707a1ef740ea1870004c36607b330bc6d97a312c14008574e2490",
+    "pathological": "1e7b2b2f15803a8581dcd9f63ca7cf928eb171cc7a1f9b062eee684a4e649db6",
+    "dirichlet_heldout": "cc426e2a3616bbe20f03e248e09fb61ccab89f71c4f1b4c50d5de118e501cdb9",
 }
 
 

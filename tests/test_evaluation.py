@@ -91,7 +91,6 @@ class TestEvaluateClients:
         probe = PromptParams.init(0, 8, 8, 1)
         probe.head.data[...] = np.eye(8)
         x, _ = forward_with_prompts(image, probe, backbone, cfg, {})
-        x = x.data.reshape(-1)
         # logits (-|x|^2, |x|^2, |x|^2): classes 1 and 2 tie on top
         params = PromptParams.init(0, 8, 3, 1)
         params.head.data[...] = [-x, x, x]
@@ -113,7 +112,7 @@ class TestEvaluateClients:
         for image, y in zip(client.test_x, labels):
             logits, _ = forward_with_prompts(image, params, backbone, cfg, {})
             best, arg = -np.inf, -1
-            for i, v in enumerate(logits.data.reshape(-1)):
+            for i, v in enumerate(logits):
                 if v > best:
                     best, arg = v, i
             hits += int(arg == y)

@@ -49,10 +49,10 @@ def forward_recording_scores(monkeypatch, image, prompts, backbone, cfg,
     scores = {}
     op = model.soft_scores_op
 
-    def recording(cls_col, layer_consts, detach=False):
-        out = op(cls_col, layer_consts, detach=detach)
-        scores[layer_of[id(layer_consts)]] = out.data.reshape(-1).copy()
-        return out
+    def recording(cls_vec, layer_consts, grad=False):
+        out, scores_map = op(cls_vec, layer_consts, grad)
+        scores[layer_of[id(layer_consts)]] = out.copy()
+        return out, scores_map
 
     monkeypatch.setattr(model, "soft_scores_op", recording)
     logits, cls = forward_with_prompts(image, prompts, backbone, cfg, consts)
@@ -94,7 +94,7 @@ class TestInitBackbone:
         logits, cls, scores = forward_recording_scores(
             monkeypatch, image, prompts, backbone, cfg,
             score_constants(cfg, bank, priors))
-        assert logits.data.shape == (8, 1)
+        assert logits.shape == (8,)
         assert cls.shape == (8, 32)
         assert set(scores) == {5, 6, 7}
 
@@ -220,15 +220,12 @@ class TestFusedLayerReference:
         rng = np.random.default_rng(tokens * 10 + heads)
         xv = rng.normal(size=(tokens, cfg.dim))
         dout = rng.normal(size=(tokens, cfg.dim))
-        x = te.parameter(xv)
         with te.Tape() as tape:
-            out = _transformer_layer(x, blk, heads)
+            out = _transformer_layer(xv, blk, heads, tape)
         (backward,) = tape._ops
-        out.grad[...] = dout
-        backward()
         ref_out, ref_grad = reference_layer(xv, dout, blk, heads)
-        assert np.array_equal(out.data, ref_out)
-        assert np.array_equal(x.grad, ref_grad)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(backward(dout), ref_grad)
 
     @pytest.mark.parametrize("image_size, patch_size", [(16, 8), (8, 4), (4, 2)])
     def test_patchify_matches_patch_loop(self, image_size, patch_size):
@@ -241,15 +238,43 @@ class TestFusedLayerReference:
 
 
 # The prompted forward as a chain of generic tape ops, as it was written
-# before embedding, prompt mixing and head became fused primitives.  The
-# fused forward must match it bit for bit.
+# before embedding, prompt mixing and head became fused primitives, on a
+# test-local engine that shares no autodiff code with the package.  Its
+# blocks run `reference_layer`.  The fused forward must match it bit for
+# bit.
+
+class RefTensor:
+    """A node of the test-local engine: an array, whether a gradient
+    reaches it, and the gradient accumulated into it."""
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = requires_grad
+        self.grad = np.zeros_like(self.data) if requires_grad else None
+
+
+class RefTape:
+    """Backward closures of the nodes that need a gradient, replayed in
+    reverse order of creation."""
+
+    def __init__(self):
+        self.ops = []
+
+    def record(self, out, backward):
+        if out.requires_grad:
+            self.ops.append(backward)
+
+    def backward(self, loss):
+        loss.grad[...] = 1.0
+        for fn in reversed(self.ops):
+            fn()
+
 
 def _ref_result(data, *parents):
-    requires = te.active_tape() is not None and any(p.requires_grad for p in parents)
-    return te.Tensor(data, requires_grad=requires)
+    return RefTensor(data, any(p.requires_grad for p in parents))
 
 
-def ref_matmul(a, b):
+def ref_matmul(a, b, tape):
     out = _ref_result(a.data @ b.data, a, b)
 
     def backward():
@@ -258,33 +283,33 @@ def ref_matmul(a, b):
         if b.requires_grad:
             b.grad += a.data.T @ out.grad
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def ref_transpose(a):
+def ref_transpose(a, tape):
     out = _ref_result(a.data.T, a)
 
     def backward():
         if a.requires_grad:
             a.grad += out.grad.T
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def ref_slice_rows(a, start, stop):
+def ref_slice_rows(a, start, stop, tape):
     out = _ref_result(a.data[start:stop], a)
 
     def backward():
         if a.requires_grad:
             a.grad[start:stop] += out.grad
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def ref_concat_rows(parts):
+def ref_concat_rows(parts, tape):
     out = _ref_result(np.concatenate([p.data for p in parts], axis=0), *parts)
 
     def backward():
@@ -295,11 +320,11 @@ def ref_concat_rows(parts):
                 part.grad += out.grad[lo:hi]
             lo = hi
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def ref_layer_norm(x, gain, bias):
+def ref_layer_norm(x, gain, bias, tape):
     # gain and bias are frozen arrays, so only x receives a gradient
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
@@ -312,11 +337,22 @@ def ref_layer_norm(x, gain, bias):
         x.grad += inv * (gx - gx.mean(axis=-1, keepdims=True)
                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def ref_soft_scores_op(cls_col, prototypes, priors, tau, detach):
+def ref_block(x, blk, heads, tape):
+    out = _ref_result(
+        reference_layer(x.data, np.zeros_like(x.data), blk, heads)[0], x)
+
+    def backward():
+        x.grad += reference_layer(x.data, out.grad, blk, heads)[1]
+
+    tape.record(out, backward)
+    return out
+
+
+def ref_soft_scores_op(cls_col, prototypes, priors, tau, detach, tape):
     cls_vec = cls_col.data.reshape(-1)
     active = priors > 0.0
     protos = prototypes[active]
@@ -330,10 +366,8 @@ def ref_soft_scores_op(cls_col, prototypes, priors, tau, detach):
     e = np.exp(logits - logits.max())
     scores = np.zeros_like(priors)
     scores[active] = e / e.sum()
-    requires = cls_col.requires_grad and not detach
-    out = te.Tensor(scores.reshape(-1, 1), requires_grad=requires)
-    if not requires:
-        return out
+    out = RefTensor(scores.reshape(-1, 1),
+                    cls_col.requires_grad and not detach)
 
     def backward():
         g = out.grad.reshape(-1)[active]
@@ -347,40 +381,62 @@ def ref_soft_scores_op(cls_col, prototypes, priors, tau, detach):
             grad_cls -= float(coeff @ sims_nz) * cls_vec / cls_norm**2
         cls_col.grad += grad_cls.reshape(cls_col.data.shape)
 
-    te.record(out, backward)
+    tape.record(out, backward)
     return out
 
 
-def reference_forward(image, prompts, backbone, cfg, bank, priors):
+def ref_cross_entropy(logits, label, tape):
+    flat = logits.data.reshape(-1)
+    m = flat.max()
+    lse = m + np.log(np.exp(flat - m).sum())
+    out = _ref_result(np.asarray(lse - flat[label]), logits)
+
+    def backward():
+        p = np.exp(flat - lse)
+        p[label] -= 1.0
+        logits.grad += (out.grad * p).reshape(logits.data.shape)
+
+    tape.record(out, backward)
+    return out
+
+
+def reference_run(image, prompts, backbone, cfg, bank, priors, label):
+    """The generic-op forward of `prompts`' arrays and one backward of the
+    cross entropy at `label`: (trace, gradients of the three blocks)."""
+    tape = RefTape()
+    shared, class_prompts, head = (RefTensor(block.data, requires_grad=True)
+                                   for _, block in prompts.blocks())
     trace = {"cls_inputs": [], "scores": {}}
-    rows = [te.constant(backbone.cls_embed[None, :])]
-    if prompts.shared.data.shape[1] > 0:
-        rows.append(ref_transpose(prompts.shared))
+    rows = [RefTensor(backbone.cls_embed[None, :])]
+    if shared.data.shape[1] > 0:
+        rows.append(ref_transpose(shared, tape))
     dim = cfg.dim
     tokens = patchify(image, cfg) @ backbone.patch_embed + np.zeros(dim)
-    rows.append(te.constant(tokens))
-    seq = ref_concat_rows(rows)
+    rows.append(RefTensor(tokens))
+    seq = ref_concat_rows(rows, tape)
     mix_inserted = False
     for layer in range(1, cfg.layers + 1):
         trace["cls_inputs"].append(seq.data[0].copy())
         if layer in cfg.mix_layers and (not mix_inserted or cfg.refresh_mix):
-            cls_col = ref_transpose(ref_slice_rows(seq, 0, 1))
+            cls_col = ref_transpose(ref_slice_rows(seq, 0, 1, tape), tape)
             scores = ref_soft_scores_op(cls_col, bank.mu[layer], priors,
-                                        cfg.tau, cfg.detach_scores)
+                                        cfg.tau, cfg.detach_scores, tape)
             trace["scores"][layer] = scores.data.reshape(-1).copy()
-            mixed = ref_transpose(ref_matmul(prompts.class_prompts, scores))
-            head_row = ref_slice_rows(seq, 0, 1)
-            rest = ref_slice_rows(seq, 2 if mix_inserted else 1, seq.data.shape[0])
+            mixed = ref_transpose(ref_matmul(class_prompts, scores, tape), tape)
+            head_row = ref_slice_rows(seq, 0, 1, tape)
+            rest = ref_slice_rows(seq, 2 if mix_inserted else 1,
+                                  seq.data.shape[0], tape)
             mix_inserted = True
-            seq = ref_concat_rows([head_row, mixed, rest])
-        seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads)
-    cls_row = ref_layer_norm(ref_slice_rows(seq, 0, 1), np.ones(dim),
-                             np.zeros(dim))
-    cls_final = ref_transpose(cls_row)
-    logits = ref_matmul(prompts.head, cls_final)
+            seq = ref_concat_rows([head_row, mixed, rest], tape)
+        seq = ref_block(seq, backbone.blocks[layer - 1], cfg.heads, tape)
+    cls_row = ref_layer_norm(ref_slice_rows(seq, 0, 1, tape), np.ones(dim),
+                             np.zeros(dim), tape)
+    cls_final = ref_transpose(cls_row, tape)
+    logits = ref_matmul(head, cls_final, tape)
     trace["final_cls"] = cls_final.data.reshape(-1).copy()
     trace["logits"] = logits.data.reshape(-1).copy()
-    return logits, trace
+    tape.backward(ref_cross_entropy(logits, label, tape))
+    return trace, [shared.grad, class_prompts.grad, head.grad]
 
 
 def taped_run(forward, prompts, label):
@@ -389,8 +445,8 @@ def taped_run(forward, prompts, label):
     prompts.zero_grad()
     with te.Tape() as tape:
         outputs = forward(prompts)
-        loss = te.cross_entropy(outputs[0], label)
-    tape.backward(loss)
+        te.cross_entropy(outputs[0], label)
+    tape.backward()
     return outputs, [block.grad.copy() for _, block in prompts.blocks()]
 
 
@@ -424,9 +480,8 @@ class TestFusedForwardReference:
             lambda p: forward_recording_scores(monkeypatch, image, p,
                                                backbone, cfg, consts),
             prompts, label)
-        (_, ref), ref_grads = taped_run(
-            lambda p: reference_forward(image, p, backbone, cfg, bank, priors),
-            prompts, label)
+        ref, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
+                                       priors, label)
         shard_logits, shard_cls = forward_shard(image[None], prompts, backbone,
                                                 cfg, consts)
         # an identity head reads out the normalized final cls token exactly
@@ -435,9 +490,9 @@ class TestFusedForwardReference:
                                          np.eye(cfg.dim))
         final_cls, _ = forward_with_prompts(image, probe, backbone, cfg, consts)
 
-        assert np.array_equal(logits.data.reshape(-1), ref["logits"])
+        assert np.array_equal(logits, ref["logits"])
         assert np.array_equal(shard_logits[0], ref["logits"])
-        assert np.array_equal(final_cls.data.reshape(-1), ref["final_cls"])
+        assert np.array_equal(final_cls, ref["final_cls"])
         assert np.array_equal(cls, np.stack(ref["cls_inputs"]))
         assert np.array_equal(shard_cls[:, 0], cls)
         assert scores.keys() == ref["scores"].keys()
@@ -456,35 +511,35 @@ class TestPrimitiveGradients:
         blk = init_backbone(31, cfg).blocks[0]
         x = np.random.default_rng(31).normal(size=(5, cfg.dim))
 
-        def loss(xt):
-            return te.cross_entropy(_transformer_layer(xt, blk, cfg.heads), 3)
+        def loss(v):
+            out = _transformer_layer(v, blk, cfg.heads)
+            return te.cross_entropy(out.reshape(-1), 3)
 
-        x_param = te.parameter(x)
         with te.Tape() as tape:
-            out = loss(x_param)
-        tape.backward(out)
-        oracle = te.finite_diff_grad(lambda v: float(loss(te.constant(v)).data), x)
-        assert te.grad_rel_error(x_param.grad, oracle) < 1e-6
+            out = _transformer_layer(x, blk, cfg.heads, tape)
+        (layer_map,) = tape._ops
+        with te.Tape() as loss_tape:
+            te.cross_entropy(out.reshape(-1), 3)
+        auto = layer_map(loss_tape.backward().reshape(out.shape))
+        assert te.grad_rel_error(auto, te.finite_diff_grad(loss, x)) < 1e-6
 
     def test_head_vs_finite_differences(self):
         rng = np.random.default_rng(32)
         seq, head = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
 
         def loss(s, h):
-            return te.cross_entropy(_head(s, h), 1)
+            return te.cross_entropy(_head(s, h, te.active_tape()), 1)
 
-        params = [te.parameter(seq), te.parameter(head)]
+        block = te.Tensor(head.copy())
         with te.Tape() as tape:
-            out = loss(*params)
-        tape.backward(out)
+            loss(seq, block)
+        dseq = tape.backward()
         oracles = [
-            te.finite_diff_grad(
-                lambda v: float(loss(te.constant(v), te.constant(head)).data), seq),
-            te.finite_diff_grad(
-                lambda v: float(loss(te.constant(seq), te.constant(v)).data), head),
+            te.finite_diff_grad(lambda v: loss(v, te.Tensor(head)), seq),
+            te.finite_diff_grad(lambda v: loss(seq, te.Tensor(v)), head),
         ]
-        for param, oracle in zip(params, oracles):
-            assert te.grad_rel_error(param.grad, oracle) < 1e-6
+        for grad, oracle in zip((dseq, block.grad), oracles):
+            assert te.grad_rel_error(grad, oracle) < 1e-6
 
 
 class TestPatchify:
@@ -509,7 +564,7 @@ class TestForward:
         assert consts == {}
         logits, cls, scores = forward_recording_scores(
             monkeypatch, image, prompts, backbone, cfg, consts)
-        assert logits.data.shape == (4, 1)
+        assert logits.shape == (4,)
         assert scores == {}
         assert cls.shape == (cfg.layers, cfg.dim)
 
@@ -545,7 +600,7 @@ class TestForward:
         consts = score_constants(SMALL, bank, priors)
         a, cls_a = forward_with_prompts(image, prompts, backbone, SMALL, consts)
         b, cls_b = forward_with_prompts(image, prompts, backbone, SMALL, consts)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(cls_a, cls_b)
 
     def test_scores_match_pure_function_on_traced_cls(self, monkeypatch):
@@ -577,8 +632,8 @@ class TestForward:
         with te.Tape() as tape:
             logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
                                              score_constants(SMALL, bank, priors))
-            loss = te.cross_entropy(logits, 1)
-        tape.backward(loss)
+            te.cross_entropy(logits, 1)
+        tape.backward()
         assert backbone_checksum(backbone) == before
         for arr in backbone_arrays(backbone):
             assert np.isfinite(arr).all()
@@ -594,7 +649,7 @@ class TestForward:
         image = np.random.default_rng(13).normal(size=(16, 16))
         la, _ = forward_with_prompts(image, a, backbone, cfg, {})
         lb, _ = forward_with_prompts(image, b, backbone, cfg, {})
-        np.testing.assert_array_equal(la.data, lb.data)
+        np.testing.assert_array_equal(la, lb)
 
 
 class TestForwardShard:
@@ -619,7 +674,7 @@ class TestForwardShard:
         n = len(images)
         assert logits.shape == (n, 8) and cls.shape == (cfg.layers, n, cfg.dim)
         assert np.array_equal(
-            logits, np.stack([out.data.reshape(-1) for out, _ in singles]))
+            logits, np.stack([out for out, _ in singles]))
         assert np.array_equal(cls, np.stack([c for _, c in singles], axis=1))
 
 
@@ -644,9 +699,9 @@ class TestGradients:
             with te.Tape() as tape:
                 logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
                                                  consts)
-                loss = te.cross_entropy(logits, 0)
-            tape.backward(loss)
-            grads[key] = (logits.data.copy(), prompts.shared.grad.copy())
+                te.cross_entropy(logits, 0)
+            tape.backward()
+            grads[key] = (logits, prompts.shared.grad.copy())
         np.testing.assert_array_equal(grads["flow"][0], grads["detach"][0])
         assert np.abs(grads["flow"][1] - grads["detach"][1]).max() > 0
 
@@ -656,8 +711,8 @@ class TestGradients:
         with te.Tape() as tape:
             logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
                                              score_constants(SMALL, bank, priors))
-            loss = te.cross_entropy(logits, 2)
-        tape.backward(loss)
+            te.cross_entropy(logits, 2)
+        tape.backward()
         # plain arrays have no gradient slot, so no backward can write one
         for arr in backbone_arrays(backbone):
             assert type(arr) is np.ndarray

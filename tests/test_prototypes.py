@@ -259,28 +259,23 @@ class TestSoftScoresOp:
         consts = ScoreConstants(protos, priors, 0.7, cls.size)
 
         def loss_from(cls_arr):
-            col = te.constant(np.asarray(cls_arr).reshape(-1, 1))
-            return te.cross_entropy(soft_scores_op(col, consts), label)
+            return te.cross_entropy(soft_scores_op(cls_arr, consts)[0], label)
 
-        param = te.parameter(cls.reshape(-1, 1))
+        scores, scores_map = soft_scores_op(cls, consts, grad=True)
         with te.Tape() as tape:
-            loss = te.cross_entropy(soft_scores_op(param, consts), label)
-        tape.backward(loss)
-        oracle = te.finite_diff_grad(lambda x: float(loss_from(x).data), cls)
-        assert te.grad_rel_error(param.grad.reshape(-1), oracle) < 1e-6
+            te.cross_entropy(scores, label)
+        auto = scores_map(tape.backward())
+        oracle = te.finite_diff_grad(loss_from, cls)
+        assert te.grad_rel_error(auto, oracle) < 1e-6
 
-    def test_detach_blocks_gradient_but_not_forward(self):
+    def test_no_map_without_grad_same_forward(self):
         cls, protos, priors, _ = self._setup(8)
-        param = te.parameter(cls.reshape(-1, 1))
-        with te.Tape() as tape:
-            s = soft_scores_op(param, ScoreConstants(protos, priors, 0.7, cls.size),
-                               detach=True)
-            loss = te.cross_entropy(s, 1)
-        tape.backward(loss)
-        assert np.all(param.grad == 0.0)
+        consts = ScoreConstants(protos, priors, 0.7, cls.size)
+        s, scores_map = soft_scores_op(cls, consts)
+        assert scores_map is None
+        np.testing.assert_array_equal(s, soft_scores(cls, protos, priors, 0.7))
         np.testing.assert_array_equal(
-            s.data.reshape(-1), soft_scores(cls, protos, priors, 0.7)
-        )
+            soft_scores_op(cls, consts, grad=True)[0], s)
 
 
 class TestMixPrompt:
