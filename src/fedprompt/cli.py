@@ -296,6 +296,9 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--classes must be >= 1, got {args.classes}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ConfigError(
+            f"--threshold must be finite and > 0, got {args.threshold}")
     n_params = (args.dim * 1 + args.dim * args.classes
                 + args.classes * args.dim)
     if n_params > 5000:

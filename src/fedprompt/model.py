@@ -14,6 +14,7 @@ computed from its own incoming cls state; a config flag switches to
 propagating the first mixture unchanged instead.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,17 +173,9 @@ def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return image.reshape(n, p, n, p).transpose(0, 2, 1, 3).reshape(n * n, p * p)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def _split_heads(m, heads):
-    tokens, d = m.shape
-    return m.reshape(tokens, heads, d // heads).transpose(1, 0, 2)
-
-
-def _merge_heads(m):
-    heads, tokens, head_dim = m.shape
-    return m.transpose(1, 0, 2).reshape(tokens, heads * head_dim)
+_GELU_C = te.scalar(np.sqrt(2.0 / np.pi))
+_GELU_A = te.scalar(0.044715)
+_GELU_3A = te.scalar(3 * 0.044715)
 
 
 def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
@@ -193,54 +186,103 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     matrix; deriving it by hand keeps the per-sample step two orders of
     magnitude cheaper than composing generic ops, and the
     finite-difference suite checks it end to end.
+
+    Every ufunc writes with `out=`: temporaries come from `te.SCRATCH`,
+    and what the map captures from `te.FRESH` under a tape (from the pool
+    without one).  The output and the map's result are fresh arrays.
     """
     w_qkv, w_out, w_up, w_down = blk.w_qkv, blk.w_out, blk.w_up, blk.w_down
     tokens, d = x.shape
-    inv_sqrt = 1.0 / np.sqrt(d // heads)
+    head_dim = d // heads
+    hidden = w_up.shape[1]
+    inv_sqrt = te.scalar(1.0 / math.sqrt(head_dim))
+    pool = te.SCRATCH
+    keep = pool if tape is None else te.FRESH
 
-    xhat1, inv1 = te.norm_rows(x)
+    xhat1, inv1 = te.norm_rows(x, keep["xhat1", tokens, d],
+                               keep["inv1", tokens, 1])
     # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
-    q, k, v = (xhat1 @ w_qkv).reshape(
-        tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
-    scores = q @ k.transpose(0, 2, 1) * inv_sqrt
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    attn = np.exp(scores)
-    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
-    x1 = _merge_heads(attn @ v) @ w_out
-    x1 += x
+    qkv = np.dot(xhat1, w_qkv, keep["qkv", tokens, 3 * d]).reshape(
+        tokens, 3, heads, head_dim).transpose(1, 2, 0, 3)
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = np.matmul(q, k.transpose(0, 2, 1),
+                       pool["scores", heads, tokens, tokens])
+    np.multiply(scores, inv_sqrt, scores)
+    # reductions into the 1-D view of a column dispatch fastest
+    col = pool["col", heads, tokens, 1]
+    flat = col[:, :, 0]
+    np.maximum.reduce(scores, 2, None, flat)
+    attn = np.exp(np.subtract(scores, col, scores),
+                  keep["attn", heads, tokens, tokens])
+    np.add.reduce(attn, 2, None, flat)
+    np.divide(attn, col, attn)
+    # written head by head into the (tokens, d) layout
+    merged = pool["merged", tokens, d]
+    np.matmul(attn, v,
+              merged.reshape(tokens, heads, head_dim).transpose(1, 0, 2))
+    x1 = np.dot(merged, w_out, pool["x1", tokens, d])
+    np.add(x1, x, x1)
 
-    xhat2, inv2 = te.norm_rows(x1)
-    u = xhat2 @ w_up
+    xhat2, inv2 = te.norm_rows(x1, keep["xhat2", tokens, d],
+                               keep["inv2", tokens, 1])
+    u = np.dot(xhat2, w_up, pool["u", tokens, hidden])
     # u2 * u, not u**3: a float power goes through libm pow, ~40x slower
-    u2 = u * u
-    t = np.tanh(_GELU_C * (u + 0.044715 * (u2 * u)))
-    x2 = (0.5 * u * (1.0 + t)) @ w_down
-    x2 += x1
+    u2 = np.multiply(u, u, keep["u2", tokens, hidden])
+    inner = np.multiply(u2, u, pool["mlp", tokens, hidden])
+    np.multiply(_GELU_A, inner, inner)
+    np.add(u, inner, inner)
+    t = np.tanh(np.multiply(_GELU_C, inner, inner), keep["t", tokens, hidden])
+    # GELU (0.5 u)(1 + t), keeping both factors for the map
+    half_u = np.multiply(te.HALF, u, keep["half_u", tokens, hidden])
+    one_t = np.add(te.ONE, t, keep["one_t", tokens, hidden])
+    x2 = np.dot(np.multiply(half_u, one_t, inner), w_down)
+    np.add(x2, x1, x2)
     if tape is None:
         return x2
 
     def backward(dout):
-        # MLP branch
-        dgelu = dout @ w_down.T
-        du = dgelu * (0.5 * (1.0 + t)
-                      + 0.5 * u * (1.0 - t * t)
-                      * _GELU_C * (1.0 + 3 * 0.044715 * u2))
-        dx1 = te.norm_rows_backward(du @ w_up.T, xhat2, inv2)
-        dx1 += dout
+        # MLP branch: du = dgelu * (0.5 (1 + t)
+        #                           + 0.5 u (1 - t^2) c (1 + 3a u^2))
+        slope = np.multiply(te.HALF, one_t, pool["b.slope", tokens, hidden])
+        sech2 = np.multiply(t, t, pool["b.sech2", tokens, hidden])
+        np.subtract(te.ONE, sech2, sech2)
+        tail = np.multiply(half_u, sech2, pool["b.tail", tokens, hidden])
+        np.multiply(tail, _GELU_C, tail)
+        cubic = np.multiply(_GELU_3A, u2, sech2)
+        np.multiply(tail, np.add(te.ONE, cubic, cubic), tail)
+        np.add(slope, tail, slope)
+        du = np.dot(dout, w_down.T, pool["b.du", tokens, hidden])
+        np.multiply(du, slope, du)
+        dx1 = np.dot(du, w_up.T, pool["b.dx1", tokens, d])
+        te.norm_rows_backward(dx1, xhat2, inv2, dx1)
+        np.add(dx1, dout, dx1)
         # attention branch
-        do_heads = _split_heads(dx1 @ w_out.T, heads)
-        dattn = do_heads @ v.transpose(0, 2, 1)
-        dv = attn.transpose(0, 2, 1) @ do_heads
-        dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1,
-                                                keepdims=True))
-        dscores *= inv_sqrt
-        dq = dscores @ k
-        dk = dscores.transpose(0, 2, 1) @ q
-        # three GEMMs, not one against w_qkv: that would sum in another order
-        dh1 = (_merge_heads(dq) @ w_qkv[:, :d].T
-               + _merge_heads(dk) @ w_qkv[:, d:2 * d].T
-               + _merge_heads(dv) @ w_qkv[:, 2 * d:].T)
-        return dx1 + te.norm_rows_backward(dh1, xhat1, inv1)
+        do_heads = np.dot(dx1, w_out.T, pool["b.do", tokens, d]).reshape(
+            tokens, heads, head_dim).transpose(1, 0, 2)
+        dattn = np.matmul(do_heads, v.transpose(0, 2, 1),
+                          pool["b.dattn", heads, tokens, tokens])
+        weighted = np.multiply(dattn, attn, pool["b.w", heads, tokens, tokens])
+        col = pool["b.col", heads, tokens, 1]
+        np.add.reduce(weighted, 2, None, col[:, :, 0])
+        np.subtract(dattn, col, dattn)
+        dscores = np.multiply(attn, dattn, dattn)
+        np.multiply(dscores, inv_sqrt, dscores)
+        # dq, dk and dv in turn, each written head by head into the
+        # (tokens, d) layout and taken through its own GEMM: one against
+        # w_qkv would sum in another order, and np.dot on the column
+        # slices differs from `@` in the bits
+        merged = pool["b.merged", tokens, d]
+        by_head = merged.reshape(tokens, heads, head_dim).transpose(1, 0, 2)
+        dh1 = pool["b.dh1", tokens, d]
+        part = pool["b.part", tokens, d]
+        np.matmul(dscores, k, by_head)
+        np.matmul(merged, w_qkv[:, :d].T, dh1)
+        np.matmul(dscores.transpose(0, 2, 1), q, by_head)
+        np.add(dh1, np.matmul(merged, w_qkv[:, d:2 * d].T, part), dh1)
+        np.matmul(attn.transpose(0, 2, 1), do_heads, by_head)
+        np.add(dh1, np.matmul(merged, w_qkv[:, 2 * d:].T, part), dh1)
+        dx = te.norm_rows_backward(dh1, xhat1, inv1)
+        return np.add(dx1, dx, dx)
 
     tape.record(backward)
     return x2
@@ -250,32 +292,44 @@ def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
            cfg: ModelConfig, tape=None):
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
     its map adds into the shared prompts and has no input to pass on."""
-    tokens = patchify(image, cfg) @ backbone.patch_embed
+    patches = patchify(image, cfg)
     n_shared = shared.data.shape[1]
+    seq = np.empty((1 + n_shared + len(patches), cfg.dim))
+    seq[0] = backbone.cls_embed
+    seq[1:1 + n_shared] = shared.data.T
+    np.dot(patches, backbone.patch_embed, seq[1 + n_shared:])
     if tape is not None:
         def backward(g):
             shared.grad += g[1:1 + n_shared].T
 
         tape.record(backward)
-    return np.concatenate([backbone.cls_embed[None, :], shared.data.T, tokens])
+    return seq
 
 
 def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
-         detach: bool, tape=None):
+         detach: bool, tape, upstream: bool):
     """`seq` with the mixed prompt P @ s as its second token: inserted
     after cls, or with `replace` in place of the mixed token an earlier
     layer inserted.  The scores s are computed from the cls row; with
-    `detach` no gradient flows back through them."""
+    `detach` no gradient flows back through them.
+
+    `upstream` says whether a trainable block feeds `seq`.  Without one
+    the map only adds into the class prompts and returns None, and the
+    scores get no map of their own.
+    """
     start = 2 if replace else 1
-    scores, scores_map = soft_scores_op(seq[0], consts,
-                                        tape is not None and not detach)
-    scores = scores.reshape(-1, 1)
-    out = np.concatenate([seq[0:1], (class_prompts.data @ scores).T,
-                          seq[start:]])
+    scores, scores_map = soft_scores_op(
+        seq[0], consts, tape is not None and upstream and not detach)
+    out = np.empty((len(seq) + 2 - start, seq.shape[1]))
+    out[0] = seq[0]
+    np.dot(class_prompts.data, scores, out[1])
+    out[2:] = seq[start:]
     if tape is not None:
         def backward(g):
             dmixed = g[1:2].T
-            class_prompts.grad += dmixed @ scores.T
+            class_prompts.grad += dmixed @ scores[None, :]
+            if not upstream:
+                return None
             dseq = np.zeros_like(seq)
             dseq[start:] = g[2:]
             dseq[0] = g[0]
@@ -288,20 +342,25 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
     return out
 
 
-def _head(seq, head: te.Tensor, tape=None):
+def _head(seq, head: te.Tensor, tape, upstream: bool):
     """Logits head @ LN(cls) of the last layer's cls row, as one
-    primitive."""
-    row, inv = te.norm_rows(seq[0:1])
+    primitive.  With `upstream` False (no trainable block feeds `seq`)
+    its map only adds into the head and returns None."""
+    keep = te.SCRATCH if tape is None else te.FRESH
+    row, inv = te.norm_rows(seq[0:1], keep["head.row", 1, seq.shape[1]],
+                            keep["head.inv", 1, 1])
     if tape is not None:
         def backward(g):
             g = g.reshape(-1, 1)
             head.grad += g @ row
+            if not upstream:
+                return None
             dseq = np.zeros_like(seq)
-            dseq[0:1] = te.norm_rows_backward((head.data.T @ g).T, row, inv)
+            te.norm_rows_backward((head.data.T @ g).T, row, inv, dseq[0:1])
             return dseq
 
         tape.record(backward)
-    return (head.data @ row.T).reshape(-1)
+    return np.dot(head.data, row[0])
 
 
 def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
@@ -338,7 +397,8 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     The pass is a chain of fused primitives over plain arrays: embedding,
     per layer the optional prompt mixing and the transformer block, then
     the head.  Under a tape each records one backward map; a block
-    records one only once a trainable block feeds the token matrix.
+    records one only once a trainable block feeds the token matrix, and
+    the mixing and head maps pass an input gradient on only then.
     """
     tape = te.active_tape()
     live = tape if prompts.shared.data.shape[1] else None
@@ -349,12 +409,12 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
         cls[layer - 1] = seq[0]
         if layer in cfg.mix_layers and (not mixed or cfg.refresh_mix):
             seq = _mix(seq, prompts.class_prompts, consts[layer], mixed,
-                       cfg.detach_scores, tape)
+                       cfg.detach_scores, tape, live is not None)
             mixed = True
             live = tape
         seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads,
                                  live)
-    return _head(seq, prompts.head, tape), cls
+    return _head(seq, prompts.head, tape, live is not None), cls
 
 
 def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,

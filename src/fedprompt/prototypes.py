@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as te
 from .errors import ConfigError, DataError
 
 
@@ -38,15 +39,17 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class ScoreConstants:
     """The part of one layer's scores that does not depend on the sample.
 
-    For one client's priors and one state of the bank: which classes have
-    a nonzero prior, their prototypes with nonzero norm and those norms,
-    and the log priors.  The loop that walks a shard builds these once,
-    so each sample only adds the cls token's norm and one matrix-vector
-    product.  They hold copies of the prototypes: after a write to the
-    bank, build them again.
+    For one client's priors and one state of the bank: the indices of the
+    classes with a nonzero prior (`active`) and, among those, of the
+    prototypes with nonzero norm (`nonzero`), those prototypes and their
+    norms, and the log priors.  The loop that walks a shard builds these
+    once, so each sample only adds the cls token's norm and one
+    matrix-vector product.  They hold copies of the prototypes: after a
+    write to the bank, build them again.
     """
 
-    __slots__ = ("tau", "active", "nonzero", "protos", "norms", "log_priors")
+    __slots__ = ("tau", "classes", "active", "nonzero", "protos", "norms",
+                 "log_priors")
 
     def __init__(self, prototypes, priors, tau: float, dim: int):
         if tau <= 0:
@@ -55,15 +58,16 @@ class ScoreConstants:
         priors = np.asarray(priors, dtype=np.float64).reshape(-1)
         if prototypes.shape != (priors.size, dim):
             raise ConfigError("prototype matrix must be (classes, dim)")
-        active = priors > 0.0
-        if not active.any():
+        active = np.flatnonzero(priors > 0.0)
+        if not active.size:
             raise DataError("all class priors are zero; scores cannot be normalized")
         protos = prototypes[active]
         # what np.linalg.norm computes per row, without its Python overhead
         norms = np.sqrt(np.add.reduce(protos * protos, axis=1))
-        self.tau = tau
+        self.tau = te.scalar(tau)
+        self.classes = priors.size
         self.active = active
-        self.nonzero = norms > 0.0
+        self.nonzero = np.flatnonzero(norms > 0.0)
         self.protos = protos[self.nonzero]
         self.norms = norms[self.nonzero]
         self.log_priors = np.log(priors[active])
@@ -72,17 +76,27 @@ class ScoreConstants:
         """(scores, sims, cls_norm) for one cls token: the scores over all
         classes, the cosine similarities to the nonzero active prototypes
         (None when the token or every such prototype is zero), and the
-        token's norm."""
-        cls_norm = np.sqrt(cls_vec @ cls_vec)
-        logits = np.zeros(self.log_priors.size)
+        token's norm.  The scores and sims are fresh arrays."""
+        pool = te.SCRATCH
+        n_active = self.log_priors.size
+        cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
+        logits = pool["scores.logits", n_active]
+        logits.fill(0.0)
         sims = None
         if cls_norm > 0.0 and self.norms.size:
-            sims = (self.protos @ cls_vec) / (self.norms * cls_norm)
+            sims = np.dot(self.protos, cls_vec)
+            np.divide(sims, np.multiply(self.norms, cls_norm,
+                                        pool["scores.den", self.norms.size]),
+                      sims)
             logits[self.nonzero] = sims
-        logits = logits / self.tau + self.log_priors
-        e = np.exp(logits - np.maximum.reduce(logits))
-        scores = np.zeros(self.active.size)
-        scores[self.active] = e / np.add.reduce(e)
+        np.divide(logits, self.tau, logits)
+        np.add(logits, self.log_priors, logits)
+        top = pool["scores.top",]
+        np.subtract(logits, np.maximum.reduce(logits, 0, None, top), logits)
+        e = np.exp(logits, logits)
+        np.divide(e, np.add.reduce(e, 0, None, top), e)
+        scores = np.zeros(self.classes)
+        scores[self.active] = e
         return scores, sims, cls_norm
 
 

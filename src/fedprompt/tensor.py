@@ -4,14 +4,16 @@ The prompted forward pass is a fixed chain of fused primitives over plain
 arrays (see `model.py`).  Under a tape each primitive records one
 backward map: it takes the gradient of the primitive's output, adds into
 any trainable block the primitive read, and returns the gradient of its
-input.  `Tape.backward` seeds 1.0 and passes the gradient through the
+input, or None when no trainable block feeds that input.  `Tape.backward` seeds 1.0 and passes the gradient through the
 maps in reverse order of recording.  A `Tensor` is only a trainable
 block: its array and the gradient the maps add into.  This module also
-holds the layer-normalization kernels, cross entropy, and a central
+holds the scratch pool and 0-d constants of the per-sample kernels, the
+layer-normalization kernels, cross entropy, and a central
 finite-difference oracle (`finite_diff_grad`), the independent gradient
 check used throughout the test suite.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -69,32 +71,92 @@ class Tensor:
         self.grad[...] = 0.0
 
 
-LAYER_NORM_EPS = 1e-5
+@functools.cache
+def scalar(value):
+    """`value` as a read-only 0-d float64 array, one per value.  A ufunc
+    takes it with less work than a Python float and computes the same
+    bits."""
+    c = np.array(value, dtype=np.float64)
+    c.flags.writeable = False
+    return c
 
 
-def norm_rows(x):
-    """Layer normalization of each row, with no affine map.
+ONE = scalar(1.0)
+HALF = scalar(0.5)
+LAYER_NORM_EPS = scalar(1e-5)
 
-    Returns (xhat, inv): the normalized rows and the inverse standard
-    deviations, which `norm_rows_backward` needs.
+
+class ScratchPool(dict):
+    """The temporaries of the per-sample kernels: one array per
+    `(name, *shape)` key, made on first use and reused by every later
+    call, so an untaped kernel allocates almost nothing.
+
+    No pooled array escapes the call that wrote it.  What a kernel
+    returns, and every array a backward map captures, is freshly
+    allocated (see `FRESH`), so no later call of any shape can change a
+    result or a recorded map.  One pool serves the process, and kernels
+    run one at a time.
     """
-    d = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
-    centered = x - mean
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    centered *= inv
-    return centered, inv
+
+    def __missing__(self, key):
+        buf = self[key] = np.empty(key[1:])
+        return buf
 
 
-def norm_rows_backward(dy, xhat, inv):
-    """Gradient into the rows `norm_rows` normalized, for upstream `dy`."""
-    d = xhat.shape[-1]
-    return inv * (
-        dy
-        - np.add.reduce(dy, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(dy * xhat, axis=-1, keepdims=True) / d)
-    )
+class _Fresh(dict):
+    """`SCRATCH`'s interface, giving None for every key: passed as `out`,
+    it makes the ufunc or kernel allocate a fresh array.  Kernels take
+    what a backward map will capture from here."""
+
+    def __missing__(self, key):
+        return None
+
+
+SCRATCH = ScratchPool()
+FRESH = _Fresh()
+
+
+def norm_rows(x, xhat=None, inv=None):
+    """Layer normalization of each row of the matrix `x`, with no affine
+    map.
+
+    Writes and returns (xhat, inv): the normalized rows and the (rows, 1)
+    inverse standard deviations, which `norm_rows_backward` needs.  Both
+    are fresh arrays unless given.
+    """
+    rows, d = x.shape
+    xhat = np.empty((rows, d)) if xhat is None else xhat
+    inv = np.empty((rows, 1)) if inv is None else inv
+    width = scalar(d)
+    # a reduction into a 1-D `out` dispatches faster than with keepdims
+    col = inv[:, 0]
+    np.divide(np.add.reduce(x, 1, None, col), width, col)
+    np.subtract(x, inv, xhat)
+    squares = np.multiply(xhat, xhat, SCRATCH["norm.sq", rows, d])
+    np.divide(np.add.reduce(squares, 1, None, col), width, col)
+    np.add(col, LAYER_NORM_EPS, col)
+    np.divide(ONE, np.sqrt(col, col), col)
+    np.multiply(xhat, inv, xhat)
+    return xhat, inv
+
+
+def norm_rows_backward(dy, xhat, inv, out=None):
+    """Gradient into the rows `norm_rows` normalized, for upstream `dy`:
+    inv * ((dy - mean(dy)) - xhat * mean(dy * xhat)), written into `out`
+    (which may be `dy`) or a fresh array."""
+    rows, d = xhat.shape
+    width = scalar(d)
+    mean_dy = SCRATCH["norm.a", rows, 1]
+    col = mean_dy[:, 0]
+    np.divide(np.add.reduce(dy, 1, None, col), width, col)
+    prod = np.multiply(dy, xhat, SCRATCH["norm.p", rows, d])
+    proj = SCRATCH["norm.b", rows, 1]
+    col = proj[:, 0]
+    np.divide(np.add.reduce(prod, 1, None, col), width, col)
+    np.multiply(xhat, proj, prod)
+    out = np.subtract(dy, mean_dy, out)
+    np.subtract(out, prod, out)
+    return np.multiply(inv, out, out)
 
 
 def cross_entropy(logits, label: int) -> float:

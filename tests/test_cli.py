@@ -268,10 +268,12 @@ class TestGradcheckCommand:
 
         true_mix = model._mix
 
-        def corrupted(seq, class_prompts, consts, replace, detach, tape):
+        def corrupted(seq, class_prompts, consts, replace, detach, tape,
+                      upstream):
             # the mixing primitive with its class-prompt gradient 1.5x too
             # large: a map recorded after the mix's own adds half again
-            out = true_mix(seq, class_prompts, consts, replace, detach, tape)
+            out = true_mix(seq, class_prompts, consts, replace, detach, tape,
+                           upstream)
             if tape is not None:
                 scores = consts.evaluate(seq[0])[0].reshape(-1, 1)
 
@@ -312,7 +314,7 @@ class TestGradcheckCommand:
 
             return scores, corrupted_map
 
-        def mix(seq, class_prompts, consts, replace, detach, tape):
+        def mix(seq, class_prompts, consts, replace, detach, tape, upstream):
             if tape is not None:
                 # recorded before the mix's map, so it runs right after it
                 # and also adds the cls gradient into row 1
@@ -322,7 +324,8 @@ class TestGradcheckCommand:
                     return dseq
 
                 tape.record(into_row_1)
-            return true_mix(seq, class_prompts, consts, replace, detach, tape)
+            return true_mix(seq, class_prompts, consts, replace, detach, tape,
+                            upstream)
 
         monkeypatch.setattr(model, "soft_scores_op", op)
         monkeypatch.setattr(model, "_mix", mix)
@@ -336,6 +339,22 @@ class TestGradcheckCommand:
         value = "-1" if flag == "--seed" else "0"
         assert main(["gradcheck", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_threshold_must_be_finite_and_positive(self, monkeypatch, capsys,
+                                                   threshold):
+        # every error fails a threshold of NaN or <= 0: reject it before
+        # the first finite difference instead of reporting a failure
+        from fedprompt import model
+
+        def no_forward(**kwargs):
+            raise AssertionError("gradient check ran")
+
+        monkeypatch.setattr(model, "gradient_check", no_forward)
+        assert main(["gradcheck", "--threshold", threshold, "--dim", "8",
+                     "--layers", "2", "--classes", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --threshold must be finite")
 
     def test_reports_blocks_separately(self, capsys):
         main(["gradcheck", "--dim", "8", "--layers", "2", "--classes", "3"])

@@ -211,8 +211,22 @@ def reference_layer(xv, dout, blk, heads):
     return x2, dx1 + _norm_rows_backward(dh1, xhat1, inv1, w["ln1_gain"])
 
 
+def run_other_layer(tokens, heads, seed):
+    """An untaped and a taped call, with its backward, of a block with
+    another token count and head count: they leave the scratch pool
+    holding that shape's values."""
+    cfg = ModelConfig(dim=32, layers=1, heads=heads, mix_layers=())
+    blk = init_backbone(seed, cfg).blocks[0]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(tokens, cfg.dim))
+    _transformer_layer(x, blk, heads)
+    with te.Tape() as tape:
+        _transformer_layer(x, blk, heads, tape)
+    tape._ops[0](rng.normal(size=x.shape))
+
+
 class TestFusedLayerReference:
-    @pytest.mark.parametrize("tokens", [7, 8])
+    @pytest.mark.parametrize("tokens", [1, 7, 8])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_separate_projections_bit_for_bit(self, tokens, heads):
         cfg = ModelConfig(dim=32, layers=2, heads=heads, mix_layers=())
@@ -220,10 +234,17 @@ class TestFusedLayerReference:
         rng = np.random.default_rng(tokens * 10 + heads)
         xv = rng.normal(size=(tokens, cfg.dim))
         dout = rng.normal(size=(tokens, cfg.dim))
+        ref_out, ref_grad = reference_layer(xv, dout, blk, heads)
+        # each call follows calls of another shape, so a pooled buffer
+        # read before this call wrote it would show
+        other_heads = 4 if heads == 1 else 1
+        run_other_layer(tokens + 3, other_heads, tokens + heads)
+        assert np.array_equal(_transformer_layer(xv, blk, heads), ref_out)
+        run_other_layer(tokens + 1, heads, tokens)
         with te.Tape() as tape:
             out = _transformer_layer(xv, blk, heads, tape)
         (backward,) = tape._ops
-        ref_out, ref_grad = reference_layer(xv, dout, blk, heads)
+        run_other_layer(max(1, tokens - 1), other_heads, heads)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(backward(dout), ref_grad)
 
@@ -505,6 +526,187 @@ class TestFusedForwardReference:
         assert np.abs(grads[1]).max() > 0  # the class prompts do train
 
 
+def captured_arrays(maps):
+    """Every array the recorded maps hold, also through the maps and
+    functions they hold in turn."""
+    arrays, seen, todo = [], set(), list(maps)
+    while todo:
+        fn = todo.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                todo.append(value)
+    return arrays
+
+
+class TestScratchPool:
+    """No pooled buffer escapes a call: what the forward returns and what
+    the recorded maps capture stays put while other forwards, of other
+    shapes, reuse the pool."""
+
+    def test_interleaved_forwards_change_no_result_or_map(self):
+        # mixing at layer 1, so a map also captures the embedding's output
+        cfg = ModelConfig(dim=16, layers=4, heads=2, image_size=16,
+                          patch_size=8, mix_layers=(1, 3))
+        backbone, prompts, bank, priors, image = make_setup(
+            40, cfg, classes=5, n_shared=2)
+        prompts.head.data[...] = np.random.default_rng(40).normal(
+            size=prompts.head.data.shape)
+        consts = score_constants(cfg, bank, priors)
+        others = np.random.default_rng(41).normal(size=(3, 16, 16))
+        # another dim and token count: 8 x 8 images in 4 x 4 patches
+        small_cfg = ModelConfig(dim=8, layers=3, heads=2, image_size=8,
+                                patch_size=4, mix_layers=(2,))
+        small = make_setup(42, small_cfg, classes=3, n_shared=0)
+        small_consts = score_constants(small_cfg, small[2], small[3])
+
+        def taped(interleave):
+            prompts.zero_grad()
+            with te.Tape() as tape:
+                logits, cls = forward_with_prompts(image, prompts, backbone,
+                                                   cfg, consts)
+                te.cross_entropy(logits, 3)
+            kept = (logits.copy(), cls.copy())
+            captured = captured_arrays(tape._ops)
+            if interleave:
+                forward_shard(others, prompts, backbone, cfg, consts)
+                forward_with_prompts(small[4], small[1], small[0], small_cfg,
+                                     small_consts)
+                with te.Tape() as other_tape:
+                    forward_with_prompts(others[0], prompts, backbone, cfg,
+                                         consts)
+                other_tape._ops.clear()
+            assert np.array_equal(logits, kept[0])
+            assert np.array_equal(cls, kept[1])
+            tape.backward()
+            return (logits, cls, captured,
+                    [block.grad.copy() for _, block in prompts.blocks()])
+
+        logits, cls, captured, grads = taped(interleave=True)
+        _, _, _, direct = taped(interleave=False)
+        for got, want in zip(grads, direct):
+            assert got.tobytes() == want.tobytes()
+        assert len(captured) > 20
+        assert te.SCRATCH
+        for buf in te.SCRATCH.values():
+            for arr in [logits, cls, *captured]:
+                assert not np.shares_memory(buf, arr)
+
+    def test_primitives_return_fresh_arrays(self):
+        # each primitive, untaped, after a first call has filled the pool
+        backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
+        consts = score_constants(SMALL, bank, priors)
+        x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
+
+        def outputs():
+            seq = model._embed(image, prompts.shared, backbone, SMALL)
+            mixed = model._mix(seq, prompts.class_prompts, consts[2], False,
+                               False, None, True)
+            block = _transformer_layer(mixed, backbone.blocks[0], SMALL.heads)
+            logits = _head(block, prompts.head, None, True)
+            scores, sims, _ = consts[2].evaluate(x[0])
+            return [seq, mixed, block, logits, scores, sims,
+                    *te.norm_rows(x), te.norm_rows_backward(x, *te.norm_rows(x))]
+
+        first = outputs()
+        kept = [a.copy() for a in first]
+        second = outputs()
+        for got, want in zip(first, kept):
+            assert np.array_equal(got, want)
+        for buf in te.SCRATCH.values():
+            for arr in first + second:
+                assert not np.shares_memory(buf, arr)
+
+    def test_untaped_outputs_are_fresh(self):
+        backbone, prompts, bank, priors, image = make_setup(43)
+        consts = score_constants(SMALL, bank, priors)
+        first = forward_with_prompts(image, prompts, backbone, SMALL, consts)
+        kept = [a.copy() for a in first]
+        second = forward_with_prompts(image * 2, prompts, backbone, SMALL,
+                                      consts)
+        for got, want in zip(first, kept):
+            assert np.array_equal(got, want)
+        for buf in te.SCRATCH.values():
+            for arr in (*first, *second):
+                assert not np.shares_memory(buf, arr)
+
+
+class TestDeadInputGradient:
+    """With nothing trainable upstream, the first mix's map and the
+    head's map add into their blocks and pass no input gradient on."""
+
+    @staticmethod
+    def always_upstream(monkeypatch):
+        # the primitives as they were before the pruning: every map
+        # builds the gradient of its input
+        mix, head = model._mix, model._head
+        monkeypatch.setattr(model, "_mix", lambda *a: mix(*a[:-1], True))
+        monkeypatch.setattr(model, "_head", lambda *a: head(*a[:-1], True))
+
+    def test_no_shared_prompts_mix_layers_2_3(self, monkeypatch):
+        backbone, prompts, bank, priors, image = make_setup(44, n_shared=0)
+        prompts.head.data[...] = np.random.default_rng(44).normal(
+            size=prompts.head.data.shape)
+        consts = score_constants(SMALL, bank, priors)
+        layer_of = {id(c): l for l, c in consts.items()}
+        wants_map = {}
+        op = model.soft_scores_op
+
+        def recording(cls_vec, layer_consts, grad=False):
+            scores, scores_map = op(cls_vec, layer_consts, grad)
+            wants_map[layer_of[id(layer_consts)]] = scores_map is not None
+            return scores, scores_map
+
+        monkeypatch.setattr(model, "soft_scores_op", recording)
+
+        def grads():
+            prompts.zero_grad()
+            with te.Tape() as tape:
+                logits, _ = forward_with_prompts(image, prompts, backbone,
+                                                 SMALL, consts)
+                te.cross_entropy(logits, 1)
+            return tape.backward(), [block.grad.copy()
+                                     for _, block in prompts.blocks()]
+
+        first_input_grad, pruned = grads()
+        assert first_input_grad is None
+        assert wants_map == {2: False, 3: True}
+        _, ref_grads = reference_run(image, prompts, backbone, SMALL, bank,
+                                     priors, 1)
+        self.always_upstream(monkeypatch)
+        unpruned_input_grad, unpruned = grads()
+        assert unpruned_input_grad is not None
+        assert wants_map == {2: True, 3: True}
+        for got, old, ref in zip(pruned, unpruned, ref_grads):
+            assert got.tobytes() == old.tobytes() == ref.tobytes()
+        assert np.abs(pruned[1]).max() > 0
+
+    def test_head_only_without_shared_prompts(self, monkeypatch):
+        cfg = SMALL.without_mixing()
+        backbone, prompts, _, _, image = make_setup(45, cfg, n_shared=0)
+
+        def head_grad():
+            prompts.zero_grad()
+            with te.Tape() as tape:
+                logits, _ = forward_with_prompts(image, prompts, backbone,
+                                                 cfg, {})
+                te.cross_entropy(logits, 2)
+            return tape.backward(), prompts.head.grad.copy()
+
+        input_grad, pruned = head_grad()
+        assert input_grad is None
+        self.always_upstream(monkeypatch)
+        input_grad, unpruned = head_grad()
+        assert input_grad.shape == (1 + 4, cfg.dim)
+        assert pruned.tobytes() == unpruned.tobytes()
+        assert np.abs(pruned).max() > 0
+
+
 class TestPrimitiveGradients:
     def test_transformer_layer_vs_finite_differences(self):
         cfg = ModelConfig(dim=8, layers=1, heads=2, mix_layers=())
@@ -528,7 +730,7 @@ class TestPrimitiveGradients:
         seq, head = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
 
         def loss(s, h):
-            return te.cross_entropy(_head(s, h, te.active_tape()), 1)
+            return te.cross_entropy(_head(s, h, te.active_tape(), True), 1)
 
         block = te.Tensor(head.copy())
         with te.Tape() as tape:

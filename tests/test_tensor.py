@@ -128,8 +128,8 @@ class TestStructuralOps:
         def loss(st, pt):
             tape = te.active_tape()
             seq = _embed(image, st, backbone, cfg, tape)
-            seq = _mix(seq, pt, consts[0], False, False, tape)
-            seq = _mix(seq, pt, consts[1], True, False, tape)
+            seq = _mix(seq, pt, consts[0], False, False, tape, True)
+            seq = _mix(seq, pt, consts[1], True, False, tape, True)
             return flat_cross_entropy(seq, 5)
 
         assert_grads_match(loss, [shared, class_prompts])
@@ -166,7 +166,7 @@ class TestTapeContract:
         live = te.Tensor(np.ones((2, 2)))
         consts = ScoreConstants(np.eye(2), [0.25, 0.75], 0.5, 2)
         with te.Tape() as tape:
-            out = _mix(seq, live, consts, False, False, tape)
+            out = _mix(seq, live, consts, False, False, tape, True)
             flat_cross_entropy(out, 2)
         dseq = tape.backward()
         assert dseq.shape == seq.shape
@@ -178,7 +178,7 @@ class TestTapeContract:
         def head_grad(head, passes):
             for _ in range(passes):
                 with te.Tape() as tape:
-                    te.cross_entropy(_head(seq, head, tape), 1)
+                    te.cross_entropy(_head(seq, head, tape, True), 1)
                 tape.backward()
             return head.grad
 
