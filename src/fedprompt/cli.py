@@ -268,8 +268,8 @@ def cmd_run(args) -> int:
 
     # per-client reports of the final state for the artifacts below
     report, heldout_report = (
-        evaluate_clients([state.client(c) for c in group], backbone,
-                         state.model_cfg, state.bank, state.eval_inputs)
+        evaluate_clients([state.clients[c] for c in group], backbone,
+                         state.model_cfg, state.client_inputs)
         if group else None
         for group in (state.participating, state.heldout))
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import forward_shard, score_constants
-from .prototypes import cosine_similarity
+from .prototypes import cosine_similarity, local_prototypes
 from .seeding import derive_rng
 
 
@@ -35,12 +35,13 @@ class EvalReport:
                 writer.writerow([cid, repr(float(self.per_client[cid]))])
 
 
-def evaluate_clients(clients, backbone, model_cfg, bank,
+def evaluate_clients(clients, backbone, model_cfg,
                      inputs_lookup) -> EvalReport:
     """Per-client accuracy on each client's own test shard.
 
     `inputs_lookup(client_id)` returns the (prompt parameters, score
-    priors) the client is evaluated with.  Clients with empty test shards
+    constants) the client is evaluated with, as
+    `ServerState.client_inputs` does.  Clients with empty test shards
     are excluded and counted in `skipped_empty`.  A sample counts as
     correct when its label is the argmax of its logits, ties going to the
     lowest class.
@@ -51,9 +52,9 @@ def evaluate_clients(clients, backbone, model_cfg, bank,
         if client.test_y.size == 0:
             skipped += 1
             continue
-        params, priors = inputs_lookup(client.client_id)
+        params, consts = inputs_lookup(client.client_id)
         logits, _ = forward_shard(client.test_x, params, backbone, model_cfg,
-                                  score_constants(model_cfg, bank, priors))
+                                  consts)
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == client.test_y))
         per_client[client.client_id] = hits / client.test_y.size
     if not per_client:
@@ -97,15 +98,10 @@ def prototype_topk_probe(images, labels, backbone, model_cfg, params,
         raise ConfigError(f"probe k must be >= 1, got {k}")
     _, cls = forward_shard(images, params, backbone, model_cfg,
                            score_constants(model_cfg, bank, priors))
-    tokens = cls[layer - 1]
-    classes = int(labels.max()) + 1
-    protos = np.zeros((classes, tokens.shape[1]))
-    for c in range(classes):
-        members = tokens[labels == c]
-        if members.size:
-            protos[c] = members.mean(axis=0)
+    protos = local_prototypes(cls, labels, int(labels.max()) + 1,
+                              (layer,))[0][layer]
     hits = 0
-    for vec, y in zip(tokens, labels):
+    for vec, y in zip(cls[layer - 1], labels):
         sims = np.array([cosine_similarity(vec, p) for p in protos])
         top = np.argsort(-sims, kind="stable")[:k]
         hits += int(y in top)

@@ -1,13 +1,18 @@
 """Server-coordinated training loop: warm-up, client sampling, local SGD
 on the prompt blocks, federated averaging, and periodic prototype sync.
 
+`init_server` alone turns the strategy into state: the prototype bank
+(None without mixing; its `epsilon` is the DP budget) and the effective
+model config.  `ServerState.client_inputs` alone puts together a client's
+prompts (`broadcast_params`) and score constants (`score_priors`, bank).
+
 Everything is a pure function of (config, seed): client sampling, batch
 shuffling, and noise draws all derive their generators from the master
 seed, and aggregation always proceeds in ascending client-id order, so a
 run is bit-reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,28 +58,29 @@ class TrainConfig:
             raise ConfigError("clients per round must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.lr < 0 or self.grad_clip <= 0:
-            raise ConfigError("rates must be positive")
-        # a decay above 1 grows the rate until lr_decay ** round overflows
-        if not 0 < self.lr_decay <= 1:
-            raise ConfigError(
-                f"train lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(
-                f"train momentum must lie in [0, 1), got {self.momentum}")
+        for key, ok, rule in (
+                ("lr", self.lr >= 0, "be >= 0"),
+                ("grad_clip", self.grad_clip > 0, "be > 0"),
+                # above 1 the rate grows until lr_decay ** round overflows
+                ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
+                ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
+                ("rho", 0 <= self.rho <= 1, "lie in [0, 1]"),
+                ("shared_prompts", self.shared_prompts >= 0, "be >= 0")):
+            if not ok:
+                raise ConfigError(
+                    f"train {key} must {rule}, got {getattr(self, key)}")
         if not 0 < self.warmup_fraction <= 1:
             raise ConfigError("warm-up fraction must lie in (0, 1]")
         if self.dp_epsilon is not None and self.dp_epsilon <= 0:
             raise ConfigError("dp epsilon must be positive when set")
         if self.update_period < 1:
             raise ConfigError("update_period must be >= 1")
-        if self.shared_prompts < 0:
-            raise ConfigError(
-                f"train shared_prompts must be >= 0, got {self.shared_prompts}")
-
-    @property
-    def uses_mixing(self) -> bool:
-        return self.strategy != "shared_only"
+        # keys the strategy never reads would be written, unread, to config.json
+        for key, unread in (("weighted_fedavg", self.strategy == "personalized"),
+                            ("dp_epsilon", self.strategy == "shared_only")):
+            if unread and getattr(self, key) not in (None, False):
+                raise ConfigError(f"train.{key!r} is not read by strategy "
+                                  f"{self.strategy!r}")
 
 
 @dataclass
@@ -146,9 +152,6 @@ class ServerState:
     round: int = 0
     personal: dict = field(default_factory=dict)
 
-    def client(self, cid: int) -> ClientState:
-        return self.clients[cid]
-
     def broadcast_params(self, cid: int) -> PromptParams:
         """Parameters a client starts the round from."""
         if self.cfg.strategy == "personalized":
@@ -158,9 +161,12 @@ class ServerState:
             return PromptParams.from_arrays(shared, class_prompts, self.params.head.data)
         return self.params.copy()
 
-    def eval_inputs(self, cid: int):
-        """(prompt parameters, score priors) client `cid` is evaluated with."""
-        return self.broadcast_params(cid), score_priors(self.client(cid), self.cfg)
+    def client_inputs(self, cid: int):
+        """(prompt parameters, score constants) client `cid` trains and is
+        evaluated with; the constants hold the bank as it is now."""
+        priors = score_priors(self.clients[cid], self.cfg)
+        return (self.broadcast_params(cid),
+                score_constants(self.model_cfg, self.bank, priors))
 
 
 def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
@@ -175,16 +181,14 @@ def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
     """Priors that reweight the client's scores in training and evaluation:
     its own class frequencies, or uniform for the no-prior ablation."""
     if cfg.strategy == "mixed_no_prior":
-        n = client.priors.size
-        return np.full(n, 1.0 / n)
+        return np.full(client.priors.size, 1.0 / client.priors.size)
     return client.priors
 
 
-def compute_client_prototypes(client, params, backbone, model_cfg, cfg, bank):
-    """Frozen forward pass over the shard collecting per-layer class means."""
-    _, cls = forward_shard(client.train_x, params, backbone, model_cfg,
-                           score_constants(model_cfg, bank,
-                                           score_priors(client, cfg)))
+def compute_client_prototypes(client, params, consts, backbone, model_cfg):
+    """Frozen forward pass over the shard collecting per-layer class means
+    and their sensitivities."""
+    _, cls = forward_shard(client.train_x, params, backbone, model_cfg, consts)
     return local_prototypes(cls, client.train_y, params.num_classes,
                             model_cfg.mix_layers)
 
@@ -199,21 +203,19 @@ def _clip_global_norm(grads, threshold):
     return grads, total
 
 
-def local_train(client: ClientState, start: PromptParams, backbone,
-                model_cfg: ModelConfig, cfg: TrainConfig, bank,
+def local_train(client: ClientState, params: PromptParams, consts: dict,
+                backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, round_index: int) -> ClientUpdate:
-    """One client's round: prototype snapshot, then E epochs of mini-batch
-    SGD with momentum on the prompt blocks only."""
+    """One client's round from `client_inputs`: prototype snapshot, then E
+    epochs of mini-batch SGD with momentum on a copy of the prompt blocks.
+    Without mixing, `consts` is empty and there is no snapshot."""
     if client.num_train == 0:
         raise DataError(f"client {client.client_id} has no training data")
-    params = start.copy()
-    if model_cfg.mix_layers:
-        protos, sens, _ = compute_client_prototypes(
-            client, params, backbone, model_cfg, cfg, bank)
-    else:
-        protos, sens = {}, {}
-
-    consts = score_constants(model_cfg, bank, score_priors(client, cfg))
+    params = params.copy()
+    protos, sens = {}, {}
+    if consts:
+        protos, sens = compute_client_prototypes(client, params, consts,
+                                                 backbone, model_cfg)
     rng = derive_rng(seed, "shuffle", round_index, client.client_id)
     lr_t = cfg.lr * cfg.lr_decay ** (round_index - 1)
     blocks = [block for _, block in params.blocks()]
@@ -264,39 +266,33 @@ def fedavg_aggregate(updates, weighted: bool = False) -> PromptParams:
     if not updates:
         raise ConfigError("cannot aggregate an empty update list")
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = (
-        np.array([u.num_samples for u in updates], dtype=np.float64)
-        if weighted else np.ones(len(updates))
-    )
+    weights = np.ones(len(updates))
+    if weighted:
+        weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights = weights / weights.sum()
-    blocks = {"shared": None, "class_prompts": None, "head": None}
-    for name in blocks:
+    blocks = []
+    for name in ("shared", "class_prompts", "head"):
         acc = np.zeros_like(getattr(updates[0], name))
         for u, w in zip(updates, weights):
             acc += w * getattr(u, name)
-        blocks[name] = acc
-    return PromptParams.from_arrays(blocks["shared"], blocks["class_prompts"],
-                                    blocks["head"])
+        blocks.append(acc)
+    return PromptParams.from_arrays(*blocks)
 
 
 def warm_startup(state: ServerState) -> None:
     """Bootstrap the prototype bank: sampled clients compute prototypes
     with the untrained prompt state; the server takes the plain per-class
     mean over them (zero submissions included)."""
-    if not state.cfg.uses_mixing:
+    if state.bank is None:
         return
     count = max(1, round(state.cfg.warmup_fraction * len(state.participating)))
     rng = derive_rng(state.seed, "warmup")
     chosen = sample_clients(rng, state.participating, count)
-    submissions, sensitivities = [], []
-    for cid in chosen:
-        protos, sens, _ = compute_client_prototypes(
-            state.client(cid), state.params, state.backbone, state.model_cfg,
-            state.cfg, state.bank)
-        submissions.append(protos)
-        sensitivities.append(sens)
+    submissions, sensitivities = zip(*(
+        compute_client_prototypes(state.clients[cid], *state.client_inputs(cid),
+                                  state.backbone, state.model_cfg)
+        for cid in chosen))
     state.bank.warm_start(submissions, sensitivities,
-                          epsilon=state.cfg.dp_epsilon,
                           rng=derive_rng(state.seed, "dp", 0))
     _check_bank(state.bank, 0)
 
@@ -316,15 +312,25 @@ def _check_bank(bank: PrototypeBank, round_index: int) -> None:
 def _evaluate(state: ServerState):
     """Reports of the participating clients and of the heldout ones (None
     without heldout clients)."""
-    report = evaluate_clients(
-        [state.client(cid) for cid in state.participating],
-        state.backbone, state.model_cfg, state.bank, state.eval_inputs)
-    heldout = None
-    if state.heldout:
-        heldout = evaluate_clients(
-            [state.client(cid) for cid in state.heldout],
-            state.backbone, state.model_cfg, state.bank, state.eval_inputs)
-    return report, heldout
+    return tuple(
+        evaluate_clients([state.clients[cid] for cid in group], state.backbone,
+                         state.model_cfg, state.client_inputs)
+        if group else None
+        for group in (state.participating, state.heldout))
+
+
+def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog:
+    """Evaluate the state after round `state.round` and record it."""
+    report, heldout = _evaluate(state)
+    return RoundLog(
+        round=state.round,
+        train_loss=train_loss,
+        mean_acc=report.mean_acc,
+        worst_acc=report.worst_acc,
+        heldout_mean_acc=heldout.mean_acc if heldout else None,
+        heldout_worst_acc=heldout.worst_acc if heldout else None,
+        participants=participants,
+    )
 
 
 def run_round(state: ServerState) -> RoundLog:
@@ -333,9 +339,8 @@ def run_round(state: ServerState) -> RoundLog:
     rng = derive_rng(state.seed, "sample", t)
     chosen = sample_clients(rng, state.participating, state.cfg.clients_per_round)
     updates = [
-        local_train(state.client(cid), state.broadcast_params(cid),
-                    state.backbone, state.model_cfg, state.cfg, state.bank,
-                    state.seed, t)
+        local_train(state.clients[cid], *state.client_inputs(cid),
+                    state.backbone, state.model_cfg, state.cfg, state.seed, t)
         for cid in chosen
     ]
 
@@ -351,33 +356,24 @@ def run_round(state: ServerState) -> RoundLog:
     else:
         state.params = fedavg_aggregate(updates, weighted=state.cfg.weighted_fedavg)
 
-    if state.cfg.uses_mixing:
+    if state.bank is not None:
         for u in updates:
             state.bank.submit(u.prototypes, u.sensitivities)
         if t % state.cfg.update_period == 0:
-            state.bank.apply_period_update(
-                epsilon=state.cfg.dp_epsilon,
-                rng=derive_rng(state.seed, "dp", t))
+            state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
             _check_bank(state.bank, t)
     state.round = t
-
-    report, heldout = _evaluate(state)
-    return RoundLog(
-        round=t,
-        train_loss=float(np.mean([u.mean_loss for u in updates])),
-        mean_acc=report.mean_acc,
-        worst_acc=report.worst_acc,
-        heldout_mean_acc=heldout.mean_acc if heldout else None,
-        heldout_worst_acc=heldout.worst_acc if heldout else None,
-        participants=chosen,
-    )
+    return _round_log(state, float(np.mean([u.mean_loss for u in updates])),
+                      chosen)
 
 
 def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, heldout=()) -> ServerState:
     """Initial server state: the one place the strategy picks the effective
-    model config and the prototype bank.  The returned state then answers
-    which parameters and priors each client trains and is evaluated with."""
+    model config and the prototype bank, with the DP budget as its
+    `epsilon`.  The returned state then answers, through `client_inputs`,
+    what each client trains and is evaluated with."""
+    mixing = cfg.strategy != "shared_only"
     heldout = tuple(sorted(int(h) for h in heldout))
     participating = tuple(c.client_id for c in clients
                           if c.client_id not in set(heldout))
@@ -399,7 +395,7 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ConfigError(
             f"clients_per_round={cfg.clients_per_round} exceeds "
             f"{len(participating)} participating clients")
-    if cfg.uses_mixing:
+    if mixing:
         # heldout clients are scored with their own priors when evaluated,
         # and all-zero priors (no training data) leave nothing to normalize
         unscorable = [c.client_id for c in clients
@@ -409,19 +405,20 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
             raise DataError("heldout clients with all-zero class priors: "
                             + ", ".join(map(str, unscorable)))
     classes = clients[0].priors.size
-    effective_cfg = model_cfg if cfg.uses_mixing else model_cfg.without_mixing()
     params = PromptParams.init(seed, model_cfg.dim, classes, cfg.shared_prompts)
     bank = None
-    if cfg.uses_mixing:
+    if mixing:
         if not model_cfg.mix_layers:
             raise ConfigError("mixing strategy requires at least one mix layer")
         bank = PrototypeBank(layers=tuple(model_cfg.mix_layers),
                              num_classes=classes, dim=model_cfg.dim,
-                             rho=cfg.rho, update_period=cfg.update_period)
+                             rho=cfg.rho, epsilon=cfg.dp_epsilon)
+    else:
+        model_cfg = replace(model_cfg, mix_layers=())
     return ServerState(
         params=params, init_params=params.copy(), bank=bank, clients=clients,
         participating=participating, heldout=heldout,
-        model_cfg=effective_cfg, backbone=backbone, cfg=cfg, seed=seed)
+        model_cfg=model_cfg, backbone=backbone, cfg=cfg, seed=seed)
 
 
 def run_training(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
@@ -433,14 +430,7 @@ def run_training(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
     """
     state = init_server(clients, backbone, model_cfg, cfg, seed, heldout)
     warm_startup(state)
-    report, heldout_report = _evaluate(state)
-    logs = [RoundLog(
-        round=0, train_loss=None,
-        mean_acc=report.mean_acc, worst_acc=report.worst_acc,
-        heldout_mean_acc=heldout_report.mean_acc if heldout_report else None,
-        heldout_worst_acc=heldout_report.worst_acc if heldout_report else None,
-        participants=(),
-    )]
+    logs = [_round_log(state)]
     for _ in range(cfg.rounds):
         logs.append(run_round(state))
     return state, logs

@@ -15,7 +15,7 @@ propagating the first mixture unchanged instead.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class ModelConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch_size**2
-
-    def without_mixing(self) -> "ModelConfig":
-        return replace(self, mix_layers=())
 
 
 @dataclass

@@ -5,7 +5,8 @@ columns.  The combination weights come from a temperature-scaled softmax
 over cosine similarities between the sample's incoming cls token and the
 global per-class prototypes, with each class reweighted by the client's
 empirical class prior.  Prototypes are aggregated server-side with a
-momentum rule and can be privatized with per-class Laplace noise.
+momentum rule; a bank built with a privacy budget `epsilon` adds
+per-class Laplace noise to every prototype it writes.
 """
 
 from dataclasses import dataclass, field
@@ -154,7 +155,7 @@ def local_prototypes(cls, labels, num_classes: int, layers):
 
     `cls` is the (model layers, N, dim) array of `forward_shard`, and
     `layers` the 1-indexed layers to summarize.  Returns (prototypes,
-    sensitivities, counts) where prototypes maps layer -> (classes, dim),
+    sensitivities) where prototypes maps layer -> (classes, dim),
     the zero vector marking absent classes, and sensitivities maps
     layer -> (classes,) Laplace sensitivities
     S_c = 2 * max_i ||cls_i - mu_c||_1 / n_c (zero for absent classes).
@@ -177,7 +178,7 @@ def local_prototypes(cls, labels, num_classes: int, layers):
             s[c] = laplace_sensitivity(cls_c, mu[c])
         protos[l] = mu
         sens[l] = s
-    return protos, sens, counts
+    return protos, sens
 
 
 def aggregate_submissions(submissions) -> tuple[np.ndarray, np.ndarray]:
@@ -237,14 +238,16 @@ class PrototypeBank:
 
     Client submissions are buffered over the current update period and
     folded in by `apply_period_update`; the zero vector is the reserved
-    sentinel for classes never observed.
+    sentinel for classes never observed.  With a privacy budget
+    `epsilon`, the warm start and every period update noise the classes
+    they write.
     """
 
     layers: tuple
     num_classes: int
     dim: int
     rho: float = 0.9
-    update_period: int = 1
+    epsilon: float | None = None
     mu: dict = field(default_factory=dict)
     _buffer: list = field(default_factory=list)
     _sens_buffer: list = field(default_factory=list)
@@ -252,13 +255,11 @@ class PrototypeBank:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"momentum must lie in [0, 1], got {self.rho}")
-        if self.update_period < 1:
-            raise ConfigError("update period must be >= 1")
         for l in self.layers:
             self.mu.setdefault(l, np.zeros((self.num_classes, self.dim)))
 
     def warm_start(self, submissions_per_client, sensitivities=(),
-                   epsilon=None, rng=None) -> None:
+                   rng=None) -> None:
         """Initialize each prototype as the plain mean over the warm-up
         clients, zero submissions included.
 
@@ -270,10 +271,10 @@ class PrototypeBank:
         for l in self.layers:
             stack = np.stack([sub[l] for sub in submissions_per_client])
             self.mu[l] = stack.mean(axis=0)
-            if epsilon is not None:
+            if self.epsilon is not None:
                 counts = np.any(stack != 0.0, axis=2).sum(axis=0)
                 self._privatize_layer(l, counts, [s[l] for s in sensitivities],
-                                      epsilon, rng)
+                                      rng)
 
     def submit(self, protos: dict, sens: dict) -> None:
         self._buffer.append({l: np.asarray(protos[l]) for l in self.layers})
@@ -282,9 +283,9 @@ class PrototypeBank:
     def pending(self) -> int:
         return len(self._buffer)
 
-    def apply_period_update(self, epsilon=None, rng=None) -> None:
+    def apply_period_update(self, rng=None) -> None:
         """Aggregate the buffered submissions, fold them in with momentum,
-        optionally add class-level Laplace noise, then clear the buffer.
+        add class-level Laplace noise with `epsilon`, then clear the buffer.
 
         Noise uses the largest sensitivity submitted for the class during
         the period and is applied only to classes that received updates.
@@ -294,20 +295,19 @@ class PrototypeBank:
         for l in self.layers:
             agg, counts = aggregate_submissions([sub[l] for sub in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
-            if epsilon is not None:
+            if self.epsilon is not None:
                 self._privatize_layer(
-                    l, counts, [sub[l] for sub in self._sens_buffer],
-                    epsilon, rng)
+                    l, counts, [sub[l] for sub in self._sens_buffer], rng)
         self._buffer.clear()
         self._sens_buffer.clear()
 
-    def _privatize_layer(self, layer, counts, sensitivities, epsilon, rng):
+    def _privatize_layer(self, layer, counts, sensitivities, rng):
         """Noise each class with contributors, scaled by the largest
         sensitivity any contributor submitted for it."""
         sens = np.stack(sensitivities)
         for c in np.flatnonzero(counts > 0):
             self.mu[layer][c] = add_laplace_noise(
-                self.mu[layer][c], float(sens[:, c].max()), epsilon, rng
+                self.mu[layer][c], float(sens[:, c].max()), self.epsilon, rng
             )
 
     def export_rows(self):

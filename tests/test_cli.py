@@ -158,6 +158,16 @@ class TestRunCommand:
          "train lr_decay must lie in (0, 1], got 1e+300"),
         ({"train": {"momentum": -5}},
          "train momentum must lie in [0, 1), got -5.0"),
+        ({"train": {"rho": 1.5}}, "train rho must lie in [0, 1], got 1.5"),
+        ({"train": {"rho": 1.5, "strategy": "shared_only"}},
+         "train rho must lie in [0, 1], got 1.5"),
+        ({"train": {"lr": -1}}, "train lr must be >= 0, got -1.0"),
+        ({"train": {"grad_clip": 0}}, "train grad_clip must be > 0, got 0.0"),
+        # keys the strategy never reads are rejected, not written to config.json
+        ({"train": {"strategy": "personalized", "weighted_fedavg": True}},
+         "train.'weighted_fedavg' is not read by strategy 'personalized'"),
+        ({"train": {"strategy": "shared_only", "dp_epsilon": 1.0}},
+         "train.'dp_epsilon' is not read by strategy 'shared_only'"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):

@@ -42,8 +42,8 @@ class TestEvaluateClients:
         params.head.data[0, :] = 0.0
         client = make_client(0, [0, 0, 0])
         # with a zero head, logits tie at 0 and the lowest class wins
-        report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients([client], backbone, cfg,
+                                  lambda cid: (params, {}))
         assert report.mean_acc == 1.0
         assert report.worst_acc == 1.0
         assert report.per_client == {0: 1.0}
@@ -52,16 +52,16 @@ class TestEvaluateClients:
         cfg, backbone, params = self._world()
         params.head.data[...] = 0.0
         clients = [make_client(0, [0, 0]), make_client(1, [0, 1])]
-        report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients(clients, backbone, cfg,
+                                  lambda cid: (params, {}))
         assert report.mean_acc == pytest.approx(0.75)
         assert report.worst_acc == pytest.approx(0.5)
 
     def test_empty_test_shard_skipped_with_count(self):
         cfg, backbone, params = self._world()
         clients = [make_client(0, [0]), make_client(1, [])]
-        report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients(clients, backbone, cfg,
+                                  lambda cid: (params, {}))
         assert report.skipped_empty == 1
         assert set(report.per_client) == {0}
 
@@ -78,8 +78,8 @@ class TestEvaluateClients:
             train_y=np.zeros(1, dtype=np.int64),
             test_x=rng.normal(size=(400, 4, 4)), test_y=labels,
             priors=np.full(8, 1 / 8))
-        report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients([client], backbone, cfg,
+                                  lambda cid: (params, {}))
         # binomial(400, 1/8): three-sigma window around 0.125
         assert abs(report.mean_acc - 0.125) < 3 * np.sqrt(0.125 * 0.875 / 400)
 
@@ -96,8 +96,8 @@ class TestEvaluateClients:
         params.head.data[...] = [-x, x, x]
         client = make_client(0, [label])
         client.test_x = image[None]
-        report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients([client], backbone, cfg,
+                                  lambda cid: (params, {}))
         assert report.per_client == {0: acc}
 
     def test_matches_per_sample_argmax_scan(self):
@@ -116,8 +116,8 @@ class TestEvaluateClients:
                 if v > best:
                     best, arg = v, i
             hits += int(arg == y)
-        report = evaluate_clients([client], backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients([client], backbone, cfg,
+                                  lambda cid: (params, {}))
         assert 0 < hits < 30
         assert report.per_client == {0: hits / 30}
 
@@ -125,8 +125,8 @@ class TestEvaluateClients:
         cfg, backbone, params = self._world()
         params.head.data[...] = 0.0
         clients = [make_client(i, [0, 1, 0]) for i in range(4)]
-        report = evaluate_clients(clients, backbone, cfg, None,
-                                  lambda cid: (params, None))
+        report = evaluate_clients(clients, backbone, cfg,
+                                  lambda cid: (params, {}))
         assert 0.0 <= report.worst_acc <= report.mean_acc <= 1.0
 
 

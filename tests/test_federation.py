@@ -1,10 +1,10 @@
-import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 from backbone_digest import backbone_checksum
+from fedprompt import evaluation, federation
 from fedprompt import tensor as te
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
 from fedprompt.errors import ConfigError, TrainingError
@@ -78,9 +78,9 @@ class TestWarmStartup:
         state = init_server(clients[:1], backbone, TINY_MODEL, cfg, seed=1)
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
-        protos, _, _ = compute_client_prototypes(
-            clients[0], state.init_params, backbone, state.model_cfg, cfg,
-            state.bank)
+        protos, _ = compute_client_prototypes(
+            clients[0], state.init_params, state.client_inputs(0)[1], backbone,
+            state.model_cfg)
         # bank was zero during the warm-up pass, matching this recompute
         np.testing.assert_allclose(state.bank.mu[2], protos[2], atol=1e-12)
 
@@ -92,8 +92,9 @@ class TestWarmStartup:
         from fedprompt.federation import compute_client_prototypes
         fresh = init_server(clients, backbone, TINY_MODEL, cfg, seed=2)
         subs = [
-            compute_client_prototypes(c, fresh.init_params, backbone,
-                                      fresh.model_cfg, cfg, fresh.bank)[0]
+            compute_client_prototypes(c, fresh.init_params,
+                                      fresh.client_inputs(c.client_id)[1],
+                                      backbone, fresh.model_cfg)[0]
             for c in clients
         ]
         expected = np.mean([s[2] for s in subs], axis=0)
@@ -106,9 +107,9 @@ class TestLocalTrain:
         cfg = tiny_cfg(lr=0.0, local_epochs=3)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
         warm_startup(state)
-        update = local_train(clients[0], state.params, backbone,
-                             state.model_cfg, cfg, state.bank, seed=3,
-                             round_index=1)
+        update = local_train(clients[0], state.params,
+                             state.client_inputs(0)[1], backbone,
+                             state.model_cfg, cfg, seed=3, round_index=1)
         np.testing.assert_array_equal(update.shared, state.params.shared.data)
         np.testing.assert_array_equal(update.head, state.params.head.data)
 
@@ -148,7 +149,7 @@ class TestLocalTrain:
         p[1] -= 1.0
         expected_head = start.head.data - cfg.lr * np.outer(p, cls_final)
 
-        update = local_train(client, start, backbone, cfg_model, cfg, bank,
+        update = local_train(client, start, consts, backbone, cfg_model, cfg,
                              seed=11, round_index=1)
         np.testing.assert_allclose(update.head, expected_head, atol=1e-12)
 
@@ -171,8 +172,8 @@ class TestLocalTrain:
             return total / client.num_train
 
         before = shard_loss(state.params)
-        update = local_train(client, state.params, backbone, state.model_cfg,
-                             cfg, state.bank, seed=4, round_index=1)
+        update = local_train(client, state.params, consts, backbone,
+                             state.model_cfg, cfg, seed=4, round_index=1)
         after = shard_loss(PromptParams.from_arrays(
             update.shared, update.class_prompts, update.head))
         assert after <= before
@@ -190,8 +191,8 @@ class TestLocalTrain:
         start.head.data[...] = np.random.default_rng(3).normal(
             scale=1e200, size=start.head.data.shape)
         with pytest.raises(TrainingError) as err:
-            local_train(clients[0], start, backbone, state.model_cfg, cfg,
-                        state.bank, seed=3, round_index=1)
+            local_train(clients[0], start, state.client_inputs(0)[1], backbone,
+                        state.model_cfg, cfg, seed=3, round_index=1)
         assert str(err.value) == "non-finite gradient norm (round=1, client=0)"
 
     def test_gradient_clipping_caps_step(self):
@@ -275,9 +276,9 @@ class TestRounds:
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=8)
         warm_startup(state)
         broadcast = state.params.copy()
-        bank_copy = copy.deepcopy(state.bank)
-        expected = local_train(clients[0], broadcast, backbone, state.model_cfg,
-                               cfg, bank_copy, seed=8, round_index=1)
+        consts = score_constants(state.model_cfg, state.bank, clients[0].priors)
+        expected = local_train(clients[0], broadcast, consts, backbone,
+                               state.model_cfg, cfg, seed=8, round_index=1)
         log = run_round(state)
         assert log.participants == (0,)
         np.testing.assert_array_equal(state.params.head.data, expected.head)
@@ -332,12 +333,36 @@ class TestRounds:
             assert c.client_id not in state.personal
 
 
+    def test_score_constants_built_once_per_client_and_pass(self,
+                                                            monkeypatch):
+        # a sampled client's prototype pass and SGD share one build; each
+        # evaluated client with a test sample gets one more
+        clients, backbone = tiny_world(14)
+        clients[2].test_x = clients[2].test_x[:0]
+        clients[2].test_y = clients[2].test_y[:0]
+        state = init_server(clients, backbone, TINY_MODEL,
+                            tiny_cfg(clients_per_round=3), seed=14,
+                            heldout=(5,))
+        warm_startup(state)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return score_constants(*args)
+
+        for module in (federation, evaluation):
+            monkeypatch.setattr(module, "score_constants", counting)
+        log = run_round(state)
+        evaluated = sum(1 for c in clients if c.test_y.size)
+        assert evaluated == len(clients) - 1
+        assert len(calls) == len(log.participants) + evaluated
+
     def test_non_finite_period_update_names_round(self):
         clients, backbone = tiny_world(5)
         state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=5)
         warm_startup(state)
         # from round 1 on the Laplace noise of each period update overflows
-        state.cfg = dataclasses.replace(state.cfg, dp_epsilon=1e-310)
+        state.bank.epsilon = 1e-310
         with pytest.raises(TrainingError) as err:
             run_round(state)
         assert str(err.value) == "non-finite prototype norms at layer 2 (round=1)"
@@ -348,7 +373,7 @@ class TestRounds:
         warm_startup(state)
         # noise of scale S/1e-300 leaves prototypes finite near 1e300, but
         # their squared norms overflow, which would zero every similarity
-        state.cfg = dataclasses.replace(state.cfg, dp_epsilon=1e-300)
+        state.bank.epsilon = 1e-300
         with pytest.raises(TrainingError) as err:
             run_round(state)
         assert str(err.value) == "non-finite prototype norms at layer 2 (round=1)"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -687,7 +688,7 @@ class TestDeadInputGradient:
         assert np.abs(pruned[1]).max() > 0
 
     def test_head_only_without_shared_prompts(self, monkeypatch):
-        cfg = SMALL.without_mixing()
+        cfg = dataclasses.replace(SMALL, mix_layers=())
         backbone, prompts, _, _, image = make_setup(45, cfg, n_shared=0)
 
         def head_grad():
@@ -760,7 +761,7 @@ class TestPatchify:
 
 class TestForward:
     def test_plain_prompted_forward_without_mixing(self, monkeypatch):
-        cfg = SMALL.without_mixing()
+        cfg = dataclasses.replace(SMALL, mix_layers=())
         backbone, prompts, _, _, image = make_setup(4)
         consts = score_constants(cfg)
         assert consts == {}
@@ -841,7 +842,7 @@ class TestForward:
             assert np.isfinite(arr).all()
 
     def test_prompt_free_baseline_depends_only_on_input(self):
-        cfg = SMALL.without_mixing()
+        cfg = dataclasses.replace(SMALL, mix_layers=())
         backbone = init_backbone(12, cfg)
         head = np.random.default_rng(12).normal(size=(4, cfg.dim))
         a = PromptParams.from_arrays(np.zeros((cfg.dim, 0)),
@@ -865,7 +866,7 @@ class TestForwardShard:
         images = ds.train_x[part.train_indices[0]]
         if shard == "one":
             images = images[:1]
-        cfg = ModelConfig() if mixing else ModelConfig().without_mixing()
+        cfg = ModelConfig() if mixing else ModelConfig(mix_layers=())
         backbone, prompts, bank, _, _ = make_setup(17, cfg, classes=8)
         prompts.head.data[...] = np.random.default_rng(17).normal(
             size=prompts.head.data.shape)

@@ -45,22 +45,20 @@ class TestLocalPrototypes:
     def test_mean_of_two(self):
         cls = np.zeros((5, 2, 2))
         cls[4] = [[1.0, 0.0], [3.0, 0.0]]
-        protos, _, counts = local_prototypes(cls, [0, 0], num_classes=2,
-                                             layers=(5,))
+        protos, _ = local_prototypes(cls, [0, 0], num_classes=2, layers=(5,))
         np.testing.assert_allclose(protos[5][0], [2.0, 0.0])
-        assert counts[0] == 2
 
     def test_absent_class_is_zero_vector(self):
         cls = np.full((5, 1, 2), 4.0)
-        protos, sens, _ = local_prototypes(cls, [1], num_classes=3, layers=(5,))
+        protos, sens = local_prototypes(cls, [1], num_classes=3, layers=(5,))
         np.testing.assert_array_equal(protos[5][0], [0.0, 0.0])
         np.testing.assert_array_equal(protos[5][2], [0.0, 0.0])
         assert sens[5][0] == 0.0
 
     def test_reads_each_layer_from_its_own_row(self):
         cls = np.arange(3.0)[:, None, None] * np.ones((3, 2, 2))
-        protos, _, _ = local_prototypes(cls, [0, 0], num_classes=1,
-                                        layers=(1, 3))
+        protos, _ = local_prototypes(cls, [0, 0], num_classes=1,
+                                     layers=(1, 3))
         np.testing.assert_array_equal(protos[1][0], [0.0, 0.0])
         np.testing.assert_array_equal(protos[3][0], [2.0, 2.0])
 
@@ -68,8 +66,8 @@ class TestLocalPrototypes:
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(20, 4))
         labels = rng.integers(0, 3, size=20)
-        protos, _, _ = local_prototypes(np.stack([vecs, vecs]), labels,
-                                        num_classes=3, layers=(2,))
+        protos, _ = local_prototypes(np.stack([vecs, vecs]), labels,
+                                     num_classes=3, layers=(2,))
         for c in range(3):
             acc = np.zeros(4)
             n = 0
@@ -371,7 +369,7 @@ class TestPrototypeBank:
             np.testing.assert_array_equal(bank.mu[l], before[l])
 
     def test_dp_uses_max_submitted_sensitivity(self):
-        bank = self.make_bank(rho=0.0)
+        bank = self.make_bank(rho=0.0, epsilon=0.2)
         subs = [
             ({5: np.full((3, 2), 1.0), 6: np.zeros((3, 2))},
              {5: np.array([0.1, 0.4, 0.2]), 6: np.zeros(3)}),
@@ -381,7 +379,7 @@ class TestPrototypeBank:
         for protos, sens in subs:
             bank.submit(protos, sens)
         rng_a = np.random.default_rng(100)
-        bank.apply_period_update(epsilon=0.2, rng=rng_a)
+        bank.apply_period_update(rng=rng_a)
         # replicate: aggregate is 2.0 everywhere; noise should use max sens
         rng_b = np.random.default_rng(100)
         expected = np.full((3, 2), 2.0)
