@@ -25,8 +25,6 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
-import numpy as np
-
 from .data import (
     PartitionSpec,
     SyntheticSpec,
@@ -204,9 +202,8 @@ def write_prompts_csv(state, path):
         for name, block in state.params.blocks():
             emit(name, -1, block.data)
         for cid in sorted(state.personal):
-            shared, class_prompts = state.personal[cid]
-            emit("shared", cid, shared)
-            emit("class", cid, class_prompts)
+            for name, block in state.personal[cid].blocks()[:2]:  # no head
+                emit(name, cid, block.data)
 
 
 def write_prototypes_csv(bank, path):
@@ -335,19 +332,14 @@ def cmd_partition(args) -> int:
 
 def _load_prompts_csv(path, state):
     """Read prompt blocks written by `write_prompts_csv` into `state`."""
-    blocks = dict(state.params.blocks())
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             client = int(row["client"])
-            name = row["block"]
-            r, c, v = int(row["row"]), int(row["col"]), float(row["value"])
-            if client == -1:
-                blocks[name].data[r, c] = v
-            else:
-                shared, class_prompts = state.personal.setdefault(client, (
-                    np.zeros_like(blocks["shared"].data),
-                    np.zeros_like(blocks["class"].data)))
-                (shared if name == "shared" else class_prompts)[r, c] = v
+            # a client's rows set every entry of its shared and class blocks
+            params = (state.params if client == -1 else
+                      state.personal.setdefault(client, state.params.copy()))
+            block = dict(params.blocks())[row["block"]]
+            block.data[int(row["row"]), int(row["col"])] = float(row["value"])
 
 
 def _load_prototypes_csv(path, bank):

@@ -149,14 +149,14 @@ def comm_accounting(dim: int, classes: int, shared_prompts: int,
                     update_period: int = 1) -> CommReport:
     """Parameters one client exchanges across a run.
 
-    The trainable blocks travel both ways every round; the prototype
-    payload is exchanged once per update period.
+    The trainable blocks travel both ways every round; the prototypes of
+    the mix layers are exchanged once per update period.
     """
     if rounds < 0 or update_period < 1:
         raise ConfigError("rounds must be >= 0 and update period >= 1")
     params = classes * dim + dim * shared_prompts + dim * classes
     prototype_payload = mix_layers * classes * dim
-    syncs = rounds // update_period
+    syncs = rounds // update_period if mix_layers else 0
     uploaded = rounds * params + syncs * prototype_payload
     downloaded = rounds * params + syncs * prototype_payload
     return CommReport(

@@ -5,6 +5,8 @@ on the prompt blocks, federated averaging, and periodic prototype sync.
 (None without mixing; its `epsilon` is the DP budget) and the effective
 model config.  `ServerState.client_inputs` alone puts together a client's
 prompts (`broadcast_params`) and score constants (`score_priors`, bank).
+The three prompt blocks always travel as one `PromptParams`: clients read
+the server's own blocks, and `local_train` trains the one copy it returns.
 
 Everything is a pure function of (config, seed): client sampling, batch
 shuffling, and noise draws all derive their generators from the master
@@ -12,7 +14,7 @@ seed, and aggregation always proceeds in ascending client-id order, so a
 run is bit-reproducible.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,6 +27,10 @@ from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
 STRATEGIES = ("shared_only", "mixed", "mixed_no_prior", "personalized")
+# train keys a strategy never reads, rejected unless they hold their default
+UNREAD_KEYS = {"shared_only": ("rho", "update_period", "warmup_fraction",
+                               "dp_epsilon"),
+               "personalized": ("weighted_fedavg",)}
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,9 @@ class TrainConfig:
             raise ConfigError("dp epsilon must be positive when set")
         if self.update_period < 1:
             raise ConfigError("update_period must be >= 1")
-        # keys the strategy never reads would be written, unread, to config.json
-        for key, unread in (("weighted_fedavg", self.strategy == "personalized"),
-                            ("dp_epsilon", self.strategy == "shared_only")):
-            if unread and getattr(self, key) not in (None, False):
+        defaults = {f.name: f.default for f in fields(self)}
+        for key in UNREAD_KEYS.get(self.strategy, ()):
+            if getattr(self, key) != defaults[key]:
                 raise ConfigError(f"train.{key!r} is not read by strategy "
                                   f"{self.strategy!r}")
 
@@ -117,9 +122,7 @@ def build_clients(dataset, partition) -> list:
 @dataclass
 class ClientUpdate:
     client_id: int
-    shared: np.ndarray
-    class_prompts: np.ndarray
-    head: np.ndarray
+    params: PromptParams  # the client's trained blocks
     prototypes: dict
     sensitivities: dict
     num_samples: int
@@ -140,7 +143,6 @@ class RoundLog:
 @dataclass
 class ServerState:
     params: PromptParams
-    init_params: PromptParams
     bank: PrototypeBank | None
     clients: list
     participating: tuple
@@ -150,16 +152,14 @@ class ServerState:
     cfg: TrainConfig
     seed: int
     round: int = 0
+    # client id -> its trained PromptParams, under `personalized` only
     personal: dict = field(default_factory=dict)
 
     def broadcast_params(self, cid: int) -> PromptParams:
-        """Parameters a client starts the round from."""
-        if self.cfg.strategy == "personalized":
-            shared, class_prompts = self.personal.get(
-                cid, (self.init_params.shared.data, self.init_params.class_prompts.data)
-            )
-            return PromptParams.from_arrays(shared, class_prompts, self.params.head.data)
-        return self.params.copy()
+        """The blocks client `cid` starts the round from, for reading only:
+        the server's own, or its trained prompts with the global head."""
+        own = self.personal.get(cid)
+        return self.params if own is None else replace(own, head=self.params.head)
 
     def client_inputs(self, cid: int):
         """(prompt parameters, score constants) client `cid` trains and is
@@ -207,8 +207,8 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
                 backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, round_index: int) -> ClientUpdate:
     """One client's round from `client_inputs`: prototype snapshot, then E
-    epochs of mini-batch SGD with momentum on a copy of the prompt blocks.
-    Without mixing, `consts` is empty and there is no snapshot."""
+    epochs of mini-batch SGD with momentum on the one copy of `params` that
+    the update carries.  Without mixing, `consts` is empty (no snapshot)."""
     if client.num_train == 0:
         raise DataError(f"client {client.client_id} has no training data")
     params = params.copy()
@@ -251,9 +251,7 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
                 b.data -= lr_t * v
     return ClientUpdate(
         client_id=client.client_id,
-        shared=params.shared.data.copy(),
-        class_prompts=params.class_prompts.data.copy(),
-        head=params.head.data.copy(),
+        params=params,
         prototypes=protos,
         sensitivities=sens,
         num_samples=client.num_train,
@@ -271,10 +269,10 @@ def fedavg_aggregate(updates, weighted: bool = False) -> PromptParams:
         weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights = weights / weights.sum()
     blocks = []
-    for name in ("shared", "class_prompts", "head"):
-        acc = np.zeros_like(getattr(updates[0], name))
-        for u, w in zip(updates, weights):
-            acc += w * getattr(u, name)
+    for per_client in zip(*(u.params.blocks() for u in updates)):
+        acc = np.zeros_like(per_client[0][1].data)
+        for (_, block), w in zip(per_client, weights):
+            acc += w * block.data
         blocks.append(acc)
     return PromptParams.from_arrays(*blocks)
 
@@ -345,14 +343,12 @@ def run_round(state: ServerState) -> RoundLog:
     ]
 
     if state.cfg.strategy == "personalized":
+        # the global prompt blocks keep their initial values
         head = np.zeros_like(state.params.head.data)
         for u in updates:
-            head += u.head
-            state.personal[u.client_id] = (u.shared, u.class_prompts)
-        state.params = PromptParams.from_arrays(
-            state.init_params.shared.data,
-            state.init_params.class_prompts.data,
-            head / len(updates))
+            head += u.params.head.data
+            state.personal[u.client_id] = u.params
+        state.params = replace(state.params, head=te.Tensor(head / len(updates)))
     else:
         state.params = fedavg_aggregate(updates, weighted=state.cfg.weighted_fedavg)
 
@@ -416,7 +412,7 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
     else:
         model_cfg = replace(model_cfg, mix_layers=())
     return ServerState(
-        params=params, init_params=params.copy(), bank=bank, clients=clients,
+        params=params, bank=bank, clients=clients,
         participating=participating, heldout=heldout,
         model_cfg=model_cfg, backbone=backbone, cfg=cfg, seed=seed)
 

@@ -249,8 +249,7 @@ class PrototypeBank:
     rho: float = 0.9
     epsilon: float | None = None
     mu: dict = field(default_factory=dict)
-    _buffer: list = field(default_factory=list)
-    _sens_buffer: list = field(default_factory=list)
+    _buffer: list = field(default_factory=list)  # (prototypes, sensitivities)
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -277,8 +276,8 @@ class PrototypeBank:
                                       rng)
 
     def submit(self, protos: dict, sens: dict) -> None:
-        self._buffer.append({l: np.asarray(protos[l]) for l in self.layers})
-        self._sens_buffer.append({l: np.asarray(sens[l]) for l in self.layers})
+        self._buffer.append(({l: np.asarray(protos[l]) for l in self.layers},
+                             {l: np.asarray(sens[l]) for l in self.layers}))
 
     def pending(self) -> int:
         return len(self._buffer)
@@ -293,13 +292,12 @@ class PrototypeBank:
         if not self._buffer:
             return
         for l in self.layers:
-            agg, counts = aggregate_submissions([sub[l] for sub in self._buffer])
+            agg, counts = aggregate_submissions([p[l] for p, _ in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
             if self.epsilon is not None:
                 self._privatize_layer(
-                    l, counts, [sub[l] for sub in self._sens_buffer], rng)
+                    l, counts, [s[l] for _, s in self._buffer], rng)
         self._buffer.clear()
-        self._sens_buffer.clear()
 
     def _privatize_layer(self, layer, counts, sensitivities, rng):
         """Noise each class with contributors, scaled by the largest

@@ -22,7 +22,8 @@ from fedprompt.data import SyntheticSpec, generate_synthetic, partition_dirichle
 from fedprompt.evaluation import comm_accounting, heldout_split, prompt_mix_overhead
 from fedprompt.federation import TrainConfig, build_clients, fedavg_aggregate, \
     run_training
-from fedprompt.model import ModelConfig, gradient_check, init_backbone
+from fedprompt.model import (ModelConfig, PromptParams, gradient_check,
+                            init_backbone)
 from fedprompt.prototypes import (
     PrototypeBank,
     aggregate_submissions,
@@ -308,8 +309,10 @@ def test_criterion_12_protocol_unit_suite():
     rng = np.random.default_rng(12)
     values = rng.normal(size=7)
     updates = [
-        ClientUpdate(client_id=i, shared=np.full((2, 1), v),
-                     class_prompts=np.full((2, 2), v), head=np.full((2, 2), v),
+        ClientUpdate(client_id=i,
+                     params=PromptParams.from_arrays(np.full((2, 1), v),
+                                                     np.full((2, 2), v),
+                                                     np.full((2, 2), v)),
                      prototypes={}, sensitivities={}, num_samples=3,
                      mean_loss=0.0)
         for i, v in enumerate(values)

@@ -168,6 +168,12 @@ class TestRunCommand:
          "train.'weighted_fedavg' is not read by strategy 'personalized'"),
         ({"train": {"strategy": "shared_only", "dp_epsilon": 1.0}},
          "train.'dp_epsilon' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only", "rho": 0.5}},
+         "train.'rho' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only", "update_period": 3}},
+         "train.'update_period' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only", "warmup_fraction": 0.5}},
+         "train.'warmup_fraction' is not read by strategy 'shared_only'"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -538,17 +544,25 @@ WORKLOAD_METRICS = {
     "eval-heavy": "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
     "train-heavy": "a4c4aeda1ff1380cb8675186f380760fbd683565b58e024b5c88e6dd1a2068cc",
 }
+# the same workloads at seed 1, also cut to 2 rounds
+WORKLOAD_METRICS_SEED1 = {
+    "desk": "8c86c9ca2221502c0e1aed26b89c4549f920bcd60fe235f35dd4f2d4ad40faf7",
+    "eval-heavy": "15ff0c38ef4dce0d7813c2d5803cca93b60550cc811acfcaaf4ec78ef9db3e03",
+    "train-heavy": "60327ed75c0e1ac66879ffc528ab7d761879ca217adf818fbd05ea90f9e7b658",
+}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS) + sorted(WORKLOAD_METRICS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS) + sorted(WORKLOAD_METRICS)
+                         + [f"{w}-seed1" for w in sorted(WORKLOAD_METRICS_SEED1)])
 def test_metrics_bytes_match_golden(tmp_path, name):
     # pinned bytes: a refactor of any strategy must leave its metrics.csv
     # unchanged to the last bit
-    if name in WORKLOAD_METRICS:
-        digest = WORKLOAD_METRICS[name]
+    workload, seed = name.removesuffix("-seed1"), int(name.endswith("-seed1"))
+    if workload in WORKLOAD_METRICS:
+        digest = (WORKLOAD_METRICS_SEED1 if seed else WORKLOAD_METRICS)[workload]
         raw = json.loads(
-            (ROOT / "perfbench" / "workloads" / f"{name}.json").read_text())
-        raw.update(seed=0, out_dir=str(tmp_path / "run"))
+            (ROOT / "perfbench" / "workloads" / f"{workload}.json").read_text())
+        raw.update(seed=seed, out_dir=str(tmp_path / "run"))
         raw["train"]["rounds"] = 2
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))

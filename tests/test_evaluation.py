@@ -265,6 +265,7 @@ class TestCommAccounting:
         report = comm_accounting(dim=64, classes=10, shared_prompts=2,
                                  mix_layers=0, rounds=5)
         assert report.prototype_payload == 0
+        assert report.prototype_syncs == 0
         assert report.uploaded_total == 5 * report.params_per_round
 
     def test_longer_period_halves_prototype_syncs(self):

@@ -79,7 +79,7 @@ class TestWarmStartup:
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
         protos, _ = compute_client_prototypes(
-            clients[0], state.init_params, state.client_inputs(0)[1], backbone,
+            clients[0], state.params, state.client_inputs(0)[1], backbone,
             state.model_cfg)
         # bank was zero during the warm-up pass, matching this recompute
         np.testing.assert_allclose(state.bank.mu[2], protos[2], atol=1e-12)
@@ -92,7 +92,7 @@ class TestWarmStartup:
         from fedprompt.federation import compute_client_prototypes
         fresh = init_server(clients, backbone, TINY_MODEL, cfg, seed=2)
         subs = [
-            compute_client_prototypes(c, fresh.init_params,
+            compute_client_prototypes(c, fresh.params,
                                       fresh.client_inputs(c.client_id)[1],
                                       backbone, fresh.model_cfg)[0]
             for c in clients
@@ -110,8 +110,26 @@ class TestLocalTrain:
         update = local_train(clients[0], state.params,
                              state.client_inputs(0)[1], backbone,
                              state.model_cfg, cfg, seed=3, round_index=1)
-        np.testing.assert_array_equal(update.shared, state.params.shared.data)
-        np.testing.assert_array_equal(update.head, state.params.head.data)
+        np.testing.assert_array_equal(update.params.shared.data,
+                                      state.params.shared.data)
+        np.testing.assert_array_equal(update.params.head.data,
+                                      state.params.head.data)
+
+    def test_given_params_left_bit_for_bit_unchanged(self):
+        # clients are handed the server's own blocks, so local SGD must
+        # train a copy of them and leave the originals as they were
+        clients, backbone = tiny_world(3)
+        cfg = tiny_cfg(local_epochs=2)
+        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
+        warm_startup(state)
+        params, consts = state.client_inputs(0)
+        assert params is state.params
+        before = [block.data.tobytes() for _, block in params.blocks()]
+        update = local_train(clients[0], params, consts, backbone,
+                             state.model_cfg, cfg, seed=3, round_index=1)
+        assert [block.data.tobytes() for _, block in params.blocks()] == before
+        assert update.params is not params
+        assert update.params.head.data.tobytes() != before[2]
 
     def test_single_step_matches_closed_form_head_update(self):
         # one sample, one epoch, huge clip, zero momentum history:
@@ -151,7 +169,8 @@ class TestLocalTrain:
 
         update = local_train(client, start, consts, backbone, cfg_model, cfg,
                              seed=11, round_index=1)
-        np.testing.assert_allclose(update.head, expected_head, atol=1e-12)
+        np.testing.assert_allclose(update.params.head.data, expected_head,
+                                   atol=1e-12)
 
     def test_loss_decreases_on_separable_shard(self):
         clients, backbone = tiny_world(4, clients=2, classes=2, k=2, noise=0.1,
@@ -174,8 +193,7 @@ class TestLocalTrain:
         before = shard_loss(state.params)
         update = local_train(client, state.params, consts, backbone,
                              state.model_cfg, cfg, seed=4, round_index=1)
-        after = shard_loss(PromptParams.from_arrays(
-            update.shared, update.class_prompts, update.head))
+        after = shard_loss(update.params)
         assert after <= before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -211,9 +229,9 @@ class TestFedAvg:
         from fedprompt.federation import ClientUpdate
         return ClientUpdate(
             client_id=cid,
-            shared=np.full((2, 1), float(value)),
-            class_prompts=np.full((2, 3), float(value)),
-            head=np.full((3, 2), float(value)),
+            params=PromptParams.from_arrays(np.full((2, 1), float(value)),
+                                            np.full((2, 3), float(value)),
+                                            np.full((3, 2), float(value))),
             prototypes={}, sensitivities={}, num_samples=n, mean_loss=0.0)
 
     def test_mean_of_two(self):
@@ -281,8 +299,23 @@ class TestRounds:
                                state.model_cfg, cfg, seed=8, round_index=1)
         log = run_round(state)
         assert log.participants == (0,)
-        np.testing.assert_array_equal(state.params.head.data, expected.head)
-        np.testing.assert_array_equal(state.params.shared.data, expected.shared)
+        np.testing.assert_array_equal(state.params.head.data,
+                                      expected.params.head.data)
+        np.testing.assert_array_equal(state.params.shared.data,
+                                      expected.params.shared.data)
+
+    def test_clients_read_the_server_blocks(self):
+        # broadcasting hands out the server's own blocks: a sampled client
+        # is copied once, in local_train, and an evaluated one not at all
+        clients, backbone = tiny_world(8)
+        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=8)
+        warm_startup(state)
+        run_round(state)
+        for cid in range(len(clients)):
+            params, _ = state.client_inputs(cid)
+            assert params.shared is state.params.shared
+            assert params.class_prompts is state.params.class_prompts
+            assert params.head is state.params.head
 
     def test_three_round_determinism(self):
         clients_a, backbone_a = tiny_world(9)
@@ -387,13 +420,22 @@ class TestPersonalizedStrategy:
         cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=15)
         warm_startup(state)
-        init_shared = state.init_params.shared.data.copy()
         log = run_round(state)
         # global prompt blocks stay at initialization; head moved
-        np.testing.assert_array_equal(state.params.shared.data, init_shared)
+        init = PromptParams.init(15, TINY_MODEL.dim, 4, cfg.shared_prompts)
+        np.testing.assert_array_equal(state.params.shared.data,
+                                      init.shared.data)
+        np.testing.assert_array_equal(state.params.class_prompts.data,
+                                      init.class_prompts.data)
         assert np.abs(state.params.head.data).max() > 0
         for cid in log.participants:
-            assert cid in state.personal
+            own = state.personal[cid]
+            assert isinstance(own, PromptParams)
+            # a trained client starts from its own prompts and the global head
+            params, _ = state.client_inputs(cid)
+            assert params.shared is own.shared
+            assert params.class_prompts is own.class_prompts
+            assert params.head is state.params.head
 
     def test_heldout_client_gets_initial_prompts(self):
         clients, backbone = tiny_world(16)
@@ -403,8 +445,10 @@ class TestPersonalizedStrategy:
         warm_startup(state)
         run_round(state)
         params = state.broadcast_params(5)
-        np.testing.assert_array_equal(params.shared.data,
-                                      state.init_params.shared.data)
+        init = PromptParams.init(16, TINY_MODEL.dim, 4, cfg.shared_prompts)
+        np.testing.assert_array_equal(params.shared.data, init.shared.data)
+        np.testing.assert_array_equal(params.class_prompts.data,
+                                      init.class_prompts.data)
         np.testing.assert_array_equal(params.head.data, state.params.head.data)
 
 
