@@ -40,6 +40,7 @@ from .federation import (
     _evaluate,
     build_clients,
     init_server,
+    reject_unread_keys,
     run_training,
 )
 from .model import ModelConfig, init_backbone
@@ -118,6 +119,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must lie in [0, 1)")
+        reject_unread_keys(self.train.strategy, "model", self.model)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

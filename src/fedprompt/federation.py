@@ -27,10 +27,22 @@ from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
 STRATEGIES = ("shared_only", "mixed", "mixed_no_prior", "personalized")
-# train keys a strategy never reads, rejected unless they hold their default
-UNREAD_KEYS = {"shared_only": ("rho", "update_period", "warmup_fraction",
-                               "dp_epsilon"),
-               "personalized": ("weighted_fedavg",)}
+# the keys of each config section a strategy never reads, rejected unless
+# they hold their default
+UNREAD_KEYS = {
+    "shared_only": {"train": ("rho", "update_period", "warmup_fraction",
+                              "dp_epsilon"),
+                    "model": ("tau", "refresh_mix", "detach_scores")},
+    "personalized": {"train": ("weighted_fedavg",)}}
+
+
+def reject_unread_keys(strategy: str, section: str, config) -> None:
+    """Reject a `section` key that `strategy` never reads, set off its default."""
+    defaults = {f.name: f.default for f in fields(config)}
+    for key in UNREAD_KEYS.get(strategy, {}).get(section, ()):
+        if getattr(config, key) != defaults[key]:
+            raise ConfigError(f"{section}.{key!r} is not read by strategy "
+                              f"{strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +93,7 @@ class TrainConfig:
             raise ConfigError("dp epsilon must be positive when set")
         if self.update_period < 1:
             raise ConfigError("update_period must be >= 1")
-        defaults = {f.name: f.default for f in fields(self)}
-        for key in UNREAD_KEYS.get(self.strategy, ()):
-            if getattr(self, key) != defaults[key]:
-                raise ConfigError(f"train.{key!r} is not read by strategy "
-                                  f"{self.strategy!r}")
+        reject_unread_keys(self.strategy, "train", self)
 
 
 @dataclass

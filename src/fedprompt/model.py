@@ -67,12 +67,18 @@ class ModelConfig:
 class LayerWeights:
     """One block's projections.  Its layer norms have no affine map and
     its projections no bias: the frozen backbone's gains are all one and
-    its biases all zero, so they are left out."""
+    its biases all zero, so they are left out.  It also keeps the
+    transposed views the block's map reads, made once."""
 
     w_qkv: np.ndarray  # (d, 3d): query, key and value side by side
     w_out: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
+
+    def __post_init__(self):
+        d = self.w_out.shape[0]
+        self.qkv_t = [self.w_qkv[:, i * d:(i + 1) * d].T for i in range(3)]
+        self.out_t, self.up_t, self.down_t = self.w_out.T, self.w_up.T, self.w_down.T
 
 
 @dataclass
@@ -175,6 +181,52 @@ _GELU_A = te.scalar(0.044715)
 _GELU_3A = te.scalar(3 * 0.044715)
 
 
+class _Kept:
+    """What the block's map reads: the layer norms' outputs, the QKV
+    product and its per-head views, the attention and the GELU factors.
+    Untaped, one set in the workspace; taped, a fresh set per call."""
+
+    __slots__ = ("xhat1", "inv1", "qkv", "q", "k", "v", "k_t", "attn",
+                 "xhat2", "inv2", "u2", "t", "half_u", "one_t")
+
+    def __init__(self, tokens, d, heads, hidden):
+        self.xhat1, self.xhat2 = np.empty((2, tokens, d))
+        self.inv1, self.inv2 = np.empty((2, tokens, 1))
+        self.qkv = np.empty((tokens, 3 * d))
+        # (3, heads, tokens, head_dim)
+        self.q, self.k, self.v = self.qkv.reshape(
+            tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
+        self.k_t = self.k.transpose(0, 2, 1)
+        self.attn = np.empty((heads, tokens, tokens))
+        self.u2, self.t, self.half_u, self.one_t = np.empty((4, tokens, hidden))
+
+
+class _BlockSpace:
+    """The workspace of the block and its map at one (tokens, d, heads,
+    hidden): temporaries, their per-head views, constants, `_Kept` set."""
+
+    def __init__(self, tokens, d, heads, hidden):
+        head_dim = d // heads
+        self.inv_sqrt = te.scalar(1.0 / math.sqrt(head_dim))
+        self.norm = te.NormSpace(tokens, d)
+        self.kept = _Kept(tokens, d, heads, hidden)
+        self.scores, self.dattn, self.weighted = np.empty((3, heads, tokens, tokens))
+        self.dattn_t = self.dattn.transpose(0, 2, 1)
+        # reductions into the 1-D view of a column dispatch fastest
+        self.col = np.empty((heads, tokens, 1))
+        self.col_flat = self.col[:, :, 0]
+        self.merged, self.do, self.x1, self.dx1, self.dh1, self.part = rows = (
+            np.empty((6, tokens, d)))
+        # the first two head by head, as (heads, tokens, head_dim)
+        self.merged_heads, self.do_heads = rows[:2].reshape(
+            2, tokens, heads, head_dim).transpose(0, 2, 1, 3)
+        self.u, self.inner, self.slope, self.sech2, self.tail, self.du = (
+            np.empty((6, tokens, hidden)))
+
+
+_BLOCK_SPACES = te.Workspaces(_BlockSpace)
+
+
 def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     """One pre-LN block as a single fused primitive over the token matrix.
 
@@ -184,55 +236,41 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     magnitude cheaper than composing generic ops, and the
     finite-difference suite checks it end to end.
 
-    Every ufunc writes with `out=`: temporaries come from `te.SCRATCH`,
-    and what the map captures from `te.FRESH` under a tape (from the pool
-    without one).  The output and the map's result are fresh arrays.
+    Every ufunc writes with `out=` into the workspace of the block's shape,
+    and what the map reads into a `_Kept` set, fresh under a tape.  The
+    output and the map's result are fresh arrays.
     """
-    w_qkv, w_out, w_up, w_down = blk.w_qkv, blk.w_out, blk.w_up, blk.w_down
     tokens, d = x.shape
-    head_dim = d // heads
-    hidden = w_up.shape[1]
-    inv_sqrt = te.scalar(1.0 / math.sqrt(head_dim))
-    pool = te.SCRATCH
-    keep = pool if tape is None else te.FRESH
+    hidden = blk.w_up.shape[1]
+    ws = _BLOCK_SPACES[tokens, d, heads, hidden]
+    kp = ws.kept if tape is None else _Kept(tokens, d, heads, hidden)
 
-    xhat1, inv1 = te.norm_rows(x, keep["xhat1", tokens, d],
-                               keep["inv1", tokens, 1])
-    # one GEMM for Q, K and V, viewed as (3, heads, tokens, head_dim)
-    qkv = np.dot(xhat1, w_qkv, keep["qkv", tokens, 3 * d]).reshape(
-        tokens, 3, heads, head_dim).transpose(1, 2, 0, 3)
-    q, k, v = qkv[0], qkv[1], qkv[2]
-    scores = np.matmul(q, k.transpose(0, 2, 1),
-                       pool["scores", heads, tokens, tokens])
-    np.multiply(scores, inv_sqrt, scores)
-    # reductions into the 1-D view of a column dispatch fastest
-    col = pool["col", heads, tokens, 1]
-    flat = col[:, :, 0]
-    np.maximum.reduce(scores, 2, None, flat)
-    attn = np.exp(np.subtract(scores, col, scores),
-                  keep["attn", heads, tokens, tokens])
-    np.add.reduce(attn, 2, None, flat)
-    np.divide(attn, col, attn)
+    te.norm_rows(x, kp.xhat1, kp.inv1, ws.norm)
+    # one GEMM for Q, K and V
+    np.dot(kp.xhat1, blk.w_qkv, kp.qkv)
+    scores = np.matmul(kp.q, kp.k_t, ws.scores)
+    np.multiply(scores, ws.inv_sqrt, scores)
+    np.maximum.reduce(scores, 2, None, ws.col_flat)
+    attn = np.exp(np.subtract(scores, ws.col, scores), kp.attn)
+    np.add.reduce(attn, 2, None, ws.col_flat)
+    np.divide(attn, ws.col, attn)
     # written head by head into the (tokens, d) layout
-    merged = pool["merged", tokens, d]
-    np.matmul(attn, v,
-              merged.reshape(tokens, heads, head_dim).transpose(1, 0, 2))
-    x1 = np.dot(merged, w_out, pool["x1", tokens, d])
+    np.matmul(attn, kp.v, ws.merged_heads)
+    x1 = np.dot(ws.merged, blk.w_out, ws.x1)
     np.add(x1, x, x1)
 
-    xhat2, inv2 = te.norm_rows(x1, keep["xhat2", tokens, d],
-                               keep["inv2", tokens, 1])
-    u = np.dot(xhat2, w_up, pool["u", tokens, hidden])
+    te.norm_rows(x1, kp.xhat2, kp.inv2, ws.norm)
+    u = np.dot(kp.xhat2, blk.w_up, ws.u)
     # u2 * u, not u**3: a float power goes through libm pow, ~40x slower
-    u2 = np.multiply(u, u, keep["u2", tokens, hidden])
-    inner = np.multiply(u2, u, pool["mlp", tokens, hidden])
+    u2 = np.multiply(u, u, kp.u2)
+    inner = np.multiply(u2, u, ws.inner)
     np.multiply(_GELU_A, inner, inner)
     np.add(u, inner, inner)
-    t = np.tanh(np.multiply(_GELU_C, inner, inner), keep["t", tokens, hidden])
+    t = np.tanh(np.multiply(_GELU_C, inner, inner), kp.t)
     # GELU (0.5 u)(1 + t), keeping both factors for the map
-    half_u = np.multiply(te.HALF, u, keep["half_u", tokens, hidden])
-    one_t = np.add(te.ONE, t, keep["one_t", tokens, hidden])
-    x2 = np.dot(np.multiply(half_u, one_t, inner), w_down)
+    half_u = np.multiply(te.HALF, u, kp.half_u)
+    one_t = np.add(te.ONE, t, kp.one_t)
+    x2 = np.dot(np.multiply(half_u, one_t, inner), blk.w_down)
     np.add(x2, x1, x2)
     if tape is None:
         return x2
@@ -240,45 +278,40 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     def backward(dout):
         # MLP branch: du = dgelu * (0.5 (1 + t)
         #                           + 0.5 u (1 - t^2) c (1 + 3a u^2))
-        slope = np.multiply(te.HALF, one_t, pool["b.slope", tokens, hidden])
-        sech2 = np.multiply(t, t, pool["b.sech2", tokens, hidden])
+        slope = np.multiply(te.HALF, kp.one_t, ws.slope)
+        sech2 = np.multiply(kp.t, kp.t, ws.sech2)
         np.subtract(te.ONE, sech2, sech2)
-        tail = np.multiply(half_u, sech2, pool["b.tail", tokens, hidden])
+        tail = np.multiply(kp.half_u, sech2, ws.tail)
         np.multiply(tail, _GELU_C, tail)
-        cubic = np.multiply(_GELU_3A, u2, sech2)
+        cubic = np.multiply(_GELU_3A, kp.u2, sech2)
         np.multiply(tail, np.add(te.ONE, cubic, cubic), tail)
         np.add(slope, tail, slope)
-        du = np.dot(dout, w_down.T, pool["b.du", tokens, hidden])
+        du = np.dot(dout, blk.down_t, ws.du)
         np.multiply(du, slope, du)
-        dx1 = np.dot(du, w_up.T, pool["b.dx1", tokens, d])
-        te.norm_rows_backward(dx1, xhat2, inv2, dx1)
+        dx1 = np.dot(du, blk.up_t, ws.dx1)
+        te.norm_rows_backward(dx1, kp.xhat2, kp.inv2, dx1, ws.norm)
         np.add(dx1, dout, dx1)
         # attention branch
-        do_heads = np.dot(dx1, w_out.T, pool["b.do", tokens, d]).reshape(
-            tokens, heads, head_dim).transpose(1, 0, 2)
-        dattn = np.matmul(do_heads, v.transpose(0, 2, 1),
-                          pool["b.dattn", heads, tokens, tokens])
-        weighted = np.multiply(dattn, attn, pool["b.w", heads, tokens, tokens])
-        col = pool["b.col", heads, tokens, 1]
-        np.add.reduce(weighted, 2, None, col[:, :, 0])
-        np.subtract(dattn, col, dattn)
-        dscores = np.multiply(attn, dattn, dattn)
-        np.multiply(dscores, inv_sqrt, dscores)
+        np.dot(dx1, blk.out_t, ws.do)
+        dattn = np.matmul(ws.do_heads, kp.v.transpose(0, 2, 1), ws.dattn)
+        weighted = np.multiply(dattn, kp.attn, ws.weighted)
+        np.add.reduce(weighted, 2, None, ws.col_flat)
+        np.subtract(dattn, ws.col, dattn)
+        dscores = np.multiply(kp.attn, dattn, dattn)
+        np.multiply(dscores, ws.inv_sqrt, dscores)
         # dq, dk and dv in turn, each written head by head into the
         # (tokens, d) layout and taken through its own GEMM: one against
         # w_qkv would sum in another order, and np.dot on the column
         # slices differs from `@` in the bits
-        merged = pool["b.merged", tokens, d]
-        by_head = merged.reshape(tokens, heads, head_dim).transpose(1, 0, 2)
-        dh1 = pool["b.dh1", tokens, d]
-        part = pool["b.part", tokens, d]
-        np.matmul(dscores, k, by_head)
-        np.matmul(merged, w_qkv[:, :d].T, dh1)
-        np.matmul(dscores.transpose(0, 2, 1), q, by_head)
-        np.add(dh1, np.matmul(merged, w_qkv[:, d:2 * d].T, part), dh1)
-        np.matmul(attn.transpose(0, 2, 1), do_heads, by_head)
-        np.add(dh1, np.matmul(merged, w_qkv[:, 2 * d:].T, part), dh1)
-        dx = te.norm_rows_backward(dh1, xhat1, inv1)
+        by_head, merged, dh1, part = ws.merged_heads, ws.merged, ws.dh1, ws.part
+        wq_t, wk_t, wv_t = blk.qkv_t
+        np.matmul(dscores, kp.k, by_head)
+        np.matmul(merged, wq_t, dh1)
+        np.matmul(ws.dattn_t, kp.q, by_head)
+        np.add(dh1, np.matmul(merged, wk_t, part), dh1)
+        np.matmul(kp.attn.transpose(0, 2, 1), ws.do_heads, by_head)
+        np.add(dh1, np.matmul(merged, wv_t, part), dh1)
+        dx = te.norm_rows_backward(dh1, kp.xhat1, kp.inv1, None, ws.norm)
         return np.add(dx1, dx, dx)
 
     tape.record(backward)
@@ -339,13 +372,15 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
     return out
 
 
+_NORM_SPACES = te.Workspaces(te.NormSpace)
+
+
 def _head(seq, head: te.Tensor, tape, upstream: bool):
     """Logits head @ LN(cls) of the last layer's cls row, as one
     primitive.  With `upstream` False (no trainable block feeds `seq`)
     its map only adds into the head and returns None."""
-    keep = te.SCRATCH if tape is None else te.FRESH
-    row, inv = te.norm_rows(seq[0:1], keep["head.row", 1, seq.shape[1]],
-                            keep["head.inv", 1, 1])
+    norm = _NORM_SPACES[1, seq.shape[1]]
+    row, inv = te.norm_rows(seq[0:1], None, None, norm)
     if tape is not None:
         def backward(g):
             g = g.reshape(-1, 1)
@@ -353,7 +388,8 @@ def _head(seq, head: te.Tensor, tape, upstream: bool):
             if not upstream:
                 return None
             dseq = np.zeros_like(seq)
-            te.norm_rows_backward((head.data.T @ g).T, row, inv, dseq[0:1])
+            te.norm_rows_backward((head.data.T @ g).T, row, inv, dseq[0:1],
+                                  norm)
             return dseq
 
         tape.record(backward)
@@ -401,16 +437,16 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     live = tape if prompts.shared.data.shape[1] else None
     seq = _embed(image, prompts.shared, backbone, cfg, live)
     cls = np.empty((cfg.layers, cfg.dim))
+    blocks, heads, mix_layers = backbone.blocks, cfg.heads, cfg.mix_layers
     mixed = False
     for layer in range(1, cfg.layers + 1):
         cls[layer - 1] = seq[0]
-        if layer in cfg.mix_layers and (not mixed or cfg.refresh_mix):
+        if layer in mix_layers and (not mixed or cfg.refresh_mix):
             seq = _mix(seq, prompts.class_prompts, consts[layer], mixed,
                        cfg.detach_scores, tape, live is not None)
             mixed = True
             live = tape
-        seq = _transformer_layer(seq, backbone.blocks[layer - 1], cfg.heads,
-                                 live)
+        seq = _transformer_layer(seq, blocks[layer - 1], heads, live)
     return _head(seq, prompts.head, tape, live is not None), cls
 
 

@@ -46,11 +46,12 @@ class ScoreConstants:
     norms, and the log priors.  The loop that walks a shard builds these
     once, so each sample only adds the cls token's norm and one
     matrix-vector product.  They hold copies of the prototypes: after a
-    write to the bank, build them again.
+    write to the bank, build them again.  They also own the scratch of
+    `evaluate`: the logits, the denominators and the 0-d maximum or sum.
     """
 
     __slots__ = ("tau", "classes", "active", "nonzero", "protos", "norms",
-                 "log_priors")
+                 "log_priors", "logits", "den", "top")
 
     def __init__(self, prototypes, priors, tau: float, dim: int):
         if tau <= 0:
@@ -72,27 +73,24 @@ class ScoreConstants:
         self.protos = protos[self.nonzero]
         self.norms = norms[self.nonzero]
         self.log_priors = np.log(priors[active])
+        self.logits, self.den, self.top = (
+            np.empty(active.size), np.empty(self.norms.size), np.empty(()))
 
     def evaluate(self, cls_vec):
         """(scores, sims, cls_norm) for one cls token: the scores over all
         classes, the cosine similarities to the nonzero active prototypes
         (None when the token or every such prototype is zero), and the
         token's norm.  The scores and sims are fresh arrays."""
-        pool = te.SCRATCH
-        n_active = self.log_priors.size
         cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
-        logits = pool["scores.logits", n_active]
+        logits, top = self.logits, self.top
         logits.fill(0.0)
         sims = None
         if cls_norm > 0.0 and self.norms.size:
             sims = np.dot(self.protos, cls_vec)
-            np.divide(sims, np.multiply(self.norms, cls_norm,
-                                        pool["scores.den", self.norms.size]),
-                      sims)
+            np.divide(sims, np.multiply(self.norms, cls_norm, self.den), sims)
             logits[self.nonzero] = sims
         np.divide(logits, self.tau, logits)
         np.add(logits, self.log_priors, logits)
-        top = pool["scores.top",]
         np.subtract(logits, np.maximum.reduce(logits, 0, None, top), logits)
         e = np.exp(logits, logits)
         np.divide(e, np.add.reduce(e, 0, None, top), e)

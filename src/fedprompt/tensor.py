@@ -7,8 +7,8 @@ any trainable block the primitive read, and returns the gradient of its
 input, or None when no trainable block feeds that input.  `Tape.backward` seeds 1.0 and passes the gradient through the
 maps in reverse order of recording.  A `Tensor` is only a trainable
 block: its array and the gradient the maps add into.  This module also
-holds the scratch pool and 0-d constants of the per-sample kernels, the
-layer-normalization kernels, cross entropy, and a central
+holds the per-shape workspaces and 0-d constants of the per-sample
+kernels, the layer-normalization kernels, cross entropy, and a central
 finite-difference oracle (`finite_diff_grad`), the independent gradient
 check used throughout the test suite.
 """
@@ -86,75 +86,71 @@ HALF = scalar(0.5)
 LAYER_NORM_EPS = scalar(1e-5)
 
 
-class ScratchPool(dict):
-    """The temporaries of the per-sample kernels: one array per
-    `(name, *shape)` key, made on first use and reused by every later
-    call, so an untaped kernel allocates almost nothing.
+class Workspaces(dict):
+    """A kernel's workspaces, one per shape, each built by `build(*shape)`
+    on first use: its temporaries and the views it indexes.  No workspace
+    buffer escapes a call: what a kernel returns, and every array a map
+    captures, is fresh, so no later call of any shape can change a result
+    or a recorded map.  Kernels run one at a time."""
 
-    No pooled array escapes the call that wrote it.  What a kernel
-    returns, and every array a backward map captures, is freshly
-    allocated (see `FRESH`), so no later call of any shape can change a
-    result or a recorded map.  One pool serves the process, and kernels
-    run one at a time.
-    """
+    def __init__(self, build):
+        self.build = build
 
-    def __missing__(self, key):
-        buf = self[key] = np.empty(key[1:])
-        return buf
+    def __missing__(self, shape):
+        space = self[shape] = self.build(*shape)
+        return space
 
 
-class _Fresh(dict):
-    """`SCRATCH`'s interface, giving None for every key: passed as `out`,
-    it makes the ufunc or kernel allocate a fresh array.  Kernels take
-    what a backward map will capture from here."""
+class NormSpace:
+    """Scratch of `norm_rows` and `norm_rows_backward` over (rows, d)
+    matrices: a (rows, d) buffer for the squares or products, two (rows,
+    1) columns with their 1-D views, and the width as a 0-d constant."""
 
-    def __missing__(self, key):
-        return None
+    __slots__ = ("width", "sq", "mean", "mean_col", "proj", "proj_col")
+
+    def __init__(self, rows, d):
+        self.width = scalar(d)
+        self.sq = np.empty((rows, d))
+        self.mean, self.proj = np.empty((2, rows, 1))
+        self.mean_col, self.proj_col = self.mean[:, 0], self.proj[:, 0]
 
 
-SCRATCH = ScratchPool()
-FRESH = _Fresh()
-
-
-def norm_rows(x, xhat=None, inv=None):
+def norm_rows(x, xhat=None, inv=None, space=None):
     """Layer normalization of each row of the matrix `x`, with no affine
     map.
 
     Writes and returns (xhat, inv): the normalized rows and the (rows, 1)
     inverse standard deviations, which `norm_rows_backward` needs.  Both
-    are fresh arrays unless given.
+    are fresh arrays unless given, and so is the scratch without `space`.
     """
     rows, d = x.shape
     xhat = np.empty((rows, d)) if xhat is None else xhat
     inv = np.empty((rows, 1)) if inv is None else inv
-    width = scalar(d)
+    space = NormSpace(rows, d) if space is None else space
     # a reduction into a 1-D `out` dispatches faster than with keepdims
     col = inv[:, 0]
-    np.divide(np.add.reduce(x, 1, None, col), width, col)
+    np.divide(np.add.reduce(x, 1, None, col), space.width, col)
     np.subtract(x, inv, xhat)
-    squares = np.multiply(xhat, xhat, SCRATCH["norm.sq", rows, d])
-    np.divide(np.add.reduce(squares, 1, None, col), width, col)
+    squares = np.multiply(xhat, xhat, space.sq)
+    np.divide(np.add.reduce(squares, 1, None, col), space.width, col)
     np.add(col, LAYER_NORM_EPS, col)
     np.divide(ONE, np.sqrt(col, col), col)
     np.multiply(xhat, inv, xhat)
     return xhat, inv
 
 
-def norm_rows_backward(dy, xhat, inv, out=None):
+def norm_rows_backward(dy, xhat, inv, out=None, space=None):
     """Gradient into the rows `norm_rows` normalized, for upstream `dy`:
     inv * ((dy - mean(dy)) - xhat * mean(dy * xhat)), written into `out`
-    (which may be `dy`) or a fresh array."""
-    rows, d = xhat.shape
-    width = scalar(d)
-    mean_dy = SCRATCH["norm.a", rows, 1]
-    col = mean_dy[:, 0]
-    np.divide(np.add.reduce(dy, 1, None, col), width, col)
-    prod = np.multiply(dy, xhat, SCRATCH["norm.p", rows, d])
-    proj = SCRATCH["norm.b", rows, 1]
-    col = proj[:, 0]
-    np.divide(np.add.reduce(prod, 1, None, col), width, col)
-    np.multiply(xhat, proj, prod)
-    out = np.subtract(dy, mean_dy, out)
+    (which may be `dy`) or a fresh array; fresh scratch without `space`."""
+    space = NormSpace(*xhat.shape) if space is None else space
+    col = space.mean_col
+    np.divide(np.add.reduce(dy, 1, None, col), space.width, col)
+    prod = np.multiply(dy, xhat, space.sq)
+    col = space.proj_col
+    np.divide(np.add.reduce(prod, 1, None, col), space.width, col)
+    np.multiply(xhat, space.proj, prod)
+    out = np.subtract(dy, space.mean, out)
     np.subtract(out, prod, out)
     return np.multiply(inv, out, out)
 

@@ -174,6 +174,14 @@ class TestRunCommand:
          "train.'update_period' is not read by strategy 'shared_only'"),
         ({"train": {"strategy": "shared_only", "warmup_fraction": 0.5}},
          "train.'warmup_fraction' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only"}, "model": {"tau": 0.01}},
+         "model.'tau' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only"},
+          "model": {"refresh_mix": False}},
+         "model.'refresh_mix' is not read by strategy 'shared_only'"),
+        ({"train": {"strategy": "shared_only"},
+          "model": {"detach_scores": True}},
+         "model.'detach_scores' is not read by strategy 'shared_only'"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from backbone_digest import backbone_arrays, backbone_checksum
 from fedprompt import model
 from fedprompt import tensor as te
+from fedprompt.cli import main
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
 from fedprompt.errors import ConfigError
 from fedprompt.model import (
@@ -25,6 +28,7 @@ from fedprompt.model import (
 from fedprompt.prototypes import PrototypeBank, mix_prompt, soft_scores
 
 
+ROOT = Path(__file__).resolve().parents[1]
 SMALL = ModelConfig(dim=16, layers=4, heads=2, image_size=16, patch_size=8,
                     mix_layers=(2, 3))
 
@@ -214,8 +218,8 @@ def reference_layer(xv, dout, blk, heads):
 
 def run_other_layer(tokens, heads, seed):
     """An untaped and a taped call, with its backward, of a block with
-    another token count and head count: they leave the scratch pool
-    holding that shape's values."""
+    another token count and head count: they leave that shape's workspace
+    holding its values."""
     cfg = ModelConfig(dim=32, layers=1, heads=heads, mix_layers=())
     blk = init_backbone(seed, cfg).blocks[0]
     rng = np.random.default_rng(seed)
@@ -528,8 +532,8 @@ class TestFusedForwardReference:
 
 
 def captured_arrays(maps):
-    """Every array the recorded maps hold, also through the maps and
-    functions they hold in turn."""
+    """Every array the recorded maps hold, also through the `_Kept` sets,
+    maps and functions they hold in turn."""
     arrays, seen, todo = [], set(), list(maps)
     while todo:
         fn = todo.pop()
@@ -538,17 +542,52 @@ def captured_arrays(maps):
         seen.add(id(fn))
         for cell in fn.__closure__ or ():
             value = cell.cell_contents
-            if isinstance(value, np.ndarray):
+            if isinstance(value, model._Kept):
+                arrays.extend(getattr(value, name) for name in value.__slots__)
+            elif isinstance(value, np.ndarray):
                 arrays.append(value)
             elif callable(value) and getattr(value, "__closure__", None):
                 todo.append(value)
     return arrays
 
 
-class TestScratchPool:
-    """No pooled buffer escapes a call: what the forward returns and what
-    the recorded maps capture stays put while other forwards, of other
-    shapes, reuse the pool."""
+def workspace_caches():
+    return [v for v in vars(model).values() if isinstance(v, te.Workspaces)]
+
+
+def workspace_buffers(*consts):
+    """Every array of every workspace, and of the scratch of each
+    `ScoreConstants` in `consts`, with the base of each view."""
+    todo = [space for cache in workspace_caches() for space in cache.values()]
+    todo += [(c.logits, c.den, c.top) for c in consts]
+    buffers = []
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            buffers.append(value)
+            if value.base is not None:
+                todo.append(value.base)
+        elif isinstance(value, tuple):
+            todo.extend(value)
+        elif hasattr(value, "__slots__"):
+            todo.extend(getattr(value, name) for name in value.__slots__)
+        elif hasattr(value, "__dict__"):
+            todo.extend(vars(value).values())
+    return buffers
+
+
+def assert_no_escape(arrays, *consts):
+    buffers = workspace_buffers(*consts)
+    assert buffers
+    for buf in buffers:
+        for arr in arrays:
+            assert not np.shares_memory(buf, arr)
+
+
+class TestWorkspaces:
+    """No workspace buffer escapes a call: what the forward returns and
+    what the recorded maps capture stays put while other forwards, of
+    other shapes, reuse the workspaces."""
 
     def test_interleaved_forwards_change_no_result_or_map(self):
         # mixing at layer 1, so a map also captures the embedding's output
@@ -593,13 +632,12 @@ class TestScratchPool:
         for got, want in zip(grads, direct):
             assert got.tobytes() == want.tobytes()
         assert len(captured) > 20
-        assert te.SCRATCH
-        for buf in te.SCRATCH.values():
-            for arr in [logits, cls, *captured]:
-                assert not np.shares_memory(buf, arr)
+        assert_no_escape([logits, cls, *captured], *consts.values(),
+                         *small_consts.values())
 
     def test_primitives_return_fresh_arrays(self):
-        # each primitive, untaped, after a first call has filled the pool
+        # each primitive, untaped, after a first call has filled its
+        # workspace
         backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
         consts = score_constants(SMALL, bank, priors)
         x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
@@ -619,9 +657,7 @@ class TestScratchPool:
         second = outputs()
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
-        for buf in te.SCRATCH.values():
-            for arr in first + second:
-                assert not np.shares_memory(buf, arr)
+        assert_no_escape(first + second, *consts.values())
 
     def test_untaped_outputs_are_fresh(self):
         backbone, prompts, bank, priors, image = make_setup(43)
@@ -632,9 +668,59 @@ class TestScratchPool:
                                       consts)
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
-        for buf in te.SCRATCH.values():
-            for arr in (*first, *second):
-                assert not np.shares_memory(buf, arr)
+        assert_no_escape([*first, *second], *consts.values())
+
+    def test_two_open_tapes_of_one_shape_keep_their_gradients(self):
+        backbone, prompts, bank, priors, _ = make_setup(47, n_shared=2)
+        prompts.head.data[...] = np.random.default_rng(47).normal(
+            size=prompts.head.data.shape)
+        consts = score_constants(SMALL, bank, priors)
+        images = np.random.default_rng(48).normal(size=(2, 16, 16))
+
+        def record(image, label):
+            params = prompts.copy()
+            with te.Tape() as tape:
+                logits, _ = forward_with_prompts(image, params, backbone,
+                                                 SMALL, consts)
+                te.cross_entropy(logits, label)
+            return params, tape
+
+        def grads(params):
+            return [block.grad.tobytes() for _, block in params.blocks()]
+
+        alone = []
+        for i, image in enumerate(images):
+            params, tape = record(image, i)
+            tape.backward()
+            alone.append(grads(params))
+        # both forwards recorded before either map runs
+        both = [record(image, i) for i, image in enumerate(images)]
+        for params, tape in reversed(both):
+            tape.backward()
+        assert [grads(params) for params, _ in both] == alone
+        assert alone[0] != alone[1]
+
+    def test_cache_holds_one_workspace_per_shape_a_run_used(self, tmp_path):
+        raw = json.loads((ROOT / "configs" / "pathological.json").read_text())
+        raw["train"]["rounds"] = 2
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(raw))
+        caches = workspace_caches()
+        assert set(map(id, caches)) == {id(model._BLOCK_SPACES),
+                                        id(model._NORM_SPACES)}
+        for cache in caches:
+            cache.clear()
+        m = raw["model"]
+        patches = (raw["data"]["image_size"] // m["patch_size"]) ** 2
+        # cls, one shared prompt and the patches, then the mixed prompt
+        tokens = 1 + 1 + patches
+        for run in ("a", "b"):
+            assert main(["run", "--config", str(path),
+                         "--out", str(tmp_path / run)]) == 0
+            assert set(model._BLOCK_SPACES) == {
+                (t, m["dim"], m["heads"], ModelConfig.mlp_mult * m["dim"])
+                for t in (tokens, tokens + 1)}
+            assert set(model._NORM_SPACES) == {(1, m["dim"])}
 
 
 class TestDeadInputGradient:
