@@ -34,7 +34,8 @@ from .data import (
     partition_pathological,
 )
 from .errors import ConfigError, DataError, TrainingError
-from .evaluation import comm_accounting, evaluate_clients, heldout_split
+from .evaluation import (comm_accounting, evaluate_clients, heldout_split,
+                         participating_count)
 from .federation import (
     TrainConfig,
     _evaluate,
@@ -46,9 +47,6 @@ from .federation import (
 from .model import ModelConfig, init_backbone
 from . import __version__
 
-# ModelConfig fields the config does not set: the image size follows the
-# data section and the MLP width is fixed
-_MODEL_FIXED = ("image_size", "mlp_mult")
 _JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", dict: "an object",
@@ -117,8 +115,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.num_clients < 1:
+            raise ConfigError(
+                f"train clients must be >= 1, got {self.num_clients}")
+        if self.data.image_size % self.model.patch_size:
+            raise ConfigError(
+                f"data image_size {self.data.image_size} must be a multiple "
+                f"of model patch_size {self.model.patch_size}")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must lie in [0, 1)")
+        if self.heldout_fraction > 0 and not (
+                0 < participating_count(1.0 - self.heldout_fraction,
+                                        self.num_clients) < self.num_clients):
+            raise ConfigError(
+                f"heldout_fraction {self.heldout_fraction} leaves one side "
+                f"of the split empty for {self.num_clients} clients")
         reject_unread_keys(self.train.strategy, "model", self.model)
 
     @classmethod
@@ -128,9 +139,7 @@ class ExperimentConfig:
         top["partition"] = PartitionSpec(
             **_read(top["partition"], "partition", PartitionSpec))
         top["model"] = ModelConfig(
-            image_size=top["data"].image_size,
-            **_read(top.get("model", {}), "model", ModelConfig,
-                    skip=_MODEL_FIXED))
+            **_read(top.get("model", {}), "model", ModelConfig))
         train = _read(top["train"], "train", TrainConfig,
                       extra={"clients": int})
         num_clients = train.pop("clients")
@@ -143,8 +152,6 @@ class ExperimentConfig:
         # the partition key the mode does not read
         out["partition"] = {k: v for k, v in out["partition"].items()
                             if v is not None}
-        for key in _MODEL_FIXED:
-            del out["model"][key]
         return out
 
 

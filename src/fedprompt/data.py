@@ -29,14 +29,20 @@ class SyntheticSpec:
     noise: float = 1.0
 
     def __post_init__(self):
-        if self.classes < 1:
-            raise ConfigError("need at least one class")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ConfigError("per-class sample counts must be positive")
-        for name in ("separation", "noise"):
-            if getattr(self, name) < 0:
+        for key, ok, rule in (
+                ("classes", self.classes >= 1, ">= 1"),
+                ("train_per_class", self.train_per_class >= 1, ">= 1"),
+                ("test_per_class", self.test_per_class >= 1, ">= 1"),
+                ("image_size", self.image_size >= 1, ">= 1"),
+                ("separation", self.separation >= 0, ">= 0"),
+                ("noise", self.noise >= 0, ">= 0"),
+                # far larger pixels overflow the squares of the layer
+                # norms, which then zero every image token
+                ("separation", self.separation <= 1e100, "<= 1e100"),
+                ("noise", self.noise <= 1e100, "<= 1e100")):
+            if not ok:
                 raise ConfigError(
-                    f"data {name} must be >= 0, got {getattr(self, name)}")
+                    f"data {key} must be {rule}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -64,12 +64,17 @@ def evaluate_clients(clients, backbone, model_cfg,
                       worst_acc=float(accs.min()), skipped_empty=skipped)
 
 
+def participating_count(participating_fraction: float, clients: int) -> int:
+    """How many of `clients` clients `heldout_split` keeps participating."""
+    return int(round(participating_fraction * clients))
+
+
 def heldout_split(client_ids, participating_fraction: float, seed: int):
     """Deterministic split into (participating, heldout) client ids."""
     ids = sorted(int(c) for c in client_ids)
     if not 0 < participating_fraction < 1:
         raise ConfigError("participating fraction must lie in (0, 1)")
-    count = int(round(participating_fraction * len(ids)))
+    count = participating_count(participating_fraction, len(ids))
     if count == 0 or count == len(ids):
         raise ConfigError(
             f"fraction {participating_fraction} leaves one side of the "

@@ -68,31 +68,26 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.local_epochs < 1:
-            raise ConfigError("local epochs must be >= 1")
-        if self.clients_per_round < 1:
-            raise ConfigError("clients per round must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
         for key, ok, rule in (
+                ("rounds", self.rounds >= 0, "be >= 0"),
+                ("local_epochs", self.local_epochs >= 1, "be >= 1"),
+                ("clients_per_round", self.clients_per_round >= 1, "be >= 1"),
+                ("batch_size", self.batch_size >= 1, "be >= 1"),
                 ("lr", self.lr >= 0, "be >= 0"),
                 ("grad_clip", self.grad_clip > 0, "be > 0"),
                 # above 1 the rate grows until lr_decay ** round overflows
                 ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
                 ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
                 ("rho", 0 <= self.rho <= 1, "lie in [0, 1]"),
-                ("shared_prompts", self.shared_prompts >= 0, "be >= 0")):
+                ("shared_prompts", self.shared_prompts >= 0, "be >= 0"),
+                ("update_period", self.update_period >= 1, "be >= 1"),
+                ("warmup_fraction", 0 < self.warmup_fraction <= 1,
+                 "lie in (0, 1]"),
+                ("dp_epsilon", self.dp_epsilon is None or self.dp_epsilon > 0,
+                 "be > 0 when set")):
             if not ok:
                 raise ConfigError(
                     f"train {key} must {rule}, got {getattr(self, key)}")
-        if not 0 < self.warmup_fraction <= 1:
-            raise ConfigError("warm-up fraction must lie in (0, 1]")
-        if self.dp_epsilon is not None and self.dp_epsilon <= 0:
-            raise ConfigError("dp epsilon must be positive when set")
-        if self.update_period < 1:
-            raise ConfigError("update_period must be >= 1")
         reject_unread_keys(self.strategy, "train", self)
 
 

@@ -25,6 +25,8 @@ from .prototypes import ScoreConstants, soft_scores_op
 from .seeding import derive_rng
 
 INIT_SCALE = 0.02
+# MLP width as a multiple of `dim`
+MLP_MULT = 4
 
 
 @dataclass(frozen=True)
@@ -32,24 +34,19 @@ class ModelConfig:
     dim: int = 32
     layers: int = 8
     heads: int = 2
-    image_size: int = 16
     patch_size: int = 8
-    mlp_mult: int = 4
     mix_layers: tuple = (5, 6, 7)
     tau: float = 0.05
     refresh_mix: bool = True
     detach_scores: bool = False
 
     def __post_init__(self):
-        for name in ("dim", "layers", "heads", "image_size", "patch_size",
-                     "mlp_mult"):
+        for name in ("dim", "layers", "heads", "patch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"model {name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.image_size % self.patch_size != 0:
-            raise ConfigError("image size must be a multiple of patch size")
         if any(not 1 <= l <= self.layers for l in self.mix_layers):
             raise ConfigError("mixing layers must lie within [1, layers]")
         if len(set(self.mix_layers)) != len(self.mix_layers):
@@ -57,10 +54,6 @@ class ModelConfig:
                 f"model mix_layers must not repeat a layer, got {self.mix_layers}")
         if self.tau <= 0:
             raise ConfigError("temperature must be positive")
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size**2
 
 
 @dataclass
@@ -104,7 +97,7 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
     def frozen(fan_in, *shape):
         return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
 
-    d, hidden = cfg.dim, cfg.dim * cfg.mlp_mult
+    d, hidden, patch = cfg.dim, cfg.dim * MLP_MULT, cfg.patch_size**2
     blocks = []
     for _ in range(cfg.layers):
         blocks.append(
@@ -118,7 +111,7 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
             )
         )
     return BackboneWeights(
-        patch_embed=frozen(cfg.patch_dim, cfg.patch_dim, d),
+        patch_embed=frozen(patch, patch, d),
         cls_embed=rng.normal(0.0, 1.0, size=d),
         blocks=blocks,
     )
@@ -165,14 +158,13 @@ class PromptParams:
 
 
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Split an image into row-major patches, each flattened to a row."""
+    """Split a square image into row-major patches, one flattened row each."""
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != (cfg.image_size, cfg.image_size):
-        raise ConfigError(
-            f"expected {cfg.image_size}x{cfg.image_size} image, got {image.shape}"
-        )
     p = cfg.patch_size
-    n = cfg.image_size // p
+    if image.ndim != 2 or image.shape[0] != image.shape[1] or image.shape[0] % p:
+        raise ConfigError(f"expected a square image whose side is a multiple "
+                          f"of patch size {p}, got shape {image.shape}")
+    n = image.shape[0] // p
     return image.reshape(n, p, n, p).transpose(0, 2, 1, 3).reshape(n * n, p * p)
 
 
@@ -337,19 +329,15 @@ def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
 
 
 def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
-         detach: bool, tape, upstream: bool):
+         detach: bool, tape):
     """`seq` with the mixed prompt P @ s as its second token: inserted
     after cls, or with `replace` in place of the mixed token an earlier
     layer inserted.  The scores s are computed from the cls row; with
     `detach` no gradient flows back through them.
-
-    `upstream` says whether a trainable block feeds `seq`.  Without one
-    the map only adds into the class prompts and returns None, and the
-    scores get no map of their own.
     """
     start = 2 if replace else 1
-    scores, scores_map = soft_scores_op(
-        seq[0], consts, tape is not None and upstream and not detach)
+    scores, scores_map = soft_scores_op(seq[0], consts,
+                                        tape is not None and not detach)
     out = np.empty((len(seq) + 2 - start, seq.shape[1]))
     out[0] = seq[0]
     np.dot(class_prompts.data, scores, out[1])
@@ -358,8 +346,6 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
         def backward(g):
             dmixed = g[1:2].T
             class_prompts.grad += dmixed @ scores[None, :]
-            if not upstream:
-                return None
             dseq = np.zeros_like(seq)
             dseq[start:] = g[2:]
             dseq[0] = g[0]
@@ -375,18 +361,15 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
 _NORM_SPACES = te.Workspaces(te.NormSpace)
 
 
-def _head(seq, head: te.Tensor, tape, upstream: bool):
+def _head(seq, head: te.Tensor, tape):
     """Logits head @ LN(cls) of the last layer's cls row, as one
-    primitive.  With `upstream` False (no trainable block feeds `seq`)
-    its map only adds into the head and returns None."""
+    primitive."""
     norm = _NORM_SPACES[1, seq.shape[1]]
     row, inv = te.norm_rows(seq[0:1], None, None, norm)
     if tape is not None:
         def backward(g):
             g = g.reshape(-1, 1)
             head.grad += g @ row
-            if not upstream:
-                return None
             dseq = np.zeros_like(seq)
             te.norm_rows_backward((head.data.T @ g).T, row, inv, dseq[0:1],
                                   norm)
@@ -429,9 +412,8 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
 
     The pass is a chain of fused primitives over plain arrays: embedding,
     per layer the optional prompt mixing and the transformer block, then
-    the head.  Under a tape each records one backward map; a block
-    records one only once a trainable block feeds the token matrix, and
-    the mixing and head maps pass an input gradient on only then.
+    the head.  Under a tape each records one backward map, except that a
+    block records one only once a trainable block feeds the token matrix.
     """
     tape = te.active_tape()
     live = tape if prompts.shared.data.shape[1] else None
@@ -443,11 +425,11 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
         cls[layer - 1] = seq[0]
         if layer in mix_layers and (not mixed or cfg.refresh_mix):
             seq = _mix(seq, prompts.class_prompts, consts[layer], mixed,
-                       cfg.detach_scores, tape, live is not None)
+                       cfg.detach_scores, tape)
             mixed = True
             live = tape
         seq = _transformer_layer(seq, blocks[layer - 1], heads, live)
-    return _head(seq, prompts.head, tape, live is not None), cls
+    return _head(seq, prompts.head, tape), cls
 
 
 def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
@@ -479,7 +461,7 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
     if mix_layers is None:
         mid = max(1, layers // 2)
         mix_layers = tuple(sorted({mid, min(layers, mid + 1)}))
-    cfg = ModelConfig(dim=dim, layers=layers, heads=heads, image_size=image_size,
+    cfg = ModelConfig(dim=dim, layers=layers, heads=heads,
                       patch_size=patch_size, mix_layers=tuple(mix_layers))
     rng = derive_rng(seed, "gradcheck")
     backbone = init_backbone(seed, cfg)

@@ -4,11 +4,12 @@ The prompted forward pass is a fixed chain of fused primitives over plain
 arrays (see `model.py`).  Under a tape each primitive records one
 backward map: it takes the gradient of the primitive's output, adds into
 any trainable block the primitive read, and returns the gradient of its
-input, or None when no trainable block feeds that input.  `Tape.backward` seeds 1.0 and passes the gradient through the
-maps in reverse order of recording.  A `Tensor` is only a trainable
-block: its array and the gradient the maps add into.  This module also
-holds the per-shape workspaces and 0-d constants of the per-sample
-kernels, the layer-normalization kernels, cross entropy, and a central
+input, or None when it has none (the embedding).  `Tape.backward` seeds
+1.0 and passes the gradient through the maps in reverse order of
+recording.  A `Tensor` is only a trainable block: its array and the
+gradient the maps add into.  This module also holds the per-shape
+workspaces and 0-d constants of the per-sample kernels, the
+layer-normalization kernels, cross entropy, and a central
 finite-difference oracle (`finite_diff_grad`), the independent gradient
 check used throughout the test suite.
 """

@@ -34,8 +34,8 @@ from fedprompt.prototypes import (
 
 SEEDS = (0, 1, 2)
 
-DESK_MODEL = ModelConfig(dim=32, layers=8, heads=2, image_size=16,
-                         patch_size=8, mix_layers=(5, 6, 7), tau=0.05)
+DESK_MODEL = ModelConfig(dim=32, layers=8, heads=2, patch_size=8,
+                         mix_layers=(5, 6, 7), tau=0.05)
 DESK_DATA = SyntheticSpec(classes=8, train_per_class=40, test_per_class=12,
                           image_size=16, separation=1.0, noise=1.0)
 DESK_CLIENTS = 12

@@ -6,13 +6,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fedprompt
 from fedprompt.cli import load_config, main, write_config_copy
+from fedprompt.errors import ConfigError
+from fedprompt.model import ModelConfig
 
 
 # an override value that removes the key from the base config
@@ -114,6 +118,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("overrides, message", [
         ({"train": {"learning_rate": 0.5}}, "unknown field train.'learning_rate'"),
         ({"model": {"mlp_mult": 2}}, "unknown field model.'mlp_mult'"),
+        # the data section alone sets the image size
+        ({"model": {"image_size": 8}}, "unknown field model.'image_size'"),
         ({"heldout": 0.2}, "unknown field 'heldout'"),
         ({"model": {"refresh_mix": "false"}},
          "model.'refresh_mix' must be true or false"),
@@ -133,7 +139,35 @@ class TestRunCommand:
         ({"model": {"layers": 0}}, "model layers must be >= 1, got 0"),
         ({"model": {"heads": 0}}, "model heads must be >= 1, got 0"),
         ({"model": {"patch_size": 0}}, "model patch_size must be >= 1, got 0"),
-        ({"data": {"image_size": -8}}, "model image_size must be >= 1, got -8"),
+        ({"data": {"image_size": -8}}, "data image_size must be >= 1, got -8"),
+        ({"data": {"image_size": 0}}, "data image_size must be >= 1, got 0"),
+        ({"data": {"image_size": 12}, "model": {"patch_size": 8}},
+         "data image_size 12 must be a multiple of model patch_size 8"),
+        ({"data": {"classes": 0}}, "data classes must be >= 1, got 0"),
+        ({"data": {"test_per_class": 0}},
+         "data test_per_class must be >= 1, got 0"),
+        ({"data": {"train_per_class": -1}},
+         "data train_per_class must be >= 1, got -1"),
+        # far larger pixels overflow the layer norms' squares, which then
+        # zero every image token
+        ({"data": {"separation": 1e200}},
+         "data separation must be <= 1e100, got 1e+200"),
+        ({"data": {"noise": 1e200}}, "data noise must be <= 1e100, got 1e+200"),
+        ({"train": {"clients": 0}}, "train clients must be >= 1, got 0"),
+        ({"train": {"clients": -1},
+          "partition": {"mode": "dirichlet", "beta": 0.3,
+                        "classes_per_client": DROP}},
+         "train clients must be >= 1, got -1"),
+        ({"heldout_fraction": 0.9, "train": {"clients": 3}},
+         "heldout_fraction 0.9 leaves one side of the split empty for 3 "
+         "clients"),
+        ({"heldout_fraction": 0.01},
+         "heldout_fraction 0.01 leaves one side of the split empty for 6 "
+         "clients"),
+        ({"train": {"rounds": -1}}, "train rounds must be >= 0, got -1"),
+        ({"train": {"batch_size": 0}}, "train batch_size must be >= 1, got 0"),
+        ({"train": {"dp_epsilon": -1}},
+         "train dp_epsilon must be > 0 when set, got -1.0"),
         ({"train": {"shared_prompts": -1}},
          "train shared_prompts must be >= 0, got -1"),
         ({"data": {"noise": -1}}, "data noise must be >= 0, got -1"),
@@ -268,6 +302,25 @@ class TestRunCommand:
             "data error: every heldout client has an empty test shard: 9\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"train": {"clients": -1}},
+        {"heldout_fraction": 0.9, "train": {"clients": 3}},
+        {"data": {"image_size": 12}, "model": {"patch_size": 8}},
+    ])
+    def test_rejected_when_parsed(self, tmp_path, overrides):
+        # before any data is generated
+        path, _ = small_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_model_fields_are_the_model_section(self, tmp_path):
+        # a ModelConfig field no config key sets, copied from another
+        # section or fixed, would show up here
+        path, _ = small_config(tmp_path)
+        written = load_config(str(path)).to_dict()["model"]
+        assert list(written) == [f.name for f in
+                                 dataclasses.fields(ModelConfig)]
+
     def test_zero_update_period_rejected_before_training(self, tmp_path,
                                                          capsys):
         # shared_only has no prototype bank to reject the period, so the
@@ -276,8 +329,68 @@ class TestRunCommand:
             tmp_path, train={"strategy": "shared_only", "update_period": 0})
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: update_period must be >= 1\n"
+        assert err == "config error: train update_period must be >= 1, got 0\n"
         assert not (tmp_path / "run").exists()
+
+
+def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
+                partition=None, clients=2, heldout_fraction=0.0):
+    """A run config small enough to train in a few milliseconds."""
+    return {
+        "data": {"classes": 3, "train_per_class": 3, "test_per_class": 2,
+                 "image_size": image_size, "separation": separation,
+                 "noise": noise},
+        "partition": partition or {"mode": "pathological",
+                                   "classes_per_client": 2},
+        "model": {"dim": 4, "layers": 2, "heads": 1, "patch_size": patch,
+                  "mix_layers": [2]},
+        "train": {"clients": clients, "clients_per_round": 1, "rounds": 1,
+                  "local_epochs": 1, "batch_size": 4},
+        "heldout_fraction": heldout_fraction,
+    }
+
+
+@st.composite
+def tiny_configs(draw):
+    """`tiny_config`s whose checked fields each fall inside their limits
+    or, one draw in five, outside."""
+    def pick(valid, invalid):
+        crossed = draw(st.sampled_from([False, False, False, False, True]))
+        return draw(st.sampled_from(invalid if crossed else valid))
+
+    patch = draw(st.sampled_from([2, 3]))
+    if draw(st.sampled_from(["pathological", "dirichlet"])) == "dirichlet":
+        partition = {"mode": "dirichlet",
+                     "beta": pick([0.5, 1e-3, 100.0], [0.0, -1.0])}
+    else:
+        partition = {"mode": "pathological",
+                     "classes_per_client": pick([2, 1, 3], [0, 4])}
+    return tiny_config(
+        patch=patch,
+        image_size=pick([patch, 2 * patch], [0, -patch, patch + 1]),
+        separation=pick([1.0, 0.0, 1e100], [-1.0, 1e101, 1e200]),
+        noise=pick([1.0, 0.0, 1e100], [-1.0, 1e101, 1e200]),
+        partition=partition,
+        clients=pick([2, 1, 4], [0, -1]),
+        heldout_fraction=pick([0.0, 0.34, 0.5], [0.01, 0.9, 1.0]))
+
+
+class TestConfigProperty:
+    # 39 drawn configs and this one: a negative client count must be
+    # rejected before the Dirichlet draw, which raises a ValueError on it
+    @example(tiny_config(clients=-1,
+                         partition={"mode": "dirichlet", "beta": 0.5}))
+    @settings(max_examples=39, deadline=None, derandomize=True,
+              database=None)
+    @given(tiny_configs())
+    def test_run_exits_with_documented_status(self, raw):
+        # a config is run or rejected with its exit code, never a traceback
+        # or a warning (the suite turns warnings into errors)
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = {**raw, "out_dir": str(Path(tmp) / "run")}
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(path)]) in (0, 1, 2)
 
 
 class TestGradcheckCommand:
@@ -292,12 +405,10 @@ class TestGradcheckCommand:
 
         true_mix = model._mix
 
-        def corrupted(seq, class_prompts, consts, replace, detach, tape,
-                      upstream):
+        def corrupted(seq, class_prompts, consts, replace, detach, tape):
             # the mixing primitive with its class-prompt gradient 1.5x too
             # large: a map recorded after the mix's own adds half again
-            out = true_mix(seq, class_prompts, consts, replace, detach, tape,
-                           upstream)
+            out = true_mix(seq, class_prompts, consts, replace, detach, tape)
             if tape is not None:
                 scores = consts.evaluate(seq[0])[0].reshape(-1, 1)
 
@@ -338,7 +449,7 @@ class TestGradcheckCommand:
 
             return scores, corrupted_map
 
-        def mix(seq, class_prompts, consts, replace, detach, tape, upstream):
+        def mix(seq, class_prompts, consts, replace, detach, tape):
             if tape is not None:
                 # recorded before the mix's map, so it runs right after it
                 # and also adds the cls gradient into row 1
@@ -348,8 +459,7 @@ class TestGradcheckCommand:
                     return dseq
 
                 tape.record(into_row_1)
-            return true_mix(seq, class_prompts, consts, replace, detach, tape,
-                            upstream)
+            return true_mix(seq, class_prompts, consts, replace, detach, tape)
 
         monkeypatch.setattr(model, "soft_scores_op", op)
         monkeypatch.setattr(model, "_mix", mix)

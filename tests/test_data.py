@@ -54,6 +54,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticSpec(classes=0, train_per_class=1, test_per_class=1)
 
+    def test_scale_limit_is_inclusive(self):
+        spec = SyntheticSpec(classes=2, train_per_class=1, test_per_class=1,
+                             separation=1e100, noise=1e100)
+        assert np.isfinite(generate_synthetic(spec, 0).train_x).all()
+
 
 class TestPathological:
     def test_one_class_per_client(self):

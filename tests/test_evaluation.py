@@ -29,7 +29,7 @@ def make_client(cid, test_y, priors=None):
 
 class TestEvaluateClients:
     def _world(self):
-        cfg = ModelConfig(dim=8, layers=2, heads=2, image_size=4, patch_size=2,
+        cfg = ModelConfig(dim=8, layers=2, heads=2, patch_size=2,
                           mix_layers=())
         backbone = init_backbone(0, cfg)
         params = PromptParams.init(0, 8, 2, 1)
@@ -67,7 +67,7 @@ class TestEvaluateClients:
 
     def test_chance_level_on_random_labels(self):
         # untrained zero head always predicts class 0; labels uniform over 8
-        cfg = ModelConfig(dim=8, layers=2, heads=2, image_size=4, patch_size=2,
+        cfg = ModelConfig(dim=8, layers=2, heads=2, patch_size=2,
                           mix_layers=())
         backbone = init_backbone(1, cfg)
         params = PromptParams.init(1, 8, 8, 1)
@@ -155,8 +155,8 @@ class TestHeldoutSplit:
         part = partition_pathological(ds, 6, 2, 3)
         clients = build_clients(ds, part)
         participating, heldout = heldout_split(range(6), 0.8, seed=3)
-        model_cfg = ModelConfig(dim=8, layers=3, heads=2, image_size=8,
-                                patch_size=4, mix_layers=(2,))
+        model_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
+                                mix_layers=(2,))
         backbone = init_backbone(3, model_cfg)
         cfg = TrainConfig(clients_per_round=3, rounds=4, local_epochs=1)
         _, logs = run_training(clients, backbone, model_cfg, cfg, seed=3,
@@ -170,7 +170,7 @@ class TestHeldoutSplit:
 
 class TestPrototypeProbe:
     def _world(self, seed=4):
-        cfg = ModelConfig(dim=16, layers=4, heads=2, image_size=8, patch_size=4,
+        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
         return cfg, init_backbone(seed, cfg), PromptParams.init(seed, 16, 4, 0)
 
@@ -195,7 +195,7 @@ class TestPrototypeProbe:
         spec = SyntheticSpec(classes=8, train_per_class=20, test_per_class=1,
                              image_size=8, separation=2.0, noise=0.3)
         ds = generate_synthetic(spec, 7)
-        cfg = ModelConfig(dim=16, layers=4, heads=2, image_size=8, patch_size=4,
+        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
         backbone = init_backbone(7, cfg)
         params = PromptParams.init(7, 16, 8, 0)

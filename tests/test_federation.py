@@ -24,7 +24,7 @@ from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
                              init_backbone, score_constants)
 from fedprompt.seeding import derive_rng
 
-TINY_MODEL = ModelConfig(dim=8, layers=3, heads=2, image_size=8, patch_size=4,
+TINY_MODEL = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                          mix_layers=(2,))
 
 
@@ -134,8 +134,8 @@ class TestLocalTrain:
     def test_single_step_matches_closed_form_head_update(self):
         # one sample, one epoch, huge clip, zero momentum history:
         # H' = H - lr * (softmax(logits) - onehot(y)) cls_final^T
-        cfg_model = ModelConfig(dim=4, layers=1, heads=1, image_size=4,
-                                patch_size=2, mix_layers=(1,))
+        cfg_model = ModelConfig(dim=4, layers=1, heads=1, patch_size=2,
+                                mix_layers=(1,))
         backbone = init_backbone(11, cfg_model)
         rng = np.random.default_rng(11)
         client = ClientState(

@@ -29,11 +29,11 @@ from fedprompt.prototypes import PrototypeBank, mix_prompt, soft_scores
 
 
 ROOT = Path(__file__).resolve().parents[1]
-SMALL = ModelConfig(dim=16, layers=4, heads=2, image_size=16, patch_size=8,
+SMALL = ModelConfig(dim=16, layers=4, heads=2, patch_size=8,
                     mix_layers=(2, 3))
 
 
-def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1):
+def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1, image_size=16):
     rng = np.random.default_rng(seed)
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.init(seed, cfg.dim, classes, n_shared)
@@ -42,7 +42,7 @@ def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1):
         bank.mu[l] = rng.normal(size=(classes, cfg.dim))
     priors = rng.random(classes)
     priors /= priors.sum()
-    image = rng.normal(size=(cfg.image_size, cfg.image_size))
+    image = rng.normal(size=(image_size, image_size))
     return backbone, prompts, bank, priors, image
 
 
@@ -103,8 +103,7 @@ class TestInitBackbone:
         assert cls.shape == (8, 32)
         assert set(scores) == {5, 6, 7}
 
-    @pytest.mark.parametrize("field", ["dim", "layers", "heads", "image_size",
-                                       "patch_size", "mlp_mult"])
+    @pytest.mark.parametrize("field", ["dim", "layers", "heads", "patch_size"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_non_positive_size_names_field(self, field, value):
         with pytest.raises(ConfigError, match=f"model {field} must be >= 1"):
@@ -114,8 +113,6 @@ class TestInitBackbone:
         with pytest.raises(ConfigError):
             ModelConfig(dim=30, heads=4)
         with pytest.raises(ConfigError):
-            ModelConfig(image_size=15, patch_size=8)
-        with pytest.raises(ConfigError):
             ModelConfig(layers=4, mix_layers=(5,))
         with pytest.raises(ConfigError, match="must not repeat a layer"):
             ModelConfig(layers=8, mix_layers=(5, 5))
@@ -124,7 +121,7 @@ class TestInitBackbone:
 def reference_patchify(image, cfg):
     # one patch at a time, row-major
     p = cfg.patch_size
-    n = cfg.image_size // p
+    n = len(image) // p
     return np.stack([image[i * p:(i + 1) * p, j * p:(j + 1) * p].reshape(-1)
                      for i in range(n) for j in range(n)])
 
@@ -255,8 +252,8 @@ class TestFusedLayerReference:
 
     @pytest.mark.parametrize("image_size, patch_size", [(16, 8), (8, 4), (4, 2)])
     def test_patchify_matches_patch_loop(self, image_size, patch_size):
-        cfg = ModelConfig(dim=16, layers=1, heads=2, image_size=image_size,
-                          patch_size=patch_size, mix_layers=())
+        cfg = ModelConfig(dim=16, layers=1, heads=2, patch_size=patch_size,
+                          mix_layers=())
         image = np.random.default_rng(image_size).normal(
             size=(image_size, image_size))
         assert np.array_equal(patchify(image, cfg),
@@ -485,7 +482,7 @@ class TestFusedForwardReference:
     def test_matches_generic_op_forward_bit_for_bit(
             self, monkeypatch, mix_layers, n_shared, refresh, detach,
             zero_priors):
-        cfg = ModelConfig(dim=16, layers=3, heads=2, image_size=16, patch_size=8,
+        cfg = ModelConfig(dim=16, layers=3, heads=2, patch_size=8,
                           mix_layers=mix_layers, refresh_mix=refresh,
                           detach_scores=detach)
         seed = 100 * len(mix_layers) + 10 * n_shared + refresh
@@ -591,8 +588,8 @@ class TestWorkspaces:
 
     def test_interleaved_forwards_change_no_result_or_map(self):
         # mixing at layer 1, so a map also captures the embedding's output
-        cfg = ModelConfig(dim=16, layers=4, heads=2, image_size=16,
-                          patch_size=8, mix_layers=(1, 3))
+        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=8,
+                          mix_layers=(1, 3))
         backbone, prompts, bank, priors, image = make_setup(
             40, cfg, classes=5, n_shared=2)
         prompts.head.data[...] = np.random.default_rng(40).normal(
@@ -600,9 +597,9 @@ class TestWorkspaces:
         consts = score_constants(cfg, bank, priors)
         others = np.random.default_rng(41).normal(size=(3, 16, 16))
         # another dim and token count: 8 x 8 images in 4 x 4 patches
-        small_cfg = ModelConfig(dim=8, layers=3, heads=2, image_size=8,
-                                patch_size=4, mix_layers=(2,))
-        small = make_setup(42, small_cfg, classes=3, n_shared=0)
+        small_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
+                                mix_layers=(2,))
+        small = make_setup(42, small_cfg, classes=3, n_shared=0, image_size=8)
         small_consts = score_constants(small_cfg, small[2], small[3])
 
         def taped(interleave):
@@ -645,9 +642,9 @@ class TestWorkspaces:
         def outputs():
             seq = model._embed(image, prompts.shared, backbone, SMALL)
             mixed = model._mix(seq, prompts.class_prompts, consts[2], False,
-                               False, None, True)
+                               False, None)
             block = _transformer_layer(mixed, backbone.blocks[0], SMALL.heads)
-            logits = _head(block, prompts.head, None, True)
+            logits = _head(block, prompts.head, None)
             scores, sims, _ = consts[2].evaluate(x[0])
             return [seq, mixed, block, logits, scores, sims,
                     *te.norm_rows(x), te.norm_rows_backward(x, *te.norm_rows(x))]
@@ -718,80 +715,57 @@ class TestWorkspaces:
             assert main(["run", "--config", str(path),
                          "--out", str(tmp_path / run)]) == 0
             assert set(model._BLOCK_SPACES) == {
-                (t, m["dim"], m["heads"], ModelConfig.mlp_mult * m["dim"])
+                (t, m["dim"], m["heads"], model.MLP_MULT * m["dim"])
                 for t in (tokens, tokens + 1)}
             assert set(model._NORM_SPACES) == {(1, m["dim"])}
 
 
-class TestDeadInputGradient:
-    """With nothing trainable upstream, the first mix's map and the
-    head's map add into their blocks and pass no input gradient on."""
+class TestBlockPruning:
+    """Without shared prompts nothing trainable feeds the token matrix
+    before the first mixing layer, so the blocks there record no map.
+    That is the one place the forward prunes its maps, and the gradients
+    stay those of the reference."""
 
     @staticmethod
-    def always_upstream(monkeypatch):
-        # the primitives as they were before the pruning: every map
-        # builds the gradient of its input
-        mix, head = model._mix, model._head
-        monkeypatch.setattr(model, "_mix", lambda *a: mix(*a[:-1], True))
-        monkeypatch.setattr(model, "_head", lambda *a: head(*a[:-1], True))
+    def block_calls(monkeypatch):
+        # whether each block call, in order, recorded a map
+        calls = []
+        layer = model._transformer_layer
 
-    def test_no_shared_prompts_mix_layers_2_3(self, monkeypatch):
-        backbone, prompts, bank, priors, image = make_setup(44, n_shared=0)
+        def recording(x, blk, heads, tape=None):
+            calls.append(tape is not None)
+            return layer(x, blk, heads, tape)
+
+        monkeypatch.setattr(model, "_transformer_layer", recording)
+        return calls
+
+    @pytest.mark.parametrize("mix_layers", [(2, 3), (3,), (1, 3), ()],
+                             ids=["2-3", "3", "1-3", "head-only"])
+    def test_no_shared_prompts_tapes_blocks_from_first_mix(
+            self, monkeypatch, mix_layers):
+        cfg = dataclasses.replace(SMALL, mix_layers=mix_layers)
+        backbone, prompts, bank, priors, image = make_setup(44, cfg,
+                                                            n_shared=0)
         prompts.head.data[...] = np.random.default_rng(44).normal(
             size=prompts.head.data.shape)
-        consts = score_constants(SMALL, bank, priors)
-        layer_of = {id(c): l for l, c in consts.items()}
-        wants_map = {}
-        op = model.soft_scores_op
-
-        def recording(cls_vec, layer_consts, grad=False):
-            scores, scores_map = op(cls_vec, layer_consts, grad)
-            wants_map[layer_of[id(layer_consts)]] = scores_map is not None
-            return scores, scores_map
-
-        monkeypatch.setattr(model, "soft_scores_op", recording)
-
-        def grads():
-            prompts.zero_grad()
-            with te.Tape() as tape:
-                logits, _ = forward_with_prompts(image, prompts, backbone,
-                                                 SMALL, consts)
-                te.cross_entropy(logits, 1)
-            return tape.backward(), [block.grad.copy()
-                                     for _, block in prompts.blocks()]
-
-        first_input_grad, pruned = grads()
-        assert first_input_grad is None
-        assert wants_map == {2: False, 3: True}
-        _, ref_grads = reference_run(image, prompts, backbone, SMALL, bank,
+        consts = score_constants(cfg, bank, priors)
+        _, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
                                      priors, 1)
-        self.always_upstream(monkeypatch)
-        unpruned_input_grad, unpruned = grads()
-        assert unpruned_input_grad is not None
-        assert wants_map == {2: True, 3: True}
-        for got, old, ref in zip(pruned, unpruned, ref_grads):
-            assert got.tobytes() == old.tobytes() == ref.tobytes()
-        assert np.abs(pruned[1]).max() > 0
-
-    def test_head_only_without_shared_prompts(self, monkeypatch):
-        cfg = dataclasses.replace(SMALL, mix_layers=())
-        backbone, prompts, _, _, image = make_setup(45, cfg, n_shared=0)
-
-        def head_grad():
-            prompts.zero_grad()
-            with te.Tape() as tape:
-                logits, _ = forward_with_prompts(image, prompts, backbone,
-                                                 cfg, {})
-                te.cross_entropy(logits, 2)
-            return tape.backward(), prompts.head.grad.copy()
-
-        input_grad, pruned = head_grad()
-        assert input_grad is None
-        self.always_upstream(monkeypatch)
-        input_grad, unpruned = head_grad()
-        assert input_grad.shape == (1 + 4, cfg.dim)
-        assert pruned.tobytes() == unpruned.tobytes()
-        assert np.abs(pruned).max() > 0
+        calls = self.block_calls(monkeypatch)
+        prompts.zero_grad()
+        with te.Tape() as tape:
+            logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
+                                             consts)
+            te.cross_entropy(logits, 1)
+        tape.backward()
+        first_mix = min(mix_layers, default=cfg.layers + 1)
+        assert calls == [layer >= first_mix
+                         for layer in range(1, cfg.layers + 1)]
+        for (_, block), ref in zip(prompts.blocks(), ref_grads):
+            assert block.grad.tobytes() == ref.tobytes()
+        assert np.abs(prompts.head.grad).max() > 0
+        assert (np.abs(prompts.class_prompts.grad).max() > 0) == bool(
+            mix_layers)
 
 
 class TestPrimitiveGradients:
@@ -817,7 +791,7 @@ class TestPrimitiveGradients:
         seq, head = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
 
         def loss(s, h):
-            return te.cross_entropy(_head(s, h, te.active_tape(), True), 1)
+            return te.cross_entropy(_head(s, h, te.active_tape()), 1)
 
         block = te.Tensor(head.copy())
         with te.Tape() as tape:
@@ -833,16 +807,30 @@ class TestPrimitiveGradients:
 
 class TestPatchify:
     def test_row_major_patches(self):
-        cfg = ModelConfig(dim=16, layers=1, heads=2, image_size=4, patch_size=2,
+        cfg = ModelConfig(dim=16, layers=1, heads=2, patch_size=2,
                           mix_layers=())
         image = np.arange(16.0).reshape(4, 4)
         patches = patchify(image, cfg)
         np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(patches[3], [10, 11, 14, 15])
 
-    def test_shape_check(self):
-        with pytest.raises(ConfigError):
-            patchify(np.zeros((8, 8)), SMALL)
+    @pytest.mark.parametrize("shape", [(12, 12), (16, 8), (16,), (2, 16, 16)])
+    def test_shape_check(self, shape):
+        with pytest.raises(ConfigError, match="square image whose side is a "
+                           "multiple of patch size 8"):
+            patchify(np.zeros(shape), SMALL)
+
+    @pytest.mark.parametrize("size", [8, 24])
+    def test_any_multiple_of_patch_size_runs(self, size):
+        # the backbone has no position embeddings: its weights fit any
+        # image whose side is a multiple of the patch size
+        backbone, prompts, bank, priors, _ = make_setup(47)
+        image = np.random.default_rng(size).normal(size=(size, size))
+        assert patchify(image, SMALL).shape == ((size // 8) ** 2, 64)
+        logits, cls = forward_with_prompts(
+            image, prompts, backbone, SMALL,
+            score_constants(SMALL, bank, priors))
+        assert np.isfinite(logits).all() and cls.shape == (4, SMALL.dim)
 
 
 class TestForward:

@@ -115,7 +115,7 @@ class TestStructuralOps:
         # concatenates [cls, shared, patches], a mix inserts the mixed
         # prompt after the cls row and a second one replaces it, each
         # with scores computed from the cls row
-        cfg = ModelConfig(dim=4, layers=1, heads=2, image_size=4, patch_size=2,
+        cfg = ModelConfig(dim=4, layers=1, heads=2, patch_size=2,
                           mix_layers=(1,))
         backbone = init_backbone(7, cfg)
         rng = np.random.default_rng(7)
@@ -128,8 +128,8 @@ class TestStructuralOps:
         def loss(st, pt):
             tape = te.active_tape()
             seq = _embed(image, st, backbone, cfg, tape)
-            seq = _mix(seq, pt, consts[0], False, False, tape, True)
-            seq = _mix(seq, pt, consts[1], True, False, tape, True)
+            seq = _mix(seq, pt, consts[0], False, False, tape)
+            seq = _mix(seq, pt, consts[1], True, False, tape)
             return flat_cross_entropy(seq, 5)
 
         assert_grads_match(loss, [shared, class_prompts])
@@ -166,7 +166,7 @@ class TestTapeContract:
         live = te.Tensor(np.ones((2, 2)))
         consts = ScoreConstants(np.eye(2), [0.25, 0.75], 0.5, 2)
         with te.Tape() as tape:
-            out = _mix(seq, live, consts, False, False, tape, True)
+            out = _mix(seq, live, consts, False, False, tape)
             flat_cross_entropy(out, 2)
         dseq = tape.backward()
         assert dseq.shape == seq.shape
@@ -178,7 +178,7 @@ class TestTapeContract:
         def head_grad(head, passes):
             for _ in range(passes):
                 with te.Tape() as tape:
-                    te.cross_entropy(_head(seq, head, tape, True), 1)
+                    te.cross_entropy(_head(seq, head, tape), 1)
                 tape.backward()
             return head.grad
 
@@ -187,7 +187,7 @@ class TestTapeContract:
                                    2.0 * head_grad(te.Tensor(start.copy()), 1))
 
     def test_no_tape_means_no_recording(self):
-        cfg = ModelConfig(dim=2, layers=1, heads=1, image_size=2, patch_size=1,
+        cfg = ModelConfig(dim=2, layers=1, heads=1, patch_size=1,
                           mix_layers=())
         p = te.Tensor(np.ones((2, 1)))
         out = _embed(np.ones((2, 2)), p, init_backbone(0, cfg), cfg)
@@ -212,7 +212,7 @@ class TestRecordedMaps:
         (True, (), 0, 1 + 1),
     ])
     def test_map_count(self, taped, mix_layers, n_shared, maps):
-        cfg = ModelConfig(dim=4, layers=3, heads=2, image_size=4, patch_size=2,
+        cfg = ModelConfig(dim=4, layers=3, heads=2, patch_size=2,
                           mix_layers=mix_layers)
         prompts = PromptParams.init(0, cfg.dim, 3, n_shared)
         bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=cfg.dim)
@@ -240,7 +240,7 @@ def sweep_setup(seed, scale=1.0):
     off, zero priors and a zero prototype."""
     rng = np.random.default_rng(seed)
     mix_layers = ((1,), (2,), (1, 2))[seed % 3]
-    cfg = ModelConfig(dim=4, layers=2, heads=2, image_size=4, patch_size=2,
+    cfg = ModelConfig(dim=4, layers=2, heads=2, patch_size=2,
                       mix_layers=mix_layers, tau=0.5,
                       refresh_mix=bool(seed % 2))
     backbone = init_backbone(seed, cfg)
