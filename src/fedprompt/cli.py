@@ -296,7 +296,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import gradient_check
+    from .model import GRADCHECK_SHARED, gradient_check
 
     if args.classes < 1:
         raise ConfigError(f"--classes must be >= 1, got {args.classes}")
@@ -305,7 +305,7 @@ def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise ConfigError(
             f"--threshold must be finite and > 0, got {args.threshold}")
-    n_params = (args.dim * 1 + args.dim * args.classes
+    n_params = (args.dim * GRADCHECK_SHARED + args.dim * args.classes
                 + args.classes * args.dim)
     if n_params > 5000:
         raise ConfigError(

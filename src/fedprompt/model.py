@@ -27,6 +27,8 @@ from .seeding import derive_rng
 INIT_SCALE = 0.02
 # MLP width as a multiple of `dim`
 MLP_MULT = 4
+# `gradient_check`'s shared prompts, image and patch sides, and step
+GRADCHECK_SHARED, GRADCHECK_IMAGE, GRADCHECK_PATCH, GRADCHECK_H = 1, 16, 8, 1e-5
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,10 @@ _GELU_3A = te.scalar(3 * 0.044715)
 class _Kept:
     """What the block's map reads: the layer norms' outputs, the QKV
     product and its per-head views, the attention and the GELU factors.
-    Untaped, one set in the workspace; taped, a fresh set per call."""
+    Untaped, the workspace's own set; taped, one lent from its free list."""
 
-    __slots__ = ("xhat1", "inv1", "qkv", "q", "k", "v", "k_t", "attn",
-                 "xhat2", "inv2", "u2", "t", "half_u", "one_t")
+    __slots__ = ("xhat1", "inv1", "qkv", "q", "k", "v", "k_t", "v_t", "attn",
+                 "attn_t", "xhat2", "inv2", "u2", "t", "half_u", "one_t")
 
     def __init__(self, tokens, d, heads, hidden):
         self.xhat1, self.xhat2 = np.empty((2, tokens, d))
@@ -188,20 +190,21 @@ class _Kept:
         # (3, heads, tokens, head_dim)
         self.q, self.k, self.v = self.qkv.reshape(
             tokens, 3, heads, d // heads).transpose(1, 2, 0, 3)
-        self.k_t = self.k.transpose(0, 2, 1)
+        self.k_t, self.v_t = self.k.transpose(0, 2, 1), self.v.transpose(0, 2, 1)
         self.attn = np.empty((heads, tokens, tokens))
+        self.attn_t = self.attn.transpose(0, 2, 1)
         self.u2, self.t, self.half_u, self.one_t = np.empty((4, tokens, hidden))
 
 
 class _BlockSpace:
     """The workspace of the block and its map at one (tokens, d, heads,
-    hidden): temporaries, their per-head views, constants, `_Kept` set."""
+    hidden): temporaries, their per-head views, constants, `_Kept` sets."""
 
     def __init__(self, tokens, d, heads, hidden):
         head_dim = d // heads
         self.inv_sqrt = te.scalar(1.0 / math.sqrt(head_dim))
         self.norm = te.NormSpace(tokens, d)
-        self.kept = _Kept(tokens, d, heads, hidden)
+        self.kept, self.free = _Kept(tokens, d, heads, hidden), []
         self.scores, self.dattn, self.weighted = np.empty((3, heads, tokens, tokens))
         self.dattn_t = self.dattn.transpose(0, 2, 1)
         # reductions into the 1-D view of a column dispatch fastest
@@ -229,13 +232,16 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     finite-difference suite checks it end to end.
 
     Every ufunc writes with `out=` into the workspace of the block's shape,
-    and what the map reads into a `_Kept` set, fresh under a tape.  The
-    output and the map's result are fresh arrays.
+    and what the map reads into a `_Kept` set, lent to a tape until its
+    backward.  The output and the map's result are fresh arrays.
     """
     tokens, d = x.shape
     hidden = blk.w_up.shape[1]
     ws = _BLOCK_SPACES[tokens, d, heads, hidden]
-    kp = ws.kept if tape is None else _Kept(tokens, d, heads, hidden)
+    kp = ws.kept
+    if tape is not None:
+        kp = ws.free.pop() if ws.free else _Kept(tokens, d, heads, hidden)
+        tape.lend(ws.free, kp)
 
     te.norm_rows(x, kp.xhat1, kp.inv1, ws.norm)
     # one GEMM for Q, K and V
@@ -285,7 +291,7 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
         np.add(dx1, dout, dx1)
         # attention branch
         np.dot(dx1, blk.out_t, ws.do)
-        dattn = np.matmul(ws.do_heads, kp.v.transpose(0, 2, 1), ws.dattn)
+        dattn = np.matmul(ws.do_heads, kp.v_t, ws.dattn)
         weighted = np.multiply(dattn, kp.attn, ws.weighted)
         np.add.reduce(weighted, 2, None, ws.col_flat)
         np.subtract(dattn, ws.col, dattn)
@@ -301,7 +307,7 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
         np.matmul(merged, wq_t, dh1)
         np.matmul(ws.dattn_t, kp.q, by_head)
         np.add(dh1, np.matmul(merged, wk_t, part), dh1)
-        np.matmul(kp.attn.transpose(0, 2, 1), ws.do_heads, by_head)
+        np.matmul(kp.attn_t, ws.do_heads, by_head)
         np.add(dh1, np.matmul(merged, wv_t, part), dh1)
         dx = te.norm_rows_backward(dh1, kp.xhat1, kp.inv1, None, ws.norm)
         return np.add(dx1, dx, dx)
@@ -448,9 +454,7 @@ def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
 
 
 def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int = 4,
-                   heads: int = 2, n_shared: int = 1, mix_layers=None,
-                   image_size: int = 16, patch_size: int = 8,
-                   h: float = 1e-5) -> dict:
+                   heads: int = 2, mix_layers=None) -> dict:
     """Compare tape gradients of the trainable blocks against central
     finite differences on a randomly initialized prompted model.
 
@@ -462,17 +466,17 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
         mid = max(1, layers // 2)
         mix_layers = tuple(sorted({mid, min(layers, mid + 1)}))
     cfg = ModelConfig(dim=dim, layers=layers, heads=heads,
-                      patch_size=patch_size, mix_layers=tuple(mix_layers))
+                      patch_size=GRADCHECK_PATCH, mix_layers=tuple(mix_layers))
     rng = derive_rng(seed, "gradcheck")
     backbone = init_backbone(seed, cfg)
-    prompts = PromptParams.init(seed, dim, classes, n_shared)
+    prompts = PromptParams.init(seed, dim, classes, GRADCHECK_SHARED)
     prompts.head.data[...] = rng.normal(0.0, 0.5, size=prompts.head.data.shape)
     bank = PrototypeBank(layers=tuple(mix_layers), num_classes=classes, dim=dim)
     for l in mix_layers:
         bank.mu[l] = rng.normal(size=(classes, dim))
     priors = rng.random(classes)
     priors /= priors.sum()
-    image = rng.normal(size=(image_size, image_size))
+    image = rng.normal(size=(GRADCHECK_IMAGE, GRADCHECK_IMAGE))
     label = int(rng.integers(classes))
 
     consts = score_constants(cfg, bank, priors)
@@ -496,7 +500,7 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
             args[name] = x
             return loss_at(args["shared"], args["class"], args["head"])
 
-        oracle = te.finite_diff_grad(f, base[name], h=h)
+        oracle = te.finite_diff_grad(f, base[name], h=GRADCHECK_H)
         report[name] = te.grad_rel_error(block.grad, oracle)
     report["max"] = max(report.values())
     return report

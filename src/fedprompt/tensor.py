@@ -31,7 +31,7 @@ class Tape:
     """The backward maps of one forward pass, in the order recorded."""
 
     def __init__(self):
-        self._ops = []
+        self._ops, self._lent = [], []
         self._used = False
 
     def __enter__(self):
@@ -46,6 +46,10 @@ class Tape:
     def record(self, backward_map):
         self._ops.append(backward_map)
 
+    def lend(self, free, item):
+        """Give `item` back to the list `free` once `backward` has run all maps."""
+        self._lent.append((free, item))
+
     def backward(self):
         """Seed d(loss)/d(loss) = 1 and pass it through every map in
         reverse; returns what the first recorded map returned."""
@@ -55,6 +59,8 @@ class Tape:
         grad = 1.0
         for backward_map in reversed(self._ops):
             grad = backward_map(grad)
+        for free, item in self._lent:
+            free.append(item)
         return grad
 
 
@@ -89,10 +95,10 @@ LAYER_NORM_EPS = scalar(1e-5)
 
 class Workspaces(dict):
     """A kernel's workspaces, one per shape, each built by `build(*shape)`
-    on first use: its temporaries and the views it indexes.  No workspace
-    buffer escapes a call: what a kernel returns, and every array a map
-    captures, is fresh, so no later call of any shape can change a result
-    or a recorded map.  Kernels run one at a time."""
+    on first use: its temporaries and the views it indexes.  What a kernel
+    returns is fresh, and what a map captures is fresh or lent to its tape
+    until the tape's backward (`Tape.lend`), so no later call of any shape
+    changes a result or a recorded map.  Kernels run one at a time."""
 
     def __init__(self, build):
         self.build = build

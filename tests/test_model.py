@@ -564,7 +564,7 @@ def workspace_buffers(*consts):
             buffers.append(value)
             if value.base is not None:
                 todo.append(value.base)
-        elif isinstance(value, tuple):
+        elif isinstance(value, (tuple, list)):
             todo.extend(value)
         elif hasattr(value, "__slots__"):
             todo.extend(getattr(value, name) for name in value.__slots__)
@@ -581,10 +581,23 @@ def assert_no_escape(arrays, *consts):
             assert not np.shares_memory(buf, arr)
 
 
+def kept_sets(maps):
+    """The `_Kept` sets the recorded block maps read."""
+    return [cell.cell_contents for fn in maps for cell in fn.__closure__ or ()
+            if isinstance(cell.cell_contents, model._Kept)]
+
+
+def free_sets():
+    """id -> set, of every `_Kept` set in a block workspace's free list."""
+    return {id(kp): kp for space in model._BLOCK_SPACES.values()
+            for kp in space.free}
+
+
 class TestWorkspaces:
-    """No workspace buffer escapes a call: what the forward returns and
-    what the recorded maps capture stays put while other forwards, of
-    other shapes, reuse the workspaces."""
+    """What the forward returns and what the recorded maps capture stays
+    put while other forwards, of any shape, reuse the workspaces: the
+    returned arrays are fresh, and the block's `_Kept` sets are lent to
+    their tape until its backward has run."""
 
     def test_interleaved_forwards_change_no_result_or_map(self):
         # mixing at layer 1, so a map also captures the embedding's output
@@ -620,16 +633,19 @@ class TestWorkspaces:
                 other_tape._ops.clear()
             assert np.array_equal(logits, kept[0])
             assert np.array_equal(cls, kept[1])
+            # while the tape is open its sets belong to no workspace
+            assert len(captured) > 20
+            assert_no_escape([logits, cls, *captured], *consts.values(),
+                             *small_consts.values())
             tape.backward()
-            return (logits, cls, captured,
+            return (logits, cls,
                     [block.grad.copy() for _, block in prompts.blocks()])
 
-        logits, cls, captured, grads = taped(interleave=True)
-        _, _, _, direct = taped(interleave=False)
+        logits, cls, grads = taped(interleave=True)
+        _, _, direct = taped(interleave=False)
         for got, want in zip(grads, direct):
             assert got.tobytes() == want.tobytes()
-        assert len(captured) > 20
-        assert_no_escape([logits, cls, *captured], *consts.values(),
+        assert_no_escape([logits, cls], *consts.values(),
                          *small_consts.values())
 
     def test_primitives_return_fresh_arrays(self):
@@ -696,6 +712,104 @@ class TestWorkspaces:
             tape.backward()
         assert [grads(params) for params, _ in both] == alone
         assert alone[0] != alone[1]
+
+    @staticmethod
+    def open_tape(image, prompts, backbone, consts, label=0):
+        with te.Tape() as tape:
+            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
+                                             consts)
+            te.cross_entropy(logits, label)
+        return tape
+
+    def test_open_tape_sets_are_in_no_free_list(self):
+        backbone, prompts, bank, priors, image = make_setup(49)
+        consts = score_constants(SMALL, bank, priors)
+        # a run first, so the free lists hold sets to lend
+        self.open_tape(image, prompts, backbone, consts).backward()
+        assert free_sets()
+        tape = self.open_tape(image, prompts, backbone, consts)
+        lent = kept_sets(tape._ops)
+        assert len(lent) == SMALL.layers
+        assert not set(map(id, lent)) & set(free_sets())
+        assert_no_escape(captured_arrays(tape._ops), *consts.values())
+        tape.backward()
+
+    def test_two_open_tapes_of_one_shape_capture_disjoint_memory(self):
+        backbone, prompts, bank, priors, _ = make_setup(50, n_shared=2)
+        consts = score_constants(SMALL, bank, priors)
+        images = np.random.default_rng(50).normal(size=(2, 16, 16))
+        first, second = (self.open_tape(image, prompts.copy(), backbone,
+                                        consts, i)
+                         for i, image in enumerate(images))
+        theirs = captured_arrays(second._ops)
+        for arr in captured_arrays(first._ops):
+            for other in theirs:
+                assert not np.shares_memory(arr, other)
+        second.backward()
+        first.backward()
+
+    def test_backward_returns_sets_for_the_next_forward(self):
+        backbone, prompts, bank, priors, image = make_setup(51)
+        consts = score_constants(SMALL, bank, priors)
+        tape = self.open_tape(image, prompts, backbone, consts)
+        lent = kept_sets(tape._ops)
+        before = len(free_sets())
+        tape.backward()
+        free = free_sets()
+        assert len(free) == before + len(lent)
+        assert set(map(id, lent)) <= set(free)
+        again = self.open_tape(image, prompts, backbone, consts)
+        assert set(map(id, kept_sets(again._ops))) == set(map(id, lent))
+        again.backward()
+        assert free_sets().keys() == free.keys()
+
+    @pytest.mark.parametrize("how", ["ops-cleared", "forward-raised",
+                                     "backward-raised"])
+    def test_tape_that_does_not_finish_returns_nothing(self, how):
+        backbone, prompts, bank, priors, image = make_setup(52)
+        consts = score_constants(SMALL, bank, priors)
+        self.open_tape(image, prompts, backbone, consts).backward()
+        if how == "forward-raised":
+            # no constants for the second mixing layer: blocks 1 and 2 are
+            # taped before the forward fails
+            partial = {2: consts[2]}
+            with pytest.raises(KeyError), te.Tape() as tape:
+                forward_with_prompts(image, prompts, backbone, SMALL, partial)
+        else:
+            tape = self.open_tape(image, prompts, backbone, consts)
+        lent = kept_sets(tape._ops)
+        assert lent
+        free = free_sets()
+        if how == "ops-cleared":
+            tape._ops.clear()
+        elif how == "backward-raised":
+            def fail(g):
+                raise ArithmeticError("map failed")
+
+            tape.record(fail)
+            with pytest.raises(ArithmeticError):
+                tape.backward()
+        del tape
+        assert free_sets().keys() == free.keys()
+        assert not set(map(id, lent)) & set(free_sets())
+
+    def test_free_lists_stop_growing_after_a_run(self, tmp_path):
+        raw = json.loads((ROOT / "configs" / "pathological.json").read_text())
+        raw["train"]["rounds"] = 2
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(raw))
+        model._BLOCK_SPACES.clear()
+        lengths = []
+        for run in ("a", "b"):
+            assert main(["run", "--config", str(path),
+                         "--out", str(tmp_path / run)]) == 0
+            lengths.append({shape: len(space.free)
+                            for shape, space in model._BLOCK_SPACES.items()})
+        # one taped forward's worth: a set per block of each shape
+        first_mix = min(raw["model"]["mix_layers"])
+        assert sorted(lengths[0].values()) == sorted(
+            [first_mix - 1, raw["model"]["layers"] - first_mix + 1])
+        assert lengths[1] == lengths[0]
 
     def test_cache_holds_one_workspace_per_shape_a_run_used(self, tmp_path):
         raw = json.loads((ROOT / "configs" / "pathological.json").read_text())
