@@ -48,9 +48,8 @@ from .model import ModelConfig, init_backbone
 from . import __version__
 
 _JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", dict: "an object",
-               tuple: "a list of integers"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "an object", tuple: "a list of integers"}
 
 
 def _typed(value, kind, where):
@@ -64,9 +63,6 @@ def _typed(value, kind, where):
     if kind is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_typed(v, int, where) for v in value)
-    elif kind is bool:
-        if isinstance(value, bool):
-            return value
     elif isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
         # json.load accepts NaN and Infinity, which no field can use
         if kind is float and not math.isfinite(value):
@@ -266,8 +262,28 @@ def _build_world(cfg: ExperimentConfig):
     return clients, backbone, heldout
 
 
+def _check_out_dir(path):
+    """ConfigError unless `path` is a directory or can become one: its
+    nearest existing ancestor must be a directory."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{head} is not a directory")
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc.strerror}")
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
+    _check_out_dir(cfg.out_dir)
     clients, backbone, heldout = _build_world(cfg)
     state, logs = run_training(clients, backbone, cfg.model, cfg.train,
                                cfg.seed, heldout=heldout)
@@ -280,7 +296,7 @@ def cmd_run(args) -> int:
         for group in (state.participating, state.heldout))
 
     # created only now, so a run that fails leaves no directory behind
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     write_config_copy(cfg, os.path.join(cfg.out_dir, "config.json"))
     write_metrics_csv(logs, os.path.join(cfg.out_dir, "metrics.csv"))
     write_prompts_csv(state, os.path.join(cfg.out_dir, "prompts.csv"))
@@ -324,7 +340,7 @@ def cmd_partition(args) -> int:
     dataset = generate_synthetic(cfg.data, cfg.seed)
     partition = make_partition(dataset, cfg)
     # created only now, so a partition that fails leaves no directory behind
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     partition.write_csv(dataset, os.path.join(cfg.out_dir, "partition.csv"))
     hist = label_histograms(dataset, partition)
     with open(os.path.join(cfg.out_dir, "label_histogram.csv"), "w",
@@ -339,23 +355,64 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _csv_rows(path, columns):
+    """(where, row) for each data row of a CSV a run wrote, `where` naming
+    its file and line; DataError unless its header is `columns`."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != columns:
+            raise DataError(f"{path} line 1: expected the columns "
+                            f"{','.join(columns)}")
+        for row in reader:
+            yield f"{path} line {reader.line_num}", row
+
+
+def _csv_field(where, row, name, allowed, parse=int):
+    """Field `name` of `row` parsed, or DataError unless it is in `allowed`."""
+    try:
+        value = parse(row[name])
+    except (TypeError, ValueError):
+        value = None
+    if value not in allowed:
+        span = (f"an integer in [{allowed.start}, {allowed.stop})"
+                if isinstance(allowed, range) else f"one of {list(allowed)}")
+        raise DataError(f"{where}: {name} must be {span}, got {row[name]!r}")
+    return value
+
+
+def _csv_value(where, row):
+    try:
+        value = float(row["value"])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataError(f"{where}: value must be a finite number, "
+                        f"got {row['value']!r}")
+    return value
+
+
 def _load_prompts_csv(path, state):
     """Read prompt blocks written by `write_prompts_csv` into `state`."""
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            client = int(row["client"])
-            # a client's rows set every entry of its shared and class blocks
-            params = (state.params if client == -1 else
-                      state.personal.setdefault(client, state.params.copy()))
-            block = dict(params.blocks())[row["block"]]
-            block.data[int(row["row"]), int(row["col"])] = float(row["value"])
+    for where, row in _csv_rows(path, ["block", "client", "row", "col",
+                                       "value"]):
+        client = _csv_field(where, row, "client",
+                            range(-1, len(state.clients)))
+        # a client's rows set every entry of its shared and class blocks
+        params = (state.params if client == -1 else
+                  state.personal.setdefault(client, state.params.copy()))
+        blocks = dict(params.blocks())
+        data = blocks[_csv_field(where, row, "block", blocks, str)].data
+        data[_csv_field(where, row, "row", range(data.shape[0])),
+             _csv_field(where, row, "col", range(data.shape[1]))] = (
+            _csv_value(where, row))
 
 
 def _load_prototypes_csv(path, bank):
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            bank.mu[int(row["layer"])][int(row["class"]), int(row["dim"])] = (
-                float(row["value"]))
+    for where, row in _csv_rows(path, ["layer", "class", "dim", "value"]):
+        mu = bank.mu[_csv_field(where, row, "layer", bank.layers)]
+        mu[_csv_field(where, row, "class", range(mu.shape[0])),
+           _csv_field(where, row, "dim", range(mu.shape[1]))] = (
+            _csv_value(where, row))
 
 
 def cmd_eval(args) -> int:
@@ -379,8 +436,9 @@ def cmd_eval(args) -> int:
     payload = {"participating": report.to_dict()}
     if heldout_report is not None:
         payload["heldout"] = heldout_report.to_dict()
-    out_path = os.path.join(args.out or run_dir, "eval_report.json")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    out_dir = args.out or run_dir
+    _make_out_dir(out_dir)
+    out_path = os.path.join(out_dir, "eval_report.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

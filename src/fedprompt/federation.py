@@ -32,8 +32,7 @@ STRATEGIES = ("shared_only", "mixed", "mixed_no_prior", "personalized")
 UNREAD_KEYS = {
     "shared_only": {"train": ("rho", "update_period", "warmup_fraction",
                               "dp_epsilon"),
-                    "model": ("tau", "refresh_mix", "detach_scores")},
-    "personalized": {"train": ("weighted_fedavg",)}}
+                    "model": ("tau",)}}
 
 
 def reject_unread_keys(strategy: str, section: str, config) -> None:
@@ -61,7 +60,6 @@ class TrainConfig:
     strategy: str = "mixed"
     shared_prompts: int = 1
     warmup_fraction: float = 1.0
-    weighted_fedavg: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -128,7 +126,6 @@ class ClientUpdate:
     params: PromptParams  # the client's trained blocks
     prototypes: dict
     sensitivities: dict
-    num_samples: int
     mean_loss: float
 
 
@@ -257,20 +254,16 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
         params=params,
         prototypes=protos,
         sensitivities=sens,
-        num_samples=client.num_train,
         mean_loss=float(np.mean(losses)),
     )
 
 
-def fedavg_aggregate(updates, weighted: bool = False) -> PromptParams:
+def fedavg_aggregate(updates) -> PromptParams:
     """Arithmetic mean of each parameter block, ascending client-id order."""
     if not updates:
         raise ConfigError("cannot aggregate an empty update list")
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = np.ones(len(updates))
-    if weighted:
-        weights = np.array([u.num_samples for u in updates], dtype=np.float64)
-    weights = weights / weights.sum()
+    weights = np.ones(len(updates)) / len(updates)
     blocks = []
     for per_client in zip(*(u.params.blocks() for u in updates)):
         acc = np.zeros_like(per_client[0][1].data)
@@ -353,7 +346,7 @@ def run_round(state: ServerState) -> RoundLog:
             state.personal[u.client_id] = u.params
         state.params = replace(state.params, head=te.Tensor(head / len(updates)))
     else:
-        state.params = fedavg_aggregate(updates, weighted=state.cfg.weighted_fedavg)
+        state.params = fedavg_aggregate(updates)
 
     if state.bank is not None:
         for u in updates:

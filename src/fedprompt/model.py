@@ -8,10 +8,9 @@ layers, and the classification head applied to the final cls token.
 
 Token layout per layer input: [cls, (mixed prompt), shared prompts,
 image tokens].  The mixed-prompt token is inserted at the first
-configured mixing layer and, by default, replaced with a freshly mixed
-token at each later mixing layer so every such layer sees class evidence
-computed from its own incoming cls state; a config flag switches to
-propagating the first mixture unchanged instead.
+configured mixing layer and replaced with a freshly mixed token at each
+later mixing layer, so every such layer sees class evidence computed from
+its own incoming cls state.
 """
 
 import math
@@ -39,8 +38,6 @@ class ModelConfig:
     patch_size: int = 8
     mix_layers: tuple = (5, 6, 7)
     tau: float = 0.05
-    refresh_mix: bool = True
-    detach_scores: bool = False
 
     def __post_init__(self):
         for name in ("dim", "layers", "heads", "patch_size"):
@@ -335,15 +332,13 @@ def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
 
 
 def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
-         detach: bool, tape):
+         tape):
     """`seq` with the mixed prompt P @ s as its second token: inserted
     after cls, or with `replace` in place of the mixed token an earlier
-    layer inserted.  The scores s are computed from the cls row; with
-    `detach` no gradient flows back through them.
+    layer inserted.  The scores s are computed from the cls row.
     """
     start = 2 if replace else 1
-    scores, scores_map = soft_scores_op(seq[0], consts,
-                                        tape is not None and not detach)
+    scores, scores_map = soft_scores_op(seq[0], consts, tape is not None)
     out = np.empty((len(seq) + 2 - start, seq.shape[1]))
     out[0] = seq[0]
     np.dot(class_prompts.data, scores, out[1])
@@ -355,9 +350,7 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
             dseq = np.zeros_like(seq)
             dseq[start:] = g[2:]
             dseq[0] = g[0]
-            if scores_map is not None:
-                dseq[0] += scores_map(
-                    (class_prompts.data.T @ dmixed).reshape(-1))
+            dseq[0] += scores_map((class_prompts.data.T @ dmixed).reshape(-1))
             return dseq
 
         tape.record(backward)
@@ -429,9 +422,8 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     mixed = False
     for layer in range(1, cfg.layers + 1):
         cls[layer - 1] = seq[0]
-        if layer in mix_layers and (not mixed or cfg.refresh_mix):
-            seq = _mix(seq, prompts.class_prompts, consts[layer], mixed,
-                       cfg.detach_scores, tape)
+        if layer in mix_layers:
+            seq = _mix(seq, prompts.class_prompts, consts[layer], mixed, tape)
             mixed = True
             live = tape
         seq = _transformer_layer(seq, blocks[layer - 1], heads, live)

@@ -313,8 +313,7 @@ def test_criterion_12_protocol_unit_suite():
                      params=PromptParams.from_arrays(np.full((2, 1), v),
                                                      np.full((2, 2), v),
                                                      np.full((2, 2), v)),
-                     prototypes={}, sensitivities={}, num_samples=3,
-                     mean_loss=0.0)
+                     prototypes={}, sensitivities={}, mean_loss=0.0)
         for i, v in enumerate(values)
     ]
     merged = fedavg_aggregate(updates)

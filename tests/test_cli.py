@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,8 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fedprompt
-from fedprompt.cli import load_config, main, write_config_copy
+from fedprompt.cli import (ExperimentConfig, load_config, main,
+                           write_config_copy)
+from fedprompt.data import PartitionSpec, SyntheticSpec
 from fedprompt.errors import ConfigError
+from fedprompt.federation import STRATEGIES, TrainConfig
 from fedprompt.model import ModelConfig
 
 
@@ -47,6 +52,11 @@ def small_config(tmp_path, **overrides):
     return path, cfg
 
 
+# every file `fedprompt run` writes
+ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv", "prototypes.csv",
+             "client_accuracy.csv", "final_report.json")
+
+
 def read_metrics(out_dir):
     with open(out_dir / "metrics.csv", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -57,8 +67,7 @@ class TestRunCommand:
         path, cfg = small_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 0
         out = tmp_path / "run"
-        for name in ("config.json", "metrics.csv", "prompts.csv",
-                      "prototypes.csv", "final_report.json"):
+        for name in ARTIFACTS:
             assert (out / name).exists(), name
         rows = read_metrics(out)
         assert len(rows) == cfg["train"]["rounds"] + 1
@@ -121,8 +130,14 @@ class TestRunCommand:
         # the data section alone sets the image size
         ({"model": {"image_size": 8}}, "unknown field model.'image_size'"),
         ({"heldout": 0.2}, "unknown field 'heldout'"),
+        # mixing always refreshes, sends gradients through the scores and
+        # averages clients unweighted, so these switches are gone
         ({"model": {"refresh_mix": "false"}},
-         "model.'refresh_mix' must be true or false"),
+         "unknown field model.'refresh_mix'"),
+        ({"model": {"detach_scores": False}},
+         "unknown field model.'detach_scores'"),
+        ({"train": {"weighted_fedavg": False}},
+         "unknown field train.'weighted_fedavg'"),
         ({"train": {"rounds": 2.5}}, "train.'rounds' must be an integer"),
         ({"train": {"lr": True}}, "train.'lr' must be a number"),
         ({"data": {"classes": "4"}}, "data.'classes' must be an integer"),
@@ -198,8 +213,6 @@ class TestRunCommand:
         ({"train": {"lr": -1}}, "train lr must be >= 0, got -1.0"),
         ({"train": {"grad_clip": 0}}, "train grad_clip must be > 0, got 0.0"),
         # keys the strategy never reads are rejected, not written to config.json
-        ({"train": {"strategy": "personalized", "weighted_fedavg": True}},
-         "train.'weighted_fedavg' is not read by strategy 'personalized'"),
         ({"train": {"strategy": "shared_only", "dp_epsilon": 1.0}},
          "train.'dp_epsilon' is not read by strategy 'shared_only'"),
         ({"train": {"strategy": "shared_only", "rho": 0.5}},
@@ -210,12 +223,6 @@ class TestRunCommand:
          "train.'warmup_fraction' is not read by strategy 'shared_only'"),
         ({"train": {"strategy": "shared_only"}, "model": {"tau": 0.01}},
          "model.'tau' is not read by strategy 'shared_only'"),
-        ({"train": {"strategy": "shared_only"},
-          "model": {"refresh_mix": False}},
-         "model.'refresh_mix' is not read by strategy 'shared_only'"),
-        ({"train": {"strategy": "shared_only"},
-          "model": {"detach_scores": True}},
-         "model.'detach_scores' is not read by strategy 'shared_only'"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -334,7 +341,8 @@ class TestRunCommand:
 
 
 def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
-                partition=None, clients=2, heldout_fraction=0.0):
+                partition=None, clients=2, heldout_fraction=0.0,
+                strategy="mixed", dp_epsilon=None):
     """A run config small enough to train in a few milliseconds."""
     return {
         "data": {"classes": 3, "train_per_class": 3, "test_per_class": 2,
@@ -345,20 +353,25 @@ def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
         "model": {"dim": 4, "layers": 2, "heads": 1, "patch_size": patch,
                   "mix_layers": [2]},
         "train": {"clients": clients, "clients_per_round": 1, "rounds": 1,
-                  "local_epochs": 1, "batch_size": 4},
+                  "local_epochs": 1, "batch_size": 4, "strategy": strategy,
+                  "dp_epsilon": dp_epsilon},
         "heldout_fraction": heldout_fraction,
     }
 
 
 @st.composite
 def tiny_configs(draw):
-    """`tiny_config`s whose checked fields each fall inside their limits
-    or, one draw in five, outside."""
+    """`tiny_config`s under every strategy, with DP noise on or off under
+    mixing, whose checked fields each fall inside their limits or, one
+    draw in five, outside."""
     def pick(valid, invalid):
         crossed = draw(st.sampled_from([False, False, False, False, True]))
         return draw(st.sampled_from(invalid if crossed else valid))
 
     patch = draw(st.sampled_from([2, 3]))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    dp_epsilon = (None if strategy == "shared_only"
+                  else draw(st.sampled_from([None, 1.0])))
     if draw(st.sampled_from(["pathological", "dirichlet"])) == "dirichlet":
         partition = {"mode": "dirichlet",
                      "beta": pick([0.5, 1e-3, 100.0], [0.0, -1.0])}
@@ -372,25 +385,54 @@ def tiny_configs(draw):
         noise=pick([1.0, 0.0, 1e100], [-1.0, 1e101, 1e200]),
         partition=partition,
         clients=pick([2, 1, 4], [0, -1]),
-        heldout_fraction=pick([0.0, 0.34, 0.5], [0.01, 0.9, 1.0]))
+        heldout_fraction=pick([0.0, 0.34, 0.5], [0.01, 0.9, 1.0]),
+        strategy=strategy, dp_epsilon=dp_epsilon)
+
+
+def with_examples(raws):
+    """Hypothesis `example`s of each config in `raws`."""
+    def wrap(test):
+        for raw in raws:
+            test = example(raw)(test)
+        return test
+    return wrap
 
 
 class TestConfigProperty:
-    # 39 drawn configs and this one: a negative client count must be
-    # rejected before the Dirichlet draw, which raises a ValueError on it
-    @example(tiny_config(clients=-1,
-                         partition={"mode": "dirichlet", "beta": 0.5}))
+    # 39 drawn configs and these: a negative client count must be rejected
+    # before the Dirichlet draw, which raises a ValueError on it, and every
+    # strategy, with and without DP noise, runs with a heldout client
+    @with_examples([
+        tiny_config(clients=-1, partition={"mode": "dirichlet", "beta": 0.5}),
+        *(tiny_config(clients=4, heldout_fraction=0.34, strategy=strategy,
+                      dp_epsilon=dp_epsilon)
+          for strategy in STRATEGIES
+          for dp_epsilon in (None, 1.0)
+          if not (strategy == "shared_only" and dp_epsilon))])
     @settings(max_examples=39, deadline=None, derandomize=True,
               database=None)
     @given(tiny_configs())
     def test_run_exits_with_documented_status(self, raw):
         # a config is run or rejected with its exit code, never a traceback
-        # or a warning (the suite turns warnings into errors)
+        # or a warning (the suite turns warnings into errors); a run writes
+        # every artifact, and `eval` on it scores each client as the run did
         with tempfile.TemporaryDirectory() as tmp:
-            raw = {**raw, "out_dir": str(Path(tmp) / "run")}
+            out = Path(tmp) / "run"
             path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(raw))
-            assert main(["run", "--config", str(path)]) in (0, 1, 2)
+            path.write_text(json.dumps({**raw, "out_dir": str(out)}))
+            code = main(["run", "--config", str(path)])
+            assert code in (0, 1, 2)
+            if code:
+                return
+            for name in ARTIFACTS:
+                assert (out / name).exists(), name
+            assert main(["eval", "--run-dir", str(out)]) == 0
+            final = json.loads((out / "final_report.json").read_text())
+            again = json.loads((out / "eval_report.json").read_text())
+            for group in ("participating", "heldout"):
+                if final[group] is not None:
+                    del final[group]["clients"]
+                assert again.get(group) == final[group], group
 
 
 class TestGradcheckCommand:
@@ -405,10 +447,10 @@ class TestGradcheckCommand:
 
         true_mix = model._mix
 
-        def corrupted(seq, class_prompts, consts, replace, detach, tape):
+        def corrupted(seq, class_prompts, consts, replace, tape):
             # the mixing primitive with its class-prompt gradient 1.5x too
             # large: a map recorded after the mix's own adds half again
-            out = true_mix(seq, class_prompts, consts, replace, detach, tape)
+            out = true_mix(seq, class_prompts, consts, replace, tape)
             if tape is not None:
                 scores = consts.evaluate(seq[0])[0].reshape(-1, 1)
 
@@ -449,7 +491,7 @@ class TestGradcheckCommand:
 
             return scores, corrupted_map
 
-        def mix(seq, class_prompts, consts, replace, detach, tape):
+        def mix(seq, class_prompts, consts, replace, tape):
             if tape is not None:
                 # recorded before the mix's map, so it runs right after it
                 # and also adds the cls gradient into row 1
@@ -459,7 +501,7 @@ class TestGradcheckCommand:
                     return dseq
 
                 tape.record(into_row_1)
-            return true_mix(seq, class_prompts, consts, replace, detach, tape)
+            return true_mix(seq, class_prompts, consts, replace, tape)
 
         monkeypatch.setattr(model, "soft_scores_op", op)
         monkeypatch.setattr(model, "_mix", mix)
@@ -494,6 +536,39 @@ class TestGradcheckCommand:
         main(["gradcheck", "--dim", "8", "--layers", "2", "--classes", "3"])
         out = capsys.readouterr().out
         assert out.count("max relative error") == 4
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_at_or_under_a_file_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        from fedprompt import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained towards an output it cannot write")
+
+        monkeypatch.setattr(cli, "run_training", no_training)
+        path, _ = small_config(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot create output directory {out}: ")
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_eval_out_at_or_under_a_file_is_a_config_error(
+            self, tmp_path, capsys, saved_run, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main(["eval", "--run-dir", str(saved_run),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create output directory {out}: ")
 
 
 class TestPartitionCommand:
@@ -567,6 +642,32 @@ class TestPartitionCommand:
         assert entropy_for(0.3, "low") < entropy_for(100.0, "high")
 
 
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A 1-round mixed run of `small_config`; copy it before editing it."""
+    tmp = tmp_path_factory.mktemp("saved")
+    path, _ = small_config(tmp, train={"rounds": 1})
+    assert main(["run", "--config", str(path)]) == 0
+    return tmp / "run"
+
+
+def edited_run(saved_run, tmp_path, name, line, column, value):
+    """A copy of `saved_run` whose CSV `name` holds `value` at `column` of
+    its `line` (1 is the header); None as the column drops that line's
+    last field."""
+    run = tmp_path / "run"
+    shutil.copytree(saved_run, run)
+    lines = (run / name).read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    if column is None:
+        fields.pop()
+    else:
+        fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    (run / name).write_text("\n".join(lines) + "\n")
+    return run
+
+
 class TestEvalCommand:
     @pytest.mark.parametrize(
         "strategy", ["shared_only", "mixed", "mixed_no_prior", "personalized"])
@@ -615,6 +716,57 @@ class TestEvalCommand:
         assert all(state.bank.mu[l] is arrays[l] for l in arrays)
         after, _ = _evaluate(state)
         assert after.per_client == expected.per_client
+
+    @pytest.mark.parametrize("name, line, column, value, message", [
+        ("prompts.csv", 4, 4, "abc", "value must be a finite number, got 'abc'"),
+        ("prompts.csv", 4, 4, "inf", "value must be a finite number, got 'inf'"),
+        ("prompts.csv", 4, 4, "nan", "value must be a finite number, got 'nan'"),
+        ("prompts.csv", 4, 0, "bias",
+         "block must be one of ['shared', 'class', 'head'], got 'bias'"),
+        ("prompts.csv", 4, 1, "6", "client must be an integer in [-1, 6), "
+                                   "got '6'"),
+        ("prompts.csv", 4, 2, "99", "row must be an integer in [0, 8), "
+                                    "got '99'"),
+        ("prompts.csv", 4, 2, "-1", "row must be an integer in [0, 8), "
+                                    "got '-1'"),
+        ("prompts.csv", 4, 3, "1.5", "col must be an integer in [0, 1), "
+                                     "got '1.5'"),
+        ("prompts.csv", 4, None, None, "value must be a finite number, "
+                                       "got None"),
+        ("prompts.csv", 1, 4, "val", "expected the columns "
+                                     "block,client,row,col,value"),
+        ("prototypes.csv", 4, 0, "9", "layer must be one of [2], got '9'"),
+        ("prototypes.csv", 4, 1, "-1", "class must be an integer in [0, 4), "
+                                       "got '-1'"),
+        ("prototypes.csv", 4, 2, "8", "dim must be an integer in [0, 8), "
+                                      "got '8'"),
+        ("prototypes.csv", 4, 3, "abc",
+         "value must be a finite number, got 'abc'"),
+    ])
+    def test_malformed_saved_csv_is_a_data_error(
+            self, tmp_path, capsys, saved_run, name, line, column, value,
+            message):
+        run = edited_run(saved_run, tmp_path, name, line, column, value)
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {run / name} line {line}: {message}\n")
+        assert not (run / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "refresh_mix", True), ("model", "detach_scores", False),
+        ("train", "weighted_fedavg", False)])
+    def test_saved_config_with_a_removed_key_is_rejected(
+            self, tmp_path, capsys, saved_run, section, key, value):
+        # a run directory from before these switches went is refused, not
+        # read with the key ignored
+        run = tmp_path / "run"
+        shutil.copytree(saved_run, run)
+        raw = json.loads((run / "config.json").read_text())
+        raw[section][key] = value
+        (run / "config.json").write_text(json.dumps(raw))
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown field {section}.{key!r}\n")
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["eval", "--run-dir", str(tmp_path / "nope")]) == 2
@@ -712,8 +864,8 @@ def test_metrics_bytes_independent_of_blas_threads(tmp_path):
 
 SHIPPED_CONFIGS = {
     # sha256 of the config.json each writes with out_dir "run"
-    "pathological": "1e7b2b2f15803a8581dcd9f63ca7cf928eb171cc7a1f9b062eee684a4e649db6",
-    "dirichlet_heldout": "cc426e2a3616bbe20f03e248e09fb61ccab89f71c4f1b4c50d5de118e501cdb9",
+    "pathological": "5825a7a3d594d7f53af1bbe7aa63ef630f68ab8aa9a95bb9767e6159098bc255",
+    "dirichlet_heldout": "572dae3d7a0144dd57ea2b67ed5730b68982a158b1b2b1e43ff2811700cde924",
 }
 
 
@@ -728,6 +880,28 @@ def test_config_roundtrip(tmp_path, path):
     path2 = tmp_path / "resolved.json"
     path2.write_text(json.dumps(resolved))
     assert load_config(str(path2)).to_dict() == resolved
+
+
+def test_readme_config_block_names_every_field():
+    # README's config reference, its // comments stripped, is a config the
+    # reader accepts whose every section names every field of its
+    # dataclass; the partition key its mode does not read is in a comment
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(re.sub(r"//.*", "", block))
+    ExperimentConfig.from_dict(raw)
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(raw) == names(ExperimentConfig) - {"num_clients"}
+    # the reader demands the key the mode reads, so one is left out
+    (unread,) = names(PartitionSpec) - set(raw["partition"])
+    assert f'"{unread}"' in block
+    for section, cls, extra in (("data", SyntheticSpec, set()),
+                                ("model", ModelConfig, set()),
+                                ("train", TrainConfig, {"clients"})):
+        assert set(raw[section]) == names(cls) | extra, section
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))

@@ -225,14 +225,14 @@ class TestLocalTrain:
 
 
 class TestFedAvg:
-    def _update(self, cid, value, n=4):
+    def _update(self, cid, value):
         from fedprompt.federation import ClientUpdate
         return ClientUpdate(
             client_id=cid,
             params=PromptParams.from_arrays(np.full((2, 1), float(value)),
                                             np.full((2, 3), float(value)),
                                             np.full((3, 2), float(value))),
-            prototypes={}, sensitivities={}, num_samples=n, mean_loss=0.0)
+            prototypes={}, sensitivities={}, mean_loss=0.0)
 
     def test_mean_of_two(self):
         out = fedavg_aggregate([self._update(0, 2.0), self._update(1, 4.0)])
@@ -261,11 +261,6 @@ class TestFedAvg:
             [self._update(i, alpha * v) for i, v in enumerate(values)])
         np.testing.assert_allclose(scaled.head.data, alpha * base.head.data,
                                    atol=1e-12)
-
-    def test_weighted_averaging(self):
-        updates = [self._update(0, 1.0, n=1), self._update(1, 4.0, n=3)]
-        out = fedavg_aggregate(updates, weighted=True)
-        np.testing.assert_allclose(out.head.data, np.full((3, 2), 3.25))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):

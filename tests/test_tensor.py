@@ -128,8 +128,8 @@ class TestStructuralOps:
         def loss(st, pt):
             tape = te.active_tape()
             seq = _embed(image, st, backbone, cfg, tape)
-            seq = _mix(seq, pt, consts[0], False, False, tape)
-            seq = _mix(seq, pt, consts[1], True, False, tape)
+            seq = _mix(seq, pt, consts[0], False, tape)
+            seq = _mix(seq, pt, consts[1], True, tape)
             return flat_cross_entropy(seq, 5)
 
         assert_grads_match(loss, [shared, class_prompts])
@@ -166,7 +166,7 @@ class TestTapeContract:
         live = te.Tensor(np.ones((2, 2)))
         consts = ScoreConstants(np.eye(2), [0.25, 0.75], 0.5, 2)
         with te.Tape() as tape:
-            out = _mix(seq, live, consts, False, False, tape)
+            out = _mix(seq, live, consts, False, tape)
             flat_cross_entropy(out, 2)
         dseq = tape.backward()
         assert dseq.shape == seq.shape
@@ -236,13 +236,12 @@ class TestRecordedMaps:
 
 def sweep_setup(seed, scale=1.0):
     """A small prompted model whose primitives and options vary with the
-    seed: 0-2 shared prompts, mixing at one or both layers, refresh on or
-    off, zero priors and a zero prototype."""
+    seed: 0-2 shared prompts, mixing at one or both layers, zero priors
+    and a zero prototype."""
     rng = np.random.default_rng(seed)
     mix_layers = ((1,), (2,), (1, 2))[seed % 3]
     cfg = ModelConfig(dim=4, layers=2, heads=2, patch_size=2,
-                      mix_layers=mix_layers, tau=0.5,
-                      refresh_mix=bool(seed % 2))
+                      mix_layers=mix_layers, tau=0.5)
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.from_arrays(
         rng.normal(scale=scale, size=(4, seed % 3)),
