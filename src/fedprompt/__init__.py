@@ -30,7 +30,6 @@ from .evaluation import (
 )
 from .federation import (
     ClientState,
-    ClientUpdate,
     RoundLog,
     ServerState,
     TrainConfig,
@@ -66,9 +65,9 @@ from .prototypes import (
 from .tensor import Tape, Tensor, cross_entropy, finite_diff_grad
 
 __all__ = [
-    "BackboneWeights", "ClientState", "ClientUpdate", "CommReport",
-    "ConfigError", "DataError", "Dataset", "EvalReport", "ModelConfig",
-    "Partition", "PromptParams", "PrototypeBank", "RoundLog", "ServerState",
+    "BackboneWeights", "ClientState", "CommReport", "ConfigError",
+    "DataError", "Dataset", "EvalReport", "ModelConfig", "Partition",
+    "PromptParams", "PrototypeBank", "RoundLog", "ServerState",
     "SyntheticSpec", "Tape", "Tensor", "TrainingError", "TrainConfig",
     "__version__", "add_laplace_noise", "aggregate_submissions",
     "build_clients", "comm_accounting", "compute_class_priors",

@@ -17,6 +17,7 @@ Exit status:
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -262,15 +263,25 @@ def _build_world(cfg: ExperimentConfig):
     return clients, backbone, heldout
 
 
-def _check_out_dir(path):
-    """ConfigError unless `path` is a directory or can become one: its
-    nearest existing ancestor must be a directory."""
+RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
+                 "prototypes.csv", "client_accuracy.csv", "final_report.json")
+PARTITION_ARTIFACTS = ("partition.csv", "label_histogram.csv", "config.json")
+
+
+def _check_out_dir(path, artifacts):
+    """ConfigError unless `path` is a directory or can become one (its
+    nearest existing ancestor must be a directory) and none of the
+    `artifacts` to be written in it is a directory."""
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{head} is not a directory")
+    for name in artifacts:
+        if os.path.isdir(os.path.join(path, name)):
+            raise ConfigError(f"cannot write {os.path.join(path, name)}: "
+                              "it is a directory")
 
 
 def _make_out_dir(path):
@@ -283,7 +294,7 @@ def _make_out_dir(path):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, RUN_ARTIFACTS)
     clients, backbone, heldout = _build_world(cfg)
     state, logs = run_training(clients, backbone, cfg.model, cfg.train,
                                cfg.seed, heldout=heldout)
@@ -337,6 +348,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
+    _check_out_dir(cfg.out_dir, PARTITION_ARTIFACTS)
     dataset = generate_synthetic(cfg.data, cfg.seed)
     partition = make_partition(dataset, cfg)
     # created only now, so a partition that fails leaves no directory behind
@@ -391,28 +403,65 @@ def _csv_value(where, row):
     return value
 
 
+def _set_once(seen, where, entry):
+    """Record that the line `where` set `entry`; DataError if a line did
+    before."""
+    if entry in seen:
+        raise DataError(f"{where}: repeats the entry of {entry}")
+    seen.add(entry)
+
+
+def _check_complete(path, seen, expected):
+    """DataError naming the first of the `expected` entries no line set."""
+    for entry in expected:
+        if entry not in seen:
+            raise DataError(f"{path}: no entry for {entry}")
+
+
 def _load_prompts_csv(path, state):
-    """Read prompt blocks written by `write_prompts_csv` into `state`."""
+    """Read prompt blocks written by `write_prompts_csv` into `state`: each
+    entry of the global blocks, and of the shared and class blocks of a
+    client with prompts of its own (personalized only), exactly once."""
+    own = state.participating if state.cfg.strategy == "personalized" else ()
+    entry = "block {!r} of client {} at row {}, col {}".format
+    seen = set()
     for where, row in _csv_rows(path, ["block", "client", "row", "col",
                                        "value"]):
         client = _csv_field(where, row, "client",
                             range(-1, len(state.clients)))
-        # a client's rows set every entry of its shared and class blocks
+        if client != -1 and client not in own:
+            raise DataError(f"{where}: client {client} trains no prompts of "
+                            f"its own under strategy {state.cfg.strategy!r}")
         params = (state.params if client == -1 else
                   state.personal.setdefault(client, state.params.copy()))
-        blocks = dict(params.blocks())
-        data = blocks[_csv_field(where, row, "block", blocks, str)].data
-        data[_csv_field(where, row, "row", range(data.shape[0])),
-             _csv_field(where, row, "col", range(data.shape[1]))] = (
-            _csv_value(where, row))
+        blocks = dict(params.blocks()[:3 if client == -1 else 2])
+        name = _csv_field(where, row, "block", blocks, str)
+        data = blocks[name].data
+        index = (_csv_field(where, row, "row", range(data.shape[0])),
+                 _csv_field(where, row, "col", range(data.shape[1])))
+        _set_once(seen, where, entry(name, client, *index))
+        data[index] = _csv_value(where, row)
+    _check_complete(path, seen, (
+        entry(name, client, *index)
+        for client, params in ((-1, state.params), *state.personal.items())
+        for name, block in params.blocks()[:3 if client == -1 else 2]
+        for index in itertools.product(*map(range, block.data.shape))))
 
 
 def _load_prototypes_csv(path, bank):
+    """Read the bank written by `write_prototypes_csv`, each entry once."""
+    entry = "layer {} at class {}, dim {}".format
+    seen = set()
     for where, row in _csv_rows(path, ["layer", "class", "dim", "value"]):
-        mu = bank.mu[_csv_field(where, row, "layer", bank.layers)]
-        mu[_csv_field(where, row, "class", range(mu.shape[0])),
-           _csv_field(where, row, "dim", range(mu.shape[1]))] = (
-            _csv_value(where, row))
+        layer = _csv_field(where, row, "layer", bank.layers)
+        mu = bank.mu[layer]
+        index = (_csv_field(where, row, "class", range(mu.shape[0])),
+                 _csv_field(where, row, "dim", range(mu.shape[1])))
+        _set_once(seen, where, entry(layer, *index))
+        mu[index] = _csv_value(where, row)
+    _check_complete(path, seen, (
+        entry(layer, *index) for layer in bank.layers
+        for index in itertools.product(*map(range, bank.mu[layer].shape))))
 
 
 def cmd_eval(args) -> int:
@@ -425,6 +474,8 @@ def cmd_eval(args) -> int:
         return path
 
     cfg = load_config(artifact("config.json"))
+    out_dir = args.out or run_dir
+    _check_out_dir(out_dir, ("eval_report.json",))
     clients, backbone, heldout = _build_world(cfg)
     state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
                         heldout)
@@ -436,7 +487,6 @@ def cmd_eval(args) -> int:
     payload = {"participating": report.to_dict()}
     if heldout_report is not None:
         payload["heldout"] = heldout_report.to_dict()
-    out_dir = args.out or run_dir
     _make_out_dir(out_dir)
     out_path = os.path.join(out_dir, "eval_report.json")
     with open(out_path, "w") as fh:

@@ -121,15 +121,6 @@ def build_clients(dataset, partition) -> list:
 
 
 @dataclass
-class ClientUpdate:
-    client_id: int
-    params: PromptParams  # the client's trained blocks
-    prototypes: dict
-    sensitivities: dict
-    mean_loss: float
-
-
-@dataclass
 class RoundLog:
     round: int
     train_loss: float | None
@@ -205,17 +196,12 @@ def _clip_global_norm(grads, threshold):
 
 def local_train(client: ClientState, params: PromptParams, consts: dict,
                 backbone, model_cfg: ModelConfig, cfg: TrainConfig,
-                seed: int, round_index: int) -> ClientUpdate:
-    """One client's round from `client_inputs`: prototype snapshot, then E
-    epochs of mini-batch SGD with momentum on the one copy of `params` that
-    the update carries.  Without mixing, `consts` is empty (no snapshot)."""
+                seed: int, round_index: int):
+    """E epochs of mini-batch SGD with momentum, from `client_inputs`, on one
+    copy of `params`; returns (that trained copy, mean batch loss)."""
     if client.num_train == 0:
         raise DataError(f"client {client.client_id} has no training data")
     params = params.copy()
-    protos, sens = {}, {}
-    if consts:
-        protos, sens = compute_client_prototypes(client, params, consts,
-                                                 backbone, model_cfg)
     rng = derive_rng(seed, "shuffle", round_index, client.client_id)
     lr_t = cfg.lr * cfg.lr_decay ** (round_index - 1)
     blocks = [block for _, block in params.blocks()]
@@ -249,23 +235,17 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
                 v *= cfg.momentum
                 v += g
                 b.data -= lr_t * v
-    return ClientUpdate(
-        client_id=client.client_id,
-        params=params,
-        prototypes=protos,
-        sensitivities=sens,
-        mean_loss=float(np.mean(losses)),
-    )
+    return params, float(np.mean(losses))
 
 
-def fedavg_aggregate(updates) -> PromptParams:
-    """Arithmetic mean of each parameter block, ascending client-id order."""
-    if not updates:
+def fedavg_aggregate(trained) -> PromptParams:
+    """Arithmetic mean of each block of the trained `PromptParams`, summed in
+    the order given (ascending client id in `run_round`)."""
+    if not trained:
         raise ConfigError("cannot aggregate an empty update list")
-    updates = sorted(updates, key=lambda u: u.client_id)
-    weights = np.ones(len(updates)) / len(updates)
+    weights = np.ones(len(trained)) / len(trained)
     blocks = []
-    for per_client in zip(*(u.params.blocks() for u in updates)):
+    for per_client in zip(*(p.blocks() for p in trained)):
         acc = np.zeros_like(per_client[0][1].data)
         for (_, block), w in zip(per_client, weights):
             acc += w * block.data
@@ -328,35 +308,40 @@ def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog
 
 
 def run_round(state: ServerState) -> RoundLog:
-    """Sample, broadcast, train locally, aggregate, sync prototypes."""
+    """Sample, broadcast, snapshot prototypes from the broadcast (under
+    mixing), train locally, aggregate, sync prototypes."""
     t = state.round + 1
     rng = derive_rng(state.seed, "sample", t)
     chosen = sample_clients(rng, state.participating, state.cfg.clients_per_round)
-    updates = [
-        local_train(state.clients[cid], *state.client_inputs(cid),
-                    state.backbone, state.model_cfg, state.cfg, state.seed, t)
-        for cid in chosen
-    ]
+    trained, losses, snapshots = [], [], []
+    for cid in chosen:
+        inputs = (state.clients[cid], *state.client_inputs(cid))
+        if state.bank is not None:
+            snapshots.append(compute_client_prototypes(
+                *inputs, state.backbone, state.model_cfg))
+        params, loss = local_train(*inputs, state.backbone, state.model_cfg,
+                                   state.cfg, state.seed, t)
+        trained.append(params)
+        losses.append(loss)
 
     if state.cfg.strategy == "personalized":
         # the global prompt blocks keep their initial values
         head = np.zeros_like(state.params.head.data)
-        for u in updates:
-            head += u.params.head.data
-            state.personal[u.client_id] = u.params
-        state.params = replace(state.params, head=te.Tensor(head / len(updates)))
+        for cid, params in zip(chosen, trained):
+            head += params.head.data
+            state.personal[cid] = params
+        state.params = replace(state.params, head=te.Tensor(head / len(trained)))
     else:
-        state.params = fedavg_aggregate(updates)
+        state.params = fedavg_aggregate(trained)
 
     if state.bank is not None:
-        for u in updates:
-            state.bank.submit(u.prototypes, u.sensitivities)
+        for protos, sens in snapshots:
+            state.bank.submit(protos, sens)
         if t % state.cfg.update_period == 0:
             state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
             _check_bank(state.bank, t)
     state.round = t
-    return _round_log(state, float(np.mean([u.mean_loss for u in updates])),
-                      chosen)
+    return _round_log(state, float(np.mean(losses)), chosen)
 
 
 def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,

@@ -305,18 +305,12 @@ def test_criterion_12_protocol_unit_suite():
     np.testing.assert_array_equal(agg2[0], [4.0, 4.0])
 
     # fedavg mean exact to 1e-15
-    from fedprompt.federation import ClientUpdate
     rng = np.random.default_rng(12)
     values = rng.normal(size=7)
-    updates = [
-        ClientUpdate(client_id=i,
-                     params=PromptParams.from_arrays(np.full((2, 1), v),
-                                                     np.full((2, 2), v),
-                                                     np.full((2, 2), v)),
-                     prototypes={}, sensitivities={}, mean_loss=0.0)
-        for i, v in enumerate(values)
-    ]
-    merged = fedavg_aggregate(updates)
+    trained = [PromptParams.from_arrays(np.full((2, 1), v), np.full((2, 2), v),
+                                        np.full((2, 2), v))
+               for v in values]
+    merged = fedavg_aggregate(trained)
     assert abs(merged.head.data[0, 0] - values.mean()) <= 1e-15
 
     # partition disjointness and coverage across 100 seeds

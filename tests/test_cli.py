@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fedprompt
+from fedprompt import cli
 from fedprompt.cli import (ExperimentConfig, load_config, main,
                            write_config_copy)
 from fedprompt.data import PartitionSpec, SyntheticSpec
@@ -67,8 +68,9 @@ class TestRunCommand:
         path, cfg = small_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 0
         out = tmp_path / "run"
-        for name in ARTIFACTS:
-            assert (out / name).exists(), name
+        # the names `run` checks before it trains are the files it writes
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        assert sorted(cli.RUN_ARTIFACTS) == sorted(ARTIFACTS)
         rows = read_metrics(out)
         assert len(rows) == cfg["train"]["rounds"] + 1
         assert rows[0]["round"] == "0" and rows[0]["train_loss"] == ""
@@ -342,7 +344,7 @@ class TestRunCommand:
 
 def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
                 partition=None, clients=2, heldout_fraction=0.0,
-                strategy="mixed", dp_epsilon=None):
+                strategy="mixed", dp_epsilon=None, rounds=1):
     """A run config small enough to train in a few milliseconds."""
     return {
         "data": {"classes": 3, "train_per_class": 3, "test_per_class": 2,
@@ -352,7 +354,7 @@ def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
                                    "classes_per_client": 2},
         "model": {"dim": 4, "layers": 2, "heads": 1, "patch_size": patch,
                   "mix_layers": [2]},
-        "train": {"clients": clients, "clients_per_round": 1, "rounds": 1,
+        "train": {"clients": clients, "clients_per_round": 1, "rounds": rounds,
                   "local_epochs": 1, "batch_size": 4, "strategy": strategy,
                   "dp_epsilon": dp_epsilon},
         "heldout_fraction": heldout_fraction,
@@ -361,9 +363,9 @@ def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
 
 @st.composite
 def tiny_configs(draw):
-    """`tiny_config`s under every strategy, with DP noise on or off under
-    mixing, whose checked fields each fall inside their limits or, one
-    draw in five, outside."""
+    """`tiny_config`s of 1 or 2 rounds under every strategy, with DP noise on
+    or off under mixing, whose checked fields each fall inside their limits
+    or, one draw in five, outside."""
     def pick(valid, invalid):
         crossed = draw(st.sampled_from([False, False, False, False, True]))
         return draw(st.sampled_from(invalid if crossed else valid))
@@ -386,7 +388,8 @@ def tiny_configs(draw):
         partition=partition,
         clients=pick([2, 1, 4], [0, -1]),
         heldout_fraction=pick([0.0, 0.34, 0.5], [0.01, 0.9, 1.0]),
-        strategy=strategy, dp_epsilon=dp_epsilon)
+        strategy=strategy, dp_epsilon=dp_epsilon,
+        rounds=draw(st.sampled_from([1, 2])))
 
 
 def with_examples(raws):
@@ -415,7 +418,8 @@ class TestConfigProperty:
     def test_run_exits_with_documented_status(self, raw):
         # a config is run or rejected with its exit code, never a traceback
         # or a warning (the suite turns warnings into errors); a run writes
-        # every artifact, and `eval` on it scores each client as the run did
+        # every artifact, a second run writes the same bytes, and `eval` on
+        # it scores each client as the run did
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "run"
             path = Path(tmp) / "config.json"
@@ -426,13 +430,18 @@ class TestConfigProperty:
                 return
             for name in ARTIFACTS:
                 assert (out / name).exists(), name
+            again = Path(tmp) / "again"
+            assert main(["run", "--config", str(path), "--out",
+                         str(again)]) == 0
+            for name in ("metrics.csv", "prompts.csv", "prototypes.csv"):
+                assert (again / name).read_bytes() == (out / name).read_bytes()
             assert main(["eval", "--run-dir", str(out)]) == 0
             final = json.loads((out / "final_report.json").read_text())
-            again = json.loads((out / "eval_report.json").read_text())
+            report = json.loads((out / "eval_report.json").read_text())
             for group in ("participating", "heldout"):
                 if final[group] is not None:
                     del final[group]["clients"]
-                assert again.get(group) == final[group], group
+                assert report.get(group) == final[group], group
 
 
 class TestGradcheckCommand:
@@ -570,12 +579,44 @@ class TestOutputDirectory:
         assert capsys.readouterr().err.startswith(
             f"config error: cannot create output directory {out}: ")
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "final_report.json"), ("partition", "config.json"),
+        ("eval", "eval_report.json")])
+    def test_artifact_path_that_is_a_directory_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, saved_run, command, artifact):
+        # each command writes `artifact` last: it must refuse before it
+        # trains, evaluates or writes anything
+        def fail(*args, **kwargs):
+            raise AssertionError("worked towards an output it cannot write")
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        monkeypatch.setattr(cli, "_evaluate", fail)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+
+        def listing():
+            return sorted((str(p.relative_to(out)), p.is_dir() or p.read_text())
+                          for p in out.rglob("*"))
+
+        before = listing()
+        if command == "eval":
+            argv = ["eval", "--run-dir", str(saved_run)]
+        else:
+            argv = [command, "--config", str(small_config(tmp_path)[0])]
+        assert main([*argv, "--out", str(out)]) == 2
+        message = f"cannot write {out / artifact}: it is a directory"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert listing() == before
+
 
 class TestPartitionCommand:
     def test_pathological_histogram_has_k_bins(self, tmp_path):
         path, _ = small_config(tmp_path)
         assert main(["partition", "--config", str(path)]) == 0
         out = tmp_path / "run"
+        assert (sorted(p.name for p in out.iterdir())
+                == sorted(cli.PARTITION_ARTIFACTS))
         with open(out / "label_histogram.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         per_client = {}
@@ -651,19 +692,36 @@ def saved_run(tmp_path_factory):
     return tmp / "run"
 
 
+@pytest.fixture(scope="module")
+def saved_personalized_run(tmp_path_factory):
+    """A 1-round personalized run of `small_config`: clients 2 and 3 are
+    heldout, and clients 4 and 5 trained prompts of their own."""
+    tmp = tmp_path_factory.mktemp("saved_personalized")
+    path, _ = small_config(tmp, heldout_fraction=0.34,
+                           train={"rounds": 1, "strategy": "personalized"})
+    assert main(["run", "--config", str(path)]) == 0
+    return tmp / "run"
+
+
 def edited_run(saved_run, tmp_path, name, line, column, value):
     """A copy of `saved_run` whose CSV `name` holds `value` at `column` of
     its `line` (1 is the header); None as the column drops that line's
-    last field."""
+    last field, "delete" drops the line, and "duplicate" inserts a copy of
+    the line before it as `line`."""
     run = tmp_path / "run"
     shutil.copytree(saved_run, run)
     lines = (run / name).read_text().splitlines()
-    fields = lines[line - 1].split(",")
-    if column is None:
-        fields.pop()
+    if column == "delete":
+        del lines[line - 1]
+    elif column == "duplicate":
+        lines.insert(line - 1, lines[line - 2])
     else:
-        fields[column] = value
-    lines[line - 1] = ",".join(fields)
+        fields = lines[line - 1].split(",")
+        if column is None:
+            fields.pop()
+        else:
+            fields[column] = value
+        lines[line - 1] = ",".join(fields)
     (run / name).write_text("\n".join(lines) + "\n")
     return run
 
@@ -717,39 +775,74 @@ class TestEvalCommand:
         after, _ = _evaluate(state)
         assert after.per_client == expected.per_client
 
-    @pytest.mark.parametrize("name, line, column, value, message", [
-        ("prompts.csv", 4, 4, "abc", "value must be a finite number, got 'abc'"),
-        ("prompts.csv", 4, 4, "inf", "value must be a finite number, got 'inf'"),
-        ("prompts.csv", 4, 4, "nan", "value must be a finite number, got 'nan'"),
-        ("prompts.csv", 4, 0, "bias",
-         "block must be one of ['shared', 'class', 'head'], got 'bias'"),
-        ("prompts.csv", 4, 1, "6", "client must be an integer in [-1, 6), "
-                                   "got '6'"),
-        ("prompts.csv", 4, 2, "99", "row must be an integer in [0, 8), "
-                                    "got '99'"),
-        ("prompts.csv", 4, 2, "-1", "row must be an integer in [0, 8), "
-                                    "got '-1'"),
-        ("prompts.csv", 4, 3, "1.5", "col must be an integer in [0, 1), "
-                                     "got '1.5'"),
-        ("prompts.csv", 4, None, None, "value must be a finite number, "
-                                       "got None"),
-        ("prompts.csv", 1, 4, "val", "expected the columns "
-                                     "block,client,row,col,value"),
-        ("prototypes.csv", 4, 0, "9", "layer must be one of [2], got '9'"),
-        ("prototypes.csv", 4, 1, "-1", "class must be an integer in [0, 4), "
-                                       "got '-1'"),
-        ("prototypes.csv", 4, 2, "8", "dim must be an integer in [0, 8), "
-                                      "got '8'"),
-        ("prototypes.csv", 4, 3, "abc",
+    @pytest.mark.parametrize("strategy, name, line, column, value, message", [
+        ("mixed", "prompts.csv", 4, 4, "abc",
          "value must be a finite number, got 'abc'"),
+        ("mixed", "prompts.csv", 4, 4, "inf",
+         "value must be a finite number, got 'inf'"),
+        ("mixed", "prompts.csv", 4, 4, "nan",
+         "value must be a finite number, got 'nan'"),
+        ("mixed", "prompts.csv", 4, 0, "bias",
+         "block must be one of ['shared', 'class', 'head'], got 'bias'"),
+        ("mixed", "prompts.csv", 4, 1, "6",
+         "client must be an integer in [-1, 6), got '6'"),
+        ("mixed", "prompts.csv", 4, 2, "99",
+         "row must be an integer in [0, 8), got '99'"),
+        ("mixed", "prompts.csv", 4, 2, "-1",
+         "row must be an integer in [0, 8), got '-1'"),
+        ("mixed", "prompts.csv", 4, 3, "1.5",
+         "col must be an integer in [0, 1), got '1.5'"),
+        ("mixed", "prompts.csv", 4, None, None,
+         "value must be a finite number, got None"),
+        ("mixed", "prompts.csv", 1, 4, "val",
+         "expected the columns block,client,row,col,value"),
+        ("mixed", "prototypes.csv", 4, 0, "9",
+         "layer must be one of [2], got '9'"),
+        ("mixed", "prototypes.csv", 4, 1, "-1",
+         "class must be an integer in [0, 4), got '-1'"),
+        ("mixed", "prototypes.csv", 4, 2, "8",
+         "dim must be an integer in [0, 8), got '8'"),
+        ("mixed", "prototypes.csv", 4, 3, "abc",
+         "value must be a finite number, got 'abc'"),
+        # an entry no line sets would keep its initial value
+        ("mixed", "prompts.csv", 3, "delete", None,
+         "no entry for block 'shared' of client -1 at row 1, col 0"),
+        ("mixed", "prototypes.csv", 5, "delete", None,
+         "no entry for layer 2 at class 0, dim 3"),
+        ("personalized", "prompts.csv", 3, "delete", None,
+         "no entry for block 'shared' of client -1 at row 1, col 0"),
+        ("personalized", "prompts.csv", 74, "delete", None,
+         "no entry for block 'shared' of client 4 at row 0, col 0"),
+        ("personalized", "prototypes.csv", 5, "delete", None,
+         "no entry for layer 2 at class 0, dim 3"),
+        # a repeated entry: the last line would win
+        ("mixed", "prompts.csv", 4, "duplicate", None,
+         "repeats the entry of block 'shared' of client -1 at row 1, col 0"),
+        ("mixed", "prototypes.csv", 4, "duplicate", None,
+         "repeats the entry of layer 2 at class 0, dim 1"),
+        ("personalized", "prompts.csv", 75, "duplicate", None,
+         "repeats the entry of block 'shared' of client 4 at row 0, col 0"),
+        # rows `run` never writes: a client's own prompts outside
+        # `personalized` or for a heldout client, and a client's own head
+        ("mixed", "prompts.csv", 4, 1, "3",
+         "client 3 trains no prompts of its own under strategy 'mixed'"),
+        ("personalized", "prompts.csv", 74, 1, "2",
+         "client 2 trains no prompts of its own under strategy "
+         "'personalized'"),
+        ("personalized", "prompts.csv", 74, 0, "head",
+         "block must be one of ['shared', 'class'], got 'head'"),
     ])
     def test_malformed_saved_csv_is_a_data_error(
-            self, tmp_path, capsys, saved_run, name, line, column, value,
-            message):
-        run = edited_run(saved_run, tmp_path, name, line, column, value)
+            self, tmp_path, capsys, request, strategy, name, line, column,
+            value, message):
+        saved = request.getfixturevalue(
+            "saved_run" if strategy == "mixed" else "saved_personalized_run")
+        run = edited_run(saved, tmp_path, name, line, column, value)
         assert main(["eval", "--run-dir", str(run)]) == 2
-        assert capsys.readouterr().err == (
-            f"data error: {run / name} line {line}: {message}\n")
+        # a missing entry is found after the last line, so no line is named
+        where = (run / name if column == "delete"
+                 else f"{run / name} line {line}")
+        assert capsys.readouterr().err == f"data error: {where}: {message}\n"
         assert not (run / "eval_report.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -880,6 +973,20 @@ def test_config_roundtrip(tmp_path, path):
     path2 = tmp_path / "resolved.json"
     path2.write_text(json.dumps(resolved))
     assert load_config(str(path2)).to_dict() == resolved
+
+
+def test_all_lists_exactly_the_public_imports():
+    # `__init__`'s imports and its `__all__` are kept by hand, side by side
+    import inspect
+
+    exported = fedprompt.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert hasattr(fedprompt, name), name
+    public = {name for name, value in vars(fedprompt).items()
+              if not name.startswith("_")
+              and (inspect.isclass(value) or inspect.isfunction(value))}
+    assert public == set(exported) - {"__version__"}
 
 
 def test_readme_config_block_names_every_field():

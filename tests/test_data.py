@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedprompt.data import (
     SyntheticSpec,
@@ -164,3 +165,50 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "client,sample_index,label,split"
         assert len(lines) == 1 + ds.num_train + ds.test_y.size
+
+
+@st.composite
+def tiny_partitions(draw):
+    """(dataset, partition maker) on 1-6 classes of 1-4 train and test
+    samples each, over 1-8 clients: Dirichlet with a log-uniform beta over
+    the whole positive double range, or pathological with any k."""
+    classes = draw(st.integers(1, 6))
+    spec = SyntheticSpec(classes=classes,
+                         train_per_class=draw(st.integers(1, 4)),
+                         test_per_class=draw(st.integers(1, 4)), image_size=1)
+    ds = generate_synthetic(spec, draw(st.integers(0, 2**16)))
+    clients, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        beta = draw(st.sampled_from([5e-324, 1e300])
+                    | st.floats(-323.3, 300.0).map(
+                        lambda e: max(10.0 ** e, 5e-324)))
+        return ds, lambda: partition_dirichlet(ds, clients, beta, seed)
+    k = draw(st.integers(1, classes))
+    return ds, lambda: partition_pathological(ds, clients, k, seed)
+
+
+class TestPartitionProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(tiny_partitions())
+    def test_rejected_or_exact_cover_with_exact_priors(self, drawn):
+        # every draw is refused with a ConfigError or assigns each sample
+        # once, with each train shard's priors its exact label frequencies
+        ds, make = drawn
+        try:
+            part = make()
+        except ConfigError:
+            return
+        for shards, labels in ((part.train_indices, ds.train_y),
+                               (part.test_indices, ds.test_y)):
+            assert len(shards) == part.num_clients
+            assert sorted(np.concatenate(shards).tolist()) == list(
+                range(labels.size))
+        assert len(part.priors) == part.num_clients
+        for ix, priors in zip(part.train_indices, part.priors):
+            if ix.size == 0:
+                assert np.array_equal(priors, np.zeros(ds.classes))
+                continue
+            counts = np.bincount(ds.train_y[ix], minlength=ds.classes)
+            assert np.array_equal(priors, counts / ix.size)
+            assert abs(priors.sum() - 1.0) <= 1e-12

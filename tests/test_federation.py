@@ -107,12 +107,12 @@ class TestLocalTrain:
         cfg = tiny_cfg(lr=0.0, local_epochs=3)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
         warm_startup(state)
-        update = local_train(clients[0], state.params,
-                             state.client_inputs(0)[1], backbone,
-                             state.model_cfg, cfg, seed=3, round_index=1)
-        np.testing.assert_array_equal(update.params.shared.data,
+        trained, _ = local_train(clients[0], state.params,
+                                 state.client_inputs(0)[1], backbone,
+                                 state.model_cfg, cfg, seed=3, round_index=1)
+        np.testing.assert_array_equal(trained.shared.data,
                                       state.params.shared.data)
-        np.testing.assert_array_equal(update.params.head.data,
+        np.testing.assert_array_equal(trained.head.data,
                                       state.params.head.data)
 
     def test_given_params_left_bit_for_bit_unchanged(self):
@@ -125,11 +125,11 @@ class TestLocalTrain:
         params, consts = state.client_inputs(0)
         assert params is state.params
         before = [block.data.tobytes() for _, block in params.blocks()]
-        update = local_train(clients[0], params, consts, backbone,
-                             state.model_cfg, cfg, seed=3, round_index=1)
+        trained, _ = local_train(clients[0], params, consts, backbone,
+                                 state.model_cfg, cfg, seed=3, round_index=1)
         assert [block.data.tobytes() for _, block in params.blocks()] == before
-        assert update.params is not params
-        assert update.params.head.data.tobytes() != before[2]
+        assert trained is not params
+        assert trained.head.data.tobytes() != before[2]
 
     def test_single_step_matches_closed_form_head_update(self):
         # one sample, one epoch, huge clip, zero momentum history:
@@ -167,9 +167,9 @@ class TestLocalTrain:
         p[1] -= 1.0
         expected_head = start.head.data - cfg.lr * np.outer(p, cls_final)
 
-        update = local_train(client, start, consts, backbone, cfg_model, cfg,
-                             seed=11, round_index=1)
-        np.testing.assert_allclose(update.params.head.data, expected_head,
+        trained, _ = local_train(client, start, consts, backbone, cfg_model,
+                                 cfg, seed=11, round_index=1)
+        np.testing.assert_allclose(trained.head.data, expected_head,
                                    atol=1e-12)
 
     def test_loss_decreases_on_separable_shard(self):
@@ -191,9 +191,9 @@ class TestLocalTrain:
             return total / client.num_train
 
         before = shard_loss(state.params)
-        update = local_train(client, state.params, consts, backbone,
-                             state.model_cfg, cfg, seed=4, round_index=1)
-        after = shard_loss(update.params)
+        trained, _ = local_train(client, state.params, consts, backbone,
+                                 state.model_cfg, cfg, seed=4, round_index=1)
+        after = shard_loss(trained)
         assert after <= before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -225,30 +225,23 @@ class TestLocalTrain:
 
 
 class TestFedAvg:
-    def _update(self, cid, value):
-        from fedprompt.federation import ClientUpdate
-        return ClientUpdate(
-            client_id=cid,
-            params=PromptParams.from_arrays(np.full((2, 1), float(value)),
-                                            np.full((2, 3), float(value)),
-                                            np.full((3, 2), float(value))),
-            prototypes={}, sensitivities={}, mean_loss=0.0)
+    def _trained(self, value):
+        return PromptParams.from_arrays(np.full((2, 1), float(value)),
+                                        np.full((2, 3), float(value)),
+                                        np.full((3, 2), float(value)))
 
     def test_mean_of_two(self):
-        out = fedavg_aggregate([self._update(0, 2.0), self._update(1, 4.0)])
+        out = fedavg_aggregate([self._trained(2.0), self._trained(4.0)])
         np.testing.assert_array_equal(out.head.data, np.full((3, 2), 3.0))
 
     def test_idempotent_on_identical(self):
-        out = fedavg_aggregate([self._update(0, 5.0), self._update(1, 5.0)])
+        out = fedavg_aggregate([self._trained(5.0), self._trained(5.0)])
         np.testing.assert_array_equal(out.shared.data, np.full((2, 1), 5.0))
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(5)
-        updates = []
         values = rng.normal(size=5)
-        for cid, v in enumerate(values):
-            updates.append(self._update(cid, v))
-        out = fedavg_aggregate(updates)
+        out = fedavg_aggregate([self._trained(v) for v in values])
         expected = values.mean()
         assert abs(out.head.data[0, 0] - expected) < 1e-15
 
@@ -256,9 +249,8 @@ class TestFedAvg:
         rng = np.random.default_rng(6)
         values = rng.normal(size=4)
         alpha = 2.5
-        base = fedavg_aggregate([self._update(i, v) for i, v in enumerate(values)])
-        scaled = fedavg_aggregate(
-            [self._update(i, alpha * v) for i, v in enumerate(values)])
+        base = fedavg_aggregate([self._trained(v) for v in values])
+        scaled = fedavg_aggregate([self._trained(alpha * v) for v in values])
         np.testing.assert_allclose(scaled.head.data, alpha * base.head.data,
                                    atol=1e-12)
 
@@ -290,14 +282,14 @@ class TestRounds:
         warm_startup(state)
         broadcast = state.params.copy()
         consts = score_constants(state.model_cfg, state.bank, clients[0].priors)
-        expected = local_train(clients[0], broadcast, consts, backbone,
-                               state.model_cfg, cfg, seed=8, round_index=1)
+        expected, _ = local_train(clients[0], broadcast, consts, backbone,
+                                  state.model_cfg, cfg, seed=8, round_index=1)
         log = run_round(state)
         assert log.participants == (0,)
         np.testing.assert_array_equal(state.params.head.data,
-                                      expected.params.head.data)
+                                      expected.head.data)
         np.testing.assert_array_equal(state.params.shared.data,
-                                      expected.params.shared.data)
+                                      expected.shared.data)
 
     def test_clients_read_the_server_blocks(self):
         # broadcasting hands out the server's own blocks: a sampled client
