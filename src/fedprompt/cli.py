@@ -181,44 +181,56 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_metrics_csv(logs, path):
+def _write_rows(path, columns, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "train_loss", "mean_acc", "worst_acc",
-                         "heldout_mean_acc", "heldout_worst_acc"])
-        for log in logs:
-            writer.writerow([
-                log.round, _fmt(log.train_loss), _fmt(log.mean_acc),
-                _fmt(log.worst_acc), _fmt(log.heldout_mean_acc),
-                _fmt(log.heldout_worst_acc),
-            ])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(logs, path):
+    _write_rows(path, ["round", "train_loss", "mean_acc", "worst_acc",
+                       "heldout_mean_acc", "heldout_worst_acc"], (
+        [log.round, _fmt(log.train_loss), _fmt(log.mean_acc),
+         _fmt(log.worst_acc), _fmt(log.heldout_mean_acc),
+         _fmt(log.heldout_worst_acc)] for log in logs))
+
+
+PROMPTS_COLUMNS = ["block", "client", "row", "col", "value"]
+PROTOTYPES_COLUMNS = ["layer", "class", "dim", "value"]
+
+
+def _prompt_blocks(state):
+    """The blocks of prompts.csv in row order: (client, {block name: array})
+    for the global blocks as client -1, then for the shared and class
+    blocks of each client in `state.personal`."""
+    yield -1, {name: block.data for name, block in state.params.blocks()}
+    for cid in sorted(state.personal):
+        yield cid, {name: block.data
+                    for name, block in state.personal[cid].blocks()[:2]}
+
+
+def _bank_layers(bank):
+    """The matrices of prototypes.csv in row order: (layer, its class means)
+    over the bank's layers, and none without a bank."""
+    return [] if bank is None else [(l, bank.mu[l]) for l in bank.layers]
+
+
+def _indices(matrix):
+    return itertools.product(*map(range, matrix.shape))
 
 
 def write_prompts_csv(state, path):
-    """Global prompt blocks (client -1) plus any per-client blocks."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "client", "row", "col", "value"])
-
-        def emit(name, client, matrix):
-            for r in range(matrix.shape[0]):
-                for c in range(matrix.shape[1]):
-                    writer.writerow([name, client, r, c, repr(float(matrix[r, c]))])
-
-        for name, block in state.params.blocks():
-            emit(name, -1, block.data)
-        for cid in sorted(state.personal):
-            for name, block in state.personal[cid].blocks()[:2]:  # no head
-                emit(name, cid, block.data)
+    _write_rows(path, PROMPTS_COLUMNS, (
+        [name, client, *index, repr(float(data[index]))]
+        for client, blocks in _prompt_blocks(state)
+        for name, data in blocks.items() for index in _indices(data)))
 
 
 def write_prototypes_csv(bank, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "class", "dim", "value"])
-        if bank is not None:
-            for layer, cls, dim, value in bank.export_rows():
-                writer.writerow([layer, cls, dim, repr(float(value))])
+    _write_rows(path, PROTOTYPES_COLUMNS, (
+        [layer, *index, repr(float(mu[index]))]
+        for layer, mu in _bank_layers(bank) for index in _indices(mu)))
 
 
 def write_config_copy(cfg: ExperimentConfig, path):
@@ -355,13 +367,9 @@ def cmd_partition(args) -> int:
     _make_out_dir(cfg.out_dir)
     partition.write_csv(dataset, os.path.join(cfg.out_dir, "partition.csv"))
     hist = label_histograms(dataset, partition)
-    with open(os.path.join(cfg.out_dir, "label_histogram.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client", "class", "count"])
-        for client in range(hist.shape[0]):
-            for cls in range(hist.shape[1]):
-                writer.writerow([client, cls, int(hist[client, cls])])
+    _write_rows(os.path.join(cfg.out_dir, "label_histogram.csv"),
+                ["client", "class", "count"],
+                ([*index, int(hist[index])] for index in _indices(hist)))
     write_config_copy(cfg, os.path.join(cfg.out_dir, "config.json"))
     print(f"partition written to {cfg.out_dir}")
     return 0
@@ -419,49 +427,43 @@ def _check_complete(path, seen, expected):
 
 
 def _load_prompts_csv(path, state):
-    """Read prompt blocks written by `write_prompts_csv` into `state`: each
-    entry of the global blocks, and of the shared and class blocks of a
-    client with prompts of its own (personalized only), exactly once."""
-    own = state.participating if state.cfg.strategy == "personalized" else ()
+    """Read into `state` each entry of `_prompt_blocks` exactly once."""
+    walk = dict(_prompt_blocks(state))
     entry = "block {!r} of client {} at row {}, col {}".format
     seen = set()
-    for where, row in _csv_rows(path, ["block", "client", "row", "col",
-                                       "value"]):
+    for where, row in _csv_rows(path, PROMPTS_COLUMNS):
         client = _csv_field(where, row, "client",
                             range(-1, len(state.clients)))
-        if client != -1 and client not in own:
+        if client not in walk:
             raise DataError(f"{where}: client {client} trains no prompts of "
                             f"its own under strategy {state.cfg.strategy!r}")
-        params = (state.params if client == -1 else
-                  state.personal.setdefault(client, state.params.copy()))
-        blocks = dict(params.blocks()[:3 if client == -1 else 2])
-        name = _csv_field(where, row, "block", blocks, str)
-        data = blocks[name].data
+        name = _csv_field(where, row, "block", walk[client], str)
+        data = walk[client][name]
         index = (_csv_field(where, row, "row", range(data.shape[0])),
                  _csv_field(where, row, "col", range(data.shape[1])))
         _set_once(seen, where, entry(name, client, *index))
         data[index] = _csv_value(where, row)
     _check_complete(path, seen, (
-        entry(name, client, *index)
-        for client, params in ((-1, state.params), *state.personal.items())
-        for name, block in params.blocks()[:3 if client == -1 else 2]
-        for index in itertools.product(*map(range, block.data.shape))))
+        entry(name, client, *index) for client, blocks in walk.items()
+        for name, data in blocks.items() for index in _indices(data)))
 
 
 def _load_prototypes_csv(path, bank):
-    """Read the bank written by `write_prototypes_csv`, each entry once."""
+    """Read into `bank` (None under `shared_only`) each entry of
+    `_bank_layers` exactly once."""
+    walk = dict(_bank_layers(bank))
     entry = "layer {} at class {}, dim {}".format
     seen = set()
-    for where, row in _csv_rows(path, ["layer", "class", "dim", "value"]):
-        layer = _csv_field(where, row, "layer", bank.layers)
-        mu = bank.mu[layer]
+    for where, row in _csv_rows(path, PROTOTYPES_COLUMNS):
+        layer = _csv_field(where, row, "layer", walk)
+        mu = walk[layer]
         index = (_csv_field(where, row, "class", range(mu.shape[0])),
                  _csv_field(where, row, "dim", range(mu.shape[1])))
         _set_once(seen, where, entry(layer, *index))
         mu[index] = _csv_value(where, row)
     _check_complete(path, seen, (
-        entry(layer, *index) for layer in bank.layers
-        for index in itertools.product(*map(range, bank.mu[layer].shape))))
+        entry(layer, *index) for layer, mu in walk.items()
+        for index in _indices(mu)))
 
 
 def cmd_eval(args) -> int:
@@ -480,8 +482,7 @@ def cmd_eval(args) -> int:
     state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
                         heldout)
     _load_prompts_csv(artifact("prompts.csv"), state)
-    if state.bank is not None:
-        _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
+    _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 
     report, heldout_report = _evaluate(state)
     payload = {"participating": report.to_dict()}

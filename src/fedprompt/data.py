@@ -45,6 +45,9 @@ class SyntheticSpec:
                     f"data {key} must be {rule}, got {getattr(self, key)}")
 
 
+MODES = ("pathological", "dirichlet")
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """The partitioner and the one parameter it reads: k for
@@ -57,7 +60,7 @@ class PartitionSpec:
     beta: float = None
 
     def __post_init__(self):
-        if self.mode not in ("pathological", "dirichlet"):
+        if self.mode not in MODES:
             raise ConfigError(f"partition.mode must be 'pathological' or "
                               f"'dirichlet', got {self.mode!r}")
         needed, unread = (("classes_per_client", "beta")
@@ -91,13 +94,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     centers = rng.normal(0.0, spec.separation, size=(spec.classes, pixels))
 
     def draw(per_class):
-        xs, ys = [], []
-        for c in range(spec.classes):
-            noise = rng.normal(0.0, spec.noise, size=(per_class, pixels))
-            for i in range(per_class):
-                xs.append((centers[c] + noise[i]).reshape(size, size))
-                ys.append(c)
-        return np.stack(xs), np.asarray(ys, dtype=np.int64)
+        xs = [centers[c] + rng.normal(0.0, spec.noise, size=(per_class, pixels))
+              for c in range(spec.classes)]
+        return (np.concatenate(xs).reshape(-1, size, size),
+                np.repeat(np.arange(spec.classes, dtype=np.int64), per_class))
 
     train_x, train_y = draw(spec.train_per_class)
     test_x, test_y = draw(spec.test_per_class)
@@ -116,19 +116,16 @@ class Partition:
     def num_clients(self) -> int:
         return len(self.train_indices)
 
-    def export_rows(self, dataset: Dataset):
-        for client, idx in enumerate(self.train_indices):
-            for i in idx:
-                yield client, int(i), int(dataset.train_y[i]), "train"
-        for client, idx in enumerate(self.test_indices):
-            for i in idx:
-                yield client, int(i), int(dataset.test_y[i]), "test"
-
     def write_csv(self, dataset: Dataset, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["client", "sample_index", "label", "split"])
-            writer.writerows(self.export_rows(dataset))
+            for split, shards, labels in (
+                    ("train", self.train_indices, dataset.train_y),
+                    ("test", self.test_indices, dataset.test_y)):
+                writer.writerows((client, int(i), int(labels[i]), split)
+                                 for client, idx in enumerate(shards)
+                                 for i in idx)
 
 
 def _finish(dataset, train_lists, test_lists):

@@ -143,7 +143,8 @@ class ServerState:
     cfg: TrainConfig
     seed: int
     round: int = 0
-    # client id -> its trained PromptParams, under `personalized` only
+    # client id -> its own PromptParams: under `personalized`, one for each
+    # participating client, its initial blocks until it trains
     personal: dict = field(default_factory=dict)
 
     def broadcast_params(self, cid: int) -> PromptParams:
@@ -347,9 +348,10 @@ def run_round(state: ServerState) -> RoundLog:
 def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, heldout=()) -> ServerState:
     """Initial server state: the one place the strategy picks the effective
-    model config and the prototype bank, with the DP budget as its
-    `epsilon`.  The returned state then answers, through `client_inputs`,
-    what each client trains and is evaluated with."""
+    model config, the prototype bank, with the DP budget as its `epsilon`,
+    and the clients with prompts of their own.  The returned state then
+    answers, through `client_inputs`, what each client trains and is
+    evaluated with."""
     mixing = cfg.strategy != "shared_only"
     heldout = tuple(sorted(int(h) for h in heldout))
     participating = tuple(c.client_id for c in clients
@@ -395,7 +397,9 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
     return ServerState(
         params=params, bank=bank, clients=clients,
         participating=participating, heldout=heldout,
-        model_cfg=model_cfg, backbone=backbone, cfg=cfg, seed=seed)
+        model_cfg=model_cfg, backbone=backbone, cfg=cfg, seed=seed,
+        personal={cid: params.copy() for cid in participating
+                  if cfg.strategy == "personalized"})
 
 
 def run_training(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,

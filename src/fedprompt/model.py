@@ -175,7 +175,8 @@ _GELU_3A = te.scalar(3 * 0.044715)
 class _Kept:
     """What the block's map reads: the layer norms' outputs, the QKV
     product and its per-head views, the attention and the GELU factors.
-    Untaped, the workspace's own set; taped, one lent from its free list."""
+    Untaped, the workspace's own set; taped, one taken from its free list,
+    which the map puts back as its last step."""
 
     __slots__ = ("xhat1", "inv1", "qkv", "q", "k", "v", "k_t", "v_t", "attn",
                  "attn_t", "xhat2", "inv2", "u2", "t", "half_u", "one_t")
@@ -229,8 +230,9 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     finite-difference suite checks it end to end.
 
     Every ufunc writes with `out=` into the workspace of the block's shape,
-    and what the map reads into a `_Kept` set, lent to a tape until its
-    backward.  The output and the map's result are fresh arrays.
+    and what the map reads into a `_Kept` set, which the map puts back in
+    the free list after its last read: `Tape.backward` runs each map at
+    most once.  The output and the map's result are fresh arrays.
     """
     tokens, d = x.shape
     hidden = blk.w_up.shape[1]
@@ -238,7 +240,6 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     kp = ws.kept
     if tape is not None:
         kp = ws.free.pop() if ws.free else _Kept(tokens, d, heads, hidden)
-        tape.lend(ws.free, kp)
 
     te.norm_rows(x, kp.xhat1, kp.inv1, ws.norm)
     # one GEMM for Q, K and V
@@ -307,6 +308,7 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
         np.matmul(kp.attn_t, ws.do_heads, by_head)
         np.add(dh1, np.matmul(merged, wv_t, part), dh1)
         dx = te.norm_rows_backward(dh1, kp.xhat1, kp.inv1, None, ws.norm)
+        ws.free.append(kp)
         return np.add(dx1, dx, dx)
 
     tape.record(backward)

@@ -305,10 +305,3 @@ class PrototypeBank:
             self.mu[layer][c] = add_laplace_noise(
                 self.mu[layer][c], float(sens[:, c].max()), self.epsilon, rng
             )
-
-    def export_rows(self):
-        """Yield (layer, class, dim, value) rows for CSV export."""
-        for l in self.layers:
-            for c in range(self.num_classes):
-                for d in range(self.dim):
-                    yield l, c, d, self.mu[l][c, d]

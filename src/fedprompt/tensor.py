@@ -31,7 +31,7 @@ class Tape:
     """The backward maps of one forward pass, in the order recorded."""
 
     def __init__(self):
-        self._ops, self._lent = [], []
+        self._ops = []
         self._used = False
 
     def __enter__(self):
@@ -46,12 +46,8 @@ class Tape:
     def record(self, backward_map):
         self._ops.append(backward_map)
 
-    def lend(self, free, item):
-        """Give `item` back to the list `free` once `backward` has run all maps."""
-        self._lent.append((free, item))
-
     def backward(self):
-        """Seed d(loss)/d(loss) = 1 and pass it through every map in
+        """Seed d(loss)/d(loss) = 1 and pass it through each map once, in
         reverse; returns what the first recorded map returned."""
         if self._used:
             raise RuntimeError("tape already consumed; tapes are single-use")
@@ -59,8 +55,6 @@ class Tape:
         grad = 1.0
         for backward_map in reversed(self._ops):
             grad = backward_map(grad)
-        for free, item in self._lent:
-            free.append(item)
         return grad
 
 
@@ -96,9 +90,9 @@ LAYER_NORM_EPS = scalar(1e-5)
 class Workspaces(dict):
     """A kernel's workspaces, one per shape, each built by `build(*shape)`
     on first use: its temporaries and the views it indexes.  What a kernel
-    returns is fresh, and what a map captures is fresh or lent to its tape
-    until the tape's backward (`Tape.lend`), so no later call of any shape
-    changes a result or a recorded map.  Kernels run one at a time."""
+    returns is fresh, and what a map captures is fresh or held by that map
+    alone until it has run, so no later call of any shape changes a result
+    or a recorded map.  Kernels run one at a time."""
 
     def __init__(self, build):
         self.build = build

@@ -2,13 +2,17 @@ import copy
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +23,9 @@ import fedprompt
 from fedprompt import cli
 from fedprompt.cli import (ExperimentConfig, load_config, main,
                            write_config_copy)
-from fedprompt.data import PartitionSpec, SyntheticSpec
+from fedprompt.data import MODES, PartitionSpec, SyntheticSpec
 from fedprompt.errors import ConfigError
-from fedprompt.federation import STRATEGIES, TrainConfig
+from fedprompt.federation import STRATEGIES, UNREAD_KEYS, TrainConfig
 from fedprompt.model import ModelConfig
 
 
@@ -342,54 +346,103 @@ class TestRunCommand:
         assert not (tmp_path / "run").exists()
 
 
-def tiny_config(patch=2, image_size=4, separation=1.0, noise=1.0,
-                partition=None, clients=2, heldout_fraction=0.0,
-                strategy="mixed", dp_epsilon=None, rounds=1):
+def tiny_config(partition=None, clients=2, heldout_fraction=0.0,
+                strategy="mixed", dp_epsilon=None):
     """A run config small enough to train in a few milliseconds."""
     return {
         "data": {"classes": 3, "train_per_class": 3, "test_per_class": 2,
-                 "image_size": image_size, "separation": separation,
-                 "noise": noise},
+                 "image_size": 4, "separation": 1.0, "noise": 1.0},
         "partition": partition or {"mode": "pathological",
                                    "classes_per_client": 2},
-        "model": {"dim": 4, "layers": 2, "heads": 1, "patch_size": patch,
+        "model": {"dim": 4, "layers": 2, "heads": 1, "patch_size": 2,
                   "mix_layers": [2]},
-        "train": {"clients": clients, "clients_per_round": 1, "rounds": rounds,
+        "train": {"clients": clients, "clients_per_round": 1, "rounds": 1,
                   "local_epochs": 1, "batch_size": 4, "strategy": strategy,
                   "dp_epsilon": dp_epsilon},
         "heldout_fraction": heldout_fraction,
     }
 
 
+# the fields of each config section, walked as `cli._read` reads them;
+# the model comes first, since the data's image size depends on it
+SECTIONS = {"model": ModelConfig, "data": SyntheticSpec,
+            "partition": PartitionSpec, "train": TrainConfig,
+            "": ExperimentConfig}
+# values of a field that a tiny run affords, the likeliest first, and
+# values outside its checked range; a float field not named accepts
+# (0, 1) and rejects -1 and infinity
+TINY = {"classes": ([3, 2, 1], [0]), "train_per_class": ([3, 1, 4], [0]),
+        "test_per_class": ([2, 1], [0]), "layers": ([2, 1], [0]),
+        "heads": ([1, 2], [0]), "patch_size": ([2, 3, 1], [0]),
+        "classes_per_client": ([2, 1, 3], [0, 4]),
+        "clients_per_round": ([1, 2], [0]), "rounds": ([1, 2, 0], [-1]),
+        "local_epochs": ([1, 2], [0]), "batch_size": ([4, 1, 2], [0]),
+        "update_period": ([1, 2], [0]), "shared_prompts": ([1, 0, 2], [-1]),
+        "seed": ([0, 1, 7], [-1]), "clients": ([3, 4, 2, 1], [0, -1]),
+        "separation": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
+        "noise": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
+        "beta": ([0.5, 1e-3, 100.0], [0.0, -1.0]),
+        "heldout_fraction": ([0.0, 0.34, 0.5], [1.0, 0.01, 0.9])}
+# integer fields drawn as 1 or 2 times another field
+MULTIPLES = {"dim": "heads", "image_size": "patch_size"}
+
+
+def tiny_value(draw, name, kind, drawn, crossed):
+    """A value of the field `name` of type `kind` that a tiny run affords,
+    or, if `crossed`, one outside its checked range; `drawn` holds the
+    fields drawn before it."""
+    if isinstance(kind, types.UnionType):  # `float | None`: None is unset
+        if not crossed and draw(st.booleans()):
+            return None
+        kind = typing.get_args(kind)[0]
+    if name in MULTIPLES:
+        base = drawn[MULTIPLES[name]]
+        valid, invalid = st.sampled_from([2 * base, base]), [0, -base]
+    elif kind is tuple:  # mix_layers: distinct layers of the model
+        layers = max(drawn["layers"], 1)  # a crossed `layers` is 0
+        valid = st.lists(st.integers(1, layers), min_size=1, max_size=layers,
+                         unique=True)
+        invalid = [[0], [layers + 1]]
+    elif name in TINY:
+        valid, invalid = st.sampled_from(TINY[name][0]), TINY[name][1]
+    else:
+        assert kind is float, name
+        valid, invalid = st.floats(0.05, 0.95), [-1.0, math.inf]
+    return draw(st.sampled_from(invalid) if crossed else valid)
+
+
 @st.composite
 def tiny_configs(draw):
-    """`tiny_config`s of 1 or 2 rounds under every strategy, with DP noise on
-    or off under mixing, whose checked fields each fall inside their limits
-    or, one draw in five, outside."""
-    def pick(valid, invalid):
-        crossed = draw(st.sampled_from([False, False, False, False, True]))
-        return draw(st.sampled_from(invalid if crossed else valid))
-
-    patch = draw(st.sampled_from([2, 3]))
+    """Tiny run configs drawn field by field from the dataclasses: the
+    strategy and the partition mode from their tuples, each other field
+    from its type, and the keys the strategy or the mode does not read
+    left out.  One draw in five puts one field outside its checked
+    range (a strategy or mode outside its tuple)."""
     strategy = draw(st.sampled_from(STRATEGIES))
-    dp_epsilon = (None if strategy == "shared_only"
-                  else draw(st.sampled_from([None, 1.0])))
-    if draw(st.sampled_from(["pathological", "dirichlet"])) == "dirichlet":
-        partition = {"mode": "dirichlet",
-                     "beta": pick([0.5, 1e-3, 100.0], [0.0, -1.0])}
-    else:
-        partition = {"mode": "pathological",
-                     "classes_per_client": pick([2, 1, 3], [0, 4])}
-    return tiny_config(
-        patch=patch,
-        image_size=pick([patch, 2 * patch], [0, -patch, patch + 1]),
-        separation=pick([1.0, 0.0, 1e100], [-1.0, 1e101, 1e200]),
-        noise=pick([1.0, 0.0, 1e100], [-1.0, 1e101, 1e200]),
-        partition=partition,
-        clients=pick([2, 1, 4], [0, -1]),
-        heldout_fraction=pick([0.0, 0.34, 0.5], [0.01, 0.9, 1.0]),
-        strategy=strategy, dp_epsilon=dp_epsilon,
-        rounds=draw(st.sampled_from([1, 2])))
+    mode = draw(st.sampled_from(MODES))
+    unread = {*itertools.chain(*UNREAD_KEYS.get(strategy, {}).values()),
+              "beta" if mode == "pathological" else "classes_per_client"}
+    kinds = {section: {f.name: f.type for f in dataclasses.fields(cls)
+                       if f.name not in unread
+                       and not dataclasses.is_dataclass(f.type)}
+             for section, cls in SECTIONS.items()}
+    kinds["train"]["clients"] = kinds[""].pop("num_clients")
+    del kinds[""]["out_dir"]  # the test's own
+    names = [name for fields in kinds.values() for name in fields]
+    crossed = (draw(st.sampled_from(names))
+               if draw(st.sampled_from([False] * 4 + [True])) else None)
+    drawn = {"strategy": "bogus" if crossed == "strategy" else strategy,
+             "mode": "bogus" if crossed == "mode" else mode}
+    # each multiple after the field it multiplies
+    for name, kind in sorted(
+            (item for fields in kinds.values() for item in fields.items()),
+            key=lambda item: item[0] in MULTIPLES):
+        if name not in drawn:
+            drawn[name] = tiny_value(draw, name, kind, drawn, name == crossed)
+    raw = {name: drawn[name] for name in kinds.pop("")}
+    raw.update((section, {name: drawn[name] for name in fields})
+               for section, fields in kinds.items())
+    return raw
 
 
 def with_examples(raws):
@@ -402,7 +455,7 @@ def with_examples(raws):
 
 
 class TestConfigProperty:
-    # 39 drawn configs and these: a negative client count must be rejected
+    # 200 drawn configs and these: a negative client count must be rejected
     # before the Dirichlet draw, which raises a ValueError on it, and every
     # strategy, with and without DP noise, runs with a heldout client
     @with_examples([
@@ -412,7 +465,7 @@ class TestConfigProperty:
           for strategy in STRATEGIES
           for dp_epsilon in (None, 1.0)
           if not (strategy == "shared_only" and dp_epsilon))])
-    @settings(max_examples=39, deadline=None, derandomize=True,
+    @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(tiny_configs())
     def test_run_exits_with_documented_status(self, raw):
@@ -695,7 +748,10 @@ def saved_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def saved_personalized_run(tmp_path_factory):
     """A 1-round personalized run of `small_config`: clients 2 and 3 are
-    heldout, and clients 4 and 5 trained prompts of their own."""
+    heldout, clients 0, 1, 4 and 5 hold prompts of their own, and 4 and 5
+    trained them.  In prompts.csv the 72 global rows (lines 2 to 73) are
+    followed by 40 rows per client, client 0's at lines 74 to 113 and
+    client 4's at lines 154 to 193."""
     tmp = tmp_path_factory.mktemp("saved_personalized")
     path, _ = small_config(tmp, heldout_fraction=0.34,
                            train={"rounds": 1, "strategy": "personalized"})
@@ -703,16 +759,27 @@ def saved_personalized_run(tmp_path_factory):
     return tmp / "run"
 
 
+@pytest.fixture(scope="module")
+def saved_shared_only_run(tmp_path_factory):
+    """A 1-round shared_only run of `small_config`: its prototypes.csv holds
+    the header alone."""
+    tmp = tmp_path_factory.mktemp("saved_shared_only")
+    path, _ = small_config(tmp, train={"rounds": 1, "strategy": "shared_only"})
+    assert main(["run", "--config", str(path)]) == 0
+    return tmp / "run"
+
+
 def edited_run(saved_run, tmp_path, name, line, column, value):
     """A copy of `saved_run` whose CSV `name` holds `value` at `column` of
     its `line` (1 is the header); None as the column drops that line's
-    last field, "delete" drops the line, and "duplicate" inserts a copy of
-    the line before it as `line`."""
+    last field, "delete" drops the line (or each line of a `range`), and
+    "duplicate" inserts a copy of the line before it as `line`."""
     run = tmp_path / "run"
     shutil.copytree(saved_run, run)
     lines = (run / name).read_text().splitlines()
     if column == "delete":
-        del lines[line - 1]
+        gone = line if isinstance(line, range) else range(line, line + 1)
+        del lines[gone.start - 1:gone.stop - 1]
     elif column == "duplicate":
         lines.insert(line - 1, lines[line - 2])
     else:
@@ -811,7 +878,12 @@ class TestEvalCommand:
          "no entry for layer 2 at class 0, dim 3"),
         ("personalized", "prompts.csv", 3, "delete", None,
          "no entry for block 'shared' of client -1 at row 1, col 0"),
-        ("personalized", "prompts.csv", 74, "delete", None,
+        ("personalized", "prompts.csv", 154, "delete", None,
+         "no entry for block 'shared' of client 4 at row 0, col 0"),
+        # every row of a client with prompts of its own, trained or not
+        ("personalized", "prompts.csv", range(74, 114), "delete", None,
+         "no entry for block 'shared' of client 0 at row 0, col 0"),
+        ("personalized", "prompts.csv", range(154, 194), "delete", None,
          "no entry for block 'shared' of client 4 at row 0, col 0"),
         ("personalized", "prototypes.csv", 5, "delete", None,
          "no entry for layer 2 at class 0, dim 3"),
@@ -820,7 +892,7 @@ class TestEvalCommand:
          "repeats the entry of block 'shared' of client -1 at row 1, col 0"),
         ("mixed", "prototypes.csv", 4, "duplicate", None,
          "repeats the entry of layer 2 at class 0, dim 1"),
-        ("personalized", "prompts.csv", 75, "duplicate", None,
+        ("personalized", "prompts.csv", 155, "duplicate", None,
          "repeats the entry of block 'shared' of client 4 at row 0, col 0"),
         # rows `run` never writes: a client's own prompts outside
         # `personalized` or for a heldout client, and a client's own head
@@ -843,6 +915,25 @@ class TestEvalCommand:
         where = (run / name if column == "delete"
                  else f"{run / name} line {line}")
         assert capsys.readouterr().err == f"data error: {where}: {message}\n"
+        assert not (run / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("layer,class,dim,value\n5,0,0,1.0\n",
+         "data error: {csv} line 2: layer must be one of [], got '5'"),
+        ("garbage\n",
+         "data error: {csv} line 1: expected the columns layer,class,dim,value"),
+        (None, "config error: no prototypes.csv in {run}")])
+    def test_shared_only_run_reads_its_header_only_prototypes(
+            self, tmp_path, capsys, saved_shared_only_run, content, message):
+        run = tmp_path / "run"
+        shutil.copytree(saved_shared_only_run, run)
+        if content is None:
+            (run / "prototypes.csv").unlink()
+        else:
+            (run / "prototypes.csv").write_text(content)
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == message.format(
+            csv=run / "prototypes.csv", run=run) + "\n"
         assert not (run / "eval_report.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -987,6 +1078,29 @@ def test_all_lists_exactly_the_public_imports():
               if not name.startswith("_")
               and (inspect.isclass(value) or inspect.isfunction(value))}
     assert public == set(exported) - {"__version__"}
+
+
+def test_every_top_level_definition_is_used():
+    # a top-level function or class that nothing else in src/ names and
+    # `__all__` does not export is dead code
+    import ast
+
+    sources = {path: path.read_text()
+               for path in Path(fedprompt.__file__).parent.glob("*.py")}
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name in fedprompt.__all__):
+                continue
+            # the definition's own lines do not count as a use
+            rest = "\n".join([*lines[:node.lineno - 1],
+                              *lines[node.end_lineno:]])
+            others = [other for where, other in sources.items()
+                      if where != path]
+            assert any(re.search(rf"\b{node.name}\b", use)
+                       for use in [rest, *others]), (
+                f"{path.name}: {node.name} is defined but never used")
 
 
 def test_readme_config_block_names_every_field():

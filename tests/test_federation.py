@@ -424,6 +424,18 @@ class TestPersonalizedStrategy:
             assert params.class_prompts is own.class_prompts
             assert params.head is state.params.head
 
+    def test_init_server_gives_each_participating_client_a_copy(self):
+        clients, backbone = tiny_world(18)
+        cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)
+        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=18,
+                            heldout=(5,))
+        assert set(state.personal) == set(state.participating)
+        init = [block.data for _, block in state.params.blocks()]
+        for own in state.personal.values():
+            for (_, block), data in zip(own.blocks(), init):
+                np.testing.assert_array_equal(block.data, data)
+                assert not np.shares_memory(block.data, data)
+
     def test_heldout_client_gets_initial_prompts(self):
         clients, backbone = tiny_world(16)
         cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)

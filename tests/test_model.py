@@ -598,8 +598,8 @@ def free_sets():
 class TestWorkspaces:
     """What the forward returns and what the recorded maps capture stays
     put while other forwards, of any shape, reuse the workspaces: the
-    returned arrays are fresh, and the block's `_Kept` sets are lent to
-    their tape until its backward has run."""
+    returned arrays are fresh, and a block's `_Kept` set is held by the
+    map it recorded until that map has run."""
 
     def test_interleaved_forwards_change_no_result_or_map(self):
         # mixing at layer 1, so a map also captures the embedding's output
@@ -794,6 +794,30 @@ class TestWorkspaces:
         del tape
         assert free_sets().keys() == free.keys()
         assert not set(map(id, lent)) & set(free_sets())
+
+    def test_map_recorded_first_that_raises_runs_after_every_block_map(self):
+        backbone, prompts, bank, priors, image = make_setup(53)
+        consts = score_constants(SMALL, bank, priors)
+        self.open_tape(image, prompts, backbone, consts).backward()
+
+        def fail(g):
+            raise ArithmeticError("map failed")
+
+        with te.Tape() as tape:
+            tape.record(fail)
+            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
+                                             consts)
+            te.cross_entropy(logits, 0)
+        taken = set(map(id, kept_sets(tape._ops)))
+        assert len(taken) == SMALL.layers
+        assert not taken & set(free_sets())
+        with pytest.raises(ArithmeticError):
+            tape.backward()
+        # each block map put its set back before the failing map ran
+        assert taken <= set(free_sets())
+        again = self.open_tape(image, prompts, backbone, consts)
+        assert set(map(id, kept_sets(again._ops))) == taken
+        again.backward()
 
     def test_free_lists_stop_growing_after_a_run(self, tmp_path):
         raw = json.loads((ROOT / "configs" / "pathological.json").read_text())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedprompt import tensor as te
+from fedprompt.cli import write_prototypes_csv
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.prototypes import (
     PrototypeBank,
@@ -387,8 +388,10 @@ class TestPrototypeBank:
             expected[c] += rng_b.laplace(0.0, s / 0.2, size=2)
         np.testing.assert_allclose(bank.mu[5], expected)
 
-    def test_export_rows(self):
+    def test_export_rows(self, tmp_path):
         bank = self.make_bank()
-        rows = list(bank.export_rows())
+        write_prototypes_csv(bank, tmp_path / "prototypes.csv")
+        header, *rows = (tmp_path / "prototypes.csv").read_text().splitlines()
+        assert header == "layer,class,dim,value"
         assert len(rows) == 2 * 3 * 2
-        assert rows[0] == (5, 0, 0, 0.0)
+        assert rows[0] == "5,0,0,0.0"
