@@ -49,7 +49,6 @@ from .model import (
     forward_with_prompts,
     gradient_check,
     init_backbone,
-    score_constants,
 )
 from .prototypes import (
     PrototypeBank,
@@ -78,5 +77,5 @@ __all__ = [
     "local_prototypes", "local_train", "mix_prompt", "momentum_update",
     "partition_dirichlet", "partition_pathological", "prompt_mix_overhead",
     "prototype_topk_probe", "run_round", "run_training", "sample_clients",
-    "score_constants", "soft_scores", "warm_startup",
+    "soft_scores", "warm_startup",
 ]

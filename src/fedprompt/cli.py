@@ -233,17 +233,21 @@ def write_prototypes_csv(bank, path):
         for layer, mu in _bank_layers(bank) for index in _indices(mu)))
 
 
-def write_config_copy(cfg: ExperimentConfig, path):
+def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_config_copy(cfg: ExperimentConfig, path):
+    _write_json(path, cfg.to_dict())
 
 
 def _final_report(cfg, state, logs, report, heldout_report):
     comm = comm_accounting(
         dim=cfg.model.dim, classes=cfg.data.classes,
         shared_prompts=cfg.train.shared_prompts,
-        mix_layers=len(state.model_cfg.mix_layers),
+        mix_layers=len(_bank_layers(state.bank)),
         rounds=cfg.train.rounds, update_period=cfg.train.update_period)
     payload = {
         "version": __version__,
@@ -314,7 +318,7 @@ def cmd_run(args) -> int:
     # per-client reports of the final state for the artifacts below
     report, heldout_report = (
         evaluate_clients([state.clients[c] for c in group], backbone,
-                         state.model_cfg, state.client_inputs)
+                         state.client_inputs)
         if group else None
         for group in (state.participating, state.heldout))
 
@@ -325,10 +329,8 @@ def cmd_run(args) -> int:
     write_prompts_csv(state, os.path.join(cfg.out_dir, "prompts.csv"))
     write_prototypes_csv(state.bank, os.path.join(cfg.out_dir, "prototypes.csv"))
     report.write_csv(os.path.join(cfg.out_dir, "client_accuracy.csv"))
-    with open(os.path.join(cfg.out_dir, "final_report.json"), "w") as fh:
-        json.dump(_final_report(cfg, state, logs, report, heldout_report),
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg.out_dir, "final_report.json"),
+                _final_report(cfg, state, logs, report, heldout_report))
     print(f"run complete: mean_acc={report.mean_acc:.4f} "
           f"worst_acc={report.worst_acc:.4f} -> {cfg.out_dir}")
     return 0
@@ -365,7 +367,13 @@ def cmd_partition(args) -> int:
     partition = make_partition(dataset, cfg)
     # created only now, so a partition that fails leaves no directory behind
     _make_out_dir(cfg.out_dir)
-    partition.write_csv(dataset, os.path.join(cfg.out_dir, "partition.csv"))
+    _write_rows(os.path.join(cfg.out_dir, "partition.csv"),
+                ["client", "sample_index", "label", "split"],
+                ((client, int(i), int(labels[i]), split)
+                 for split, shards, labels in (
+                     ("train", partition.train_indices, dataset.train_y),
+                     ("test", partition.test_indices, dataset.test_y))
+                 for client, idx in enumerate(shards) for i in idx))
     hist = label_histograms(dataset, partition)
     _write_rows(os.path.join(cfg.out_dir, "label_histogram.csv"),
                 ["client", "class", "count"],
@@ -490,9 +498,7 @@ def cmd_eval(args) -> int:
         payload["heldout"] = heldout_report.to_dict()
     _make_out_dir(out_dir)
     out_path = os.path.join(out_dir, "eval_report.json")
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, payload)
     print(f"eval report written to {out_path} "
           f"(mean_acc={report.mean_acc:.4f})")
     return 0

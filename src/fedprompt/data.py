@@ -9,7 +9,6 @@ covering the full train and test sets, with matched per-client test
 shards.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,17 +114,6 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.train_indices)
-
-    def write_csv(self, dataset: Dataset, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["client", "sample_index", "label", "split"])
-            for split, shards, labels in (
-                    ("train", self.train_indices, dataset.train_y),
-                    ("test", self.test_indices, dataset.test_y)):
-                writer.writerows((client, int(i), int(labels[i]), split)
-                                 for client, idx in enumerate(shards)
-                                 for i in idx)
 
 
 def _finish(dataset, train_lists, test_lists):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import forward_shard, score_constants
+from .model import forward_shard
 from .prototypes import cosine_similarity, local_prototypes
 from .seeding import derive_rng
 
@@ -35,8 +35,7 @@ class EvalReport:
                 writer.writerow([cid, repr(float(self.per_client[cid]))])
 
 
-def evaluate_clients(clients, backbone, model_cfg,
-                     inputs_lookup) -> EvalReport:
+def evaluate_clients(clients, backbone, inputs_lookup) -> EvalReport:
     """Per-client accuracy on each client's own test shard.
 
     `inputs_lookup(client_id)` returns the (prompt parameters, score
@@ -53,8 +52,7 @@ def evaluate_clients(clients, backbone, model_cfg,
             skipped += 1
             continue
         params, consts = inputs_lookup(client.client_id)
-        logits, _ = forward_shard(client.test_x, params, backbone, model_cfg,
-                                  consts)
+        logits, _ = forward_shard(client.test_x, params, backbone, consts)
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == client.test_y))
         per_client[client.client_id] = hits / client.test_y.size
     if not per_client:
@@ -85,24 +83,27 @@ def heldout_split(client_ids, participating_fraction: float, seed: int):
     return participating, heldout
 
 
-def prototype_topk_probe(images, labels, backbone, model_cfg, params,
-                         layer: int, k: int, bank=None, priors=None) -> float:
+def prototype_topk_probe(images, labels, backbone, params, layer: int,
+                         k: int, bank=None, priors=None) -> float:
     """Top-k accuracy of nearest-prototype classification at one layer.
 
     Prototypes are the per-class means of the incoming cls tokens over
     the pool; each sample is then ranked against them by cosine
-    similarity of its own incoming cls token.
+    similarity of its own incoming cls token.  With a `bank`, the forward
+    mixes at its layers with the scores of `priors`.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ConfigError("probe pool is empty")
-    if not 1 <= layer <= model_cfg.layers:
-        raise ConfigError(
-            f"probe layer must lie within [1, {model_cfg.layers}], got {layer}")
+    if not 1 <= layer <= len(backbone.blocks):
+        raise ConfigError(f"probe layer must lie within "
+                          f"[1, {len(backbone.blocks)}], got {layer}")
     if k < 1:
         raise ConfigError(f"probe k must be >= 1, got {k}")
-    _, cls = forward_shard(images, params, backbone, model_cfg,
-                           score_constants(model_cfg, bank, priors))
+    if bank is not None and priors is None:
+        raise ConfigError("a probe that mixes needs the client's priors")
+    _, cls = forward_shard(images, params, backbone,
+                           {} if bank is None else bank.score_constants(priors))
     protos = local_prototypes(cls, labels, int(labels.max()) + 1,
                               (layer,))[0][layer]
     hits = 0

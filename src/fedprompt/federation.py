@@ -1,10 +1,10 @@
 """Server-coordinated training loop: warm-up, client sampling, local SGD
 on the prompt blocks, federated averaging, and periodic prototype sync.
 
-`init_server` alone turns the strategy into state: the prototype bank
-(None without mixing; its `epsilon` is the DP budget) and the effective
-model config.  `ServerState.client_inputs` alone puts together a client's
-prompts (`broadcast_params`) and score constants (`score_priors`, bank).
+`init_server` alone turns the strategy and model config into state: the
+prototype bank (None without mixing) holds the mix layers, tau and, as its
+`epsilon`, the DP budget.  `ServerState.client_inputs` alone puts together
+a client's prompts (`broadcast_params`) and score constants (the bank's).
 The three prompt blocks always travel as one `PromptParams`: clients read
 the server's own blocks, and `local_train` trains the one copy it returns.
 
@@ -21,8 +21,7 @@ import numpy as np
 from . import tensor as te
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import evaluate_clients
-from .model import (ModelConfig, PromptParams, forward_shard,
-                    forward_with_prompts, score_constants)
+from .model import ModelConfig, PromptParams, forward_shard, forward_with_prompts
 from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
@@ -138,7 +137,6 @@ class ServerState:
     clients: list
     participating: tuple
     heldout: tuple
-    model_cfg: ModelConfig
     backbone: object
     cfg: TrainConfig
     seed: int
@@ -155,10 +153,12 @@ class ServerState:
 
     def client_inputs(self, cid: int):
         """(prompt parameters, score constants) client `cid` trains and is
-        evaluated with; the constants hold the bank as it is now."""
+        evaluated with; the constants are the bank's as it is now, if any."""
+        params = self.broadcast_params(cid)
+        if self.bank is None:
+            return params, {}
         priors = score_priors(self.clients[cid], self.cfg)
-        return (self.broadcast_params(cid),
-                score_constants(self.model_cfg, self.bank, priors))
+        return params, self.bank.score_constants(priors)
 
 
 def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
@@ -177,12 +177,12 @@ def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
     return client.priors
 
 
-def compute_client_prototypes(client, params, consts, backbone, model_cfg):
-    """Frozen forward pass over the shard collecting per-layer class means
-    and their sensitivities."""
-    _, cls = forward_shard(client.train_x, params, backbone, model_cfg, consts)
+def compute_client_prototypes(client, params, consts, backbone):
+    """Frozen forward pass over the shard collecting class means and their
+    sensitivities at the mixing layers `consts` holds."""
+    _, cls = forward_shard(client.train_x, params, backbone, consts)
     return local_prototypes(cls, client.train_y, params.num_classes,
-                            model_cfg.mix_layers)
+                            tuple(consts))
 
 
 def _clip_global_norm(grads, threshold):
@@ -196,8 +196,7 @@ def _clip_global_norm(grads, threshold):
 
 
 def local_train(client: ClientState, params: PromptParams, consts: dict,
-                backbone, model_cfg: ModelConfig, cfg: TrainConfig,
-                seed: int, round_index: int):
+                backbone, cfg: TrainConfig, seed: int, round_index: int):
     """E epochs of mini-batch SGD with momentum, from `client_inputs`, on one
     copy of `params`; returns (that trained copy, mean batch loss)."""
     if client.num_train == 0:
@@ -217,7 +216,7 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
             for i in batch:
                 with te.Tape() as tape:
                     logits, _ = forward_with_prompts(
-                        client.train_x[i], params, backbone, model_cfg, consts)
+                        client.train_x[i], params, backbone, consts)
                     batch_loss += te.cross_entropy(logits,
                                                    int(client.train_y[i]))
                 tape.backward()
@@ -265,7 +264,7 @@ def warm_startup(state: ServerState) -> None:
     chosen = sample_clients(rng, state.participating, count)
     submissions, sensitivities = zip(*(
         compute_client_prototypes(state.clients[cid], *state.client_inputs(cid),
-                                  state.backbone, state.model_cfg)
+                                  state.backbone)
         for cid in chosen))
     state.bank.warm_start(submissions, sensitivities,
                           rng=derive_rng(state.seed, "dp", 0))
@@ -289,7 +288,7 @@ def _evaluate(state: ServerState):
     without heldout clients)."""
     return tuple(
         evaluate_clients([state.clients[cid] for cid in group], state.backbone,
-                         state.model_cfg, state.client_inputs)
+                         state.client_inputs)
         if group else None
         for group in (state.participating, state.heldout))
 
@@ -318,10 +317,9 @@ def run_round(state: ServerState) -> RoundLog:
     for cid in chosen:
         inputs = (state.clients[cid], *state.client_inputs(cid))
         if state.bank is not None:
-            snapshots.append(compute_client_prototypes(
-                *inputs, state.backbone, state.model_cfg))
-        params, loss = local_train(*inputs, state.backbone, state.model_cfg,
-                                   state.cfg, state.seed, t)
+            snapshots.append(compute_client_prototypes(*inputs, state.backbone))
+        params, loss = local_train(*inputs, state.backbone, state.cfg,
+                                   state.seed, t)
         trained.append(params)
         losses.append(loss)
 
@@ -347,11 +345,11 @@ def run_round(state: ServerState) -> RoundLog:
 
 def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
                 seed: int, heldout=()) -> ServerState:
-    """Initial server state: the one place the strategy picks the effective
-    model config, the prototype bank, with the DP budget as its `epsilon`,
-    and the clients with prompts of their own.  The returned state then
-    answers, through `client_inputs`, what each client trains and is
-    evaluated with."""
+    """Initial server state: the one place `model_cfg` and the strategy
+    are read, for the prompt blocks, the prototype bank (its mix layers,
+    tau and, as its `epsilon`, the DP budget) and the clients with prompts
+    of their own.  The returned state then answers, through
+    `client_inputs`, what each client trains and is evaluated with."""
     mixing = cfg.strategy != "shared_only"
     heldout = tuple(sorted(int(h) for h in heldout))
     participating = tuple(c.client_id for c in clients
@@ -391,13 +389,12 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
             raise ConfigError("mixing strategy requires at least one mix layer")
         bank = PrototypeBank(layers=tuple(model_cfg.mix_layers),
                              num_classes=classes, dim=model_cfg.dim,
-                             rho=cfg.rho, epsilon=cfg.dp_epsilon)
-    else:
-        model_cfg = replace(model_cfg, mix_layers=())
+                             tau=model_cfg.tau, rho=cfg.rho,
+                             epsilon=cfg.dp_epsilon)
     return ServerState(
         params=params, bank=bank, clients=clients,
         participating=participating, heldout=heldout,
-        model_cfg=model_cfg, backbone=backbone, cfg=cfg, seed=seed,
+        backbone=backbone, cfg=cfg, seed=seed,
         personal={cid: params.copy() for cid in participating
                   if cfg.strategy == "personalized"})
 

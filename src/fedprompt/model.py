@@ -40,19 +40,22 @@ class ModelConfig:
     tau: float = 0.05
 
     def __post_init__(self):
-        for name in ("dim", "layers", "heads", "patch_size"):
-            if getattr(self, name) < 1:
+        for key, ok, rule in (
+                *((name, getattr(self, name) >= 1, "be >= 1")
+                  for name in ("dim", "layers", "heads", "patch_size")),
+                # the table is built whole, so no division by heads < 1
+                ("heads", self.heads < 1 or self.dim % self.heads == 0,
+                 f"divide dim {self.dim}"),
+                ("mix_layers", all(1 <= l <= self.layers
+                                   for l in self.mix_layers),
+                 f"lie within [1, {self.layers}]"),
+                ("mix_layers", len(set(self.mix_layers)) == len(self.mix_layers),
+                 "not repeat a layer"),
+                # below 1/DBL_MAX ~ 5.6e-309 a similarity / tau overflows
+                ("tau", self.tau >= 1e-300, "be >= 1e-300")):
+            if not ok:
                 raise ConfigError(
-                    f"model {name} must be >= 1, got {getattr(self, name)}")
-        if self.dim % self.heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if any(not 1 <= l <= self.layers for l in self.mix_layers):
-            raise ConfigError("mixing layers must lie within [1, layers]")
-        if len(set(self.mix_layers)) != len(self.mix_layers):
-            raise ConfigError(
-                f"model mix_layers must not repeat a layer, got {self.mix_layers}")
-        if self.tau <= 0:
-            raise ConfigError("temperature must be positive")
+                    f"model {key} must {rule}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -75,11 +78,13 @@ class LayerWeights:
 
 @dataclass
 class BackboneWeights:
-    """Frozen weights: plain arrays, so no gradient can reach them."""
+    """Frozen arrays, which no gradient can reach, and the sizes they hide."""
 
     patch_embed: np.ndarray
     cls_embed: np.ndarray
     blocks: list
+    heads: int
+    patch_size: int
 
 
 def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
@@ -113,6 +118,8 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
         patch_embed=frozen(patch, patch, d),
         cls_embed=rng.normal(0.0, 1.0, size=d),
         blocks=blocks,
+        heads=cfg.heads,
+        patch_size=cfg.patch_size,
     )
 
 
@@ -156,10 +163,10 @@ class PromptParams:
         return self.head.data.shape[0]
 
 
-def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Split a square image into row-major patches, one flattened row each."""
+def patchify(image: np.ndarray, p: int) -> np.ndarray:
+    """Split a square image into row-major patches of side `p`, one
+    flattened row each."""
     image = np.asarray(image, dtype=np.float64)
-    p = cfg.patch_size
     if image.ndim != 2 or image.shape[0] != image.shape[1] or image.shape[0] % p:
         raise ConfigError(f"expected a square image whose side is a multiple "
                           f"of patch size {p}, got shape {image.shape}")
@@ -315,13 +322,12 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     return x2
 
 
-def _embed(image, shared: te.Tensor, backbone: BackboneWeights,
-           cfg: ModelConfig, tape=None):
+def _embed(image, shared: te.Tensor, backbone: BackboneWeights, tape=None):
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
     its map adds into the shared prompts and has no input to pass on."""
-    patches = patchify(image, cfg)
+    patches = patchify(image, backbone.patch_size)
     n_shared = shared.data.shape[1]
-    seq = np.empty((1 + n_shared + len(patches), cfg.dim))
+    seq = np.empty((1 + n_shared + len(patches), backbone.cls_embed.size))
     seq[0] = backbone.cls_embed
     seq[1:1 + n_shared] = shared.data.T
     np.dot(patches, backbone.patch_embed, seq[1 + n_shared:])
@@ -380,36 +386,16 @@ def _head(seq, head: te.Tensor, tape):
     return np.dot(head.data, row[0])
 
 
-def score_constants(cfg: ModelConfig, bank=None, priors=None) -> dict:
-    """Mixing layer -> `ScoreConstants` for one client's score priors and
-    the bank's current prototypes; empty without mixing layers.
-
-    Build them once per client and bank state and pass them to every
-    `forward_with_prompts` over that client's samples.
-    """
-    if not cfg.mix_layers:
-        return {}
-    if bank is None:
-        raise ConfigError("mixing layers configured but no prototype bank given")
-    if priors is None:
-        raise ConfigError("mixing layers configured but no class priors given")
-    missing = [l for l in cfg.mix_layers if l not in bank.mu]
-    if missing:
-        raise ConfigError(f"prototype bank missing layers {missing}")
-    return {l: ScoreConstants(bank.mu[l], priors, cfg.tau, cfg.dim)
-            for l in cfg.mix_layers}
-
-
 def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights,
-                         cfg: ModelConfig, consts: dict):
+                         consts: dict):
     """Run one sample through the prompted frozen backbone.
 
     Returns (logits, cls): the (classes,) logits and a (layers, dim) array
-    whose row `l - 1` is the cls token entering layer `l`.  `consts` is
-    what `score_constants` built for the client's priors and the bank;
-    with mixing layers, gradients flow through the scores into upstream
-    activations and into the class prompts, while prototypes stay
-    constant.
+    whose row `l - 1` is the cls token entering layer `l`.  The forward
+    mixes at exactly the layers of `consts`, the client's
+    `PrototypeBank.score_constants`; gradients flow through the scores
+    into upstream activations and the class prompts, while prototypes
+    stay constant.
 
     The pass is a chain of fused primitives over plain arrays: embedding,
     per layer the optional prompt mixing and the transformer block, then
@@ -418,32 +404,32 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     """
     tape = te.active_tape()
     live = tape if prompts.shared.data.shape[1] else None
-    seq = _embed(image, prompts.shared, backbone, cfg, live)
-    cls = np.empty((cfg.layers, cfg.dim))
-    blocks, heads, mix_layers = backbone.blocks, cfg.heads, cfg.mix_layers
+    seq = _embed(image, prompts.shared, backbone, live)
+    blocks, heads = backbone.blocks, backbone.heads
+    cls = np.empty((len(blocks), seq.shape[1]))
     mixed = False
-    for layer in range(1, cfg.layers + 1):
+    for layer, blk in enumerate(blocks, 1):
         cls[layer - 1] = seq[0]
-        if layer in mix_layers:
+        if layer in consts:
             seq = _mix(seq, prompts.class_prompts, consts[layer], mixed, tape)
             mixed = True
             live = tape
-        seq = _transformer_layer(seq, blocks[layer - 1], heads, live)
+        seq = _transformer_layer(seq, blk, heads, live)
     return _head(seq, prompts.head, tape), cls
 
 
 def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
-                  cfg: ModelConfig, consts: dict):
+                  consts: dict):
     """Untaped `forward_with_prompts` over a shard of N images.
 
     Returns (logits, cls): an (N, classes) array, and a (layers, N, dim)
     array of the cls tokens entering each layer.
     """
     logits = np.empty((len(images), prompts.num_classes))
-    cls = np.empty((cfg.layers, len(images), cfg.dim))
+    cls = np.empty((len(backbone.blocks), len(images), backbone.cls_embed.size))
     for i, image in enumerate(images):
         logits[i], cls[:, i] = forward_with_prompts(image, prompts, backbone,
-                                                    cfg, consts)
+                                                    consts)
     return logits, cls
 
 
@@ -465,7 +451,8 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.init(seed, dim, classes, GRADCHECK_SHARED)
     prompts.head.data[...] = rng.normal(0.0, 0.5, size=prompts.head.data.shape)
-    bank = PrototypeBank(layers=tuple(mix_layers), num_classes=classes, dim=dim)
+    bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes, dim=dim,
+                         tau=cfg.tau)
     for l in mix_layers:
         bank.mu[l] = rng.normal(size=(classes, dim))
     priors = rng.random(classes)
@@ -473,17 +460,17 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
     image = rng.normal(size=(GRADCHECK_IMAGE, GRADCHECK_IMAGE))
     label = int(rng.integers(classes))
 
-    consts = score_constants(cfg, bank, priors)
+    consts = bank.score_constants(priors)
 
     prompts.zero_grad()
     with te.Tape() as tape:
-        logits, _ = forward_with_prompts(image, prompts, backbone, cfg, consts)
+        logits, _ = forward_with_prompts(image, prompts, backbone, consts)
         te.cross_entropy(logits, label)
     tape.backward()
 
     def loss_at(shared, class_prompts, head):
         probe = PromptParams.from_arrays(shared, class_prompts, head)
-        logits, _ = forward_with_prompts(image, probe, backbone, cfg, consts)
+        logits, _ = forward_with_prompts(image, probe, backbone, consts)
         return te.cross_entropy(logits, label)
 
     base = {name: block.data.copy() for name, block in prompts.blocks()}

@@ -234,6 +234,7 @@ def add_laplace_noise(prototype: np.ndarray, sensitivity: float, epsilon: float,
 class PrototypeBank:
     """Global per-layer, per-class cls-token prototypes with momentum state.
 
+    Its `layers` are the layers that mix, at score temperature `tau`.
     Client submissions are buffered over the current update period and
     folded in by `apply_period_update`; the zero vector is the reserved
     sentinel for classes never observed.  With a privacy budget
@@ -244,6 +245,7 @@ class PrototypeBank:
     layers: tuple
     num_classes: int
     dim: int
+    tau: float
     rho: float = 0.9
     epsilon: float | None = None
     mu: dict = field(default_factory=dict)
@@ -277,8 +279,12 @@ class PrototypeBank:
         self._buffer.append(({l: np.asarray(protos[l]) for l in self.layers},
                              {l: np.asarray(sens[l]) for l in self.layers}))
 
-    def pending(self) -> int:
-        return len(self._buffer)
+    def score_constants(self, priors) -> dict:
+        """Mixing layer -> `ScoreConstants` for one client's score priors
+        and the current prototypes.  Build them once per client and bank
+        state and pass them to every forward over that client's samples."""
+        return {l: ScoreConstants(self.mu[l], priors, self.tau, self.dim)
+                for l in self.layers}
 
     def apply_period_update(self, rng=None) -> None:
         """Aggregate the buffered submissions, fold them in with momentum,

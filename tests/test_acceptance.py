@@ -294,7 +294,7 @@ def test_criterion_12_protocol_unit_suite():
     np.testing.assert_array_equal(out[1], prev[1])
 
     # warm-up aggregation: plain mean over clients
-    bank = PrototypeBank(layers=(5,), num_classes=1, dim=2)
+    bank = PrototypeBank(layers=(5,), num_classes=1, dim=2, tau=0.05)
     bank.warm_start([{5: np.array([[1.0, 0.0]])}, {5: np.array([[3.0, 0.0]])}])
     np.testing.assert_array_equal(bank.mu[5][0], [2.0, 0.0])
 

@@ -23,7 +23,8 @@ import fedprompt
 from fedprompt import cli
 from fedprompt.cli import (ExperimentConfig, load_config, main,
                            write_config_copy)
-from fedprompt.data import MODES, PartitionSpec, SyntheticSpec
+from fedprompt.data import (MODES, PartitionSpec, SyntheticSpec,
+                            generate_synthetic)
 from fedprompt.errors import ConfigError
 from fedprompt.federation import STRATEGIES, UNREAD_KEYS, TrainConfig
 from fedprompt.model import ModelConfig
@@ -195,6 +196,13 @@ class TestRunCommand:
         ({"data": {"separation": -1}}, "data separation must be >= 0, got -1"),
         ({"model": {"mix_layers": [2, 2]}},
          "model mix_layers must not repeat a layer, got (2, 2)"),
+        ({"model": {"mix_layers": [4]}},
+         "model mix_layers must lie within [1, 3], got (4,)"),
+        ({"model": {"heads": 3}}, "model heads must divide dim 8, got 3"),
+        ({"model": {"tau": 0.0}}, "model tau must be >= 1e-300, got 0.0"),
+        # a subnormal tau overflows sim / tau into non-finite scores
+        ({"model": {"tau": 5e-309}},
+         "model tau must be >= 1e-300, got 5e-309"),
         ({"partition": {"k": 2}}, "unknown field partition.'k'"),
         ({"partition": {"mode": DROP}},
          "missing required field partition.'mode'"),
@@ -382,6 +390,7 @@ TINY = {"classes": ([3, 2, 1], [0]), "train_per_class": ([3, 1, 4], [0]),
         "separation": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
         "noise": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
         "beta": ([0.5, 1e-3, 100.0], [0.0, -1.0]),
+        "tau": ([0.05, 1e-300, 1.0], [0.0, 5e-309]),
         "heldout_fraction": ([0.0, 0.34, 0.5], [1.0, 0.01, 0.9])}
 # integer fields drawn as 1 or 2 times another field
 MULTIPLES = {"dim": "heads", "image_size": "patch_size"}
@@ -678,6 +687,25 @@ class TestPartitionCommand:
                 per_client.setdefault(row["client"], 0)
                 per_client[row["client"]] += 1
         assert all(v == 2 for v in per_client.values())
+
+    def test_partition_csv_roundtrip(self, tmp_path):
+        # one row per sample of each split, naming its client and label
+        path, _ = small_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        cfg = load_config(str(path))
+        ds = generate_synthetic(cfg.data, cfg.seed)
+        part = cli.make_partition(ds, cfg)
+        with open(tmp_path / "run" / "partition.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["client", "sample_index", "label", "split"]
+        assert len(rows) == 1 + ds.num_train + ds.test_y.size
+        for split, shards, labels in (
+                ("train", part.train_indices, ds.train_y),
+                ("test", part.test_indices, ds.test_y)):
+            owner = {int(i): c for c, idx in enumerate(shards) for i in idx}
+            got = {int(i): (int(c), int(y))
+                   for c, i, y, where in rows[1:] if where == split}
+            assert got == {i: (c, int(labels[i])) for i, c in owner.items()}
 
     @pytest.mark.parametrize("field", ["noise", "separation"])
     def test_negative_scale_names_field(self, tmp_path, capsys, field):
@@ -1082,17 +1110,27 @@ def test_all_lists_exactly_the_public_imports():
 
 def test_every_top_level_definition_is_used():
     # a top-level function or class that nothing else in src/ names and
-    # `__all__` does not export is dead code
+    # `__all__` does not export is dead code, and so is a method or
+    # property of a top-level class that nothing else names
     import ast
+
+    def definitions(tree):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in fedprompt.__all__:
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    method for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not re.fullmatch(r"__\w+__", method.name))
 
     sources = {path: path.read_text()
                for path in Path(fedprompt.__file__).parent.glob("*.py")}
     for path, text in sources.items():
         lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name in fedprompt.__all__):
-                continue
+        for node in definitions(ast.parse(text)):
             # the definition's own lines do not count as a use
             rest = "\n".join([*lines[:node.lineno - 1],
                               *lines[node.end_lineno:]])

@@ -156,17 +156,6 @@ class TestDirichlet:
             assert np.abs(counts - p * total).max() < 1.0 + 1e-9
 
 
-class TestExport:
-    def test_partition_csv_roundtrip(self, tmp_path):
-        ds = generate_synthetic(SPEC, 13)
-        part = partition_pathological(ds, 12, 2, seed=4)
-        path = tmp_path / "partition.csv"
-        part.write_csv(ds, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "client,sample_index,label,split"
-        assert len(lines) == 1 + ds.num_train + ds.test_y.size
-
-
 @st.composite
 def tiny_partitions(draw):
     """(dataset, partition maker) on 1-6 classes of 1-4 train and test

@@ -15,6 +15,7 @@ from fedprompt.evaluation import (
 from fedprompt.federation import ClientState, build_clients, run_training, TrainConfig
 from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
                              init_backbone)
+from fedprompt.prototypes import PrototypeBank
 
 
 def make_client(cid, test_y, priors=None):
@@ -33,35 +34,32 @@ class TestEvaluateClients:
                           mix_layers=())
         backbone = init_backbone(0, cfg)
         params = PromptParams.init(0, 8, 2, 1)
-        return cfg, backbone, params
+        return backbone, params
 
     def test_single_perfect_client(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         # head forcing class 0 regardless of input
         params.head.data[...] = 0.0
         params.head.data[0, :] = 0.0
         client = make_client(0, [0, 0, 0])
         # with a zero head, logits tie at 0 and the lowest class wins
-        report = evaluate_clients([client], backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         assert report.mean_acc == 1.0
         assert report.worst_acc == 1.0
         assert report.per_client == {0: 1.0}
 
     def test_mean_and_worst(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         params.head.data[...] = 0.0
         clients = [make_client(0, [0, 0]), make_client(1, [0, 1])]
-        report = evaluate_clients(clients, backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients(clients, backbone, lambda cid: (params, {}))
         assert report.mean_acc == pytest.approx(0.75)
         assert report.worst_acc == pytest.approx(0.5)
 
     def test_empty_test_shard_skipped_with_count(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         clients = [make_client(0, [0]), make_client(1, [])]
-        report = evaluate_clients(clients, backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients(clients, backbone, lambda cid: (params, {}))
         assert report.skipped_empty == 1
         assert set(report.per_client) == {0}
 
@@ -78,30 +76,28 @@ class TestEvaluateClients:
             train_y=np.zeros(1, dtype=np.int64),
             test_x=rng.normal(size=(400, 4, 4)), test_y=labels,
             priors=np.full(8, 1 / 8))
-        report = evaluate_clients([client], backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         # binomial(400, 1/8): three-sigma window around 0.125
         assert abs(report.mean_acc - 0.125) < 3 * np.sqrt(0.125 * 0.875 / 400)
 
     @pytest.mark.parametrize("label, acc", [(1, 1.0), (2, 0.0)])
     def test_tie_between_top_classes_goes_to_lowest(self, label, acc):
-        cfg, backbone, _ = self._world()
+        backbone, _ = self._world()
         image = np.random.default_rng(3).normal(size=(4, 4))
         # an identity head reads out the normalized final cls token x
         probe = PromptParams.init(0, 8, 8, 1)
         probe.head.data[...] = np.eye(8)
-        x, _ = forward_with_prompts(image, probe, backbone, cfg, {})
+        x, _ = forward_with_prompts(image, probe, backbone, {})
         # logits (-|x|^2, |x|^2, |x|^2): classes 1 and 2 tie on top
         params = PromptParams.init(0, 8, 3, 1)
         params.head.data[...] = [-x, x, x]
         client = make_client(0, [label])
         client.test_x = image[None]
-        report = evaluate_clients([client], backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         assert report.per_client == {0: acc}
 
     def test_matches_per_sample_argmax_scan(self):
-        cfg, backbone, _ = self._world()
+        backbone, _ = self._world()
         rng = np.random.default_rng(4)
         params = PromptParams.init(0, 8, 5, 1)
         params.head.data[...] = rng.normal(size=(5, 8))
@@ -110,23 +106,21 @@ class TestEvaluateClients:
         client.test_x = rng.normal(size=(30, 4, 4))
         hits = 0
         for image, y in zip(client.test_x, labels):
-            logits, _ = forward_with_prompts(image, params, backbone, cfg, {})
+            logits, _ = forward_with_prompts(image, params, backbone, {})
             best, arg = -np.inf, -1
             for i, v in enumerate(logits):
                 if v > best:
                     best, arg = v, i
             hits += int(arg == y)
-        report = evaluate_clients([client], backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         assert 0 < hits < 30
         assert report.per_client == {0: hits / 30}
 
     def test_worst_le_mean_bounds(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         params.head.data[...] = 0.0
         clients = [make_client(i, [0, 1, 0]) for i in range(4)]
-        report = evaluate_clients(clients, backbone, cfg,
-                                  lambda cid: (params, {}))
+        report = evaluate_clients(clients, backbone, lambda cid: (params, {}))
         assert 0.0 <= report.worst_acc <= report.mean_acc <= 1.0
 
 
@@ -172,22 +166,22 @@ class TestPrototypeProbe:
     def _world(self, seed=4):
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
-        return cfg, init_backbone(seed, cfg), PromptParams.init(seed, 16, 4, 0)
+        return init_backbone(seed, cfg), PromptParams.init(seed, 16, 4, 0)
 
     def test_single_class_pool_top1(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         rng = np.random.default_rng(5)
         images = rng.normal(size=(6, 8, 8))
-        acc = prototype_topk_probe(images, [0] * 6, backbone, cfg, params,
+        acc = prototype_topk_probe(images, [0] * 6, backbone, params,
                                    layer=2, k=1)
         assert acc == 1.0
 
     def test_k_equals_classes_is_one(self):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         rng = np.random.default_rng(6)
         images = rng.normal(size=(12, 8, 8))
         labels = rng.integers(0, 4, size=12)
-        acc = prototype_topk_probe(images, labels, backbone, cfg, params,
+        acc = prototype_topk_probe(images, labels, backbone, params,
                                    layer=3, k=4)
         assert acc == 1.0
 
@@ -199,8 +193,7 @@ class TestPrototypeProbe:
                           mix_layers=())
         backbone = init_backbone(7, cfg)
         params = PromptParams.init(7, 16, 8, 0)
-        acc = prototype_topk_probe(ds.train_x, ds.train_y, backbone, cfg,
-                                   params, layer=3, k=1)
+        acc = prototype_topk_probe(ds.train_x, ds.train_y, backbone, params, layer=3, k=1)
         # chance for top-1 over 8 classes is 0.125
         assert acc > 0.5
 
@@ -212,11 +205,26 @@ class TestPrototypeProbe:
         (2, -2, "probe k must be >= 1, got -2"),
     ])
     def test_out_of_range_arguments_rejected(self, layer, k, message):
-        cfg, backbone, params = self._world()
+        backbone, params = self._world()
         images = np.random.default_rng(8).normal(size=(4, 8, 8))
         with pytest.raises(ConfigError, match=message):
-            prototype_topk_probe(images, [0, 1, 0, 1], backbone, cfg, params,
+            prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
                                  layer=layer, k=k)
+
+
+    def test_mixing_probe_needs_priors(self):
+        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
+                          mix_layers=(2,))
+        bank = PrototypeBank(layers=cfg.mix_layers, num_classes=4,
+                             dim=cfg.dim, tau=cfg.tau)
+        backbone, params = self._world()
+        images = np.random.default_rng(9).normal(size=(4, 8, 8))
+        with pytest.raises(ConfigError, match="needs the client's priors"):
+            prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
+                                 layer=2, k=1, bank=bank)
+        assert prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
+                                    layer=4, k=2, bank=bank,
+                                    priors=np.full(4, 0.25)) == 1.0
 
 
 class TestFlopAccounting:

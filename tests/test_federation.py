@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from backbone_digest import backbone_checksum
-from fedprompt import evaluation, federation
 from fedprompt import tensor as te
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
 from fedprompt.errors import ConfigError, TrainingError
@@ -21,7 +20,8 @@ from fedprompt.federation import (
     warm_startup,
 )
 from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
-                             init_backbone, score_constants)
+                             init_backbone)
+from fedprompt.prototypes import PrototypeBank
 from fedprompt.seeding import derive_rng
 
 TINY_MODEL = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
@@ -79,8 +79,7 @@ class TestWarmStartup:
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
         protos, _ = compute_client_prototypes(
-            clients[0], state.params, state.client_inputs(0)[1], backbone,
-            state.model_cfg)
+            clients[0], state.params, state.client_inputs(0)[1], backbone)
         # bank was zero during the warm-up pass, matching this recompute
         np.testing.assert_allclose(state.bank.mu[2], protos[2], atol=1e-12)
 
@@ -94,7 +93,7 @@ class TestWarmStartup:
         subs = [
             compute_client_prototypes(c, fresh.params,
                                       fresh.client_inputs(c.client_id)[1],
-                                      backbone, fresh.model_cfg)[0]
+                                      backbone)[0]
             for c in clients
         ]
         expected = np.mean([s[2] for s in subs], axis=0)
@@ -109,7 +108,7 @@ class TestLocalTrain:
         warm_startup(state)
         trained, _ = local_train(clients[0], state.params,
                                  state.client_inputs(0)[1], backbone,
-                                 state.model_cfg, cfg, seed=3, round_index=1)
+                                 cfg, seed=3, round_index=1)
         np.testing.assert_array_equal(trained.shared.data,
                                       state.params.shared.data)
         np.testing.assert_array_equal(trained.head.data,
@@ -126,7 +125,7 @@ class TestLocalTrain:
         assert params is state.params
         before = [block.data.tobytes() for _, block in params.blocks()]
         trained, _ = local_train(clients[0], params, consts, backbone,
-                                 state.model_cfg, cfg, seed=3, round_index=1)
+                                 cfg, seed=3, round_index=1)
         assert [block.data.tobytes() for _, block in params.blocks()] == before
         assert trained is not params
         assert trained.head.data.tobytes() != before[2]
@@ -150,25 +149,25 @@ class TestLocalTrain:
                           batch_size=1, lr=0.05, grad_clip=1e9, momentum=0.9)
         start = PromptParams.init(11, 4, 2, 1)
         start.head.data[...] = rng.normal(size=(2, 4))
-        from fedprompt.prototypes import PrototypeBank
-        bank = PrototypeBank(layers=(1,), num_classes=2, dim=4)
+        bank = PrototypeBank(layers=(1,), num_classes=2, dim=4,
+                             tau=cfg_model.tau)
         bank.mu[1] = rng.normal(size=(2, 4))
 
-        consts = score_constants(cfg_model, bank, client.priors)
+        consts = bank.score_constants(client.priors)
         logits, _ = forward_with_prompts(client.train_x[0], start, backbone,
-                                         cfg_model, consts)
+                                         consts)
         # an identity head reads out the normalized final cls token exactly
         probe = PromptParams.from_arrays(start.shared.data,
                                          start.class_prompts.data, np.eye(4))
         cls_final, _ = forward_with_prompts(client.train_x[0], probe, backbone,
-                                            cfg_model, consts)
+                                            consts)
         p = np.exp(logits - logits.max())
         p /= p.sum()
         p[1] -= 1.0
         expected_head = start.head.data - cfg.lr * np.outer(p, cls_final)
 
-        trained, _ = local_train(client, start, consts, backbone, cfg_model,
-                                 cfg, seed=11, round_index=1)
+        trained, _ = local_train(client, start, consts, backbone, cfg,
+                                 seed=11, round_index=1)
         np.testing.assert_allclose(trained.head.data, expected_head,
                                    atol=1e-12)
 
@@ -180,19 +179,19 @@ class TestLocalTrain:
         warm_startup(state)
         client = clients[0]
 
-        consts = score_constants(state.model_cfg, state.bank, client.priors)
+        consts = state.bank.score_constants(client.priors)
 
         def shard_loss(params):
             total = 0.0
             for x, y in zip(client.train_x, client.train_y):
                 logits, _ = forward_with_prompts(x, params, backbone,
-                                                 state.model_cfg, consts)
+                                                 consts)
                 total += te.cross_entropy(logits, int(y))
             return total / client.num_train
 
         before = shard_loss(state.params)
         trained, _ = local_train(client, state.params, consts, backbone,
-                                 state.model_cfg, cfg, seed=4, round_index=1)
+                                 cfg, seed=4, round_index=1)
         after = shard_loss(trained)
         assert after <= before
 
@@ -210,7 +209,7 @@ class TestLocalTrain:
             scale=1e200, size=start.head.data.shape)
         with pytest.raises(TrainingError) as err:
             local_train(clients[0], start, state.client_inputs(0)[1], backbone,
-                        state.model_cfg, cfg, seed=3, round_index=1)
+                        cfg, seed=3, round_index=1)
         assert str(err.value) == "non-finite gradient norm (round=1, client=0)"
 
     def test_gradient_clipping_caps_step(self):
@@ -269,9 +268,9 @@ class TestRounds:
         run_round(state)
         for l in state.bank.layers:
             np.testing.assert_array_equal(state.bank.mu[l], warm[l])
-        assert state.bank.pending() == cfg.clients_per_round
+        assert len(state.bank._buffer) == cfg.clients_per_round
         run_round(state)
-        assert state.bank.pending() == 0
+        assert len(state.bank._buffer) == 0
         assert any(
             np.abs(state.bank.mu[l] - warm[l]).max() > 0 for l in state.bank.layers)
 
@@ -281,9 +280,9 @@ class TestRounds:
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=8)
         warm_startup(state)
         broadcast = state.params.copy()
-        consts = score_constants(state.model_cfg, state.bank, clients[0].priors)
+        consts = state.bank.score_constants(clients[0].priors)
         expected, _ = local_train(clients[0], broadcast, consts, backbone,
-                                  state.model_cfg, cfg, seed=8, round_index=1)
+                                  cfg, seed=8, round_index=1)
         log = run_round(state)
         assert log.participants == (0,)
         np.testing.assert_array_equal(state.params.head.data,
@@ -334,7 +333,9 @@ class TestRounds:
         cfg = tiny_cfg(strategy="shared_only", rounds=2)
         state, logs = run_training(clients, backbone, TINY_MODEL, cfg, seed=12)
         assert state.bank is None
-        assert state.model_cfg.mix_layers == ()
+        # without a bank no client gets score constants, so nothing mixes
+        for cid in range(len(clients)):
+            assert state.client_inputs(cid)[1] == {}
         assert len(logs) == 3
 
     def test_nonparticipants_untouched(self):
@@ -365,13 +366,13 @@ class TestRounds:
                             heldout=(5,))
         warm_startup(state)
         calls = []
+        build = PrototypeBank.score_constants
 
-        def counting(*args):
-            calls.append(args)
-            return score_constants(*args)
+        def counting(bank, priors):
+            calls.append(priors)
+            return build(bank, priors)
 
-        for module in (federation, evaluation):
-            monkeypatch.setattr(module, "score_constants", counting)
+        monkeypatch.setattr(PrototypeBank, "score_constants", counting)
         log = run_round(state)
         evaluated = sum(1 for c in clients if c.test_y.size)
         assert evaluated == len(clients) - 1

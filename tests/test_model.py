@@ -23,7 +23,6 @@ from fedprompt.model import (
     gradient_check,
     init_backbone,
     patchify,
-    score_constants,
 )
 from fedprompt.prototypes import PrototypeBank, mix_prompt, soft_scores
 
@@ -37,7 +36,8 @@ def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1, image_size=16):
     rng = np.random.default_rng(seed)
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.init(seed, cfg.dim, classes, n_shared)
-    bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes, dim=cfg.dim)
+    bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes,
+                         dim=cfg.dim, tau=cfg.tau)
     for l in cfg.mix_layers:
         bank.mu[l] = rng.normal(size=(classes, cfg.dim))
     priors = rng.random(classes)
@@ -46,8 +46,7 @@ def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1, image_size=16):
     return backbone, prompts, bank, priors, image
 
 
-def forward_recording_scores(monkeypatch, image, prompts, backbone, cfg,
-                             consts):
+def forward_recording_scores(monkeypatch, image, prompts, backbone, consts):
     """`forward_with_prompts`, plus layer -> the score vector the forward
     mixed its prompt with at that layer."""
     layer_of = {id(c): l for l, c in consts.items()}
@@ -60,7 +59,7 @@ def forward_recording_scores(monkeypatch, image, prompts, backbone, cfg,
         return out, scores_map
 
     monkeypatch.setattr(model, "soft_scores_op", recording)
-    logits, cls = forward_with_prompts(image, prompts, backbone, cfg, consts)
+    logits, cls = forward_with_prompts(image, prompts, backbone, consts)
     return logits, cls, scores
 
 
@@ -89,6 +88,13 @@ class TestInitBackbone:
         assert digest.hexdigest() == (
             "53ff191ed8b1639186c01264897805835b90281858c93e39414c380e43b532e0")
 
+    def test_records_the_sizes_its_arrays_do_not_show(self):
+        cfg = ModelConfig(dim=12, layers=3, heads=3, patch_size=4,
+                          mix_layers=())
+        backbone = init_backbone(0, cfg)
+        assert (backbone.heads, backbone.patch_size) == (3, 4)
+        assert (backbone.cls_embed.size, len(backbone.blocks)) == (12, 3)
+
     def test_different_seeds_differ(self):
         assert (backbone_checksum(init_backbone(1, SMALL))
                 != backbone_checksum(init_backbone(2, SMALL)))
@@ -97,8 +103,8 @@ class TestInitBackbone:
         cfg = ModelConfig(dim=32, layers=8, heads=2)
         backbone, prompts, bank, priors, image = make_setup(3, cfg, classes=8)
         logits, cls, scores = forward_recording_scores(
-            monkeypatch, image, prompts, backbone, cfg,
-            score_constants(cfg, bank, priors))
+            monkeypatch, image, prompts, backbone,
+            bank.score_constants(priors))
         assert logits.shape == (8,)
         assert cls.shape == (8, 32)
         assert set(scores) == {5, 6, 7}
@@ -118,9 +124,8 @@ class TestInitBackbone:
             ModelConfig(layers=8, mix_layers=(5, 5))
 
 
-def reference_patchify(image, cfg):
+def reference_patchify(image, p):
     # one patch at a time, row-major
-    p = cfg.patch_size
     n = len(image) // p
     return np.stack([image[i * p:(i + 1) * p, j * p:(j + 1) * p].reshape(-1)
                      for i in range(n) for j in range(n)])
@@ -256,8 +261,8 @@ class TestFusedLayerReference:
                           mix_layers=())
         image = np.random.default_rng(image_size).normal(
             size=(image_size, image_size))
-        assert np.array_equal(patchify(image, cfg),
-                              reference_patchify(image, cfg))
+        assert np.array_equal(patchify(image, cfg.patch_size),
+                              reference_patchify(image, cfg.patch_size))
 
 
 # The prompted forward as a chain of generic tape ops, as it was written
@@ -434,7 +439,8 @@ def reference_run(image, prompts, backbone, cfg, bank, priors, label):
     if shared.data.shape[1] > 0:
         rows.append(ref_transpose(shared, tape))
     dim = cfg.dim
-    tokens = patchify(image, cfg) @ backbone.patch_embed + np.zeros(dim)
+    tokens = (patchify(image, cfg.patch_size) @ backbone.patch_embed
+              + np.zeros(dim))
     rows.append(RefTensor(tokens))
     seq = ref_concat_rows(rows, tape)
     mix_inserted = False
@@ -499,21 +505,21 @@ class TestFusedForwardReference:
             for l in mix_layers:
                 bank.mu[l][2] = 0.0
         label = int(rng.integers(classes))
-        consts = score_constants(cfg, bank, priors)
+        consts = bank.score_constants(priors)
 
         (logits, cls, scores), grads = taped_run(
             lambda p: forward_recording_scores(monkeypatch, image, p,
-                                               backbone, cfg, consts),
+                                               backbone, consts),
             prompts, label)
         ref, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
                                        priors, label)
         shard_logits, shard_cls = forward_shard(image[None], prompts, backbone,
-                                                cfg, consts)
+                                                consts)
         # an identity head reads out the normalized final cls token exactly
         probe = PromptParams.from_arrays(prompts.shared.data,
                                          prompts.class_prompts.data,
                                          np.eye(cfg.dim))
-        final_cls, _ = forward_with_prompts(image, probe, backbone, cfg, consts)
+        final_cls, _ = forward_with_prompts(image, probe, backbone, consts)
 
         assert np.array_equal(logits, ref["logits"])
         assert np.array_equal(shard_logits[0], ref["logits"])
@@ -609,29 +615,28 @@ class TestWorkspaces:
             40, cfg, classes=5, n_shared=2)
         prompts.head.data[...] = np.random.default_rng(40).normal(
             size=prompts.head.data.shape)
-        consts = score_constants(cfg, bank, priors)
+        consts = bank.score_constants(priors)
         others = np.random.default_rng(41).normal(size=(3, 16, 16))
         # another dim and token count: 8 x 8 images in 4 x 4 patches
         small_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                                 mix_layers=(2,))
         small = make_setup(42, small_cfg, classes=3, n_shared=0, image_size=8)
-        small_consts = score_constants(small_cfg, small[2], small[3])
+        small_consts = small[2].score_constants(small[3])
 
         def taped(interleave):
             prompts.zero_grad()
             with te.Tape() as tape:
                 logits, cls = forward_with_prompts(image, prompts, backbone,
-                                                   cfg, consts)
+                                                   consts)
                 te.cross_entropy(logits, 3)
             kept = (logits.copy(), cls.copy())
             captured = captured_arrays(tape._ops)
             if interleave:
-                forward_shard(others, prompts, backbone, cfg, consts)
-                forward_with_prompts(small[4], small[1], small[0], small_cfg,
+                forward_shard(others, prompts, backbone, consts)
+                forward_with_prompts(small[4], small[1], small[0],
                                      small_consts)
                 with te.Tape() as other_tape:
-                    forward_with_prompts(others[0], prompts, backbone, cfg,
-                                         consts)
+                    forward_with_prompts(others[0], prompts, backbone, consts)
                 other_tape._ops.clear()
             assert np.array_equal(logits, kept[0])
             assert np.array_equal(cls, kept[1])
@@ -654,11 +659,11 @@ class TestWorkspaces:
         # each primitive, untaped, after a first call has filled its
         # workspace
         backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
 
         def outputs():
-            seq = model._embed(image, prompts.shared, backbone, SMALL)
+            seq = model._embed(image, prompts.shared, backbone)
             mixed = model._mix(seq, prompts.class_prompts, consts[2], False,
                                None)
             block = _transformer_layer(mixed, backbone.blocks[0], SMALL.heads)
@@ -676,11 +681,10 @@ class TestWorkspaces:
 
     def test_untaped_outputs_are_fresh(self):
         backbone, prompts, bank, priors, image = make_setup(43)
-        consts = score_constants(SMALL, bank, priors)
-        first = forward_with_prompts(image, prompts, backbone, SMALL, consts)
+        consts = bank.score_constants(priors)
+        first = forward_with_prompts(image, prompts, backbone, consts)
         kept = [a.copy() for a in first]
-        second = forward_with_prompts(image * 2, prompts, backbone, SMALL,
-                                      consts)
+        second = forward_with_prompts(image * 2, prompts, backbone, consts)
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
         assert_no_escape([*first, *second], *consts.values())
@@ -689,14 +693,14 @@ class TestWorkspaces:
         backbone, prompts, bank, priors, _ = make_setup(47, n_shared=2)
         prompts.head.data[...] = np.random.default_rng(47).normal(
             size=prompts.head.data.shape)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         images = np.random.default_rng(48).normal(size=(2, 16, 16))
 
         def record(image, label):
             params = prompts.copy()
             with te.Tape() as tape:
                 logits, _ = forward_with_prompts(image, params, backbone,
-                                                 SMALL, consts)
+                                                 consts)
                 te.cross_entropy(logits, label)
             return params, tape
 
@@ -718,14 +722,13 @@ class TestWorkspaces:
     @staticmethod
     def open_tape(image, prompts, backbone, consts, label=0):
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
-                                             consts)
+            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
             te.cross_entropy(logits, label)
         return tape
 
     def test_open_tape_sets_are_in_no_free_list(self):
         backbone, prompts, bank, priors, image = make_setup(49)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         # a run first, so the free lists hold sets to lend
         self.open_tape(image, prompts, backbone, consts).backward()
         assert free_sets()
@@ -738,7 +741,7 @@ class TestWorkspaces:
 
     def test_two_open_tapes_of_one_shape_capture_disjoint_memory(self):
         backbone, prompts, bank, priors, _ = make_setup(50, n_shared=2)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         images = np.random.default_rng(50).normal(size=(2, 16, 16))
         first, second = (self.open_tape(image, prompts.copy(), backbone,
                                         consts, i)
@@ -752,7 +755,7 @@ class TestWorkspaces:
 
     def test_backward_returns_sets_for_the_next_forward(self):
         backbone, prompts, bank, priors, image = make_setup(51)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         tape = self.open_tape(image, prompts, backbone, consts)
         lent = kept_sets(tape._ops)
         before = len(free_sets())
@@ -769,14 +772,14 @@ class TestWorkspaces:
                                      "backward-raised"])
     def test_tape_that_does_not_finish_returns_nothing(self, how):
         backbone, prompts, bank, priors, image = make_setup(52)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         self.open_tape(image, prompts, backbone, consts).backward()
         if how == "forward-raised":
-            # no constants for the second mixing layer: blocks 1 and 2 are
-            # taped before the forward fails
-            partial = {2: consts[2]}
-            with pytest.raises(KeyError), te.Tape() as tape:
-                forward_with_prompts(image, prompts, backbone, SMALL, partial)
+            # no usable constants for the second mixing layer: blocks 1
+            # and 2 are taped before the forward fails
+            broken = {2: consts[2], 3: None}
+            with pytest.raises(AttributeError), te.Tape() as tape:
+                forward_with_prompts(image, prompts, backbone, broken)
         else:
             tape = self.open_tape(image, prompts, backbone, consts)
         lent = kept_sets(tape._ops)
@@ -797,7 +800,7 @@ class TestWorkspaces:
 
     def test_map_recorded_first_that_raises_runs_after_every_block_map(self):
         backbone, prompts, bank, priors, image = make_setup(53)
-        consts = score_constants(SMALL, bank, priors)
+        consts = bank.score_constants(priors)
         self.open_tape(image, prompts, backbone, consts).backward()
 
         def fail(g):
@@ -805,8 +808,7 @@ class TestWorkspaces:
 
         with te.Tape() as tape:
             tape.record(fail)
-            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
-                                             consts)
+            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
             te.cross_entropy(logits, 0)
         taken = set(map(id, kept_sets(tape._ops)))
         assert len(taken) == SMALL.layers
@@ -888,14 +890,13 @@ class TestBlockPruning:
                                                             n_shared=0)
         prompts.head.data[...] = np.random.default_rng(44).normal(
             size=prompts.head.data.shape)
-        consts = score_constants(cfg, bank, priors)
+        consts = bank.score_constants(priors)
         _, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
                                      priors, 1)
         calls = self.block_calls(monkeypatch)
         prompts.zero_grad()
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
-                                             consts)
+            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
             te.cross_entropy(logits, 1)
         tape.backward()
         first_mix = min(mix_layers, default=cfg.layers + 1)
@@ -950,7 +951,7 @@ class TestPatchify:
         cfg = ModelConfig(dim=16, layers=1, heads=2, patch_size=2,
                           mix_layers=())
         image = np.arange(16.0).reshape(4, 4)
-        patches = patchify(image, cfg)
+        patches = patchify(image, cfg.patch_size)
         np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(patches[3], [10, 11, 14, 15])
 
@@ -958,7 +959,7 @@ class TestPatchify:
     def test_shape_check(self, shape):
         with pytest.raises(ConfigError, match="square image whose side is a "
                            "multiple of patch size 8"):
-            patchify(np.zeros(shape), SMALL)
+            patchify(np.zeros(shape), SMALL.patch_size)
 
     @pytest.mark.parametrize("size", [8, 24])
     def test_any_multiple_of_patch_size_runs(self, size):
@@ -966,21 +967,21 @@ class TestPatchify:
         # image whose side is a multiple of the patch size
         backbone, prompts, bank, priors, _ = make_setup(47)
         image = np.random.default_rng(size).normal(size=(size, size))
-        assert patchify(image, SMALL).shape == ((size // 8) ** 2, 64)
+        assert patchify(image, SMALL.patch_size).shape == ((size // 8) ** 2, 64)
         logits, cls = forward_with_prompts(
-            image, prompts, backbone, SMALL,
-            score_constants(SMALL, bank, priors))
+            image, prompts, backbone, bank.score_constants(priors))
         assert np.isfinite(logits).all() and cls.shape == (4, SMALL.dim)
 
 
 class TestForward:
     def test_plain_prompted_forward_without_mixing(self, monkeypatch):
         cfg = dataclasses.replace(SMALL, mix_layers=())
-        backbone, prompts, _, _, image = make_setup(4)
-        consts = score_constants(cfg)
+        # a bank without layers builds no constants, so nothing mixes
+        backbone, prompts, bank, priors, image = make_setup(4, cfg)
+        consts = bank.score_constants(priors)
         assert consts == {}
         logits, cls, scores = forward_recording_scores(
-            monkeypatch, image, prompts, backbone, cfg, consts)
+            monkeypatch, image, prompts, backbone, consts)
         assert logits.shape == (4,)
         assert scores == {}
         assert cls.shape == (cfg.layers, cfg.dim)
@@ -989,8 +990,8 @@ class TestForward:
         backbone, prompts, bank, _, image = make_setup(5)
         priors = np.array([0.0, 0.0, 1.0, 0.0])
         _, _, scores = forward_recording_scores(
-            monkeypatch, image, prompts, backbone, SMALL,
-            score_constants(SMALL, bank, priors))
+            monkeypatch, image, prompts, backbone,
+            bank.score_constants(priors))
         assert set(scores) == set(SMALL.mix_layers)
         for layer, s in scores.items():
             np.testing.assert_array_equal(s, priors)
@@ -999,32 +1000,19 @@ class TestForward:
                 prompts.class_prompts.data[:, 2],
             )
 
-    def test_missing_prototype_layer_raises(self):
-        _, _, bank, priors, _ = make_setup(6)
-        del bank.mu[3]
-        with pytest.raises(ConfigError, match="missing layers"):
-            score_constants(SMALL, bank, priors)
-
-    def test_mixing_requires_bank_and_priors(self):
-        _, _, bank, priors, _ = make_setup(7)
-        with pytest.raises(ConfigError, match="no prototype bank"):
-            score_constants(SMALL, None, priors)
-        with pytest.raises(ConfigError, match="no class priors"):
-            score_constants(SMALL, bank, None)
-
     def test_forward_deterministic(self):
         backbone, prompts, bank, priors, image = make_setup(8)
-        consts = score_constants(SMALL, bank, priors)
-        a, cls_a = forward_with_prompts(image, prompts, backbone, SMALL, consts)
-        b, cls_b = forward_with_prompts(image, prompts, backbone, SMALL, consts)
+        consts = bank.score_constants(priors)
+        a, cls_a = forward_with_prompts(image, prompts, backbone, consts)
+        b, cls_b = forward_with_prompts(image, prompts, backbone, consts)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(cls_a, cls_b)
 
     def test_scores_match_pure_function_on_traced_cls(self, monkeypatch):
         backbone, prompts, bank, priors, image = make_setup(9)
         _, cls, scores = forward_recording_scores(
-            monkeypatch, image, prompts, backbone, SMALL,
-            score_constants(SMALL, bank, priors))
+            monkeypatch, image, prompts, backbone,
+            bank.score_constants(priors))
         first = SMALL.mix_layers[0]
         expected = soft_scores(cls[first - 1], bank.mu[first], priors,
                                SMALL.tau)
@@ -1034,8 +1022,8 @@ class TestForward:
         backbone, prompts, bank, priors, image = make_setup(11)
         before = backbone_checksum(backbone)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
-                                             score_constants(SMALL, bank, priors))
+            logits, _ = forward_with_prompts(image, prompts, backbone,
+                                             bank.score_constants(priors))
             te.cross_entropy(logits, 1)
         tape.backward()
         assert backbone_checksum(backbone) == before
@@ -1051,8 +1039,8 @@ class TestForward:
         b = PromptParams.from_arrays(np.zeros((cfg.dim, 0)),
                                      np.ones((cfg.dim, 4)) * 9.0, head)
         image = np.random.default_rng(13).normal(size=(16, 16))
-        la, _ = forward_with_prompts(image, a, backbone, cfg, {})
-        lb, _ = forward_with_prompts(image, b, backbone, cfg, {})
+        la, _ = forward_with_prompts(image, a, backbone, {})
+        lb, _ = forward_with_prompts(image, b, backbone, {})
         np.testing.assert_array_equal(la, lb)
 
 
@@ -1071,9 +1059,9 @@ class TestForwardShard:
         backbone, prompts, bank, _, _ = make_setup(17, cfg, classes=8)
         prompts.head.data[...] = np.random.default_rng(17).normal(
             size=prompts.head.data.shape)
-        consts = score_constants(cfg, bank, part.priors[0])
-        logits, cls = forward_shard(images, prompts, backbone, cfg, consts)
-        singles = [forward_with_prompts(x, prompts, backbone, cfg, consts)
+        consts = bank.score_constants(part.priors[0])
+        logits, cls = forward_shard(images, prompts, backbone, consts)
+        singles = [forward_with_prompts(x, prompts, backbone, consts)
                    for x in images]
         n = len(images)
         assert logits.shape == (n, 8) and cls.shape == (cfg.layers, n, cfg.dim)
@@ -1093,8 +1081,8 @@ class TestGradients:
         backbone, prompts, bank, priors, image = make_setup(15)
         before = backbone_checksum(backbone)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, SMALL,
-                                             score_constants(SMALL, bank, priors))
+            logits, _ = forward_with_prompts(image, prompts, backbone,
+                                             bank.score_constants(priors))
             te.cross_entropy(logits, 2)
         tape.backward()
         # plain arrays have no gradient slot, so no backward can write one

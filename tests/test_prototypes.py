@@ -334,7 +334,8 @@ class TestDifferentialPrivacy:
 
 class TestPrototypeBank:
     def make_bank(self, **kw):
-        return PrototypeBank(layers=(5, 6), num_classes=3, dim=2, **kw)
+        return PrototypeBank(layers=(5, 6), num_classes=3, dim=2, tau=0.05,
+                             **kw)
 
     def test_warm_start_plain_mean_includes_zeros(self):
         bank = self.make_bank()
@@ -360,7 +361,7 @@ class TestPrototypeBank:
         bank.apply_period_update()
         np.testing.assert_allclose(bank.mu[5], np.full((3, 2), 2.0))
         np.testing.assert_allclose(bank.mu[6], np.full((3, 2), 3.0))
-        assert bank.pending() == 0
+        assert len(bank._buffer) == 0
 
     def test_empty_buffer_update_is_noop(self):
         bank = self.make_bank()

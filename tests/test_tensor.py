@@ -12,7 +12,6 @@ from fedprompt.model import (
     _mix,
     forward_with_prompts,
     init_backbone,
-    score_constants,
 )
 from fedprompt.prototypes import PrototypeBank, ScoreConstants
 
@@ -127,7 +126,7 @@ class TestStructuralOps:
 
         def loss(st, pt):
             tape = te.active_tape()
-            seq = _embed(image, st, backbone, cfg, tape)
+            seq = _embed(image, st, backbone, tape)
             seq = _mix(seq, pt, consts[0], False, tape)
             seq = _mix(seq, pt, consts[1], True, tape)
             return flat_cross_entropy(seq, 5)
@@ -190,7 +189,7 @@ class TestTapeContract:
         cfg = ModelConfig(dim=2, layers=1, heads=1, patch_size=1,
                           mix_layers=())
         p = te.Tensor(np.ones((2, 1)))
-        out = _embed(np.ones((2, 2)), p, init_backbone(0, cfg), cfg)
+        out = _embed(np.ones((2, 2)), p, init_backbone(0, cfg))
         assert type(out) is np.ndarray and np.isfinite(out).all()
         assert np.all(p.grad == 0)
 
@@ -215,15 +214,16 @@ class TestRecordedMaps:
         cfg = ModelConfig(dim=4, layers=3, heads=2, patch_size=2,
                           mix_layers=mix_layers)
         prompts = PromptParams.init(0, cfg.dim, 3, n_shared)
-        bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=cfg.dim)
+        bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=cfg.dim,
+                             tau=cfg.tau)
         for l in mix_layers:
             bank.mu[l] = np.random.default_rng(l).normal(size=(3, cfg.dim))
-        consts = score_constants(cfg, bank, np.full(3, 1 / 3))
+        consts = bank.score_constants(np.full(3, 1 / 3))
         tape = te.Tape()
 
         def loss():
             logits, _ = forward_with_prompts(np.ones((4, 4)), prompts,
-                                             init_backbone(0, cfg), cfg, consts)
+                                             init_backbone(0, cfg), consts)
             te.cross_entropy(logits, 0)
 
         if taped:
@@ -247,7 +247,7 @@ def sweep_setup(seed, scale=1.0):
         rng.normal(scale=scale, size=(4, seed % 3)),
         rng.normal(scale=scale, size=(4, 3)),
         rng.normal(scale=scale, size=(3, 4)))
-    bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=4)
+    bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=4, tau=cfg.tau)
     for l in mix_layers:
         bank.mu[l] = rng.normal(size=(3, 4))
         bank.mu[l][seed % 3] = 0.0
@@ -256,7 +256,7 @@ def sweep_setup(seed, scale=1.0):
     priors /= priors.sum()
     image = rng.normal(scale=scale, size=(4, 4))
     label = int(rng.integers(3))
-    return cfg, backbone, prompts, score_constants(cfg, bank, priors), image, label
+    return backbone, prompts, bank.score_constants(priors), image, label
 
 
 def test_hundred_seed_gradient_sweep():
@@ -264,11 +264,11 @@ def test_hundred_seed_gradient_sweep():
     into the prompted forward, 100 seeds."""
     worst = 0.0
     for seed in range(100):
-        cfg, backbone, prompts, consts, image, label = sweep_setup(seed)
+        backbone, prompts, consts, image, label = sweep_setup(seed)
 
         def loss(shared, class_prompts, head):
             params = PromptParams(shared, class_prompts, head)
-            logits, _ = forward_with_prompts(image, params, backbone, cfg,
+            logits, _ = forward_with_prompts(image, params, backbone,
                                              consts=consts)
             return te.cross_entropy(logits, label)
 
@@ -283,9 +283,9 @@ def test_hundred_seed_gradient_sweep():
 
 def test_random_ops_stay_finite():
     for seed in range(25):
-        cfg, backbone, prompts, consts, image, label = sweep_setup(seed, 30.0)
+        backbone, prompts, consts, image, label = sweep_setup(seed, 30.0)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, cfg,
+            logits, _ = forward_with_prompts(image, prompts, backbone,
                                              consts=consts)
             loss = te.cross_entropy(logits, label)
         tape.backward()
