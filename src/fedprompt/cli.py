@@ -152,10 +152,21 @@ class ExperimentConfig:
         return out
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, or ConfigError if it repeats a key, of
+    which `json.load` would keep the last value without a word."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -458,7 +469,8 @@ def _load_prompts_csv(path, state):
 
 def _load_prototypes_csv(path, bank):
     """Read into `bank` (None under `shared_only`) each entry of
-    `_bank_layers` exactly once."""
+    `_bank_layers` exactly once; DataError on a layer whose squared norms
+    overflow, as `run` would have stopped on it."""
     walk = dict(_bank_layers(bank))
     entry = "layer {} at class {}, dim {}".format
     seen = set()
@@ -472,6 +484,10 @@ def _load_prototypes_csv(path, bank):
     _check_complete(path, seen, (
         entry(layer, *index) for layer, mu in walk.items()
         for index in _indices(mu)))
+    layer = None if bank is None else bank.overflowing_layer()
+    if layer is not None:
+        raise DataError(f"{path}: the prototypes of layer {layer} have a "
+                        f"non-finite squared norm")
 
 
 def cmd_eval(args) -> int:

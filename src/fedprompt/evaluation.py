@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import forward_shard
-from .prototypes import cosine_similarity, local_prototypes
+from .prototypes import local_prototypes
 from .seeding import derive_rng
 
 
@@ -83,35 +83,29 @@ def heldout_split(client_ids, participating_fraction: float, seed: int):
     return participating, heldout
 
 
-def prototype_topk_probe(images, labels, backbone, params, layer: int,
-                         k: int, bank=None, priors=None) -> float:
-    """Top-k accuracy of nearest-prototype classification at one layer.
+def prototype_topk_probe(tokens, labels, k: int) -> float:
+    """Top-k accuracy of nearest-prototype classification on one layer's
+    (N, dim) incoming cls tokens, as `forward_shard` returns them in
+    `cls[l - 1]`.
 
-    Prototypes are the per-class means of the incoming cls tokens over
-    the pool; each sample is then ranked against them by cosine
-    similarity of its own incoming cls token.  With a `bank`, the forward
-    mixes at its layers with the scores of `priors`.
+    Prototypes are the per-class means of the tokens over the pool; each
+    token is then ranked against them by cosine similarity, 0 against a
+    zero vector, ties going to the lower class.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ConfigError("probe pool is empty")
-    if not 1 <= layer <= len(backbone.blocks):
-        raise ConfigError(f"probe layer must lie within "
-                          f"[1, {len(backbone.blocks)}], got {layer}")
     if k < 1:
         raise ConfigError(f"probe k must be >= 1, got {k}")
-    if bank is not None and priors is None:
-        raise ConfigError("a probe that mixes needs the client's priors")
-    _, cls = forward_shard(images, params, backbone,
-                           {} if bank is None else bank.score_constants(priors))
-    protos = local_prototypes(cls, labels, int(labels.max()) + 1,
-                              (layer,))[0][layer]
-    hits = 0
-    for vec, y in zip(cls[layer - 1], labels):
-        sims = np.array([cosine_similarity(vec, p) for p in protos])
-        top = np.argsort(-sims, kind="stable")[:k]
-        hits += int(y in top)
-    return hits / labels.size
+    tokens = np.asarray(tokens, dtype=np.float64)
+    protos = local_prototypes(tokens[None], labels, int(labels.max()) + 1,
+                              (1,))[0][1]
+    norms = np.outer(np.linalg.norm(tokens, axis=1),
+                     np.linalg.norm(protos, axis=1))
+    sims = np.divide(tokens @ protos.T, norms, out=np.zeros_like(norms),
+                     where=norms != 0.0)
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return int(np.count_nonzero(top == labels[:, None])) / labels.size
 
 
 def flop_estimate(layers: int, heads: int, tokens: int, dim: int,

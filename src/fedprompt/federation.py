@@ -274,13 +274,11 @@ def warm_startup(state: ServerState) -> None:
 def _check_bank(bank: PrototypeBank, round_index: int) -> None:
     """Fail on prototypes whose squared norms are not finite, as Laplace
     noise of a tiny epsilon leaves them, before any score is computed from
-    them: a norm that overflows would zero every similarity."""
-    for l in bank.layers:
-        with np.errstate(over="ignore"):
-            sq_norms = np.add.reduce(bank.mu[l] * bank.mu[l], axis=1)
-        if not np.isfinite(sq_norms).all():
-            raise TrainingError(f"non-finite prototype norms at layer {l}",
-                                round_index=round_index)
+    them."""
+    layer = bank.overflowing_layer()
+    if layer is not None:
+        raise TrainingError(f"non-finite prototype norms at layer {layer}",
+                            round_index=round_index)
 
 
 def _evaluate(state: ServerState):

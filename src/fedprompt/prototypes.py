@@ -28,15 +28,6 @@ def compute_class_priors(labels, num_classes: int) -> np.ndarray:
     return counts / labels.size
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 whenever either vector is zero."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
 class ScoreConstants:
     """The part of one layer's scores that does not depend on the sample.
 
@@ -58,6 +49,9 @@ class ScoreConstants:
             raise ConfigError(f"temperature must be positive, got {tau}")
         prototypes = np.asarray(prototypes, dtype=np.float64)
         priors = np.asarray(priors, dtype=np.float64).reshape(-1)
+        if prototypes.ndim == 2 and prototypes.shape[0] != priors.size:
+            raise ConfigError(f"priors must have one entry per prototype "
+                              f"row: {priors.size} for {prototypes.shape[0]}")
         if prototypes.shape != (priors.size, dim):
             raise ConfigError("prototype matrix must be (classes, dim)")
         active = np.flatnonzero(priors > 0.0)
@@ -267,6 +261,8 @@ class PrototypeBank:
         """
         if not submissions_per_client:
             raise ConfigError("warm-up requires at least one client")
+        self._require("sensitivities", len(sensitivities))
+        self._require("rng", rng is not None)
         for l in self.layers:
             stack = np.stack([sub[l] for sub in submissions_per_client])
             self.mu[l] = stack.mean(axis=0)
@@ -286,6 +282,16 @@ class PrototypeBank:
         return {l: ScoreConstants(self.mu[l], priors, self.tau, self.dim)
                 for l in self.layers}
 
+    def overflowing_layer(self):
+        """The first layer holding a prototype whose squared norm is not
+        finite, or None: such a norm would zero every similarity."""
+        for l in self.layers:
+            with np.errstate(over="ignore"):
+                sq_norms = np.add.reduce(self.mu[l] * self.mu[l], axis=1)
+            if not np.isfinite(sq_norms).all():
+                return l
+        return None
+
     def apply_period_update(self, rng=None) -> None:
         """Aggregate the buffered submissions, fold them in with momentum,
         add class-level Laplace noise with `epsilon`, then clear the buffer.
@@ -295,6 +301,7 @@ class PrototypeBank:
         """
         if not self._buffer:
             return
+        self._require("rng", rng is not None)
         for l in self.layers:
             agg, counts = aggregate_submissions([p[l] for p, _ in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
@@ -302,6 +309,13 @@ class PrototypeBank:
                 self._privatize_layer(
                     l, counts, [s[l] for _, s in self._buffer], rng)
         self._buffer.clear()
+
+    def _require(self, name, present):
+        """With `epsilon`, ConfigError unless `name`, an input the noise
+        draws on, is `present`."""
+        if self.epsilon is not None and not present:
+            raise ConfigError(f"a bank with privacy budget epsilon "
+                              f"{self.epsilon} needs {name} to noise with")
 
     def _privatize_layer(self, layer, counts, sensitivities, rng):
         """Noise each class with contributors, scaled by the largest

@@ -115,6 +115,33 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "partition", "eval"])
+    @pytest.mark.parametrize("section", [None, "train"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, command, section):
+        # json.load would keep the second `rounds` and drop the first
+        path, _ = small_config(tmp_path, train={"rounds": 1})
+        if command == "eval":
+            assert main(["run", "--config", str(path)]) == 0
+            capsys.readouterr()
+            path = tmp_path / "run" / "config.json"
+        text = path.read_text()
+        if section is None:
+            text = text.replace('"seed": 0,', '"seed": 0, "seed": 0,', 1)
+        else:
+            text = text.replace('"rounds": 1', '"rounds": 4, "rounds": 1', 1)
+        assert text != path.read_text()
+        path.write_text(text)
+        args = (["eval", "--run-dir", str(tmp_path / "run")]
+                if command == "eval" else [command, "--config", str(path)])
+        assert main(args) == 2
+        key = "seed" if section is None else "rounds"
+        assert capsys.readouterr().err == (
+            f"config error: config repeats the key {key!r}\n")
+        if command == "eval":
+            assert not (tmp_path / "run" / "eval_report.json").exists()
+        else:
+            assert not (tmp_path / "run").exists()
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -962,6 +989,17 @@ class TestEvalCommand:
         assert main(["eval", "--run-dir", str(run)]) == 2
         assert capsys.readouterr().err == message.format(
             csv=run / "prototypes.csv", run=run) + "\n"
+        assert not (run / "eval_report.json").exists()
+
+    def test_overflowing_saved_prototypes_are_a_data_error(
+            self, tmp_path, capsys, saved_run):
+        # 1e200 is finite, but its square is not: scores computed from it
+        # would overflow, as `run` refuses to let them
+        run = edited_run(saved_run, tmp_path, "prototypes.csv", 2, 3, "1e200")
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {run / 'prototypes.csv'}: the prototypes of layer 2 "
+            f"have a non-finite squared norm\n")
         assert not (run / "eval_report.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [

@@ -13,8 +13,9 @@ from fedprompt.evaluation import (
     prototype_topk_probe,
 )
 from fedprompt.federation import ClientState, build_clients, run_training, TrainConfig
-from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
-                             init_backbone)
+from fedprompt import model
+from fedprompt.model import (ModelConfig, PromptParams, forward_shard,
+                             forward_with_prompts, init_backbone)
 from fedprompt.prototypes import PrototypeBank
 
 
@@ -168,22 +169,21 @@ class TestPrototypeProbe:
                           mix_layers=())
         return init_backbone(seed, cfg), PromptParams.init(seed, 16, 4, 0)
 
-    def test_single_class_pool_top1(self):
+    def _tokens(self, images, layer, consts=None):
+        """The cls tokens entering `layer` over the pool `images`."""
         backbone, params = self._world()
-        rng = np.random.default_rng(5)
-        images = rng.normal(size=(6, 8, 8))
-        acc = prototype_topk_probe(images, [0] * 6, backbone, params,
-                                   layer=2, k=1)
-        assert acc == 1.0
+        _, cls = forward_shard(images, params, backbone, consts or {})
+        return cls[layer - 1]
+
+    def test_single_class_pool_top1(self):
+        images = np.random.default_rng(5).normal(size=(6, 8, 8))
+        assert prototype_topk_probe(self._tokens(images, 2), [0] * 6, 1) == 1.0
 
     def test_k_equals_classes_is_one(self):
-        backbone, params = self._world()
         rng = np.random.default_rng(6)
         images = rng.normal(size=(12, 8, 8))
         labels = rng.integers(0, 4, size=12)
-        acc = prototype_topk_probe(images, labels, backbone, params,
-                                   layer=3, k=4)
-        assert acc == 1.0
+        assert prototype_topk_probe(self._tokens(images, 3), labels, 4) == 1.0
 
     def test_separated_data_beats_chance_at_mid_layers(self):
         spec = SyntheticSpec(classes=8, train_per_class=20, test_per_class=1,
@@ -193,38 +193,70 @@ class TestPrototypeProbe:
                           mix_layers=())
         backbone = init_backbone(7, cfg)
         params = PromptParams.init(7, 16, 8, 0)
-        acc = prototype_topk_probe(ds.train_x, ds.train_y, backbone, params, layer=3, k=1)
+        _, cls = forward_shard(ds.train_x, params, backbone, {})
+        acc = prototype_topk_probe(cls[2], ds.train_y, 1)
         # chance for top-1 over 8 classes is 0.125
         assert acc > 0.5
 
-    @pytest.mark.parametrize("layer, k, message", [
-        (0, 1, r"probe layer must lie within \[1, 4\], got 0"),
-        (-1, 1, r"probe layer must lie within \[1, 4\], got -1"),
-        (5, 1, r"probe layer must lie within \[1, 4\], got 5"),
-        (2, 0, "probe k must be >= 1, got 0"),
-        (2, -2, "probe k must be >= 1, got -2"),
-    ])
-    def test_out_of_range_arguments_rejected(self, layer, k, message):
-        backbone, params = self._world()
-        images = np.random.default_rng(8).normal(size=(4, 8, 8))
-        with pytest.raises(ConfigError, match=message):
-            prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
-                                 layer=layer, k=k)
-
-
-    def test_mixing_probe_needs_priors(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_pair_reference(self, seed):
+        spec = SyntheticSpec(classes=8, train_per_class=20, test_per_class=1,
+                             image_size=8, separation=2.0, noise=0.3)
+        ds = generate_synthetic(spec, seed)
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
-                          mix_layers=(2,))
-        bank = PrototypeBank(layers=cfg.mix_layers, num_classes=4,
-                             dim=cfg.dim, tau=cfg.tau)
-        backbone, params = self._world()
+                          mix_layers=())
+        _, cls = forward_shard(ds.train_x, PromptParams.init(seed, 16, 8, 0),
+                               init_backbone(seed, cfg), {})
+
+        def cosine(a, b):
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            return 0.0 if na == 0.0 or nb == 0.0 else float(a @ b) / (na * nb)
+
+        for tokens in cls[:4]:
+            protos = np.stack([tokens[ds.train_y == c].mean(axis=0)
+                               for c in range(8)])
+            for k in (1, 2, 3):
+                hits = sum(
+                    y in np.argsort([-cosine(t, p) for p in protos],
+                                    kind="stable")[:k]
+                    for t, y in zip(tokens, ds.train_y))
+                assert prototype_topk_probe(tokens, ds.train_y, k) == (
+                    hits / ds.train_y.size)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_out_of_range_arguments_rejected(self, k):
+        images = np.random.default_rng(8).normal(size=(4, 8, 8))
+        with pytest.raises(ConfigError, match=f"probe k must be >= 1, got {k}"):
+            prototype_topk_probe(self._tokens(images, 2), [0, 1, 0, 1], k)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ConfigError, match="probe pool is empty"):
+            prototype_topk_probe(np.zeros((0, 16)), [], 1)
+
+    def test_tokens_of_a_mixing_forward(self):
+        bank = PrototypeBank(layers=(2,), num_classes=4, dim=16, tau=0.05)
         images = np.random.default_rng(9).normal(size=(4, 8, 8))
-        with pytest.raises(ConfigError, match="needs the client's priors"):
-            prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
-                                 layer=2, k=1, bank=bank)
-        assert prototype_topk_probe(images, [0, 1, 0, 1], backbone, params,
-                                    layer=4, k=2, bank=bank,
-                                    priors=np.full(4, 0.25)) == 1.0
+        tokens = self._tokens(images, 4,
+                              consts=bank.score_constants(np.full(4, 0.25)))
+        assert prototype_topk_probe(tokens, [0, 1, 0, 1], 2) == 1.0
+
+    def test_runs_no_forward(self, monkeypatch):
+        images = np.random.default_rng(5).normal(size=(6, 8, 8))
+        tokens = self._tokens(images, 3)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the probe ran a forward")
+
+        monkeypatch.setattr(model, "forward_with_prompts", no_forward)
+        assert prototype_topk_probe(tokens, [0, 1, 2] * 2, 3) == 1.0
+
+    def test_zero_vectors_score_zero(self):
+        # class 1's prototype is the zero vector: it outranks class 0's
+        # only for a token at negative similarity to that one, and the zero
+        # token ties both classes at 0, so it ranks class 0 first
+        tokens = np.array([[1.0, 0.0], [3.0, 0.0],
+                           [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert prototype_topk_probe(tokens, [0, 0, 1, 1, 1], 1) == 0.6
 
 
 class TestFlopAccounting:

@@ -183,6 +183,11 @@ class TestSoftScores:
         with pytest.raises(DataError):
             soft_scores(np.ones(2), np.zeros((2, 2)), [0.0, 0.0], 0.05)
 
+    def test_priors_of_the_wrong_length_are_named(self):
+        with pytest.raises(ConfigError, match="priors must have one entry "
+                           "per prototype row: 3 for 4"):
+            soft_scores(np.ones(8), np.ones((4, 8)), np.full(3, 1 / 3), 0.05)
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
             soft_scores(np.ones(2), np.zeros((2, 2)), [1.0, 0.0], 0.0)
@@ -388,6 +393,28 @@ class TestPrototypeBank:
         for c, s in enumerate([0.3, 0.4, 0.2]):
             expected[c] += rng_b.laplace(0.0, s / 0.2, size=2)
         np.testing.assert_allclose(bank.mu[5], expected)
+
+    def test_noise_without_its_inputs_names_them(self):
+        bank = PrototypeBank(layers=(1,), num_classes=2, dim=3, tau=0.1,
+                             epsilon=1.0)
+        sub, sens = {1: np.ones((2, 3))}, {1: np.ones(2)}
+        with pytest.raises(ConfigError, match="needs sensitivities"):
+            bank.warm_start([sub])
+        with pytest.raises(ConfigError, match="needs rng"):
+            bank.warm_start([sub], [sens])
+        np.testing.assert_array_equal(bank.mu[1], np.zeros((2, 3)))
+        bank.submit(sub, sens)
+        with pytest.raises(ConfigError, match="epsilon 1.0 needs rng"):
+            bank.apply_period_update()
+        np.testing.assert_array_equal(bank.mu[1], np.zeros((2, 3)))
+
+    def test_noiseless_bank_needs_neither(self):
+        bank = PrototypeBank(layers=(1,), num_classes=2, dim=3, tau=0.1)
+        sub, sens = {1: np.ones((2, 3))}, {1: np.ones(2)}
+        bank.warm_start([sub])
+        bank.submit(sub, sens)
+        bank.apply_period_update()
+        np.testing.assert_array_equal(bank.mu[1], np.ones((2, 3)))
 
     def test_export_rows(self, tmp_path):
         bank = self.make_bank()
