@@ -42,7 +42,6 @@ from .federation import (
     _evaluate,
     build_clients,
     init_server,
-    reject_unread_keys,
     run_training,
 )
 from .model import ModelConfig, init_backbone
@@ -73,29 +72,48 @@ def _typed(value, kind, where):
                       f"got {value!r}")
 
 
-def _read(section: dict, name: str, cls, skip=(), extra=None) -> dict:
-    """Typed values of one config section for the dataclass `cls`: the keys
-    are its fields other than `skip`, plus the required keys `extra` maps
-    to their types.  A field without a default is required; absent
-    optional keys are left out, so the defaults of `cls` apply."""
+def _read(section: dict, name: str, cls):
+    """The dataclass `cls` built from one config section: the keys are its
+    fields, a field without a default is required, and absent keys take
+    the defaults of `cls`.  A field typed by a dataclass is a nested
+    section, read the same way in field order."""
     def where(key):
         return f"{name}.{key!r}" if name else repr(key)
 
-    extra = extra or {}
-    kinds = {**extra, **{f.name: f.type for f in fields(cls)
-                         if f.name not in skip}}
-    required = extra.keys() | {f.name for f in fields(cls)
-                               if f.default is MISSING}
+    names = {f.name for f in fields(cls)}
     for key in section:
-        if key not in kinds:
+        if key not in names:
             raise ConfigError(f"unknown field {where(key)}")
     values = {}
-    for key, kind in kinds.items():
-        if key in section:
-            values[key] = _typed(section[key], kind, where(key))
-        elif key in required:
-            raise ConfigError(f"missing required field {where(key)}")
-    return values
+    for f in fields(cls):
+        if f.name in section:
+            value = _typed(section[f.name], f.type, where(f.name))
+            values[f.name] = (_read(value, f.name, f.type)
+                              if is_dataclass(f.type) else value)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required field {where(f.name)}")
+    return cls(**values)
+
+
+# (section, key, value) -> {section: its keys that this value leaves
+# unread}; each must keep its default, so config.json carries no value
+# the run did not use
+UNREAD_KEYS = {
+    ("train", "strategy", "shared_only"): {
+        "train": ("rho", "update_period", "warmup_fraction", "dp_epsilon"),
+        "model": ("tau", "mix_layers")},
+    ("partition", "mode", "pathological"): {"partition": ("beta",)},
+    ("partition", "mode", "dirichlet"): {"partition": ("classes_per_client",)},
+}
+
+
+def _unread(cfg) -> dict:
+    """(section, key) -> what leaves it unread ("strategy 'shared_only'"),
+    for each key of `cfg` that `UNREAD_KEYS` names."""
+    return {(where, key): f"{selector} {value!r}"
+            for (section, selector, value), sections in UNREAD_KEYS.items()
+            if getattr(getattr(cfg, section), selector) == value
+            for where, keys in sections.items() for key in keys}
 
 
 @dataclass
@@ -103,49 +121,49 @@ class ExperimentConfig:
     data: SyntheticSpec
     partition: PartitionSpec
     train: TrainConfig
-    num_clients: int  # the `clients` key of the train section
     model: ModelConfig = ModelConfig()
     seed: int = 0
     out_dir: str = "run"
     heldout_fraction: float = 0.0
 
+    @property
+    def num_clients(self) -> int:  # perfbench/counts.py reads this name
+        return self.train.clients
+
     def __post_init__(self):
+        clients = self.train.clients
+        unread = _unread(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.num_clients < 1:
-            raise ConfigError(
-                f"train clients must be >= 1, got {self.num_clients}")
         if self.data.image_size % self.model.patch_size:
             raise ConfigError(
                 f"data image_size {self.data.image_size} must be a multiple "
                 f"of model patch_size {self.model.patch_size}")
+        if ("model", "mix_layers") not in unread and any(
+                l > self.model.layers for l in self.model.mix_layers):
+            raise ConfigError(
+                f"model mix_layers must lie within [1, {self.model.layers}], "
+                f"got {self.model.mix_layers}")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ConfigError("heldout_fraction must lie in [0, 1)")
         if self.heldout_fraction > 0 and not (
                 0 < participating_count(1.0 - self.heldout_fraction,
-                                        self.num_clients) < self.num_clients):
+                                        clients) < clients):
             raise ConfigError(
                 f"heldout_fraction {self.heldout_fraction} leaves one side "
-                f"of the split empty for {self.num_clients} clients")
-        reject_unread_keys(self.train.strategy, "model", self.model)
+                f"of the split empty for {clients} clients")
+        for (section, key), reader in unread.items():
+            part = getattr(self, section)
+            default = next(f.default for f in fields(part) if f.name == key)
+            if getattr(part, key) != default:
+                raise ConfigError(f"{section}.{key!r} is not read by {reader}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        top = _read(raw, "", cls, skip=("num_clients",))
-        top["data"] = SyntheticSpec(**_read(top["data"], "data", SyntheticSpec))
-        top["partition"] = PartitionSpec(
-            **_read(top["partition"], "partition", PartitionSpec))
-        top["model"] = ModelConfig(
-            **_read(top.get("model", {}), "model", ModelConfig))
-        train = _read(top["train"], "train", TrainConfig,
-                      extra={"clients": int})
-        num_clients = train.pop("clients")
-        top["train"] = TrainConfig(**train)
-        return cls(num_clients=num_clients, **top)
+        return _read(raw, "", cls)
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["train"]["clients"] = out.pop("num_clients")
         # the partition key the mode does not read
         out["partition"] = {k: v for k, v in out["partition"].items()
                             if v is not None}
@@ -183,9 +201,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 def make_partition(dataset, cfg: ExperimentConfig):
     spec = cfg.partition
     if spec.mode == "pathological":
-        return partition_pathological(dataset, cfg.num_clients,
+        return partition_pathological(dataset, cfg.train.clients,
                                       spec.classes_per_client, cfg.seed)
-    return partition_dirichlet(dataset, cfg.num_clients, spec.beta, cfg.seed)
+    return partition_dirichlet(dataset, cfg.train.clients, spec.beta, cfg.seed)
 
 
 def _fmt(value) -> str:
@@ -285,7 +303,7 @@ def _build_world(cfg: ExperimentConfig):
     backbone = init_backbone(cfg.seed, cfg.model)
     heldout = ()
     if cfg.heldout_fraction > 0:
-        _, heldout = heldout_split(range(cfg.num_clients),
+        _, heldout = heldout_split(range(cfg.train.clients),
                                    1.0 - cfg.heldout_fraction, cfg.seed)
     return clients, backbone, heldout
 

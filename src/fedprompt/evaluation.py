@@ -88,9 +88,11 @@ def prototype_topk_probe(tokens, labels, k: int) -> float:
     (N, dim) incoming cls tokens, as `forward_shard` returns them in
     `cls[l - 1]`.
 
-    Prototypes are the per-class means of the tokens over the pool; each
-    token is then ranked against them by cosine similarity, 0 against a
-    zero vector, ties going to the lower class.
+    Prototypes are the per-class means of the tokens over the pool
+    (`local_prototypes`, which rejects a label count that differs from the
+    tokens' or a negative label); each token is then ranked against them
+    by cosine similarity, 0 against a zero vector, ties going to the lower
+    class.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:

@@ -14,7 +14,7 @@ seed, and aggregation always proceeds in ascending client-id order, so a
 run is bit-reproducible.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,25 +26,11 @@ from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
 
 STRATEGIES = ("shared_only", "mixed", "mixed_no_prior", "personalized")
-# the keys of each config section a strategy never reads, rejected unless
-# they hold their default
-UNREAD_KEYS = {
-    "shared_only": {"train": ("rho", "update_period", "warmup_fraction",
-                              "dp_epsilon"),
-                    "model": ("tau",)}}
-
-
-def reject_unread_keys(strategy: str, section: str, config) -> None:
-    """Reject a `section` key that `strategy` never reads, set off its default."""
-    defaults = {f.name: f.default for f in fields(config)}
-    for key in UNREAD_KEYS.get(strategy, {}).get(section, ()):
-        if getattr(config, key) != defaults[key]:
-            raise ConfigError(f"{section}.{key!r} is not read by strategy "
-                              f"{strategy!r}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    clients: int
     clients_per_round: int
     rounds: int
     local_epochs: int = 2
@@ -66,6 +52,7 @@ class TrainConfig:
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
         for key, ok, rule in (
+                ("clients", self.clients >= 1, "be >= 1"),
                 ("rounds", self.rounds >= 0, "be >= 0"),
                 ("local_epochs", self.local_epochs >= 1, "be >= 1"),
                 ("clients_per_round", self.clients_per_round >= 1, "be >= 1"),
@@ -85,7 +72,6 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(
                     f"train {key} must {rule}, got {getattr(self, key)}")
-        reject_unread_keys(self.strategy, "train", self)
 
 
 @dataclass
@@ -383,9 +369,12 @@ def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
     params = PromptParams.init(seed, model_cfg.dim, classes, cfg.shared_prompts)
     bank = None
     if mixing:
-        if not model_cfg.mix_layers:
-            raise ConfigError("mixing strategy requires at least one mix layer")
-        bank = PrototypeBank(layers=tuple(model_cfg.mix_layers),
+        # a run's config has checked the layers; a library caller may not
+        layers = model_cfg.mix_layers
+        if not layers or max(layers) > model_cfg.layers:
+            raise ConfigError(f"mixing strategy requires mix layers within "
+                              f"[1, {model_cfg.layers}], got {layers}")
+        bank = PrototypeBank(layers=tuple(layers),
                              num_classes=classes, dim=model_cfg.dim,
                              tau=model_cfg.tau, rho=cfg.rho,
                              epsilon=cfg.dp_epsilon)

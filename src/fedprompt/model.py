@@ -46,9 +46,8 @@ class ModelConfig:
                 # the table is built whole, so no division by heads < 1
                 ("heads", self.heads < 1 or self.dim % self.heads == 0,
                  f"divide dim {self.dim}"),
-                ("mix_layers", all(1 <= l <= self.layers
-                                   for l in self.mix_layers),
-                 f"lie within [1, {self.layers}]"),
+                ("mix_layers", all(l >= 1 for l in self.mix_layers),
+                 "be >= 1"),
                 ("mix_layers", len(set(self.mix_layers)) == len(self.mix_layers),
                  "not repeat a layer"),
                 # below 1/DBL_MAX ~ 5.6e-309 a similarity / tau overflows

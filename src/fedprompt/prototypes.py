@@ -151,10 +151,19 @@ def local_prototypes(cls, labels, num_classes: int, layers):
     the zero vector marking absent classes, and sensitivities maps
     layer -> (classes,) Laplace sensitivities
     S_c = 2 * max_i ||cls_i - mu_c||_1 / n_c (zero for absent classes).
+    DataError unless there is one label per token, each in
+    [0, num_classes).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise DataError("client dataset is empty")
+    if len(cls[0]) != labels.size:
+        raise DataError(f"{len(cls[0])} cls tokens for {labels.size} labels")
+    if labels.min() < 0:
+        raise DataError(f"labels must be >= 0, got {labels.min()}")
+    if labels.max() >= num_classes:
+        raise DataError(f"labels must be below {num_classes} classes, "
+                        f"got {labels.max()}")
     counts = np.bincount(labels, minlength=num_classes)
     protos = {}
     sens = {}

@@ -44,10 +44,11 @@ DESK_ROUNDS = 30
 
 
 def desk_train_cfg(strategy, dp_epsilon=None):
-    return TrainConfig(clients_per_round=3, rounds=DESK_ROUNDS, local_epochs=1,
-                       batch_size=16, lr=0.1, lr_decay=0.99, momentum=0.9,
-                       grad_clip=10.0, rho=0.9, update_period=1,
-                       strategy=strategy, dp_epsilon=dp_epsilon)
+    return TrainConfig(clients=DESK_CLIENTS, clients_per_round=3,
+                       rounds=DESK_ROUNDS, local_epochs=1, batch_size=16,
+                       lr=0.1, lr_decay=0.99, momentum=0.9, grad_clip=10.0,
+                       rho=0.9, update_period=1, strategy=strategy,
+                       dp_epsilon=dp_epsilon)
 
 
 def desk_run(seed, strategy, dp_epsilon=None, heldout_fraction=0.0):

@@ -2,7 +2,6 @@ import copy
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -21,12 +20,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import fedprompt
 from fedprompt import cli
-from fedprompt.cli import (ExperimentConfig, load_config, main,
+from fedprompt.cli import (UNREAD_KEYS, ExperimentConfig, load_config, main,
                            write_config_copy)
 from fedprompt.data import (MODES, PartitionSpec, SyntheticSpec,
                             generate_synthetic)
 from fedprompt.errors import ConfigError
-from fedprompt.federation import STRATEGIES, UNREAD_KEYS, TrainConfig
+from fedprompt.federation import STRATEGIES, TrainConfig
 from fedprompt.model import ModelConfig
 
 
@@ -35,6 +34,9 @@ DROP = object()
 
 
 def small_config(tmp_path, **overrides):
+    """A 3-layer run config with `overrides` merged in, section by section.
+    Under `shared_only`, which does not read `model.mix_layers`, the layer
+    it sets is left out unless `overrides` names it."""
     cfg = {
         "seed": 0,
         "out_dir": str(tmp_path / "run"),
@@ -53,6 +55,9 @@ def small_config(tmp_path, **overrides):
                         if v is not DROP}
         else:
             cfg[key] = value
+    if (cfg["train"].get("strategy") == "shared_only"
+            and "mix_layers" not in overrides.get("model", {})):
+        del cfg["model"]["mix_layers"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -264,6 +269,13 @@ class TestRunCommand:
          "train.'warmup_fraction' is not read by strategy 'shared_only'"),
         ({"train": {"strategy": "shared_only"}, "model": {"tau": 0.01}},
          "model.'tau' is not read by strategy 'shared_only'"),
+        # a 3-layer model need not set it, but one that does is rejected
+        ({"train": {"strategy": "shared_only"}, "model": {"mix_layers": [2]}},
+         "model.'mix_layers' is not read by strategy 'shared_only'"),
+        # ... also where it lies beyond the model's layers, which no
+        # shared_only run checks
+        ({"train": {"strategy": "shared_only"}, "model": {"mix_layers": [4]}},
+         "model.'mix_layers' is not read by strategy 'shared_only'"),
     ])
     def test_bad_key_or_type_names_field(self, tmp_path, capsys, overrides,
                                          message):
@@ -383,8 +395,9 @@ class TestRunCommand:
 
 def tiny_config(partition=None, clients=2, heldout_fraction=0.0,
                 strategy="mixed", dp_epsilon=None):
-    """A run config small enough to train in a few milliseconds."""
-    return {
+    """A run config small enough to train in a few milliseconds; under
+    `shared_only` it leaves out the mix layer that strategy does not read."""
+    cfg = {
         "data": {"classes": 3, "train_per_class": 3, "test_per_class": 2,
                  "image_size": 4, "separation": 1.0, "noise": 1.0},
         "partition": partition or {"mode": "pathological",
@@ -396,6 +409,9 @@ def tiny_config(partition=None, clients=2, heldout_fraction=0.0,
                   "dp_epsilon": dp_epsilon},
         "heldout_fraction": heldout_fraction,
     }
+    if strategy == "shared_only":
+        del cfg["model"]["mix_layers"]
+    return cfg
 
 
 # the fields of each config section, walked as `cli._read` reads them;
@@ -456,13 +472,15 @@ def tiny_configs(draw):
     range (a strategy or mode outside its tuple)."""
     strategy = draw(st.sampled_from(STRATEGIES))
     mode = draw(st.sampled_from(MODES))
-    unread = {*itertools.chain(*UNREAD_KEYS.get(strategy, {}).values()),
-              "beta" if mode == "pathological" else "classes_per_client"}
+    chosen = {"strategy": strategy, "mode": mode}
+    unread = {(section, key)
+              for (_, selector, value), keys in UNREAD_KEYS.items()
+              if chosen[selector] == value
+              for section, names in keys.items() for key in names}
     kinds = {section: {f.name: f.type for f in dataclasses.fields(cls)
-                       if f.name not in unread
+                       if (section, f.name) not in unread
                        and not dataclasses.is_dataclass(f.type)}
              for section, cls in SECTIONS.items()}
-    kinds["train"]["clients"] = kinds[""].pop("num_clients")
     del kinds[""]["out_dir"]  # the test's own
     names = [name for fields in kinds.values() for name in fields]
     crossed = (draw(st.sampled_from(names))
@@ -1042,6 +1060,8 @@ class TestEvalCommand:
 
 
 GOLDEN_METRICS = {
+    # with no mix layer set (see `small_config`): the bytes it wrote with
+    # one show that shared_only never read it
     "shared_only": ({"strategy": "shared_only"},
                     "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675"),
     "mixed": ({"strategy": "mixed"},
@@ -1191,14 +1211,20 @@ def test_readme_config_block_names_every_field():
     def names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert set(raw) == names(ExperimentConfig) - {"num_clients"}
+    assert set(raw) == names(ExperimentConfig)
     # the reader demands the key the mode reads, so one is left out
     (unread,) = names(PartitionSpec) - set(raw["partition"])
     assert f'"{unread}"' in block
-    for section, cls, extra in (("data", SyntheticSpec, set()),
-                                ("model", ModelConfig, set()),
-                                ("train", TrainConfig, {"clients"})):
-        assert set(raw[section]) == names(cls) | extra, section
+    for section, cls in (("data", SyntheticSpec), ("model", ModelConfig),
+                         ("train", TrainConfig)):
+        assert set(raw[section]) == names(cls), section
+    # the config rules below the block name every key a strategy or a
+    # partition mode leaves unread
+    rules = text.split("Required fields:", 1)[1].split("\nStrategies:", 1)[0]
+    for sections in UNREAD_KEYS.values():
+        for section, keys in sections.items():
+            for key in keys:
+                assert f"`{section}.{key}`" in rules, (section, key)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
-from fedprompt.errors import ConfigError
+from fedprompt.errors import ConfigError, DataError
 from fedprompt.evaluation import (
     CommReport,
     comm_accounting,
@@ -153,7 +153,8 @@ class TestHeldoutSplit:
         model_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                                 mix_layers=(2,))
         backbone = init_backbone(3, model_cfg)
-        cfg = TrainConfig(clients_per_round=3, rounds=4, local_epochs=1)
+        cfg = TrainConfig(clients=6, clients_per_round=3, rounds=4,
+                          local_epochs=1)
         _, logs = run_training(clients, backbone, model_cfg, cfg, seed=3,
                                heldout=heldout)
         sampled = set()
@@ -232,6 +233,14 @@ class TestPrototypeProbe:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError, match="probe pool is empty"):
             prototype_topk_probe(np.zeros((0, 16)), [], 1)
+
+    @pytest.mark.parametrize("rows, labels, message", [
+        (3, [0, 1], "3 cls tokens for 2 labels"),
+        (2, [0, -1], "labels must be >= 0, got -1"),
+    ])
+    def test_tokens_and_labels_must_agree(self, rows, labels, message):
+        with pytest.raises(DataError, match=message):
+            prototype_topk_probe(np.ones((rows, 4)), labels, 1)
 
     def test_tokens_of_a_mixing_forward(self):
         bank = PrototypeBank(layers=(2,), num_classes=4, dim=16, tau=0.05)

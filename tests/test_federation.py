@@ -39,7 +39,7 @@ def tiny_world(seed=0, clients=6, classes=4, k=2, train_per_class=12,
 
 
 def tiny_cfg(**kw):
-    defaults = dict(clients_per_round=3, rounds=2, local_epochs=1, batch_size=8,
+    defaults = dict(clients=6, clients_per_round=3, rounds=2, local_epochs=1, batch_size=8,
                     lr=0.1)
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -74,7 +74,7 @@ class TestSampleClients:
 class TestWarmStartup:
     def test_single_client_bank_equals_local_prototypes(self):
         clients, backbone = tiny_world(1, clients=4, classes=4, k=4)
-        cfg = tiny_cfg(clients_per_round=1, warmup_fraction=0.25)
+        cfg = tiny_cfg(clients=1, clients_per_round=1, warmup_fraction=0.25)
         state = init_server(clients[:1], backbone, TINY_MODEL, cfg, seed=1)
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
@@ -85,7 +85,7 @@ class TestWarmStartup:
 
     def test_mean_over_clients_matches_bruteforce(self):
         clients, backbone = tiny_world(2, clients=5, classes=4, k=2)
-        cfg = tiny_cfg(clients_per_round=2)
+        cfg = tiny_cfg(clients=5, clients_per_round=2)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=2)
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
@@ -145,8 +145,9 @@ class TestLocalTrain:
             test_y=np.zeros(0, dtype=np.int64),
             priors=np.array([0.5, 0.5]),
         )
-        cfg = TrainConfig(clients_per_round=1, rounds=1, local_epochs=1,
-                          batch_size=1, lr=0.05, grad_clip=1e9, momentum=0.9)
+        cfg = TrainConfig(clients=1, clients_per_round=1, rounds=1,
+                          local_epochs=1, batch_size=1, lr=0.05, grad_clip=1e9,
+                          momentum=0.9)
         start = PromptParams.init(11, 4, 2, 1)
         start.head.data[...] = rng.normal(size=(2, 4))
         bank = PrototypeBank(layers=(1,), num_classes=2, dim=4,
@@ -174,7 +175,7 @@ class TestLocalTrain:
     def test_loss_decreases_on_separable_shard(self):
         clients, backbone = tiny_world(4, clients=2, classes=2, k=2, noise=0.1,
                                        train_per_class=10)
-        cfg = tiny_cfg(clients_per_round=1, local_epochs=5, lr=0.2)
+        cfg = tiny_cfg(clients=2, clients_per_round=1, local_epochs=5, lr=0.2)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=4)
         warm_startup(state)
         client = clients[0]
@@ -276,7 +277,7 @@ class TestRounds:
 
     def test_single_client_round_is_local_sgd(self):
         clients, backbone = tiny_world(8, clients=1, classes=4, k=4)
-        cfg = tiny_cfg(clients_per_round=1, rounds=1)
+        cfg = tiny_cfg(clients=1, clients_per_round=1, rounds=1)
         state = init_server(clients, backbone, TINY_MODEL, cfg, seed=8)
         warm_startup(state)
         broadcast = state.params.copy()
@@ -455,16 +456,25 @@ class TestPersonalizedStrategy:
 class TestConfigValidation:
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
-            TrainConfig(clients_per_round=1, rounds=1, strategy="bogus")
+            TrainConfig(clients=1, clients_per_round=1, rounds=1,
+                        strategy="bogus")
 
     def test_bad_rates(self):
         with pytest.raises(ConfigError):
-            TrainConfig(clients_per_round=1, rounds=1, lr=-0.1)
+            TrainConfig(clients=1, clients_per_round=1, rounds=1, lr=-0.1)
         with pytest.raises(ConfigError):
-            TrainConfig(clients_per_round=1, rounds=1, local_epochs=0)
+            TrainConfig(clients=1, clients_per_round=1, rounds=1, local_epochs=0)
+
+    @pytest.mark.parametrize("mix_layers", [(), (5, 6, 7)])
+    def test_mixing_needs_mix_layers_of_the_model(self, mix_layers):
+        # ModelConfig alone does not check its mix layers against `layers`
+        clients, backbone = tiny_world(17)
+        model_cfg = dataclasses.replace(TINY_MODEL, mix_layers=mix_layers)
+        with pytest.raises(ConfigError, match="requires mix layers within"):
+            init_server(clients, backbone, model_cfg, tiny_cfg(), seed=17)
 
     def test_too_many_clients_per_round(self):
         clients, backbone = tiny_world(17, clients=3, classes=4, k=2)
         with pytest.raises(ConfigError):
             init_server(clients, backbone, TINY_MODEL,
-                        tiny_cfg(clients_per_round=5), seed=17)
+                        tiny_cfg(clients=3, clients_per_round=5), seed=17)

@@ -118,8 +118,8 @@ class TestInitBackbone:
     def test_invalid_geometry(self):
         with pytest.raises(ConfigError):
             ModelConfig(dim=30, heads=4)
-        with pytest.raises(ConfigError):
-            ModelConfig(layers=4, mix_layers=(5,))
+        with pytest.raises(ConfigError, match="model mix_layers must be >= 1"):
+            ModelConfig(layers=4, mix_layers=(0,))
         with pytest.raises(ConfigError, match="must not repeat a layer"):
             ModelConfig(layers=8, mix_layers=(5, 5))
 

@@ -83,6 +83,16 @@ class TestLocalPrototypes:
         with pytest.raises(DataError):
             local_prototypes(np.zeros((5, 0, 2)), [], 2, (5,))
 
+    @pytest.mark.parametrize("rows, labels, message", [
+        (3, [0, 1], "3 cls tokens for 2 labels"),
+        (2, [0, -1], "labels must be >= 0, got -1"),
+        # a label beyond the classes would be dropped without a word
+        (2, [0, 5], "labels must be below 2 classes, got 5"),
+    ])
+    def test_tokens_and_labels_must_agree(self, rows, labels, message):
+        with pytest.raises(DataError, match=message):
+            local_prototypes(np.ones((1, rows, 4)), labels, 2, (1,))
+
 
 class TestAggregateSubmissions:
     def test_two_clients(self):
