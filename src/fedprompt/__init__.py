@@ -9,6 +9,7 @@ federated training loop, and evaluation / accounting utilities.
 
 __version__ = "0.1.0"
 
+from .config import ExperimentConfig, TrainConfig, load_config
 from .data import (
     Dataset,
     Partition,
@@ -32,9 +33,9 @@ from .federation import (
     ClientState,
     RoundLog,
     ServerState,
-    TrainConfig,
     build_clients,
     fedavg_aggregate,
+    init_server,
     local_train,
     run_round,
     run_training,
@@ -57,7 +58,6 @@ from .prototypes import (
     compute_class_priors,
     laplace_sensitivity,
     local_prototypes,
-    mix_prompt,
     momentum_update,
     soft_scores,
 )
@@ -65,16 +65,16 @@ from .tensor import Tape, Tensor, cross_entropy, finite_diff_grad
 
 __all__ = [
     "BackboneWeights", "ClientState", "CommReport", "ConfigError",
-    "DataError", "Dataset", "EvalReport", "ModelConfig", "Partition",
-    "PromptParams", "PrototypeBank", "RoundLog", "ServerState",
+    "DataError", "Dataset", "EvalReport", "ExperimentConfig", "ModelConfig",
+    "Partition", "PromptParams", "PrototypeBank", "RoundLog", "ServerState",
     "SyntheticSpec", "Tape", "Tensor", "TrainingError", "TrainConfig",
     "__version__", "add_laplace_noise", "aggregate_submissions",
     "build_clients", "comm_accounting", "compute_class_priors",
     "cross_entropy", "evaluate_clients", "fedavg_aggregate",
     "finite_diff_grad", "flop_estimate", "forward_shard",
     "forward_with_prompts", "generate_synthetic", "gradient_check",
-    "heldout_split", "init_backbone", "laplace_sensitivity",
-    "local_prototypes", "local_train", "mix_prompt", "momentum_update",
+    "heldout_split", "init_backbone", "init_server", "laplace_sensitivity",
+    "load_config", "local_prototypes", "local_train", "momentum_update",
     "partition_dirichlet", "partition_pathological", "prompt_mix_overhead",
     "prototype_topk_probe", "run_round", "run_training", "sample_clients",
     "soft_scores", "warm_startup",

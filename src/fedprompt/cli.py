@@ -22,189 +22,14 @@ import json
 import math
 import os
 import sys
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict
 
-from .data import (
-    PartitionSpec,
-    SyntheticSpec,
-    generate_synthetic,
-    label_histograms,
-    partition_dirichlet,
-    partition_pathological,
-)
+from .config import ExperimentConfig, load_config, make_partition
+from .data import generate_synthetic, label_histograms
 from .errors import ConfigError, DataError, TrainingError
-from .evaluation import (comm_accounting, evaluate_clients, heldout_split,
-                         participating_count)
-from .federation import (
-    TrainConfig,
-    _evaluate,
-    build_clients,
-    init_server,
-    run_training,
-)
-from .model import ModelConfig, init_backbone
+from .evaluation import comm_accounting, evaluate_clients
+from .federation import _evaluate, init_server, run_training
 from . import __version__
-
-_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               dict: "an object", tuple: "a list of integers"}
-
-
-def _typed(value, kind, where):
-    """`value` as a `kind`, or ConfigError if its JSON type does not fit."""
-    if isinstance(kind, types.UnionType):  # `float | None`: null means unset
-        if value is None:
-            return None
-        kind = typing.get_args(kind)[0]
-    if is_dataclass(kind):  # a nested section, read on its own
-        kind = dict
-    if kind is tuple:
-        if isinstance(value, (list, tuple)):
-            return tuple(_typed(v, int, where) for v in value)
-    elif isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
-        # json.load accepts NaN and Infinity, which no field can use
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"field {where} must be finite, got {value!r}")
-        return kind(value)
-    raise ConfigError(f"field {where} must be {_TYPE_NAMES[kind]}, "
-                      f"got {value!r}")
-
-
-def _read(section: dict, name: str, cls):
-    """The dataclass `cls` built from one config section: the keys are its
-    fields, a field without a default is required, and absent keys take
-    the defaults of `cls`.  A field typed by a dataclass is a nested
-    section, read the same way in field order."""
-    def where(key):
-        return f"{name}.{key!r}" if name else repr(key)
-
-    names = {f.name for f in fields(cls)}
-    for key in section:
-        if key not in names:
-            raise ConfigError(f"unknown field {where(key)}")
-    values = {}
-    for f in fields(cls):
-        if f.name in section:
-            value = _typed(section[f.name], f.type, where(f.name))
-            values[f.name] = (_read(value, f.name, f.type)
-                              if is_dataclass(f.type) else value)
-        elif f.default is MISSING:
-            raise ConfigError(f"missing required field {where(f.name)}")
-    return cls(**values)
-
-
-# (section, key, value) -> {section: its keys that this value leaves
-# unread}; each must keep its default, so config.json carries no value
-# the run did not use
-UNREAD_KEYS = {
-    ("train", "strategy", "shared_only"): {
-        "train": ("rho", "update_period", "warmup_fraction", "dp_epsilon"),
-        "model": ("tau", "mix_layers")},
-    ("partition", "mode", "pathological"): {"partition": ("beta",)},
-    ("partition", "mode", "dirichlet"): {"partition": ("classes_per_client",)},
-}
-
-
-def _unread(cfg) -> dict:
-    """(section, key) -> what leaves it unread ("strategy 'shared_only'"),
-    for each key of `cfg` that `UNREAD_KEYS` names."""
-    return {(where, key): f"{selector} {value!r}"
-            for (section, selector, value), sections in UNREAD_KEYS.items()
-            if getattr(getattr(cfg, section), selector) == value
-            for where, keys in sections.items() for key in keys}
-
-
-@dataclass
-class ExperimentConfig:
-    data: SyntheticSpec
-    partition: PartitionSpec
-    train: TrainConfig
-    model: ModelConfig = ModelConfig()
-    seed: int = 0
-    out_dir: str = "run"
-    heldout_fraction: float = 0.0
-
-    @property
-    def num_clients(self) -> int:  # perfbench/counts.py reads this name
-        return self.train.clients
-
-    def __post_init__(self):
-        clients = self.train.clients
-        unread = _unread(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.data.image_size % self.model.patch_size:
-            raise ConfigError(
-                f"data image_size {self.data.image_size} must be a multiple "
-                f"of model patch_size {self.model.patch_size}")
-        if ("model", "mix_layers") not in unread and any(
-                l > self.model.layers for l in self.model.mix_layers):
-            raise ConfigError(
-                f"model mix_layers must lie within [1, {self.model.layers}], "
-                f"got {self.model.mix_layers}")
-        if not 0.0 <= self.heldout_fraction < 1.0:
-            raise ConfigError("heldout_fraction must lie in [0, 1)")
-        if self.heldout_fraction > 0 and not (
-                0 < participating_count(1.0 - self.heldout_fraction,
-                                        clients) < clients):
-            raise ConfigError(
-                f"heldout_fraction {self.heldout_fraction} leaves one side "
-                f"of the split empty for {clients} clients")
-        for (section, key), reader in unread.items():
-            part = getattr(self, section)
-            default = next(f.default for f in fields(part) if f.name == key)
-            if getattr(part, key) != default:
-                raise ConfigError(f"{section}.{key!r} is not read by {reader}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return _read(raw, "", cls)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        # the partition key the mode does not read
-        out["partition"] = {k: v for k, v in out["partition"].items()
-                            if v is not None}
-        return out
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object as a dict, or ConfigError if it repeats a key, of
-    which `json.load` would keep the last value without a word."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ConfigError(f"config repeats the key {key!r}")
-        out[key] = value
-    return out
-
-
-def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    if out_override is not None:
-        raw["out_dir"] = out_override
-    return ExperimentConfig.from_dict(raw)
-
-
-def make_partition(dataset, cfg: ExperimentConfig):
-    spec = cfg.partition
-    if spec.mode == "pathological":
-        return partition_pathological(dataset, cfg.train.clients,
-                                      spec.classes_per_client, cfg.seed)
-    return partition_dirichlet(dataset, cfg.train.clients, spec.beta, cfg.seed)
-
 
 def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
@@ -296,18 +121,6 @@ def _final_report(cfg, state, logs, report, heldout_report):
     return payload
 
 
-def _build_world(cfg: ExperimentConfig):
-    """Clients, frozen backbone and heldout client ids of a config."""
-    dataset = generate_synthetic(cfg.data, cfg.seed)
-    clients = build_clients(dataset, make_partition(dataset, cfg))
-    backbone = init_backbone(cfg.seed, cfg.model)
-    heldout = ()
-    if cfg.heldout_fraction > 0:
-        _, heldout = heldout_split(range(cfg.train.clients),
-                                   1.0 - cfg.heldout_fraction, cfg.seed)
-    return clients, backbone, heldout
-
-
 RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
                  "prototypes.csv", "client_accuracy.csv", "final_report.json")
 PARTITION_ARTIFACTS = ("partition.csv", "label_histogram.csv", "config.json")
@@ -340,13 +153,12 @@ def _make_out_dir(path):
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     _check_out_dir(cfg.out_dir, RUN_ARTIFACTS)
-    clients, backbone, heldout = _build_world(cfg)
-    state, logs = run_training(clients, backbone, cfg.model, cfg.train,
-                               cfg.seed, heldout=heldout)
+    state = init_server(cfg)
+    logs = run_training(state)
 
     # per-client reports of the final state for the artifacts below
     report, heldout_report = (
-        evaluate_clients([state.clients[c] for c in group], backbone,
+        evaluate_clients([state.clients[c] for c in group], state.backbone,
                          state.client_inputs)
         if group else None
         for group in (state.participating, state.heldout))
@@ -520,9 +332,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(artifact("config.json"))
     out_dir = args.out or run_dir
     _check_out_dir(out_dir, ("eval_report.json",))
-    clients, backbone, heldout = _build_world(cfg)
-    state = init_server(clients, backbone, cfg.model, cfg.train, cfg.seed,
-                        heldout)
+    state = init_server(cfg)
     _load_prompts_csv(artifact("prompts.csv"), state)
     _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 

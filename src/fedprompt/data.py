@@ -51,7 +51,7 @@ MODES = ("pathological", "dirichlet")
 class PartitionSpec:
     """The partitioner and the one parameter it reads: k for
     `pathological`, the Dirichlet beta for `dirichlet`.  The other one
-    stays None (`cli.UNREAD_KEYS` rejects a config that sets it)."""
+    stays None (`config.UNREAD_KEYS` rejects a config that sets it)."""
 
     mode: str
     # typed for what a config value must be, so JSON null is rejected

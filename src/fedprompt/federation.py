@@ -1,11 +1,13 @@
 """Server-coordinated training loop: warm-up, client sampling, local SGD
 on the prompt blocks, federated averaging, and periodic prototype sync.
 
-`init_server` alone turns the strategy and model config into state: the
-prototype bank (None without mixing) holds the mix layers, tau and, as its
-`epsilon`, the DP budget.  `ServerState.client_inputs` alone puts together
-a client's prompts (`broadcast_params`) and score constants (the bank's).
-The three prompt blocks always travel as one `PromptParams`: clients read
+`init_server` alone builds a run from its `ExperimentConfig`, and
+`run_training` trains it.  `init_server` alone turns the strategy and
+model config into state: the prototype bank (None without mixing) holds
+the mix layers, tau and, as its `epsilon`, the DP budget.
+`ServerState.client_inputs` alone puts together a client's prompts
+(`broadcast_params`) and score constants (the bank's).  The three prompt
+blocks always travel as one `PromptParams`: clients read
 the server's own blocks, and `local_train` trains the one copy it returns.
 
 Everything is a pure function of (config, seed): client sampling, batch
@@ -19,59 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as te
+from .config import ExperimentConfig, TrainConfig, make_partition
+from .data import generate_synthetic
 from .errors import ConfigError, DataError, TrainingError
-from .evaluation import evaluate_clients
-from .model import ModelConfig, PromptParams, forward_shard, forward_with_prompts
+from .evaluation import evaluate_clients, heldout_split
+from .model import PromptParams, forward_shard, forward_with_prompts, init_backbone
 from .prototypes import PrototypeBank, local_prototypes
 from .seeding import derive_rng
-
-STRATEGIES = ("shared_only", "mixed", "mixed_no_prior", "personalized")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    clients: int
-    clients_per_round: int
-    rounds: int
-    local_epochs: int = 2
-    batch_size: int = 16
-    lr: float = 0.1
-    lr_decay: float = 0.99
-    momentum: float = 0.9
-    grad_clip: float = 10.0
-    rho: float = 0.9
-    update_period: int = 1
-    dp_epsilon: float | None = None
-    strategy: str = "mixed"
-    shared_prompts: int = 1
-    warmup_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        for key, ok, rule in (
-                ("clients", self.clients >= 1, "be >= 1"),
-                ("rounds", self.rounds >= 0, "be >= 0"),
-                ("local_epochs", self.local_epochs >= 1, "be >= 1"),
-                ("clients_per_round", self.clients_per_round >= 1, "be >= 1"),
-                ("batch_size", self.batch_size >= 1, "be >= 1"),
-                ("lr", self.lr >= 0, "be >= 0"),
-                ("grad_clip", self.grad_clip > 0, "be > 0"),
-                # above 1 the rate grows until lr_decay ** round overflows
-                ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
-                ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
-                ("rho", 0 <= self.rho <= 1, "lie in [0, 1]"),
-                ("shared_prompts", self.shared_prompts >= 0, "be >= 0"),
-                ("update_period", self.update_period >= 1, "be >= 1"),
-                ("warmup_fraction", 0 < self.warmup_fraction <= 1,
-                 "lie in (0, 1]"),
-                ("dp_epsilon", self.dp_epsilon is None or self.dp_epsilon > 0,
-                 "be > 0 when set")):
-            if not ok:
-                raise ConfigError(
-                    f"train {key} must {rule}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -327,75 +283,66 @@ def run_round(state: ServerState) -> RoundLog:
     return _round_log(state, float(np.mean(losses)), chosen)
 
 
-def init_server(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
-                seed: int, heldout=()) -> ServerState:
-    """Initial server state: the one place `model_cfg` and the strategy
-    are read, for the prompt blocks, the prototype bank (its mix layers,
-    tau and, as its `epsilon`, the DP budget) and the clients with prompts
-    of their own.  The returned state then answers, through
-    `client_inputs`, what each client trains and is evaluated with."""
-    mixing = cfg.strategy != "shared_only"
-    heldout = tuple(sorted(int(h) for h in heldout))
-    participating = tuple(c.client_id for c in clients
-                          if c.client_id not in set(heldout))
-    if not participating:
-        raise ConfigError("no participating clients")
+def init_server(cfg: ExperimentConfig) -> ServerState:
+    """The world of `cfg` and its initial server state: the one place a
+    run is built.  The dataset, the partition into `cfg.train.clients`
+    clients, the frozen backbone and the heldout ids all follow from the
+    config, and the strategy and model config are read here alone, for the
+    prompt blocks, the prototype bank (its mix layers, tau and, as its
+    `epsilon`, the DP budget) and the clients with prompts of their own.
+    The returned state then answers, through `client_inputs`, what each
+    client trains and is evaluated with."""
+    train = cfg.train
+    mixing = train.strategy != "shared_only"
+    dataset = generate_synthetic(cfg.data, cfg.seed)
+    clients = build_clients(dataset, make_partition(dataset, cfg))
+    backbone = init_backbone(cfg.seed, cfg.model)
+    participating, heldout = tuple(range(train.clients)), ()
+    if cfg.heldout_fraction > 0:
+        participating, heldout = heldout_split(
+            range(train.clients), 1.0 - cfg.heldout_fraction, cfg.seed)
     # heldout clients never train, so only participating ones need samples
-    empty = [c.client_id for c in clients
-             if c.client_id in participating and c.num_train == 0]
+    empty = [cid for cid in participating if clients[cid].num_train == 0]
     if empty:
         raise DataError("participating clients without training data: "
                         + ", ".join(map(str, empty)))
     # each group is evaluated after every round, which needs a test sample
     for group, ids in (("participating", participating), ("heldout", heldout)):
-        if ids and not any(c.test_y.size for c in clients
-                           if c.client_id in ids):
+        if ids and not any(clients[cid].test_y.size for cid in ids):
             raise DataError(f"every {group} client has an empty test shard: "
                             + ", ".join(map(str, ids)))
-    if cfg.clients_per_round > len(participating):
-        raise ConfigError(
-            f"clients_per_round={cfg.clients_per_round} exceeds "
-            f"{len(participating)} participating clients")
     if mixing:
         # heldout clients are scored with their own priors when evaluated,
         # and all-zero priors (no training data) leave nothing to normalize
-        unscorable = [c.client_id for c in clients
-                      if c.client_id in heldout and c.test_y.size > 0
-                      and not np.any(score_priors(c, cfg) > 0.0)]
+        unscorable = [cid for cid in heldout if clients[cid].test_y.size > 0
+                      and not np.any(score_priors(clients[cid], train) > 0.0)]
         if unscorable:
             raise DataError("heldout clients with all-zero class priors: "
                             + ", ".join(map(str, unscorable)))
-    classes = clients[0].priors.size
-    params = PromptParams.init(seed, model_cfg.dim, classes, cfg.shared_prompts)
+    params = PromptParams.init(cfg.seed, cfg.model.dim, cfg.data.classes,
+                               train.shared_prompts)
     bank = None
     if mixing:
-        # a run's config has checked the layers; a library caller may not
-        layers = model_cfg.mix_layers
-        if not layers or max(layers) > model_cfg.layers:
-            raise ConfigError(f"mixing strategy requires mix layers within "
-                              f"[1, {model_cfg.layers}], got {layers}")
-        bank = PrototypeBank(layers=tuple(layers),
-                             num_classes=classes, dim=model_cfg.dim,
-                             tau=model_cfg.tau, rho=cfg.rho,
-                             epsilon=cfg.dp_epsilon)
+        bank = PrototypeBank(layers=tuple(cfg.model.mix_layers),
+                             num_classes=cfg.data.classes, dim=cfg.model.dim,
+                             tau=cfg.model.tau, rho=train.rho,
+                             epsilon=train.dp_epsilon)
     return ServerState(
         params=params, bank=bank, clients=clients,
         participating=participating, heldout=heldout,
-        backbone=backbone, cfg=cfg, seed=seed,
+        backbone=backbone, cfg=train, seed=cfg.seed,
         personal={cid: params.copy() for cid in participating
-                  if cfg.strategy == "personalized"})
+                  if train.strategy == "personalized"})
 
 
-def run_training(clients, backbone, model_cfg: ModelConfig, cfg: TrainConfig,
-                 seed: int, heldout=()):
-    """Warm-up, then `cfg.rounds` federated rounds.
+def run_training(state: ServerState) -> list:
+    """Warm-up, then `state.cfg.rounds` federated rounds.
 
-    Returns (state, logs) where logs[0] is the post-warm-up evaluation
-    (round 0) followed by one entry per training round.
+    Returns the logs: logs[0] is the post-warm-up evaluation (round 0),
+    followed by one entry per training round.
     """
-    state = init_server(clients, backbone, model_cfg, cfg, seed, heldout)
     warm_startup(state)
     logs = [_round_log(state)]
-    for _ in range(cfg.rounds):
+    for _ in range(state.cfg.rounds):
         logs.append(run_round(state))
-    return state, logs
+    return logs

@@ -1,7 +1,7 @@
-"""Class prototypes, priors, similarity scores, and prompt mixing.
+"""Class prototypes, priors and the similarity scores of prompt mixing.
 
-The per-sample mixed prompt is a convex combination of class prompt
-columns.  The combination weights come from a temperature-scaled softmax
+The per-sample mixed prompt (`model._mix`) is a convex combination of
+class prompt columns.  The combination weights come from a temperature-scaled softmax
 over cosine similarities between the sample's incoming cls token and the
 global per-class prototypes, with each class reweighted by the client's
 empirical class prior.  Prototypes are aggregated server-side with a
@@ -131,15 +131,6 @@ def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool = False):
         return grad_cls
 
     return scores, backward
-
-
-def mix_prompt(class_prompts: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Convex combination of class prompt columns: m = P @ s."""
-    class_prompts = np.asarray(class_prompts, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if class_prompts.shape[1] != scores.size:
-        raise ValueError("class prompt count must match score length")
-    return class_prompts @ scores
 
 
 def local_prototypes(cls, labels, num_classes: int, layers):

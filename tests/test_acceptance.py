@@ -6,6 +6,8 @@ their training runs through module-scoped fixtures; everything is a pure
 function of the seeds fixed here.
 """
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -16,54 +18,40 @@ import numpy as np
 import pytest
 
 import fedprompt
+from fedprompt import model
 from fedprompt import tensor as te
+from fedprompt.config import load_config
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_dirichlet, \
     partition_pathological
-from fedprompt.evaluation import comm_accounting, heldout_split, prompt_mix_overhead
-from fedprompt.federation import TrainConfig, build_clients, fedavg_aggregate, \
-    run_training
-from fedprompt.model import (ModelConfig, PromptParams, gradient_check,
-                            init_backbone)
+from fedprompt.evaluation import comm_accounting, prompt_mix_overhead
+from fedprompt.federation import fedavg_aggregate, init_server, run_training
+from fedprompt.model import PromptParams, gradient_check
 from fedprompt.prototypes import (
     PrototypeBank,
+    ScoreConstants,
     aggregate_submissions,
-    mix_prompt,
     momentum_update,
     soft_scores,
+    soft_scores_op,
 )
 
 SEEDS = (0, 1, 2)
 
-DESK_MODEL = ModelConfig(dim=32, layers=8, heads=2, patch_size=8,
-                         mix_layers=(5, 6, 7), tau=0.05)
-DESK_DATA = SyntheticSpec(classes=8, train_per_class=40, test_per_class=12,
-                          image_size=16, separation=1.0, noise=1.0)
-DESK_CLIENTS = 12
-DESK_K = 2
-DESK_ROUNDS = 30
+# the desk runs are this config with the fields each criterion varies
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pathological.json"
 
 
-def desk_train_cfg(strategy, dp_epsilon=None):
-    return TrainConfig(clients=DESK_CLIENTS, clients_per_round=3,
-                       rounds=DESK_ROUNDS, local_epochs=1, batch_size=16,
-                       lr=0.1, lr_decay=0.99, momentum=0.9, grad_clip=10.0,
-                       rho=0.9, update_period=1, strategy=strategy,
-                       dp_epsilon=dp_epsilon)
+def desk_config(seed, heldout_fraction=0.0, **train):
+    """The desk config at `seed`, with its `train` fields replaced."""
+    cfg = load_config(str(DESK_CONFIG), seed)
+    return dataclasses.replace(cfg, heldout_fraction=heldout_fraction,
+                               train=dataclasses.replace(cfg.train, **train))
 
 
 def desk_run(seed, strategy, dp_epsilon=None, heldout_fraction=0.0):
-    dataset = generate_synthetic(DESK_DATA, seed)
-    partition = partition_pathological(dataset, DESK_CLIENTS, DESK_K, seed)
-    clients = build_clients(dataset, partition)
-    backbone = init_backbone(seed, DESK_MODEL)
-    heldout = ()
-    if heldout_fraction > 0:
-        _, heldout = heldout_split(range(DESK_CLIENTS),
-                                   1.0 - heldout_fraction, seed)
-    cfg = desk_train_cfg(strategy, dp_epsilon)
-    state, logs = run_training(clients, backbone, DESK_MODEL, cfg, seed,
-                               heldout=heldout)
-    return state, logs
+    """The round logs of a desk run."""
+    return run_training(init_server(desk_config(
+        seed, heldout_fraction, strategy=strategy, dp_epsilon=dp_epsilon)))
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +59,7 @@ def ablation_runs():
     """Criterion 7/8/10 share these runs: strategy -> seed -> final logs."""
     runs = {}
     for strategy in ("shared_only", "mixed", "mixed_no_prior"):
-        runs[strategy] = {seed: desk_run(seed, strategy)[1] for seed in SEEDS}
+        runs[strategy] = {seed: desk_run(seed, strategy) for seed in SEEDS}
     return runs
 
 
@@ -115,15 +103,21 @@ def test_criterion_02_score_algebra():
 
 
 def test_criterion_03_posterior_mean_is_mmse():
+    # the token the forward's mixing (`model._mix`) inserts after the cls
+    # row, with the scores of that layer's constants
     rng = np.random.default_rng(3)
     worst_eq = 0.0
     for _ in range(50):
         c = int(rng.integers(2, 9))
         d = int(rng.integers(2, 10))
         prompts = rng.normal(size=(d, c))
-        scores = rng.random(c)
-        scores /= scores.sum()
-        mixed = mix_prompt(prompts, scores)
+        priors = rng.random(c)
+        priors /= priors.sum()
+        consts = ScoreConstants(rng.normal(size=(c, d)), priors,
+                                float(rng.uniform(0.05, 5.0)), d)
+        seq = rng.normal(size=(2, d))
+        scores = soft_scores_op(seq[0], consts)[0]
+        mixed = model._mix(seq, te.Tensor(prompts), consts, False, None)[1]
         explicit = sum(scores[i] * prompts[:, i] for i in range(c))
         worst_eq = max(worst_eq, float(np.abs(mixed - explicit).max()))
         assert np.abs(mixed - explicit).max() <= 1e-15
@@ -213,8 +207,8 @@ def test_criterion_08_class_priors_help(ablation_runs):
 
 
 def test_criterion_09_heldout_generalization():
-    _, mixed_logs = desk_run(0, "mixed", heldout_fraction=0.1)
-    _, personal_logs = desk_run(0, "personalized", heldout_fraction=0.1)
+    mixed_logs = desk_run(0, "mixed", heldout_fraction=0.1)
+    personal_logs = desk_run(0, "personalized", heldout_fraction=0.1)
     mixed_last = mixed_logs[-1]
     personal_last = personal_logs[-1]
     gap = abs(mixed_last.mean_acc - mixed_last.heldout_mean_acc) * 100
@@ -226,7 +220,7 @@ def test_criterion_09_heldout_generalization():
 
 
 def test_criterion_10_dp_robustness(ablation_runs):
-    _, dp_logs = desk_run(0, "mixed", dp_epsilon=0.2)
+    dp_logs = desk_run(0, "mixed", dp_epsilon=0.2)
     noiseless = ablation_runs["mixed"][0][-1].mean_acc
     noised = dp_logs[-1].mean_acc
     drop = (noiseless - noised) * 100
@@ -236,26 +230,8 @@ def test_criterion_10_dp_robustness(ablation_runs):
 
 
 def test_criterion_11_run_determinism(tmp_path):
-    import json
-
-    config = {
-        "seed": 0,
-        "data": {"classes": DESK_DATA.classes,
-                 "train_per_class": DESK_DATA.train_per_class,
-                 "test_per_class": DESK_DATA.test_per_class,
-                 "image_size": DESK_DATA.image_size,
-                 "separation": DESK_DATA.separation,
-                 "noise": DESK_DATA.noise},
-        "partition": {"mode": "pathological", "classes_per_client": DESK_K},
-        "model": {"dim": DESK_MODEL.dim, "layers": DESK_MODEL.layers,
-                  "heads": DESK_MODEL.heads,
-                  "patch_size": DESK_MODEL.patch_size,
-                  "mix_layers": list(DESK_MODEL.mix_layers)},
-        "train": {"clients": DESK_CLIENTS, "clients_per_round": 3,
-                  "rounds": 6, "local_epochs": 1, "strategy": "mixed"},
-    }
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(desk_config(0, rounds=6).to_dict()))
     # the child interpreter imports the package this one imported
     src = str(Path(fedprompt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

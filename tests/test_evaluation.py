@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
+from fedprompt.config import ExperimentConfig, TrainConfig
+from fedprompt.data import PartitionSpec, SyntheticSpec, generate_synthetic
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.evaluation import (
     CommReport,
@@ -12,7 +13,7 @@ from fedprompt.evaluation import (
     prompt_mix_overhead,
     prototype_topk_probe,
 )
-from fedprompt.federation import ClientState, build_clients, run_training, TrainConfig
+from fedprompt.federation import ClientState, init_server, run_training
 from fedprompt import model
 from fedprompt.model import (ModelConfig, PromptParams, forward_shard,
                              forward_with_prompts, init_backbone)
@@ -144,19 +145,19 @@ class TestHeldoutSplit:
             heldout_split(range(10), 1.5, 0)
 
     def test_heldout_never_sampled_in_training(self):
-        spec = SyntheticSpec(classes=4, train_per_class=12, test_per_class=4,
-                             image_size=8, separation=1.5, noise=0.5)
-        ds = generate_synthetic(spec, 3)
-        part = partition_pathological(ds, 6, 2, 3)
-        clients = build_clients(ds, part)
-        participating, heldout = heldout_split(range(6), 0.8, seed=3)
-        model_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
-                                mix_layers=(2,))
-        backbone = init_backbone(3, model_cfg)
-        cfg = TrainConfig(clients=6, clients_per_round=3, rounds=4,
-                          local_epochs=1)
-        _, logs = run_training(clients, backbone, model_cfg, cfg, seed=3,
-                               heldout=heldout)
+        cfg = ExperimentConfig(
+            data=SyntheticSpec(classes=4, train_per_class=12, test_per_class=4,
+                               image_size=8, separation=1.5, noise=0.5),
+            partition=PartitionSpec("pathological", 2),
+            train=TrainConfig(clients=6, clients_per_round=3, rounds=4,
+                              local_epochs=1),
+            model=ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
+                              mix_layers=(2,)),
+            seed=3, heldout_fraction=0.2)
+        state = init_server(cfg)
+        _, heldout = heldout_split(range(6), 0.8, seed=3)
+        assert state.heldout == heldout
+        logs = run_training(state)
         sampled = set()
         for log in logs:
             sampled.update(log.participants)

@@ -5,12 +5,12 @@ import pytest
 
 from backbone_digest import backbone_checksum
 from fedprompt import tensor as te
-from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
+from fedprompt.config import ExperimentConfig, TrainConfig
+from fedprompt.data import PartitionSpec, SyntheticSpec
 from fedprompt.errors import ConfigError, TrainingError
+from fedprompt.evaluation import heldout_split
 from fedprompt.federation import (
     ClientState,
-    TrainConfig,
-    build_clients,
     fedavg_aggregate,
     init_server,
     local_train,
@@ -28,21 +28,20 @@ TINY_MODEL = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                          mix_layers=(2,))
 
 
-def tiny_world(seed=0, clients=6, classes=4, k=2, train_per_class=12,
-               test_per_class=6, noise=0.3):
-    spec = SyntheticSpec(classes=classes, train_per_class=train_per_class,
+def tiny_experiment(seed=0, *, clients=6, classes=4, k=2, train_per_class=12,
+                    test_per_class=6, noise=0.3, heldout_fraction=0.0,
+                    model=TINY_MODEL, **train):
+    """A run of `model` over `clients` clients holding `k` classes each;
+    `train` overrides the training fields."""
+    data = SyntheticSpec(classes=classes, train_per_class=train_per_class,
                          test_per_class=test_per_class, image_size=8,
                          separation=1.5, noise=noise)
-    ds = generate_synthetic(spec, seed)
-    part = partition_pathological(ds, clients, k, seed)
-    return build_clients(ds, part), init_backbone(seed, TINY_MODEL)
-
-
-def tiny_cfg(**kw):
-    defaults = dict(clients=6, clients_per_round=3, rounds=2, local_epochs=1, batch_size=8,
-                    lr=0.1)
-    defaults.update(kw)
-    return TrainConfig(**defaults)
+    train = {"clients_per_round": 3, "rounds": 2, "local_epochs": 1,
+             "batch_size": 8, "lr": 0.1, **train}
+    return ExperimentConfig(
+        data=data, partition=PartitionSpec("pathological", k),
+        train=TrainConfig(clients=clients, **train), model=model, seed=seed,
+        heldout_fraction=heldout_fraction)
 
 
 class TestSampleClients:
@@ -73,28 +72,28 @@ class TestSampleClients:
 
 class TestWarmStartup:
     def test_single_client_bank_equals_local_prototypes(self):
-        clients, backbone = tiny_world(1, clients=4, classes=4, k=4)
-        cfg = tiny_cfg(clients=1, clients_per_round=1, warmup_fraction=0.25)
-        state = init_server(clients[:1], backbone, TINY_MODEL, cfg, seed=1)
+        state = init_server(tiny_experiment(1, clients=1, k=4,
+                                            clients_per_round=1,
+                                            warmup_fraction=0.25))
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
         protos, _ = compute_client_prototypes(
-            clients[0], state.params, state.client_inputs(0)[1], backbone)
+            state.clients[0], state.params, state.client_inputs(0)[1],
+            state.backbone)
         # bank was zero during the warm-up pass, matching this recompute
         np.testing.assert_allclose(state.bank.mu[2], protos[2], atol=1e-12)
 
     def test_mean_over_clients_matches_bruteforce(self):
-        clients, backbone = tiny_world(2, clients=5, classes=4, k=2)
-        cfg = tiny_cfg(clients=5, clients_per_round=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=2)
+        cfg = tiny_experiment(2, clients=5, clients_per_round=2)
+        state = init_server(cfg)
         warm_startup(state)
         from fedprompt.federation import compute_client_prototypes
-        fresh = init_server(clients, backbone, TINY_MODEL, cfg, seed=2)
+        fresh = init_server(cfg)
         subs = [
             compute_client_prototypes(c, fresh.params,
                                       fresh.client_inputs(c.client_id)[1],
-                                      backbone)[0]
-            for c in clients
+                                      fresh.backbone)[0]
+            for c in fresh.clients
         ]
         expected = np.mean([s[2] for s in subs], axis=0)
         np.testing.assert_allclose(state.bank.mu[2], expected, atol=1e-12)
@@ -102,13 +101,11 @@ class TestWarmStartup:
 
 class TestLocalTrain:
     def test_zero_lr_is_noop(self):
-        clients, backbone = tiny_world(3)
-        cfg = tiny_cfg(lr=0.0, local_epochs=3)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
+        state = init_server(tiny_experiment(3, lr=0.0, local_epochs=3))
         warm_startup(state)
-        trained, _ = local_train(clients[0], state.params,
-                                 state.client_inputs(0)[1], backbone,
-                                 cfg, seed=3, round_index=1)
+        trained, _ = local_train(state.clients[0], state.params,
+                                 state.client_inputs(0)[1], state.backbone,
+                                 state.cfg, seed=3, round_index=1)
         np.testing.assert_array_equal(trained.shared.data,
                                       state.params.shared.data)
         np.testing.assert_array_equal(trained.head.data,
@@ -117,15 +114,14 @@ class TestLocalTrain:
     def test_given_params_left_bit_for_bit_unchanged(self):
         # clients are handed the server's own blocks, so local SGD must
         # train a copy of them and leave the originals as they were
-        clients, backbone = tiny_world(3)
-        cfg = tiny_cfg(local_epochs=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
+        state = init_server(tiny_experiment(3, local_epochs=2))
         warm_startup(state)
         params, consts = state.client_inputs(0)
         assert params is state.params
         before = [block.data.tobytes() for _, block in params.blocks()]
-        trained, _ = local_train(clients[0], params, consts, backbone,
-                                 cfg, seed=3, round_index=1)
+        trained, _ = local_train(state.clients[0], params, consts,
+                                 state.backbone, state.cfg, seed=3,
+                                 round_index=1)
         assert [block.data.tobytes() for _, block in params.blocks()] == before
         assert trained is not params
         assert trained.head.data.tobytes() != before[2]
@@ -173,12 +169,11 @@ class TestLocalTrain:
                                    atol=1e-12)
 
     def test_loss_decreases_on_separable_shard(self):
-        clients, backbone = tiny_world(4, clients=2, classes=2, k=2, noise=0.1,
-                                       train_per_class=10)
-        cfg = tiny_cfg(clients=2, clients_per_round=1, local_epochs=5, lr=0.2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=4)
+        state = init_server(tiny_experiment(
+            4, clients=2, classes=2, k=2, noise=0.1, train_per_class=10,
+            clients_per_round=1, local_epochs=5, lr=0.2))
         warm_startup(state)
-        client = clients[0]
+        client, backbone = state.clients[0], state.backbone
 
         consts = state.bank.score_constants(client.priors)
 
@@ -192,7 +187,7 @@ class TestLocalTrain:
 
         before = shard_loss(state.params)
         trained, _ = local_train(client, state.params, consts, backbone,
-                                 cfg, seed=4, round_index=1)
+                                 state.cfg, seed=4, round_index=1)
         after = shard_loss(trained)
         assert after <= before
 
@@ -201,16 +196,14 @@ class TestLocalTrain:
         # a head near 1e200 sends gradients near 1e200 into the prompts; their
         # squares overflow, and clipping by an infinite norm would zero the
         # step instead of failing
-        clients, backbone = tiny_world(3)
-        cfg = tiny_cfg()
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=3)
+        state = init_server(tiny_experiment(3))
         warm_startup(state)
         start = state.params.copy()
         start.head.data[...] = np.random.default_rng(3).normal(
             scale=1e200, size=start.head.data.shape)
         with pytest.raises(TrainingError) as err:
-            local_train(clients[0], start, state.client_inputs(0)[1], backbone,
-                        cfg, seed=3, round_index=1)
+            local_train(state.clients[0], start, state.client_inputs(0)[1],
+                        state.backbone, state.cfg, seed=3, round_index=1)
         assert str(err.value) == "non-finite gradient norm (round=1, client=0)"
 
     def test_gradient_clipping_caps_step(self):
@@ -261,29 +254,27 @@ class TestFedAvg:
 
 class TestRounds:
     def test_update_period_semantics(self):
-        clients, backbone = tiny_world(7)
-        cfg = tiny_cfg(rounds=2, update_period=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=7)
+        state = init_server(tiny_experiment(7, update_period=2))
         warm_startup(state)
         warm = {l: state.bank.mu[l].copy() for l in state.bank.layers}
         run_round(state)
         for l in state.bank.layers:
             np.testing.assert_array_equal(state.bank.mu[l], warm[l])
-        assert len(state.bank._buffer) == cfg.clients_per_round
+        assert len(state.bank._buffer) == state.cfg.clients_per_round
         run_round(state)
         assert len(state.bank._buffer) == 0
         assert any(
             np.abs(state.bank.mu[l] - warm[l]).max() > 0 for l in state.bank.layers)
 
     def test_single_client_round_is_local_sgd(self):
-        clients, backbone = tiny_world(8, clients=1, classes=4, k=4)
-        cfg = tiny_cfg(clients=1, clients_per_round=1, rounds=1)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=8)
+        state = init_server(tiny_experiment(8, clients=1, k=4,
+                                            clients_per_round=1, rounds=1))
         warm_startup(state)
         broadcast = state.params.copy()
-        consts = state.bank.score_constants(clients[0].priors)
-        expected, _ = local_train(clients[0], broadcast, consts, backbone,
-                                  cfg, seed=8, round_index=1)
+        client = state.clients[0]
+        consts = state.bank.score_constants(client.priors)
+        expected, _ = local_train(client, broadcast, consts, state.backbone,
+                                  state.cfg, seed=8, round_index=1)
         log = run_round(state)
         assert log.participants == (0,)
         np.testing.assert_array_equal(state.params.head.data,
@@ -294,60 +285,54 @@ class TestRounds:
     def test_clients_read_the_server_blocks(self):
         # broadcasting hands out the server's own blocks: a sampled client
         # is copied once, in local_train, and an evaluated one not at all
-        clients, backbone = tiny_world(8)
-        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=8)
+        state = init_server(tiny_experiment(8))
         warm_startup(state)
         run_round(state)
-        for cid in range(len(clients)):
+        for cid in range(len(state.clients)):
             params, _ = state.client_inputs(cid)
             assert params.shared is state.params.shared
             assert params.class_prompts is state.params.class_prompts
             assert params.head is state.params.head
 
     def test_three_round_determinism(self):
-        clients_a, backbone_a = tiny_world(9)
-        _, logs_a = run_training(clients_a, backbone_a, TINY_MODEL,
-                                 tiny_cfg(rounds=3), seed=9)
-        clients_b, backbone_b = tiny_world(9)
-        _, logs_b = run_training(clients_b, backbone_b, TINY_MODEL,
-                                 tiny_cfg(rounds=3), seed=9)
+        logs_a = run_training(init_server(tiny_experiment(9, rounds=3)))
+        logs_b = run_training(init_server(tiny_experiment(9, rounds=3)))
         assert [dataclasses.asdict(l) for l in logs_a] == [
             dataclasses.asdict(l) for l in logs_b]
 
     def test_zero_rounds_returns_warm_started_state(self):
-        clients, backbone = tiny_world(10)
-        state, logs = run_training(clients, backbone, TINY_MODEL,
-                                   tiny_cfg(rounds=0), seed=10)
+        state = init_server(tiny_experiment(10, rounds=0))
+        logs = run_training(state)
         assert state.round == 0
         assert len(logs) == 1
         assert logs[0].train_loss is None
         assert any(np.abs(state.bank.mu[l]).max() > 0 for l in state.bank.layers)
 
     def test_backbone_frozen_across_run(self):
-        clients, backbone = tiny_world(11)
-        before = backbone_checksum(backbone)
-        run_training(clients, backbone, TINY_MODEL, tiny_cfg(rounds=2), seed=11)
-        assert backbone_checksum(backbone) == before
+        state = init_server(tiny_experiment(11))
+        before = backbone_checksum(state.backbone)
+        run_training(state)
+        assert backbone_checksum(state.backbone) == before
 
     def test_shared_only_never_touches_bank(self):
-        clients, backbone = tiny_world(12)
-        cfg = tiny_cfg(strategy="shared_only", rounds=2)
-        state, logs = run_training(clients, backbone, TINY_MODEL, cfg, seed=12)
+        # shared_only leaves the mix layers unread, so they keep the default
+        model = ModelConfig(dim=8, layers=3, heads=2, patch_size=4)
+        state = init_server(tiny_experiment(12, model=model,
+                                            strategy="shared_only"))
+        logs = run_training(state)
         assert state.bank is None
         # without a bank no client gets score constants, so nothing mixes
-        for cid in range(len(clients)):
+        for cid in range(len(state.clients)):
             assert state.client_inputs(cid)[1] == {}
         assert len(logs) == 3
 
     def test_nonparticipants_untouched(self):
-        clients, backbone = tiny_world(13, clients=6)
-        cfg = tiny_cfg(clients_per_round=2, rounds=1)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=13)
+        state = init_server(tiny_experiment(13, clients_per_round=2, rounds=1))
         warm_startup(state)
-        snapshots = {
-            c.client_id: (c.train_x.copy(), c.priors.copy()) for c in clients}
+        snapshots = {c.client_id: (c.train_x.copy(), c.priors.copy())
+                     for c in state.clients}
         log = run_round(state)
-        for c in clients:
+        for c in state.clients:
             if c.client_id in log.participants:
                 continue
             np.testing.assert_array_equal(c.train_x, snapshots[c.client_id][0])
@@ -359,12 +344,11 @@ class TestRounds:
                                                             monkeypatch):
         # a sampled client's prototype pass and SGD share one build; each
         # evaluated client with a test sample gets one more
-        clients, backbone = tiny_world(14)
+        state = init_server(tiny_experiment(14, heldout_fraction=0.17))
+        assert len(state.heldout) == 1
+        clients = state.clients
         clients[2].test_x = clients[2].test_x[:0]
         clients[2].test_y = clients[2].test_y[:0]
-        state = init_server(clients, backbone, TINY_MODEL,
-                            tiny_cfg(clients_per_round=3), seed=14,
-                            heldout=(5,))
         warm_startup(state)
         calls = []
         build = PrototypeBank.score_constants
@@ -380,8 +364,7 @@ class TestRounds:
         assert len(calls) == len(log.participants) + evaluated
 
     def test_non_finite_period_update_names_round(self):
-        clients, backbone = tiny_world(5)
-        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=5)
+        state = init_server(tiny_experiment(5))
         warm_startup(state)
         # from round 1 on the Laplace noise of each period update overflows
         state.bank.epsilon = 1e-310
@@ -390,8 +373,7 @@ class TestRounds:
         assert str(err.value) == "non-finite prototype norms at layer 2 (round=1)"
 
     def test_overflowing_prototype_norms_name_round(self):
-        clients, backbone = tiny_world(5)
-        state = init_server(clients, backbone, TINY_MODEL, tiny_cfg(), seed=5)
+        state = init_server(tiny_experiment(5))
         warm_startup(state)
         # noise of scale S/1e-300 leaves prototypes finite near 1e300, but
         # their squared norms overflow, which would zero every similarity
@@ -403,15 +385,32 @@ class TestRounds:
         assert np.abs(state.bank.mu[2]).max() > 1e290
 
 
+class TestInitServer:
+    @pytest.mark.parametrize("clients, heldout_fraction",
+                             [(4, 0.0), (6, 0.34), (8, 0.25)])
+    def test_builds_the_clients_and_heldout_ids_of_its_config(
+            self, clients, heldout_fraction):
+        # the world follows from the config alone, so its client count is
+        # `train.clients` and its heldout ids are those of `heldout_split`
+        state = init_server(tiny_experiment(
+            19, clients=clients, heldout_fraction=heldout_fraction,
+            clients_per_round=1))
+        assert [c.client_id for c in state.clients] == list(range(clients))
+        split = (tuple(range(clients)), ())
+        if heldout_fraction:
+            split = heldout_split(range(clients), 1.0 - heldout_fraction, 19)
+        assert (state.participating, state.heldout) == split
+
+
 class TestPersonalizedStrategy:
     def test_only_head_aggregated(self):
-        clients, backbone = tiny_world(15)
-        cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=15)
+        state = init_server(tiny_experiment(15, strategy="personalized",
+                                            rounds=1, clients_per_round=2))
         warm_startup(state)
         log = run_round(state)
         # global prompt blocks stay at initialization; head moved
-        init = PromptParams.init(15, TINY_MODEL.dim, 4, cfg.shared_prompts)
+        init = PromptParams.init(15, TINY_MODEL.dim, 4,
+                                 state.cfg.shared_prompts)
         np.testing.assert_array_equal(state.params.shared.data,
                                       init.shared.data)
         np.testing.assert_array_equal(state.params.class_prompts.data,
@@ -427,10 +426,10 @@ class TestPersonalizedStrategy:
             assert params.head is state.params.head
 
     def test_init_server_gives_each_participating_client_a_copy(self):
-        clients, backbone = tiny_world(18)
-        cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=18,
-                            heldout=(5,))
+        state = init_server(tiny_experiment(
+            18, strategy="personalized", rounds=1, clients_per_round=2,
+            heldout_fraction=0.17))
+        assert state.heldout
         assert set(state.personal) == set(state.participating)
         init = [block.data for _, block in state.params.blocks()]
         for own in state.personal.values():
@@ -439,14 +438,15 @@ class TestPersonalizedStrategy:
                 assert not np.shares_memory(block.data, data)
 
     def test_heldout_client_gets_initial_prompts(self):
-        clients, backbone = tiny_world(16)
-        cfg = tiny_cfg(strategy="personalized", rounds=1, clients_per_round=2)
-        state = init_server(clients, backbone, TINY_MODEL, cfg, seed=16,
-                            heldout=(5,))
+        state = init_server(tiny_experiment(
+            16, strategy="personalized", rounds=1, clients_per_round=2,
+            heldout_fraction=0.17))
         warm_startup(state)
         run_round(state)
-        params = state.broadcast_params(5)
-        init = PromptParams.init(16, TINY_MODEL.dim, 4, cfg.shared_prompts)
+        (heldout,) = state.heldout
+        params = state.broadcast_params(heldout)
+        init = PromptParams.init(16, TINY_MODEL.dim, 4,
+                                 state.cfg.shared_prompts)
         np.testing.assert_array_equal(params.shared.data, init.shared.data)
         np.testing.assert_array_equal(params.class_prompts.data,
                                       init.class_prompts.data)
@@ -465,16 +465,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(clients=1, clients_per_round=1, rounds=1, local_epochs=0)
 
-    @pytest.mark.parametrize("mix_layers", [(), (5, 6, 7)])
-    def test_mixing_needs_mix_layers_of_the_model(self, mix_layers):
-        # ModelConfig alone does not check its mix layers against `layers`
-        clients, backbone = tiny_world(17)
-        model_cfg = dataclasses.replace(TINY_MODEL, mix_layers=mix_layers)
-        with pytest.raises(ConfigError, match="requires mix layers within"):
-            init_server(clients, backbone, model_cfg, tiny_cfg(), seed=17)
+    @pytest.mark.parametrize("mix_layers, rule", [
+        ((), "be set under strategy 'mixed'"),
+        ((5, 6, 7), "lie within [1, 3]")])
+    def test_mixing_needs_mix_layers_of_the_model(self, mix_layers, rule):
+        # ModelConfig alone does not check its mix layers against `layers`,
+        # so the experiment does, before any data is drawn
+        model = dataclasses.replace(TINY_MODEL, mix_layers=mix_layers)
+        with pytest.raises(ConfigError) as err:
+            tiny_experiment(17, model=model)
+        assert str(err.value) == (
+            f"model mix_layers must {rule}, got {mix_layers}")
 
     def test_too_many_clients_per_round(self):
-        clients, backbone = tiny_world(17, clients=3, classes=4, k=2)
-        with pytest.raises(ConfigError):
-            init_server(clients, backbone, TINY_MODEL,
-                        tiny_cfg(clients=3, clients_per_round=5), seed=17)
+        with pytest.raises(ConfigError) as err:
+            tiny_experiment(17, clients=3, clients_per_round=5)
+        assert str(err.value) == ("train clients_per_round must be <= 3 "
+                                  "participating clients, got 5")

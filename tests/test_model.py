@@ -24,7 +24,7 @@ from fedprompt.model import (
     init_backbone,
     patchify,
 )
-from fedprompt.prototypes import PrototypeBank, mix_prompt, soft_scores
+from fedprompt.prototypes import PrototypeBank, soft_scores
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -989,16 +989,25 @@ class TestForward:
     def test_one_hot_prior_inserts_exact_class_column(self, monkeypatch):
         backbone, prompts, bank, _, image = make_setup(5)
         priors = np.array([0.0, 0.0, 1.0, 0.0])
+        inserted = []
+        mix = model._mix
+
+        def recording(seq, class_prompts, consts, replace, tape):
+            out = mix(seq, class_prompts, consts, replace, tape)
+            inserted.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(model, "_mix", recording)
         _, _, scores = forward_recording_scores(
             monkeypatch, image, prompts, backbone,
             bank.score_constants(priors))
         assert set(scores) == set(SMALL.mix_layers)
-        for layer, s in scores.items():
+        for s in scores.values():
             np.testing.assert_array_equal(s, priors)
-            np.testing.assert_array_equal(
-                mix_prompt(prompts.class_prompts.data, s),
-                prompts.class_prompts.data[:, 2],
-            )
+        assert len(inserted) == len(SMALL.mix_layers)
+        for token in inserted:
+            np.testing.assert_array_equal(token,
+                                          prompts.class_prompts.data[:, 2])
 
     def test_forward_deterministic(self):
         backbone, prompts, bank, priors, image = make_setup(8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedprompt import model
 from fedprompt import tensor as te
 from fedprompt.cli import write_prototypes_csv
 from fedprompt.errors import ConfigError, DataError
@@ -16,7 +17,6 @@ from fedprompt.prototypes import (
     compute_class_priors,
     laplace_sensitivity,
     local_prototypes,
-    mix_prompt,
     momentum_update,
     soft_scores,
     soft_scores_op,
@@ -292,26 +292,45 @@ class TestSoftScoresOp:
             soft_scores_op(cls, consts, grad=True)[0], s)
 
 
-class TestMixPrompt:
+class TestMix:
+    """The token `model._mix` inserts after the cls row of a sequence:
+    P @ s for the scores s of the layer's `ScoreConstants`."""
+
+    @staticmethod
+    def mix(pc, priors, rng):
+        # zero prototypes score every class alike, so s is the priors
+        d, c = pc.shape
+        consts = ScoreConstants(np.zeros((c, d)), priors, 0.05, d)
+        seq = rng.normal(size=(3, d))
+        out = model._mix(seq, te.Tensor(pc), consts, False, None)
+        # the cls row stays first and the other rows follow the mixed one
+        np.testing.assert_array_equal(out[0], seq[0])
+        np.testing.assert_array_equal(out[2:], seq[1:])
+        return out[1], soft_scores_op(seq[0], consts)[0]
+
     def test_one_hot_selects_column(self):
         rng = np.random.default_rng(9)
         pc = rng.normal(size=(4, 3))
-        s = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(mix_prompt(pc, s), pc[:, 1])
+        mixed, s = self.mix(pc, [0.0, 1.0, 0.0], rng)
+        np.testing.assert_array_equal(s, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(mixed, pc[:, 1])
 
     def test_uniform_mix(self):
         pc = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(mix_prompt(pc, [0.5, 0.5]), [0.5, 0.5])
+        mixed, _ = self.mix(pc, [0.5, 0.5], np.random.default_rng(0))
+        np.testing.assert_allclose(mixed, [0.5, 0.5])
 
     def test_matches_explicit_summation(self):
         rng = np.random.default_rng(10)
         pc = rng.normal(size=(6, 5))
-        s = rng.random(5)
-        s /= s.sum()
+        priors = rng.random(5)
+        priors /= priors.sum()
+        mixed, s = self.mix(pc, priors, rng)
+        np.testing.assert_allclose(s, priors, atol=1e-15)
         expected = np.zeros(6)
         for c in range(5):
             expected += s[c] * pc[:, c]
-        np.testing.assert_allclose(mix_prompt(pc, s), expected, atol=1e-15)
+        np.testing.assert_allclose(mixed, expected, atol=1e-15)
 
 
 class TestDifferentialPrivacy:
