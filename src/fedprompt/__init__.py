@@ -24,9 +24,7 @@ from .evaluation import (
     EvalReport,
     comm_accounting,
     evaluate_clients,
-    flop_estimate,
     heldout_split,
-    prompt_mix_overhead,
     prototype_topk_probe,
 )
 from .federation import (
@@ -59,7 +57,6 @@ from .prototypes import (
     laplace_sensitivity,
     local_prototypes,
     momentum_update,
-    soft_scores,
 )
 from .tensor import Tape, Tensor, cross_entropy, finite_diff_grad
 
@@ -71,11 +68,10 @@ __all__ = [
     "__version__", "add_laplace_noise", "aggregate_submissions",
     "build_clients", "comm_accounting", "compute_class_priors",
     "cross_entropy", "evaluate_clients", "fedavg_aggregate",
-    "finite_diff_grad", "flop_estimate", "forward_shard",
-    "forward_with_prompts", "generate_synthetic", "gradient_check",
-    "heldout_split", "init_backbone", "init_server", "laplace_sensitivity",
-    "load_config", "local_prototypes", "local_train", "momentum_update",
-    "partition_dirichlet", "partition_pathological", "prompt_mix_overhead",
-    "prototype_topk_probe", "run_round", "run_training", "sample_clients",
-    "soft_scores", "warm_startup",
+    "finite_diff_grad", "forward_shard", "forward_with_prompts",
+    "generate_synthetic", "gradient_check", "heldout_split", "init_backbone",
+    "init_server", "laplace_sensitivity", "load_config", "local_prototypes",
+    "local_train", "momentum_update", "partition_dirichlet",
+    "partition_pathological", "prototype_topk_probe", "run_round",
+    "run_training", "sample_clients", "warm_startup",
 ]

@@ -152,10 +152,18 @@ class ExperimentConfig:
         return self.train.clients
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """ConfigError on the first rule the config breaks; `init_server`
+        calls it again, for a section assigned after construction."""
         clients = self.train.clients
         unread = _unread(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.out_dir:
+            raise ConfigError(f"out_dir must be a nonempty path, "
+                              f"got {self.out_dir!r}")
         if self.data.image_size % self.model.patch_size:
             raise ConfigError(
                 f"data image_size {self.data.image_size} must be a multiple "

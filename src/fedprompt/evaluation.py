@@ -1,5 +1,5 @@
 """Accuracy metrics, heldout splitting, the prototype probe, and the
-closed-form compute / communication accounting."""
+closed-form communication accounting."""
 
 import csv
 from dataclasses import dataclass
@@ -108,31 +108,6 @@ def prototype_topk_probe(tokens, labels, k: int) -> float:
                      where=norms != 0.0)
     top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     return int(np.count_nonzero(top == labels[:, None])) / labels.size
-
-
-def flop_estimate(layers: int, heads: int, tokens: int, dim: int,
-                  head_dim: int, classes: int) -> int:
-    """Multiplication count of one transformer forward pass:
-    L*H*(3*T*d*d_h + T^2*d_h) + L*T*d^2 + C*d."""
-    if min(layers, heads, tokens, dim, head_dim, classes) < 1:
-        raise ConfigError("all dimensions must be positive")
-    attention = layers * heads * (3 * tokens * dim * head_dim
-                                  + tokens**2 * head_dim)
-    feedforward = layers * tokens * dim**2
-    return attention + feedforward + classes * dim
-
-
-def prompt_mix_flops(classes: int, dim: int, mix_layers: int) -> int:
-    """Similarity plus mixing multiplications: per layer, C*d for the
-    prototype similarities and C*d for the prompt combination."""
-    return mix_layers * 2 * classes * dim
-
-
-def prompt_mix_overhead(layers: int, heads: int, tokens: int, dim: int,
-                        head_dim: int, classes: int, mix_layers: int) -> float:
-    """Fraction of the total forward multiplications spent on mixing."""
-    total = flop_estimate(layers, heads, tokens, dim, head_dim, classes)
-    return prompt_mix_flops(classes, dim, mix_layers) / total
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,7 @@ def init_server(cfg: ExperimentConfig) -> ServerState:
     `epsilon`, the DP budget) and the clients with prompts of their own.
     The returned state then answers, through `client_inputs`, what each
     client trains and is evaluated with."""
+    cfg.check()
     train = cfg.train
     mixing = train.strategy != "shared_only"
     dataset = generate_synthetic(cfg.data, cfg.seed)

@@ -433,26 +433,26 @@ def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
 
 
 def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int = 4,
-                   heads: int = 2, mix_layers=None) -> dict:
+                   heads: int = 2) -> dict:
     """Compare tape gradients of the trainable blocks against central
-    finite differences on a randomly initialized prompted model.
+    finite differences on a randomly initialized prompted model that
+    mixes at its middle layer and the one after it.
 
     Returns {"shared": err, "class": err, "head": err, "max": err}.
     """
     from .prototypes import PrototypeBank  # local import to avoid cycle noise
 
-    if mix_layers is None:
-        mid = max(1, layers // 2)
-        mix_layers = tuple(sorted({mid, min(layers, mid + 1)}))
+    mid = max(1, layers // 2)
     cfg = ModelConfig(dim=dim, layers=layers, heads=heads,
-                      patch_size=GRADCHECK_PATCH, mix_layers=tuple(mix_layers))
+                      patch_size=GRADCHECK_PATCH,
+                      mix_layers=tuple(sorted({mid, min(layers, mid + 1)})))
     rng = derive_rng(seed, "gradcheck")
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.init(seed, dim, classes, GRADCHECK_SHARED)
     prompts.head.data[...] = rng.normal(0.0, 0.5, size=prompts.head.data.shape)
     bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes, dim=dim,
                          tau=cfg.tau)
-    for l in mix_layers:
+    for l in cfg.mix_layers:
         bank.mu[l] = rng.normal(size=(classes, dim))
     priors = rng.random(classes)
     priors /= priors.sum()

@@ -74,7 +74,13 @@ class ScoreConstants:
         """(scores, sims, cls_norm) for one cls token: the scores over all
         classes, the cosine similarities to the nonzero active prototypes
         (None when the token or every such prototype is zero), and the
-        token's norm.  The scores and sims are fresh arrays."""
+        token's norm.  The scores and sims are fresh arrays.
+
+        The scores are computed in log space: logit_c = sim(cls, mu_c)/tau
+        + ln(prior_c), followed by a max-subtracted softmax.  Classes with
+        zero prior get an exact zero; a zero prototype (class never
+        observed) contributes a neutral similarity of 0.
+        """
         cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
         logits, top = self.logits, self.top
         logits.fill(0.0)
@@ -91,18 +97,6 @@ class ScoreConstants:
         scores = np.zeros(self.classes)
         scores[self.active] = e
         return scores, sims, cls_norm
-
-
-def soft_scores(cls_vec, prototypes, priors, tau: float) -> np.ndarray:
-    """Per-class mixing weights for one sample at one layer.
-
-    Computed in log space: logit_c = sim(cls, mu_c)/tau + ln(prior_c),
-    followed by a max-subtracted softmax.  Classes with zero prior get an
-    exact zero; a zero prototype (class never observed) contributes a
-    neutral similarity of 0.
-    """
-    cls_vec = np.asarray(cls_vec, dtype=np.float64).reshape(-1)
-    return ScoreConstants(prototypes, priors, tau, cls_vec.size).evaluate(cls_vec)[0]
 
 
 def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool = False):
@@ -251,20 +245,17 @@ class PrototypeBank:
         for l in self.layers:
             self.mu.setdefault(l, np.zeros((self.num_classes, self.dim)))
 
-    def warm_start(self, submissions_per_client, sensitivities=(),
-                   rng=None) -> None:
+    def warm_start(self, submissions, sensitivities, rng) -> None:
         """Initialize each prototype as the plain mean over the warm-up
-        clients, zero submissions included.
+        clients' `submissions`, zero submissions included.
 
         With `epsilon`, classes some client observed get Laplace noise
-        exactly as in a period update.
+        exactly as in a period update; without, `rng` draws nothing.
         """
-        if not submissions_per_client:
+        if not submissions:
             raise ConfigError("warm-up requires at least one client")
-        self._require("sensitivities", len(sensitivities))
-        self._require("rng", rng is not None)
         for l in self.layers:
-            stack = np.stack([sub[l] for sub in submissions_per_client])
+            stack = np.stack([sub[l] for sub in submissions])
             self.mu[l] = stack.mean(axis=0)
             if self.epsilon is not None:
                 counts = np.any(stack != 0.0, axis=2).sum(axis=0)
@@ -292,7 +283,7 @@ class PrototypeBank:
                 return l
         return None
 
-    def apply_period_update(self, rng=None) -> None:
+    def apply_period_update(self, rng) -> None:
         """Aggregate the buffered submissions, fold them in with momentum,
         add class-level Laplace noise with `epsilon`, then clear the buffer.
 
@@ -301,7 +292,6 @@ class PrototypeBank:
         """
         if not self._buffer:
             return
-        self._require("rng", rng is not None)
         for l in self.layers:
             agg, counts = aggregate_submissions([p[l] for p, _ in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
@@ -309,13 +299,6 @@ class PrototypeBank:
                 self._privatize_layer(
                     l, counts, [s[l] for _, s in self._buffer], rng)
         self._buffer.clear()
-
-    def _require(self, name, present):
-        """With `epsilon`, ConfigError unless `name`, an input the noise
-        draws on, is `present`."""
-        if self.epsilon is not None and not present:
-            raise ConfigError(f"a bank with privacy budget epsilon "
-                              f"{self.epsilon} needs {name} to noise with")
 
     def _privatize_layer(self, layer, counts, sensitivities, rng):
         """Noise each class with contributors, scaled by the largest

@@ -23,7 +23,7 @@ from fedprompt import tensor as te
 from fedprompt.config import load_config
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_dirichlet, \
     partition_pathological
-from fedprompt.evaluation import comm_accounting, prompt_mix_overhead
+from fedprompt.evaluation import comm_accounting
 from fedprompt.federation import fedavg_aggregate, init_server, run_training
 from fedprompt.model import PromptParams, gradient_check
 from fedprompt.prototypes import (
@@ -31,7 +31,6 @@ from fedprompt.prototypes import (
     ScoreConstants,
     aggregate_submissions,
     momentum_update,
-    soft_scores,
     soft_scores_op,
 )
 
@@ -88,16 +87,21 @@ def test_criterion_02_score_algebra():
             priors[int(rng.integers(c))] = 1.0
         priors /= priors.sum()
         tau = float(rng.uniform(0.01, 5.0))
-        s = soft_scores(cls, protos, priors, tau)
+
+        def scores(token, tau=tau):
+            # the forward's scores of one token at one layer
+            return soft_scores_op(token, ScoreConstants(protos, priors, tau, d))[0]
+
+        s = scores(cls)
         assert (s >= 0).all()
         worst_sum = max(worst_sum, abs(s.sum() - 1.0))
         assert abs(s.sum() - 1.0) < 1e-12
         assert np.all(s[priors == 0.0] == 0.0)
         # exact scale invariance on exactly-representable rescalings
-        np.testing.assert_array_equal(soft_scores(0.5 * cls, protos, priors, tau), s)
-        np.testing.assert_array_equal(soft_scores(64.0 * cls, protos, priors, tau), s)
+        np.testing.assert_array_equal(scores(0.5 * cls), s)
+        np.testing.assert_array_equal(scores(64.0 * cls), s)
         # prior-collapse limit
-        s_hot = soft_scores(cls, protos, priors, 1e6)
+        s_hot = scores(cls, tau=1e6)
         assert np.abs(s_hot - priors).max() < 1e-4
     print(f"\nPASS criterion 2: 1000 draws, worst |sum-1| = {worst_sum:.2e}")
 
@@ -166,10 +170,33 @@ def test_criterion_04_quadratic_bound_minimizer():
           f"analytic gradient at optimum <= {worst_grad:.1e}")
 
 
+def forward_mults(L, H, T, d, dh, C):
+    """Multiplications of one transformer forward pass of L layers, H heads
+    of width dh, T tokens of width d and C classes."""
+    return L * H * (3 * T * d * dh + T**2 * dh) + L * T * d**2 + C * d
+
+
+def mix_mults(C, d, mix_layers):
+    """Per mix layer, C*d for the prototype similarities and C*d for the
+    prompt combination."""
+    return mix_layers * 2 * C * d
+
+
 def test_criterion_05_mix_overhead_closed_form():
-    frac = prompt_mix_overhead(layers=12, heads=12, tokens=197, dim=768,
-                               head_dim=64, classes=100, mix_layers=3)
-    pct = frac * 100
+    # the forward's closed form against its terms, summed one by one
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        L, H, T, d, dh, C = (int(rng.integers(1, 7)) for _ in range(6))
+        per_head = 0
+        for _ in range(L):
+            for _ in range(H):
+                per_head += T * d * dh  # query
+                per_head += T * d * dh  # key
+                per_head += T * d * dh  # value
+                per_head += T * T * dh  # attention inner products
+        assert forward_mults(L, H, T, d, dh, C) == per_head + L * T * d * d + C * d
+    # ViT-B/16 on 100 classes, mixing at 3 layers
+    pct = 100 * mix_mults(100, 768, 3) / forward_mults(12, 12, 197, 768, 64, 100)
     assert pct == pytest.approx(0.008, abs=0.003)
     print(f"\nPASS criterion 5: mixing overhead {pct:.5f}% (target 0.008 +/- 0.003)")
 
@@ -272,7 +299,8 @@ def test_criterion_12_protocol_unit_suite():
 
     # warm-up aggregation: plain mean over clients
     bank = PrototypeBank(layers=(5,), num_classes=1, dim=2, tau=0.05)
-    bank.warm_start([{5: np.array([[1.0, 0.0]])}, {5: np.array([[3.0, 0.0]])}])
+    bank.warm_start([{5: np.array([[1.0, 0.0]])}, {5: np.array([[3.0, 0.0]])}],
+                    [{5: np.zeros(1)}] * 2, np.random.default_rng(12))
     np.testing.assert_array_equal(bank.mu[5][0], [2.0, 0.0])
 
     # period aggregation indicator: zero submissions excluded

@@ -277,6 +277,7 @@ class TestRunCommand:
                         "classes_per_client": 99}},
          "partition.'classes_per_client' is not read by mode 'dirichlet'"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"out_dir": ""}, "out_dir must be a nonempty path, got ''"),
         ({"train": {"lr_decay": 1e300}},
          "train lr_decay must lie in (0, 1], got 1e+300"),
         ({"train": {"momentum": -5}},
@@ -702,6 +703,24 @@ class TestOutputDirectory:
         assert err.startswith(
             f"config error: cannot create output directory {out}: ")
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_empty_out_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        # "" names no directory, so it is refused before any data is drawn
+        from fedprompt import federation
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("drew data towards an output it cannot write")
+
+        monkeypatch.setattr(cli, "generate_synthetic", no_data)
+        monkeypatch.setattr(federation, "generate_synthetic", no_data)
+        path, _ = small_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(path), "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "config error: out_dir must be a nonempty path, got ''\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("below", [False, True])
     def test_eval_out_at_or_under_a_file_is_a_config_error(
@@ -1190,11 +1209,8 @@ def test_all_lists_exactly_the_public_imports():
     assert public == set(exported) - {"__version__"}
 
 
-# library entry points that nothing in src/ calls: the one-sample score
-# reference of criterion 2, the mixing overhead of criterion 5 and the
-# prototype probe
-LIBRARY_ENTRY_POINTS = {"soft_scores", "prompt_mix_overhead",
-                        "prototype_topk_probe"}
+# library entry points that nothing in src/ calls: the prototype probe
+LIBRARY_ENTRY_POINTS = {"prototype_topk_probe"}
 
 
 def test_every_top_level_definition_is_used():

@@ -8,9 +8,7 @@ from fedprompt.evaluation import (
     CommReport,
     comm_accounting,
     evaluate_clients,
-    flop_estimate,
     heldout_split,
-    prompt_mix_overhead,
     prototype_topk_probe,
 )
 from fedprompt.federation import ClientState, init_server, run_training
@@ -267,40 +265,6 @@ class TestPrototypeProbe:
         tokens = np.array([[1.0, 0.0], [3.0, 0.0],
                            [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         assert prototype_topk_probe(tokens, [0, 0, 1, 1, 1], 1) == 0.6
-
-
-class TestFlopAccounting:
-    def test_unit_dimensions(self):
-        assert flop_estimate(1, 1, 1, 1, 1, 1) == 6
-
-    def test_vitb_mix_overhead_hits_paper_figure(self):
-        frac = prompt_mix_overhead(layers=12, heads=12, tokens=197, dim=768,
-                                   head_dim=64, classes=100, mix_layers=3)
-        assert frac * 100 == pytest.approx(0.008, abs=0.003)
-
-    def test_token_count_superlinear(self):
-        base = flop_estimate(12, 12, 100, 768, 64, 100)
-        doubled = flop_estimate(12, 12, 200, 768, 64, 100)
-        assert doubled > 2 * base
-
-    def test_matches_term_by_term_expansion(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            L, H, T, d, dh, C = (int(rng.integers(1, 7)) for _ in range(6))
-            per_head = 0
-            for _ in range(L):
-                for _ in range(H):
-                    per_head += T * d * dh  # query
-                    per_head += T * d * dh  # key
-                    per_head += T * d * dh  # value
-                    per_head += T * T * dh  # attention inner products
-            mlp = L * T * d * d
-            head = C * d
-            assert flop_estimate(L, H, T, d, dh, C) == per_head + mlp + head
-
-    def test_positive_dimensions_required(self):
-        with pytest.raises(ConfigError):
-            flop_estimate(0, 1, 1, 1, 1, 1)
 
 
 class TestCommAccounting:

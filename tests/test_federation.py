@@ -1,11 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from backbone_digest import backbone_checksum
+from fedprompt import federation
 from fedprompt import tensor as te
-from fedprompt.config import ExperimentConfig, TrainConfig
+from fedprompt.config import ExperimentConfig, TrainConfig, load_config
 from fedprompt.data import PartitionSpec, SyntheticSpec
 from fedprompt.errors import ConfigError, TrainingError
 from fedprompt.evaluation import heldout_split
@@ -482,3 +484,28 @@ class TestConfigValidation:
             tiny_experiment(17, clients=3, clients_per_round=5)
         assert str(err.value) == ("train clients_per_round must be <= 3 "
                                   "participating clients, got 5")
+
+    @pytest.mark.parametrize("section, change, message", [
+        ("train", {"clients_per_round": 99},
+         "train clients_per_round must be <= 12 participating clients, "
+         "got 99"),
+        ("model", {"mix_layers": (9,)},
+         "model mix_layers must lie within [1, 8], got (9,)"),
+        ("data", {"image_size": 12},
+         "data image_size 12 must be a multiple of model patch_size 8"),
+    ])
+    def test_init_server_checks_a_section_assigned_later(
+            self, monkeypatch, section, change, message):
+        # assigning a section skips `__post_init__`, so `init_server` checks
+        # the config again, before it draws any data
+        def no_data(*args, **kwargs):
+            raise AssertionError("drew data for a config it rejects")
+
+        monkeypatch.setattr(federation, "generate_synthetic", no_data)
+        cfg = load_config(str(Path(__file__).resolve().parents[1]
+                              / "configs" / "pathological.json"))
+        setattr(cfg, section, dataclasses.replace(getattr(cfg, section),
+                                                  **change))
+        with pytest.raises(ConfigError) as err:
+            init_server(cfg)
+        assert str(err.value) == message

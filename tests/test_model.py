@@ -24,7 +24,7 @@ from fedprompt.model import (
     init_backbone,
     patchify,
 )
-from fedprompt.prototypes import PrototypeBank, soft_scores
+from fedprompt.prototypes import PrototypeBank, ScoreConstants, soft_scores_op
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1023,8 +1023,8 @@ class TestForward:
             monkeypatch, image, prompts, backbone,
             bank.score_constants(priors))
         first = SMALL.mix_layers[0]
-        expected = soft_scores(cls[first - 1], bank.mu[first], priors,
-                               SMALL.tau)
+        expected = soft_scores_op(cls[first - 1], ScoreConstants(
+            bank.mu[first], priors, SMALL.tau, SMALL.dim))[0]
         np.testing.assert_allclose(scores[first], expected, atol=1e-15)
 
     def test_backbone_unchanged_by_forward_backward(self):
@@ -1100,6 +1100,5 @@ class TestGradients:
         assert backbone_checksum(backbone) == before
 
     def test_autodiff_matches_fd_on_two_layer_model(self):
-        report = gradient_check(seed=3, dim=8, layers=2, classes=3, heads=2,
-                                mix_layers=(2,))
+        report = gradient_check(seed=3, dim=8, layers=2, classes=3, heads=2)
         assert report["max"] < 1e-4

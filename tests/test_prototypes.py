@@ -18,9 +18,13 @@ from fedprompt.prototypes import (
     laplace_sensitivity,
     local_prototypes,
     momentum_update,
-    soft_scores,
     soft_scores_op,
 )
+
+
+def soft_scores(cls, protos, priors, tau):
+    """The scores the forward pass gives one cls token against `protos`."""
+    return soft_scores_op(cls, ScoreConstants(protos, priors, tau, cls.size))[0]
 
 
 class TestClassPriors:
@@ -371,18 +375,27 @@ class TestPrototypeBank:
         return PrototypeBank(layers=(5, 6), num_classes=3, dim=2, tau=0.05,
                              **kw)
 
+    @staticmethod
+    def sens(value=0.0):
+        return {5: np.full(3, value), 6: np.full(3, value)}
+
+    @staticmethod
+    def rng():
+        # what a bank without epsilon is handed and never draws from
+        return np.random.default_rng(0)
+
     def test_warm_start_plain_mean_includes_zeros(self):
         bank = self.make_bank()
         sub_a = {5: np.array([[1.0, 0], [0, 0], [2, 2]]), 6: np.zeros((3, 2))}
         sub_b = {5: np.array([[3.0, 0], [0, 0], [0, 0]]), 6: np.zeros((3, 2))}
-        bank.warm_start([sub_a, sub_b])
+        bank.warm_start([sub_a, sub_b], [self.sens()] * 2, self.rng())
         np.testing.assert_allclose(bank.mu[5][0], [2.0, 0.0])
         np.testing.assert_allclose(bank.mu[5][2], [1.0, 1.0])  # zero included
 
     def test_single_client_warm_start(self):
         bank = self.make_bank()
         sub = {5: np.arange(6.0).reshape(3, 2), 6: np.ones((3, 2))}
-        bank.warm_start([sub])
+        bank.warm_start([sub], [self.sens()], self.rng())
         np.testing.assert_array_equal(bank.mu[5], sub[5])
 
     def test_period_update_momentum(self):
@@ -392,7 +405,7 @@ class TestPrototypeBank:
         sub = {5: np.full((3, 2), 3.0), 6: np.full((3, 2), 5.0)}
         sens = {5: np.zeros(3), 6: np.zeros(3)}
         bank.submit(sub, sens)
-        bank.apply_period_update()
+        bank.apply_period_update(self.rng())
         np.testing.assert_allclose(bank.mu[5], np.full((3, 2), 2.0))
         np.testing.assert_allclose(bank.mu[6], np.full((3, 2), 3.0))
         assert len(bank._buffer) == 0
@@ -400,7 +413,7 @@ class TestPrototypeBank:
     def test_empty_buffer_update_is_noop(self):
         bank = self.make_bank()
         before = {l: bank.mu[l].copy() for l in bank.layers}
-        bank.apply_period_update()
+        bank.apply_period_update(self.rng())
         for l in bank.layers:
             np.testing.assert_array_equal(bank.mu[l], before[l])
 
@@ -423,27 +436,20 @@ class TestPrototypeBank:
             expected[c] += rng_b.laplace(0.0, s / 0.2, size=2)
         np.testing.assert_allclose(bank.mu[5], expected)
 
-    def test_noise_without_its_inputs_names_them(self):
-        bank = PrototypeBank(layers=(1,), num_classes=2, dim=3, tau=0.1,
-                             epsilon=1.0)
-        sub, sens = {1: np.ones((2, 3))}, {1: np.ones(2)}
-        with pytest.raises(ConfigError, match="needs sensitivities"):
-            bank.warm_start([sub])
-        with pytest.raises(ConfigError, match="needs rng"):
-            bank.warm_start([sub], [sens])
-        np.testing.assert_array_equal(bank.mu[1], np.zeros((2, 3)))
-        bank.submit(sub, sens)
-        with pytest.raises(ConfigError, match="epsilon 1.0 needs rng"):
-            bank.apply_period_update()
-        np.testing.assert_array_equal(bank.mu[1], np.zeros((2, 3)))
-
-    def test_noiseless_bank_needs_neither(self):
-        bank = PrototypeBank(layers=(1,), num_classes=2, dim=3, tau=0.1)
-        sub, sens = {1: np.ones((2, 3))}, {1: np.ones(2)}
-        bank.warm_start([sub])
-        bank.submit(sub, sens)
-        bank.apply_period_update()
-        np.testing.assert_array_equal(bank.mu[1], np.ones((2, 3)))
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1e300, np.inf, np.nan])
+    def test_noiseless_bank_draws_nothing(self, value):
+        # without epsilon, neither the warm start nor a period update draws
+        # from the generator, whatever sensitivities it is passed
+        bank = self.make_bank()
+        sub = {5: np.ones((3, 2)), 6: np.full((3, 2), 2.0)}
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        bank.warm_start([sub], [self.sens(value)], rng)
+        bank.submit(sub, self.sens(value))
+        bank.apply_period_update(rng)
+        assert rng.bit_generator.state == before
+        for l in bank.layers:
+            np.testing.assert_array_equal(bank.mu[l], sub[l])
 
     def test_export_rows(self, tmp_path):
         bank = self.make_bank()
