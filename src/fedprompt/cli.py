@@ -54,37 +54,41 @@ PROMPTS_COLUMNS = ["block", "client", "row", "col", "value"]
 PROTOTYPES_COLUMNS = ["layer", "class", "dim", "value"]
 
 
-def _prompt_blocks(state):
-    """The blocks of prompts.csv in row order: (client, {block name: array})
-    for the global blocks as client -1, then for the shared and class
-    blocks of each client in `state.personal`."""
-    yield -1, {name: block.data for name, block in state.params.blocks()}
+def _prompt_matrices(state):
+    """The matrices of prompts.csv in row order, keyed (block, client): the
+    global blocks as client -1, then the shared and class blocks of each
+    client in `state.personal`."""
+    for name, block in state.params.blocks():
+        yield (name, -1), block.data
     for cid in sorted(state.personal):
-        yield cid, {name: block.data
-                    for name, block in state.personal[cid].blocks()[:2]}
+        for name, block in state.personal[cid].blocks()[:2]:
+            yield (name, cid), block.data
 
 
-def _bank_layers(bank):
-    """The matrices of prototypes.csv in row order: (layer, its class means)
-    over the bank's layers, and none without a bank."""
-    return [] if bank is None else [(l, bank.mu[l]) for l in bank.layers]
+def _prototype_matrices(bank):
+    """The matrices of prototypes.csv in row order, keyed (layer,): the
+    bank's class means, and none without a bank."""
+    return [] if bank is None else [((l,), bank.mu[l]) for l in bank.layers]
 
 
 def _indices(matrix):
     return itertools.product(*map(range, matrix.shape))
 
 
+def _write_table(path, columns, tables):
+    """One row [*key, *index, value] per cell of each (key, matrix) of
+    `tables`, in order."""
+    _write_rows(path, columns, (
+        [*key, *index, repr(float(matrix[index]))]
+        for key, matrix in tables for index in _indices(matrix)))
+
+
 def write_prompts_csv(state, path):
-    _write_rows(path, PROMPTS_COLUMNS, (
-        [name, client, *index, repr(float(data[index]))]
-        for client, blocks in _prompt_blocks(state)
-        for name, data in blocks.items() for index in _indices(data)))
+    _write_table(path, PROMPTS_COLUMNS, _prompt_matrices(state))
 
 
 def write_prototypes_csv(bank, path):
-    _write_rows(path, PROTOTYPES_COLUMNS, (
-        [layer, *index, repr(float(mu[index]))]
-        for layer, mu in _bank_layers(bank) for index in _indices(mu)))
+    _write_table(path, PROTOTYPES_COLUMNS, _prototype_matrices(bank))
 
 
 def _write_json(path, payload):
@@ -101,7 +105,7 @@ def _final_report(cfg, state, logs, report, heldout_report):
     comm = comm_accounting(
         dim=cfg.model.dim, classes=cfg.data.classes,
         shared_prompts=cfg.train.shared_prompts,
-        mix_layers=len(_bank_layers(state.bank)),
+        mix_layers=len(_prototype_matrices(state.bank)),
         rounds=cfg.train.rounds, update_period=cfg.train.update_period)
     payload = {
         "version": __version__,
@@ -180,8 +184,9 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .model import GRADCHECK_SHARED, gradient_check
 
-    if args.classes < 1:
-        raise ConfigError(f"--classes must be >= 1, got {args.classes}")
+    # cross entropy over one class is 0 whatever the maps compute
+    if args.classes < 2:
+        raise ConfigError(f"--classes must be >= 2, got {args.classes}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.threshold) and args.threshold > 0):
@@ -225,95 +230,62 @@ def cmd_partition(args) -> int:
 
 
 def _csv_rows(path, columns):
-    """(where, row) for each data row of a CSV a run wrote, `where` naming
-    its file and line; DataError unless its header is `columns`."""
+    """(where, fields) for each data row of a CSV a run wrote, `where`
+    naming its file and line; DataError unless its header is `columns` and
+    each row has one field per column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != columns:
+        reader = csv.reader(fh)
+        if next(reader, None) != columns:
             raise DataError(f"{path} line 1: expected the columns "
                             f"{','.join(columns)}")
-        for row in reader:
-            yield f"{path} line {reader.line_num}", row
+        for fields in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(fields) != len(columns):
+                raise DataError(f"{where}: expected {len(columns)} fields, "
+                                f"got {len(fields)}")
+            yield where, fields
 
 
-def _csv_field(where, row, name, allowed, parse=int):
-    """Field `name` of `row` parsed, or DataError unless it is in `allowed`."""
+def _csv_value(where, field):
     try:
-        value = parse(row[name])
-    except (TypeError, ValueError):
-        value = None
-    if value not in allowed:
-        span = (f"an integer in [{allowed.start}, {allowed.stop})"
-                if isinstance(allowed, range) else f"one of {list(allowed)}")
-        raise DataError(f"{where}: {name} must be {span}, got {row[name]!r}")
-    return value
-
-
-def _csv_value(where, row):
-    try:
-        value = float(row["value"])
-    except (TypeError, ValueError):
+        value = float(field)
+    except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise DataError(f"{where}: value must be a finite number, "
-                        f"got {row['value']!r}")
+                        f"got {field!r}")
     return value
 
 
-def _set_once(seen, where, entry):
-    """Record that the line `where` set `entry`; DataError if a line did
-    before."""
-    if entry in seen:
-        raise DataError(f"{where}: repeats the entry of {entry}")
-    seen.add(entry)
+def _read_table(path, columns, tables):
+    """Read into the matrices of `tables` each cell `_write_table` writes of
+    them from exactly one line of `path`, its key spelled as written;
+    DataError naming the line that sets no such cell, sets one a second
+    time or holds no finite value, or else the first cell no line sets."""
+    cells = {tuple(map(str, (*key, *index))): (matrix, index)
+             for key, matrix in tables for index in _indices(matrix)}
+    unset = dict(cells)
 
+    def name(cell):
+        return ", ".join(map(" ".join, zip(columns, cell)))
 
-def _check_complete(path, seen, expected):
-    """DataError naming the first of the `expected` entries no line set."""
-    for entry in expected:
-        if entry not in seen:
-            raise DataError(f"{path}: no entry for {entry}")
-
-
-def _load_prompts_csv(path, state):
-    """Read into `state` each entry of `_prompt_blocks` exactly once."""
-    walk = dict(_prompt_blocks(state))
-    entry = "block {!r} of client {} at row {}, col {}".format
-    seen = set()
-    for where, row in _csv_rows(path, PROMPTS_COLUMNS):
-        client = _csv_field(where, row, "client",
-                            range(-1, len(state.clients)))
-        if client not in walk:
-            raise DataError(f"{where}: client {client} trains no prompts of "
-                            f"its own under strategy {state.cfg.strategy!r}")
-        name = _csv_field(where, row, "block", walk[client], str)
-        data = walk[client][name]
-        index = (_csv_field(where, row, "row", range(data.shape[0])),
-                 _csv_field(where, row, "col", range(data.shape[1])))
-        _set_once(seen, where, entry(name, client, *index))
-        data[index] = _csv_value(where, row)
-    _check_complete(path, seen, (
-        entry(name, client, *index) for client, blocks in walk.items()
-        for name, data in blocks.items() for index in _indices(data)))
+    for where, fields in _csv_rows(path, columns):
+        cell = tuple(fields[:-1])
+        if cell not in cells:
+            raise DataError(f"{where}: {name(cell)} is not a cell of this run")
+        if cell not in unset:
+            raise DataError(f"{where}: sets {name(cell)} a second time")
+        matrix, index = unset.pop(cell)
+        matrix[index] = _csv_value(where, fields[-1])
+    if unset:
+        raise DataError(f"{path}: no line sets {name(next(iter(unset)))}")
 
 
 def _load_prototypes_csv(path, bank):
-    """Read into `bank` (None under `shared_only`) each entry of
-    `_bank_layers` exactly once; DataError on a layer whose squared norms
-    overflow, as `run` would have stopped on it."""
-    walk = dict(_bank_layers(bank))
-    entry = "layer {} at class {}, dim {}".format
-    seen = set()
-    for where, row in _csv_rows(path, PROTOTYPES_COLUMNS):
-        layer = _csv_field(where, row, "layer", walk)
-        mu = walk[layer]
-        index = (_csv_field(where, row, "class", range(mu.shape[0])),
-                 _csv_field(where, row, "dim", range(mu.shape[1])))
-        _set_once(seen, where, entry(layer, *index))
-        mu[index] = _csv_value(where, row)
-    _check_complete(path, seen, (
-        entry(layer, *index) for layer, mu in walk.items()
-        for index in _indices(mu)))
+    """Read `bank` (None under `shared_only`) from prototypes.csv;
+    DataError on a layer whose squared norms overflow, as `run` would have
+    stopped on it."""
+    _read_table(path, PROTOTYPES_COLUMNS, _prototype_matrices(bank))
     layer = None if bank is None else bank.overflowing_layer()
     if layer is not None:
         raise DataError(f"{path}: the prototypes of layer {layer} have a "
@@ -333,7 +305,8 @@ def cmd_eval(args) -> int:
     out_dir = args.out or run_dir
     _check_out_dir(out_dir, ("eval_report.json",))
     state = init_server(cfg)
-    _load_prompts_csv(artifact("prompts.csv"), state)
+    _read_table(artifact("prompts.csv"), PROMPTS_COLUMNS,
+                _prompt_matrices(state))
     _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 
     report, heldout_report = _evaluate(state)

@@ -76,10 +76,6 @@ class Dataset:
     test_y: np.ndarray
     classes: int
 
-    @property
-    def num_train(self) -> int:
-        return self.train_y.size
-
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Gaussian class clusters in pixel space, deterministic per seed."""

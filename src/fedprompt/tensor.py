@@ -116,18 +116,17 @@ class NormSpace:
         self.mean_col, self.proj_col = self.mean[:, 0], self.proj[:, 0]
 
 
-def norm_rows(x, xhat=None, inv=None, space=None):
+def norm_rows(x, xhat, inv, space):
     """Layer normalization of each row of the matrix `x`, with no affine
-    map.
+    map, using the scratch `space`.
 
     Writes and returns (xhat, inv): the normalized rows and the (rows, 1)
     inverse standard deviations, which `norm_rows_backward` needs.  Both
-    are fresh arrays unless given, and so is the scratch without `space`.
+    are fresh arrays where None is given.
     """
     rows, d = x.shape
     xhat = np.empty((rows, d)) if xhat is None else xhat
     inv = np.empty((rows, 1)) if inv is None else inv
-    space = NormSpace(rows, d) if space is None else space
     # a reduction into a 1-D `out` dispatches faster than with keepdims
     col = inv[:, 0]
     np.divide(np.add.reduce(x, 1, None, col), space.width, col)
@@ -140,11 +139,10 @@ def norm_rows(x, xhat=None, inv=None, space=None):
     return xhat, inv
 
 
-def norm_rows_backward(dy, xhat, inv, out=None, space=None):
+def norm_rows_backward(dy, xhat, inv, out, space):
     """Gradient into the rows `norm_rows` normalized, for upstream `dy`:
     inv * ((dy - mean(dy)) - xhat * mean(dy * xhat)), written into `out`
-    (which may be `dy`) or a fresh array; fresh scratch without `space`."""
-    space = NormSpace(*xhat.shape) if space is None else space
+    (which may be `dy`) or, where None is given, a fresh array."""
     col = space.mean_col
     np.divide(np.add.reduce(dy, 1, None, col), space.width, col)
     prod = np.multiply(dy, xhat, space.sq)

@@ -329,8 +329,8 @@ def test_criterion_12_protocol_unit_suite():
         ):
             train_all = np.concatenate(part.train_indices)
             test_all = np.concatenate(part.test_indices)
-            assert len(train_all) == dataset.num_train
-            assert len(np.unique(train_all)) == dataset.num_train
+            assert len(train_all) == dataset.train_y.size
+            assert len(np.unique(train_all)) == dataset.train_y.size
             assert len(test_all) == dataset.test_y.size
             assert len(np.unique(test_all)) == dataset.test_y.size
     print("\nPASS criterion 12: momentum / warm-up / indicator / fedavg exact; "

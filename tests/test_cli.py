@@ -661,6 +661,19 @@ class TestGradcheckCommand:
         assert main(["gradcheck", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_one_class_rejected(self, monkeypatch, capsys):
+        # cross entropy over one class is 0, so every gradient is 0 and a
+        # check would pass whatever the backward maps compute
+        from fedprompt import model
+
+        def no_forward(**kwargs):
+            raise AssertionError("gradient check ran")
+
+        monkeypatch.setattr(model, "gradient_check", no_forward)
+        assert main(["gradcheck", "--classes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --classes must be >= 2, got 1\n")
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
     def test_threshold_must_be_finite_and_positive(self, monkeypatch, capsys,
                                                    threshold):
@@ -790,7 +803,7 @@ class TestPartitionCommand:
         with open(tmp_path / "run" / "partition.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["client", "sample_index", "label", "split"]
-        assert len(rows) == 1 + ds.num_train + ds.test_y.size
+        assert len(rows) == 1 + ds.train_y.size + ds.test_y.size
         for split, shards, labels in (
                 ("train", part.train_indices, ds.train_y),
                 ("test", part.test_indices, ds.test_y)):
@@ -892,8 +905,9 @@ def saved_shared_only_run(tmp_path_factory):
 def edited_run(saved_run, tmp_path, name, line, column, value):
     """A copy of `saved_run` whose CSV `name` holds `value` at `column` of
     its `line` (1 is the header); None as the column drops that line's
-    last field, "delete" drops the line (or each line of a `range`), and
-    "duplicate" inserts a copy of the line before it as `line`."""
+    last field, "append" adds `value` after it, "delete" drops the line (or
+    each line of a `range`), and "duplicate" inserts a copy of the line
+    before it as `line`."""
     run = tmp_path / "run"
     shutil.copytree(saved_run, run)
     lines = (run / name).read_text().splitlines()
@@ -902,6 +916,8 @@ def edited_run(saved_run, tmp_path, name, line, column, value):
         del lines[gone.start - 1:gone.stop - 1]
     elif column == "duplicate":
         lines.insert(line - 1, lines[line - 2])
+    elif column == "append":
+        lines[line - 1] += "," + value
     else:
         fields = lines[line - 1].split(",")
         if column is None:
@@ -928,6 +944,41 @@ class TestEvalCommand:
             expected = dict(final[group])
             del expected["clients"]
             assert again[group] == expected
+
+    @pytest.mark.parametrize(
+        "strategy", ["shared_only", "mixed", "mixed_no_prior", "personalized"])
+    def test_reload_restores_every_cell(self, tmp_path, monkeypatch, strategy):
+        # accuracies can match while a cell that moves no argmax stays
+        # unloaded: every block each client reads and every prototype
+        # must come back bit for bit
+        states = []
+
+        def keep(run):
+            def wrapped(state, *args):
+                states.append(state)
+                return run(state, *args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "run_training", keep(cli.run_training))
+        monkeypatch.setattr(cli, "_evaluate", keep(cli._evaluate))
+        path, _ = small_config(tmp_path, heldout_fraction=0.34,
+                               train={"strategy": strategy})
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["eval", "--run-dir", str(tmp_path / "run")]) == 0
+        trained, reloaded = states
+        assert sorted(reloaded.personal) == sorted(trained.personal)
+        for cid in range(len(trained.clients)):
+            for (name, want), (_, got) in zip(
+                    trained.broadcast_params(cid).blocks(),
+                    reloaded.broadcast_params(cid).blocks()):
+                assert np.array_equal(got.data, want.data), (cid, name)
+        if trained.bank is None:
+            assert reloaded.bank is None
+        else:
+            assert reloaded.bank.layers == trained.bank.layers
+            for layer in trained.bank.layers:
+                assert np.array_equal(reloaded.bank.mu[layer],
+                                      trained.bank.mu[layer]), layer
 
     def test_in_place_prototype_load_reaches_evaluation(self, tmp_path):
         # cmd_eval writes the loaded prototypes into the bank's arrays in
@@ -966,59 +1017,66 @@ class TestEvalCommand:
         ("mixed", "prompts.csv", 4, 4, "nan",
          "value must be a finite number, got 'nan'"),
         ("mixed", "prompts.csv", 4, 0, "bias",
-         "block must be one of ['shared', 'class', 'head'], got 'bias'"),
+         "block bias, client -1, row 2, col 0 is not a cell of this run"),
         ("mixed", "prompts.csv", 4, 1, "6",
-         "client must be an integer in [-1, 6), got '6'"),
+         "block shared, client 6, row 2, col 0 is not a cell of this run"),
         ("mixed", "prompts.csv", 4, 2, "99",
-         "row must be an integer in [0, 8), got '99'"),
+         "block shared, client -1, row 99, col 0 is not a cell of this run"),
         ("mixed", "prompts.csv", 4, 2, "-1",
-         "row must be an integer in [0, 8), got '-1'"),
+         "block shared, client -1, row -1, col 0 is not a cell of this run"),
         ("mixed", "prompts.csv", 4, 3, "1.5",
-         "col must be an integer in [0, 1), got '1.5'"),
-        ("mixed", "prompts.csv", 4, None, None,
-         "value must be a finite number, got None"),
+         "block shared, client -1, row 2, col 1.5 is not a cell of this run"),
+        # a key must be spelled as `run` wrote it
+        ("mixed", "prompts.csv", 4, 2, "02",
+         "block shared, client -1, row 02, col 0 is not a cell of this run"),
+        ("mixed", "prototypes.csv", 4, 0, " 2",
+         "layer  2, class 0, dim 2 is not a cell of this run"),
+        ("mixed", "prompts.csv", 4, None, None, "expected 5 fields, got 4"),
+        ("mixed", "prompts.csv", 2, "append", "junk",
+         "expected 5 fields, got 6"),
+        ("mixed", "prototypes.csv", 2, "append", "junk,1",
+         "expected 4 fields, got 6"),
         ("mixed", "prompts.csv", 1, 4, "val",
          "expected the columns block,client,row,col,value"),
         ("mixed", "prototypes.csv", 4, 0, "9",
-         "layer must be one of [2], got '9'"),
+         "layer 9, class 0, dim 2 is not a cell of this run"),
         ("mixed", "prototypes.csv", 4, 1, "-1",
-         "class must be an integer in [0, 4), got '-1'"),
+         "layer 2, class -1, dim 2 is not a cell of this run"),
         ("mixed", "prototypes.csv", 4, 2, "8",
-         "dim must be an integer in [0, 8), got '8'"),
+         "layer 2, class 0, dim 8 is not a cell of this run"),
         ("mixed", "prototypes.csv", 4, 3, "abc",
          "value must be a finite number, got 'abc'"),
-        # an entry no line sets would keep its initial value
+        # a cell no line sets would keep its initial value
         ("mixed", "prompts.csv", 3, "delete", None,
-         "no entry for block 'shared' of client -1 at row 1, col 0"),
+         "no line sets block shared, client -1, row 1, col 0"),
         ("mixed", "prototypes.csv", 5, "delete", None,
-         "no entry for layer 2 at class 0, dim 3"),
+         "no line sets layer 2, class 0, dim 3"),
         ("personalized", "prompts.csv", 3, "delete", None,
-         "no entry for block 'shared' of client -1 at row 1, col 0"),
+         "no line sets block shared, client -1, row 1, col 0"),
         ("personalized", "prompts.csv", 154, "delete", None,
-         "no entry for block 'shared' of client 4 at row 0, col 0"),
+         "no line sets block shared, client 4, row 0, col 0"),
         # every row of a client with prompts of its own, trained or not
         ("personalized", "prompts.csv", range(74, 114), "delete", None,
-         "no entry for block 'shared' of client 0 at row 0, col 0"),
+         "no line sets block shared, client 0, row 0, col 0"),
         ("personalized", "prompts.csv", range(154, 194), "delete", None,
-         "no entry for block 'shared' of client 4 at row 0, col 0"),
+         "no line sets block shared, client 4, row 0, col 0"),
         ("personalized", "prototypes.csv", 5, "delete", None,
-         "no entry for layer 2 at class 0, dim 3"),
-        # a repeated entry: the last line would win
+         "no line sets layer 2, class 0, dim 3"),
+        # a repeated cell: the last line would win
         ("mixed", "prompts.csv", 4, "duplicate", None,
-         "repeats the entry of block 'shared' of client -1 at row 1, col 0"),
+         "sets block shared, client -1, row 1, col 0 a second time"),
         ("mixed", "prototypes.csv", 4, "duplicate", None,
-         "repeats the entry of layer 2 at class 0, dim 1"),
+         "sets layer 2, class 0, dim 1 a second time"),
         ("personalized", "prompts.csv", 155, "duplicate", None,
-         "repeats the entry of block 'shared' of client 4 at row 0, col 0"),
+         "sets block shared, client 4, row 0, col 0 a second time"),
         # rows `run` never writes: a client's own prompts outside
         # `personalized` or for a heldout client, and a client's own head
         ("mixed", "prompts.csv", 4, 1, "3",
-         "client 3 trains no prompts of its own under strategy 'mixed'"),
+         "block shared, client 3, row 2, col 0 is not a cell of this run"),
         ("personalized", "prompts.csv", 74, 1, "2",
-         "client 2 trains no prompts of its own under strategy "
-         "'personalized'"),
+         "block shared, client 2, row 0, col 0 is not a cell of this run"),
         ("personalized", "prompts.csv", 74, 0, "head",
-         "block must be one of ['shared', 'class'], got 'head'"),
+         "block head, client 0, row 0, col 0 is not a cell of this run"),
     ])
     def test_malformed_saved_csv_is_a_data_error(
             self, tmp_path, capsys, request, strategy, name, line, column,
@@ -1027,7 +1085,7 @@ class TestEvalCommand:
             "saved_run" if strategy == "mixed" else "saved_personalized_run")
         run = edited_run(saved, tmp_path, name, line, column, value)
         assert main(["eval", "--run-dir", str(run)]) == 2
-        # a missing entry is found after the last line, so no line is named
+        # a missing cell is found after the last line, so no line is named
         where = (run / name if column == "delete"
                  else f"{run / name} line {line}")
         assert capsys.readouterr().err == f"data error: {where}: {message}\n"
@@ -1035,7 +1093,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("content, message", [
         ("layer,class,dim,value\n5,0,0,1.0\n",
-         "data error: {csv} line 2: layer must be one of [], got '5'"),
+         "data error: {csv} line 2: layer 5, class 0, dim 0 is not a cell "
+         "of this run"),
         ("garbage\n",
          "data error: {csv} line 1: expected the columns layer,class,dim,value"),
         (None, "config error: no prototypes.csv in {run}")])

@@ -77,7 +77,7 @@ class TestPathological:
                                       seed=1)
         hist = label_histograms(ds, part)
         assert ((hist > 0).sum(axis=1) == 2).all()
-        assert_disjoint_cover(part.train_indices, ds.num_train)
+        assert_disjoint_cover(part.train_indices, ds.train_y.size)
         assert_disjoint_cover(part.test_indices, ds.test_y.size)
 
     def test_infeasible_configs(self):
@@ -105,7 +105,7 @@ class TestDirichlet:
         ds = generate_synthetic(SPEC, 8)
         for seed in range(100):
             part = partition_dirichlet(ds, num_clients=6, beta=0.3, seed=seed)
-            assert_disjoint_cover(part.train_indices, ds.num_train)
+            assert_disjoint_cover(part.train_indices, ds.train_y.size)
             assert_disjoint_cover(part.test_indices, ds.test_y.size)
 
     def test_huge_beta_near_uniform(self):
@@ -113,7 +113,7 @@ class TestDirichlet:
         ds = generate_synthetic(spec, 9)
         part = partition_dirichlet(ds, num_clients=6, beta=1e6, seed=3)
         sizes = np.array([ix.size for ix in part.train_indices])
-        expected = ds.num_train / 6
+        expected = ds.train_y.size / 6
         assert np.abs(sizes - expected).max() / expected < 0.05
 
     def test_low_beta_is_heterogeneous(self):

@@ -661,6 +661,7 @@ class TestWorkspaces:
         backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
         consts = bank.score_constants(priors)
         x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
+        space = te.NormSpace(*x.shape)
 
         def outputs():
             seq = model._embed(image, prompts.shared, backbone)
@@ -670,7 +671,9 @@ class TestWorkspaces:
             logits = _head(block, prompts.head, None)
             scores, sims, _ = consts[2].evaluate(x[0])
             return [seq, mixed, block, logits, scores, sims,
-                    *te.norm_rows(x), te.norm_rows_backward(x, *te.norm_rows(x))]
+                    *te.norm_rows(x, None, None, space),
+                    te.norm_rows_backward(x, *te.norm_rows(x, None, None, space),
+                                          None, space)]
 
         first = outputs()
         kept = [a.copy() for a in first]
