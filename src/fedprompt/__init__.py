@@ -44,6 +44,7 @@ from .model import (
     BackboneWeights,
     ModelConfig,
     PromptParams,
+    embed_patches,
     forward_shard,
     forward_with_prompts,
     gradient_check,
@@ -67,7 +68,7 @@ __all__ = [
     "SyntheticSpec", "Tape", "Tensor", "TrainingError", "TrainConfig",
     "__version__", "add_laplace_noise", "aggregate_submissions",
     "build_clients", "comm_accounting", "compute_class_priors",
-    "cross_entropy", "evaluate_clients", "fedavg_aggregate",
+    "cross_entropy", "embed_patches", "evaluate_clients", "fedavg_aggregate",
     "finite_diff_grad", "forward_shard", "forward_with_prompts",
     "generate_synthetic", "gradient_check", "heldout_split", "init_backbone",
     "init_server", "laplace_sensitivity", "load_config", "local_prototypes",

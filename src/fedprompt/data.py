@@ -9,12 +9,11 @@ covering the full train and test sets, with matched per-client test
 shards.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .prototypes import compute_class_priors
 from .seeding import derive_rng
 
 
@@ -101,22 +100,16 @@ class Partition:
 
     train_indices: list
     test_indices: list
-    priors: list = field(default_factory=list)
 
     @property
     def num_clients(self) -> int:
         return len(self.train_indices)
 
 
-def _finish(dataset, train_lists, test_lists):
-    train = [np.sort(np.asarray(ix, dtype=np.int64)) for ix in train_lists]
-    test = [np.sort(np.asarray(ix, dtype=np.int64)) for ix in test_lists]
-    priors = [
-        compute_class_priors(dataset.train_y[ix], dataset.classes)
-        if ix.size else np.zeros(dataset.classes)
-        for ix in train
-    ]
-    return Partition(train, test, priors)
+def _finish(train_lists, test_lists):
+    return Partition(
+        *([np.sort(np.asarray(ix, dtype=np.int64)) for ix in lists]
+          for lists in (train_lists, test_lists)))
 
 
 def _indices_by_class(labels, classes):
@@ -161,7 +154,7 @@ def partition_pathological(dataset: Dataset, num_clients: int,
                 )
             for client, chunk in zip(holders, chunks):
                 target[client].extend(chunk.tolist())
-    return _finish(dataset, train_lists, test_lists)
+    return _finish(train_lists, test_lists)
 
 
 def _largest_remainder(proportions, total):
@@ -201,7 +194,7 @@ def partition_dirichlet(dataset: Dataset, num_clients: int, beta: float,
             for client, n in enumerate(counts):
                 target[client].extend(shuffled[offset:offset + n].tolist())
                 offset += n
-    return _finish(dataset, train_lists, test_lists)
+    return _finish(train_lists, test_lists)
 
 
 def label_histograms(dataset: Dataset, partition: Partition) -> np.ndarray:

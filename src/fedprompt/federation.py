@@ -25,38 +25,42 @@ from .config import ExperimentConfig, TrainConfig, make_partition
 from .data import generate_synthetic
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import evaluate_clients, heldout_split
-from .model import PromptParams, forward_shard, forward_with_prompts, init_backbone
-from .prototypes import PrototypeBank, local_prototypes
+from .model import (PromptParams, embed_patches, forward_shard,
+                    forward_with_prompts, init_backbone)
+from .prototypes import PrototypeBank, compute_class_priors, local_prototypes
 from .seeding import derive_rng
 
 
 @dataclass
 class ClientState:
     client_id: int
-    train_x: np.ndarray
+    train_x: np.ndarray  # (N, patches, dim) patch tokens, as is test_x
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    priors: np.ndarray
+    priors: np.ndarray  # the class priors its scores are reweighted with
 
     @property
     def num_train(self) -> int:
         return int(self.train_y.size)
 
 
-def build_clients(dataset, partition) -> list:
-    """Materialize per-client shards from a dataset and a partition."""
+def build_clients(dataset, partition, backbone) -> list:
+    """The clients of a dataset and a partition, each shard embedded once
+    by `backbone`'s patch embedding, with the class priors of the client's
+    own train labels (zeros for an empty train shard)."""
     clients = []
-    for cid in range(partition.num_clients):
-        tr = partition.train_indices[cid]
-        ts = partition.test_indices[cid]
+    for cid, (tr, ts) in enumerate(zip(partition.train_indices,
+                                       partition.test_indices)):
+        train_y = dataset.train_y[tr]
         clients.append(ClientState(
             client_id=cid,
-            train_x=dataset.train_x[tr],
-            train_y=dataset.train_y[tr],
-            test_x=dataset.test_x[ts],
+            train_x=embed_patches(dataset.train_x[tr], backbone),
+            train_y=train_y,
+            test_x=embed_patches(dataset.test_x[ts], backbone),
             test_y=dataset.test_y[ts],
-            priors=np.asarray(partition.priors[cid], dtype=np.float64),
+            priors=(compute_class_priors(train_y, dataset.classes)
+                    if train_y.size else np.zeros(dataset.classes)),
         ))
     return clients
 
@@ -99,8 +103,7 @@ class ServerState:
         params = self.broadcast_params(cid)
         if self.bank is None:
             return params, {}
-        priors = score_priors(self.clients[cid], self.cfg)
-        return params, self.bank.score_constants(priors)
+        return params, self.bank.score_constants(self.clients[cid].priors)
 
 
 def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
@@ -109,14 +112,6 @@ def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
     if count > len(pool):
         raise ConfigError(f"cannot sample {count} clients from {len(pool)}")
     return tuple(sorted(int(c) for c in rng.choice(pool, size=count, replace=False)))
-
-
-def score_priors(client: ClientState, cfg: TrainConfig) -> np.ndarray:
-    """Priors that reweight the client's scores in training and evaluation:
-    its own class frequencies, or uniform for the no-prior ablation."""
-    if cfg.strategy == "mixed_no_prior":
-        return np.full(client.priors.size, 1.0 / client.priors.size)
-    return client.priors
 
 
 def compute_client_prototypes(client, params, consts, backbone):
@@ -285,19 +280,22 @@ def run_round(state: ServerState) -> RoundLog:
 
 def init_server(cfg: ExperimentConfig) -> ServerState:
     """The world of `cfg` and its initial server state: the one place a
-    run is built.  The dataset, the partition into `cfg.train.clients`
-    clients, the frozen backbone and the heldout ids all follow from the
-    config, and the strategy and model config are read here alone, for the
-    prompt blocks, the prototype bank (its mix layers, tau and, as its
-    `epsilon`, the DP budget) and the clients with prompts of their own.
+    run is built.  The dataset, the backbone, the clients of the partition
+    into `cfg.train.clients` and the heldout ids follow from the config;
+    the strategy and model config are read here alone, for the prompts,
+    the bank (mix layers, tau and the DP budget as `epsilon`), the priors
+    each client scores with, set once, and the clients' own prompts.
     The returned state then answers, through `client_inputs`, what each
     client trains and is evaluated with."""
     cfg.check()
     train = cfg.train
     mixing = train.strategy != "shared_only"
     dataset = generate_synthetic(cfg.data, cfg.seed)
-    clients = build_clients(dataset, make_partition(dataset, cfg))
     backbone = init_backbone(cfg.seed, cfg.model)
+    clients = build_clients(dataset, make_partition(dataset, cfg), backbone)
+    if train.strategy == "mixed_no_prior":  # every client scored uniformly
+        for client in clients:
+            client.priors = np.full(cfg.data.classes, 1.0 / cfg.data.classes)
     participating, heldout = tuple(range(train.clients)), ()
     if cfg.heldout_fraction > 0:
         participating, heldout = heldout_split(
@@ -316,7 +314,7 @@ def init_server(cfg: ExperimentConfig) -> ServerState:
         # heldout clients are scored with their own priors when evaluated,
         # and all-zero priors (no training data) leave nothing to normalize
         unscorable = [cid for cid in heldout if clients[cid].test_y.size > 0
-                      and not np.any(score_priors(clients[cid], train) > 0.0)]
+                      and not np.any(clients[cid].priors > 0.0)]
         if unscorable:
             raise DataError("heldout clients with all-zero class priors: "
                             + ", ".join(map(str, unscorable)))

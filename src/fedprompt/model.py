@@ -41,8 +41,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for key, ok, rule in (
+                # a layer norm over one feature maps every token to 0
+                ("dim", self.dim >= 2, "be >= 2"),
                 *((name, getattr(self, name) >= 1, "be >= 1")
-                  for name in ("dim", "layers", "heads", "patch_size")),
+                  for name in ("layers", "heads", "patch_size")),
                 # the table is built whole, so no division by heads < 1
                 ("heads", self.heads < 1 or self.dim % self.heads == 0,
                  f"divide dim {self.dim}"),
@@ -83,7 +85,6 @@ class BackboneWeights:
     cls_embed: np.ndarray
     blocks: list
     heads: int
-    patch_size: int
 
 
 def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
@@ -118,7 +119,6 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
         cls_embed=rng.normal(0.0, 1.0, size=d),
         blocks=blocks,
         heads=cfg.heads,
-        patch_size=cfg.patch_size,
     )
 
 
@@ -162,15 +162,14 @@ class PromptParams:
         return self.head.data.shape[0]
 
 
-def patchify(image: np.ndarray, p: int) -> np.ndarray:
-    """Split a square image into row-major patches of side `p`, one
-    flattened row each."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or image.shape[0] != image.shape[1] or image.shape[0] % p:
-        raise ConfigError(f"expected a square image whose side is a multiple "
-                          f"of patch size {p}, got shape {image.shape}")
-    n = image.shape[0] // p
-    return image.reshape(n, p, n, p).transpose(0, 2, 1, 3).reshape(n * n, p * p)
+def embed_patches(images, backbone: BackboneWeights) -> np.ndarray:
+    """The (N, patches, dim) tokens of N square images: each image's
+    row-major patches of side `isqrt(len(patch_embed))`, one flattened row
+    each, through the frozen patch embedding."""
+    p = math.isqrt(len(backbone.patch_embed))
+    count, n = len(images), images.shape[-1] // p
+    patches = images.reshape(count, n, p, n, p).transpose(0, 1, 3, 2, 4)
+    return np.matmul(patches.reshape(count, n * n, p * p), backbone.patch_embed)
 
 
 _GELU_C = te.scalar(np.sqrt(2.0 / np.pi))
@@ -321,15 +320,14 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     return x2
 
 
-def _embed(image, shared: te.Tensor, backbone: BackboneWeights, tape=None):
+def _embed(tokens, shared: te.Tensor, backbone: BackboneWeights, tape=None):
     """Token matrix [cls, shared prompts, patch tokens] as one primitive;
     its map adds into the shared prompts and has no input to pass on."""
-    patches = patchify(image, backbone.patch_size)
     n_shared = shared.data.shape[1]
-    seq = np.empty((1 + n_shared + len(patches), backbone.cls_embed.size))
+    seq = np.empty((1 + n_shared + len(tokens), backbone.cls_embed.size))
     seq[0] = backbone.cls_embed
     seq[1:1 + n_shared] = shared.data.T
-    np.dot(patches, backbone.patch_embed, seq[1 + n_shared:])
+    seq[1 + n_shared:] = tokens
     if tape is not None:
         def backward(g):
             shared.grad += g[1:1 + n_shared].T
@@ -385,9 +383,10 @@ def _head(seq, head: te.Tensor, tape):
     return np.dot(head.data, row[0])
 
 
-def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights,
+def forward_with_prompts(tokens, prompts: PromptParams, backbone: BackboneWeights,
                          consts: dict):
-    """Run one sample through the prompted frozen backbone.
+    """Run one sample, its (patches, dim) patch tokens (`embed_patches`),
+    through the prompted frozen backbone.
 
     Returns (logits, cls): the (classes,) logits and a (layers, dim) array
     whose row `l - 1` is the cls token entering layer `l`.  The forward
@@ -403,7 +402,7 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     """
     tape = te.active_tape()
     live = tape if prompts.shared.data.shape[1] else None
-    seq = _embed(image, prompts.shared, backbone, live)
+    seq = _embed(tokens, prompts.shared, backbone, live)
     blocks, heads = backbone.blocks, backbone.heads
     cls = np.empty((len(blocks), seq.shape[1]))
     mixed = False
@@ -417,17 +416,17 @@ def forward_with_prompts(image, prompts: PromptParams, backbone: BackboneWeights
     return _head(seq, prompts.head, tape), cls
 
 
-def forward_shard(images, prompts: PromptParams, backbone: BackboneWeights,
+def forward_shard(tokens, prompts: PromptParams, backbone: BackboneWeights,
                   consts: dict):
-    """Untaped `forward_with_prompts` over a shard of N images.
+    """Untaped `forward_with_prompts` over a shard's (N, patches, dim) tokens.
 
     Returns (logits, cls): an (N, classes) array, and a (layers, N, dim)
     array of the cls tokens entering each layer.
     """
-    logits = np.empty((len(images), prompts.num_classes))
-    cls = np.empty((len(backbone.blocks), len(images), backbone.cls_embed.size))
-    for i, image in enumerate(images):
-        logits[i], cls[:, i] = forward_with_prompts(image, prompts, backbone,
+    logits = np.empty((len(tokens), prompts.num_classes))
+    cls = np.empty((len(backbone.blocks), len(tokens), backbone.cls_embed.size))
+    for i, sample in enumerate(tokens):
+        logits[i], cls[:, i] = forward_with_prompts(sample, prompts, backbone,
                                                     consts)
     return logits, cls
 
@@ -456,20 +455,21 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
         bank.mu[l] = rng.normal(size=(classes, dim))
     priors = rng.random(classes)
     priors /= priors.sum()
-    image = rng.normal(size=(GRADCHECK_IMAGE, GRADCHECK_IMAGE))
+    tokens = embed_patches(rng.normal(size=(1, GRADCHECK_IMAGE, GRADCHECK_IMAGE)),
+                           backbone)[0]
     label = int(rng.integers(classes))
 
     consts = bank.score_constants(priors)
 
     prompts.zero_grad()
     with te.Tape() as tape:
-        logits, _ = forward_with_prompts(image, prompts, backbone, consts)
+        logits, _ = forward_with_prompts(tokens, prompts, backbone, consts)
         te.cross_entropy(logits, label)
     tape.backward()
 
     def loss_at(shared, class_prompts, head):
         probe = PromptParams.from_arrays(shared, class_prompts, head)
-        logits, _ = forward_with_prompts(image, probe, backbone, consts)
+        logits, _ = forward_with_prompts(tokens, probe, backbone, consts)
         return te.cross_entropy(logits, label)
 
     base = {name: block.data.copy() for name, block in prompts.blocks()}

@@ -211,7 +211,7 @@ class TestRunCommand:
         ({"model": {"tau": float("nan")}}, "model.'tau' must be finite"),
         ({"train": {"lr": float("-inf")}}, "train.'lr' must be finite"),
         ({"heldout_fraction": float("nan")}, "'heldout_fraction' must be finite"),
-        ({"model": {"dim": 0}}, "model dim must be >= 1, got 0"),
+        ({"model": {"dim": 0}}, "model dim must be >= 2, got 0"),
         ({"model": {"layers": 0}}, "model layers must be >= 1, got 0"),
         ({"model": {"heads": 0}}, "model heads must be >= 1, got 0"),
         ({"model": {"patch_size": 0}}, "model patch_size must be >= 1, got 0"),
@@ -312,6 +312,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_one_feature_model_exits_before_any_data(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # at dim 1 every layer norm outputs 0, so a run would train nothing
+        # (its loss stays ln 4) and still exit 0
+        def no_data(*args, **kwargs):
+            raise AssertionError("drew data for a config it rejects")
+
+        from fedprompt import federation
+
+        for module in (cli, federation):
+            monkeypatch.setattr(module, "generate_synthetic", no_data)
+        path, _ = small_config(tmp_path, model={"dim": 1, "heads": 1})
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: model dim must be >= 2, got 1\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("train", [
@@ -478,7 +496,10 @@ def tiny_value(draw, name, kind, drawn, crossed):
         kind = typing.get_args(kind)[0]
     if name in MULTIPLES:
         base = drawn[MULTIPLES[name]]
-        valid, invalid = st.sampled_from([2 * base, base]), [0, -base]
+        # a layer norm over one feature maps every token to 0, so dim 1 is
+        # out of range
+        low, invalid = (2, [0, -base, 1]) if name == "dim" else (1, [0, -base])
+        valid = st.sampled_from([max(2 * base, low), max(base, low)])
     elif kind is tuple:  # mix_layers: distinct layers of the model
         layers = max(drawn["layers"], 1)  # a crossed `layers` is 0
         valid = st.lists(st.integers(1, layers), min_size=1, max_size=layers,
@@ -660,6 +681,13 @@ class TestGradcheckCommand:
         value = "-1" if flag == "--seed" else "0"
         assert main(["gradcheck", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_one_feature_model_rejected(self, capsys):
+        # at --dim 1 every layer norm outputs 0, so every gradient the
+        # check compares is 0 and it passes whatever the maps compute
+        assert main(["gradcheck", "--dim", "1", "--heads", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: model dim must be >= 2, got 1\n")
 
     def test_one_class_rejected(self, monkeypatch, capsys):
         # cross entropy over one class is 0, so every gradient is 0 and a
@@ -1193,6 +1221,31 @@ WORKLOAD_METRICS_SEED1 = {
     "train-heavy": "60327ed75c0e1ac66879ffc528ab7d761879ca217adf818fbd05ea90f9e7b658",
 }
 
+# of each run above, one sha256 over prompts.csv, prototypes.csv,
+# client_accuracy.csv and final_report.json, in that order
+GOLDEN_ARTIFACTS = {
+    "shared_only":
+        "9c227a56a98c818642e059247984a121dafbef520130cd5fcc793152169cdf94",
+    "mixed": "f71be0fbc8e874ad41af3b77e8564cb2c1953a80fc7a73df175246fef8120756",
+    "mixed_no_prior":
+        "0530757d0cfa1450db5409dc12c2772585acfdc854860a7fdeb7516d061282c1",
+    "personalized":
+        "352fe76960885a0a6f2ed6530ea4c8a9d182f27e4cd703d8b41c3d8afcecd07b",
+    "mixed_dp_period2":
+        "4e03bfd6ea20dfe464ee0475bbf7f034089e9204c74c82441e48e8e901d28882",
+    "desk": "4973226c56af868e6e41b7fac9c89eeefd3f3bf15becff059ba57574664d1c29",
+    "eval-heavy":
+        "9574a06dd89bfe688827c5f62d7e67ff54877a2a1e48dfe6f51957ca682168a0",
+    "train-heavy":
+        "eac7373dc3f4b310e59a69e3b3f894da294d2f81a263cb60be71543442d77f38",
+    "desk-seed1":
+        "00594f920800a4dc0bb8997bbcec0f10714d1a5964207895e5cc3bf4d37d9093",
+    "eval-heavy-seed1":
+        "adee922399a9bcd5f5c3b69958f638ae06a1c19764017ac1e7fae2ac05a9b78f",
+    "train-heavy-seed1":
+        "49bb9dab31727be116604c50ba34d11df909442ccd3bcb8b2b010ef4d0dba91b",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_METRICS) + sorted(WORKLOAD_METRICS)
                          + [f"{w}-seed1" for w in sorted(WORKLOAD_METRICS_SEED1)])
@@ -1214,6 +1267,12 @@ def test_metrics_bytes_match_golden(tmp_path, name):
     assert main(["run", "--config", str(path)]) == 0
     data = (tmp_path / "run" / "metrics.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+    # and every other artifact a run writes, config.json aside, which
+    # holds the output path
+    artifacts = hashlib.sha256()
+    for artifact in ARTIFACTS[2:]:
+        artifacts.update((tmp_path / "run" / artifact).read_bytes())
+    assert artifacts.hexdigest() == GOLDEN_ARTIFACTS[name]
 
 
 def test_metrics_bytes_independent_of_blas_threads(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedprompt.data import (
+    Partition,
     SyntheticSpec,
     generate_synthetic,
     label_histograms,
@@ -10,11 +11,22 @@ from fedprompt.data import (
     partition_pathological,
 )
 from fedprompt.errors import ConfigError
+from fedprompt.federation import build_clients
+from fedprompt.model import ModelConfig, init_backbone
 from fedprompt.prototypes import compute_class_priors
 
 
 SPEC = SyntheticSpec(classes=8, train_per_class=30, test_per_class=10,
                      separation=1.0, noise=0.2)
+
+
+def clients_of(ds, part):
+    """The clients of `part`, each image embedded as one patch token of a
+    2-dim backbone."""
+    size = ds.train_x.shape[-1]
+    backbone = init_backbone(0, ModelConfig(dim=2, layers=1, heads=1,
+                                            patch_size=size, mix_layers=()))
+    return build_clients(ds, part, backbone)
 
 
 def assert_disjoint_cover(index_lists, total):
@@ -91,13 +103,27 @@ class TestPathological:
         ds = generate_synthetic(SPEC, 7)
         part = partition_pathological(ds, 12, 2, seed=2)
         hist = label_histograms(ds, part)
-        for client in range(12):
+        clients = clients_of(ds, part)
+        for client, built in enumerate(clients):
             expected = hist[client] / hist[client].sum()
-            np.testing.assert_allclose(part.priors[client], expected)
+            np.testing.assert_allclose(built.priors, expected)
             np.testing.assert_array_equal(
-                part.priors[client],
+                built.priors,
                 compute_class_priors(ds.train_y[part.train_indices[client]], 8),
             )
+
+    def test_empty_train_shard_has_zero_priors(self):
+        # a client with test samples and no train sample keeps all-zero
+        # priors, which `init_server` refuses to score a heldout client with
+        ds = generate_synthetic(SPEC, 7)
+        everything = np.arange(ds.train_y.size)
+        part = Partition([everything, everything[:0]],
+                         [everything[:0], np.arange(ds.test_y.size)])
+        full, empty = clients_of(ds, part)
+        assert np.array_equal(full.priors, np.full(8, 1 / 8))
+        assert np.array_equal(empty.priors, np.zeros(8))
+        assert empty.train_x.shape == (0, 1, 2)
+        assert empty.test_x.shape == (ds.test_y.size, 1, 2)
 
 
 class TestDirichlet:
@@ -182,7 +208,8 @@ class TestPartitionProperty:
     @given(tiny_partitions())
     def test_rejected_or_exact_cover_with_exact_priors(self, drawn):
         # every draw is refused with a ConfigError or assigns each sample
-        # once, with each train shard's priors its exact label frequencies
+        # once, and each built client's priors are its train shard's exact
+        # label frequencies
         ds, make = drawn
         try:
             part = make()
@@ -193,8 +220,10 @@ class TestPartitionProperty:
             assert len(shards) == part.num_clients
             assert sorted(np.concatenate(shards).tolist()) == list(
                 range(labels.size))
-        assert len(part.priors) == part.num_clients
-        for ix, priors in zip(part.train_indices, part.priors):
+        clients = clients_of(ds, part)
+        assert len(clients) == part.num_clients
+        for ix, client in zip(part.train_indices, clients):
+            priors = client.priors
             if ix.size == 0:
                 assert np.array_equal(priors, np.zeros(ds.classes))
                 continue

@@ -13,17 +13,19 @@ from fedprompt.evaluation import (
 )
 from fedprompt.federation import ClientState, init_server, run_training
 from fedprompt import model
-from fedprompt.model import (ModelConfig, PromptParams, forward_shard,
-                             forward_with_prompts, init_backbone)
+from fedprompt.model import (ModelConfig, PromptParams, embed_patches,
+                             forward_shard, forward_with_prompts, init_backbone)
 from fedprompt.prototypes import PrototypeBank
 
 
 def make_client(cid, test_y, priors=None):
+    """A client of `TestEvaluateClients._world`, its 4 x 4 images all zero:
+    each image is 4 patch tokens of dim 8."""
     n = len(test_y)
     return ClientState(
         client_id=cid,
-        train_x=np.zeros((1, 4, 4)), train_y=np.zeros(1, dtype=np.int64),
-        test_x=np.zeros((n, 4, 4)), test_y=np.asarray(test_y, dtype=np.int64),
+        train_x=np.zeros((1, 4, 8)), train_y=np.zeros(1, dtype=np.int64),
+        test_x=np.zeros((n, 4, 8)), test_y=np.asarray(test_y, dtype=np.int64),
         priors=np.asarray(priors if priors is not None else [1.0, 0.0]),
     )
 
@@ -72,10 +74,10 @@ class TestEvaluateClients:
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 8, size=400)
         client = ClientState(
-            client_id=0, train_x=np.zeros((1, 4, 4)),
+            client_id=0, train_x=np.zeros((1, 4, 8)),
             train_y=np.zeros(1, dtype=np.int64),
-            test_x=rng.normal(size=(400, 4, 4)), test_y=labels,
-            priors=np.full(8, 1 / 8))
+            test_x=embed_patches(rng.normal(size=(400, 4, 4)), backbone),
+            test_y=labels, priors=np.full(8, 1 / 8))
         report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         # binomial(400, 1/8): three-sigma window around 0.125
         assert abs(report.mean_acc - 0.125) < 3 * np.sqrt(0.125 * 0.875 / 400)
@@ -83,16 +85,17 @@ class TestEvaluateClients:
     @pytest.mark.parametrize("label, acc", [(1, 1.0), (2, 0.0)])
     def test_tie_between_top_classes_goes_to_lowest(self, label, acc):
         backbone, _ = self._world()
-        image = np.random.default_rng(3).normal(size=(4, 4))
+        tokens = embed_patches(np.random.default_rng(3).normal(size=(1, 4, 4)),
+                               backbone)
         # an identity head reads out the normalized final cls token x
         probe = PromptParams.init(0, 8, 8, 1)
         probe.head.data[...] = np.eye(8)
-        x, _ = forward_with_prompts(image, probe, backbone, {})
+        x, _ = forward_with_prompts(tokens[0], probe, backbone, {})
         # logits (-|x|^2, |x|^2, |x|^2): classes 1 and 2 tie on top
         params = PromptParams.init(0, 8, 3, 1)
         params.head.data[...] = [-x, x, x]
         client = make_client(0, [label])
-        client.test_x = image[None]
+        client.test_x = tokens
         report = evaluate_clients([client], backbone, lambda cid: (params, {}))
         assert report.per_client == {0: acc}
 
@@ -103,10 +106,10 @@ class TestEvaluateClients:
         params.head.data[...] = rng.normal(size=(5, 8))
         labels = rng.integers(0, 5, size=30)
         client = make_client(0, labels)
-        client.test_x = rng.normal(size=(30, 4, 4))
+        client.test_x = embed_patches(rng.normal(size=(30, 4, 4)), backbone)
         hits = 0
-        for image, y in zip(client.test_x, labels):
-            logits, _ = forward_with_prompts(image, params, backbone, {})
+        for tokens, y in zip(client.test_x, labels):
+            logits, _ = forward_with_prompts(tokens, params, backbone, {})
             best, arg = -np.inf, -1
             for i, v in enumerate(logits):
                 if v > best:
@@ -172,7 +175,8 @@ class TestPrototypeProbe:
     def _tokens(self, images, layer, consts=None):
         """The cls tokens entering `layer` over the pool `images`."""
         backbone, params = self._world()
-        _, cls = forward_shard(images, params, backbone, consts or {})
+        _, cls = forward_shard(embed_patches(images, backbone), params,
+                               backbone, consts or {})
         return cls[layer - 1]
 
     def test_single_class_pool_top1(self):
@@ -193,7 +197,8 @@ class TestPrototypeProbe:
                           mix_layers=())
         backbone = init_backbone(7, cfg)
         params = PromptParams.init(7, 16, 8, 0)
-        _, cls = forward_shard(ds.train_x, params, backbone, {})
+        _, cls = forward_shard(embed_patches(ds.train_x, backbone), params,
+                               backbone, {})
         acc = prototype_topk_probe(cls[2], ds.train_y, 1)
         # chance for top-1 over 8 classes is 0.125
         assert acc > 0.5
@@ -205,8 +210,9 @@ class TestPrototypeProbe:
         ds = generate_synthetic(spec, seed)
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
-        _, cls = forward_shard(ds.train_x, PromptParams.init(seed, 16, 8, 0),
-                               init_backbone(seed, cfg), {})
+        backbone = init_backbone(seed, cfg)
+        _, cls = forward_shard(embed_patches(ds.train_x, backbone),
+                               PromptParams.init(seed, 16, 8, 0), backbone, {})
 
         def cosine(a, b):
             na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -21,8 +21,8 @@ from fedprompt.federation import (
     sample_clients,
     warm_startup,
 )
-from fedprompt.model import (ModelConfig, PromptParams, forward_with_prompts,
-                             init_backbone)
+from fedprompt.model import (ModelConfig, PromptParams, embed_patches,
+                             forward_with_prompts, init_backbone)
 from fedprompt.prototypes import PrototypeBank
 from fedprompt.seeding import derive_rng
 
@@ -137,9 +137,9 @@ class TestLocalTrain:
         rng = np.random.default_rng(11)
         client = ClientState(
             client_id=0,
-            train_x=rng.normal(size=(1, 4, 4)),
+            train_x=embed_patches(rng.normal(size=(1, 4, 4)), backbone),
             train_y=np.array([1]),
-            test_x=np.zeros((0, 4, 4)),
+            test_x=np.zeros((0, 4, 4)),  # no samples of 4 patch tokens of dim 4
             test_y=np.zeros(0, dtype=np.int64),
             priors=np.array([0.5, 0.5]),
         )
@@ -402,6 +402,26 @@ class TestInitServer:
         if heldout_fraction:
             split = heldout_split(range(clients), 1.0 - heldout_fraction, 19)
         assert (state.participating, state.heldout) == split
+
+    @pytest.mark.parametrize("strategy", ["mixed", "mixed_no_prior"])
+    def test_sets_the_priors_each_client_scores_with(self, strategy,
+                                                     monkeypatch):
+        # its own train-label frequencies, or uniform for the no-prior
+        # ablation, heldout clients included: set once, and what every
+        # score of the client is built from
+        state = init_server(tiny_experiment(20, strategy=strategy,
+                                            heldout_fraction=0.34))
+        assert state.heldout
+        read = []
+        monkeypatch.setattr(PrototypeBank, "score_constants",
+                            lambda bank, priors: read.append(priors) or {})
+        for client in state.clients:
+            want = np.full(4, 0.25)
+            if strategy == "mixed":
+                want = np.bincount(client.train_y, minlength=4) / client.num_train
+            assert np.array_equal(client.priors, want)
+            state.client_inputs(client.client_id)
+            assert read.pop() is client.priors
 
 
 class TestPersonalizedStrategy:

@@ -12,17 +12,19 @@ from fedprompt import tensor as te
 from fedprompt.cli import main
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
 from fedprompt.errors import ConfigError
+from fedprompt.federation import build_clients
 from fedprompt.model import (
     _GELU_C,
+    BackboneWeights,
     ModelConfig,
     PromptParams,
     _head,
     _transformer_layer,
+    embed_patches,
     forward_shard,
     forward_with_prompts,
     gradient_check,
     init_backbone,
-    patchify,
 )
 from fedprompt.prototypes import PrototypeBank, ScoreConstants, soft_scores_op
 
@@ -46,6 +48,11 @@ def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1, image_size=16):
     return backbone, prompts, bank, priors, image
 
 
+def embed_one(image, backbone):
+    """The (patches, dim) tokens the forward reads of one image."""
+    return embed_patches(image[None], backbone)[0]
+
+
 def forward_recording_scores(monkeypatch, image, prompts, backbone, consts):
     """`forward_with_prompts`, plus layer -> the score vector the forward
     mixed its prompt with at that layer."""
@@ -59,7 +66,8 @@ def forward_recording_scores(monkeypatch, image, prompts, backbone, consts):
         return out, scores_map
 
     monkeypatch.setattr(model, "soft_scores_op", recording)
-    logits, cls = forward_with_prompts(image, prompts, backbone, consts)
+    logits, cls = forward_with_prompts(embed_one(image, backbone), prompts,
+                                       backbone, consts)
     return logits, cls, scores
 
 
@@ -92,7 +100,9 @@ class TestInitBackbone:
         cfg = ModelConfig(dim=12, layers=3, heads=3, patch_size=4,
                           mix_layers=())
         backbone = init_backbone(0, cfg)
-        assert (backbone.heads, backbone.patch_size) == (3, 4)
+        assert backbone.heads == 3
+        # the patch side is the square root of the embedding's rows
+        assert backbone.patch_embed.shape == (16, 12)
         assert (backbone.cls_embed.size, len(backbone.blocks)) == (12, 3)
 
     def test_different_seeds_differ(self):
@@ -112,7 +122,8 @@ class TestInitBackbone:
     @pytest.mark.parametrize("field", ["dim", "layers", "heads", "patch_size"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_non_positive_size_names_field(self, field, value):
-        with pytest.raises(ConfigError, match=f"model {field} must be >= 1"):
+        low = 2 if field == "dim" else 1
+        with pytest.raises(ConfigError, match=f"model {field} must be >= {low}"):
             ModelConfig(**{field: value, "mix_layers": ()})
 
     def test_invalid_geometry(self):
@@ -129,6 +140,12 @@ def reference_patchify(image, p):
     n = len(image) // p
     return np.stack([image[i * p:(i + 1) * p, j * p:(j + 1) * p].reshape(-1)
                      for i in range(n) for j in range(n)])
+
+
+def identity_embedding(p):
+    """A backbone whose patch embedding of side `p` is the identity."""
+    return BackboneWeights(patch_embed=np.eye(p * p), cls_embed=np.zeros(p * p),
+                           blocks=[], heads=1)
 
 
 def _norm_rows(x, gain, bias):
@@ -256,13 +273,15 @@ class TestFusedLayerReference:
         assert np.array_equal(backward(dout), ref_grad)
 
     @pytest.mark.parametrize("image_size, patch_size", [(16, 8), (8, 4), (4, 2)])
-    def test_patchify_matches_patch_loop(self, image_size, patch_size):
-        cfg = ModelConfig(dim=16, layers=1, heads=2, patch_size=patch_size,
-                          mix_layers=())
-        image = np.random.default_rng(image_size).normal(
-            size=(image_size, image_size))
-        assert np.array_equal(patchify(image, cfg.patch_size),
-                              reference_patchify(image, cfg.patch_size))
+    def test_embedded_patches_match_patch_loop(self, image_size, patch_size):
+        # through an identity embedding the tokens are the patches
+        images = np.random.default_rng(image_size).normal(
+            size=(3, image_size, image_size))
+        tokens = embed_patches(images, identity_embedding(patch_size))
+        assert tokens.shape == (3, (image_size // patch_size) ** 2,
+                                patch_size**2)
+        for image, got in zip(images, tokens):
+            assert np.array_equal(got, reference_patchify(image, patch_size))
 
 
 # The prompted forward as a chain of generic tape ops, as it was written
@@ -439,7 +458,7 @@ def reference_run(image, prompts, backbone, cfg, bank, priors, label):
     if shared.data.shape[1] > 0:
         rows.append(ref_transpose(shared, tape))
     dim = cfg.dim
-    tokens = (patchify(image, cfg.patch_size) @ backbone.patch_embed
+    tokens = (reference_patchify(image, cfg.patch_size) @ backbone.patch_embed
               + np.zeros(dim))
     rows.append(RefTensor(tokens))
     seq = ref_concat_rows(rows, tape)
@@ -513,13 +532,14 @@ class TestFusedForwardReference:
             prompts, label)
         ref, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
                                        priors, label)
-        shard_logits, shard_cls = forward_shard(image[None], prompts, backbone,
-                                                consts)
+        shard_logits, shard_cls = forward_shard(
+            embed_patches(image[None], backbone), prompts, backbone, consts)
         # an identity head reads out the normalized final cls token exactly
         probe = PromptParams.from_arrays(prompts.shared.data,
                                          prompts.class_prompts.data,
                                          np.eye(cfg.dim))
-        final_cls, _ = forward_with_prompts(image, probe, backbone, consts)
+        final_cls, _ = forward_with_prompts(embed_one(image, backbone), probe,
+                                            backbone, consts)
 
         assert np.array_equal(logits, ref["logits"])
         assert np.array_equal(shard_logits[0], ref["logits"])
@@ -616,24 +636,27 @@ class TestWorkspaces:
         prompts.head.data[...] = np.random.default_rng(40).normal(
             size=prompts.head.data.shape)
         consts = bank.score_constants(priors)
-        others = np.random.default_rng(41).normal(size=(3, 16, 16))
+        tokens = embed_one(image, backbone)
+        others = embed_patches(np.random.default_rng(41).normal(
+            size=(3, 16, 16)), backbone)
         # another dim and token count: 8 x 8 images in 4 x 4 patches
         small_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                                 mix_layers=(2,))
         small = make_setup(42, small_cfg, classes=3, n_shared=0, image_size=8)
         small_consts = small[2].score_constants(small[3])
+        small_tokens = embed_one(small[4], small[0])
 
         def taped(interleave):
             prompts.zero_grad()
             with te.Tape() as tape:
-                logits, cls = forward_with_prompts(image, prompts, backbone,
+                logits, cls = forward_with_prompts(tokens, prompts, backbone,
                                                    consts)
                 te.cross_entropy(logits, 3)
             kept = (logits.copy(), cls.copy())
             captured = captured_arrays(tape._ops)
             if interleave:
                 forward_shard(others, prompts, backbone, consts)
-                forward_with_prompts(small[4], small[1], small[0],
+                forward_with_prompts(small_tokens, small[1], small[0],
                                      small_consts)
                 with te.Tape() as other_tape:
                     forward_with_prompts(others[0], prompts, backbone, consts)
@@ -660,11 +683,12 @@ class TestWorkspaces:
         # workspace
         backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
         consts = bank.score_constants(priors)
+        tokens = embed_one(image, backbone)
         x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
         space = te.NormSpace(*x.shape)
 
         def outputs():
-            seq = model._embed(image, prompts.shared, backbone)
+            seq = model._embed(tokens, prompts.shared, backbone)
             mixed = model._mix(seq, prompts.class_prompts, consts[2], False,
                                None)
             block = _transformer_layer(mixed, backbone.blocks[0], SMALL.heads)
@@ -685,9 +709,10 @@ class TestWorkspaces:
     def test_untaped_outputs_are_fresh(self):
         backbone, prompts, bank, priors, image = make_setup(43)
         consts = bank.score_constants(priors)
-        first = forward_with_prompts(image, prompts, backbone, consts)
+        tokens = embed_one(image, backbone)
+        first = forward_with_prompts(tokens, prompts, backbone, consts)
         kept = [a.copy() for a in first]
-        second = forward_with_prompts(image * 2, prompts, backbone, consts)
+        second = forward_with_prompts(tokens * 2, prompts, backbone, consts)
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
         assert_no_escape([*first, *second], *consts.values())
@@ -697,12 +722,13 @@ class TestWorkspaces:
         prompts.head.data[...] = np.random.default_rng(47).normal(
             size=prompts.head.data.shape)
         consts = bank.score_constants(priors)
-        images = np.random.default_rng(48).normal(size=(2, 16, 16))
+        samples = embed_patches(np.random.default_rng(48).normal(
+            size=(2, 16, 16)), backbone)
 
-        def record(image, label):
+        def record(tokens, label):
             params = prompts.copy()
             with te.Tape() as tape:
-                logits, _ = forward_with_prompts(image, params, backbone,
+                logits, _ = forward_with_prompts(tokens, params, backbone,
                                                  consts)
                 te.cross_entropy(logits, label)
             return params, tape
@@ -711,12 +737,12 @@ class TestWorkspaces:
             return [block.grad.tobytes() for _, block in params.blocks()]
 
         alone = []
-        for i, image in enumerate(images):
-            params, tape = record(image, i)
+        for i, tokens in enumerate(samples):
+            params, tape = record(tokens, i)
             tape.backward()
             alone.append(grads(params))
         # both forwards recorded before either map runs
-        both = [record(image, i) for i, image in enumerate(images)]
+        both = [record(tokens, i) for i, tokens in enumerate(samples)]
         for params, tape in reversed(both):
             tape.backward()
         assert [grads(params) for params, _ in both] == alone
@@ -725,7 +751,8 @@ class TestWorkspaces:
     @staticmethod
     def open_tape(image, prompts, backbone, consts, label=0):
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
+            logits, _ = forward_with_prompts(embed_one(image, backbone),
+                                             prompts, backbone, consts)
             te.cross_entropy(logits, label)
         return tape
 
@@ -782,7 +809,8 @@ class TestWorkspaces:
             # and 2 are taped before the forward fails
             broken = {2: consts[2], 3: None}
             with pytest.raises(AttributeError), te.Tape() as tape:
-                forward_with_prompts(image, prompts, backbone, broken)
+                forward_with_prompts(embed_one(image, backbone), prompts,
+                                     backbone, broken)
         else:
             tape = self.open_tape(image, prompts, backbone, consts)
         lent = kept_sets(tape._ops)
@@ -811,7 +839,8 @@ class TestWorkspaces:
 
         with te.Tape() as tape:
             tape.record(fail)
-            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
+            logits, _ = forward_with_prompts(embed_one(image, backbone),
+                                             prompts, backbone, consts)
             te.cross_entropy(logits, 0)
         taken = set(map(id, kept_sets(tape._ops)))
         assert len(taken) == SMALL.layers
@@ -899,7 +928,8 @@ class TestBlockPruning:
         calls = self.block_calls(monkeypatch)
         prompts.zero_grad()
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone, consts)
+            logits, _ = forward_with_prompts(embed_one(image, backbone),
+                                             prompts, backbone, consts)
             te.cross_entropy(logits, 1)
         tape.backward()
         first_mix = min(mix_layers, default=cfg.layers + 1)
@@ -949,20 +979,25 @@ class TestPrimitiveGradients:
             assert te.grad_rel_error(grad, oracle) < 1e-6
 
 
-class TestPatchify:
+class TestEmbedPatches:
     def test_row_major_patches(self):
-        cfg = ModelConfig(dim=16, layers=1, heads=2, patch_size=2,
-                          mix_layers=())
-        image = np.arange(16.0).reshape(4, 4)
-        patches = patchify(image, cfg.patch_size)
-        np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(patches[3], [10, 11, 14, 15])
+        tokens = embed_patches(np.arange(16.0).reshape(1, 4, 4),
+                               identity_embedding(2))
+        np.testing.assert_array_equal(tokens[0, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(tokens[0, 3], [10, 11, 14, 15])
 
-    @pytest.mark.parametrize("shape", [(12, 12), (16, 8), (16,), (2, 16, 16)])
-    def test_shape_check(self, shape):
-        with pytest.raises(ConfigError, match="square image whose side is a "
-                           "multiple of patch size 8"):
-            patchify(np.zeros(shape), SMALL.patch_size)
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_stacked_equals_per_image_product(self, count):
+        # one product over the stack, bit for bit the per-image product the
+        # forward made of each image before shards were embedded once
+        backbone = init_backbone(5, SMALL)
+        images = np.random.default_rng(count).normal(size=(count, 16, 16))
+        tokens = embed_patches(images, backbone)
+        assert tokens.shape == (count, 4, SMALL.dim)
+        for image, got in zip(images, tokens):
+            want = np.dot(reference_patchify(image, SMALL.patch_size),
+                          backbone.patch_embed)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("size", [8, 24])
     def test_any_multiple_of_patch_size_runs(self, size):
@@ -970,9 +1005,10 @@ class TestPatchify:
         # image whose side is a multiple of the patch size
         backbone, prompts, bank, priors, _ = make_setup(47)
         image = np.random.default_rng(size).normal(size=(size, size))
-        assert patchify(image, SMALL.patch_size).shape == ((size // 8) ** 2, 64)
+        tokens = embed_one(image, backbone)
+        assert tokens.shape == ((size // 8) ** 2, SMALL.dim)
         logits, cls = forward_with_prompts(
-            image, prompts, backbone, bank.score_constants(priors))
+            tokens, prompts, backbone, bank.score_constants(priors))
         assert np.isfinite(logits).all() and cls.shape == (4, SMALL.dim)
 
 
@@ -1015,8 +1051,9 @@ class TestForward:
     def test_forward_deterministic(self):
         backbone, prompts, bank, priors, image = make_setup(8)
         consts = bank.score_constants(priors)
-        a, cls_a = forward_with_prompts(image, prompts, backbone, consts)
-        b, cls_b = forward_with_prompts(image, prompts, backbone, consts)
+        tokens = embed_one(image, backbone)
+        a, cls_a = forward_with_prompts(tokens, prompts, backbone, consts)
+        b, cls_b = forward_with_prompts(tokens, prompts, backbone, consts)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(cls_a, cls_b)
 
@@ -1034,7 +1071,8 @@ class TestForward:
         backbone, prompts, bank, priors, image = make_setup(11)
         before = backbone_checksum(backbone)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone,
+            logits, _ = forward_with_prompts(embed_one(image, backbone),
+                                             prompts, backbone,
                                              bank.score_constants(priors))
             te.cross_entropy(logits, 1)
         tape.backward()
@@ -1050,9 +1088,10 @@ class TestForward:
                                      np.zeros((cfg.dim, 4)), head)
         b = PromptParams.from_arrays(np.zeros((cfg.dim, 0)),
                                      np.ones((cfg.dim, 4)) * 9.0, head)
-        image = np.random.default_rng(13).normal(size=(16, 16))
-        la, _ = forward_with_prompts(image, a, backbone, {})
-        lb, _ = forward_with_prompts(image, b, backbone, {})
+        tokens = embed_one(np.random.default_rng(13).normal(size=(16, 16)),
+                           backbone)
+        la, _ = forward_with_prompts(tokens, a, backbone, {})
+        lb, _ = forward_with_prompts(tokens, b, backbone, {})
         np.testing.assert_array_equal(la, lb)
 
 
@@ -1064,18 +1103,17 @@ class TestForwardShard:
         spec = SyntheticSpec(classes=8, train_per_class=40, test_per_class=12)
         ds = generate_synthetic(spec, 0)
         part = partition_pathological(ds, 12, 2, 0)
-        images = ds.train_x[part.train_indices[0]]
-        if shard == "one":
-            images = images[:1]
         cfg = ModelConfig() if mixing else ModelConfig(mix_layers=())
         backbone, prompts, bank, _, _ = make_setup(17, cfg, classes=8)
         prompts.head.data[...] = np.random.default_rng(17).normal(
             size=prompts.head.data.shape)
-        consts = bank.score_constants(part.priors[0])
-        logits, cls = forward_shard(images, prompts, backbone, consts)
+        client = build_clients(ds, part, backbone)[0]
+        tokens = client.train_x[:1] if shard == "one" else client.train_x
+        consts = bank.score_constants(client.priors)
+        logits, cls = forward_shard(tokens, prompts, backbone, consts)
         singles = [forward_with_prompts(x, prompts, backbone, consts)
-                   for x in images]
-        n = len(images)
+                   for x in tokens]
+        n = len(tokens)
         assert logits.shape == (n, 8) and cls.shape == (cfg.layers, n, cfg.dim)
         assert np.array_equal(
             logits, np.stack([out for out, _ in singles]))
@@ -1093,7 +1131,8 @@ class TestGradients:
         backbone, prompts, bank, priors, image = make_setup(15)
         before = backbone_checksum(backbone)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone,
+            logits, _ = forward_with_prompts(embed_one(image, backbone),
+                                             prompts, backbone,
                                              bank.score_constants(priors))
             te.cross_entropy(logits, 2)
         tape.backward()

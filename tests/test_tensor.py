@@ -10,6 +10,7 @@ from fedprompt.model import (
     _embed,
     _head,
     _mix,
+    embed_patches,
     forward_with_prompts,
     init_backbone,
 )
@@ -124,7 +125,7 @@ class TestStructuralOps:
                           mix_layers=(1,))
         backbone = init_backbone(7, cfg)
         rng = np.random.default_rng(7)
-        image = rng.normal(size=(4, 4))
+        tokens = embed_patches(rng.normal(size=(1, 4, 4)), backbone)[0]
         shared = rng.normal(size=(4, 2))
         class_prompts = rng.normal(size=(4, 3))
         consts = [ScoreConstants(rng.normal(size=(3, 4)), priors, 0.5, 4)
@@ -132,7 +133,7 @@ class TestStructuralOps:
 
         def loss(st, pt):
             tape = te.active_tape()
-            seq = _embed(image, st, backbone, tape)
+            seq = _embed(tokens, st, backbone, tape)
             seq = _mix(seq, pt, consts[0], False, tape)
             seq = _mix(seq, pt, consts[1], True, tape)
             return flat_cross_entropy(seq, 5)
@@ -195,7 +196,9 @@ class TestTapeContract:
         cfg = ModelConfig(dim=2, layers=1, heads=1, patch_size=1,
                           mix_layers=())
         p = te.Tensor(np.ones((2, 1)))
-        out = _embed(np.ones((2, 2)), p, init_backbone(0, cfg))
+        backbone = init_backbone(0, cfg)
+        out = _embed(embed_patches(np.ones((1, 2, 2)), backbone)[0], p,
+                     backbone)
         assert type(out) is np.ndarray and np.isfinite(out).all()
         assert np.all(p.grad == 0)
 
@@ -225,11 +228,12 @@ class TestRecordedMaps:
         for l in mix_layers:
             bank.mu[l] = np.random.default_rng(l).normal(size=(3, cfg.dim))
         consts = bank.score_constants(np.full(3, 1 / 3))
+        backbone = init_backbone(0, cfg)
+        tokens = embed_patches(np.ones((1, 4, 4)), backbone)[0]
         tape = te.Tape()
 
         def loss():
-            logits, _ = forward_with_prompts(np.ones((4, 4)), prompts,
-                                             init_backbone(0, cfg), consts)
+            logits, _ = forward_with_prompts(tokens, prompts, backbone, consts)
             te.cross_entropy(logits, 0)
 
         if taped:
@@ -260,9 +264,10 @@ def sweep_setup(seed, scale=1.0):
     priors = rng.random(3)
     priors[(seed + 1) % 3] = 0.0
     priors /= priors.sum()
-    image = rng.normal(scale=scale, size=(4, 4))
+    tokens = embed_patches(rng.normal(scale=scale, size=(1, 4, 4)),
+                           backbone)[0]
     label = int(rng.integers(3))
-    return backbone, prompts, bank.score_constants(priors), image, label
+    return backbone, prompts, bank.score_constants(priors), tokens, label
 
 
 def test_hundred_seed_gradient_sweep():
@@ -270,11 +275,11 @@ def test_hundred_seed_gradient_sweep():
     into the prompted forward, 100 seeds."""
     worst = 0.0
     for seed in range(100):
-        backbone, prompts, consts, image, label = sweep_setup(seed)
+        backbone, prompts, consts, tokens, label = sweep_setup(seed)
 
         def loss(shared, class_prompts, head):
             params = PromptParams(shared, class_prompts, head)
-            logits, _ = forward_with_prompts(image, params, backbone,
+            logits, _ = forward_with_prompts(tokens, params, backbone,
                                              consts=consts)
             return te.cross_entropy(logits, label)
 
@@ -289,9 +294,9 @@ def test_hundred_seed_gradient_sweep():
 
 def test_random_ops_stay_finite():
     for seed in range(25):
-        backbone, prompts, consts, image, label = sweep_setup(seed, 30.0)
+        backbone, prompts, consts, tokens, label = sweep_setup(seed, 30.0)
         with te.Tape() as tape:
-            logits, _ = forward_with_prompts(image, prompts, backbone,
+            logits, _ = forward_with_prompts(tokens, prompts, backbone,
                                              consts=consts)
             loss = te.cross_entropy(logits, label)
         tape.backward()
