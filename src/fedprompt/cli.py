@@ -36,7 +36,7 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path, columns, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -92,7 +92,7 @@ def write_prototypes_csv(bank, path):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -104,7 +104,6 @@ def write_config_copy(cfg: ExperimentConfig, path):
 def _final_report(cfg, state, logs, report, heldout_report):
     comm = comm_accounting(
         dim=cfg.model.dim, classes=cfg.data.classes,
-        shared_prompts=cfg.train.shared_prompts,
         mix_layers=len(_prototype_matrices(state.bank)),
         rounds=cfg.train.rounds, update_period=cfg.train.update_period)
     payload = {
@@ -182,7 +181,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import GRADCHECK_SHARED, gradient_check
+    from .model import gradient_check
 
     # cross entropy over one class is 0 whatever the maps compute
     if args.classes < 2:
@@ -192,8 +191,8 @@ def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise ConfigError(
             f"--threshold must be finite and > 0, got {args.threshold}")
-    n_params = (args.dim * GRADCHECK_SHARED + args.dim * args.classes
-                + args.classes * args.dim)
+    # the shared prompt, the class prompts and the head
+    n_params = args.dim * (1 + 2 * args.classes)
     if n_params > 5000:
         raise ConfigError(
             f"{n_params} trainable parameters is too many for finite differences")
@@ -231,19 +230,26 @@ def cmd_partition(args) -> int:
 
 def _csv_rows(path, columns):
     """(where, fields) for each data row of a CSV a run wrote, `where`
-    naming its file and line; DataError unless its header is `columns` and
-    each row has one field per column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != columns:
-            raise DataError(f"{path} line 1: expected the columns "
-                            f"{','.join(columns)}")
-        for fields in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(fields) != len(columns):
-                raise DataError(f"{where}: expected {len(columns)} fields, "
-                                f"got {len(fields)}")
-            yield where, fields
+    naming its file and line; DataError unless it reads as UTF-8 CSV, its
+    header is `columns` and each row has one field per column."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != columns:
+                raise DataError(f"{path} line 1: expected the columns "
+                                f"{','.join(columns)}")
+            for fields in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(fields) != len(columns):
+                    raise DataError(f"{where}: expected {len(columns)} "
+                                    f"fields, got {len(fields)}")
+                yield where, fields
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise DataError(f"cannot read {path}: not UTF-8 text")
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}")
 
 
 def _csv_value(where, field):

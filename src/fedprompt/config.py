@@ -37,7 +37,6 @@ class TrainConfig:
     update_period: int = 1
     dp_epsilon: float | None = None
     strategy: str = "mixed"
-    shared_prompts: int = 1
     warmup_fraction: float = 1.0
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class TrainConfig:
                 ("lr_decay", 0 < self.lr_decay <= 1, "lie in (0, 1]"),
                 ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
                 ("rho", 0 <= self.rho <= 1, "lie in [0, 1]"),
-                ("shared_prompts", self.shared_prompts >= 0, "be >= 0"),
                 ("update_period", self.update_period >= 1, "be >= 1"),
                 ("warmup_fraction", 0 < self.warmup_fraction <= 1,
                  "lie in (0, 1]"),
@@ -168,6 +166,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"data image_size {self.data.image_size} must be a multiple "
                 f"of model patch_size {self.model.patch_size}")
+        # `partition_pathological` deals each client k distinct classes and
+        # each client holding a class at least one of its train samples
+        if self.partition.mode == "pathological":
+            k, classes = self.partition.classes_per_client, self.data.classes
+            holders = -(-clients * k // classes)  # most clients of one class
+            if k > classes:
+                raise ConfigError(f"partition classes_per_client must be <= "
+                                  f"data classes {classes}, got {k}")
+            if clients * k < classes:
+                raise ConfigError(
+                    f"train clients {clients} x partition classes_per_client "
+                    f"{k} must be >= data classes {classes}")
+            if self.data.train_per_class < holders:
+                raise ConfigError(
+                    f"data train_per_class must be >= {holders}, the most "
+                    f"clients holding one class, got "
+                    f"{self.data.train_per_class}")
         layers = self.model.mix_layers
         if ("model", "mix_layers") not in unread and not (
                 layers and max(layers) <= self.model.layers):
@@ -219,10 +234,12 @@ def _unique_keys(pairs) -> dict:
 
 def load_config(path: str, seed_override=None, out_override=None) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):

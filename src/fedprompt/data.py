@@ -63,8 +63,13 @@ class PartitionSpec:
                               f"'dirichlet', got {self.mode!r}")
         needed = ("classes_per_client" if self.mode == "pathological"
                   else "beta")
-        if getattr(self, needed) is None:
+        value = getattr(self, needed)
+        if value is None:
             raise ConfigError(f"missing required field partition.{needed!r}")
+        rule, ok = ((">= 1", value >= 1) if needed == "classes_per_client"
+                    else ("> 0", value > 0))
+        if not ok:
+            raise ConfigError(f"partition {needed} must be {rule}, got {value}")
 
 
 @dataclass

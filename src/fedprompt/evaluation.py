@@ -28,7 +28,7 @@ class EvalReport:
         }
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["client", "accuracy"])
             for cid in sorted(self.per_client):
@@ -121,8 +121,7 @@ class CommReport:
     downloaded_total: int
 
 
-def comm_accounting(dim: int, classes: int, shared_prompts: int,
-                    mix_layers: int, rounds: int,
+def comm_accounting(dim: int, classes: int, mix_layers: int, rounds: int,
                     update_period: int = 1) -> CommReport:
     """Parameters one client exchanges across a run.
 
@@ -131,7 +130,7 @@ def comm_accounting(dim: int, classes: int, shared_prompts: int,
     """
     if rounds < 0 or update_period < 1:
         raise ConfigError("rounds must be >= 0 and update period >= 1")
-    params = classes * dim + dim * shared_prompts + dim * classes
+    params = classes * dim + dim + dim * classes
     prototype_payload = mix_layers * classes * dim
     syncs = rounds // update_period if mix_layers else 0
     uploaded = rounds * params + syncs * prototype_payload

@@ -156,7 +156,10 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
                         client.train_x[i], params, backbone, consts)
                     batch_loss += te.cross_entropy(logits,
                                                    int(client.train_y[i]))
-                tape.backward()
+                # a gradient that overflows is reported below, as a
+                # non-finite norm, not warned about here
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tape.backward()
             batch_loss /= batch.size
             grads, norm = _clip_global_norm(
                 [b.grad / batch.size for b in blocks], cfg.grad_clip)
@@ -318,8 +321,7 @@ def init_server(cfg: ExperimentConfig) -> ServerState:
         if unscorable:
             raise DataError("heldout clients with all-zero class priors: "
                             + ", ".join(map(str, unscorable)))
-    params = PromptParams.init(cfg.seed, cfg.model.dim, cfg.data.classes,
-                               train.shared_prompts)
+    params = PromptParams.init(cfg.seed, cfg.model.dim, cfg.data.classes)
     bank = None
     if mixing:
         bank = PrototypeBank(layers=tuple(cfg.model.mix_layers),

@@ -6,7 +6,7 @@ prepended to the token sequence at the first layer, one set of class
 prompt columns mixed into a per-sample token at designated intermediate
 layers, and the classification head applied to the final cls token.
 
-Token layout per layer input: [cls, (mixed prompt), shared prompts,
+Token layout per layer input: [cls, (mixed prompt), shared prompt,
 image tokens].  The mixed-prompt token is inserted at the first
 configured mixing layer and replaced with a freshly mixed token at each
 later mixing layer, so every such layer sees class evidence computed from
@@ -26,8 +26,8 @@ from .seeding import derive_rng
 INIT_SCALE = 0.02
 # MLP width as a multiple of `dim`
 MLP_MULT = 4
-# `gradient_check`'s shared prompts, image and patch sides, and step
-GRADCHECK_SHARED, GRADCHECK_IMAGE, GRADCHECK_PATCH, GRADCHECK_H = 1, 16, 8, 1e-5
+# `gradient_check`'s image and patch sides, and step
+GRADCHECK_IMAGE, GRADCHECK_PATCH, GRADCHECK_H = 16, 8, 1e-5
 
 
 @dataclass(frozen=True)
@@ -124,17 +124,17 @@ def init_backbone(seed: int, cfg: ModelConfig) -> BackboneWeights:
 
 @dataclass
 class PromptParams:
-    """The only trainable blocks: shared prompts, class prompts, head."""
+    """The only trainable blocks: shared prompt, class prompts, head."""
 
-    shared: te.Tensor       # (dim, n_shared)
+    shared: te.Tensor       # (dim, 1)
     class_prompts: te.Tensor  # (dim, classes)
     head: te.Tensor         # (classes, dim)
 
     @classmethod
-    def init(cls, seed: int, dim: int, classes: int, n_shared: int) -> "PromptParams":
+    def init(cls, seed: int, dim: int, classes: int) -> "PromptParams":
         rng = derive_rng(seed, "prompt-init")
         return cls(
-            shared=te.Tensor(rng.normal(0.0, INIT_SCALE, size=(dim, n_shared))),
+            shared=te.Tensor(rng.normal(0.0, INIT_SCALE, size=(dim, 1))),
             class_prompts=te.Tensor(rng.normal(0.0, INIT_SCALE, size=(dim, classes))),
             head=te.Tensor(np.zeros((classes, dim))),
         )
@@ -321,8 +321,8 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
 
 
 def _embed(tokens, shared: te.Tensor, backbone: BackboneWeights, tape=None):
-    """Token matrix [cls, shared prompts, patch tokens] as one primitive;
-    its map adds into the shared prompts and has no input to pass on."""
+    """Token matrix [cls, shared prompt, patch tokens] as one primitive;
+    its map adds into the shared prompt and has no input to pass on."""
     n_shared = shared.data.shape[1]
     seq = np.empty((1 + n_shared + len(tokens), backbone.cls_embed.size))
     seq[0] = backbone.cls_embed
@@ -397,12 +397,10 @@ def forward_with_prompts(tokens, prompts: PromptParams, backbone: BackboneWeight
 
     The pass is a chain of fused primitives over plain arrays: embedding,
     per layer the optional prompt mixing and the transformer block, then
-    the head.  Under a tape each records one backward map, except that a
-    block records one only once a trainable block feeds the token matrix.
+    the head.  Under a tape each records one backward map.
     """
     tape = te.active_tape()
-    live = tape if prompts.shared.data.shape[1] else None
-    seq = _embed(tokens, prompts.shared, backbone, live)
+    seq = _embed(tokens, prompts.shared, backbone, tape)
     blocks, heads = backbone.blocks, backbone.heads
     cls = np.empty((len(blocks), seq.shape[1]))
     mixed = False
@@ -411,8 +409,7 @@ def forward_with_prompts(tokens, prompts: PromptParams, backbone: BackboneWeight
         if layer in consts:
             seq = _mix(seq, prompts.class_prompts, consts[layer], mixed, tape)
             mixed = True
-            live = tape
-        seq = _transformer_layer(seq, blk, heads, live)
+        seq = _transformer_layer(seq, blk, heads, tape)
     return _head(seq, prompts.head, tape), cls
 
 
@@ -447,7 +444,7 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
                       mix_layers=tuple(sorted({mid, min(layers, mid + 1)})))
     rng = derive_rng(seed, "gradcheck")
     backbone = init_backbone(seed, cfg)
-    prompts = PromptParams.init(seed, dim, classes, GRADCHECK_SHARED)
+    prompts = PromptParams.init(seed, dim, classes)
     prompts.head.data[...] = rng.normal(0.0, 0.5, size=prompts.head.data.shape)
     bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes, dim=dim,
                          tau=cfg.tau)

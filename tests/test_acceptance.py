@@ -202,8 +202,8 @@ def test_criterion_05_mix_overhead_closed_form():
 
 
 def test_criterion_06_communication_accounting():
-    report = comm_accounting(dim=768, classes=100, shared_prompts=1,
-                             mix_layers=3, rounds=12, update_period=1)
+    report = comm_accounting(dim=768, classes=100, mix_layers=3, rounds=12,
+                             update_period=1)
     assert report.uploaded_total == pytest.approx(4.6e6, rel=0.05)
     print(f"\nPASS criterion 6: 12-round upload total "
           f"{report.uploaded_total / 1e6:.3f}M params (target 4.6M +/- 5%)")

@@ -175,6 +175,51 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "partition", "eval"])
+    @pytest.mark.parametrize("case, reason", [
+        ("directory", "Is a directory"), ("not-utf8", "not UTF-8 text"),
+        ("missing", "No such file or directory")])
+    def test_unreadable_config_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, saved_run, command, case,
+            reason):
+        # no out_dir can be read, so nothing may appear in the working
+        # directory either
+        monkeypatch.chdir(tmp_path)
+        if command == "eval":
+            run = tmp_path / "run"
+            shutil.copytree(saved_run, run)
+            path = run / "config.json"
+            path.unlink()
+            args = ["eval", "--run-dir", str(run)]
+            if case == "missing":
+                reason = None  # eval names the file the run dir lacks
+        else:
+            path = tmp_path / "config.json"
+            args = [command, "--config", str(path)]
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"\xff\xfe{")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {path}: {reason}\n"
+            if reason else f"config error: no config.json in {run}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_final_report_repeats_the_last_round(self, tmp_path, strategy):
+        # the final evaluation scores the state the last round evaluated
+        path, _ = small_config(tmp_path, heldout_fraction=0.34,
+                               train={"strategy": strategy})
+        assert main(["run", "--config", str(path)]) == 0
+        last = read_metrics(tmp_path / "run")[-1]
+        report = json.loads(
+            (tmp_path / "run" / "final_report.json").read_text())
+        for group, prefix in (("participating", ""), ("heldout", "heldout_")):
+            for key in ("mean_acc", "worst_acc"):
+                assert report[group][key] == float(last[prefix + key])
+
     def test_heldout_columns_written(self, tmp_path):
         path, _ = small_config(tmp_path, heldout_fraction=0.34)
         assert main(["run", "--config", str(path)]) == 0
@@ -244,8 +289,9 @@ class TestRunCommand:
         ({"train": {"batch_size": 0}}, "train batch_size must be >= 1, got 0"),
         ({"train": {"dp_epsilon": -1}},
          "train dp_epsilon must be > 0 when set, got -1.0"),
-        ({"train": {"shared_prompts": -1}},
-         "train shared_prompts must be >= 0, got -1"),
+        # every run has one shared prompt token, so its count is gone
+        ({"train": {"shared_prompts": 1}},
+         "unknown field train.'shared_prompts'"),
         ({"data": {"noise": -1}}, "data noise must be >= 0, got -1"),
         ({"data": {"separation": -1}}, "data separation must be >= 0, got -1"),
         ({"model": {"mix_layers": [2, 2]}},
@@ -386,6 +432,20 @@ class TestRunCommand:
             "training error: non-finite prototype norms at layer 2 (round=0)\n")
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_score_gradient_fails_without_a_warning(
+            self, tmp_path, capsys):
+        # at tau 1e-300 the score map's gradient, divided by tau, grows
+        # from the mix at layer 2 to the one at layer 1 until it
+        # overflows: the run stops on the non-finite norm, and no numpy
+        # warning (an error in this suite) comes before it
+        path, _ = small_config(tmp_path,
+                               model={"mix_layers": [1, 2], "tau": 1e-300},
+                               data={"separation": 0.0, "noise": 0.0})
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "training error: non-finite gradient norm (round=2, client=1)\n")
+        assert not (tmp_path / "run").exists()
+
     def test_group_without_test_data_rejected_before_any_forward(
             self, tmp_path, capsys, monkeypatch):
         # every group is evaluated after the warm-up and each round; here
@@ -475,7 +535,7 @@ TINY = {"classes": ([3, 2, 1], [0]), "train_per_class": ([3, 1, 4], [0]),
         "classes_per_client": ([2, 1, 3], [0, 4]),
         "clients_per_round": ([1, 2], [0]), "rounds": ([1, 2, 0], [-1]),
         "local_epochs": ([1, 2], [0]), "batch_size": ([4, 1, 2], [0]),
-        "update_period": ([1, 2], [0]), "shared_prompts": ([1, 0, 2], [-1]),
+        "update_period": ([1, 2], [0]),
         "seed": ([0, 1, 7], [-1]), "clients": ([3, 4, 2, 1], [0, -1]),
         "separation": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
         "noise": ([1.0, 0.0, 1e100], [-1.0, 1e101]),
@@ -849,13 +909,47 @@ class TestPartitionCommand:
 
     @pytest.mark.parametrize("overrides, argv, message", [
         ({"partition": {"classes_per_client": 100}}, [],
-         "classes per client must lie in [1, 4], got 100"),
+         "partition classes_per_client must be <= data classes 4, got 100"),
         ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_failed_partition_leaves_no_directory(self, tmp_path, capsys,
                                                   overrides, argv, message):
         path, _ = small_config(tmp_path, **overrides)
         assert main(["partition", "--config", str(path), *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"partition": {"mode": "dirichlet", "beta": -1.0,
+                        "classes_per_client": DROP}},
+         "partition beta must be > 0, got -1.0"),
+        ({"partition": {"mode": "dirichlet", "beta": 0.0,
+                        "classes_per_client": DROP}},
+         "partition beta must be > 0, got 0.0"),
+        ({"partition": {"classes_per_client": 0}},
+         "partition classes_per_client must be >= 1, got 0"),
+        ({"partition": {"classes_per_client": 5}},
+         "partition classes_per_client must be <= data classes 4, got 5"),
+        ({"train": {"clients": 1, "clients_per_round": 1}},
+         "train clients 1 x partition classes_per_client 2 must be >= data "
+         "classes 4"),
+        # 6 clients x 2 classes over 4 classes: 3 clients share a class
+        ({"data": {"train_per_class": 2}},
+         "data train_per_class must be >= 3, the most clients holding one "
+         "class, got 2"),
+    ])
+    def test_partition_rules_checked_before_any_data(
+            self, tmp_path, capsys, monkeypatch, command, overrides, message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("drew data for a config it rejects")
+
+        from fedprompt import federation
+
+        for module in (cli, federation):
+            monkeypatch.setattr(module, "generate_synthetic", no_data)
+        path, _ = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
@@ -1152,7 +1246,7 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("section, key, value", [
         ("model", "refresh_mix", True), ("model", "detach_scores", False),
-        ("train", "weighted_fedavg", False)])
+        ("train", "weighted_fedavg", False), ("train", "shared_prompts", 1)])
     def test_saved_config_with_a_removed_key_is_rejected(
             self, tmp_path, capsys, saved_run, section, key, value):
         # a run directory from before these switches went is refused, not
@@ -1165,6 +1259,30 @@ class TestEvalCommand:
         assert main(["eval", "--run-dir", str(run)]) == 2
         assert capsys.readouterr().err == (
             f"config error: unknown field {section}.{key!r}\n")
+
+    @pytest.mark.parametrize("name", ["prompts.csv", "prototypes.csv"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "long-field"])
+    def test_unreadable_saved_csv_is_a_data_error(
+            self, tmp_path, capsys, saved_run, name, case):
+        run = tmp_path / "run"
+        shutil.copytree(saved_run, run)
+        path = run / name
+        if case == "directory":
+            path.unlink()
+            path.mkdir()
+            message = f"cannot read {path}: Is a directory"
+        elif case == "not-utf8":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+            message = f"cannot read {path}: not UTF-8 text"
+        else:
+            # a value one past the csv module's limit of 131072 characters
+            lines = path.read_text().splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + "1" * 131073
+            path.write_text("\n".join(lines) + "\n")
+            message = f"{path} line 2: field larger than field limit (131072)"
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (run / "eval_report.json").exists()
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["eval", "--run-dir", str(tmp_path / "nope")]) == 2
@@ -1275,6 +1393,24 @@ def test_metrics_bytes_match_golden(tmp_path, name):
     assert artifacts.hexdigest() == GOLDEN_ARTIFACTS[name]
 
 
+def test_every_text_file_is_opened_as_utf8(tmp_path):
+    # a text `open` without an encoding reads and writes in the locale's;
+    # under these flags it raises an EncodingWarning as an error
+    path, _ = small_config(tmp_path, train={"rounds": 1})
+    src = str(Path(fedprompt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for args in (["run", "--config", str(path)],
+                 ["partition", "--config", str(path),
+                  "--out", str(tmp_path / "partition")],
+                 ["eval", "--run-dir", str(tmp_path / "run")]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "fedprompt.cli", *args],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+
 def test_metrics_bytes_independent_of_blas_threads(tmp_path):
     # GEMM reduction order may depend on the BLAS thread count, which is
     # read once when numpy loads, so each count gets a fresh interpreter
@@ -1295,8 +1431,8 @@ def test_metrics_bytes_independent_of_blas_threads(tmp_path):
 
 SHIPPED_CONFIGS = {
     # sha256 of the config.json each writes with out_dir "run"
-    "pathological": "5825a7a3d594d7f53af1bbe7aa63ef630f68ab8aa9a95bb9767e6159098bc255",
-    "dirichlet_heldout": "572dae3d7a0144dd57ea2b67ed5730b68982a158b1b2b1e43ff2811700cde924",
+    "pathological": "9f5f1ef890bbd46e113956b47d67f79616e9a03d65d501719572e28215c52e28",
+    "dirichlet_heldout": "c030b38eef2a3d929221c95366fdb49bf8b85a18cd62806b9c34ae953bc46a96",
 }
 
 

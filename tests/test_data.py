@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedprompt.config import ExperimentConfig, TrainConfig
 from fedprompt.data import (
     Partition,
+    PartitionSpec,
     SyntheticSpec,
     generate_synthetic,
     label_histograms,
@@ -184,9 +186,11 @@ class TestDirichlet:
 
 @st.composite
 def tiny_partitions(draw):
-    """(dataset, partition maker) on 1-6 classes of 1-4 train and test
-    samples each, over 1-8 clients: Dirichlet with a log-uniform beta over
-    the whole positive double range, or pathological with any k."""
+    """(dataset, config maker, partition maker) on 1-6 classes of 1-4
+    train and test samples each, over 1-8 clients: Dirichlet with a beta
+    of 0, -1 or log-uniform over the whole positive double range, or
+    pathological with k from 0 to one past the classes.  The config maker
+    builds the `ExperimentConfig` of the same draw."""
     classes = draw(st.integers(1, 6))
     spec = SyntheticSpec(classes=classes,
                          train_per_class=draw(st.integers(1, 4)),
@@ -194,12 +198,24 @@ def tiny_partitions(draw):
     ds = generate_synthetic(spec, draw(st.integers(0, 2**16)))
     clients, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**16))
     if draw(st.booleans()):
-        beta = draw(st.sampled_from([5e-324, 1e300])
+        beta = draw(st.sampled_from([5e-324, 1e300, 0.0, -1.0])
                     | st.floats(-323.3, 300.0).map(
                         lambda e: max(10.0 ** e, 5e-324)))
-        return ds, lambda: partition_dirichlet(ds, clients, beta, seed)
-    k = draw(st.integers(1, classes))
-    return ds, lambda: partition_pathological(ds, clients, k, seed)
+        partition = {"mode": "dirichlet", "beta": beta}
+        make = lambda: partition_dirichlet(ds, clients, beta, seed)
+    else:
+        k = draw(st.integers(0, classes + 1))
+        partition = {"mode": "pathological", "classes_per_client": k}
+        make = lambda: partition_pathological(ds, clients, k, seed)
+
+    def config():
+        return ExperimentConfig(
+            data=spec, partition=PartitionSpec(**partition),
+            train=TrainConfig(clients=clients, clients_per_round=1, rounds=0),
+            model=ModelConfig(dim=2, layers=1, heads=1, patch_size=1,
+                              mix_layers=(1,)),
+            seed=seed)
+    return ds, config, make
 
 
 class TestPartitionProperty:
@@ -207,14 +223,18 @@ class TestPartitionProperty:
               database=None)
     @given(tiny_partitions())
     def test_rejected_or_exact_cover_with_exact_priors(self, drawn):
-        # every draw is refused with a ConfigError or assigns each sample
-        # once, and each built client's priors are its train shard's exact
-        # label frequencies
-        ds, make = drawn
+        # the partitioner refuses exactly the draws whose config is
+        # rejected, so no config that is read reaches its raise; any other
+        # draw assigns each sample once, and each built client's priors
+        # are its train shard's exact label frequencies
+        ds, config, make = drawn
         try:
-            part = make()
+            config()
         except ConfigError:
+            with pytest.raises(ConfigError):
+                make()
             return
+        part = make()
         for shards, labels in ((part.train_indices, ds.train_y),
                                (part.test_indices, ds.test_y)):
             assert len(shards) == part.num_clients

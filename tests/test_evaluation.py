@@ -35,7 +35,7 @@ class TestEvaluateClients:
         cfg = ModelConfig(dim=8, layers=2, heads=2, patch_size=2,
                           mix_layers=())
         backbone = init_backbone(0, cfg)
-        params = PromptParams.init(0, 8, 2, 1)
+        params = PromptParams.init(0, 8, 2)
         return backbone, params
 
     def test_single_perfect_client(self):
@@ -70,7 +70,7 @@ class TestEvaluateClients:
         cfg = ModelConfig(dim=8, layers=2, heads=2, patch_size=2,
                           mix_layers=())
         backbone = init_backbone(1, cfg)
-        params = PromptParams.init(1, 8, 8, 1)
+        params = PromptParams.init(1, 8, 8)
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 8, size=400)
         client = ClientState(
@@ -88,11 +88,11 @@ class TestEvaluateClients:
         tokens = embed_patches(np.random.default_rng(3).normal(size=(1, 4, 4)),
                                backbone)
         # an identity head reads out the normalized final cls token x
-        probe = PromptParams.init(0, 8, 8, 1)
+        probe = PromptParams.init(0, 8, 8)
         probe.head.data[...] = np.eye(8)
         x, _ = forward_with_prompts(tokens[0], probe, backbone, {})
         # logits (-|x|^2, |x|^2, |x|^2): classes 1 and 2 tie on top
-        params = PromptParams.init(0, 8, 3, 1)
+        params = PromptParams.init(0, 8, 3)
         params.head.data[...] = [-x, x, x]
         client = make_client(0, [label])
         client.test_x = tokens
@@ -102,7 +102,7 @@ class TestEvaluateClients:
     def test_matches_per_sample_argmax_scan(self):
         backbone, _ = self._world()
         rng = np.random.default_rng(4)
-        params = PromptParams.init(0, 8, 5, 1)
+        params = PromptParams.init(0, 8, 5)
         params.head.data[...] = rng.normal(size=(5, 8))
         labels = rng.integers(0, 5, size=30)
         client = make_client(0, labels)
@@ -170,7 +170,7 @@ class TestPrototypeProbe:
     def _world(self, seed=4):
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
-        return init_backbone(seed, cfg), PromptParams.init(seed, 16, 4, 0)
+        return init_backbone(seed, cfg), PromptParams.init(seed, 16, 4)
 
     def _tokens(self, images, layer, consts=None):
         """The cls tokens entering `layer` over the pool `images`."""
@@ -196,7 +196,7 @@ class TestPrototypeProbe:
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
         backbone = init_backbone(7, cfg)
-        params = PromptParams.init(7, 16, 8, 0)
+        params = PromptParams.init(7, 16, 8)
         _, cls = forward_shard(embed_patches(ds.train_x, backbone), params,
                                backbone, {})
         acc = prototype_topk_probe(cls[2], ds.train_y, 1)
@@ -212,7 +212,7 @@ class TestPrototypeProbe:
                           mix_layers=())
         backbone = init_backbone(seed, cfg)
         _, cls = forward_shard(embed_patches(ds.train_x, backbone),
-                               PromptParams.init(seed, 16, 8, 0), backbone, {})
+                               PromptParams.init(seed, 16, 8), backbone, {})
 
         def cosine(a, b):
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -275,29 +275,28 @@ class TestPrototypeProbe:
 
 class TestCommAccounting:
     def test_vitb_twelve_rounds_totals(self):
-        report = comm_accounting(dim=768, classes=100, shared_prompts=1,
-                                 mix_layers=3, rounds=12, update_period=1)
+        report = comm_accounting(dim=768, classes=100, mix_layers=3,
+                                 rounds=12, update_period=1)
         assert report.uploaded_total == pytest.approx(4.6e6, rel=0.05)
         # exact tally: 12 * (76800 + 768 + 76800) + 12 * 230400
         assert report.uploaded_total == 4_617_216
 
     def test_no_mix_layers_no_prototype_payload(self):
-        report = comm_accounting(dim=64, classes=10, shared_prompts=2,
-                                 mix_layers=0, rounds=5)
+        report = comm_accounting(dim=64, classes=10, mix_layers=0, rounds=5)
         assert report.prototype_payload == 0
         assert report.prototype_syncs == 0
         assert report.uploaded_total == 5 * report.params_per_round
 
     def test_longer_period_halves_prototype_syncs(self):
-        r1 = comm_accounting(dim=64, classes=10, shared_prompts=1,
-                             mix_layers=2, rounds=12, update_period=1)
-        r2 = comm_accounting(dim=64, classes=10, shared_prompts=1,
-                             mix_layers=2, rounds=12, update_period=2)
+        r1 = comm_accounting(dim=64, classes=10, mix_layers=2, rounds=12,
+                             update_period=1)
+        r2 = comm_accounting(dim=64, classes=10, mix_layers=2, rounds=12,
+                             update_period=2)
         assert r2.prototype_syncs * 2 == r1.prototype_syncs
         assert (r1.uploaded_total - r2.uploaded_total
                 == 6 * r1.prototype_payload)
 
     def test_is_dataclass(self):
         assert isinstance(
-            comm_accounting(dim=2, classes=2, shared_prompts=1, mix_layers=1,
-                            rounds=1), CommReport)
+            comm_accounting(dim=2, classes=2, mix_layers=1, rounds=1),
+            CommReport)

@@ -146,7 +146,7 @@ class TestLocalTrain:
         cfg = TrainConfig(clients=1, clients_per_round=1, rounds=1,
                           local_epochs=1, batch_size=1, lr=0.05, grad_clip=1e9,
                           momentum=0.9)
-        start = PromptParams.init(11, 4, 2, 1)
+        start = PromptParams.init(11, 4, 2)
         start.head.data[...] = rng.normal(size=(2, 4))
         bank = PrototypeBank(layers=(1,), num_classes=2, dim=4,
                              tau=cfg_model.tau)
@@ -431,8 +431,7 @@ class TestPersonalizedStrategy:
         warm_startup(state)
         log = run_round(state)
         # global prompt blocks stay at initialization; head moved
-        init = PromptParams.init(15, TINY_MODEL.dim, 4,
-                                 state.cfg.shared_prompts)
+        init = PromptParams.init(15, TINY_MODEL.dim, 4)
         np.testing.assert_array_equal(state.params.shared.data,
                                       init.shared.data)
         np.testing.assert_array_equal(state.params.class_prompts.data,
@@ -467,8 +466,7 @@ class TestPersonalizedStrategy:
         run_round(state)
         (heldout,) = state.heldout
         params = state.broadcast_params(heldout)
-        init = PromptParams.init(16, TINY_MODEL.dim, 4,
-                                 state.cfg.shared_prompts)
+        init = PromptParams.init(16, TINY_MODEL.dim, 4)
         np.testing.assert_array_equal(params.shared.data, init.shared.data)
         np.testing.assert_array_equal(params.class_prompts.data,
                                       init.class_prompts.data)

@@ -34,10 +34,10 @@ SMALL = ModelConfig(dim=16, layers=4, heads=2, patch_size=8,
                     mix_layers=(2, 3))
 
 
-def make_setup(seed=0, cfg=SMALL, classes=4, n_shared=1, image_size=16):
+def make_setup(seed=0, cfg=SMALL, classes=4, image_size=16):
     rng = np.random.default_rng(seed)
     backbone = init_backbone(seed, cfg)
-    prompts = PromptParams.init(seed, cfg.dim, classes, n_shared)
+    prompts = PromptParams.init(seed, cfg.dim, classes)
     bank = PrototypeBank(layers=cfg.mix_layers, num_classes=classes,
                          dim=cfg.dim, tau=cfg.tau)
     for l in cfg.mix_layers:
@@ -454,9 +454,8 @@ def reference_run(image, prompts, backbone, cfg, bank, priors, label):
     shared, class_prompts, head = (RefTensor(block.data, requires_grad=True)
                                    for _, block in prompts.blocks())
     trace = {"cls_inputs": [], "scores": {}}
-    rows = [RefTensor(backbone.cls_embed[None, :])]
-    if shared.data.shape[1] > 0:
-        rows.append(ref_transpose(shared, tape))
+    rows = [RefTensor(backbone.cls_embed[None, :]),
+            ref_transpose(shared, tape)]
     dim = cfg.dim
     tokens = (reference_patchify(image, cfg.patch_size) @ backbone.patch_embed
               + np.zeros(dim))
@@ -500,21 +499,22 @@ def taped_run(forward, prompts, label):
 
 class TestFusedForwardReference:
     @pytest.mark.parametrize("mix_layers", [(1, 3), (2,), (3,), (1, 2, 3)])
-    @pytest.mark.parametrize("n_shared", [0, 1, 2])
+    # 1, 4 and 9 patches: the token count keys every block workspace
+    @pytest.mark.parametrize("image_size", [8, 16, 24])
     @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("classes", [5, 7])
     @pytest.mark.parametrize("zero_priors", [True, False])
     def test_matches_generic_op_forward_bit_for_bit(
-            self, monkeypatch, mix_layers, n_shared, heads, classes,
+            self, monkeypatch, mix_layers, image_size, heads, classes,
             zero_priors):
         # head and class counts change the shape of every fused kernel's
         # workspace: the attention split, the scores and the mixture
         cfg = ModelConfig(dim=16, layers=3, heads=heads, patch_size=8,
                           mix_layers=mix_layers)
-        seed = (1000 * classes + 100 * len(mix_layers) + 10 * n_shared
-                + heads)
+        seed = (1000 * classes + 100 * len(mix_layers)
+                + 10 * (image_size // 8) + heads)
         backbone, prompts, bank, priors, image = make_setup(
-            seed, cfg, classes=classes, n_shared=n_shared)
+            seed, cfg, classes=classes, image_size=image_size)
         rng = np.random.default_rng(seed)
         prompts.head.data[...] = rng.normal(size=prompts.head.data.shape)
         if zero_priors:
@@ -631,8 +631,8 @@ class TestWorkspaces:
         # mixing at layer 1, so a map also captures the embedding's output
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=8,
                           mix_layers=(1, 3))
-        backbone, prompts, bank, priors, image = make_setup(
-            40, cfg, classes=5, n_shared=2)
+        backbone, prompts, bank, priors, image = make_setup(40, cfg,
+                                                            classes=5)
         prompts.head.data[...] = np.random.default_rng(40).normal(
             size=prompts.head.data.shape)
         consts = bank.score_constants(priors)
@@ -642,7 +642,7 @@ class TestWorkspaces:
         # another dim and token count: 8 x 8 images in 4 x 4 patches
         small_cfg = ModelConfig(dim=8, layers=3, heads=2, patch_size=4,
                                 mix_layers=(2,))
-        small = make_setup(42, small_cfg, classes=3, n_shared=0, image_size=8)
+        small = make_setup(42, small_cfg, classes=3, image_size=8)
         small_consts = small[2].score_constants(small[3])
         small_tokens = embed_one(small[4], small[0])
 
@@ -681,7 +681,7 @@ class TestWorkspaces:
     def test_primitives_return_fresh_arrays(self):
         # each primitive, untaped, after a first call has filled its
         # workspace
-        backbone, prompts, bank, priors, image = make_setup(46, n_shared=1)
+        backbone, prompts, bank, priors, image = make_setup(46)
         consts = bank.score_constants(priors)
         tokens = embed_one(image, backbone)
         x = np.random.default_rng(46).normal(size=(6, SMALL.dim))
@@ -718,7 +718,7 @@ class TestWorkspaces:
         assert_no_escape([*first, *second], *consts.values())
 
     def test_two_open_tapes_of_one_shape_keep_their_gradients(self):
-        backbone, prompts, bank, priors, _ = make_setup(47, n_shared=2)
+        backbone, prompts, bank, priors, _ = make_setup(47)
         prompts.head.data[...] = np.random.default_rng(47).normal(
             size=prompts.head.data.shape)
         consts = bank.score_constants(priors)
@@ -770,7 +770,7 @@ class TestWorkspaces:
         tape.backward()
 
     def test_two_open_tapes_of_one_shape_capture_disjoint_memory(self):
-        backbone, prompts, bank, priors, _ = make_setup(50, n_shared=2)
+        backbone, prompts, bank, priors, _ = make_setup(50)
         consts = bank.score_constants(priors)
         images = np.random.default_rng(50).normal(size=(2, 16, 16))
         first, second = (self.open_tape(image, prompts.copy(), backbone,
@@ -892,54 +892,6 @@ class TestWorkspaces:
                 (t, m["dim"], m["heads"], model.MLP_MULT * m["dim"])
                 for t in (tokens, tokens + 1)}
             assert set(model._NORM_SPACES) == {(1, m["dim"])}
-
-
-class TestBlockPruning:
-    """Without shared prompts nothing trainable feeds the token matrix
-    before the first mixing layer, so the blocks there record no map.
-    That is the one place the forward prunes its maps, and the gradients
-    stay those of the reference."""
-
-    @staticmethod
-    def block_calls(monkeypatch):
-        # whether each block call, in order, recorded a map
-        calls = []
-        layer = model._transformer_layer
-
-        def recording(x, blk, heads, tape=None):
-            calls.append(tape is not None)
-            return layer(x, blk, heads, tape)
-
-        monkeypatch.setattr(model, "_transformer_layer", recording)
-        return calls
-
-    @pytest.mark.parametrize("mix_layers", [(2, 3), (3,), (1, 3), ()],
-                             ids=["2-3", "3", "1-3", "head-only"])
-    def test_no_shared_prompts_tapes_blocks_from_first_mix(
-            self, monkeypatch, mix_layers):
-        cfg = dataclasses.replace(SMALL, mix_layers=mix_layers)
-        backbone, prompts, bank, priors, image = make_setup(44, cfg,
-                                                            n_shared=0)
-        prompts.head.data[...] = np.random.default_rng(44).normal(
-            size=prompts.head.data.shape)
-        consts = bank.score_constants(priors)
-        _, ref_grads = reference_run(image, prompts, backbone, cfg, bank,
-                                     priors, 1)
-        calls = self.block_calls(monkeypatch)
-        prompts.zero_grad()
-        with te.Tape() as tape:
-            logits, _ = forward_with_prompts(embed_one(image, backbone),
-                                             prompts, backbone, consts)
-            te.cross_entropy(logits, 1)
-        tape.backward()
-        first_mix = min(mix_layers, default=cfg.layers + 1)
-        assert calls == [layer >= first_mix
-                         for layer in range(1, cfg.layers + 1)]
-        for (_, block), ref in zip(prompts.blocks(), ref_grads):
-            assert block.grad.tobytes() == ref.tobytes()
-        assert np.abs(prompts.head.grad).max() > 0
-        assert (np.abs(prompts.class_prompts.grad).max() > 0) == bool(
-            mix_layers)
 
 
 class TestPrimitiveGradients:

@@ -204,25 +204,20 @@ class TestTapeContract:
 
 
 class TestRecordedMaps:
-    """Under a tape the loss and every primitive that reads a trainable
-    block record a map; a transformer block records one only once a
-    trainable block feeds the token matrix.  That pruning shows only in
-    time, so count the maps."""
+    """Under a tape the loss and every primitive of the forward record one
+    map each: the shared prompt feeds the token matrix from the start, so
+    every block records one.  Count the maps."""
 
-    @pytest.mark.parametrize("taped, mix_layers, n_shared, maps", [
+    @pytest.mark.parametrize("taped, mix_layers, maps", [
         # no tape: nothing is recorded
-        (False, (2,), 1, 0),
+        (False, (2,), 0),
         # embedding, mix, blocks 1-3, head, loss
-        (True, (2,), 1, 1 + 1 + 3 + 1 + 1),
-        # no shared prompts: mix, blocks 2-3, head, loss
-        (True, (2,), 0, 1 + 2 + 1 + 1),
-        # neither shared prompts nor mixing: head, loss
-        (True, (), 0, 1 + 1),
+        (True, (2,), 1 + 1 + 3 + 1 + 1),
     ])
-    def test_map_count(self, taped, mix_layers, n_shared, maps):
+    def test_map_count(self, taped, mix_layers, maps):
         cfg = ModelConfig(dim=4, layers=3, heads=2, patch_size=2,
                           mix_layers=mix_layers)
-        prompts = PromptParams.init(0, cfg.dim, 3, n_shared)
+        prompts = PromptParams.init(0, cfg.dim, 3)
         bank = PrototypeBank(layers=mix_layers, num_classes=3, dim=cfg.dim,
                              tau=cfg.tau)
         for l in mix_layers:
