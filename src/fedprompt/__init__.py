@@ -32,6 +32,7 @@ from .federation import (
     RoundLog,
     ServerState,
     build_clients,
+    evaluate_state,
     fedavg_aggregate,
     init_server,
     local_train,
@@ -68,11 +69,11 @@ __all__ = [
     "SyntheticSpec", "Tape", "Tensor", "TrainingError", "TrainConfig",
     "__version__", "add_laplace_noise", "aggregate_submissions",
     "build_clients", "comm_accounting", "compute_class_priors",
-    "cross_entropy", "embed_patches", "evaluate_clients", "fedavg_aggregate",
-    "finite_diff_grad", "forward_shard", "forward_with_prompts",
-    "generate_synthetic", "gradient_check", "heldout_split", "init_backbone",
-    "init_server", "laplace_sensitivity", "load_config", "local_prototypes",
-    "local_train", "momentum_update", "partition_dirichlet",
-    "partition_pathological", "prototype_topk_probe", "run_round",
-    "run_training", "sample_clients", "warm_startup",
+    "cross_entropy", "embed_patches", "evaluate_clients", "evaluate_state",
+    "fedavg_aggregate", "finite_diff_grad", "forward_shard",
+    "forward_with_prompts", "generate_synthetic", "gradient_check",
+    "heldout_split", "init_backbone", "init_server", "laplace_sensitivity",
+    "load_config", "local_prototypes", "local_train", "momentum_update",
+    "partition_dirichlet", "partition_pathological", "prototype_topk_probe",
+    "run_round", "run_training", "sample_clients", "warm_startup",
 ]

@@ -28,7 +28,7 @@ from .config import ExperimentConfig, load_config, make_partition
 from .data import generate_synthetic, label_histograms
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import comm_accounting, evaluate_clients
-from .federation import _evaluate, init_server, run_training
+from .federation import evaluate_state, init_server, run_training
 from . import __version__
 
 def _fmt(value) -> str:
@@ -315,7 +315,7 @@ def cmd_eval(args) -> int:
                 _prompt_matrices(state))
     _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 
-    report, heldout_report = _evaluate(state)
+    report, heldout_report = evaluate_state(state)
     payload = {"participating": report.to_dict()}
     if heldout_report is not None:
         payload["heldout"] = heldout_report.to_dict()

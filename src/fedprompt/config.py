@@ -241,9 +241,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read config {path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"cannot read config {path}: not valid JSON: {exc}")
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"cannot read config {path}: not a JSON object")
     if seed_override is not None:
         raw["seed"] = seed_override
     if out_override is not None:

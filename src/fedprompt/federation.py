@@ -221,7 +221,7 @@ def _check_bank(bank: PrototypeBank, round_index: int) -> None:
                             round_index=round_index)
 
 
-def _evaluate(state: ServerState):
+def evaluate_state(state: ServerState):
     """Reports of the participating clients and of the heldout ones (None
     without heldout clients)."""
     return tuple(
@@ -233,7 +233,7 @@ def _evaluate(state: ServerState):
 
 def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog:
     """Evaluate the state after round `state.round` and record it."""
-    report, heldout = _evaluate(state)
+    report, heldout = evaluate_state(state)
     return RoundLog(
         round=state.round,
         train_loss=train_loss,

@@ -1,7 +1,7 @@
 """Frozen transformer backbone with trainable prompt slots.
 
 The backbone is a small pre-LN vision transformer whose weights never
-receive gradients.  Three parameter blocks train: a shared prompt block
+receive gradients.  Three parameter blocks train: a shared prompt token
 prepended to the token sequence at the first layer, one set of class
 prompt columns mixed into a per-sample token at designated intermediate
 layers, and the classification head applied to the final cls token.
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as te
 from .errors import ConfigError
-from .prototypes import ScoreConstants, soft_scores_op
+from .prototypes import PrototypeBank, ScoreConstants, soft_scores_op
 from .seeding import derive_rng
 
 INIT_SCALE = 0.02
@@ -129,6 +129,13 @@ class PromptParams:
     shared: te.Tensor       # (dim, 1)
     class_prompts: te.Tensor  # (dim, classes)
     head: te.Tensor         # (classes, dim)
+
+    def __post_init__(self):
+        # every run has one shared token, the one row `_embed` writes
+        expected = (self.class_prompts.data.shape[0], 1)
+        if self.shared.data.shape != expected:
+            raise ValueError(f"shared prompt block must be {expected}, "
+                             f"got {self.shared.data.shape}")
 
     @classmethod
     def init(cls, seed: int, dim: int, classes: int) -> "PromptParams":
@@ -323,14 +330,13 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
 def _embed(tokens, shared: te.Tensor, backbone: BackboneWeights, tape=None):
     """Token matrix [cls, shared prompt, patch tokens] as one primitive;
     its map adds into the shared prompt and has no input to pass on."""
-    n_shared = shared.data.shape[1]
-    seq = np.empty((1 + n_shared + len(tokens), backbone.cls_embed.size))
+    seq = np.empty((2 + len(tokens), backbone.cls_embed.size))
     seq[0] = backbone.cls_embed
-    seq[1:1 + n_shared] = shared.data.T
-    seq[1 + n_shared:] = tokens
+    seq[1] = shared.data[:, 0]
+    seq[2:] = tokens
     if tape is not None:
         def backward(g):
-            shared.grad += g[1:1 + n_shared].T
+            shared.grad[:, 0] += g[1]
 
         tape.record(backward)
     return seq
@@ -436,8 +442,6 @@ def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int =
 
     Returns {"shared": err, "class": err, "head": err, "max": err}.
     """
-    from .prototypes import PrototypeBank  # local import to avoid cycle noise
-
     mid = max(1, layers // 2)
     cfg = ModelConfig(dim=dim, layers=layers, heads=heads,
                       patch_size=GRADCHECK_PATCH,

@@ -1032,19 +1032,35 @@ class TestForward:
         for arr in backbone_arrays(backbone):
             assert np.isfinite(arr).all()
 
-    def test_prompt_free_baseline_depends_only_on_input(self):
+    def test_without_mixing_class_prompts_do_not_change_logits(self):
         cfg = dataclasses.replace(SMALL, mix_layers=())
         backbone = init_backbone(12, cfg)
         head = np.random.default_rng(12).normal(size=(4, cfg.dim))
-        a = PromptParams.from_arrays(np.zeros((cfg.dim, 0)),
+        a = PromptParams.from_arrays(np.zeros((cfg.dim, 1)),
                                      np.zeros((cfg.dim, 4)), head)
-        b = PromptParams.from_arrays(np.zeros((cfg.dim, 0)),
+        b = PromptParams.from_arrays(np.zeros((cfg.dim, 1)),
                                      np.ones((cfg.dim, 4)) * 9.0, head)
         tokens = embed_one(np.random.default_rng(13).normal(size=(16, 16)),
                            backbone)
         la, _ = forward_with_prompts(tokens, a, backbone, {})
         lb, _ = forward_with_prompts(tokens, b, backbone, {})
         np.testing.assert_array_equal(la, lb)
+
+
+class TestPromptParams:
+    @pytest.mark.parametrize("rows, cols", [(16, 0), (16, 3), (17, 1)])
+    @pytest.mark.parametrize("build", ["from_arrays", "constructor"])
+    def test_shared_block_other_than_one_token_rejected(self, build, rows,
+                                                        cols):
+        # every run has one shared prompt token, a (dim, 1) block
+        arrays = (np.zeros((rows, cols)), np.zeros((16, 4)),
+                  np.zeros((4, 16)))
+        make = (PromptParams.from_arrays if build == "from_arrays" else
+                lambda *a: PromptParams(*map(te.Tensor, a)))
+        with pytest.raises(ValueError) as err:
+            make(*arrays)
+        assert str(err.value) == (
+            f"shared prompt block must be (16, 1), got ({rows}, {cols})")
 
 
 class TestForwardShard:
