@@ -25,7 +25,6 @@ from .evaluation import (
     comm_accounting,
     evaluate_clients,
     heldout_split,
-    prototype_topk_probe,
 )
 from .federation import (
     ClientState,
@@ -74,6 +73,6 @@ __all__ = [
     "forward_with_prompts", "generate_synthetic", "gradient_check",
     "heldout_split", "init_backbone", "init_server", "laplace_sensitivity",
     "load_config", "local_prototypes", "local_train", "momentum_update",
-    "partition_dirichlet", "partition_pathological", "prototype_topk_probe",
-    "run_round", "run_training", "sample_clients", "warm_startup",
+    "partition_dirichlet", "partition_pathological", "run_round",
+    "run_training", "sample_clients", "warm_startup",
 ]

@@ -227,7 +227,7 @@ def _unique_keys(pairs) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ConfigError(f"config repeats the key {key!r}")
+            raise ConfigError(f"repeats the key {key!r}")
         out[key] = value
     return out
 
@@ -242,6 +242,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
         raise ConfigError(f"cannot read config {path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read config {path}: not valid JSON: {exc}")
+    except ConfigError as exc:  # a repeated key, from `_unique_keys`
+        raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"cannot read config {path}: not a JSON object")
     if seed_override is not None:

@@ -10,7 +10,7 @@ class DataError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Local training failed; carries round/client context."""
+    """Local training failed; the message names its round (and client)."""
 
     def __init__(self, message, round_index=None, client_id=None):
         context = ", ".join(f"{key}={value}" for key, value in (
@@ -18,5 +18,3 @@ class TrainingError(RuntimeError):
         if context:
             message = f"{message} ({context})"
         super().__init__(message)
-        self.round_index = round_index
-        self.client_id = client_id

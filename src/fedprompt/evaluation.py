@@ -1,5 +1,5 @@
-"""Accuracy metrics, heldout splitting, the prototype probe, and the
-closed-form communication accounting."""
+"""Accuracy metrics, heldout splitting, and the closed-form communication
+accounting."""
 
 import csv
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import forward_shard
-from .prototypes import local_prototypes
 from .seeding import derive_rng
 
 
@@ -17,7 +16,7 @@ class EvalReport:
     per_client: dict            # client id -> accuracy
     mean_acc: float
     worst_acc: float
-    skipped_empty: int = 0
+    skipped_empty: int
 
     def to_dict(self):
         return {
@@ -83,33 +82,6 @@ def heldout_split(client_ids, participating_fraction: float, seed: int):
     return participating, heldout
 
 
-def prototype_topk_probe(tokens, labels, k: int) -> float:
-    """Top-k accuracy of nearest-prototype classification on one layer's
-    (N, dim) incoming cls tokens, as `forward_shard` returns them in
-    `cls[l - 1]`.
-
-    Prototypes are the per-class means of the tokens over the pool
-    (`local_prototypes`, which rejects a label count that differs from the
-    tokens' or a negative label); each token is then ranked against them
-    by cosine similarity, 0 against a zero vector, ties going to the lower
-    class.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ConfigError("probe pool is empty")
-    if k < 1:
-        raise ConfigError(f"probe k must be >= 1, got {k}")
-    tokens = np.asarray(tokens, dtype=np.float64)
-    protos = local_prototypes(tokens[None], labels, int(labels.max()) + 1,
-                              (1,))[0][1]
-    norms = np.outer(np.linalg.norm(tokens, axis=1),
-                     np.linalg.norm(protos, axis=1))
-    sims = np.divide(tokens @ protos.T, norms, out=np.zeros_like(norms),
-                     where=norms != 0.0)
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    return int(np.count_nonzero(top == labels[:, None])) / labels.size
-
-
 @dataclass(frozen=True)
 class CommReport:
     """Per-client communication tallies, in parameter counts."""
@@ -133,12 +105,11 @@ def comm_accounting(dim: int, classes: int, mix_layers: int, rounds: int,
     params = classes * dim + dim + dim * classes
     prototype_payload = mix_layers * classes * dim
     syncs = rounds // update_period if mix_layers else 0
-    uploaded = rounds * params + syncs * prototype_payload
-    downloaded = rounds * params + syncs * prototype_payload
+    total = rounds * params + syncs * prototype_payload
     return CommReport(
         params_per_round=params,
         prototype_payload=prototype_payload,
         prototype_syncs=syncs,
-        uploaded_total=uploaded,
-        downloaded_total=downloaded,
+        uploaded_total=total,
+        downloaded_total=total,
     )

@@ -261,7 +261,7 @@ def run_round(state: ServerState) -> RoundLog:
         trained.append(params)
         losses.append(loss)
 
-    if state.cfg.strategy == "personalized":
+    if state.personal:  # filled by `init_server` under `personalized` only
         # the global prompt blocks keep their initial values
         head = np.zeros_like(state.params.head.data)
         for cid, params in zip(chosen, trained):

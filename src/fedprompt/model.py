@@ -434,8 +434,8 @@ def forward_shard(tokens, prompts: PromptParams, backbone: BackboneWeights,
     return logits, cls
 
 
-def gradient_check(seed: int = 0, dim: int = 16, layers: int = 4, classes: int = 4,
-                   heads: int = 2) -> dict:
+def gradient_check(seed: int, dim: int, layers: int, classes: int,
+                   heads: int) -> dict:
     """Compare tape gradients of the trainable blocks against central
     finite differences on a randomly initialized prompted model that
     mixes at its middle layer and the one after it.

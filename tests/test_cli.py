@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from openblas_core import loaded_core
 
 import fedprompt
 from fedprompt import cli
@@ -162,8 +163,10 @@ class TestRunCommand:
                 if command == "eval" else [command, "--config", str(path)])
         assert main(args) == 2
         key = "seed" if section is None else "rounds"
+        # the path says which file repeats it, a saved run's under eval
         assert capsys.readouterr().err == (
-            f"config error: config repeats the key {key!r}\n")
+            f"config error: cannot read config {path}: repeats the key "
+            f"{key!r}\n")
         if command == "eval":
             assert not (tmp_path / "run" / "eval_report.json").exists()
         else:
@@ -1330,72 +1333,184 @@ class TestEvalCommand:
             f"config error: no prototypes.csv in {tmp_path / 'run'}\n")
 
 
-GOLDEN_METRICS = {
-    # with no mix layer set (see `small_config`): the bytes it wrote with
-    # one show that shared_only never read it
-    "shared_only": ({"strategy": "shared_only"},
-                    "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675"),
-    "mixed": ({"strategy": "mixed"},
-              "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd"),
-    "mixed_no_prior": ({"strategy": "mixed_no_prior"},
-                       "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9"),
-    "personalized": ({"strategy": "personalized"},
-                     "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083"),
-    "mixed_dp_period2": ({"strategy": "mixed", "dp_epsilon": 1.0, "update_period": 2},
-                         "cdc80caac342050a2b5d3d862e2562a48ec251e49abd03c47f2f993e48ca79af"),
+# the train overrides of each golden run of `small_config`, with a heldout
+# fraction of 0.34; shared_only sets no mix layer (see `small_config`): the
+# bytes it wrote with one show that shared_only never read it
+GOLDEN_TRAIN = {
+    "shared_only": {"strategy": "shared_only"},
+    "mixed": {"strategy": "mixed"},
+    "mixed_no_prior": {"strategy": "mixed_no_prior"},
+    "personalized": {"strategy": "personalized"},
+    "mixed_dp_period2": {"strategy": "mixed", "dp_epsilon": 1.0,
+                         "update_period": 2},
 }
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# each benchmark workload at seed 0, cut to 2 rounds: the real model, and
-# in desk and eval-heavy the only pinned runs that replace the mixed token
-# at later layers
-WORKLOAD_METRICS = {
-    "desk": "c87723e717b7dc34b304e0bf8f86df5e27fa484c38deef9be9ad38663131960c",
-    "eval-heavy": "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
-    "train-heavy": "a4c4aeda1ff1380cb8675186f380760fbd683565b58e024b5c88e6dd1a2068cc",
-}
-# the same workloads at seed 1, also cut to 2 rounds
-WORKLOAD_METRICS_SEED1 = {
-    "desk": "8c86c9ca2221502c0e1aed26b89c4549f920bcd60fe235f35dd4f2d4ad40faf7",
-    "eval-heavy": "15ff0c38ef4dce0d7813c2d5803cca93b60550cc811acfcaaf4ec78ef9db3e03",
-    "train-heavy": "60327ed75c0e1ac66879ffc528ab7d761879ca217adf818fbd05ea90f9e7b658",
+# each benchmark workload at seeds 0 and 1, cut to 2 rounds: the real
+# model, and in desk and eval-heavy the only pinned runs that replace the
+# mixed token at later layers
+GOLDEN_WORKLOADS = ("desk", "eval-heavy", "train-heavy")
+GOLDEN_CASES = (*sorted(GOLDEN_TRAIN), *GOLDEN_WORKLOADS,
+                *(f"{w}-seed1" for w in GOLDEN_WORKLOADS))
+
+# of each golden run, by the OpenBLAS core the process loaded (each core's
+# GEMM kernels round in their own order): the sha256 of metrics.csv, then
+# one sha256 over prompts.csv, prototypes.csv, client_accuracy.csv and
+# final_report.json, in that order; on a core without an entry the test
+# fails and prints the digests it computed.  All four were recorded on one
+# x86-64 host, the others under OPENBLAS_CORETYPE (Prescott loads Katmai)
+GOLDEN = {
+    "SkylakeX": {
+        "mixed": (
+            "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd",
+            "f71be0fbc8e874ad41af3b77e8564cb2c1953a80fc7a73df175246fef8120756"),
+        "mixed_dp_period2": (
+            "cdc80caac342050a2b5d3d862e2562a48ec251e49abd03c47f2f993e48ca79af",
+            "4e03bfd6ea20dfe464ee0475bbf7f034089e9204c74c82441e48e8e901d28882"),
+        "mixed_no_prior": (
+            "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9",
+            "0530757d0cfa1450db5409dc12c2772585acfdc854860a7fdeb7516d061282c1"),
+        "personalized": (
+            "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083",
+            "352fe76960885a0a6f2ed6530ea4c8a9d182f27e4cd703d8b41c3d8afcecd07b"),
+        "shared_only": (
+            "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675",
+            "9c227a56a98c818642e059247984a121dafbef520130cd5fcc793152169cdf94"),
+        "desk": (
+            "c87723e717b7dc34b304e0bf8f86df5e27fa484c38deef9be9ad38663131960c",
+            "4973226c56af868e6e41b7fac9c89eeefd3f3bf15becff059ba57574664d1c29"),
+        "eval-heavy": (
+            "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
+            "9574a06dd89bfe688827c5f62d7e67ff54877a2a1e48dfe6f51957ca682168a0"),
+        "train-heavy": (
+            "a4c4aeda1ff1380cb8675186f380760fbd683565b58e024b5c88e6dd1a2068cc",
+            "eac7373dc3f4b310e59a69e3b3f894da294d2f81a263cb60be71543442d77f38"),
+        "desk-seed1": (
+            "8c86c9ca2221502c0e1aed26b89c4549f920bcd60fe235f35dd4f2d4ad40faf7",
+            "00594f920800a4dc0bb8997bbcec0f10714d1a5964207895e5cc3bf4d37d9093"),
+        "eval-heavy-seed1": (
+            "15ff0c38ef4dce0d7813c2d5803cca93b60550cc811acfcaaf4ec78ef9db3e03",
+            "adee922399a9bcd5f5c3b69958f638ae06a1c19764017ac1e7fae2ac05a9b78f"),
+        "train-heavy-seed1": (
+            "60327ed75c0e1ac66879ffc528ab7d761879ca217adf818fbd05ea90f9e7b658",
+            "49bb9dab31727be116604c50ba34d11df909442ccd3bcb8b2b010ef4d0dba91b"),
+    },
+    "Haswell": {
+        "mixed": (
+            "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd",
+            "0ded625458a15f470f5cd975ac92cb394f0f67a989940843b3f77f5dcf8742a7"),
+        "mixed_dp_period2": (
+            "cdc80caac342050a2b5d3d862e2562a48ec251e49abd03c47f2f993e48ca79af",
+            "d062d2f1c3cb987875c47f5049aaab63863f654218f4c0985936f5c26f661f62"),
+        "mixed_no_prior": (
+            "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9",
+            "761b5d1ad9a99c01daeae9bdc2ffb66137b262706f0bfaf84d74295fd84ea39d"),
+        "personalized": (
+            "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083",
+            "2f905929df81777c6b97b2ff446b20df8c6a38fb54849a389097fd8e52de513e"),
+        "shared_only": (
+            "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675",
+            "c1f8655b8eaab9eb9b7310002527ddf33f5796220bf67bc8a668ea9526ddc7d1"),
+        "desk": (
+            "954b2e4976b55389b1ab36046aa6e5171d517abd6fb1f744a1832937f1f8249e",
+            "891be1bb6371994b208bdf9013a0fc257b610958870329037ad676ccb1613ef0"),
+        "eval-heavy": (
+            "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
+            "a99248c165a415e43cb45d40d8c678b3a3f8ed607cbadcb51c94f4584af3d14c"),
+        "train-heavy": (
+            "a0d7cc56357063467eea4d5cdfae6f2af0eed814c197ca91cdf33aacedb6baa8",
+            "c0a468ad9967b10cce60b5b0b4735876afeb151dcec177f1cdf5bce944723c55"),
+        "desk-seed1": (
+            "9713fee35a047cdf3ecb7698676e65e61ed58b766ce5b4bc8697648bc7a9ad67",
+            "3e7ab3f1b00e278b9b32da02a15478ccb1fa1c7d096bc6cf7e865d00a5e5bb8e"),
+        "eval-heavy-seed1": (
+            "15ff0c38ef4dce0d7813c2d5803cca93b60550cc811acfcaaf4ec78ef9db3e03",
+            "a1206258d9c33e5b05218b0d9275efb05efb38cd5dea67fc33085d06c85ea6df"),
+        "train-heavy-seed1": (
+            "85da7897755daf5603da219a6767b47644ded322a16d845b2b1bad423d220a83",
+            "36e87639f89348cb864ff9efb3b2961d492c4268b261f042e072fddf43828c87"),
+    },
+    "Sandybridge": {
+        "mixed": (
+            "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd",
+            "2b9541d9e03e604cbcff4739a1e224bf6108a01474d9842f0d581f8c2c26379a"),
+        "mixed_dp_period2": (
+            "c40baa8c90f660a647d3def29988b536c2264ce866445ce94ae2a6c1d1ebef0a",
+            "c268650b82ae9303fc9485d13ea4ef689486173829ab451858c71974eb4dc562"),
+        "mixed_no_prior": (
+            "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9",
+            "e5a92fda163c66a8916353a13f22195940977042f2ab2284afb021f97da94b09"),
+        "personalized": (
+            "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083",
+            "5924ddf69ca4238782ec4fe8c33ef3b4ccfaa69fe08192cbb07d9985b09cfa0c"),
+        "shared_only": (
+            "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675",
+            "9d785d6ad319593fc3a4820258b7a008f3ae527b5c545b481c13c9e176630eea"),
+        "desk": (
+            "954b2e4976b55389b1ab36046aa6e5171d517abd6fb1f744a1832937f1f8249e",
+            "0a90e8ce45c5c79f5db5159a20439eb8051795ca7995a5603ee1d158d4a98421"),
+        "eval-heavy": (
+            "bccea7b531623737eeefcc757148340901035fb5fde689e9047a0f377e6f7cf1",
+            "7ef02c3584826ca38f8050d9e68f56f7864f1b514c9b5d7373b6b7d7a4bc98eb"),
+        "train-heavy": (
+            "ddd9c57898eaadd005a0f62b4dfcf81ff3666f2ce095350aa653481c8ff894ec",
+            "e849a6e9a7eb2cc6294e421e5eadf843c6c3c165e8b8d2c0638bdc6852b39285"),
+        "desk-seed1": (
+            "f636be5b679804b77621b6612092daabaa13a6faefb72a23c660b1d0c8bb8dd6",
+            "dea195b0857722ace69216161ffc8891d4e826f56fe175ff6d68c1f344070dde"),
+        "eval-heavy-seed1": (
+            "a249d367dab536f952619ce24d0e8833b979ac6f28ebdf91685f0ea1edb55aae",
+            "6a6c4f286497dcc1f38351d209f054a7e38ef4a4c6071e8c6756c29c7b5b8350"),
+        "train-heavy-seed1": (
+            "9b5c63c4576f85bbb5756d5c5f9f4d2ae1afc200315f1b1e291faac0ffd5639a",
+            "bc9c4df1ac3f9f10f57c89af06296dc42d30975630d83b1fd269947d82deafc3"),
+    },
+    "Katmai": {
+        "mixed": (
+            "b0bcdd2717c94c4a2f5f10becabb5829772b1f2000ed0236780f076b75e52fdd",
+            "d7bf16a14dd2b4de18d6af1fd50adf0188b9196963819ae3acd267f39ef448a1"),
+        "mixed_dp_period2": (
+            "c40baa8c90f660a647d3def29988b536c2264ce866445ce94ae2a6c1d1ebef0a",
+            "a861c72ff3ccd9011694c10fc32fa9a5be934cd6d1cefdbec662d5d440a7204d"),
+        "mixed_no_prior": (
+            "572e3134a51d9c6189ef3757b2af3c6fe1e6d03a33fb03ac3c87b60bde5309b9",
+            "8be1c1d8467b63e8b582fc375a697706988410114554710d621571c359bddc53"),
+        "personalized": (
+            "30492211452a24e0c1274be2002639d72c0f62ac4db127991bff2fc28413d083",
+            "47ea2bd54d1943351ed856e80684180e94bc6084027ebcc4818b4cc5f40d40cc"),
+        "shared_only": (
+            "361b87e57a5da86aa11bb0121da6931512221e91dfe15efc9fd33fc95c738675",
+            "9d785d6ad319593fc3a4820258b7a008f3ae527b5c545b481c13c9e176630eea"),
+        "desk": (
+            "954b2e4976b55389b1ab36046aa6e5171d517abd6fb1f744a1832937f1f8249e",
+            "d2dbde722e39e09707ff0f84720124c801014561d100341a9edf37ab8bbed399"),
+        "eval-heavy": (
+            "1f38fb3a18d779709d78f24f986b84ed8f572303dd4a2fa625dbe83352b109ca",
+            "4a77475d7e389190dd683bca4d54181086da9e1f07aeb27c347b37a724af9c13"),
+        "train-heavy": (
+            "b0207dcf0a9c9c3293aa4380a06f1cd4e27dee3705f1937cf048f0481b42a596",
+            "301af10caecb24f084d99a3eb6d93304add76349b96bd213631b2c3c617e893b"),
+        "desk-seed1": (
+            "8c86c9ca2221502c0e1aed26b89c4549f920bcd60fe235f35dd4f2d4ad40faf7",
+            "8769fccabbe4fba48431ef1881f5624a8ec57494be8f82182b9211eade0aebc6"),
+        "eval-heavy-seed1": (
+            "a249d367dab536f952619ce24d0e8833b979ac6f28ebdf91685f0ea1edb55aae",
+            "dd1787627fb43450c29ddfd8f3952797dbef5904be220ac34e67d52d6df752f8"),
+        "train-heavy-seed1": (
+            "2e42e76e26e8729e6f30b3524fa03cef09d83638042f35ce2cd3946f07b8d997",
+            "8d8bc73b6e4507bfcf59f4906330d04a94f8467a56bf00a6d567d4f792e69dff"),
+    },
 }
 
-# of each run above, one sha256 over prompts.csv, prototypes.csv,
-# client_accuracy.csv and final_report.json, in that order
-GOLDEN_ARTIFACTS = {
-    "shared_only":
-        "9c227a56a98c818642e059247984a121dafbef520130cd5fcc793152169cdf94",
-    "mixed": "f71be0fbc8e874ad41af3b77e8564cb2c1953a80fc7a73df175246fef8120756",
-    "mixed_no_prior":
-        "0530757d0cfa1450db5409dc12c2772585acfdc854860a7fdeb7516d061282c1",
-    "personalized":
-        "352fe76960885a0a6f2ed6530ea4c8a9d182f27e4cd703d8b41c3d8afcecd07b",
-    "mixed_dp_period2":
-        "4e03bfd6ea20dfe464ee0475bbf7f034089e9204c74c82441e48e8e901d28882",
-    "desk": "4973226c56af868e6e41b7fac9c89eeefd3f3bf15becff059ba57574664d1c29",
-    "eval-heavy":
-        "9574a06dd89bfe688827c5f62d7e67ff54877a2a1e48dfe6f51957ca682168a0",
-    "train-heavy":
-        "eac7373dc3f4b310e59a69e3b3f894da294d2f81a263cb60be71543442d77f38",
-    "desk-seed1":
-        "00594f920800a4dc0bb8997bbcec0f10714d1a5964207895e5cc3bf4d37d9093",
-    "eval-heavy-seed1":
-        "adee922399a9bcd5f5c3b69958f638ae06a1c19764017ac1e7fae2ac05a9b78f",
-    "train-heavy-seed1":
-        "49bb9dab31727be116604c50ba34d11df909442ccd3bcb8b2b010ef4d0dba91b",
-}
 
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS) + sorted(WORKLOAD_METRICS)
-                         + [f"{w}-seed1" for w in sorted(WORKLOAD_METRICS_SEED1)])
+@pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_metrics_bytes_match_golden(tmp_path, name):
-    # pinned bytes: a refactor of any strategy must leave its metrics.csv
-    # unchanged to the last bit
+    # pinned bytes: a refactor of any strategy must leave every artifact
+    # it writes, config.json aside, which holds the output path, unchanged
+    # to the last bit
     workload, seed = name.removesuffix("-seed1"), int(name.endswith("-seed1"))
-    if workload in WORKLOAD_METRICS:
-        digest = (WORKLOAD_METRICS_SEED1 if seed else WORKLOAD_METRICS)[workload]
+    if workload in GOLDEN_WORKLOADS:
         raw = json.loads(
             (ROOT / "perfbench" / "workloads" / f"{workload}.json").read_text())
         raw.update(seed=seed, out_dir=str(tmp_path / "run"))
@@ -1403,17 +1518,45 @@ def test_metrics_bytes_match_golden(tmp_path, name):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
     else:
-        train, digest = GOLDEN_METRICS[name]
-        path, _ = small_config(tmp_path, heldout_fraction=0.34, train=train)
+        path, _ = small_config(tmp_path, heldout_fraction=0.34,
+                               train=GOLDEN_TRAIN[name])
     assert main(["run", "--config", str(path)]) == 0
-    data = (tmp_path / "run" / "metrics.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
-    # and every other artifact a run writes, config.json aside, which
-    # holds the output path
+    metrics = hashlib.sha256((tmp_path / "run" / "metrics.csv").read_bytes())
     artifacts = hashlib.sha256()
     for artifact in ARTIFACTS[2:]:
         artifacts.update((tmp_path / "run" / artifact).read_bytes())
-    assert artifacts.hexdigest() == GOLDEN_ARTIFACTS[name]
+    digests = (metrics.hexdigest(), artifacts.hexdigest())
+    core = loaded_core()
+    assert name in GOLDEN.get(core, {}), (
+        f"no golden digests of {name} under OpenBLAS core {core}; "
+        f"this run gave {digests}")
+    assert digests == GOLDEN[core][name]
+
+
+@pytest.mark.parametrize("core", sorted(GOLDEN))
+def test_golden_table_holds_every_case_under_each_core(core):
+    # a case missing under one core fails only on a host that loads that
+    # core, so every host checks that each core pins every case
+    assert sorted(GOLDEN[core]) == sorted(GOLDEN_CASES)
+    for digests in GOLDEN[core].values():
+        assert len(digests) == 2
+        assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests)
+
+
+@pytest.mark.parametrize("forced, core", [
+    ("Haswell", "Haswell"), ("Sandybridge", "Sandybridge"),
+    ("Prescott", "Katmai"),
+])
+def test_loaded_core_follows_the_child_environment(forced, core):
+    # the golden table is keyed by what `loaded_core` reads: a child given
+    # OPENBLAS_CORETYPE in its own environment loads that core, and
+    # Prescott loads the Katmai kernels, hence that key
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import openblas_core; print(openblas_core.loaded_core())"],
+        cwd=ROOT / "tests", env=dict(os.environ, OPENBLAS_CORETYPE=forced),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"{core}\n")
 
 
 def test_every_text_file_is_opened_as_utf8(tmp_path):
@@ -1486,15 +1629,10 @@ def test_all_lists_exactly_the_public_imports():
     assert public == set(exported) - {"__version__"}
 
 
-# library entry points that nothing in src/ calls: the prototype probe
-LIBRARY_ENTRY_POINTS = {"prototype_topk_probe"}
-
-
 def test_every_top_level_definition_is_used():
     # a top-level function or class that no other line of src/ names is
     # dead code, and so is a method or property of a top-level class that
-    # nothing else names; an export in `__init__` is not a use, so only
-    # the entry points listed above may go unnamed
+    # nothing else names; an export in `__init__` is not a use
     import ast
 
     def definitions(tree):
@@ -1508,7 +1646,6 @@ def test_every_top_level_definition_is_used():
                     if isinstance(method, ast.FunctionDef)
                     and not re.fullmatch(r"__\w+__", method.name))
 
-    assert LIBRARY_ENTRY_POINTS <= set(fedprompt.__all__)
     sources = {path: path.read_text()
                for path in Path(fedprompt.__file__).parent.glob("*.py")
                if path.name != "__init__.py"}
@@ -1524,8 +1661,7 @@ def test_every_top_level_definition_is_used():
             if not any(re.search(rf"\b{node.name}\b", use)
                        for use in [rest, *others]):
                 unused.add(node.name)
-    # an entry point that src/ comes to call leaves the list
-    assert unused == LIBRARY_ENTRY_POINTS
+    assert unused == set()
 
 
 def test_no_module_imports_a_private_name():
@@ -1542,6 +1678,25 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_")
                     and not alias.name.startswith("__"))
     assert private == set()
+
+
+def test_only_init_server_reads_the_strategy():
+    # `init_server` turns `train.strategy` into state (the bank, the
+    # priors, the clients' own prompts), so no later code branches on it;
+    # `_final_report` only copies it out, and config.py defines and checks it
+    import ast
+
+    readers = set()
+    for path in Path(fedprompt.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                readers.update(
+                    (path.stem, node.name) for attr in ast.walk(node)
+                    if isinstance(attr, ast.Attribute)
+                    and attr.attr == "strategy")
+    assert readers == {("federation", "init_server"), ("cli", "_final_report")}
 
 
 def test_readme_config_block_names_every_field():

@@ -3,19 +3,18 @@ import pytest
 
 from fedprompt.config import ExperimentConfig, TrainConfig
 from fedprompt.data import PartitionSpec, SyntheticSpec, generate_synthetic
-from fedprompt.errors import ConfigError, DataError
+from fedprompt.errors import ConfigError
 from fedprompt.evaluation import (
     CommReport,
     comm_accounting,
     evaluate_clients,
     heldout_split,
-    prototype_topk_probe,
 )
 from fedprompt.federation import ClientState, init_server, run_training
-from fedprompt import model
 from fedprompt.model import (ModelConfig, PromptParams, embed_patches,
-                             forward_shard, forward_with_prompts, init_backbone)
-from fedprompt.prototypes import PrototypeBank
+                             forward_shard, forward_with_prompts,
+                             init_backbone)
+from fedprompt.prototypes import ScoreConstants, local_prototypes
 
 
 def make_client(cid, test_y, priors=None):
@@ -166,111 +165,25 @@ class TestHeldoutSplit:
         assert all(log.heldout_mean_acc is not None for log in logs)
 
 
-class TestPrototypeProbe:
-    def _world(self, seed=4):
-        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
-                          mix_layers=())
-        return init_backbone(seed, cfg), PromptParams.init(seed, 16, 4)
-
-    def _tokens(self, images, layer, consts=None):
-        """The cls tokens entering `layer` over the pool `images`."""
-        backbone, params = self._world()
-        _, cls = forward_shard(embed_patches(images, backbone), params,
-                               backbone, consts or {})
-        return cls[layer - 1]
-
-    def test_single_class_pool_top1(self):
-        images = np.random.default_rng(5).normal(size=(6, 8, 8))
-        assert prototype_topk_probe(self._tokens(images, 2), [0] * 6, 1) == 1.0
-
-    def test_k_equals_classes_is_one(self):
-        rng = np.random.default_rng(6)
-        images = rng.normal(size=(12, 8, 8))
-        labels = rng.integers(0, 4, size=12)
-        assert prototype_topk_probe(self._tokens(images, 3), labels, 4) == 1.0
-
-    def test_separated_data_beats_chance_at_mid_layers(self):
+class TestMixingScoreRanking:
+    def test_separated_data_ranks_the_true_class_first_at_mid_layers(self):
+        # how well a layer's cls tokens tell the classes apart is read from
+        # the scores that mixing weights the class prompts with: their top-1
+        # and the mass they put on the true class
         spec = SyntheticSpec(classes=8, train_per_class=20, test_per_class=1,
                              image_size=8, separation=2.0, noise=0.3)
         ds = generate_synthetic(spec, 7)
         cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
                           mix_layers=())
         backbone = init_backbone(7, cfg)
-        params = PromptParams.init(7, 16, 8)
-        _, cls = forward_shard(embed_patches(ds.train_x, backbone), params,
-                               backbone, {})
-        acc = prototype_topk_probe(cls[2], ds.train_y, 1)
-        # chance for top-1 over 8 classes is 0.125
-        assert acc > 0.5
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_pair_reference(self, seed):
-        spec = SyntheticSpec(classes=8, train_per_class=20, test_per_class=1,
-                             image_size=8, separation=2.0, noise=0.3)
-        ds = generate_synthetic(spec, seed)
-        cfg = ModelConfig(dim=16, layers=4, heads=2, patch_size=4,
-                          mix_layers=())
-        backbone = init_backbone(seed, cfg)
         _, cls = forward_shard(embed_patches(ds.train_x, backbone),
-                               PromptParams.init(seed, 16, 8), backbone, {})
-
-        def cosine(a, b):
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            return 0.0 if na == 0.0 or nb == 0.0 else float(a @ b) / (na * nb)
-
-        for tokens in cls[:4]:
-            protos = np.stack([tokens[ds.train_y == c].mean(axis=0)
-                               for c in range(8)])
-            for k in (1, 2, 3):
-                hits = sum(
-                    y in np.argsort([-cosine(t, p) for p in protos],
-                                    kind="stable")[:k]
-                    for t, y in zip(tokens, ds.train_y))
-                assert prototype_topk_probe(tokens, ds.train_y, k) == (
-                    hits / ds.train_y.size)
-
-    @pytest.mark.parametrize("k", [0, -2])
-    def test_out_of_range_arguments_rejected(self, k):
-        images = np.random.default_rng(8).normal(size=(4, 8, 8))
-        with pytest.raises(ConfigError, match=f"probe k must be >= 1, got {k}"):
-            prototype_topk_probe(self._tokens(images, 2), [0, 1, 0, 1], k)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ConfigError, match="probe pool is empty"):
-            prototype_topk_probe(np.zeros((0, 16)), [], 1)
-
-    @pytest.mark.parametrize("rows, labels, message", [
-        (3, [0, 1], "3 cls tokens for 2 labels"),
-        (2, [0, -1], "labels must be >= 0, got -1"),
-    ])
-    def test_tokens_and_labels_must_agree(self, rows, labels, message):
-        with pytest.raises(DataError, match=message):
-            prototype_topk_probe(np.ones((rows, 4)), labels, 1)
-
-    def test_tokens_of_a_mixing_forward(self):
-        bank = PrototypeBank(layers=(2,), num_classes=4, dim=16, tau=0.05)
-        images = np.random.default_rng(9).normal(size=(4, 8, 8))
-        tokens = self._tokens(images, 4,
-                              consts=bank.score_constants(np.full(4, 0.25)))
-        assert prototype_topk_probe(tokens, [0, 1, 0, 1], 2) == 1.0
-
-    def test_runs_no_forward(self, monkeypatch):
-        images = np.random.default_rng(5).normal(size=(6, 8, 8))
-        tokens = self._tokens(images, 3)
-
-        def no_forward(*args, **kwargs):
-            raise AssertionError("the probe ran a forward")
-
-        monkeypatch.setattr(model, "forward_with_prompts", no_forward)
-        assert prototype_topk_probe(tokens, [0, 1, 2] * 2, 3) == 1.0
-
-    def test_zero_vectors_score_zero(self):
-        # class 1's prototype is the zero vector: it outranks class 0's
-        # only for a token at negative similarity to that one, and the zero
-        # token ties both classes at 0, so it ranks class 0 first
-        tokens = np.array([[1.0, 0.0], [3.0, 0.0],
-                           [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        assert prototype_topk_probe(tokens, [0, 0, 1, 1, 1], 1) == 0.6
+                               PromptParams.init(7, 16, 8), backbone, {})
+        protos, _ = local_prototypes(cls, ds.train_y, 8, (3,))
+        consts = ScoreConstants(protos[3], np.full(8, 1 / 8), 0.05, 16)
+        scores = np.stack([consts.evaluate(token)[0] for token in cls[2]])
+        # chance is 1/8 for both
+        assert (scores.argmax(axis=1) == ds.train_y).mean() > 0.5
+        assert scores[np.arange(ds.train_y.size), ds.train_y].mean() > 0.25
 
 
 class TestCommAccounting:
@@ -300,3 +213,14 @@ class TestCommAccounting:
         assert isinstance(
             comm_accounting(dim=2, classes=2, mix_layers=1, rounds=1),
             CommReport)
+
+    @pytest.mark.parametrize("mix_layers, rounds, update_period",
+                             [(0, 5, 1), (3, 12, 1), (2, 7, 3)])
+    def test_uploads_what_it_downloads(self, mix_layers, rounds,
+                                       update_period):
+        # every block and prototype that travels one way travels the other
+        report = comm_accounting(dim=16, classes=5, mix_layers=mix_layers,
+                                 rounds=rounds, update_period=update_period)
+        assert report.uploaded_total == report.downloaded_total == (
+            rounds * report.params_per_round
+            + report.prototype_syncs * report.prototype_payload)

@@ -423,6 +423,24 @@ class TestInitServer:
             state.client_inputs(client.client_id)
             assert read.pop() is client.priors
 
+    @pytest.mark.parametrize("strategy",
+                             ["shared_only", "mixed", "mixed_no_prior"])
+    def test_keeps_no_personal_prompts_outside_personalized(self, strategy):
+        # `run_round` keeps each client's prompts whenever `personal` holds
+        # any, so only `personalized` may fill it: here every participant
+        # trains from, and is averaged back into, the server's own blocks
+        model = TINY_MODEL
+        if strategy == "shared_only":  # which leaves the default mix layers
+            model = ModelConfig(dim=8, layers=3, heads=2, patch_size=4)
+        state = init_server(tiny_experiment(21, strategy=strategy, rounds=1,
+                                            clients_per_round=2, model=model))
+        assert state.personal == {}
+        warm_startup(state)
+        log = run_round(state)
+        assert state.personal == {}
+        for cid in log.participants:
+            assert state.broadcast_params(cid) is state.params
+
 
 class TestPersonalizedStrategy:
     def test_only_head_aggregated(self):
@@ -471,6 +489,19 @@ class TestPersonalizedStrategy:
         np.testing.assert_array_equal(params.class_prompts.data,
                                       init.class_prompts.data)
         np.testing.assert_array_equal(params.head.data, state.params.head.data)
+
+
+class TestTrainingError:
+    @pytest.mark.parametrize("round_index, client_id, message", [
+        (None, None, "diverged"),
+        (3, None, "diverged (round=3)"),
+        (None, 5, "diverged (client=5)"),
+        (0, 0, "diverged (round=0, client=0)"),
+    ])
+    def test_message_names_its_context(self, round_index, client_id,
+                                       message):
+        # the context lives in the message alone, round 0 and client 0 too
+        assert str(TrainingError("diverged", round_index, client_id)) == message
 
 
 class TestConfigValidation:

@@ -1091,7 +1091,8 @@ class TestForwardShard:
 class TestGradients:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_gradcheck_small_model(self, heads):
-        report = gradient_check(seed=0, heads=heads)
+        report = gradient_check(seed=0, dim=16, layers=4, classes=4,
+                                heads=heads)
         assert report["max"] < 1e-4
         assert set(report) == {"shared", "class", "head", "max"}
 
