@@ -131,18 +131,21 @@ PARTITION_ARTIFACTS = ("partition.csv", "label_histogram.csv", "config.json")
 
 def _check_out_dir(path, artifacts):
     """ConfigError unless `path` is a directory or can become one (its
-    nearest existing ancestor must be a directory) and none of the
-    `artifacts` to be written in it is a directory."""
+    nearest existing ancestor, a dangling link included, must be a
+    directory) and each of the `artifacts` to be written in it is a
+    regular file or absent."""
     head = os.path.abspath(path)
-    while not os.path.exists(head):
+    while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{head} is not a directory")
     for name in artifacts:
-        if os.path.isdir(os.path.join(path, name)):
-            raise ConfigError(f"cannot write {os.path.join(path, name)}: "
-                              "it is a directory")
+        target = os.path.join(path, name)
+        if os.path.lexists(target) and not os.path.isfile(target):
+            what = ("a directory" if os.path.isdir(target)
+                    else "not a regular file")
+            raise ConfigError(f"cannot write {target}: it is {what}")
 
 
 def _make_out_dir(path):

@@ -127,16 +127,12 @@ def partition_pathological(dataset: Dataset, num_clients: int,
 
     Clients take consecutive positions on a random cyclic order of the
     classes, so coverage is automatic whenever n*k >= |C|; each class's
-    samples are then split disjointly among its assigned clients.
+    samples are then split disjointly among its assigned clients.  The
+    config guarantees 1 <= k <= |C|, n*k >= |C| and at least one train
+    sample per holder of each class (`ExperimentConfig.check`).
     """
     c = dataset.classes
     k = classes_per_client
-    if k < 1 or k > c:
-        raise ConfigError(f"classes per client must lie in [1, {c}], got {k}")
-    if num_clients * k < c:
-        raise ConfigError(
-            f"{num_clients} clients x {k} classes cannot cover {c} classes"
-        )
     rng = derive_rng(seed, "partition")
     order = rng.permutation(c)
     assigned = [[] for _ in range(c)]  # class -> clients holding it
@@ -153,10 +149,6 @@ def partition_pathological(dataset: Dataset, num_clients: int,
         for target, pool in ((train_lists, by_class_train[cls]),
                              (test_lists, by_class_test[cls])):
             chunks = np.array_split(rng.permutation(pool), len(holders))
-            if target is train_lists and any(ch.size == 0 for ch in chunks):
-                raise ConfigError(
-                    f"class {cls} has too few samples for {len(holders)} holders"
-                )
             for client, chunk in zip(holders, chunks):
                 target[client].extend(chunk.tolist())
     return _finish(train_lists, test_lists)
@@ -182,8 +174,6 @@ def partition_dirichlet(dataset: Dataset, num_clients: int, beta: float,
     The same drawn proportions shape the client's train and test shards,
     with largest-remainder rounding keeping coverage exact.
     """
-    if beta <= 0:
-        raise ConfigError(f"dirichlet concentration must be positive, got {beta}")
     rng = derive_rng(seed, "partition")
     train_lists = [[] for _ in range(num_clients)]
     test_lists = [[] for _ in range(num_clients)]

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as te
 from .config import ExperimentConfig, TrainConfig, make_partition
 from .data import generate_synthetic
-from .errors import ConfigError, DataError, TrainingError
+from .errors import DataError, TrainingError
 from .evaluation import evaluate_clients, heldout_split
 from .model import (PromptParams, embed_patches, forward_shard,
                     forward_with_prompts, init_backbone)
@@ -108,9 +108,6 @@ class ServerState:
 
 def sample_clients(rng: np.random.Generator, pool, count: int) -> tuple:
     """Uniform sample without replacement, returned in ascending order."""
-    pool = list(pool)
-    if count > len(pool):
-        raise ConfigError(f"cannot sample {count} clients from {len(pool)}")
     return tuple(sorted(int(c) for c in rng.choice(pool, size=count, replace=False)))
 
 
@@ -136,8 +133,6 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
                 backbone, cfg: TrainConfig, seed: int, round_index: int):
     """E epochs of mini-batch SGD with momentum, from `client_inputs`, on one
     copy of `params`; returns (that trained copy, mean batch loss)."""
-    if client.num_train == 0:
-        raise DataError(f"client {client.client_id} has no training data")
     params = params.copy()
     rng = derive_rng(seed, "shuffle", round_index, client.client_id)
     lr_t = cfg.lr * cfg.lr_decay ** (round_index - 1)
@@ -181,8 +176,6 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
 def fedavg_aggregate(trained) -> PromptParams:
     """Arithmetic mean of each block of the trained `PromptParams`, summed in
     the order given (ascending client id in `run_round`)."""
-    if not trained:
-        raise ConfigError("cannot aggregate an empty update list")
     weights = np.ones(len(trained)) / len(trained)
     blocks = []
     for per_client in zip(*(p.blocks() for p in trained)):

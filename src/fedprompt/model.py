@@ -232,7 +232,7 @@ class _BlockSpace:
 _BLOCK_SPACES = te.Workspaces(_BlockSpace)
 
 
-def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
+def _transformer_layer(x, blk: LayerWeights, heads: int, tape):
     """One pre-LN block as a single fused primitive over the token matrix.
 
     The backbone is frozen, so the map it records on `tape` only has to
@@ -327,7 +327,7 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape=None):
     return x2
 
 
-def _embed(tokens, shared: te.Tensor, backbone: BackboneWeights, tape=None):
+def _embed(tokens, shared: te.Tensor, backbone: BackboneWeights, tape):
     """Token matrix [cls, shared prompt, patch tokens] as one primitive;
     its map adds into the shared prompt and has no input to pass on."""
     seq = np.empty((2 + len(tokens), backbone.cls_embed.size))

@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as te
-from .errors import ConfigError, DataError
 
 
 def compute_class_priors(labels, num_classes: int) -> np.ndarray:
-    """Empirical label frequencies delta_c = n_c / N."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise DataError("cannot compute class priors from an empty label list")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise DataError("label outside [0, num_classes)")
+    """Empirical label frequencies delta_c = n_c / N of a nonempty label
+    array."""
     counts = np.bincount(labels, minlength=num_classes)
     return counts / labels.size
 
@@ -38,25 +33,16 @@ class ScoreConstants:
     once, so each sample only adds the cls token's norm and one
     matrix-vector product.  They hold copies of the prototypes: after a
     write to the bank, build them again.  They also own the scratch of
-    `evaluate`: the logits, the denominators and the 0-d maximum or sum.
+    `evaluate`: the logits over the active classes, the denominators and
+    the 0-d maximum or sum.  The priors must have a nonzero entry, as
+    `init_server` guarantees for every client it scores.
     """
 
     __slots__ = ("tau", "classes", "active", "nonzero", "protos", "norms",
                  "log_priors", "logits", "den", "top")
 
-    def __init__(self, prototypes, priors, tau: float, dim: int):
-        if tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {tau}")
-        prototypes = np.asarray(prototypes, dtype=np.float64)
-        priors = np.asarray(priors, dtype=np.float64).reshape(-1)
-        if prototypes.ndim == 2 and prototypes.shape[0] != priors.size:
-            raise ConfigError(f"priors must have one entry per prototype "
-                              f"row: {priors.size} for {prototypes.shape[0]}")
-        if prototypes.shape != (priors.size, dim):
-            raise ConfigError("prototype matrix must be (classes, dim)")
+    def __init__(self, prototypes, priors, tau: float):
         active = np.flatnonzero(priors > 0.0)
-        if not active.size:
-            raise DataError("all class priors are zero; scores cannot be normalized")
         protos = prototypes[active]
         # what np.linalg.norm computes per row, without its Python overhead
         norms = np.sqrt(np.add.reduce(protos * protos, axis=1))
@@ -99,7 +85,7 @@ class ScoreConstants:
         return scores, sims, cls_norm
 
 
-def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool = False):
+def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool):
     """Scores of one cls token from the layer's `ScoreConstants`, for the
     forward pass.
 
@@ -136,19 +122,8 @@ def local_prototypes(cls, labels, num_classes: int, layers):
     the zero vector marking absent classes, and sensitivities maps
     layer -> (classes,) Laplace sensitivities
     S_c = 2 * max_i ||cls_i - mu_c||_1 / n_c (zero for absent classes).
-    DataError unless there is one label per token, each in
-    [0, num_classes).
+    `labels` holds one label in [0, num_classes) per token.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise DataError("client dataset is empty")
-    if len(cls[0]) != labels.size:
-        raise DataError(f"{len(cls[0])} cls tokens for {labels.size} labels")
-    if labels.min() < 0:
-        raise DataError(f"labels must be >= 0, got {labels.min()}")
-    if labels.max() >= num_classes:
-        raise DataError(f"labels must be below {num_classes} classes, "
-                        f"got {labels.max()}")
     counts = np.bincount(labels, minlength=num_classes)
     protos = {}
     sens = {}
@@ -173,7 +148,7 @@ def aggregate_submissions(submissions) -> tuple[np.ndarray, np.ndarray]:
     Classes with no nonzero submission in the buffer aggregate to the
     zero vector with D_c = 0.
     """
-    stack = np.stack([np.asarray(s, dtype=np.float64) for s in submissions])
+    stack = np.stack(submissions)
     nonzero = np.any(stack != 0.0, axis=2)
     counts = nonzero.sum(axis=0)
     total = (stack * nonzero[:, :, None]).sum(axis=0)
@@ -187,34 +162,22 @@ def momentum_update(previous: np.ndarray, aggregate: np.ndarray,
                     contributor_counts: np.ndarray, rho: float) -> np.ndarray:
     """rho * previous + (1 - rho) * aggregate, except classes with no
     contributors keep their previous prototype exactly (rho forced to 1)."""
-    if not 0.0 <= rho <= 1.0:
-        raise ConfigError(f"momentum must lie in [0, 1], got {rho}")
-    previous = np.asarray(previous, dtype=np.float64)
-    aggregate = np.asarray(aggregate, dtype=np.float64)
-    if previous.shape != aggregate.shape:
-        raise ValueError("prototype shapes differ")
     updated = rho * previous + (1.0 - rho) * aggregate
-    stale = np.asarray(contributor_counts) == 0
+    stale = contributor_counts == 0
     updated[stale] = previous[stale]
     return updated
 
 
 def laplace_sensitivity(tokens: np.ndarray, prototype: np.ndarray) -> float:
-    """S = 2 * max_i ||token_i - prototype||_1 / n."""
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
-    n = tokens.shape[0]
-    if n == 0:
-        raise DataError("sensitivity requires at least one token")
+    """S = 2 * max_i ||token_i - prototype||_1 / n over the n >= 1 rows
+    of `tokens`."""
     deviations = np.abs(tokens - prototype).sum(axis=1)
-    return 2.0 * float(deviations.max()) / n
+    return 2.0 * float(deviations.max()) / len(tokens)
 
 
 def add_laplace_noise(prototype: np.ndarray, sensitivity: float, epsilon: float,
                       rng: np.random.Generator) -> np.ndarray:
     """Add per-coordinate Laplace(0, S/epsilon) noise to one prototype."""
-    if epsilon <= 0:
-        raise ConfigError(f"privacy budget epsilon must be positive, got {epsilon}")
-    prototype = np.asarray(prototype, dtype=np.float64)
     return prototype + rng.laplace(0.0, sensitivity / epsilon, size=prototype.shape)
 
 
@@ -240,8 +203,6 @@ class PrototypeBank:
     _buffer: list = field(default_factory=list)  # (prototypes, sensitivities)
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1], got {self.rho}")
         for l in self.layers:
             self.mu.setdefault(l, np.zeros((self.num_classes, self.dim)))
 
@@ -252,8 +213,6 @@ class PrototypeBank:
         With `epsilon`, classes some client observed get Laplace noise
         exactly as in a period update; without, `rng` draws nothing.
         """
-        if not submissions:
-            raise ConfigError("warm-up requires at least one client")
         for l in self.layers:
             stack = np.stack([sub[l] for sub in submissions])
             self.mu[l] = stack.mean(axis=0)
@@ -263,14 +222,13 @@ class PrototypeBank:
                                       rng)
 
     def submit(self, protos: dict, sens: dict) -> None:
-        self._buffer.append(({l: np.asarray(protos[l]) for l in self.layers},
-                             {l: np.asarray(sens[l]) for l in self.layers}))
+        self._buffer.append((protos, sens))
 
     def score_constants(self, priors) -> dict:
         """Mixing layer -> `ScoreConstants` for one client's score priors
         and the current prototypes.  Build them once per client and bank
         state and pass them to every forward over that client's samples."""
-        return {l: ScoreConstants(self.mu[l], priors, self.tau, self.dim)
+        return {l: ScoreConstants(self.mu[l], priors, self.tau)
                 for l in self.layers}
 
     def overflowing_layer(self):

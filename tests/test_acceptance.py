@@ -90,7 +90,8 @@ def test_criterion_02_score_algebra():
 
         def scores(token, tau=tau):
             # the forward's scores of one token at one layer
-            return soft_scores_op(token, ScoreConstants(protos, priors, tau, d))[0]
+            return soft_scores_op(token, ScoreConstants(protos, priors, tau),
+                                  False)[0]
 
         s = scores(cls)
         assert (s >= 0).all()
@@ -118,9 +119,9 @@ def test_criterion_03_posterior_mean_is_mmse():
         priors = rng.random(c)
         priors /= priors.sum()
         consts = ScoreConstants(rng.normal(size=(c, d)), priors,
-                                float(rng.uniform(0.05, 5.0)), d)
+                                float(rng.uniform(0.05, 5.0)))
         seq = rng.normal(size=(2, d))
-        scores = soft_scores_op(seq[0], consts)[0]
+        scores = soft_scores_op(seq[0], consts, False)[0]
         mixed = model._mix(seq, te.Tensor(prompts), consts, False, None)[1]
         explicit = sum(scores[i] * prompts[:, i] for i in range(c))
         worst_eq = max(worst_eq, float(np.abs(mixed - explicit).max()))

@@ -304,6 +304,21 @@ class TestRunCommand:
          "clients"),
         ({"train": {"rounds": -1}}, "train rounds must be >= 0, got -1"),
         ({"train": {"batch_size": 0}}, "train batch_size must be >= 1, got 0"),
+        # every round trains and averages at least one client
+        ({"train": {"clients_per_round": 0}},
+         "train clients_per_round must be >= 1, got 0"),
+        # the warm-up bank averages at least one client's prototypes
+        ({"train": {"warmup_fraction": 0}},
+         "train warmup_fraction must lie in (0, 1], got 0.0"),
+        # the split into participating and heldout clients is made below
+        # `init_server` from these fractions, unchecked
+        ({"heldout_fraction": 1.0}, "heldout_fraction must lie in [0, 1)"),
+        ({"heldout_fraction": -0.25}, "heldout_fraction must lie in [0, 1)"),
+        # the Laplace scale S / epsilon and the momentum rule take these as
+        # they are
+        ({"train": {"dp_epsilon": 0}},
+         "train dp_epsilon must be > 0 when set, got 0.0"),
+        ({"train": {"rho": -0.5}}, "train rho must lie in [0, 1], got -0.5"),
         ({"train": {"dp_epsilon": -1}},
          "train dp_epsilon must be > 0 when set, got -1.0"),
         # every run has one shared prompt token, so its count is gone
@@ -888,6 +903,56 @@ class TestOutputDirectory:
         message = f"cannot write {out / artifact}: it is a directory"
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert listing() == before
+
+    @staticmethod
+    def argv_drawing_no_data(monkeypatch, tmp_path, saved_run, command):
+        """The argv of `command` without `--out`, with data drawing made to
+        fail the test: an unwritable output is refused before any data."""
+        from fedprompt import federation
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("drew data towards an output it cannot write")
+
+        for module in (cli, federation):
+            monkeypatch.setattr(module, "generate_synthetic", no_data)
+        if command == "eval":
+            return ["eval", "--run-dir", str(saved_run)]
+        return [command, "--config", str(small_config(tmp_path)[0])]
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", ["run", "partition", "eval"])
+    def test_dangling_link_at_or_above_out_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, saved_run, command, below):
+        # a link to nothing exists as a name, so no directory can be made
+        # there or under it; a run would find that out only when it writes
+        argv = self.argv_drawing_no_data(monkeypatch, tmp_path, saved_run,
+                                         command)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        out = link / "sub" if below else link
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out}: "
+            f"{link} is not a directory\n")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "metrics.csv"), ("partition", "partition.csv"),
+        ("eval", "eval_report.json")])
+    def test_artifact_path_that_is_a_dangling_link_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, saved_run, command, artifact):
+        # the link points into a missing directory, so writing through it
+        # would fail after all the work
+        argv = self.argv_drawing_no_data(monkeypatch, tmp_path, saved_run,
+                                         command)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / artifact).symlink_to(tmp_path / "missing" / artifact)
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / artifact}: it is not a "
+            f"regular file\n")
+        assert sorted(p.name for p in out.iterdir()) == [artifact]
 
 
 class TestPartitionCommand:
@@ -1697,6 +1762,40 @@ def test_only_init_server_reads_the_strategy():
                     if isinstance(attr, ast.Attribute)
                     and attr.attr == "strategy")
     assert readers == {("federation", "init_server"), ("cli", "_final_report")}
+
+
+def test_only_the_edges_raise_input_errors():
+    # each rule on an outside input is checked once, where the input
+    # enters: config.py reads the config, cli.py the flags, paths and
+    # saved CSVs, each config section's `__post_init__` its own fields and
+    # `init_server` the data the config draws; the functions below
+    # `init_server` take the values such a config makes, unchecked
+    import ast
+
+    sections = [f.type for f in dataclasses.fields(ExperimentConfig)
+                if dataclasses.is_dataclass(f.type)]
+    owners = {"federation.init_server",
+              *(f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}"
+                ".__post_init__" for cls in sections)}
+    raisers = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc
+                name = exc.func if isinstance(exc, ast.Call) else exc
+                if getattr(name, "id", None) in ("ConfigError", "DataError"):
+                    raisers.add(scope)
+            walk(child, scope)
+
+    for path in Path(fedprompt.__file__).parent.glob("*.py"):
+        if path.name not in ("config.py", "cli.py"):
+            walk(ast.parse(path.read_text()), path.stem)
+    assert "federation.init_server" in raisers
+    assert raisers - owners == set()
 
 
 def test_readme_config_block_names_every_field():

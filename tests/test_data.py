@@ -94,13 +94,6 @@ class TestPathological:
         assert_disjoint_cover(part.train_indices, ds.train_y.size)
         assert_disjoint_cover(part.test_indices, ds.test_y.size)
 
-    def test_infeasible_configs(self):
-        ds = generate_synthetic(SPEC, 6)
-        with pytest.raises(ConfigError):
-            partition_pathological(ds, num_clients=3, classes_per_client=9, seed=0)
-        with pytest.raises(ConfigError):
-            partition_pathological(ds, num_clients=2, classes_per_client=2, seed=0)
-
     def test_priors_match_histograms(self):
         ds = generate_synthetic(SPEC, 7)
         part = partition_pathological(ds, 12, 2, seed=2)
@@ -166,11 +159,6 @@ class TestDirichlet:
         assert skewed < balanced
         assert skewed < 0.75 * uniform_entropy
 
-    def test_beta_must_be_positive(self):
-        ds = generate_synthetic(SPEC, 11)
-        with pytest.raises(ConfigError):
-            partition_dirichlet(ds, 4, 0.0, seed=0)
-
     def test_largest_remainder_exact(self):
         from fedprompt.data import _largest_remainder
         rng = np.random.default_rng(12)
@@ -186,11 +174,11 @@ class TestDirichlet:
 
 @st.composite
 def tiny_partitions(draw):
-    """(dataset, config maker, partition maker) on 1-6 classes of 1-4
+    """(dataset, config maker, partition maker, k) on 1-6 classes of 1-4
     train and test samples each, over 1-8 clients: Dirichlet with a beta
-    of 0, -1 or log-uniform over the whole positive double range, or
-    pathological with k from 0 to one past the classes.  The config maker
-    builds the `ExperimentConfig` of the same draw."""
+    of 0, -1 or log-uniform over the whole positive double range (k is
+    None), or pathological with k from 0 to one past the classes.  The
+    config maker builds the `ExperimentConfig` of the same draw."""
     classes = draw(st.integers(1, 6))
     spec = SyntheticSpec(classes=classes,
                          train_per_class=draw(st.integers(1, 4)),
@@ -203,6 +191,7 @@ def tiny_partitions(draw):
                         lambda e: max(10.0 ** e, 5e-324)))
         partition = {"mode": "dirichlet", "beta": beta}
         make = lambda: partition_dirichlet(ds, clients, beta, seed)
+        k = None
     else:
         k = draw(st.integers(0, classes + 1))
         partition = {"mode": "pathological", "classes_per_client": k}
@@ -215,7 +204,7 @@ def tiny_partitions(draw):
             model=ModelConfig(dim=2, layers=1, heads=1, patch_size=1,
                               mix_layers=(1,)),
             seed=seed)
-    return ds, config, make
+    return ds, config, make, k
 
 
 class TestPartitionProperty:
@@ -223,18 +212,19 @@ class TestPartitionProperty:
               database=None)
     @given(tiny_partitions())
     def test_rejected_or_exact_cover_with_exact_priors(self, drawn):
-        # the partitioner refuses exactly the draws whose config is
-        # rejected, so no config that is read reaches its raise; any other
-        # draw assigns each sample once, and each built client's priors
-        # are its train shard's exact label frequencies
-        ds, config, make = drawn
+        # a draw whose config is rejected is never partitioned; any other
+        # draw assigns each sample once, gives each pathological client
+        # exactly k classes of train samples, and each built client's
+        # priors are its train shard's exact label frequencies
+        ds, config, make, k = drawn
         try:
             config()
         except ConfigError:
-            with pytest.raises(ConfigError):
-                make()
             return
         part = make()
+        if k is not None:
+            hist = label_histograms(ds, part)
+            assert ((hist > 0).sum(axis=1) == k).all()
         for shards, labels in ((part.train_indices, ds.train_y),
                                (part.test_indices, ds.test_y)):
             assert len(shards) == part.num_clients

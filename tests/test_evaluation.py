@@ -3,7 +3,6 @@ import pytest
 
 from fedprompt.config import ExperimentConfig, TrainConfig
 from fedprompt.data import PartitionSpec, SyntheticSpec, generate_synthetic
-from fedprompt.errors import ConfigError
 from fedprompt.evaluation import (
     CommReport,
     comm_accounting,
@@ -136,14 +135,6 @@ class TestHeldoutSplit:
         assert heldout_split(range(20), 0.9, 5) == heldout_split(range(20), 0.9, 5)
         assert heldout_split(range(20), 0.9, 5) != heldout_split(range(20), 0.9, 6)
 
-    def test_degenerate_fraction_rejected(self):
-        with pytest.raises(ConfigError):
-            heldout_split(range(10), 0.99999, 0)
-        with pytest.raises(ConfigError):
-            heldout_split(range(3), 0.05, 0)
-        with pytest.raises(ConfigError):
-            heldout_split(range(10), 1.5, 0)
-
     def test_heldout_never_sampled_in_training(self):
         cfg = ExperimentConfig(
             data=SyntheticSpec(classes=4, train_per_class=12, test_per_class=4,
@@ -179,7 +170,7 @@ class TestMixingScoreRanking:
         _, cls = forward_shard(embed_patches(ds.train_x, backbone),
                                PromptParams.init(7, 16, 8), backbone, {})
         protos, _ = local_prototypes(cls, ds.train_y, 8, (3,))
-        consts = ScoreConstants(protos[3], np.full(8, 1 / 8), 0.05, 16)
+        consts = ScoreConstants(protos[3], np.full(8, 1 / 8), 0.05)
         scores = np.stack([consts.evaluate(token)[0] for token in cls[2]])
         # chance is 1/8 for both
         assert (scores.argmax(axis=1) == ds.train_y).mean() > 0.5
@@ -195,7 +186,8 @@ class TestCommAccounting:
         assert report.uploaded_total == 4_617_216
 
     def test_no_mix_layers_no_prototype_payload(self):
-        report = comm_accounting(dim=64, classes=10, mix_layers=0, rounds=5)
+        report = comm_accounting(dim=64, classes=10, mix_layers=0, rounds=5,
+                                 update_period=1)
         assert report.prototype_payload == 0
         assert report.prototype_syncs == 0
         assert report.uploaded_total == 5 * report.params_per_round
@@ -211,7 +203,8 @@ class TestCommAccounting:
 
     def test_is_dataclass(self):
         assert isinstance(
-            comm_accounting(dim=2, classes=2, mix_layers=1, rounds=1),
+            comm_accounting(dim=2, classes=2, mix_layers=1, rounds=1,
+                            update_period=1),
             CommReport)
 
     @pytest.mark.parametrize("mix_layers, rounds, update_period",

@@ -58,10 +58,6 @@ class TestSampleClients:
         c = sample_clients(derive_rng(3, "sample", 8), range(10), 4)
         assert isinstance(c, tuple)
 
-    def test_count_too_large(self):
-        with pytest.raises(ConfigError):
-            sample_clients(derive_rng(0, "sample", 1), range(3), 4)
-
     def test_participation_frequency(self):
         n, count, rounds = 10, 3, 10_000
         hits = np.zeros(n)
@@ -248,10 +244,6 @@ class TestFedAvg:
         scaled = fedavg_aggregate([self._trained(alpha * v) for v in values])
         np.testing.assert_allclose(scaled.head.data, alpha * base.head.data,
                                    atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            fedavg_aggregate([])
 
 
 class TestRounds:
