@@ -24,6 +24,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .config import ExperimentConfig, load_config, make_partition
 from .data import generate_synthetic, label_histograms
 from .errors import ConfigError, DataError, TrainingError
@@ -103,10 +105,10 @@ def write_config_copy(cfg: ExperimentConfig, path):
 
 def _final_report(cfg, state, logs, report, heldout_report):
     comm = comm_accounting(
-        dim=cfg.model.dim, classes=cfg.data.classes,
+        *state.params.class_prompts.data.shape,
         mix_layers=len(_prototype_matrices(state.bank)),
         rounds=cfg.train.rounds, update_period=cfg.train.update_period)
-    payload = {
+    return {
         "version": __version__,
         "rounds": cfg.train.rounds,
         "strategy": cfg.train.strategy,
@@ -121,7 +123,6 @@ def _final_report(cfg, state, logs, report, heldout_report):
         "final_train_loss": logs[-1].train_loss,
         "communication": asdict(comm),
     }
-    return payload
 
 
 RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
@@ -314,11 +315,15 @@ def cmd_eval(args) -> int:
     out_dir = args.out or run_dir
     _check_out_dir(out_dir, ("eval_report.json",))
     state = init_server(cfg)
-    _read_table(artifact("prompts.csv"), PROMPTS_COLUMNS,
-                _prompt_matrices(state))
+    prompts = artifact("prompts.csv")
+    _read_table(prompts, PROMPTS_COLUMNS, _prompt_matrices(state))
     _load_prototypes_csv(artifact("prototypes.csv"), state.bank)
 
-    report, heldout_report = evaluate_state(state)
+    try:
+        with np.errstate(over="raise"):
+            report, heldout_report = evaluate_state(state)
+    except FloatingPointError:  # prompts `run` would have stopped on
+        raise DataError(f"{prompts}: the prompts overflow a forward pass")
     payload = {"participating": report.to_dict()}
     if heldout_report is not None:
         payload["heldout"] = heldout_report.to_dict()

@@ -241,16 +241,20 @@ def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog
 def run_round(state: ServerState) -> RoundLog:
     """Sample, broadcast, snapshot prototypes from the broadcast (under
     mixing), train locally, aggregate, sync prototypes."""
-    t = state.round + 1
+    t = state.round = state.round + 1
     rng = derive_rng(state.seed, "sample", t)
     chosen = sample_clients(rng, state.participating, state.cfg.clients_per_round)
     trained, losses, snapshots = [], [], []
     for cid in chosen:
         inputs = (state.clients[cid], *state.client_inputs(cid))
-        if state.bank is not None:
-            snapshots.append(compute_client_prototypes(*inputs, state.backbone))
-        params, loss = local_train(*inputs, state.backbone, state.cfg,
-                                   state.seed, t)
+        try:
+            if state.bank is not None:
+                snapshots.append(
+                    compute_client_prototypes(*inputs, state.backbone))
+            params, loss = local_train(*inputs, state.backbone, state.cfg,
+                                       state.seed, t)
+        except FloatingPointError:  # raised under `run_training`
+            raise TrainingError("floating-point overflow", t, cid) from None
         trained.append(params)
         losses.append(loss)
 
@@ -270,7 +274,6 @@ def run_round(state: ServerState) -> RoundLog:
         if t % state.cfg.update_period == 0:
             state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
             _check_bank(state.bank, t)
-    state.round = t
     return _round_log(state, float(np.mean(losses)), chosen)
 
 
@@ -333,10 +336,15 @@ def run_training(state: ServerState) -> list:
     """Warm-up, then `state.cfg.rounds` federated rounds.
 
     Returns the logs: logs[0] is the post-warm-up evaluation (round 0),
-    followed by one entry per training round.
+    followed by one entry per training round.  Floating-point overflow
+    is a TrainingError naming the round (and client, in local SGD).
     """
-    warm_startup(state)
-    logs = [_round_log(state)]
-    for _ in range(state.cfg.rounds):
-        logs.append(run_round(state))
+    try:
+        with np.errstate(over="raise"):
+            warm_startup(state)
+            logs = [_round_log(state)]
+            for _ in range(state.cfg.rounds):
+                logs.append(run_round(state))
+    except FloatingPointError:
+        raise TrainingError("floating-point overflow", state.round) from None
     return logs

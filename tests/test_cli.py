@@ -64,6 +64,21 @@ def small_config(tmp_path, **overrides):
     return path, cfg
 
 
+# a run whose lr of 1e153 carries client 1's prompts so far in its first
+# local SGD that a later forward overflows the squares of a layer norm;
+# at 1e152 no forward overflows, at 1e154 the gradient norm already does
+OVERFLOWING_RUN = {
+    "data": {"classes": 4, "train_per_class": 8, "test_per_class": 4,
+             "image_size": 8},
+    "partition": {"mode": "pathological", "classes_per_client": 2},
+    "model": {"dim": 8, "layers": 3, "heads": 2, "patch_size": 4,
+              "mix_layers": [2]},
+    "train": {"clients": 4, "clients_per_round": 2, "rounds": 2,
+              "batch_size": 4, "lr": 1e153},
+    "heldout_fraction": 0.25,
+}
+
+
 # every file `fedprompt run` writes
 ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv", "prototypes.csv",
              "client_accuracy.csv", "final_report.json")
@@ -486,6 +501,16 @@ class TestRunCommand:
             "training error: non-finite gradient norm (round=1, client=3)\n")
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_forward_fails_with_round_and_client(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {**OVERFLOWING_RUN, "out_dir": str(tmp_path / "run")}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "training error: floating-point overflow (round=1, client=1)\n")
+        assert not (tmp_path / "run").exists()
+
     def test_group_without_test_data_rejected_before_any_forward(
             self, tmp_path, capsys, monkeypatch):
         # every group is evaluated after the warm-up and each round; here
@@ -582,6 +607,10 @@ TINY = {"classes": ([3, 2, 1], [0]), "train_per_class": ([3, 1, 4], [0]),
         "beta": ([0.5, 1e-3, 100.0], [0.0, -1.0]),
         "tau": ([0.05, 1e-300, 1.0], [0.0, 5e-309]),
         "heldout_fraction": ([0.0, 0.34, 0.5], [1.0, 0.01, 0.9])}
+# float fields with no upper bound, and the large values drawn beside
+# (0.05, 0.95): an lr of 1e156 overflows a forward in about one tiny run
+# of three, and the gradient norm in some others
+LARGE = {"lr": [1e156]}
 # integer fields drawn as 1 or 2 times another field
 MULTIPLES = {"dim": "heads", "image_size": "patch_size"}
 
@@ -610,6 +639,8 @@ def tiny_value(draw, name, kind, drawn, crossed):
     else:
         assert kind is float, name
         valid, invalid = st.floats(0.05, 0.95), [-1.0, math.inf]
+        if name in LARGE:
+            valid |= st.sampled_from(LARGE[name])
     return draw(st.sampled_from(invalid) if crossed else valid)
 
 
@@ -660,10 +691,12 @@ def with_examples(raws):
 
 class TestConfigProperty:
     # 200 drawn configs and these: a negative client count must be rejected
-    # before the Dirichlet draw, which raises a ValueError on it, and every
-    # strategy, with and without DP noise, runs with a heldout client
+    # before the Dirichlet draw, which raises a ValueError on it, a forward
+    # that overflows must stop the run, and every strategy, with and
+    # without DP noise, runs with a heldout client
     @with_examples([
         tiny_config(clients=-1, partition={"mode": "dirichlet", "beta": 0.5}),
+        OVERFLOWING_RUN,
         *(tiny_config(clients=4, heldout_fraction=0.34, strategy=strategy,
                       dp_epsilon=dp_epsilon)
           for strategy in STRATEGIES
@@ -1335,6 +1368,17 @@ class TestEvalCommand:
             f"have a non-finite squared norm\n")
         assert not (run / "eval_report.json").exists()
 
+    def test_overflowing_saved_prompts_are_a_data_error(
+            self, tmp_path, capsys, saved_run):
+        # 1e300 is finite, but a forward on it overflows, as `run` would
+        # have stopped on such prompts
+        run = edited_run(saved_run, tmp_path, "prompts.csv", 2, 4, "1e300")
+        assert main(["eval", "--run-dir", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {run / 'prompts.csv'}: the prompts overflow a "
+            f"forward pass\n")
+        assert not (run / "eval_report.json").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("model", "refresh_mix", True), ("model", "detach_scores", False),
         ("train", "weighted_fedavg", False), ("train", "shared_prompts", 1)])
@@ -1680,18 +1724,20 @@ def test_config_roundtrip(tmp_path, path):
     assert load_config(str(path2)).to_dict() == resolved
 
 
-def test_all_lists_exactly_the_public_imports():
-    # `__init__`'s imports and its `__all__` are kept by hand, side by side
+def test_root_exports_what_the_readme_imports():
+    # the package root holds a run's entry points, the names README's
+    # Library section imports from it, and `__version__`; every other
+    # name has one home, its module, with no `__all__` to keep in step
     import inspect
 
-    exported = fedprompt.__all__
-    assert len(set(exported)) == len(exported)
-    for name in exported:
-        assert hasattr(fedprompt, name), name
+    text = (ROOT / "README.md").read_text()
+    (line,) = re.findall(r"^from fedprompt import (.+)$", text, re.MULTILINE)
     public = {name for name, value in vars(fedprompt).items()
               if not name.startswith("_")
               and (inspect.isclass(value) or inspect.isfunction(value))}
-    assert public == set(exported) - {"__version__"}
+    assert public == set(line.split(", "))
+    assert isinstance(fedprompt.__version__, str)
+    assert not hasattr(fedprompt, "__all__")
 
 
 def test_every_top_level_definition_is_used():
@@ -1745,23 +1791,26 @@ def test_no_module_imports_a_private_name():
     assert private == set()
 
 
-def test_only_init_server_reads_the_strategy():
-    # `init_server` turns `train.strategy` into state (the bank, the
-    # priors, the clients' own prompts), so no later code branches on it;
-    # `_final_report` only copies it out, and config.py defines and checks it
+def test_only_init_server_reads_the_strategy_and_model():
+    # `init_server` turns `train.strategy` and, once the backbone is
+    # built, the `model` section into state (the bank, the priors, the
+    # clients' own prompts), so no later code reads them; `_final_report`
+    # only copies the strategy out, and config.py defines and checks both
     import ast
 
-    readers = set()
+    readers = {"strategy": set(), "model": set()}
     for path in Path(fedprompt.__file__).parent.glob("*.py"):
         if path.name == "config.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
-                readers.update(
-                    (path.stem, node.name) for attr in ast.walk(node)
-                    if isinstance(attr, ast.Attribute)
-                    and attr.attr == "strategy")
-    assert readers == {("federation", "init_server"), ("cli", "_final_report")}
+                for attr in ast.walk(node):
+                    if (isinstance(attr, ast.Attribute)
+                            and attr.attr in readers):
+                        readers[attr.attr].add((path.stem, node.name))
+    assert readers == {
+        "strategy": {("federation", "init_server"), ("cli", "_final_report")},
+        "model": {("federation", "init_server")}}
 
 
 def test_only_the_edges_raise_input_errors():

@@ -1,0 +1,76 @@
+"""Print the sha256 of every artifact the shipped configs and the benchmark
+workloads write, so two checkouts can be compared byte for byte:
+
+    python tools/artifact_digests.py > /tmp/new.txt
+
+It runs `fedprompt run` from this checkout's src/ on both shipped configs
+and on perfbench/workloads/{desk,train-heavy,eval-heavy}.json, at seeds 0
+and 1, each into its own directory under a temporary directory, and
+`fedprompt eval` on each shipped-config run.  It prints one
+`config seed artifact sha256` line per file: config.json without its
+`out_dir` line (the path is temporary), the other five run artifacts and
+eval_report.json, 64 lines in all.  It takes no options, writes nothing
+outside the temporary directory, and exits 1 naming the first command
+that fails.  Run it in each checkout and `diff` the outputs.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = ("pathological", "dirichlet_heldout")
+CONFIGS = {
+    **{name: os.path.join("configs", f"{name}.json") for name in SHIPPED},
+    **{name: os.path.join("perfbench", "workloads", f"{name}.json")
+       for name in ("desk", "train-heavy", "eval-heavy")},
+}
+SEEDS = (0, 1)
+# listed here, not read from `cli`, so a change cannot shrink its own check
+RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
+                 "prototypes.csv", "client_accuracy.csv", "final_report.json")
+
+
+def fedprompt(*args):
+    """Run one `fedprompt` command from this checkout's src/; exit 1 with
+    its stderr if it fails."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "fedprompt.cli", *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        print(f"fedprompt {' '.join(args)} exited {proc.returncode}:\n"
+              f"{proc.stderr}", end="", file=sys.stderr)
+        sys.exit(1)
+
+
+def digest(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "config.json":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b'  "out_dir": '))
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in CONFIGS.items():
+            for seed in SEEDS:
+                out = os.path.join(tmp, f"{name}-{seed}")
+                fedprompt("run", "--config", config, "--seed", str(seed),
+                          "--out", out)
+                artifacts = list(RUN_ARTIFACTS)
+                if name in SHIPPED:
+                    fedprompt("eval", "--run-dir", out)
+                    artifacts.append("eval_report.json")
+                for artifact in artifacts:
+                    print(name, seed, artifact,
+                          digest(os.path.join(out, artifact)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
