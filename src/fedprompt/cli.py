@@ -17,6 +17,7 @@ Exit status:
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import math
@@ -133,14 +134,23 @@ PARTITION_ARTIFACTS = ("partition.csv", "label_histogram.csv", "config.json")
 def _check_out_dir(path, artifacts):
     """ConfigError unless `path` is a directory or can become one (its
     nearest existing ancestor, a dangling link included, must be a
-    directory) and each of the `artifacts` to be written in it is a
-    regular file or absent."""
-    head = os.path.abspath(path)
+    directory, each name to be made must fit in NAME_MAX bytes and each
+    artifact's absolute path in PATH_MAX) and each of the `artifacts` to
+    be written in it is a regular file or absent."""
+    head, names = os.path.abspath(path), []
     while not os.path.lexists(head):
-        head = os.path.dirname(head)
+        head, name = os.path.split(head)
+        names.append(name)
     if not os.path.isdir(head):
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{head} is not a directory")
+    longest = os.path.join(os.path.abspath(path), max(artifacts, key=len))
+    # PATH_MAX counts the terminating null byte
+    if (len(os.fsencode(longest)) >= os.pathconf(head, "PC_PATH_MAX")
+            or any(len(os.fsencode(name)) > os.pathconf(head, "PC_NAME_MAX")
+                   for name in names)):
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{os.strerror(errno.ENAMETOOLONG)}")
     for name in artifacts:
         target = os.path.join(path, name)
         if os.path.lexists(target) and not os.path.isfile(target):
@@ -185,28 +195,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import gradient_check
+    from .model import GRADCHECK_THRESHOLD, gradient_check
 
-    # cross entropy over one class is 0 whatever the maps compute
-    if args.classes < 2:
-        raise ConfigError(f"--classes must be >= 2, got {args.classes}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not (math.isfinite(args.threshold) and args.threshold > 0):
-        raise ConfigError(
-            f"--threshold must be finite and > 0, got {args.threshold}")
-    # the shared prompt, the class prompts and the head
-    n_params = args.dim * (1 + 2 * args.classes)
-    if n_params > 5000:
-        raise ConfigError(
-            f"{n_params} trainable parameters is too many for finite differences")
-    report = gradient_check(seed=args.seed, dim=args.dim, layers=args.layers,
-                            classes=args.classes, heads=args.heads)
+    report = gradient_check()
     for name in ("shared", "class", "head"):
         print(f"{name}: max relative error {report[name]:.3e}")
     print(f"overall max relative error {report['max']:.3e} "
-          f"(threshold {args.threshold:.0e})")
-    return 0 if report["max"] < args.threshold else 1
+          f"(threshold {GRADCHECK_THRESHOLD:.0e})")
+    return 0 if report["max"] < GRADCHECK_THRESHOLD else 1
 
 
 def cmd_partition(args) -> int:
@@ -350,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad_p = sub.add_parser("gradcheck",
                             help="autodiff vs finite differences")
-    grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.add_argument("--dim", type=int, default=16)
-    grad_p.add_argument("--layers", type=int, default=4)
-    grad_p.add_argument("--classes", type=int, default=4)
-    grad_p.add_argument("--heads", type=int, default=2)
-    grad_p.add_argument("--threshold", type=float, default=1e-4)
     grad_p.set_defaults(func=cmd_gradcheck)
 
     part_p = sub.add_parser("partition",

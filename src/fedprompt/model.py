@@ -26,8 +26,10 @@ from .seeding import derive_rng
 INIT_SCALE = 0.02
 # MLP width as a multiple of `dim`
 MLP_MULT = 4
-# `gradient_check`'s image and patch sides, and step
-GRADCHECK_IMAGE, GRADCHECK_PATCH, GRADCHECK_H = 16, 8, 1e-5
+# `gradient_check`'s seed, classes, image side and step (its model is
+# `GRADCHECK_MODEL`), and the relative error `fedprompt gradcheck` fails at
+GRADCHECK_SEED, GRADCHECK_CLASSES, GRADCHECK_IMAGE = 0, 4, 16
+GRADCHECK_H, GRADCHECK_THRESHOLD = 1e-5, 1e-4
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,11 @@ class ModelConfig:
             if not ok:
                 raise ConfigError(
                     f"model {key} must {rule}, got {getattr(self, key)}")
+
+
+# `gradient_check`'s model, mixing at its middle layer and the one after
+GRADCHECK_MODEL = ModelConfig(dim=16, layers=4, heads=2, patch_size=8,
+                              mix_layers=(2, 3))
 
 
 @dataclass
@@ -434,18 +441,14 @@ def forward_shard(tokens, prompts: PromptParams, backbone: BackboneWeights,
     return logits, cls
 
 
-def gradient_check(seed: int, dim: int, layers: int, classes: int,
-                   heads: int) -> dict:
+def gradient_check() -> dict:
     """Compare tape gradients of the trainable blocks against central
-    finite differences on a randomly initialized prompted model that
-    mixes at its middle layer and the one after it.
+    finite differences on a randomly initialized `GRADCHECK_MODEL`.
 
     Returns {"shared": err, "class": err, "head": err, "max": err}.
     """
-    mid = max(1, layers // 2)
-    cfg = ModelConfig(dim=dim, layers=layers, heads=heads,
-                      patch_size=GRADCHECK_PATCH,
-                      mix_layers=tuple(sorted({mid, min(layers, mid + 1)})))
+    cfg, seed, classes = GRADCHECK_MODEL, GRADCHECK_SEED, GRADCHECK_CLASSES
+    dim = cfg.dim
     rng = derive_rng(seed, "gradcheck")
     backbone = init_backbone(seed, cfg)
     prompts = PromptParams.init(seed, dim, classes)

@@ -62,9 +62,22 @@ def ablation_runs():
     return runs
 
 
+@pytest.fixture(scope="module")
+def heldout_runs():
+    """Criteria 9 and 13 share these runs, one client of 12 held out:
+    strategy -> seed -> logs."""
+    return {strategy: {seed: desk_run(seed, strategy, heldout_fraction=0.1)
+                       for seed in SEEDS}
+            for strategy in ("mixed", "personalized")}
+
+
+def per_seed(values):
+    return "/".join(f"{values[s]:.1f}" for s in SEEDS)
+
+
 def test_criterion_01_gradient_correctness():
     start = time.time()
-    report = gradient_check(seed=0, dim=16, layers=4, classes=4, heads=2)
+    report = gradient_check()
     elapsed = time.time() - start
     assert report["max"] < 1e-4
     assert elapsed < 30.0
@@ -234,27 +247,35 @@ def test_criterion_08_class_priors_help(ablation_runs):
           f"{np.mean(with_prior):.3f} vs {np.mean(without):.3f}")
 
 
-def test_criterion_09_heldout_generalization():
-    mixed_logs = desk_run(0, "mixed", heldout_fraction=0.1)
-    personal_logs = desk_run(0, "personalized", heldout_fraction=0.1)
-    mixed_last = mixed_logs[-1]
-    personal_last = personal_logs[-1]
-    gap = abs(mixed_last.mean_acc - mixed_last.heldout_mean_acc) * 100
-    assert gap <= 10.0
-    assert personal_last.heldout_mean_acc < mixed_last.heldout_mean_acc
-    print(f"\nPASS criterion 9: mixing heldout {mixed_last.heldout_mean_acc:.3f} "
-          f"vs participating {mixed_last.mean_acc:.3f} (gap {gap:.1f}pp); "
-          f"personalized heldout {personal_last.heldout_mean_acc:.3f} is lower")
+def test_criterion_09_heldout_generalization(heldout_runs):
+    # generalization: mixing scores the heldout client about as well as
+    # the participating ones, and better than per-client prompts do
+    gaps, leads = {}, {}
+    for seed in SEEDS:
+        mixed = heldout_runs["mixed"][seed][-1]
+        personal = heldout_runs["personalized"][seed][-1]
+        gaps[seed] = abs(mixed.mean_acc - mixed.heldout_mean_acc) * 100
+        leads[seed] = (mixed.heldout_mean_acc - personal.heldout_mean_acc) * 100
+        assert gaps[seed] <= 10.0, f"seed {seed}: gap {gaps[seed]:.1f}pp"
+        assert leads[seed] > 0.0, f"seed {seed}: lead {leads[seed]:.1f}pp"
+    print(f"\nPASS criterion 9: mixing heldout vs participating gap "
+          f"{per_seed(gaps)}pp at seeds {SEEDS} (<= 10pp, margins "
+          f"{per_seed({s: 10.0 - gaps[s] for s in SEEDS})}pp); mixing's "
+          f"heldout lead over personalized {per_seed(leads)}pp (> 0)")
 
 
 def test_criterion_10_dp_robustness(ablation_runs):
-    dp_logs = desk_run(0, "mixed", dp_epsilon=0.2)
-    noiseless = ablation_runs["mixed"][0][-1].mean_acc
-    noised = dp_logs[-1].mean_acc
-    drop = (noiseless - noised) * 100
-    assert drop <= 8.0
-    print(f"\nPASS criterion 10: eps=0.2 run {noised:.3f} vs noiseless "
-          f"{noiseless:.3f} (drop {drop:.1f}pp <= 8pp)")
+    drops = {}
+    for seed in SEEDS:
+        noiseless = ablation_runs["mixed"][seed][-1].mean_acc
+        noised = desk_run(seed, "mixed", dp_epsilon=0.2)[-1].mean_acc
+        drops[seed] = (noiseless - noised) * 100
+        assert drops[seed] <= 8.0, (
+            f"seed {seed}: eps=0.2 run {noised:.3f} vs noiseless "
+            f"{noiseless:.3f}")
+    print(f"\nPASS criterion 10: eps=0.2 drop {per_seed(drops)}pp at seeds "
+          f"{SEEDS} (<= 8pp, margins "
+          f"{per_seed({s: 8.0 - drops[s] for s in SEEDS})}pp)")
 
 
 def test_criterion_11_run_determinism(tmp_path):
@@ -336,3 +357,19 @@ def test_criterion_12_protocol_unit_suite():
             assert len(np.unique(test_all)) == dataset.test_y.size
     print("\nPASS criterion 12: momentum / warm-up / indicator / fedavg exact; "
           "100-seed partition disjointness and coverage hold")
+
+
+def test_criterion_13_mixing_keeps_personalization(heldout_runs):
+    # personalization: on the participating clients, one global mixed
+    # prompt set loses at most 3pp to per-client prompts (one of a
+    # client's 8 test samples moves the mean of 11 clients by 1.1pp)
+    diffs = {}
+    for seed in SEEDS:
+        mixed = heldout_runs["mixed"][seed][-1].mean_acc
+        personal = heldout_runs["personalized"][seed][-1].mean_acc
+        diffs[seed] = (mixed - personal) * 100
+        assert diffs[seed] >= -3.0, (
+            f"seed {seed}: mixed {mixed:.3f} vs personalized {personal:.3f}")
+    print(f"\nPASS criterion 13: mixing minus personalized on participating "
+          f"clients {per_seed(diffs)}pp at seeds {SEEDS} (>= -3pp, margins "
+          f"{per_seed({s: diffs[s] + 3.0 for s in SEEDS})}pp)")

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -76,6 +77,20 @@ OVERFLOWING_RUN = {
     "train": {"clients": 4, "clients_per_round": 2, "rounds": 2,
               "batch_size": 4, "lr": 1e153},
     "heldout_fraction": 0.25,
+}
+
+# a run whose lr of 1.7e308 lets each client's one step, taken after its
+# last forward, carry the prompts so far that the head product of the
+# round-1 evaluation overflows, outside any client's own work; at 1.2e308
+# the run completes
+OVERFLOWING_EVAL_RUN = {
+    "data": {"classes": 4, "train_per_class": 8, "test_per_class": 4,
+             "image_size": 8},
+    "partition": {"mode": "pathological", "classes_per_client": 2},
+    "model": {"dim": 32, "layers": 2, "heads": 2, "patch_size": 4,
+              "mix_layers": [2]},
+    "train": {"clients": 4, "clients_per_round": 2, "rounds": 1,
+              "batch_size": 16, "local_epochs": 1, "lr": 1.7e308},
 }
 
 
@@ -501,14 +516,16 @@ class TestRunCommand:
             "training error: non-finite gradient norm (round=1, client=3)\n")
         assert not (tmp_path / "run").exists()
 
-    def test_overflowing_forward_fails_with_round_and_client(self, tmp_path,
-                                                             capsys):
+    @pytest.mark.parametrize("raw, where", [
+        (OVERFLOWING_RUN, "round=1, client=1"),
+        (OVERFLOWING_EVAL_RUN, "round=1")], ids=["local-sgd", "evaluation"])
+    def test_overflowing_forward_fails_with_round_and_client(
+            self, tmp_path, capsys, raw, where):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(
-            {**OVERFLOWING_RUN, "out_dir": str(tmp_path / "run")}))
+        path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "training error: floating-point overflow (round=1, client=1)\n")
+            f"training error: floating-point overflow ({where})\n")
         assert not (tmp_path / "run").exists()
 
     def test_group_without_test_data_rejected_before_any_forward(
@@ -736,10 +753,16 @@ class TestConfigProperty:
 
 class TestGradcheckCommand:
     def test_passes_on_healthy_model(self, capsys):
-        assert main(["gradcheck", "--dim", "8", "--layers", "2",
-                     "--classes", "3"]) == 0
+        assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "shared" in out and "class" in out and "head" in out
+
+    def test_takes_no_options(self, capsys):
+        # the check runs at one size, the one that sees every map
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--dim", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim 8" in capsys.readouterr().err
 
     def test_fails_with_corrupted_backward(self, monkeypatch, capsys):
         from fedprompt import model
@@ -761,16 +784,15 @@ class TestGradcheckCommand:
             return out
 
         monkeypatch.setattr(model, "_mix", corrupted)
-        assert main(["gradcheck", "--dim", "8", "--layers", "2",
-                     "--classes", "3"]) == 1
-        assert "class: max relative error 5.0" in capsys.readouterr().out
+        assert main(["gradcheck"]) == 1
+        assert "class: max relative error 5.000e-01" in capsys.readouterr().out
 
     @pytest.mark.parametrize("corruption", ["scaled", "row1"])
     def test_default_size_sees_score_to_cls_map(self, monkeypatch, capsys,
                                                 corruption):
-        # at --dim 8 --layers 2 --classes 3 these corruptions of the map
-        # from the scores to the cls token read 2.6e-5 and 2.4e-5, under
-        # the threshold; the default size must catch them
+        # on a model of dim 8, 2 layers and 3 classes these corruptions of
+        # the map from the scores to the cls token read 2.6e-5 and 2.4e-5,
+        # under the threshold; the check's one size must catch them
         from fedprompt import model
 
         true_op, true_mix = model.soft_scores_op, model._mix
@@ -807,52 +829,8 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 1
         assert "shared: max relative error" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--classes", "--dim", "--heads",
-                                      "--seed"])
-    def test_zero_size_rejected(self, capsys, flag):
-        # sizes must be positive, the seed non-negative
-        value = "-1" if flag == "--seed" else "0"
-        assert main(["gradcheck", flag, value]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
-
-    def test_one_feature_model_rejected(self, capsys):
-        # at --dim 1 every layer norm outputs 0, so every gradient the
-        # check compares is 0 and it passes whatever the maps compute
-        assert main(["gradcheck", "--dim", "1", "--heads", "1"]) == 2
-        assert capsys.readouterr() == (
-            "", "config error: model dim must be >= 2, got 1\n")
-
-    def test_one_class_rejected(self, monkeypatch, capsys):
-        # cross entropy over one class is 0, so every gradient is 0 and a
-        # check would pass whatever the backward maps compute
-        from fedprompt import model
-
-        def no_forward(**kwargs):
-            raise AssertionError("gradient check ran")
-
-        monkeypatch.setattr(model, "gradient_check", no_forward)
-        assert main(["gradcheck", "--classes", "1"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: --classes must be >= 2, got 1\n")
-
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
-    def test_threshold_must_be_finite_and_positive(self, monkeypatch, capsys,
-                                                   threshold):
-        # every error fails a threshold of NaN or <= 0: reject it before
-        # the first finite difference instead of reporting a failure
-        from fedprompt import model
-
-        def no_forward(**kwargs):
-            raise AssertionError("gradient check ran")
-
-        monkeypatch.setattr(model, "gradient_check", no_forward)
-        assert main(["gradcheck", "--threshold", threshold, "--dim", "8",
-                     "--layers", "2", "--classes", "3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --threshold must be finite")
-
     def test_reports_blocks_separately(self, capsys):
-        main(["gradcheck", "--dim", "8", "--layers", "2", "--classes", "3"])
+        main(["gradcheck"])
         out = capsys.readouterr().out
         assert out.count("max relative error") == 4
 
@@ -987,6 +965,45 @@ class TestOutputDirectory:
             f"regular file\n")
         assert sorted(p.name for p in out.iterdir()) == [artifact]
 
+    @pytest.mark.parametrize("shape", ["long-name", "long-path"])
+    @pytest.mark.parametrize("command", ["run", "partition", "eval"])
+    def test_out_path_too_long_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, saved_run, command, shape):
+        # one name over NAME_MAX (255 bytes), or 18 names under it whose
+        # path is over PATH_MAX (4096 bytes): makedirs would fail after
+        # all the work, the second after making 17 of the directories
+        argv = self.argv_drawing_no_data(monkeypatch, tmp_path, saved_run,
+                                         command)
+
+        def no_server(cfg):
+            raise AssertionError("built a run it cannot write out")
+
+        monkeypatch.setattr(cli, "init_server", no_server)
+        out = (tmp_path / ("x" * 300) if shape == "long-name" else
+               Path(tmp_path, *["y" * 250] * 18))
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out}: "
+            f"File name too long\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_dir_the_os_cannot_make_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        # a failure only makedirs sees, such as a full disk
+        def full_disk(path, exist_ok=False):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        path, _ = small_config(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "makedirs", full_disk)
+        assert main(["partition", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out}: "
+            f"No space left on device\n")
+        assert not out.exists()
+
 
 class TestPartitionCommand:
     def test_pathological_histogram_has_k_bins(self, tmp_path):
@@ -1022,6 +1039,23 @@ class TestPartitionCommand:
             got = {int(i): (int(c), int(y))
                    for c, i, y, where in rows[1:] if where == split}
             assert got == {i: (c, int(labels[i])) for i, c in owner.items()}
+
+    def test_seed_flag_sets_the_partition_seed(self, tmp_path):
+        # the config says seed 0; --seed 7 writes seed 7's partition and
+        # a config.json that names seed 7
+        path, _ = small_config(tmp_path)
+        assert main(["partition", "--config", str(path), "--seed", "7"]) == 0
+        out = tmp_path / "run"
+        assert json.loads((out / "config.json").read_text())["seed"] == 7
+        cfg = load_config(str(path), 7)
+        part = cli.make_partition(generate_synthetic(cfg.data, 7), cfg)
+        with open(out / "partition.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert {(split, int(i)): int(c) for c, i, _, split in rows} == {
+            (split, int(i)): c
+            for split, shards in (("train", part.train_indices),
+                                  ("test", part.test_indices))
+            for c, idx in enumerate(shards) for i in idx}
 
     @pytest.mark.parametrize("field", ["noise", "separation"])
     def test_negative_scale_names_field(self, tmp_path, capsys, field):

@@ -15,6 +15,7 @@ from fedprompt.errors import ConfigError
 from fedprompt.federation import build_clients
 from fedprompt.model import (
     _GELU_C,
+    GRADCHECK_THRESHOLD,
     BackboneWeights,
     ModelConfig,
     PromptParams,
@@ -897,8 +898,9 @@ class TestWorkspaces:
 
 
 class TestPrimitiveGradients:
-    def test_transformer_layer_vs_finite_differences(self):
-        cfg = ModelConfig(dim=8, layers=1, heads=2, mix_layers=())
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_transformer_layer_vs_finite_differences(self, heads):
+        cfg = ModelConfig(dim=8, layers=1, heads=heads, mix_layers=())
         blk = init_backbone(31, cfg).blocks[0]
         x = np.random.default_rng(31).normal(size=(5, cfg.dim))
 
@@ -1091,12 +1093,17 @@ class TestForwardShard:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_gradcheck_small_model(self, heads):
-        report = gradient_check(seed=0, dim=16, layers=4, classes=4,
-                                heads=heads)
-        assert report["max"] < 1e-4
+    def test_gradient_check_reports_each_block_reproducibly(self):
+        # `fedprompt gradcheck` prints these figures, so two calls must
+        # agree bit for bit and leave numpy's global generator alone
+        before = np.random.get_state()[1].copy()
+        report = gradient_check()
         assert set(report) == {"shared", "class", "head", "max"}
+        assert report["max"] == max(report["shared"], report["class"],
+                                    report["head"])
+        assert report["max"] < GRADCHECK_THRESHOLD
+        assert gradient_check() == report
+        assert np.array_equal(np.random.get_state()[1], before)
 
     def test_frozen_backbone_receives_no_gradients(self):
         backbone, prompts, bank, priors, image = make_setup(15)
@@ -1111,7 +1118,3 @@ class TestGradients:
         for arr in backbone_arrays(backbone):
             assert type(arr) is np.ndarray
         assert backbone_checksum(backbone) == before
-
-    def test_autodiff_matches_fd_on_two_layer_model(self):
-        report = gradient_check(seed=3, dim=8, layers=2, classes=3, heads=2)
-        assert report["max"] < 1e-4
