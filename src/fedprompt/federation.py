@@ -5,10 +5,11 @@ on the prompt blocks, federated averaging, and periodic prototype sync.
 `run_training` trains it.  `init_server` alone turns the strategy and
 model config into state: the prototype bank (None without mixing) holds
 the mix layers, tau and, as its `epsilon`, the DP budget.
-`ServerState.client_inputs` alone puts together a client's prompts
-(`broadcast_params`) and score constants (the bank's).  The three prompt
-blocks always travel as one `PromptParams`: clients read
-the server's own blocks, and `local_train` trains the one copy it returns.
+`ServerState.client_inputs` alone says what a client reads: its prompts
+and score constants (the bank's).  The three prompt blocks always travel
+as one `PromptParams`: clients read the server's own blocks, and
+`local_train` trains the one copy it returns; `fedavg_aggregate` alone
+averages the trained copies, under every strategy.
 
 Everything is a pure function of (config, seed): client sampling, batch
 shuffling, and noise draws all derive their generators from the master
@@ -73,7 +74,6 @@ class RoundLog:
     worst_acc: float
     heldout_mean_acc: float | None
     heldout_worst_acc: float | None
-    participants: tuple
 
 
 @dataclass
@@ -91,16 +91,13 @@ class ServerState:
     # participating client, its initial blocks until it trains
     personal: dict = field(default_factory=dict)
 
-    def broadcast_params(self, cid: int) -> PromptParams:
-        """The blocks client `cid` starts the round from, for reading only:
-        the server's own, or its trained prompts with the global head."""
-        own = self.personal.get(cid)
-        return self.params if own is None else replace(own, head=self.params.head)
-
     def client_inputs(self, cid: int):
         """(prompt parameters, score constants) client `cid` trains and is
-        evaluated with; the constants are the bank's as it is now, if any."""
-        params = self.broadcast_params(cid)
+        evaluated with, for reading only: the server's own blocks, or its
+        own prompts with the global head; the constants are the bank's as
+        it is now, if any."""
+        own = self.personal.get(cid)
+        params = self.params if own is None else replace(own, head=self.params.head)
         if self.bank is None:
             return params, {}
         return params, self.bank.score_constants(self.clients[cid].priors)
@@ -176,12 +173,12 @@ def local_train(client: ClientState, params: PromptParams, consts: dict,
 def fedavg_aggregate(trained) -> PromptParams:
     """Arithmetic mean of each block of the trained `PromptParams`, summed in
     the order given (ascending client id in `run_round`)."""
-    weights = np.ones(len(trained)) / len(trained)
+    weight = 1.0 / len(trained)
     blocks = []
     for per_client in zip(*(p.blocks() for p in trained)):
         acc = np.zeros_like(per_client[0][1].data)
-        for (_, block), w in zip(per_client, weights):
-            acc += w * block.data
+        for _, block in per_client:
+            acc += weight * block.data
         blocks.append(acc)
     return PromptParams.from_arrays(*blocks)
 
@@ -224,7 +221,7 @@ def evaluate_state(state: ServerState):
         for group in (state.participating, state.heldout))
 
 
-def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog:
+def _round_log(state: ServerState, train_loss=None) -> RoundLog:
     """Evaluate the state after round `state.round` and record it."""
     report, heldout = evaluate_state(state)
     return RoundLog(
@@ -234,23 +231,23 @@ def _round_log(state: ServerState, train_loss=None, participants=()) -> RoundLog
         worst_acc=report.worst_acc,
         heldout_mean_acc=heldout.mean_acc if heldout else None,
         heldout_worst_acc=heldout.worst_acc if heldout else None,
-        participants=participants,
     )
 
 
 def run_round(state: ServerState) -> RoundLog:
-    """Sample, broadcast, snapshot prototypes from the broadcast (under
-    mixing), train locally, aggregate, sync prototypes."""
+    """Sample; each sampled client submits its prototype snapshot (under
+    mixing) and trains from `client_inputs`; average; sync prototypes."""
     t = state.round = state.round + 1
     rng = derive_rng(state.seed, "sample", t)
     chosen = sample_clients(rng, state.participating, state.cfg.clients_per_round)
-    trained, losses, snapshots = [], [], []
+    trained, losses = [], []
     for cid in chosen:
         inputs = (state.clients[cid], *state.client_inputs(cid))
         try:
             if state.bank is not None:
-                snapshots.append(
-                    compute_client_prototypes(*inputs, state.backbone))
+                # the bank reads what it is sent only in the period update
+                state.bank.submit(*compute_client_prototypes(*inputs,
+                                                             state.backbone))
             params, loss = local_train(*inputs, state.backbone, state.cfg,
                                        state.seed, t)
         except FloatingPointError:  # raised under `run_training`
@@ -258,23 +255,18 @@ def run_round(state: ServerState) -> RoundLog:
         trained.append(params)
         losses.append(loss)
 
+    averaged = fedavg_aggregate(trained)
     if state.personal:  # filled by `init_server` under `personalized` only
-        # the global prompt blocks keep their initial values
-        head = np.zeros_like(state.params.head.data)
-        for cid, params in zip(chosen, trained):
-            head += params.head.data
-            state.personal[cid] = params
-        state.params = replace(state.params, head=te.Tensor(head / len(trained)))
-    else:
-        state.params = fedavg_aggregate(trained)
+        # each client keeps its own prompts; the global ones keep their
+        # initial values, and only the head is averaged
+        state.personal.update(zip(chosen, trained))
+        averaged = replace(state.params, head=averaged.head)
+    state.params = averaged
 
-    if state.bank is not None:
-        for protos, sens in snapshots:
-            state.bank.submit(protos, sens)
-        if t % state.cfg.update_period == 0:
-            state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
-            _check_bank(state.bank, t)
-    return _round_log(state, float(np.mean(losses)), chosen)
+    if state.bank is not None and t % state.cfg.update_period == 0:
+        state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
+        _check_bank(state.bank, t)
+    return _round_log(state, float(np.mean(losses)))
 
 
 def init_server(cfg: ExperimentConfig) -> ServerState:

@@ -248,8 +248,6 @@ class PrototypeBank:
         Noise uses the largest sensitivity submitted for the class during
         the period and is applied only to classes that received updates.
         """
-        if not self._buffer:
-            return
         for l in self.layers:
             agg, counts = aggregate_submissions([p[l] for p, _ in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)

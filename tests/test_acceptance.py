@@ -1,13 +1,16 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a PASS line with its measured figure so a full run
-doubles as the release report.  The experiment-backed criteria share
-their training runs through module-scoped fixtures; everything is a pure
-function of the seeds fixed here.
+doubles as the release report.  The experiment-backed criteria read their
+training runs from one module-scoped fixture, which runs every desk run
+of `DESK_RUNS` on two worker processes; everything is a pure function of
+the seeds fixed here.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -47,28 +50,48 @@ def desk_config(seed, heldout_fraction=0.0, **train):
                                train=dataclasses.replace(cfg.train, **train))
 
 
-def desk_run(seed, strategy, dp_epsilon=None, heldout_fraction=0.0):
-    """The round logs of a desk run."""
+# every desk run the criteria read: (strategy, dp_epsilon,
+# heldout_fraction, seed); a heldout fraction of 0.1 holds out one client
+# of 12
+DESK_RUNS = tuple(
+    (strategy, dp_epsilon, heldout_fraction, seed)
+    for strategy, dp_epsilon, heldout_fraction in (
+        ("shared_only", None, 0.0),     # criterion 7
+        ("mixed", None, 0.0),           # criteria 7, 8 and 10, loss curve
+        ("mixed_no_prior", None, 0.0),  # criterion 8
+        ("mixed", 0.2, 0.0),            # criterion 10
+        ("mixed", None, 0.1),           # criteria 9 and 13
+        ("personalized", None, 0.1),    # criteria 9 and 13
+    )
+    for seed in SEEDS)
+
+
+def desk_run(strategy, dp_epsilon, heldout_fraction, seed):
+    """The round logs of the desk run of one `DESK_RUNS` row."""
     return run_training(init_server(desk_config(
         seed, heldout_fraction, strategy=strategy, dp_epsilon=dp_epsilon)))
 
 
 @pytest.fixture(scope="module")
-def ablation_runs():
-    """Criterion 7/8/10 share these runs: strategy -> seed -> final logs."""
-    runs = {}
-    for strategy in ("shared_only", "mixed", "mixed_no_prior"):
-        runs[strategy] = {seed: desk_run(seed, strategy) for seed in SEEDS}
-    return runs
+def desk_runs():
+    """`DESK_RUNS` row -> its round logs, run on at most two spawned
+    workers with one BLAS thread each (no artifact byte depends on the
+    thread count); a worker's exception fails the fixture with its
+    traceback."""
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(2, os.cpu_count() or 1),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        # the workers start at the submits and load numpy under the
+        # environment they start with; this process's is restored after
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("OPENBLAS_NUM_THREADS", "1")
+            futures = {row: pool.submit(desk_run, *row) for row in DESK_RUNS}
+        return {row: future.result() for row, future in futures.items()}
 
 
-@pytest.fixture(scope="module")
-def heldout_runs():
-    """Criteria 9 and 13 share these runs, one client of 12 held out:
-    strategy -> seed -> logs."""
-    return {strategy: {seed: desk_run(seed, strategy, heldout_fraction=0.1)
-                       for seed in SEEDS}
-            for strategy in ("mixed", "personalized")}
+def final(runs, strategy, seed, dp_epsilon=None, heldout_fraction=0.0):
+    """The last round log of one desk run."""
+    return runs[(strategy, dp_epsilon, heldout_fraction, seed)][-1]
 
 
 def per_seed(values):
@@ -223,12 +246,12 @@ def test_criterion_06_communication_accounting():
           f"{report.uploaded_total / 1e6:.3f}M params (target 4.6M +/- 5%)")
 
 
-def test_criterion_07_mixing_beats_shared_only(ablation_runs):
+def test_criterion_07_mixing_beats_shared_only(desk_runs):
     start = time.time()
     gaps = {}
     for seed in SEEDS:
-        shared = ablation_runs["shared_only"][seed][-1].mean_acc
-        mixed = ablation_runs["mixed"][seed][-1].mean_acc
+        shared = final(desk_runs, "shared_only", seed).mean_acc
+        mixed = final(desk_runs, "mixed", seed).mean_acc
         gaps[seed] = (mixed - shared) * 100
         assert gaps[seed] >= 5.0, (
             f"seed {seed}: mixed {mixed:.3f} vs shared {shared:.3f}")
@@ -237,9 +260,9 @@ def test_criterion_07_mixing_beats_shared_only(ablation_runs):
     assert time.time() - start < 300  # fixture shares the heavy lifting
 
 
-def test_criterion_08_class_priors_help(ablation_runs):
-    with_prior = [ablation_runs["mixed"][s][-1].mean_acc for s in SEEDS]
-    without = [ablation_runs["mixed_no_prior"][s][-1].mean_acc for s in SEEDS]
+def test_criterion_08_class_priors_help(desk_runs):
+    with_prior = [final(desk_runs, "mixed", s).mean_acc for s in SEEDS]
+    without = [final(desk_runs, "mixed_no_prior", s).mean_acc for s in SEEDS]
     wins = sum(w >= wo for w, wo in zip(with_prior, without))
     assert wins >= 2
     assert np.mean(with_prior) >= np.mean(without)
@@ -247,13 +270,13 @@ def test_criterion_08_class_priors_help(ablation_runs):
           f"{np.mean(with_prior):.3f} vs {np.mean(without):.3f}")
 
 
-def test_criterion_09_heldout_generalization(heldout_runs):
+def test_criterion_09_heldout_generalization(desk_runs):
     # generalization: mixing scores the heldout client about as well as
     # the participating ones, and better than per-client prompts do
     gaps, leads = {}, {}
     for seed in SEEDS:
-        mixed = heldout_runs["mixed"][seed][-1]
-        personal = heldout_runs["personalized"][seed][-1]
+        mixed = final(desk_runs, "mixed", seed, heldout_fraction=0.1)
+        personal = final(desk_runs, "personalized", seed, heldout_fraction=0.1)
         gaps[seed] = abs(mixed.mean_acc - mixed.heldout_mean_acc) * 100
         leads[seed] = (mixed.heldout_mean_acc - personal.heldout_mean_acc) * 100
         assert gaps[seed] <= 10.0, f"seed {seed}: gap {gaps[seed]:.1f}pp"
@@ -264,11 +287,11 @@ def test_criterion_09_heldout_generalization(heldout_runs):
           f"heldout lead over personalized {per_seed(leads)}pp (> 0)")
 
 
-def test_criterion_10_dp_robustness(ablation_runs):
+def test_criterion_10_dp_robustness(desk_runs):
     drops = {}
     for seed in SEEDS:
-        noiseless = ablation_runs["mixed"][seed][-1].mean_acc
-        noised = desk_run(seed, "mixed", dp_epsilon=0.2)[-1].mean_acc
+        noiseless = final(desk_runs, "mixed", seed).mean_acc
+        noised = final(desk_runs, "mixed", seed, dp_epsilon=0.2).mean_acc
         drops[seed] = (noiseless - noised) * 100
         assert drops[seed] <= 8.0, (
             f"seed {seed}: eps=0.2 run {noised:.3f} vs noiseless "
@@ -298,12 +321,12 @@ def test_criterion_11_run_determinism(tmp_path):
     print("\nPASS criterion 11: repeated runs produced byte-identical metrics.csv")
 
 
-def test_training_loss_curve_shape(ablation_runs):
+def test_training_loss_curve_shape(desk_runs):
     """5-round moving average of the training loss trends monotonically
     down; small upticks are inherent to per-round client resampling."""
     for seed in SEEDS:
-        losses = np.array([log.train_loss
-                           for log in ablation_runs["mixed"][seed][1:]])
+        logs = desk_runs[("mixed", None, 0.0, seed)]
+        losses = np.array([log.train_loss for log in logs[1:]])
         ma = np.convolve(losses, np.ones(5) / 5, mode="valid")
         rises = np.diff(ma) / ma[:-1]
         assert rises.max() < 0.15, f"seed {seed}: MA uptick {rises.max():.2%}"
@@ -359,14 +382,15 @@ def test_criterion_12_protocol_unit_suite():
           "100-seed partition disjointness and coverage hold")
 
 
-def test_criterion_13_mixing_keeps_personalization(heldout_runs):
+def test_criterion_13_mixing_keeps_personalization(desk_runs):
     # personalization: on the participating clients, one global mixed
     # prompt set loses at most 3pp to per-client prompts (one of a
     # client's 8 test samples moves the mean of 11 clients by 1.1pp)
     diffs = {}
     for seed in SEEDS:
-        mixed = heldout_runs["mixed"][seed][-1].mean_acc
-        personal = heldout_runs["personalized"][seed][-1].mean_acc
+        mixed = final(desk_runs, "mixed", seed, heldout_fraction=0.1).mean_acc
+        personal = final(desk_runs, "personalized", seed,
+                         heldout_fraction=0.1).mean_acc
         diffs[seed] = (mixed - personal) * 100
         assert diffs[seed] >= -3.0, (
             f"seed {seed}: mixed {mixed:.3f} vs personalized {personal:.3f}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedprompt import federation
 from fedprompt.config import ExperimentConfig, TrainConfig
 from fedprompt.data import PartitionSpec, SyntheticSpec, generate_synthetic
 from fedprompt.evaluation import (
@@ -9,11 +10,13 @@ from fedprompt.evaluation import (
     evaluate_clients,
     heldout_split,
 )
-from fedprompt.federation import ClientState, init_server, run_training
+from fedprompt.federation import (ClientState, init_server, local_train,
+                                  run_training, sample_clients)
 from fedprompt.model import (ModelConfig, PromptParams, embed_patches,
                              forward_shard, forward_with_prompts,
                              init_backbone)
 from fedprompt.prototypes import ScoreConstants, local_prototypes
+from fedprompt.seeding import derive_rng
 
 
 def make_client(cid, test_y, priors=None):
@@ -135,7 +138,7 @@ class TestHeldoutSplit:
         assert heldout_split(range(20), 0.9, 5) == heldout_split(range(20), 0.9, 5)
         assert heldout_split(range(20), 0.9, 5) != heldout_split(range(20), 0.9, 6)
 
-    def test_heldout_never_sampled_in_training(self):
+    def test_heldout_never_sampled_in_training(self, monkeypatch):
         cfg = ExperimentConfig(
             data=SyntheticSpec(classes=4, train_per_class=12, test_per_class=4,
                                image_size=8, separation=1.5, noise=0.5),
@@ -148,11 +151,20 @@ class TestHeldoutSplit:
         state = init_server(cfg)
         _, heldout = heldout_split(range(6), 0.8, seed=3)
         assert state.heldout == heldout
+        trained = []
+
+        def recording(client, *args):
+            trained.append(client.client_id)
+            return local_train(client, *args)
+
+        monkeypatch.setattr(federation, "local_train", recording)
         logs = run_training(state)
-        sampled = set()
-        for log in logs:
-            sampled.update(log.participants)
-        assert sampled.isdisjoint(heldout)
+        # each round trains the sample drawn from the participating clients
+        samples = [sample_clients(derive_rng(3, "sample", t),
+                                  state.participating, 3)
+                   for t in range(1, 5)]
+        assert trained == [cid for sample in samples for cid in sample]
+        assert set(trained).isdisjoint(heldout)
         assert all(log.heldout_mean_acc is not None for log in logs)
 
 

@@ -269,8 +269,9 @@ class TestRounds:
         consts = state.bank.score_constants(client.priors)
         expected, _ = local_train(client, broadcast, consts, state.backbone,
                                   state.cfg, seed=8, round_index=1)
-        log = run_round(state)
-        assert log.participants == (0,)
+        run_round(state)
+        assert sample_clients(derive_rng(8, "sample", 1), state.participating,
+                              1) == (0,)
         np.testing.assert_array_equal(state.params.head.data,
                                       expected.head.data)
         np.testing.assert_array_equal(state.params.shared.data,
@@ -325,9 +326,11 @@ class TestRounds:
         warm_startup(state)
         snapshots = {c.client_id: (c.train_x.copy(), c.priors.copy())
                      for c in state.clients}
-        log = run_round(state)
+        run_round(state)
+        chosen = sample_clients(derive_rng(13, "sample", 1),
+                                state.participating, 2)
         for c in state.clients:
-            if c.client_id in log.participants:
+            if c.client_id in chosen:
                 continue
             np.testing.assert_array_equal(c.train_x, snapshots[c.client_id][0])
             np.testing.assert_array_equal(c.priors, snapshots[c.client_id][1])
@@ -352,10 +355,12 @@ class TestRounds:
             return build(bank, priors)
 
         monkeypatch.setattr(PrototypeBank, "score_constants", counting)
-        log = run_round(state)
+        run_round(state)
+        chosen = sample_clients(derive_rng(14, "sample", 1),
+                                state.participating, state.cfg.clients_per_round)
         evaluated = sum(1 for c in clients if c.test_y.size)
         assert evaluated == len(clients) - 1
-        assert len(calls) == len(log.participants) + evaluated
+        assert len(calls) == len(chosen) + evaluated
 
     def test_non_finite_period_update_names_round(self):
         state = init_server(tiny_experiment(5))
@@ -428,10 +433,11 @@ class TestInitServer:
                                             clients_per_round=2, model=model))
         assert state.personal == {}
         warm_startup(state)
-        log = run_round(state)
+        run_round(state)
         assert state.personal == {}
-        for cid in log.participants:
-            assert state.broadcast_params(cid) is state.params
+        for cid in sample_clients(derive_rng(21, "sample", 1),
+                                  state.participating, 2):
+            assert state.client_inputs(cid)[0] is state.params
 
 
 class TestPersonalizedStrategy:
@@ -439,7 +445,7 @@ class TestPersonalizedStrategy:
         state = init_server(tiny_experiment(15, strategy="personalized",
                                             rounds=1, clients_per_round=2))
         warm_startup(state)
-        log = run_round(state)
+        run_round(state)
         # global prompt blocks stay at initialization; head moved
         init = PromptParams.init(15, TINY_MODEL.dim, 4)
         np.testing.assert_array_equal(state.params.shared.data,
@@ -447,7 +453,8 @@ class TestPersonalizedStrategy:
         np.testing.assert_array_equal(state.params.class_prompts.data,
                                       init.class_prompts.data)
         assert np.abs(state.params.head.data).max() > 0
-        for cid in log.participants:
+        for cid in sample_clients(derive_rng(15, "sample", 1),
+                                  state.participating, 2):
             own = state.personal[cid]
             assert isinstance(own, PromptParams)
             # a trained client starts from its own prompts and the global head
@@ -455,6 +462,23 @@ class TestPersonalizedStrategy:
             assert params.shared is own.shared
             assert params.class_prompts is own.class_prompts
             assert params.head is state.params.head
+
+    def test_head_averaged_as_every_strategy_averages(self):
+        # at 3 clients a round the head is `fedavg_aggregate`'s mean of the
+        # trained heads bit for bit (a sum divided once rounds otherwise)
+        state = init_server(tiny_experiment(17, strategy="personalized",
+                                            rounds=1, clients_per_round=3))
+        init = state.params.copy()
+        warm_startup(state)
+        run_round(state)
+        chosen = sample_clients(derive_rng(17, "sample", 1),
+                                state.participating, 3)
+        trained = [state.personal[cid] for cid in chosen]
+        assert np.array_equal(state.params.head.data,
+                              fedavg_aggregate(trained).head.data)
+        for (name, block), (_, start) in zip(state.params.blocks()[:2],
+                                             init.blocks()[:2]):
+            assert np.array_equal(block.data, start.data), name
 
     def test_init_server_gives_each_participating_client_a_copy(self):
         state = init_server(tiny_experiment(
@@ -475,7 +499,7 @@ class TestPersonalizedStrategy:
         warm_startup(state)
         run_round(state)
         (heldout,) = state.heldout
-        params = state.broadcast_params(heldout)
+        params, _ = state.client_inputs(heldout)
         init = PromptParams.init(16, TINY_MODEL.dim, 4)
         np.testing.assert_array_equal(params.shared.data, init.shared.data)
         np.testing.assert_array_equal(params.class_prompts.data,

@@ -376,13 +376,6 @@ class TestPrototypeBank:
         np.testing.assert_allclose(bank.mu[6], np.full((3, 2), 3.0))
         assert len(bank._buffer) == 0
 
-    def test_empty_buffer_update_is_noop(self):
-        bank = self.make_bank()
-        before = {l: bank.mu[l].copy() for l in bank.layers}
-        bank.apply_period_update(self.rng())
-        for l in bank.layers:
-            np.testing.assert_array_equal(bank.mu[l], before[l])
-
     def test_dp_uses_max_submitted_sensitivity(self):
         bank = self.make_bank(rho=0.0, epsilon=0.2)
         subs = [

@@ -3,18 +3,22 @@ workloads write, so two checkouts can be compared byte for byte:
 
     python tools/artifact_digests.py > /tmp/new.txt
 
-It runs `fedprompt run` from this checkout's src/ on both shipped configs
-and on perfbench/workloads/{desk,train-heavy,eval-heavy}.json, at seeds 0
-and 1, each into its own directory under a temporary directory, and
-`fedprompt eval` on each shipped-config run.  It prints one
+It runs `fedprompt run` from this checkout's src/ on both shipped configs,
+on perfbench/workloads/{desk,train-heavy,eval-heavy}.json and on
+configs/pathological.json with `train.strategy` set to `personalized` and
+to `mixed_no_prior` (the strategies no other case trains), at seeds 0 and 1,
+each into its own directory under a temporary directory, and
+`fedprompt eval` on each run but the workloads'.  It prints one
 `config seed artifact sha256` line per file: config.json without its
 `out_dir` line (the path is temporary), the other five run artifacts and
-eval_report.json, 64 lines in all.  It takes no options, writes nothing
-outside the temporary directory, and exits 1 naming the first command
-that fails.  Run it in each checkout and `diff` the outputs.
+eval_report.json, 92 lines in all.  It takes no options, writes nothing
+outside the temporary directory (the edited configs included), and exits
+1 naming the first command that fails.  Run it in each checkout and
+`diff` the outputs.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -22,11 +26,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("pathological", "dirichlet_heldout")
-CONFIGS = {
-    **{name: os.path.join("configs", f"{name}.json") for name in SHIPPED},
-    **{name: os.path.join("perfbench", "workloads", f"{name}.json")
-       for name in ("desk", "train-heavy", "eval-heavy")},
-}
+# configs/pathological.json is also run under each of these strategies
+STRATEGIES = ("personalized", "mixed_no_prior")
+WORKLOADS = ("desk", "train-heavy", "eval-heavy")
 SEEDS = (0, 1)
 # listed here, not read from `cli`, so a change cannot shrink its own check
 RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
@@ -55,15 +57,34 @@ def digest(path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def strategy_config(tmp, strategy) -> str:
+    """Path of configs/pathological.json with `strategy`, written in `tmp`."""
+    with open(os.path.join(ROOT, "configs", "pathological.json")) as fh:
+        raw = json.load(fh)
+    raw["train"]["strategy"] = strategy
+    path = os.path.join(tmp, f"pathological-{strategy}.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    return path
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config in CONFIGS.items():
+        configs = {
+            **{name: os.path.join("configs", f"{name}.json")
+               for name in SHIPPED},
+            **{name: os.path.join("perfbench", "workloads", f"{name}.json")
+               for name in WORKLOADS},
+            **{f"pathological-{strategy}": strategy_config(tmp, strategy)
+               for strategy in STRATEGIES},
+        }
+        for name, config in configs.items():
             for seed in SEEDS:
                 out = os.path.join(tmp, f"{name}-{seed}")
                 fedprompt("run", "--config", config, "--seed", str(seed),
                           "--out", out)
                 artifacts = list(RUN_ARTIFACTS)
-                if name in SHIPPED:
+                if name not in WORKLOADS:
                     fedprompt("eval", "--run-dir", out)
                     artifacts.append("eval_report.json")
                 for artifact in artifacts:
