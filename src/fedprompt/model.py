@@ -194,8 +194,7 @@ _GELU_3A = te.scalar(3 * 0.044715)
 class _Kept:
     """What the block's map reads: the layer norms' outputs, the QKV
     product and its per-head views, the attention and the GELU factors.
-    Untaped, the workspace's own set; taped, one taken from its free list,
-    which the map puts back as its last step."""
+    Every block call borrows one from its workspace's free list."""
 
     __slots__ = ("xhat1", "inv1", "qkv", "q", "k", "v", "k_t", "v_t", "attn",
                  "attn_t", "xhat2", "inv2", "u2", "t", "half_u", "one_t")
@@ -215,13 +214,17 @@ class _Kept:
 
 class _BlockSpace:
     """The workspace of the block and its map at one (tokens, d, heads,
-    hidden): temporaries, their per-head views, constants, `_Kept` sets."""
+    hidden): temporaries, their per-head views, constants, and the free
+    list of `_Kept` sets.  Built on first use and kept in `_BLOCK_SPACES`.
+    What the block returns is fresh, and what its map captures is held by
+    that map alone until it has run, so no later call of any shape
+    changes a result or a recorded map.  Blocks run one at a time."""
 
     def __init__(self, tokens, d, heads, hidden):
         head_dim = d // heads
         self.inv_sqrt = te.scalar(1.0 / math.sqrt(head_dim))
         self.norm = te.NormSpace(tokens, d)
-        self.kept, self.free = _Kept(tokens, d, heads, hidden), []
+        self.free = []
         self.scores, self.dattn, self.weighted = np.empty((3, heads, tokens, tokens))
         self.dattn_t = self.dattn.transpose(0, 2, 1)
         # reductions into the 1-D view of a column dispatch fastest
@@ -236,7 +239,7 @@ class _BlockSpace:
             np.empty((6, tokens, hidden)))
 
 
-_BLOCK_SPACES = te.Workspaces(_BlockSpace)
+_BLOCK_SPACES = {}
 
 
 def _transformer_layer(x, blk: LayerWeights, heads: int, tape):
@@ -249,16 +252,17 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape):
     finite-difference suite checks it end to end.
 
     Every ufunc writes with `out=` into the workspace of the block's shape,
-    and what the map reads into a `_Kept` set, which the map puts back in
-    the free list after its last read: `Tape.backward` runs each map at
-    most once.  The output and the map's result are fresh arrays.
+    and what the map reads into a `_Kept` set from its free list.  An
+    untaped call puts the set back before it returns, and the map after
+    its last read: `Tape.backward` runs each map at most once.  The output
+    and the map's result are fresh arrays.
     """
     tokens, d = x.shape
-    hidden = blk.w_up.shape[1]
-    ws = _BLOCK_SPACES[tokens, d, heads, hidden]
-    kp = ws.kept
-    if tape is not None:
-        kp = ws.free.pop() if ws.free else _Kept(tokens, d, heads, hidden)
+    shape = tokens, d, heads, blk.w_up.shape[1]
+    ws = _BLOCK_SPACES.get(shape)
+    if ws is None:
+        ws = _BLOCK_SPACES[shape] = _BlockSpace(*shape)
+    kp = ws.free.pop() if ws.free else _Kept(*shape)
 
     te.norm_rows(x, kp.xhat1, kp.inv1, ws.norm)
     # one GEMM for Q, K and V
@@ -288,6 +292,7 @@ def _transformer_layer(x, blk: LayerWeights, heads: int, tape):
     x2 = np.dot(np.multiply(half_u, one_t, inner), blk.w_down)
     np.add(x2, x1, x2)
     if tape is None:
+        ws.free.append(kp)
         return x2
 
     def backward(dout):
@@ -375,14 +380,13 @@ def _mix(seq, class_prompts: te.Tensor, consts: ScoreConstants, replace: bool,
     return out
 
 
-_NORM_SPACES = te.Workspaces(te.NormSpace)
-
-
 def _head(seq, head: te.Tensor, tape):
     """Logits head @ LN(cls) of the last layer's cls row, as one
     primitive."""
-    norm = _NORM_SPACES[1, seq.shape[1]]
-    row, inv = te.norm_rows(seq[0:1], None, None, norm)
+    d = seq.shape[1]
+    norm = te.NormSpace(1, d)
+    row, inv = te.norm_rows(seq[0:1], np.empty((1, d)), np.empty((1, 1)),
+                            norm)
     if tape is not None:
         def backward(g):
             g = g.reshape(-1, 1)

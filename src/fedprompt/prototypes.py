@@ -32,14 +32,12 @@ class ScoreConstants:
     norms, and the log priors.  The loop that walks a shard builds these
     once, so each sample only adds the cls token's norm and one
     matrix-vector product.  They hold copies of the prototypes: after a
-    write to the bank, build them again.  They also own the scratch of
-    `evaluate`: the logits over the active classes, the denominators and
-    the 0-d maximum or sum.  The priors must have a nonzero entry, as
-    `init_server` guarantees for every client it scores.
+    write to the bank, build them again.  The priors must have a nonzero
+    entry, as `init_server` guarantees for every client it scores.
     """
 
     __slots__ = ("tau", "classes", "active", "nonzero", "protos", "norms",
-                 "log_priors", "logits", "den", "top")
+                 "log_priors")
 
     def __init__(self, prototypes, priors, tau: float):
         active = np.flatnonzero(priors > 0.0)
@@ -53,8 +51,6 @@ class ScoreConstants:
         self.protos = protos[self.nonzero]
         self.norms = norms[self.nonzero]
         self.log_priors = np.log(priors[active])
-        self.logits, self.den, self.top = (
-            np.empty(active.size), np.empty(self.norms.size), np.empty(()))
 
     def evaluate(self, cls_vec):
         """(scores, sims, cls_norm) for one cls token: the scores over all
@@ -68,18 +64,17 @@ class ScoreConstants:
         observed) contributes a neutral similarity of 0.
         """
         cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
-        logits, top = self.logits, self.top
-        logits.fill(0.0)
+        logits = np.zeros(self.active.size)
         sims = None
         if cls_norm > 0.0 and self.norms.size:
             sims = np.dot(self.protos, cls_vec)
-            np.divide(sims, np.multiply(self.norms, cls_norm, self.den), sims)
+            np.divide(sims, np.multiply(self.norms, cls_norm), sims)
             logits[self.nonzero] = sims
         np.divide(logits, self.tau, logits)
         np.add(logits, self.log_priors, logits)
-        np.subtract(logits, np.maximum.reduce(logits, 0, None, top), logits)
+        np.subtract(logits, np.maximum.reduce(logits), logits)
         e = np.exp(logits, logits)
-        np.divide(e, np.add.reduce(e, 0, None, top), e)
+        np.divide(e, np.add.reduce(e), e)
         scores = np.zeros(self.classes)
         scores[self.active] = e
         return scores, sims, cls_norm

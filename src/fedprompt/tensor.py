@@ -7,11 +7,11 @@ any trainable block the primitive read, and returns the gradient of its
 input, or None when it has none (the embedding).  `Tape.backward` seeds
 1.0 and passes the gradient through the maps in reverse order of
 recording.  A `Tensor` is only a trainable block: its array and the
-gradient the maps add into.  This module also holds the per-shape
-workspaces and 0-d constants of the per-sample kernels, the
-layer-normalization kernels, cross entropy, and a central
-finite-difference oracle (`finite_diff_grad`), the independent gradient
-check used throughout the test suite.
+gradient the maps add into.  This module also holds the 0-d constants
+of the per-sample kernels, the layer-normalization kernels and their
+scratch, cross entropy, and a central finite-difference oracle
+(`finite_diff_grad`), the independent gradient check used throughout the
+test suite.
 """
 
 import functools
@@ -87,21 +87,6 @@ HALF = scalar(0.5)
 LAYER_NORM_EPS = scalar(1e-5)
 
 
-class Workspaces(dict):
-    """A kernel's workspaces, one per shape, each built by `build(*shape)`
-    on first use: its temporaries and the views it indexes.  What a kernel
-    returns is fresh, and what a map captures is fresh or held by that map
-    alone until it has run, so no later call of any shape changes a result
-    or a recorded map.  Kernels run one at a time."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, shape):
-        space = self[shape] = self.build(*shape)
-        return space
-
-
 class NormSpace:
     """Scratch of `norm_rows` and `norm_rows_backward` over (rows, d)
     matrices: a (rows, d) buffer for the squares or products, two (rows,
@@ -121,12 +106,8 @@ def norm_rows(x, xhat, inv, space):
     map, using the scratch `space`.
 
     Writes and returns (xhat, inv): the normalized rows and the (rows, 1)
-    inverse standard deviations, which `norm_rows_backward` needs.  Both
-    are fresh arrays where None is given.
+    inverse standard deviations, which `norm_rows_backward` needs.
     """
-    rows, d = x.shape
-    xhat = np.empty((rows, d)) if xhat is None else xhat
-    inv = np.empty((rows, 1)) if inv is None else inv
     # a reduction into a 1-D `out` dispatches faster than with keepdims
     col = inv[:, 0]
     np.divide(np.add.reduce(x, 1, None, col), space.width, col)

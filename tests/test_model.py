@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from backbone_digest import backbone_arrays, backbone_checksum
-from fedprompt import model
+from fedprompt import model, prototypes
 from fedprompt import tensor as te
 from fedprompt.cli import main
 from fedprompt.data import SyntheticSpec, generate_synthetic, partition_pathological
@@ -579,14 +579,17 @@ def captured_arrays(maps):
 
 
 def workspace_caches():
-    return [v for v in vars(model).values() if isinstance(v, te.Workspaces)]
+    """Every module-level dict of the modules the per-sample kernels live
+    in."""
+    return [v for module in (model, te, prototypes)
+            for name, v in vars(module).items()
+            if isinstance(v, dict) and not name.startswith("__")]
 
 
-def workspace_buffers(*consts):
-    """Every array of every workspace, and of the scratch of each
-    `ScoreConstants` in `consts`, with the base of each view."""
-    todo = [space for cache in workspace_caches() for space in cache.values()]
-    todo += [(c.logits, c.den, c.top) for c in consts]
+def workspace_buffers():
+    """Every array of every block workspace, the `_Kept` sets of its free
+    list included, with the base of each view."""
+    todo = list(model._BLOCK_SPACES.values())
     buffers = []
     while todo:
         value = todo.pop()
@@ -603,8 +606,8 @@ def workspace_buffers(*consts):
     return buffers
 
 
-def assert_no_escape(arrays, *consts):
-    buffers = workspace_buffers(*consts)
+def assert_no_escape(arrays):
+    buffers = workspace_buffers()
     assert buffers
     for buf in buffers:
         for arr in arrays:
@@ -667,8 +670,7 @@ class TestWorkspaces:
             assert np.array_equal(cls, kept[1])
             # while the tape is open its sets belong to no workspace
             assert len(captured) > 20
-            assert_no_escape([logits, cls, *captured], *consts.values(),
-                             *small_consts.values())
+            assert_no_escape([logits, cls, *captured])
             tape.backward()
             return (logits, cls,
                     [block.grad.copy() for _, block in prompts.blocks()])
@@ -677,8 +679,7 @@ class TestWorkspaces:
         _, _, direct = taped(interleave=False)
         for got, want in zip(grads, direct):
             assert got.tobytes() == want.tobytes()
-        assert_no_escape([logits, cls], *consts.values(),
-                         *small_consts.values())
+        assert_no_escape([logits, cls])
 
     def test_primitives_return_fresh_arrays(self):
         # each primitive, untaped, after a first call has filled its
@@ -697,17 +698,17 @@ class TestWorkspaces:
                                        None)
             logits = _head(block, prompts.head, None)
             scores, sims, _ = consts[2].evaluate(x[0])
-            return [seq, mixed, block, logits, scores, sims,
-                    *te.norm_rows(x, None, None, space),
-                    te.norm_rows_backward(x, *te.norm_rows(x, None, None, space),
-                                          None, space)]
+            xhat, inv = te.norm_rows(x, np.empty_like(x),
+                                     np.empty((len(x), 1)), space)
+            return [seq, mixed, block, logits, scores, sims, xhat, inv,
+                    te.norm_rows_backward(x, xhat, inv, None, space)]
 
         first = outputs()
         kept = [a.copy() for a in first]
         second = outputs()
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
-        assert_no_escape(first + second, *consts.values())
+        assert_no_escape(first + second)
 
     def test_untaped_outputs_are_fresh(self):
         backbone, prompts, bank, priors, image = make_setup(43)
@@ -718,7 +719,7 @@ class TestWorkspaces:
         second = forward_with_prompts(tokens * 2, prompts, backbone, consts)
         for got, want in zip(first, kept):
             assert np.array_equal(got, want)
-        assert_no_escape([*first, *second], *consts.values())
+        assert_no_escape([*first, *second])
 
     def test_two_open_tapes_of_one_shape_keep_their_gradients(self):
         backbone, prompts, bank, priors, _ = make_setup(47)
@@ -769,7 +770,7 @@ class TestWorkspaces:
         lent = kept_sets(tape._ops)
         assert len(lent) == SMALL.layers
         assert not set(map(id, lent)) & set(free_sets())
-        assert_no_escape(captured_arrays(tape._ops), *consts.values())
+        assert_no_escape(captured_arrays(tape._ops))
         tape.backward()
 
     def test_two_open_tapes_of_one_shape_capture_disjoint_memory(self):
@@ -856,6 +857,35 @@ class TestWorkspaces:
         assert set(map(id, kept_sets(again._ops))) == taken
         again.backward()
 
+    def test_untaped_calls_hand_their_set_back(self):
+        # mixing at the last of two layers: one block of each shape
+        cfg = ModelConfig(dim=8, layers=2, heads=2, patch_size=4,
+                          mix_layers=(2,))
+        backbone, prompts, bank, priors, _ = make_setup(54, cfg, classes=3,
+                                                        image_size=8)
+        consts = bank.score_constants(priors)
+        shard = embed_patches(np.random.default_rng(54).normal(
+            size=(3, 8, 8)), backbone)
+
+        def lengths():
+            return {shape: len(space.free)
+                    for shape, space in model._BLOCK_SPACES.items()}
+
+        model._BLOCK_SPACES.clear()
+        forward_shard(shard, prompts, backbone, consts)
+        untaped = lengths()
+        assert list(untaped.values()) == [1, 1]
+        free = free_sets()
+        with te.Tape() as tape:
+            logits, _ = forward_with_prompts(shard[0], prompts, backbone,
+                                             consts)
+            te.cross_entropy(logits, 0)
+        # the taped blocks borrowed the very sets the untaped ones returned
+        assert not free_sets()
+        tape.backward()
+        assert lengths() == untaped
+        assert free_sets().keys() == free.keys()
+
     def test_free_lists_stop_growing_after_a_run(self, tmp_path):
         raw = json.loads((ROOT / "configs" / "pathological.json").read_text())
         raw["train"]["rounds"] = 2
@@ -879,11 +909,9 @@ class TestWorkspaces:
         raw["train"]["rounds"] = 2
         path = tmp_path / "desk.json"
         path.write_text(json.dumps(raw))
-        caches = workspace_caches()
-        assert set(map(id, caches)) == {id(model._BLOCK_SPACES),
-                                        id(model._NORM_SPACES)}
-        for cache in caches:
-            cache.clear()
+        # the block's is the one cache: the head builds its own scratch
+        assert list(map(id, workspace_caches())) == [id(model._BLOCK_SPACES)]
+        model._BLOCK_SPACES.clear()
         m = raw["model"]
         patches = (raw["data"]["image_size"] // m["patch_size"]) ** 2
         # cls, one shared prompt and the patches, then the mixed prompt
@@ -894,7 +922,6 @@ class TestWorkspaces:
             assert set(model._BLOCK_SPACES) == {
                 (t, m["dim"], m["heads"], model.MLP_MULT * m["dim"])
                 for t in (tokens, tokens + 1)}
-            assert set(model._NORM_SPACES) == {(1, m["dim"])}
 
 
 class TestPrimitiveGradients:

@@ -265,6 +265,21 @@ class TestSoftScoresOp:
         np.testing.assert_array_equal(
             soft_scores_op(cls, consts, grad=True)[0], s)
 
+    def test_evaluate_leaves_the_constants_as_built(self):
+        cls, protos, priors, _ = self._setup(11)
+        consts = ScoreConstants(protos, priors, 0.7)
+
+        def state():
+            return {name: (np.shape(v), np.asarray(v).dtype.str,
+                           np.asarray(v).tobytes())
+                    for name in consts.__slots__
+                    for v in [getattr(consts, name)]}
+
+        built = state()
+        first = consts.evaluate(cls)[0]
+        assert not np.array_equal(consts.evaluate(-3.0 * cls)[0], first)
+        assert state() == built
+
 
 class TestMix:
     """The token `model._mix` inserts after the cls row of a sequence:

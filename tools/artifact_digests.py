@@ -11,10 +11,11 @@ each into its own directory under a temporary directory, and
 `fedprompt eval` on each run but the workloads'.  It prints one
 `config seed artifact sha256` line per file: config.json without its
 `out_dir` line (the path is temporary), the other five run artifacts and
-eval_report.json, 92 lines in all.  It takes no options, writes nothing
-outside the temporary directory (the edited configs included), and exits
-1 naming the first command that fails.  Run it in each checkout and
-`diff` the outputs.
+eval_report.json, 92 lines; then `gradcheck - stdout sha256` for the
+four lines `fedprompt gradcheck` prints, 93 lines in all.  It takes no
+options, writes nothing outside the temporary directory (the edited
+configs included), and exits 1 naming the first command that fails.
+Run it in each checkout and `diff` the outputs.
 """
 
 import hashlib
@@ -35,9 +36,9 @@ RUN_ARTIFACTS = ("config.json", "metrics.csv", "prompts.csv",
                  "prototypes.csv", "client_accuracy.csv", "final_report.json")
 
 
-def fedprompt(*args):
-    """Run one `fedprompt` command from this checkout's src/; exit 1 with
-    its stderr if it fails."""
+def fedprompt(*args) -> str:
+    """Run one `fedprompt` command from this checkout's src/ and return
+    its stdout; exit 1 with its stderr if it fails."""
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "fedprompt.cli", *args],
@@ -46,6 +47,7 @@ def fedprompt(*args):
         print(f"fedprompt {' '.join(args)} exited {proc.returncode}:\n"
               f"{proc.stderr}", end="", file=sys.stderr)
         sys.exit(1)
+    return proc.stdout
 
 
 def digest(path) -> str:
@@ -90,6 +92,8 @@ def main() -> int:
                 for artifact in artifacts:
                     print(name, seed, artifact,
                           digest(os.path.join(out, artifact)), flush=True)
+    stdout = fedprompt("gradcheck").encode()
+    print("gradcheck - stdout", hashlib.sha256(stdout).hexdigest())
     return 0
 
 
