@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -70,8 +69,8 @@ def _prompt_matrices(state):
 
 def _prototype_matrices(bank):
     """The matrices of prototypes.csv in row order, keyed (layer,): the
-    bank's class means, and none without a bank."""
-    return [] if bank is None else [((l,), bank.mu[l]) for l in bank.layers]
+    bank's class means, one per layer."""
+    return [((l,), bank.mu[l]) for l in bank.layers]
 
 
 def _indices(matrix):
@@ -105,10 +104,6 @@ def write_config_copy(cfg: ExperimentConfig, path):
 
 
 def _final_report(cfg, state, logs, report, heldout_report):
-    comm = comm_accounting(
-        *state.params.class_prompts.data.shape,
-        mix_layers=len(_prototype_matrices(state.bank)),
-        rounds=cfg.train.rounds, update_period=cfg.train.update_period)
     return {
         "version": __version__,
         "rounds": cfg.train.rounds,
@@ -122,7 +117,10 @@ def _final_report(cfg, state, logs, report, heldout_report):
             **heldout_report.to_dict(),
         },
         "final_train_loss": logs[-1].train_loss,
-        "communication": asdict(comm),
+        "communication": comm_accounting(
+            *state.params.class_prompts.data.shape,
+            mix_layers=len(state.bank.layers),
+            rounds=cfg.train.rounds, update_period=cfg.train.update_period),
     }
 
 
@@ -288,11 +286,10 @@ def _read_table(path, columns, tables):
 
 
 def _load_prototypes_csv(path, bank):
-    """Read `bank` (None under `shared_only`) from prototypes.csv;
-    DataError on a layer whose squared norms overflow, as `run` would have
-    stopped on it."""
+    """Read `bank` from prototypes.csv; DataError on a layer whose squared
+    norms overflow, as `run` would have stopped on it."""
     _read_table(path, PROTOTYPES_COLUMNS, _prototype_matrices(bank))
-    layer = None if bank is None else bank.overflowing_layer()
+    layer = bank.overflowing_layer()
     if layer is not None:
         raise DataError(f"{path}: the prototypes of layer {layer} have a "
                         f"non-finite squared norm")

@@ -75,32 +75,17 @@ def heldout_split(client_ids, participating_fraction: float, seed: int):
     return participating, heldout
 
 
-@dataclass(frozen=True)
-class CommReport:
-    """Per-client communication tallies, in parameter counts."""
-
-    params_per_round: int           # prompt blocks + head, each direction
-    prototype_payload: int          # full bank for the configured layers
-    prototype_syncs: int            # number of period updates in the run
-    uploaded_total: int
-    downloaded_total: int
-
-
 def comm_accounting(dim: int, classes: int, mix_layers: int, rounds: int,
-                    update_period: int) -> CommReport:
-    """Parameters one client exchanges across a run.
-
-    The trainable blocks travel both ways every round; the prototypes of
-    the mix layers are exchanged once per update period.
+                    update_period: int) -> dict:
+    """Parameters one client exchanges across a run, as final_report.json
+    writes them: the trainable blocks (`params_per_round`) travel both ways
+    every round; the prototypes of the mix layers (`prototype_payload`)
+    once per update period (`prototype_syncs`, none without mix layers).
     """
     params = classes * dim + dim + dim * classes
     prototype_payload = mix_layers * classes * dim
     syncs = rounds // update_period if mix_layers else 0
     total = rounds * params + syncs * prototype_payload
-    return CommReport(
-        params_per_round=params,
-        prototype_payload=prototype_payload,
-        prototype_syncs=syncs,
-        uploaded_total=total,
-        downloaded_total=total,
-    )
+    return {"params_per_round": params, "prototype_payload": prototype_payload,
+            "prototype_syncs": syncs, "uploaded_total": total,
+            "downloaded_total": total}

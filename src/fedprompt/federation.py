@@ -3,8 +3,8 @@ on the prompt blocks, federated averaging, and periodic prototype sync.
 
 `init_server` alone builds a run from its `ExperimentConfig`, and
 `run_training` trains it.  `init_server` alone turns the strategy and
-model config into state: the prototype bank (None without mixing) holds
-the mix layers, tau and, as its `epsilon`, the DP budget.
+model config into state: the prototype bank holds the mix layers (none
+under `shared_only`), tau and, as its `epsilon`, the DP budget.
 `ServerState.client_inputs` alone says what a client reads: its prompts
 and score constants (the bank's).  The three prompt blocks always travel
 as one `PromptParams`: clients read the server's own blocks, and
@@ -79,7 +79,7 @@ class RoundLog:
 @dataclass
 class ServerState:
     params: PromptParams
-    bank: PrototypeBank | None
+    bank: PrototypeBank
     clients: list
     participating: tuple
     heldout: tuple
@@ -95,11 +95,9 @@ class ServerState:
         """(prompt parameters, score constants) client `cid` trains and is
         evaluated with, for reading only: the server's own blocks, or its
         own prompts with the global head; the constants are the bank's as
-        it is now, if any."""
+        it is now."""
         own = self.personal.get(cid)
         params = self.params if own is None else replace(own, head=self.params.head)
-        if self.bank is None:
-            return params, {}
         return params, self.bank.score_constants(self.clients[cid].priors)
 
 
@@ -184,20 +182,17 @@ def fedavg_aggregate(trained) -> PromptParams:
 
 
 def warm_startup(state: ServerState) -> None:
-    """Bootstrap the prototype bank: sampled clients compute prototypes
-    with the untrained prompt state; the server takes the plain per-class
-    mean over them (zero submissions included)."""
-    if state.bank is None:
+    """Bootstrap the prototype bank: sampled clients submit prototypes
+    computed with the untrained prompt state; the server takes the plain
+    per-class mean over them (zero submissions included)."""
+    if not state.bank.layers:
         return
     count = max(1, round(state.cfg.warmup_fraction * len(state.participating)))
     rng = derive_rng(state.seed, "warmup")
-    chosen = sample_clients(rng, state.participating, count)
-    submissions, sensitivities = zip(*(
-        compute_client_prototypes(state.clients[cid], *state.client_inputs(cid),
-                                  state.backbone)
-        for cid in chosen))
-    state.bank.warm_start(submissions, sensitivities,
-                          rng=derive_rng(state.seed, "dp", 0))
+    for cid in sample_clients(rng, state.participating, count):
+        state.bank.submit(*compute_client_prototypes(
+            state.clients[cid], *state.client_inputs(cid), state.backbone))
+    state.bank.warm_start(rng=derive_rng(state.seed, "dp", 0))
     _check_bank(state.bank, 0)
 
 
@@ -244,7 +239,7 @@ def run_round(state: ServerState) -> RoundLog:
     for cid in chosen:
         inputs = (state.clients[cid], *state.client_inputs(cid))
         try:
-            if state.bank is not None:
+            if state.bank.layers:
                 # the bank reads what it is sent only in the period update
                 state.bank.submit(*compute_client_prototypes(*inputs,
                                                              state.backbone))
@@ -263,7 +258,7 @@ def run_round(state: ServerState) -> RoundLog:
         averaged = replace(state.params, head=averaged.head)
     state.params = averaged
 
-    if state.bank is not None and t % state.cfg.update_period == 0:
+    if state.bank.layers and t % state.cfg.update_period == 0:
         state.bank.apply_period_update(rng=derive_rng(state.seed, "dp", t))
         _check_bank(state.bank, t)
     return _round_log(state, float(np.mean(losses)))
@@ -310,12 +305,10 @@ def init_server(cfg: ExperimentConfig) -> ServerState:
             raise DataError("heldout clients with all-zero class priors: "
                             + ", ".join(map(str, unscorable)))
     params = PromptParams.init(cfg.seed, cfg.model.dim, cfg.data.classes)
-    bank = None
-    if mixing:
-        bank = PrototypeBank(layers=tuple(cfg.model.mix_layers),
-                             num_classes=cfg.data.classes, dim=cfg.model.dim,
-                             tau=cfg.model.tau, rho=train.rho,
-                             epsilon=train.dp_epsilon)
+    bank = PrototypeBank(layers=tuple(cfg.model.mix_layers) if mixing else (),
+                         num_classes=cfg.data.classes, dim=cfg.model.dim,
+                         tau=cfg.model.tau, rho=train.rho,
+                         epsilon=train.dp_epsilon)
     return ServerState(
         params=params, bank=bank, clients=clients,
         participating=participating, heldout=heldout,

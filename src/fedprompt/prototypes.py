@@ -52,43 +52,34 @@ class ScoreConstants:
         self.norms = norms[self.nonzero]
         self.log_priors = np.log(priors[active])
 
-    def evaluate(self, cls_vec):
-        """(scores, sims, cls_norm) for one cls token: the scores over all
-        classes, the cosine similarities to the nonzero active prototypes
-        (None when the token or every such prototype is zero), and the
-        token's norm.  The scores and sims are fresh arrays.
-
-        The scores are computed in log space: logit_c = sim(cls, mu_c)/tau
-        + ln(prior_c), followed by a max-subtracted softmax.  Classes with
-        zero prior get an exact zero; a zero prototype (class never
-        observed) contributes a neutral similarity of 0.
-        """
-        cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
-        logits = np.zeros(self.active.size)
-        sims = None
-        if cls_norm > 0.0 and self.norms.size:
-            sims = np.dot(self.protos, cls_vec)
-            np.divide(sims, np.multiply(self.norms, cls_norm), sims)
-            logits[self.nonzero] = sims
-        np.divide(logits, self.tau, logits)
-        np.add(logits, self.log_priors, logits)
-        np.subtract(logits, np.maximum.reduce(logits), logits)
-        e = np.exp(logits, logits)
-        np.divide(e, np.add.reduce(e), e)
-        scores = np.zeros(self.classes)
-        scores[self.active] = e
-        return scores, sims, cls_norm
-
 
 def soft_scores_op(cls_vec, consts: ScoreConstants, grad: bool):
-    """Scores of one cls token from the layer's `ScoreConstants`, for the
-    forward pass.
+    """Scores of one cls token from the layer's `ScoreConstants`: the one
+    place a token is scored.
 
-    Returns (scores, map): with `grad`, the map takes the gradient of the
-    scores to the gradient of the cls token; without, it is None.
-    Prototypes and priors are constants.
+    Returns (scores, map): the fresh (classes,) scores and, with `grad`, the
+    map that takes their gradient to the gradient of the cls token; without,
+    it is None.  Prototypes and priors are constants.
+
+    The scores are computed in log space: logit_c = sim(cls, mu_c)/tau
+    + ln(prior_c), followed by a max-subtracted softmax.  Classes with zero
+    prior get an exact zero; a zero prototype (class never observed), like
+    a zero token, contributes a neutral similarity of 0.
     """
-    scores, sims, cls_norm = consts.evaluate(cls_vec)
+    cls_norm = np.sqrt(np.dot(cls_vec, cls_vec))
+    logits = np.zeros(consts.active.size)
+    sims = None
+    if cls_norm > 0.0 and consts.norms.size:
+        sims = np.dot(consts.protos, cls_vec)
+        np.divide(sims, np.multiply(consts.norms, cls_norm), sims)
+        logits[consts.nonzero] = sims
+    np.divide(logits, consts.tau, logits)
+    np.add(logits, consts.log_priors, logits)
+    np.subtract(logits, np.maximum.reduce(logits), logits)
+    e = np.exp(logits, logits)
+    np.divide(e, np.add.reduce(e), e)
+    scores = np.zeros(consts.classes)
+    scores[consts.active] = e
     if not grad:
         return scores, None
 
@@ -180,12 +171,13 @@ def add_laplace_noise(prototype: np.ndarray, sensitivity: float, epsilon: float,
 class PrototypeBank:
     """Global per-layer, per-class cls-token prototypes with momentum state.
 
-    Its `layers` are the layers that mix, at score temperature `tau`.
-    Client submissions are buffered over the current update period and
-    folded in by `apply_period_update`; the zero vector is the reserved
-    sentinel for classes never observed.  With a privacy budget
-    `epsilon`, the warm start and every period update noise the classes
-    they write.
+    Its `layers` are the layers that mix, at score temperature `tau`; a
+    bank with no layers mixes nowhere.  Client snapshots enter only
+    through `submit` and are buffered until `warm_start`, once, or
+    `apply_period_update`, once per update period, folds them in; the
+    zero vector is the reserved sentinel for classes never observed.
+    With a privacy budget `epsilon`, the warm start and every period
+    update noise the classes they write.
     """
 
     layers: tuple
@@ -201,20 +193,21 @@ class PrototypeBank:
         for l in self.layers:
             self.mu.setdefault(l, np.zeros((self.num_classes, self.dim)))
 
-    def warm_start(self, submissions, sensitivities, rng) -> None:
-        """Initialize each prototype as the plain mean over the warm-up
-        clients' `submissions`, zero submissions included.
+    def warm_start(self, rng) -> None:
+        """Initialize each prototype as the plain mean over the buffered
+        submissions, zero submissions included, then clear the buffer.
 
         With `epsilon`, classes some client observed get Laplace noise
         exactly as in a period update; without, `rng` draws nothing.
         """
         for l in self.layers:
-            stack = np.stack([sub[l] for sub in submissions])
+            stack = np.stack([p[l] for p, _ in self._buffer])
             self.mu[l] = stack.mean(axis=0)
             if self.epsilon is not None:
                 counts = np.any(stack != 0.0, axis=2).sum(axis=0)
-                self._privatize_layer(l, counts, [s[l] for s in sensitivities],
-                                      rng)
+                self._privatize_layer(
+                    l, counts, [s[l] for _, s in self._buffer], rng)
+        self._buffer.clear()
 
     def submit(self, protos: dict, sens: dict) -> None:
         self._buffer.append((protos, sens))

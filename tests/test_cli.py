@@ -766,6 +766,7 @@ class TestGradcheckCommand:
 
     def test_fails_with_corrupted_backward(self, monkeypatch, capsys):
         from fedprompt import model
+        from fedprompt.prototypes import soft_scores_op
 
         true_mix = model._mix
 
@@ -774,10 +775,10 @@ class TestGradcheckCommand:
             # large: a map recorded after the mix's own adds half again
             out = true_mix(seq, class_prompts, consts, replace, tape)
             if tape is not None:
-                scores = consts.evaluate(seq[0])[0].reshape(-1, 1)
+                scores = soft_scores_op(seq[0], consts, False)[0]
 
                 def extra(g):
-                    class_prompts.grad += 0.5 * (g[1:2].T @ scores.T)
+                    class_prompts.grad += 0.5 * (g[1:2].T @ scores[None, :])
                     return g
 
                 tape.record(extra)
@@ -1251,13 +1252,10 @@ class TestEvalCommand:
                     trained.client_inputs(cid)[0].blocks(),
                     reloaded.client_inputs(cid)[0].blocks()):
                 assert np.array_equal(got.data, want.data), (cid, name)
-        if trained.bank is None:
-            assert reloaded.bank is None
-        else:
-            assert reloaded.bank.layers == trained.bank.layers
-            for layer in trained.bank.layers:
-                assert np.array_equal(reloaded.bank.mu[layer],
-                                      trained.bank.mu[layer]), layer
+        assert reloaded.bank.layers == trained.bank.layers
+        for layer in trained.bank.layers:
+            assert np.array_equal(reloaded.bank.mu[layer],
+                                  trained.bank.mu[layer]), layer
 
     def test_in_place_prototype_load_reaches_evaluation(self, tmp_path):
         # cmd_eval writes the loaded prototypes into the bank's arrays in
@@ -1787,6 +1785,36 @@ def test_root_exports_what_the_readme_imports():
     assert public == set(line.split(", "))
     assert isinstance(fedprompt.__version__, str)
     assert not hasattr(fedprompt, "__all__")
+
+
+def test_readme_library_examples_run(monkeypatch):
+    # README's Library section runs as written: its python blocks, split on
+    # fence lines the CommonMark way (a closing fence is backticks alone,
+    # so a fence followed by prose closes nothing), run in order in one
+    # namespace from the repository root
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks, block, info = [], None, None
+    for line in section.splitlines():
+        if block is None:
+            if line.startswith("```"):
+                block, info = [], line[3:].strip()
+        elif re.fullmatch(r"```+ *", line):
+            if info == "python":
+                blocks.append("\n".join(block))
+            block = None
+        else:
+            block.append(line)
+    assert block is None, "a fence is left open"
+    assert len(blocks) == 3
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].mean_acc == namespace["logs"][-1].mean_acc
+    assert namespace["small_state"].bank.layers == (2,)
+    assert namespace["logits"].shape == (4, namespace["cfg"].data.classes)
+    assert np.array_equal(namespace["first"], namespace["logits"][0])
 
 
 def test_every_top_level_definition_is_used():

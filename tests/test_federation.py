@@ -97,6 +97,34 @@ class TestWarmStartup:
         np.testing.assert_allclose(state.bank.mu[2], expected, atol=1e-12)
 
 
+    def test_chosen_snapshots_enter_through_submit(self, monkeypatch):
+        # the warm start folds in what the chosen clients submitted, as a
+        # period update does, and leaves the buffer empty
+        cfg = tiny_experiment(4, clients=6, warmup_fraction=0.5)
+        submitted = []
+        submit = PrototypeBank.submit
+
+        def recording(bank, protos, sens):
+            submitted.append(protos)
+            submit(bank, protos, sens)
+
+        monkeypatch.setattr(PrototypeBank, "submit", recording)
+        state = init_server(cfg)
+        warm_startup(state)
+        chosen = sample_clients(derive_rng(4, "warmup"),
+                                state.participating, 3)
+        fresh = init_server(cfg)
+        expected = [federation.compute_client_prototypes(
+            fresh.clients[cid], *fresh.client_inputs(cid), fresh.backbone)[0]
+            for cid in chosen]
+        assert len(submitted) == len(chosen) == 3
+        for got, want in zip(submitted, expected):
+            assert np.array_equal(got[2], want[2])
+        assert state.bank._buffer == []
+        assert np.array_equal(state.bank.mu[2],
+                              np.stack([p[2] for p in expected]).mean(axis=0))
+
+
 class TestLocalTrain:
     def test_zero_lr_is_noop(self):
         state = init_server(tiny_experiment(3, lr=0.0, local_epochs=3))
@@ -309,16 +337,31 @@ class TestRounds:
         run_training(state)
         assert backbone_checksum(state.backbone) == before
 
-    def test_shared_only_never_touches_bank(self):
+    def test_shared_only_never_touches_bank(self, monkeypatch):
         # shared_only leaves the mix layers unread, so they keep the default
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(federation, "compute_client_prototypes",
+                            counted("pass", federation.compute_client_prototypes))
+        monkeypatch.setattr(PrototypeBank, "apply_period_update",
+                            counted("update", PrototypeBank.apply_period_update))
         model = ModelConfig(dim=8, layers=3, heads=2, patch_size=4)
         state = init_server(tiny_experiment(12, model=model,
                                             strategy="shared_only"))
         logs = run_training(state)
-        assert state.bank is None
-        # without a bank no client gets score constants, so nothing mixes
+        # its bank has no layers, so no client gets score constants and
+        # nothing mixes, and no prototype is computed or folded in
+        assert state.bank.layers == ()
+        assert state.bank.mu == {}
         for cid in range(len(state.clients)):
             assert state.client_inputs(cid)[1] == {}
+        assert calls == []
         assert len(logs) == 3
 
     def test_nonparticipants_untouched(self):

@@ -551,8 +551,8 @@ class TestFusedForwardReference:
         assert scores.keys() == ref["scores"].keys()
         for layer, want in ref["scores"].items():
             assert np.array_equal(scores[layer], want)
-            assert np.array_equal(consts[layer].evaluate(cls[layer - 1])[0],
-                                  want)
+            assert np.array_equal(
+                soft_scores_op(cls[layer - 1], consts[layer], False)[0], want)
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
         assert np.abs(grads[1]).max() > 0  # the class prompts do train
@@ -697,10 +697,15 @@ class TestWorkspaces:
             block = _transformer_layer(mixed, backbone.blocks[0], SMALL.heads,
                                        None)
             logits = _head(block, prompts.head, None)
-            scores, sims, _ = consts[2].evaluate(x[0])
+            # the scores and every array their map captures: the
+            # similarities, the token and the scores themselves
+            scores, scores_map = soft_scores_op(x[0], consts[2], True)
+            captured = [cell.cell_contents for cell in scores_map.__closure__
+                        if isinstance(cell.cell_contents, np.ndarray)]
+            assert len(captured) == 3
             xhat, inv = te.norm_rows(x, np.empty_like(x),
                                      np.empty((len(x), 1)), space)
-            return [seq, mixed, block, logits, scores, sims, xhat, inv,
+            return [seq, mixed, block, logits, scores, *captured, xhat, inv,
                     te.norm_rows_backward(x, xhat, inv, None, space)]
 
         first = outputs()

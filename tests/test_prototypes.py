@@ -276,8 +276,9 @@ class TestSoftScoresOp:
                     for v in [getattr(consts, name)]}
 
         built = state()
-        first = consts.evaluate(cls)[0]
-        assert not np.array_equal(consts.evaluate(-3.0 * cls)[0], first)
+        first = soft_scores_op(cls, consts, False)[0]
+        assert not np.array_equal(soft_scores_op(-3.0 * cls, consts, False)[0],
+                                  first)
         assert state() == built
 
 
@@ -369,15 +370,20 @@ class TestPrototypeBank:
         bank = self.make_bank()
         sub_a = {5: np.array([[1.0, 0], [0, 0], [2, 2]]), 6: np.zeros((3, 2))}
         sub_b = {5: np.array([[3.0, 0], [0, 0], [0, 0]]), 6: np.zeros((3, 2))}
-        bank.warm_start([sub_a, sub_b], [self.sens()] * 2, self.rng())
+        for sub in (sub_a, sub_b):
+            bank.submit(sub, self.sens())
+        bank.warm_start(self.rng())
         np.testing.assert_allclose(bank.mu[5][0], [2.0, 0.0])
         np.testing.assert_allclose(bank.mu[5][2], [1.0, 1.0])  # zero included
+        assert bank._buffer == []
 
     def test_single_client_warm_start(self):
         bank = self.make_bank()
         sub = {5: np.arange(6.0).reshape(3, 2), 6: np.ones((3, 2))}
-        bank.warm_start([sub], [self.sens()], self.rng())
+        bank.submit(sub, self.sens())
+        bank.warm_start(self.rng())
         np.testing.assert_array_equal(bank.mu[5], sub[5])
+        assert bank._buffer == []
 
     def test_period_update_momentum(self):
         bank = self.make_bank(rho=0.5)
@@ -418,7 +424,9 @@ class TestPrototypeBank:
         sub = {5: np.ones((3, 2)), 6: np.full((3, 2), 2.0)}
         rng = np.random.default_rng(7)
         before = rng.bit_generator.state
-        bank.warm_start([sub], [self.sens(value)], rng)
+        bank.submit(sub, self.sens(value))
+        bank.warm_start(rng)
+        assert bank._buffer == []
         bank.submit(sub, self.sens(value))
         bank.apply_period_update(rng)
         assert rng.bit_generator.state == before

@@ -5,14 +5,15 @@ workloads write, so two checkouts can be compared byte for byte:
 
 It runs `fedprompt run` from this checkout's src/ on both shipped configs,
 on perfbench/workloads/{desk,train-heavy,eval-heavy}.json and on
-configs/pathological.json with `train.strategy` set to `personalized` and
-to `mixed_no_prior` (the strategies no other case trains), at seeds 0 and 1,
-each into its own directory under a temporary directory, and
-`fedprompt eval` on each run but the workloads'.  It prints one
+configs/pathological.json with `train.strategy` set to `personalized`, to
+`mixed_no_prior` and to `shared_only` (the strategies no shipped config
+trains; only these runs evaluate `shared_only`), at seeds 0 and 1, each
+into its own directory under a temporary directory, and `fedprompt eval`
+on each run but the workloads'.  It prints one
 `config seed artifact sha256` line per file: config.json without its
 `out_dir` line (the path is temporary), the other five run artifacts and
-eval_report.json, 92 lines; then `gradcheck - stdout sha256` for the
-four lines `fedprompt gradcheck` prints, 93 lines in all.  It takes no
+eval_report.json, 106 lines; then `gradcheck - stdout sha256` for the
+four lines `fedprompt gradcheck` prints, 107 lines in all.  It takes no
 options, writes nothing outside the temporary directory (the edited
 configs included), and exits 1 naming the first command that fails.
 Run it in each checkout and `diff` the outputs.
@@ -28,7 +29,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("pathological", "dirichlet_heldout")
 # configs/pathological.json is also run under each of these strategies
-STRATEGIES = ("personalized", "mixed_no_prior")
+STRATEGIES = ("personalized", "mixed_no_prior", "shared_only")
 WORKLOADS = ("desk", "train-heavy", "eval-heavy")
 SEEDS = (0, 1)
 # listed here, not read from `cli`, so a change cannot shrink its own check

@@ -7,8 +7,8 @@ lines count, then runs each command in this one process through
 `cli.main`, in a temporary directory: `run`, `partition` and `eval` of
 both shipped configs; `run` of perfbench/workloads/{desk,train-heavy,
 eval-heavy}.json cut to 2 rounds; `run` and `eval` of
-configs/pathological.json with `train.strategy` set to `personalized`
-and to `mixed_no_prior`; and `gradcheck`.  The edited configs are
+configs/pathological.json with `train.strategy` set to `personalized`,
+to `mixed_no_prior` and to `shared_only`; and `gradcheck`.  The edited configs are
 written to the temporary directory, and the commands' own output is
 discarded.  A line counts as reached when a `line` event names it, or a
 `call` event (a function's first line start is its `def` line, which
@@ -37,7 +37,7 @@ SRC = os.path.join(ROOT, "src", "fedprompt")
 SHIPPED = ("pathological", "dirichlet_heldout")
 WORKLOADS = ("desk", "train-heavy", "eval-heavy")
 # configs/pathological.json is also run under each of these strategies
-STRATEGIES = ("personalized", "mixed_no_prior")
+STRATEGIES = ("personalized", "mixed_no_prior", "shared_only")
 
 reached = set()  # (file, line)
 left = {}  # code object -> its line starts not yet reached
