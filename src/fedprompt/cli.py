@@ -8,7 +8,9 @@ Subcommands:
 
 Exit status:
   0  every requested artifact was written
-  1  training failed at run time (non-finite loss), or gradcheck failed
+  1  training failed at run time (a non-finite loss or gradient norm, a
+     floating-point overflow named by its round and client, or prototype
+     norms made non-finite), or gradcheck failed
   2  the config is invalid (missing, unknown or mistyped field, bad value)
      or yields unusable data, such as a participating client with an empty
      train shard; the stderr line starts with "config error:" or
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .config import ExperimentConfig, load_config, make_partition
 from .data import generate_synthetic, label_histograms
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import comm_accounting, evaluate_clients
-from .federation import evaluate_state, init_server, run_training
+from .federation import RoundLog, evaluate_state, init_server, run_training
 from . import __version__
 
 def _fmt(value) -> str:
@@ -45,11 +48,12 @@ def _write_rows(path, columns, rows):
 
 
 def write_metrics_csv(logs, path):
-    _write_rows(path, ["round", "train_loss", "mean_acc", "worst_acc",
-                       "heldout_mean_acc", "heldout_worst_acc"], (
-        [log.round, _fmt(log.train_loss), _fmt(log.mean_acc),
-         _fmt(log.worst_acc), _fmt(log.heldout_mean_acc),
-         _fmt(log.heldout_worst_acc)] for log in logs))
+    """One row per `RoundLog`, its fields as the columns: an int field as
+    the integer it is, the others as floats, None as an empty cell."""
+    columns = fields(RoundLog)
+    _write_rows(path, [f.name for f in columns], (
+        [getattr(log, f.name) if f.type is int else _fmt(getattr(log, f.name))
+         for f in columns] for log in logs))
 
 
 PROMPTS_COLUMNS = ["block", "client", "row", "col", "value"]

@@ -2,7 +2,7 @@
 accounting."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,12 +18,10 @@ class EvalReport:
     skipped_empty: int
 
     def to_dict(self):
-        return {
-            "per_client": {str(k): v for k, v in sorted(self.per_client.items())},
-            "mean_acc": self.mean_acc,
-            "worst_acc": self.worst_acc,
-            "skipped_empty": self.skipped_empty,
-        }
+        """The fields as JSON, `per_client` keyed by client id strings in
+        client order."""
+        return {**asdict(self), "per_client": {
+            str(k): v for k, v in sorted(self.per_client.items())}}
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

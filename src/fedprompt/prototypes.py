@@ -201,12 +201,11 @@ class PrototypeBank:
         exactly as in a period update; without, `rng` draws nothing.
         """
         for l in self.layers:
-            stack = np.stack([p[l] for p, _ in self._buffer])
-            self.mu[l] = stack.mean(axis=0)
+            submissions = [p[l] for p, _ in self._buffer]
+            self.mu[l] = np.stack(submissions).mean(axis=0)
             if self.epsilon is not None:
-                counts = np.any(stack != 0.0, axis=2).sum(axis=0)
-                self._privatize_layer(
-                    l, counts, [s[l] for _, s in self._buffer], rng)
+                _, counts = aggregate_submissions(submissions)
+                self._privatize_layer(l, counts, rng)
         self._buffer.clear()
 
     def submit(self, protos: dict, sens: dict) -> None:
@@ -240,14 +239,13 @@ class PrototypeBank:
             agg, counts = aggregate_submissions([p[l] for p, _ in self._buffer])
             self.mu[l] = momentum_update(self.mu[l], agg, counts, self.rho)
             if self.epsilon is not None:
-                self._privatize_layer(
-                    l, counts, [s[l] for _, s in self._buffer], rng)
+                self._privatize_layer(l, counts, rng)
         self._buffer.clear()
 
-    def _privatize_layer(self, layer, counts, sensitivities, rng):
+    def _privatize_layer(self, layer, counts, rng):
         """Noise each class with contributors, scaled by the largest
-        sensitivity any contributor submitted for it."""
-        sens = np.stack(sensitivities)
+        sensitivity any buffered submission holds for it."""
+        sens = np.stack([s[layer] for _, s in self._buffer])
         for c in np.flatnonzero(counts > 0):
             self.mu[layer][c] = add_laplace_noise(
                 self.mu[layer][c], float(sens[:, c].max()), self.epsilon, rng

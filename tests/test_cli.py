@@ -1225,6 +1225,28 @@ class TestEvalCommand:
             del expected["clients"]
             assert again[group] == expected
 
+    def test_client_without_test_samples_is_skipped_by_every_report(
+            self, tmp_path):
+        # Dirichlet beta 0.5 at seed 1 deals participating client 4 two
+        # train samples and no test sample: `run` accepts it, as it has
+        # train data, and neither `run` nor `eval` scores it
+        path, _ = small_config(tmp_path, seed=1,
+                               partition={"mode": "dirichlet", "beta": 0.5,
+                                          "classes_per_client": DROP})
+        assert main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "run"
+        final = json.loads((out / "final_report.json").read_text())
+        participating = final["participating"]
+        assert participating.pop("clients") == [0, 1, 2, 3, 4, 5]
+        assert participating["skipped_empty"] == 1
+        scored = ["0", "1", "2", "3", "5"]
+        assert list(participating["per_client"]) == scored
+        with open(out / "client_accuracy.csv", newline="") as fh:
+            assert [row["client"] for row in csv.DictReader(fh)] == scored
+        assert main(["eval", "--run-dir", str(out)]) == 0
+        again = json.loads((out / "eval_report.json").read_text())
+        assert again == {"participating": participating}
+
     @pytest.mark.parametrize(
         "strategy", ["shared_only", "mixed", "mixed_no_prior", "personalized"])
     def test_reload_restores_every_cell(self, tmp_path, monkeypatch, strategy):
