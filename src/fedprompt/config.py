@@ -13,7 +13,7 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
-from .data import (PartitionSpec, SyntheticSpec, partition_dirichlet,
+from .data import (MODES, PartitionSpec, SyntheticSpec, partition_dirichlet,
                    partition_pathological)
 from .errors import ConfigError
 from .evaluation import participating_count
@@ -116,13 +116,14 @@ def _read(section: dict, name: str, cls):
 
 # (section, key, value) -> {section: its keys that this value leaves
 # unread}; each must keep its default, so config.json carries no value
-# the run did not use
+# the run did not use.  A partition mode leaves unread what the others read.
 UNREAD_KEYS = {
     ("train", "strategy", "shared_only"): {
         "train": ("rho", "update_period", "warmup_fraction", "dp_epsilon"),
         "model": ("tau", "mix_layers")},
-    ("partition", "mode", "pathological"): {"partition": ("beta",)},
-    ("partition", "mode", "dirichlet"): {"partition": ("classes_per_client",)},
+    **{("partition", "mode", mode): {
+        "partition": tuple(key for key in MODES.values() if key != read)}
+       for mode, read in MODES.items()},
 }
 
 
@@ -255,7 +256,7 @@ def load_config(path: str, seed_override=None, out_override=None) -> ExperimentC
 
 def make_partition(dataset, cfg: ExperimentConfig):
     spec = cfg.partition
-    if spec.mode == "pathological":
-        return partition_pathological(dataset, cfg.train.clients,
-                                      spec.classes_per_client, cfg.seed)
-    return partition_dirichlet(dataset, cfg.train.clients, spec.beta, cfg.seed)
+    split = (partition_pathological if spec.mode == "pathological"
+             else partition_dirichlet)
+    return split(dataset, cfg.train.clients, getattr(spec, MODES[spec.mode]),
+                 cfg.seed)

@@ -43,12 +43,13 @@ class SyntheticSpec:
                     f"data {key} must be {rule}, got {getattr(self, key)}")
 
 
-MODES = ("pathological", "dirichlet")
+# each partition mode and the one `PartitionSpec` field it reads
+MODES = {"pathological": "classes_per_client", "dirichlet": "beta"}
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """The partitioner and the one parameter it reads: k for
+    """The partitioner and the one parameter it reads (`MODES`): k for
     `pathological`, the Dirichlet beta for `dirichlet`.  The other one
     stays None (`config.UNREAD_KEYS` rejects a config that sets it)."""
 
@@ -59,17 +60,19 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"partition.mode must be 'pathological' or "
-                              f"'dirichlet', got {self.mode!r}")
-        needed = ("classes_per_client" if self.mode == "pathological"
-                  else "beta")
+            modes = " or ".join(map(repr, MODES))
+            raise ConfigError(f"partition.mode must be {modes}, got {self.mode!r}")
+        needed = MODES[self.mode]
         value = getattr(self, needed)
         if value is None:
             raise ConfigError(f"missing required field partition.{needed!r}")
-        rule, ok = ((">= 1", value >= 1) if needed == "classes_per_client"
-                    else ("> 0", value > 0))
-        if not ok:
-            raise ConfigError(f"partition {needed} must be {rule}, got {value}")
+        # once clients x beta overflows a double, the Dirichlet draw is all
+        # zeros and the split deals almost no sample
+        rules = {"classes_per_client": ((value >= 1, ">= 1"),),
+                 "beta": ((value > 0, "> 0"), (value <= 1e100, "<= 1e100"))}
+        for ok, rule in rules[needed]:
+            if not ok:
+                raise ConfigError(f"partition {needed} must be {rule}, got {value}")
 
 
 @dataclass
@@ -106,19 +109,35 @@ class Partition:
     train_indices: list
     test_indices: list
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.train_indices)
+
+def _largest_remainder(proportions, total):
+    """Integer counts summing to `total`, honoring proportions; remainder
+    goes to the largest fractional parts, ties to the lowest index."""
+    raw = proportions * total
+    counts = np.floor(raw).astype(np.int64)
+    frac = (raw - counts).tolist()
+    # a stable sort, so tied fractions keep index order
+    for i in sorted(range(len(frac)), key=lambda i: -frac[i])[
+            :total - counts.sum()]:
+        counts[i] += 1
+    return counts
 
 
-def _finish(train_lists, test_lists):
-    return Partition(
-        *([np.sort(np.asarray(ix, dtype=np.int64)) for ix in lists]
-          for lists in (train_lists, test_lists)))
-
-
-def _indices_by_class(labels, classes):
-    return [np.flatnonzero(labels == c) for c in range(classes)]
+def _deal(dataset: Dataset, num_clients: int, rng, share) -> Partition:
+    """The partition that gives each client its share `share(cls)` of each
+    class, called once per class before the class's two shuffles: in each
+    split, the class's samples are shuffled once and cut in client order
+    at the `_largest_remainder` counts, so each goes to exactly one client."""
+    owners = [np.empty(labels.size, np.int64)  # sample -> its client
+              for labels in (dataset.train_y, dataset.test_y)]
+    for cls in range(dataset.classes):
+        p = share(cls)
+        for owner, labels in zip(owners, (dataset.train_y, dataset.test_y)):
+            pool = np.flatnonzero(labels == cls)
+            owner[rng.permutation(pool)] = np.repeat(
+                np.arange(num_clients), _largest_remainder(p, pool.size))
+    return Partition(*([np.flatnonzero(owner == client)
+                        for client in range(num_clients)] for owner in owners))
 
 
 def partition_pathological(dataset: Dataset, num_clients: int,
@@ -127,74 +146,34 @@ def partition_pathological(dataset: Dataset, num_clients: int,
 
     Clients take consecutive positions on a random cyclic order of the
     classes, so coverage is automatic whenever n*k >= |C|; each class's
-    samples are then split disjointly among its assigned clients.  The
-    config guarantees 1 <= k <= |C|, n*k >= |C| and at least one train
-    sample per holder of each class (`ExperimentConfig.check`).
+    holders share its samples equally, the lowest ids taking one more
+    where they do not divide.  The config guarantees 1 <= k <= |C|,
+    n*k >= |C| and at least one train sample per holder of each class
+    (`ExperimentConfig.check`).
     """
     c = dataset.classes
     k = classes_per_client
     rng = derive_rng(seed, "partition")
     order = rng.permutation(c)
-    assigned = [[] for _ in range(c)]  # class -> clients holding it
+    held = np.zeros((c, num_clients))  # class -> clients holding it
     for client in range(num_clients):
-        for j in range(k):
-            assigned[order[(client * k + j) % c]].append(client)
-
-    train_lists = [[] for _ in range(num_clients)]
-    test_lists = [[] for _ in range(num_clients)]
-    by_class_train = _indices_by_class(dataset.train_y, c)
-    by_class_test = _indices_by_class(dataset.test_y, c)
-    for cls in range(c):
-        holders = assigned[cls]
-        for target, pool in ((train_lists, by_class_train[cls]),
-                             (test_lists, by_class_test[cls])):
-            chunks = np.array_split(rng.permutation(pool), len(holders))
-            for client, chunk in zip(holders, chunks):
-                target[client].extend(chunk.tolist())
-    return _finish(train_lists, test_lists)
-
-
-def _largest_remainder(proportions, total):
-    """Integer counts summing to `total`, honoring proportions; remainder
-    goes to the largest fractional parts, ties to the lowest index."""
-    raw = proportions * total
-    counts = np.floor(raw).astype(np.int64)
-    short = total - counts.sum()
-    if short > 0:
-        frac = raw - counts
-        order = np.lexsort((np.arange(frac.size), -frac))
-        counts[order[:short]] += 1
-    return counts
+        held[order[(client * k + np.arange(k)) % c], client] = 1.0
+    return _deal(dataset, num_clients, rng,
+                 lambda cls: held[cls] / held[cls].sum())
 
 
 def partition_dirichlet(dataset: Dataset, num_clients: int, beta: float,
                         seed: int) -> Partition:
     """Per class, split samples by proportions drawn from Dir(beta * 1_n).
 
-    The same drawn proportions shape the client's train and test shards,
-    with largest-remainder rounding keeping coverage exact.
+    The same drawn proportions shape the client's train and test shards.
     """
     rng = derive_rng(seed, "partition")
-    train_lists = [[] for _ in range(num_clients)]
-    test_lists = [[] for _ in range(num_clients)]
-    for cls in range(dataset.classes):
-        p = rng.dirichlet(np.full(num_clients, beta))
-        for target, pool in (
-            (train_lists, np.flatnonzero(dataset.train_y == cls)),
-            (test_lists, np.flatnonzero(dataset.test_y == cls)),
-        ):
-            counts = _largest_remainder(p, pool.size)
-            shuffled = rng.permutation(pool)
-            offset = 0
-            for client, n in enumerate(counts):
-                target[client].extend(shuffled[offset:offset + n].tolist())
-                offset += n
-    return _finish(train_lists, test_lists)
+    return _deal(dataset, num_clients, rng,
+                 lambda cls: rng.dirichlet(np.full(num_clients, beta)))
 
 
 def label_histograms(dataset: Dataset, partition: Partition) -> np.ndarray:
     """(clients, classes) train-label counts per client."""
-    hist = np.zeros((partition.num_clients, dataset.classes), dtype=np.int64)
-    for client, ix in enumerate(partition.train_indices):
-        hist[client] = np.bincount(dataset.train_y[ix], minlength=dataset.classes)
-    return hist
+    return np.array([np.bincount(dataset.train_y[ix], minlength=dataset.classes)
+                     for ix in partition.train_indices], dtype=np.int64)

@@ -669,7 +669,7 @@ def tiny_configs(draw):
     left out.  One draw in five puts one field outside its checked
     range (a strategy or mode outside its tuple)."""
     strategy = draw(st.sampled_from(STRATEGIES))
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(tuple(MODES)))
     chosen = {"strategy": strategy, "mode": mode}
     unread = {(section, key)
               for (_, selector, value), keys in UNREAD_KEYS.items()
@@ -1085,6 +1085,11 @@ class TestPartitionCommand:
         ({"partition": {"mode": "dirichlet", "beta": 0.0,
                         "classes_per_client": DROP}},
          "partition beta must be > 0, got 0.0"),
+        # with 6 clients x beta above the largest double, the Dirichlet
+        # draw is all zeros, and the split would drop most samples
+        ({"partition": {"mode": "dirichlet", "beta": 5e307,
+                        "classes_per_client": DROP}},
+         "partition beta must be <= 1e100, got 5e+307"),
         ({"partition": {"classes_per_client": 0}},
          "partition classes_per_client must be >= 1, got 0"),
         ({"partition": {"classes_per_client": 5}},

@@ -85,6 +85,30 @@ class TestPathological:
         # all 8 clients hold different classes
         assert len({int(h.argmax()) for h in hist}) == 8
 
+    def test_holders_share_a_class_equally_lowest_ids_first(self):
+        # 7 clients x 3 classes over 5 classes: 4 or 5 holders per class,
+        # none of which divides 13 train or 7 test samples; each holder
+        # gets np.array_split's count, the extra samples going to the
+        # lowest client ids
+        spec = SyntheticSpec(classes=5, train_per_class=13, test_per_class=7,
+                             image_size=1)
+        ds = generate_synthetic(spec, 0)
+        for seed in range(5):
+            part = partition_pathological(ds, 7, 3, seed=seed)
+            hist = label_histograms(ds, part)
+            test_hist = np.stack([
+                np.bincount(ds.test_y[ix], minlength=5)
+                for ix in part.test_indices])
+            for cls in range(5):
+                holders = np.flatnonzero(hist[:, cls])
+                assert holders.size in (4, 5)
+                for counts, total in ((hist[:, cls], 13),
+                                      (test_hist[:, cls], 7)):
+                    assert counts[holders].tolist() == [
+                        len(chunk) for chunk in
+                        np.array_split(np.arange(total), holders.size)]
+                    assert counts.sum() == total
+
     def test_exactly_k_labels_and_disjoint(self):
         ds = generate_synthetic(SPEC, 5)
         part = partition_pathological(ds, num_clients=12, classes_per_client=2,
@@ -171,6 +195,19 @@ class TestDirichlet:
             assert (counts >= 0).all()
             assert np.abs(counts - p * total).max() < 1.0 + 1e-9
 
+    @pytest.mark.parametrize("proportions, total, counts", [
+        ([0.25] * 4, 7, [2, 2, 2, 1]),
+        ([0.1, 0.45, 0.45], 3, [0, 2, 1]),
+        ([0.0, 0.5, 0.0, 0.5], 3, [0, 2, 0, 1]),
+        ([1 / 3] * 3, 2, [1, 1, 0]),
+    ])
+    def test_largest_remainder_ties_go_to_the_lowest_index(
+            self, proportions, total, counts):
+        # the rule both partitioners deal by
+        from fedprompt.data import _largest_remainder
+        assert _largest_remainder(np.array(proportions),
+                                  total).tolist() == counts
+
 
 @st.composite
 def tiny_partitions(draw):
@@ -186,8 +223,9 @@ def tiny_partitions(draw):
     ds = generate_synthetic(spec, draw(st.integers(0, 2**16)))
     clients, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**16))
     if draw(st.booleans()):
-        beta = draw(st.sampled_from([5e-324, 1e300, 0.0, -1.0])
-                    | st.floats(-323.3, 300.0).map(
+        beta = draw(st.sampled_from([5e-324, 1e300, 1.7976931348623157e308,
+                                     0.0, -1.0])
+                    | st.floats(-323.3, 308.25).map(
                         lambda e: max(10.0 ** e, 5e-324)))
         partition = {"mode": "dirichlet", "beta": beta}
         make = lambda: partition_dirichlet(ds, clients, beta, seed)
@@ -218,7 +256,7 @@ class TestPartitionProperty:
         # priors are its train shard's exact label frequencies
         ds, config, make, k = drawn
         try:
-            config()
+            clients = config().train.clients
         except ConfigError:
             return
         part = make()
@@ -227,12 +265,12 @@ class TestPartitionProperty:
             assert ((hist > 0).sum(axis=1) == k).all()
         for shards, labels in ((part.train_indices, ds.train_y),
                                (part.test_indices, ds.test_y)):
-            assert len(shards) == part.num_clients
+            assert len(shards) == clients
             assert sorted(np.concatenate(shards).tolist()) == list(
                 range(labels.size))
-        clients = clients_of(ds, part)
-        assert len(clients) == part.num_clients
-        for ix, client in zip(part.train_indices, clients):
+        built = clients_of(ds, part)
+        assert len(built) == clients
+        for ix, client in zip(part.train_indices, built):
             priors = client.priors
             if ix.size == 0:
                 assert np.array_equal(priors, np.zeros(ds.classes))
